@@ -2,15 +2,15 @@
 
 GO ?= go
 
-.PHONY: all check build test race cover bench benchfast bench-json benchdiff experiments examples fmt vet lint clean
+.PHONY: all check build test race cover bench benchfast bench-json benchdiff experiments examples fmt vet clean
 
 all: build test
 
 # Everything a change must keep green before it lands: build, vet, the
-# module's own analysis passes, the full test suite, the race detector
-# over the concurrency-heavy packages, and one fast benchmark pass to
-# catch perf-path breakage.
-check: build vet lint test race-hot benchfast
+# full test suite (which runs the module's own invariant passes,
+# DESIGN.md §9), the race detector over the concurrency-heavy packages,
+# and one fast benchmark pass to catch perf-path breakage.
+check: build vet test race-hot benchfast
 
 .PHONY: race-hot
 race-hot:
@@ -80,12 +80,6 @@ fmt:
 
 vet:
 	$(GO) vet ./...
-
-# rodain-vet: the module's own go/analysis passes — wall-clock use,
-# ignored log-write errors, atomic-field discipline, stripe lock order
-# and borrowed-view escapes (DESIGN.md §9).
-lint:
-	$(GO) run ./cmd/rodain-vet ./...
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -6,8 +6,8 @@
 // doomed flag, or of the lock-free File.Stats counters, is a data race
 // that the race detector only catches if a test happens to interleave
 // it. The pass records every field whose address is passed to a
-// sync/atomic operation (atomic.AddUint64(&s.n, 1) and friends) as an
-// object fact — so cross-package misuse is caught too — and then flags
+// sync/atomic operation (atomic.AddUint64(&s.n, 1) and friends) in
+// Pass.Atomic — so cross-package misuse is caught too — and then flags
 // every other plain selector access to such a field.
 //
 // Fields of the typed atomic.Int64/Uint64/Bool/... kinds need no pass:
@@ -21,87 +21,68 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analysis"
 	"repro/internal/analysis/rodainallow"
 )
 
-// IsAtomic marks a struct field as atomically accessed somewhere in the
-// program.
-type IsAtomic struct{}
-
-// AFact marks IsAtomic as a serializable analysis fact.
-func (*IsAtomic) AFact() {}
-
-func (*IsAtomic) String() string { return "atomic" }
-
-// Analyzer is the atomicfield pass.
-var Analyzer = &analysis.Analyzer{
-	Name:      "atomicfield",
-	Doc:       "a field accessed via sync/atomic must never be read or written non-atomically",
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*IsAtomic)(nil)},
-	Run:       run,
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
+// Run is the atomicfield pass: a field accessed via sync/atomic must
+// never be read or written non-atomically.
+func Run(pass *analysis.Pass) {
 	allow := rodainallow.New(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	// Pass 1: find every &x.f handed to a sync/atomic call. The selector
 	// positions are sanctioned (they ARE the atomic access); the field
 	// objects become facts.
 	sanctioned := make(map[token.Pos]bool)
 	localAtomic := make(map[*types.Var]bool) // includes imported fields this package touches atomically
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
-		if !isAtomicCall(pass, call) {
-			return
-		}
-		for _, arg := range call.Args {
-			un, ok := arg.(*ast.UnaryExpr)
-			if !ok || un.Op != token.AND {
-				continue
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !isAtomicCall(pass, call) {
+				return true
 			}
-			sel, ok := un.X.(*ast.SelectorExpr)
-			if !ok {
-				continue
+			for _, arg := range call.Args {
+				un, ok := arg.(*ast.UnaryExpr)
+				if !ok || un.Op != token.AND {
+					continue
+				}
+				sel, ok := un.X.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				field := fieldObject(pass, sel)
+				if field == nil {
+					continue
+				}
+				sanctioned[sel.Sel.Pos()] = true
+				localAtomic[field] = true
+				if field.Pkg() == pass.Pkg {
+					pass.Atomic[field] = true
+				}
 			}
-			field := fieldObject(pass, sel)
-			if field == nil {
-				continue
-			}
-			sanctioned[sel.Sel.Pos()] = true
-			localAtomic[field] = true
-			if field.Pkg() == pass.Pkg {
-				pass.ExportObjectFact(field, &IsAtomic{})
-			}
-		}
-	})
+			return true
+		})
+	}
 
 	// Pass 2: any other selector touching a marked field — declared in
-	// this package (fact just exported) or imported (fact from upstream)
+	// this package (fact just recorded) or imported (fact from upstream)
 	// — is a non-atomic access.
-	ins.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
-		sel := n.(*ast.SelectorExpr)
-		if sanctioned[sel.Sel.Pos()] {
-			return
-		}
-		field := fieldObject(pass, sel)
-		if field == nil {
-			return
-		}
-		if !localAtomic[field] && !pass.ImportObjectFact(field, &IsAtomic{}) {
-			return
-		}
-		if allow.Allowed("atomicfield", sel.Pos()) {
-			return
-		}
-		pass.Reportf(sel.Pos(), "non-atomic access to field %s, which is accessed via sync/atomic elsewhere (or annotate with //rodain:allow atomicfield)", field.Name())
-	})
-	return nil, nil
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sanctioned[sel.Sel.Pos()] {
+				return true
+			}
+			field := fieldObject(pass, sel)
+			if field == nil || !localAtomic[field] && !pass.Atomic[field] {
+				return true
+			}
+			if !allow.Allowed("atomicfield", sel.Pos()) {
+				pass.Reportf(sel.Pos(), "non-atomic access to field %s, which is accessed via sync/atomic elsewhere (or annotate with //rodain:allow atomicfield)", field.Name())
+			}
+			return true
+		})
+	}
 }
 
 // isAtomicCall reports whether call is a package-level sync/atomic

@@ -8,11 +8,11 @@ import (
 )
 
 func TestAtomicField(t *testing.T) {
-	vettest.Run(t, "../testdata", atomicfield.Analyzer, "internal/counters")
+	vettest.Run(t, "../testdata", atomicfield.Run, "internal/counters")
 }
 
 // TestCrossPackage checks the IsAtomic object fact flows from the
 // package that marks the field to a downstream importer.
 func TestCrossPackage(t *testing.T) {
-	vettest.Run(t, "../testdata", atomicfield.Analyzer, "internal/counteruse")
+	vettest.Run(t, "../testdata", atomicfield.Run, "internal/counteruse")
 }

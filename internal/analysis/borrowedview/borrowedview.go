@@ -22,10 +22,7 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analysis"
 	"repro/internal/analysis/rodainallow"
 )
 
@@ -38,17 +35,10 @@ var borrowMethods = map[string]bool{
 	"ReadView": true,
 }
 
-// Analyzer is the borrowedview pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     "borrowedview",
-	Doc:      "View/ReadView borrowed slices must not escape into fields, globals or channels",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
+// Run is the borrowedview pass: View/ReadView borrowed slices must not
+// escape into fields, globals or channels.
+func Run(pass *analysis.Pass) {
 	allow := rodainallow.New(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	// Borrowed locals are tracked per enclosing function.
 	type frame struct {
@@ -115,13 +105,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return false
 	}
 
-	nodeFilter := []ast.Node{
-		(*ast.FuncDecl)(nil),
-		(*ast.FuncLit)(nil),
-		(*ast.AssignStmt)(nil),
-		(*ast.SendStmt)(nil),
-	}
-	ins.Nodes(nodeFilter, func(n ast.Node, push bool) bool {
+	analysis.Nodes(pass.Files, func(n ast.Node, push bool) {
 		switch n := n.(type) {
 		case *ast.FuncDecl, *ast.FuncLit:
 			if push {
@@ -131,11 +115,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		case *ast.AssignStmt:
 			if !push {
-				return true
+				return
 			}
 			f := top()
 			if f == nil {
-				return true
+				return
 			}
 			// First: does this statement bind or clear borrowed locals?
 			// v, ok := s.View(id) marks v; v = anythingElse clears it.
@@ -188,9 +172,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				}
 			}
 		}
-		return true
 	})
-	return nil, nil
 }
 
 // defOrUse resolves an identifier on the LHS of an assignment to the

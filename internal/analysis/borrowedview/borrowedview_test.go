@@ -8,5 +8,5 @@ import (
 )
 
 func TestBorrowedView(t *testing.T) {
-	vettest.Run(t, "../testdata", borrowedview.Analyzer, "internal/viewer")
+	vettest.Run(t, "../testdata", borrowedview.Run, "internal/viewer")
 }

@@ -27,12 +27,8 @@ package durability
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analysis"
 	"repro/internal/analysis/rodainallow"
 )
 
@@ -62,17 +58,10 @@ var osFuncs = map[string]bool{
 	"Rename": true,
 }
 
-// Analyzer is the durability pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     "durability",
-	Doc:      "flag ignored errors from log-device Append/AppendBatch/Sync and WAL writes",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
+// Run is the durability pass: it flags ignored errors from log-device
+// Append/AppendBatch/Sync and WAL writes.
+func Run(pass *analysis.Pass) {
 	allow := rodainallow.New(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	report := func(call *ast.CallExpr, how string) {
 		name := calleeName(call)
@@ -82,16 +71,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		pass.Reportf(call.Pos(), "%s error %s: an unchecked log write breaks the acked⟹synced crash-consistency property (or annotate with //rodain:allow durability)", name, how)
 	}
 
-	nodeFilter := []ast.Node{
-		(*ast.ExprStmt)(nil),
-		(*ast.GoStmt)(nil),
-		(*ast.DeferStmt)(nil),
-		(*ast.AssignStmt)(nil),
-	}
-	ins.Preorder(nodeFilter, func(n ast.Node) {
-		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
-			return
-		}
+	visit := func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok && critical(pass, call) {
@@ -128,8 +108,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				}
 			}
 		}
-	})
-	return nil, nil
+		return true
+	}
+	for _, f := range pass.NonTestFiles() {
+		ast.Inspect(f, visit)
+	}
 }
 
 func calleeName(call *ast.CallExpr) string {

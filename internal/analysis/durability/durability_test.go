@@ -8,5 +8,5 @@ import (
 )
 
 func TestDurability(t *testing.T) {
-	vettest.Run(t, "../testdata", durability.Analyzer, "internal/durlog")
+	vettest.Run(t, "../testdata", durability.Run, "internal/durlog")
 }

@@ -26,20 +26,9 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analysis"
 	"repro/internal/analysis/rodainallow"
 )
-
-// Analyzer is the lockorder pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     "lockorder",
-	Doc:      "second stripe lock while one is held must be an ascending (range-loop) acquisition; no cross-package calls under a stripe lock",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
 
 type heldLock struct {
 	owner string     // rendered owner expression, for unlock matching
@@ -53,9 +42,11 @@ type frame struct {
 	deferDepth int
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+// Run is the lockorder pass: a second stripe lock while one is held
+// must be an ascending (range-loop) acquisition, and no cross-package
+// call may be made under a stripe lock.
+func Run(pass *analysis.Pass) {
 	allow := rodainallow.New(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	striped := stripedTypes(pass.Pkg)
 
 	var stack []*frame // one frame per enclosing func literal/decl
@@ -66,17 +57,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return stack[len(stack)-1]
 	}
 
-	nodeFilter := []ast.Node{
-		(*ast.FuncDecl)(nil),
-		(*ast.FuncLit)(nil),
-		(*ast.RangeStmt)(nil),
-		(*ast.DeferStmt)(nil),
-		(*ast.CallExpr)(nil),
-	}
-	ins.Nodes(nodeFilter, func(n ast.Node, push bool) bool {
-		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
-			return false
-		}
+	analysis.Nodes(pass.NonTestFiles(), func(n ast.Node, push bool) {
 		switch n := n.(type) {
 		case *ast.FuncDecl, *ast.FuncLit:
 			if push {
@@ -107,9 +88,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				visitCall(pass, allow, striped, top(), n)
 			}
 		}
-		return true
 	})
-	return nil, nil
 }
 
 func visitCall(pass *analysis.Pass, allow *rodainallow.Index, striped map[types.Type]bool, f *frame, call *ast.CallExpr) {

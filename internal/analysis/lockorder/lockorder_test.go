@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	vettest.Run(t, "../testdata", lockorder.Analyzer, "internal/striped")
+	vettest.Run(t, "../testdata", lockorder.Run, "internal/striped")
 }

@@ -1,5 +1,5 @@
 // Package rodainallow parses //rodain:allow escape comments, the one
-// sanctioned way to silence a rodain-vet pass at a call site that is
+// sanctioned way to silence an invariant pass at a call site that is
 // deliberately outside its invariant (the wall-clock implementation
 // itself, a measurement harness, a best-effort sync on a teardown
 // path). The directive names the passes it silences, so an exemption
@@ -17,7 +17,7 @@ import (
 	"go/token"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/analysis"
 )
 
 const prefix = "//rodain:allow"

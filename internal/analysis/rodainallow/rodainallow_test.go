@@ -6,7 +6,7 @@ import (
 	"go/token"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/analysis"
 )
 
 const src = `package p

@@ -1,23 +1,18 @@
-// Package vettest is a miniature analysistest: it loads fixture
-// packages from a testdata/src tree, type-checks them against the real
-// standard library, runs an analyzer (and its inspect prerequisite)
-// over every loaded package in dependency order, and compares the
-// diagnostics against "// want" comments in the fixture sources.
+// Package vettest loads Go packages from source for the invariant
+// passes and checks fixture diagnostics against "// want" comments.
 //
-// The vendored x/tools subset this module carries has no analysistest
-// (which would drag in go/packages and an external driver); this
-// harness covers what the rodain-vet passes need — multi-file fixture
-// packages, fixture-local imports, object facts flowing between
-// fixture packages, and regexp want-matching — in plain go/types.
-//
-// Fixture layout mirrors analysistest:
+// One Loader serves two trees. A fixture tree (prefix "") mirrors
+// analysistest's layout,
 //
 //	testdata/src/<import/path>/*.go
 //
-// Every import in a fixture file that resolves to a directory under
-// testdata/src is loaded as another fixture package (facts propagate
-// from it); anything else is resolved from the standard library
-// source.
+// where every import that names a directory under testdata/src is
+// another fixture package. A module tree (prefix = module path) maps
+// <module>/<dir> to root/<dir>. Either way every package the tree
+// provides is type-checked from source exactly once, dependencies
+// first, and everything else resolves to the standard library's source:
+// one universe, so a field a pass marked in one package is the same
+// *types.Var in every package that imports it.
 //
 // Expectations are end-of-line comments of the form
 //
@@ -30,45 +25,42 @@
 package vettest
 
 import (
-	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/analysis"
 )
 
 // Run loads the fixture package at testdata/src/<path> (testdata is
-// resolved relative to the test's working directory), runs a over it
-// and all fixture packages it imports, and reports every mismatch
+// resolved relative to the test's working directory), runs pass over
+// it and all fixture packages it imports, and reports every mismatch
 // between diagnostics and want comments as a test error.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, path string) {
+func Run(t *testing.T, testdata string, pass func(*analysis.Pass), path string) {
 	t.Helper()
-	l := newLoader(filepath.Join(testdata, "src"))
-	if _, err := l.load(path); err != nil {
+	l := NewLoader(filepath.Join(testdata, "src"), "")
+	if _, err := l.Load(path); err != nil {
 		t.Fatalf("load %s: %v", path, err)
 	}
 
-	facts := make(factStore)
+	atomic := make(map[*types.Var]bool)
 	var diags []diag
-	for _, p := range l.order { // dependencies first, so facts flow forward
-		pkg := l.pkgs[p]
-		results := make(map[*analysis.Analyzer]interface{})
-		if err := runWithDeps(a, pkg, l.fset, facts, results, func(d analysis.Diagnostic) {
-			pos := l.fset.Position(d.Pos)
+	for _, p := range l.Order { // dependencies first, so facts flow forward
+		p.Atomic = atomic
+		pass(p)
+		for _, d := range p.Diagnostics {
+			pos := l.Fset.Position(d.Pos)
 			diags = append(diags, diag{file: pos.Filename, line: pos.Line, msg: d.Message})
-		}); err != nil {
-			t.Fatalf("run %s on %s: %v", a.Name, p, err)
 		}
 	}
 
@@ -91,176 +83,127 @@ type want struct {
 	used bool
 }
 
-// loader loads fixture packages, recursively resolving fixture-local
-// imports and falling back to the standard library's source for the
-// rest.
-type loader struct {
-	srcdir string
-	fset   *token.FileSet
+// Loader type-checks the packages of one source tree, recursively
+// resolving the tree's own imports and falling back to the standard
+// library's source for the rest.
+type Loader struct {
+	Fset  *token.FileSet
+	Order []*analysis.Pass // every package Load checked, dependencies first
+
+	root   string
+	prefix string
 	std    types.Importer
-	pkgs   map[string]*fixturePkg
-	order  []string // load (topological) order, dependencies first
+	pkgs   map[string]*analysis.Pass
 }
 
-type fixturePkg struct {
-	path  string
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
-}
-
-func newLoader(srcdir string) *loader {
+// NewLoader returns a loader for the tree at root whose packages have
+// import paths under prefix ("" for a fixture tree).
+func NewLoader(root, prefix string) *Loader {
 	fset := token.NewFileSet()
-	return &loader{
-		srcdir: srcdir,
-		fset:   fset,
+	return &Loader{
+		Fset:   fset,
+		root:   root,
+		prefix: prefix,
 		std:    importer.ForCompiler(fset, "source", nil),
-		pkgs:   make(map[string]*fixturePkg),
+		pkgs:   make(map[string]*analysis.Pass),
 	}
 }
 
-// Import implements types.Importer over the fixture tree: fixture
-// directories shadow everything else; the rest is standard library.
-func (l *loader) Import(path string) (*types.Package, error) {
-	if dir := filepath.Join(l.srcdir, filepath.FromSlash(path)); isDir(dir) {
-		p, err := l.load(path)
-		if err != nil {
-			return nil, err
+// dir maps an import path to its directory in the tree, if the tree
+// provides it.
+func (l *Loader) dir(path string) (string, bool) {
+	rel := path
+	if l.prefix != "" {
+		if path != l.prefix && !strings.HasPrefix(path, l.prefix+"/") {
+			return "", false
 		}
-		return p.pkg, nil
+		rel = strings.TrimPrefix(strings.TrimPrefix(path, l.prefix), "/")
 	}
-	return l.std.Import(path)
+	dir := filepath.Join(l.root, filepath.FromSlash(rel))
+	fi, err := os.Stat(dir)
+	return dir, err == nil && fi.IsDir()
 }
 
-// load parses and type-checks the fixture package at srcdir/path.
-func (l *loader) load(path string) (*fixturePkg, error) {
-	if p, ok := l.pkgs[path]; ok {
-		return p, nil
+// Import implements types.Importer over the tree: its packages shadow
+// everything else; the rest is standard library.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if _, ok := l.dir(path); !ok {
+		return l.std.Import(path)
 	}
-	dir := filepath.Join(l.srcdir, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
+	p, err := l.Load(path)
 	if err != nil {
 		return nil, err
 	}
+	return p.Pkg, nil
+}
+
+// Load parses and type-checks the tree's package at path once. A module
+// package is its build-selected GoFiles; a fixture package also takes
+// its in-package _test.go files, so the passes' test-file exemptions
+// are exercised.
+func (l *Loader) Load(path string) (*analysis.Pass, error) {
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	dir, _ := l.dir(path)
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	names := bp.GoFiles
+	if l.prefix == "" {
+		names = append(names, bp.TestGoFiles...)
+	}
+	p, err := l.Check(path, dir, names, l)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	l.Order = append(l.Order, p)
+	return p, nil
+}
+
+// Check parses the named files of dir and type-checks them as package
+// path against imp, without recording the result: the module walk uses
+// it for a package's test variants.
+func (l *Loader) Check(path, dir string, names []string, imp types.Importer) (*analysis.Pass, error) {
 	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
 	info := &types.Info{
-		Types:        make(map[ast.Expr]types.TypeAndValue),
-		Instances:    make(map[*ast.Ident]types.Instance),
-		Defs:         make(map[*ast.Ident]types.Object),
-		Uses:         make(map[*ast.Ident]types.Object),
-		Implicits:    make(map[ast.Node]types.Object),
-		Selections:   make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:       make(map[ast.Node]*types.Scope),
-		FileVersions: make(map[*ast.File]string),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, files, info)
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	p := &fixturePkg{path: path, files: files, pkg: pkg, info: info}
-	l.pkgs[path] = p
-	l.order = append(l.order, path)
-	return p, nil
-}
-
-func isDir(path string) bool {
-	fi, err := os.Stat(path)
-	return err == nil && fi.IsDir()
-}
-
-// factStore holds object facts across fixture packages, in memory: the
-// in-process equivalent of the fact files a vet driver would persist.
-type factStore map[types.Object][]analysis.Fact
-
-func (s factStore) export(obj types.Object, f analysis.Fact) {
-	for i, got := range s[obj] {
-		if reflect.TypeOf(got) == reflect.TypeOf(f) {
-			s[obj][i] = f
-			return
-		}
-	}
-	s[obj] = append(s[obj], f)
-}
-
-func (s factStore) importFact(obj types.Object, f analysis.Fact) bool {
-	for _, got := range s[obj] {
-		if reflect.TypeOf(got) == reflect.TypeOf(f) {
-			reflect.ValueOf(f).Elem().Set(reflect.ValueOf(got).Elem())
-			return true
-		}
-	}
-	return false
-}
-
-// runWithDeps runs a's prerequisite analyzers (memoized in results),
-// then a itself, over one fixture package.
-func runWithDeps(a *analysis.Analyzer, pkg *fixturePkg, fset *token.FileSet, facts factStore, results map[*analysis.Analyzer]interface{}, report func(analysis.Diagnostic)) error {
-	for _, dep := range a.Requires {
-		if _, done := results[dep]; done {
-			continue
-		}
-		if err := runWithDeps(dep, pkg, fset, facts, results, func(analysis.Diagnostic) {}); err != nil {
-			return err
-		}
-	}
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      pkg.files,
-		Pkg:        pkg.pkg,
-		TypesInfo:  pkg.info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   results,
-		Report:     report,
-		ImportObjectFact: func(obj types.Object, f analysis.Fact) bool {
-			return facts.importFact(obj, f)
-		},
-		ExportObjectFact: func(obj types.Object, f analysis.Fact) {
-			facts.export(obj, f)
-		},
-		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-		ExportPackageFact: func(analysis.Fact) {},
-		AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-		AllPackageFacts:   func() []analysis.PackageFact { return nil },
-	}
-	res, err := a.Run(pass)
-	if err != nil {
-		return err
-	}
-	results[a] = res
-	return nil
+	return &analysis.Pass{Fset: l.Fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
 }
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // collectWants parses every "// want" comment in the loaded fixture
 // files into line-anchored expectations.
-func collectWants(t *testing.T, l *loader) []*want {
+func collectWants(t *testing.T, l *Loader) []*want {
 	t.Helper()
 	var wants []*want
-	for _, p := range l.order {
-		for _, f := range l.pkgs[p].files {
+	for _, p := range l.Order {
+		for _, f := range p.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					m := wantRE.FindStringSubmatch(c.Text)
 					if m == nil {
 						continue
 					}
-					pos := l.fset.Position(c.Pos())
+					pos := l.Fset.Position(c.Pos())
 					for _, pat := range splitPatterns(m[1]) {
 						re, err := regexp.Compile(pat)
 						if err != nil {

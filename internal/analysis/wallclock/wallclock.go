@@ -9,8 +9,8 @@
 //
 // The pass flags any reference to the time package's clock-reading and
 // timer primitives (time.Now, Sleep, Since, Until, After, Tick,
-// NewTimer, NewTicker, AfterFunc) in non-test code of in-scope
-// packages. Places where real time is the point — the wall-clock
+// NewTimer, NewTicker, AfterFunc) in non-test code of packages under
+// internal/. Places where real time is the point — the wall-clock
 // implementation itself, socket deadlines, measurement harnesses —
 // carry a //rodain:allow wallclock directive.
 package wallclock
@@ -20,10 +20,7 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analysis"
 	"repro/internal/analysis/rodainallow"
 )
 
@@ -42,52 +39,35 @@ var forbidden = map[string]bool{
 	"AfterFunc": true,
 }
 
-var scope string
+// scope restricts the pass to engine packages: those whose import path
+// contains it. Commands, examples and the public facade sit outside.
+const scope = "internal/"
 
-// Analyzer is the wallclock pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     "wallclock",
-	Doc:      "forbid time.Now/Sleep/timers in engine code: all time must flow through simtime.Clock",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-func init() {
-	Analyzer.Flags.StringVar(&scope, "scope", "internal/",
-		"restrict the pass to packages whose import path contains this substring (empty = every package)")
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
-	if scope != "" && !strings.Contains(pass.Pkg.Path(), scope) {
-		return nil, nil
+// Run is the wallclock pass: it forbids time.Now/Sleep/timers in engine
+// code, where all time must flow through simtime.Clock.
+func Run(pass *analysis.Pass) {
+	if !strings.Contains(pass.Pkg.Path(), scope) {
+		return
 	}
 	allow := rodainallow.New(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	nodeFilter := []ast.Node{(*ast.SelectorExpr)(nil)}
-	ins.Preorder(nodeFilter, func(n ast.Node) {
-		sel := n.(*ast.SelectorExpr)
-		if !forbidden[sel.Sel.Name] {
-			return
-		}
-		obj := pass.TypesInfo.Uses[sel.Sel]
-		if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
-			return
-		}
-		fn, ok := obj.(*types.Func)
-		if !ok || fn.Type().(*types.Signature).Recv() != nil {
-			return // methods like Time.After carry no clock of their own
-		}
-		if inTestFile(pass, sel) {
-			return
-		}
-		if allow.Allowed("wallclock", sel.Pos()) {
-			return
-		}
-		pass.Reportf(sel.Pos(), "time.%s reads the wall clock: engine code must use simtime.Clock (or annotate with //rodain:allow wallclock)", sel.Sel.Name)
-	})
-	return nil, nil
-}
-
-func inTestFile(pass *analysis.Pass, n ast.Node) bool {
-	return strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go")
+	for _, f := range pass.NonTestFiles() {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || !forbidden[sel.Sel.Name] {
+				return true
+			}
+			obj := pass.TypesInfo.Uses[sel.Sel]
+			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
+				return true
+			}
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Type().(*types.Signature).Recv() != nil {
+				return true // methods like Time.After carry no clock of their own
+			}
+			if !allow.Allowed("wallclock", sel.Pos()) {
+				pass.Reportf(sel.Pos(), "time.%s reads the wall clock: engine code must use simtime.Clock (or annotate with //rodain:allow wallclock)", sel.Sel.Name)
+			}
+			return true
+		})
+	}
 }

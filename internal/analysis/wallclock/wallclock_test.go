@@ -8,17 +8,17 @@ import (
 )
 
 func TestWallclock(t *testing.T) {
-	vettest.Run(t, "../testdata", wallclock.Analyzer, "internal/clockuse")
+	vettest.Run(t, "../testdata", wallclock.Run, "internal/clockuse")
 }
 
 // TestShipperRegression replays the PR-3 bug shape: a real sleep in a
 // group-commit hold loop must be flagged.
 func TestShipperRegression(t *testing.T) {
-	vettest.Run(t, "../testdata", wallclock.Analyzer, "internal/shipper")
+	vettest.Run(t, "../testdata", wallclock.Run, "internal/shipper")
 }
 
-// TestScope: packages outside the configured import-path scope are
-// skipped entirely.
+// TestScope: packages whose import path has no "internal/" are skipped
+// entirely.
 func TestScope(t *testing.T) {
-	vettest.Run(t, "../testdata", wallclock.Analyzer, "example.com/outside")
+	vettest.Run(t, "../testdata", wallclock.Run, "example.com/outside")
 }

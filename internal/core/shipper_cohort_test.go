@@ -235,7 +235,6 @@ func TestShipperBatchingEquivalence(t *testing.T) {
 
 	run := func(opts ShipperOptions) []store.Record {
 		s, db, stop := mirrorPairShipper(t, opts)
-		defer stop()
 		var next atomic.Uint64
 		var wg sync.WaitGroup
 		for w := 0; w < committers; w++ {
@@ -255,6 +254,10 @@ func TestShipperBatchingEquivalence(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		// The mirror acks a group once handed to its parallel applier;
+		// stop waits for Run to return, which drains the applier, so
+		// the snapshot sees every acked group installed.
+		stop()
 		if got := s.Acked(); got != nTxns {
 			t.Fatalf("Acked = %d, want %d", got, nTxns)
 		}
@@ -290,7 +293,6 @@ func TestShipperCohortStatsConsistent(t *testing.T) {
 	s, _, stop := mirrorPairShipper(t, ShipperOptions{
 		AckTimeout: 10 * time.Second, Heartbeat: 50 * time.Millisecond,
 	})
-	defer stop()
 	const n = 100
 	var next atomic.Uint64
 	var wg sync.WaitGroup
@@ -311,6 +313,9 @@ func TestShipperCohortStatsConsistent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// The sender counts a batch after writing it, so an ack can release
+	// the last committers first; stop waits for the sender to exit.
+	stop()
 	st := s.Stats()
 	if st.GroupsShipped != n {
 		t.Fatalf("GroupsShipped = %d, want %d", st.GroupsShipped, n)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/logstore"
 	"repro/internal/metrics"
+	"repro/internal/simtime"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -142,13 +143,11 @@ func checkpointOne(objects, tail int, frozen bool) (CheckpointResult, error) {
 	want := n.DB().Checksum()
 
 	fresh := core.NewNode("restart", cfg, store.New(), logstore.NewMem())
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	start := time.Now()
+	start := simtime.Wall.Now()
 	if _, err := fresh.RecoverFromDir(dir, bytes.NewReader(logTail)); err != nil {
 		return res, err
 	}
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	res.Recovery = time.Since(start)
+	res.Recovery = simtime.Wall.Now().Sub(start)
 	if fresh.DB().Checksum() != want {
 		return res, fmt.Errorf("experiments: %s recovery diverged at %d objects", res.Mode, objects)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/logstore"
 	"repro/internal/metrics"
+	"repro/internal/simtime"
 	"repro/internal/store"
 )
 
@@ -85,8 +86,7 @@ func occScalingPoint(objects, txns, workers, writePct int) (OCCScalingResult, er
 		per = 1
 	}
 	var wg sync.WaitGroup
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	start := time.Now()
+	start := simtime.Wall.Now()
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -120,8 +120,7 @@ func occScalingPoint(objects, txns, workers, writePct int) (OCCScalingResult, er
 		}()
 	}
 	wg.Wait()
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	elapsed := time.Since(start)
+	elapsed := simtime.Wall.Now().Sub(start)
 	return OCCScalingResult{
 		Workers: workers, WritePct: writePct, Txns: per * workers,
 		Committed: committed.Load(), Elapsed: elapsed,

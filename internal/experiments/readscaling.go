@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/logstore"
 	"repro/internal/metrics"
+	"repro/internal/simtime"
 	"repro/internal/store"
 )
 
@@ -86,8 +87,7 @@ func readScalingPoint(objects, txns, workers int, fastPath bool) (ReadScalingRes
 		per = 1
 	}
 	var wg sync.WaitGroup
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	start := time.Now()
+	start := simtime.Wall.Now()
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -122,8 +122,7 @@ func readScalingPoint(objects, txns, workers int, fastPath bool) (ReadScalingRes
 		}()
 	}
 	wg.Wait()
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	elapsed := time.Since(start)
+	elapsed := simtime.Wall.Now().Sub(start)
 	st := n.Engine().Controller().Stats()
 	return ReadScalingResult{
 		Workers: workers, FastPath: fastPath, Txns: per * workers,

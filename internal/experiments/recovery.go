@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/simtime"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -46,23 +47,19 @@ func RecoveryScaling(objects int, logSizes, workers []int) ([]RecoveryScalingRes
 	for _, n := range logSizes {
 		logBytes := updateLog(objects, n)
 		seq := store.New()
-		//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-		seqStart := time.Now()
+		seqStart := simtime.Wall.Now()
 		if _, err := wal.Recover(bytes.NewReader(logBytes), seq); err != nil {
 			return out, err
 		}
-		//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-		seqTime := time.Since(seqStart)
+		seqTime := simtime.Wall.Now().Sub(seqStart)
 		want := seq.Checksum()
 		for _, w := range workers {
 			db := store.New()
-			//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-			start := time.Now()
+			start := simtime.Wall.Now()
 			if _, err := wal.ParallelRecover(bytes.NewReader(logBytes), db, w); err != nil {
 				return out, err
 			}
-			//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-			elapsed := time.Since(start)
+			elapsed := simtime.Wall.Now().Sub(start)
 			if w <= 1 {
 				elapsed = seqTime // the measured sequential pass is the baseline
 			}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/logstore"
 	"repro/internal/metrics"
+	"repro/internal/simtime"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/txn"
@@ -83,8 +84,7 @@ func shipScalingPoint(mode string, txns, committers int) (ShipScalingResult, err
 	var next atomic.Uint64
 	var commitErr atomic.Value
 	var wg sync.WaitGroup
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	start := time.Now()
+	start := simtime.Wall.Now()
 	for w := 0; w < committers; w++ {
 		wg.Add(1)
 		go func() {
@@ -108,8 +108,7 @@ func shipScalingPoint(mode string, txns, committers int) (ShipScalingResult, err
 		}()
 	}
 	wg.Wait()
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	elapsed := time.Since(start)
+	elapsed := simtime.Wall.Now().Sub(start)
 	if err, _ := commitErr.Load().(error); err != nil {
 		return ShipScalingResult{}, err
 	}
@@ -204,8 +203,7 @@ func transientFsyncPoint(mode string, txns, committers int, syncDelay time.Durat
 	var next atomic.Uint64
 	var commitErr atomic.Value
 	var wg sync.WaitGroup
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	start := time.Now()
+	start := simtime.Wall.Now()
 	for w := 0; w < committers; w++ {
 		wg.Add(1)
 		go func() {
@@ -229,8 +227,7 @@ func transientFsyncPoint(mode string, txns, committers int, syncDelay time.Durat
 		}()
 	}
 	wg.Wait()
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	elapsed := time.Since(start)
+	elapsed := simtime.Wall.Now().Sub(start)
 	if err, _ := commitErr.Load().(error); err != nil {
 		return TransientFsyncResult{}, err
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/logstore"
 	"repro/internal/metrics"
+	"repro/internal/simtime"
 	"repro/internal/store"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -41,8 +42,7 @@ func (t *throttledReader) Read(p []byte) (int, error) {
 	if n > 0 {
 		t.debt += time.Duration(n) * t.perByte
 		if t.debt >= time.Millisecond {
-			//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-			time.Sleep(t.debt)
+			simtime.SleepOn(simtime.Wall, t.debt)
 			t.debt = 0
 		}
 	}
@@ -114,8 +114,7 @@ func takeoverOne(objects, logTail int) (TakeoverResult, error) {
 		}
 	}
 
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	start := time.Now()
+	start := simtime.Wall.Now()
 	fresh := store.New()
 	snap, serial, err := wal.ReadCheckpoint(bufio.NewReaderSize(
 		newThrottledReader(bytes.NewReader(image.Bytes()), diskReadBandwidth), 64<<10))
@@ -128,8 +127,7 @@ func takeoverOne(objects, logTail int) (TakeoverResult, error) {
 		newThrottledReader(bytes.NewReader(tail.Bytes()), diskReadBandwidth), 64<<10), fresh); err != nil {
 		return res, err
 	}
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	res.RecoveryTime = time.Since(start)
+	res.RecoveryTime = simtime.Wall.Now().Sub(start)
 
 	// --- (a) live mirror takeover ---------------------------------------
 	cfg := core.Config{
@@ -159,30 +157,28 @@ func takeoverOne(objects, logTail int) (TakeoverResult, error) {
 		}
 	}
 
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	crash := time.Now()
+	crash := simtime.Wall.Now()
 	primary.Crash()
 	if err := waitFor(mirror, core.EventTakeover, 10*time.Second); err != nil {
 		return res, err
 	}
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	res.DetectionTime = time.Since(crash)
+	res.DetectionTime = simtime.Wall.Now().Sub(crash)
 	// First transaction on the promoted node.
 	if err := mirror.Execute(core.Request{Deadline: time.Second, Do: func(tx *core.Tx) error {
 		return tx.Write(1, []byte("post-takeover"))
 	}}); err != nil {
 		return res, err
 	}
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	res.TakeoverTime = time.Since(crash)
+	res.TakeoverTime = simtime.Wall.Now().Sub(crash)
 	return res, nil
 }
 
 func txnID(i int) txn.ID { return txn.ID(i) }
 
 func waitFor(n *core.Node, kind core.EventKind, within time.Duration) error {
-	//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-	deadline := time.After(within)
+	deadline := make(chan struct{})
+	cancel := simtime.Wall.AfterFunc(within, func() { close(deadline) })
+	defer cancel()
 	for {
 		select {
 		case ev := <-n.Events():
@@ -272,8 +268,7 @@ func GroupCommitAblation(diskLatency time.Duration, windows []time.Duration, com
 		mem := logstore.NewMem()
 		slow := logstore.NewDelayed(mem, diskLatency)
 		d := core.NewDiskCommitter(slow, w)
-		//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-		start := time.Now()
+		start := simtime.Wall.Now()
 		done := make(chan error, commits)
 		for i := 0; i < commits; i++ {
 			go func(i int) {
@@ -288,8 +283,7 @@ func GroupCommitAblation(diskLatency time.Duration, windows []time.Duration, com
 				break
 			}
 		}
-		//rodain:allow wallclock (benchmark harness: measures real elapsed time of real work)
-		elapsed := time.Since(start)
+		elapsed := simtime.Wall.Now().Sub(start)
 		d.Close()
 		t.AddRow(w.String(), elapsed.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d", mem.Stats().Syncs),
