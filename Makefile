@@ -14,7 +14,7 @@ check: build vet test race-hot benchfast
 
 .PHONY: race-hot
 race-hot:
-	$(GO) test -race ./internal/store ./internal/core ./internal/occ ./internal/txn ./internal/transport ./internal/logstore ./internal/wal ./internal/service
+	$(GO) test -race ./internal/store ./internal/core ./internal/occ ./internal/txn ./internal/transport ./internal/logstore ./internal/wal ./internal/service ./internal/metrics
 
 build:
 	$(GO) build ./...

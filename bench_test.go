@@ -138,18 +138,6 @@ func BenchmarkReorderAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupCommitAblation measures transient-mode commit throughput
-// with per-commit syncs vs a 2 ms group-commit window on an 8 ms disk.
-func BenchmarkGroupCommitAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.GroupCommitAblation(8*time.Millisecond,
-			[]time.Duration{0, 2 * time.Millisecond}, 48)
-		if len(tab.Rows) != 2 {
-			b.Fatal("ablation failed")
-		}
-	}
-}
-
 // BenchmarkOverloadAblation compares the system with and without the
 // overload manager past saturation.
 func BenchmarkOverloadAblation(b *testing.B) {
@@ -251,10 +239,11 @@ func BenchmarkOCCValidate(b *testing.B) {
 	}
 }
 
-// BenchmarkDiskCommit measures the transient-mode commit path against an
-// in-memory device (pure software overhead, no device latency).
+// BenchmarkDiskCommit measures the transient-mode commit path with one
+// sync per commit against an in-memory device (pure software overhead,
+// no device latency).
 func BenchmarkDiskCommit(b *testing.B) {
-	d := core.NewDiskCommitter(logstore.NewMem(), 0)
+	d := core.NewGroupCommitter(logstore.NewMem(), core.GroupOptions{MaxCohort: 1})
 	defer d.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

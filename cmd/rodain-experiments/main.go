@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		fig    = flag.String("fig", "all", "experiment: all, 2a, 2b, 3a, 3b, 3c, takeover, recovery, occscaling, readscaling, frontend, shipscaling, ckpt, ablations, timeline")
+		fig    = flag.String("fig", "all", "experiment: all, 2a, 2b, 3a, 3b, 3c, takeover, recovery, occscaling, readscaling, frontend, shipscaling, ablations, timeline")
 		quick  = flag.Bool("quick", false, "cheap settings (fewer repetitions and transactions)")
 		reps   = flag.Int("reps", 0, "override repetitions per point")
 		count  = flag.Int("count", 0, "override transactions per session")
@@ -160,28 +160,10 @@ func main() {
 		fmt.Println()
 	}
 
-	runCheckpoint := func() {
-		sizes := []int{2000, 8000, 32000}
-		tail := 1000
-		if *quick {
-			sizes = []int{2000, 8000}
-			tail = 300
-		}
-		rs, err := experiments.CheckpointStudy(sizes, tail)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.CheckpointTable(rs).Fprint(os.Stdout)
-		fmt.Println()
-	}
-
 	runAblations := func() {
 		experiments.ProtocolAblation(opts).Fprint(os.Stdout)
 		fmt.Println()
 		experiments.ReorderAblation(1000, 2).Fprint(os.Stdout)
-		fmt.Println()
-		experiments.GroupCommitAblation(8*time.Millisecond,
-			[]time.Duration{0, 2 * time.Millisecond, 5 * time.Millisecond}, 100).Fprint(os.Stdout)
 		fmt.Println()
 		experiments.OverloadAblation(opts).Fprint(os.Stdout)
 		fmt.Println()
@@ -205,7 +187,6 @@ func main() {
 		runReadScaling()
 		runFrontend()
 		runShipScaling()
-		runCheckpoint()
 		runAblations()
 		runTimeline()
 	case "takeover":
@@ -220,8 +201,6 @@ func main() {
 		runFrontend()
 	case "shipscaling", "ship-scaling", "ship":
 		runShipScaling()
-	case "ckpt", "checkpoint":
-		runCheckpoint()
 	case "ablations", "ablation":
 		runAblations()
 	case "timeline", "failover":

@@ -46,10 +46,8 @@ func main() {
 		ckptDir    = flag.String("checkpoint-dir", "", "write periodic checkpoints here (and truncate the log)")
 		ckptEvery  = flag.Duration("checkpoint-every", 5*time.Minute, "checkpoint interval when -checkpoint-dir is set (0 = off)")
 		ckptBytes  = flag.Uint64("checkpoint-bytes", 0, "also checkpoint after this much log growth (0 = off)")
-		frozenCkpt = flag.Bool("frozen-checkpoint", false, "use the legacy stop-the-world checkpoint instead of the fuzzy one (ablation)")
 		segBytes   = flag.Int64("log-segment-bytes", 0, "roll the log into -log/<segments> at this size so checkpoints drop whole segments (0 = single file)")
-		groupWin   = flag.Duration("group-commit", 0, "legacy fixed-window disk batching (0 = adaptive leader/follower group fsync)")
-		maxCohort  = flag.Int("max-cohort", 0, "max transactions per group-commit cohort (0 = default 64)")
+		maxCohort  = flag.Int("max-cohort", 0, "max transactions per group-commit cohort (0 = default 64, 1 = per-commit sync)")
 		cohortHold = flag.Duration("cohort-hold", 0, "max adaptive hold for group-commit stragglers (0 = default 200µs, <0 = off)")
 		pipeDepth  = flag.Int("pipeline-depth", service.DefaultPipelineDepth, "per-connection request window (1 = no pipelining)")
 		svcWorkers = flag.Int("service-workers", service.DefaultWorkers, "shared pool executing read-only requests")
@@ -62,7 +60,6 @@ func main() {
 		LogPath:            *logPath,
 		Protocol:           *protocol,
 		Workers:            *workers,
-		GroupCommitWindow:  *groupWin,
 		MaxCohort:          *maxCohort,
 		MaxCohortHold:      *cohortHold,
 		RecoverWorkers:     *recWorkers,
@@ -70,7 +67,6 @@ func main() {
 		CheckpointDir:      *ckptDir,
 		CheckpointEvery:    *ckptEvery,
 		CheckpointLogBytes: *ckptBytes,
-		FrozenCheckpoint:   *frozenCkpt,
 	}
 	switch *durability {
 	case "disk":

@@ -248,22 +248,22 @@ func BenchmarkGroupCommit(b *testing.B) {
 }
 
 // BenchmarkTransientFsync compares the leader/follower group-fsync
-// committer against the per-commit-sync DiskCommitter over a device with
-// a realistic sync latency. syncs/commit should drop well below 1 in
-// group mode under 8 committers — the transient primary takes the disk
-// off the per-transaction critical path.
+// committer against the same committer at MaxCohort 1 (one sync per
+// commit) over a device with a realistic sync latency. syncs/commit
+// should drop well below 1 in group mode under 8 committers — the
+// transient primary takes the disk off the per-transaction critical
+// path.
 func BenchmarkTransientFsync(b *testing.B) {
 	const committers = 8
 	for _, mode := range []string{"group", "persync"} {
 		b.Run(fmt.Sprintf("mode=%s/committers=%d", mode, committers), func(b *testing.B) {
 			mem := logstore.NewMem()
 			slow := logstore.NewDelayed(mem, 50*time.Microsecond)
-			var c Committer
-			if mode == "group" {
-				c = NewGroupCommitter(slow, GroupOptions{})
-			} else {
-				c = NewDiskCommitter(slow, 0)
+			var opts GroupOptions
+			if mode == "persync" {
+				opts.MaxCohort = 1
 			}
+			c := NewGroupCommitter(slow, opts)
 			defer c.Close()
 			var next atomic.Uint64
 			var wg sync.WaitGroup

@@ -8,42 +8,8 @@ import (
 	"path/filepath"
 
 	"repro/internal/logstore"
-	"repro/internal/store"
 	"repro/internal/wal"
 )
-
-// Checkpoint writes a transaction-consistent snapshot of the node's
-// database to w and returns the validation order it corresponds to.
-// Validation is frozen for the duration of the snapshot copy (not the
-// encoding), exactly as for mirror state transfer — this is the
-// stop-the-world path FuzzyCheckpoint replaces; it stays as the
-// Config.FrozenCheckpoint ablation. Replaying the log from the returned
-// serial over the checkpoint reproduces the current database.
-func (n *Node) Checkpoint(w io.Writer) (uint64, error) {
-	n.mu.Lock()
-	engine := n.engine
-	n.mu.Unlock()
-	if engine == nil {
-		return 0, ErrNotServing
-	}
-	var (
-		serial uint64
-		data   []store.Record
-	)
-	start := n.cfg.Clock.Now()
-	engine.Controller().WithFrozen(func(lastSerial uint64) {
-		serial = lastSerial
-		data = n.db.Snapshot()
-	})
-	// The whole freeze lands in the pause histogram, so frozen and fuzzy
-	// cycles are directly comparable: per-commit stall is one whole-store
-	// freeze here versus one stripe copy there.
-	n.ckptPause.Observe(n.cfg.Clock.Now().Sub(start))
-	if err := wal.WriteCheckpoint(w, data, serial); err != nil {
-		return 0, err
-	}
-	return serial, nil
-}
 
 // checkpointFile names within a checkpoint directory.
 const (
@@ -55,10 +21,8 @@ const (
 // (tmp+rename+directory fsync) and then truncates the node's log below
 // the checkpoint's minimum stripe watermark if the log device supports
 // serial truncation: the checkpoint-and-truncate cycle that bounds
-// recovery time. It returns the checkpoint's serial.
-//
-// The checkpoint is fuzzy (stripe-incremental, no validation freeze)
-// unless Config.FrozenCheckpoint selects the legacy stop-the-world copy.
+// recovery time. It returns the checkpoint's serial. The checkpoint is
+// fuzzy (FuzzyCheckpoint: stripe-incremental, no validation freeze).
 //
 // Ordering matters: the checkpoint — and the rename that publishes it —
 // is durable before the log shrinks, so a crash at any point leaves a
@@ -77,22 +41,10 @@ func (n *Node) CheckpointToDir(dir string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Buffered: the checkpointer writes one stripe (or one record, on
-	// the frozen path) at a time and would otherwise pay a write syscall
-	// each.
+	// Buffered: the checkpointer writes one stripe at a time and would
+	// otherwise pay a write syscall each.
 	w := bufio.NewWriterSize(f, 256<<10)
-	var serial, truncBelow uint64
-	if n.cfg.FrozenCheckpoint {
-		// A frozen snapshot is transaction-consistent at its serial, so
-		// the whole log below it is redundant.
-		serial, err = n.Checkpoint(w)
-		truncBelow = serial
-	} else {
-		var st CheckpointStats
-		st, err = n.FuzzyCheckpoint(w)
-		serial = st.Serial
-		truncBelow = st.MinWatermark
-	}
+	st, err := n.FuzzyCheckpoint(w)
 	if err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -119,24 +71,16 @@ func (n *Node) CheckpointToDir(dir string) (uint64, error) {
 	// directory, or a crash could surface the old directory entry next
 	// to a truncated log.
 	if err := syncDir(dir); err != nil {
-		return serial, fmt.Errorf("core: checkpoint written but directory sync failed: %w", err)
+		return st.Serial, fmt.Errorf("core: checkpoint written but directory sync failed: %w", err)
 	}
-	// The log below every stripe watermark is now redundant.
-	did, _, err := logstore.TruncateBelow(n.log, truncBelow)
-	if err != nil {
-		return serial, fmt.Errorf("core: checkpoint written but log truncation failed: %w", err)
+	// The log below every stripe watermark is now redundant. A device
+	// without serial truncation keeps its whole log: the tail above
+	// MinWatermark still matters, so use a segmented store to reclaim
+	// space.
+	if _, _, err := logstore.TruncateBelow(n.log, st.MinWatermark); err != nil {
+		return st.Serial, fmt.Errorf("core: checkpoint written but log truncation failed: %w", err)
 	}
-	if !did && n.cfg.FrozenCheckpoint {
-		// Legacy devices without serial truncation can still drop
-		// everything after a frozen (transaction-consistent) checkpoint.
-		// After a fuzzy one they cannot — the tail above MinWatermark
-		// still matters — so the fuzzy path keeps the log; use a
-		// segmented store to reclaim space.
-		if _, err := logstore.Reset(n.log); err != nil {
-			return serial, fmt.Errorf("core: checkpoint written but log truncation failed: %w", err)
-		}
-	}
-	return serial, nil
+	return st.Serial, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.
@@ -159,8 +103,9 @@ func syncDir(dir string) error {
 //
 // A fuzzy (v2) checkpoint carries per-stripe watermarks; each logged
 // record then replays only if its group's serial exceeds the watermark
-// of its stripe. A frozen (v1) checkpoint replays the whole log reader —
-// re-applying records the snapshot already contains is idempotent.
+// of its stripe. A v1 checkpoint (no watermarks) replays the whole log
+// reader — re-applying records the snapshot already contains is
+// idempotent.
 func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, error) {
 	var st wal.RecoverStats
 	var wm *wal.StripeWatermarks

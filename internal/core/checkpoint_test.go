@@ -28,29 +28,34 @@ func TestCheckpointRoundTripThroughNode(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	serial, err := n.Checkpoint(&buf)
+	st, err := n.FuzzyCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != 30 {
-		t.Fatalf("serial = %d, want 30", serial)
+	if st.Serial != 30 {
+		t.Fatalf("serial = %d, want 30", st.Serial)
 	}
-	snap, gotSerial, err := wal.ReadCheckpoint(&buf)
-	if err != nil || gotSerial != 30 {
-		t.Fatalf("read: %v serial=%d", err, gotSerial)
+	ck, err := wal.DecodeCheckpoint(&buf)
+	if err != nil || ck.LastSerial != 30 {
+		t.Fatalf("decode: %v serial=%d", err, ck.LastSerial)
 	}
 	restored := store.New()
-	restored.LoadSnapshot(snap)
+	restored.LoadSnapshot(ck.Snapshot)
 	if restored.Checksum() != n.DB().Checksum() {
 		t.Fatal("checkpoint does not reproduce the database")
 	}
 }
 
+// TestCheckpointOnMirrorFails: a node without an engine cannot
+// checkpoint, and the failed cycle publishes nothing.
 func TestCheckpointOnMirrorFails(t *testing.T) {
+	dir := t.TempDir()
 	n := NewNode("m", fastCfg(), store.New(), logstore.NewMem())
-	var buf bytes.Buffer
-	if _, err := n.Checkpoint(&buf); err != ErrNotServing {
+	if _, err := n.CheckpointToDir(dir); err != ErrNotServing {
 		t.Fatalf("err = %v", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed checkpoint left %d files behind", len(entries))
 	}
 }
 

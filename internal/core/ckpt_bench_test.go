@@ -16,16 +16,14 @@ import (
 // benchNode builds a serving primary with objs populated objects and
 // background committers hammering a contended id range, so checkpoint
 // pauses are measured against live commit traffic.
-func benchNode(b *testing.B, objs int, frozen bool) (*Node, func()) {
+func benchNode(b *testing.B, objs int) (*Node, func()) {
 	b.Helper()
 	db := store.New()
 	val := make([]byte, 64)
 	for i := 0; i < objs; i++ {
 		db.Put(store.ObjectID(i), val)
 	}
-	cfg := fastCfg()
-	cfg.FrozenCheckpoint = frozen
-	n := NewNode("bench", cfg, db, logstore.NewMem())
+	n := NewNode("bench", fastCfg(), db, logstore.NewMem())
 	if err := n.ServePrimary("", LogDisk); err != nil {
 		b.Fatal(err)
 	}
@@ -57,44 +55,30 @@ func benchNode(b *testing.B, objs int, frozen bool) (*Node, func()) {
 	}
 }
 
-// BenchmarkCheckpointPause compares the commit-visible pause of one
-// checkpoint cycle: the frozen (ablation) path stalls validation for the
-// whole database copy, the fuzzy path for at most one stripe copy at a
-// time. max-pause-ns is the longest single stall a committer could see
-// behind the checkpointer — the paper's availability argument in one
+// BenchmarkCheckpointPause measures the commit-visible pause of one
+// fuzzy checkpoint cycle: validation stalls for at most one stripe copy
+// at a time. max-pause-ns is the longest single stall a committer could
+// see behind the checkpointer — the paper's availability argument in one
 // number.
 func BenchmarkCheckpointPause(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		frozen bool
-	}{{"fuzzy", false}, {"frozen", true}} {
-		for _, objs := range []int{10000, 40000} {
-			b.Run(fmt.Sprintf("%s/objs=%d", mode.name, objs), func(b *testing.B) {
-				n, cleanup := benchNode(b, objs, mode.frozen)
-				defer cleanup()
-				var bytesOut int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if mode.frozen {
-						if _, err := n.Checkpoint(io.Discard); err != nil {
-							b.Fatal(err)
-						}
-					} else {
-						st, err := n.FuzzyCheckpoint(io.Discard)
-						if err != nil {
-							b.Fatal(err)
-						}
-						bytesOut += int64(st.Bytes)
-					}
+	for _, objs := range []int{10000, 40000} {
+		b.Run(fmt.Sprintf("fuzzy/objs=%d", objs), func(b *testing.B) {
+			n, cleanup := benchNode(b, objs)
+			defer cleanup()
+			var bytesOut int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := n.FuzzyCheckpoint(io.Discard)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(n.CheckpointPauses().Max().Nanoseconds()), "max-pause-ns")
-				b.ReportMetric(float64(n.CheckpointPauses().Quantile(0.99).Nanoseconds()), "p99-pause-ns")
-				if !mode.frozen && b.N > 0 {
-					b.ReportMetric(float64(bytesOut)/float64(b.N), "ckpt-bytes/op")
-				}
-			})
-		}
+				bytesOut += int64(st.Bytes)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(n.CheckpointPauses().Max().Nanoseconds()), "max-pause-ns")
+			b.ReportMetric(float64(n.CheckpointPauses().Quantile(0.99).Nanoseconds()), "p99-pause-ns")
+			b.ReportMetric(float64(bytesOut)/float64(b.N), "ckpt-bytes/op")
+		})
 	}
 }
 

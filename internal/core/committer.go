@@ -1,36 +1,6 @@
 package core
 
-import (
-	"sync"
-	"time"
-
-	"repro/internal/logstore"
-	"repro/internal/simtime"
-	"repro/internal/wal"
-)
-
-// DiskCommitter makes transactions durable on a local log device: the
-// transient-mode Log Writer, which "must store the logs directly to the
-// disk before allowing the transaction to commit".
-//
-// With GroupCommitWindow > 0, commits arriving while a sync is pending
-// share one device sync (group commit) — an ablation the paper does not
-// use but that quantifies the cost of its per-commit sync choice.
-type DiskCommitter struct {
-	log   logstore.Store
-	clock simtime.Clock
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	window    time.Duration
-	appended  uint64 // sequence of appended commit groups
-	synced    uint64 // highest sequence covered by a completed sync
-	syncerUp  bool
-	closed    bool
-	encodeBuf []byte
-
-	stats CommitterStats
-}
+import "repro/internal/wal"
 
 // CommitterStats counts committer activity.
 type CommitterStats struct {
@@ -41,110 +11,6 @@ type CommitterStats struct {
 	// the largest one; committers without cohorts leave them zero.
 	Cohorts   uint64
 	MaxCohort uint64
-}
-
-// NewDiskCommitter returns a committer over log running on the shared
-// wall clock. window > 0 enables group commit.
-func NewDiskCommitter(log logstore.Store, window time.Duration) *DiskCommitter {
-	return NewDiskCommitterClock(log, window, simtime.Wall)
-}
-
-// NewDiskCommitterClock is NewDiskCommitter with an explicit clock for
-// the group-commit window, so simulated-time runs gather their cohorts
-// on virtual time.
-func NewDiskCommitterClock(log logstore.Store, window time.Duration, clock simtime.Clock) *DiskCommitter {
-	d := &DiskCommitter{log: log, window: window, clock: clock}
-	d.cond = sync.NewCond(&d.mu)
-	return d
-}
-
-// Commit implements Committer: append the group's records and sync.
-func (d *DiskCommitter) Commit(g *wal.Group) error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrStopped
-	}
-	buf := g.AppendEncoded(d.encodeBuf[:0])
-	d.encodeBuf = buf
-	if err := d.log.Append(buf); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	d.stats.Commits++
-	d.stats.Bytes += uint64(len(buf))
-	d.appended++
-	seq := d.appended
-
-	if d.window <= 0 {
-		// Per-commit sync, serialized on the device by holding the lock.
-		err := d.log.Sync()
-		if err == nil {
-			d.stats.Syncs++
-			if seq > d.synced {
-				d.synced = seq
-			}
-		}
-		d.mu.Unlock()
-		return err
-	}
-
-	// Group commit: one syncer gathers everything appended within the
-	// window; the rest wait for a sync that covers their sequence.
-	if !d.syncerUp {
-		d.syncerUp = true
-		d.mu.Unlock()
-		simtime.SleepOn(d.clock, d.window)
-		d.mu.Lock()
-		cover := d.appended
-		err := d.log.Sync()
-		d.syncerUp = false
-		if err == nil {
-			d.stats.Syncs++
-			if cover > d.synced {
-				d.synced = cover
-			}
-		}
-		d.cond.Broadcast()
-		d.mu.Unlock()
-		return err
-	}
-	for d.synced < seq && d.syncerUp && !d.closed {
-		d.cond.Wait()
-	}
-	var err error
-	switch {
-	case d.closed:
-		err = ErrStopped
-	case d.synced < seq:
-		// Our syncer failed or finished without covering us: sync
-		// ourselves.
-		err = d.log.Sync()
-		if err == nil {
-			d.stats.Syncs++
-			if seq > d.synced {
-				d.synced = seq
-			}
-		}
-	}
-	d.mu.Unlock()
-	return err
-}
-
-// Stats returns committer accounting.
-func (d *DiskCommitter) Stats() CommitterStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// Close implements Committer.
-func (d *DiskCommitter) Close() error {
-	d.mu.Lock()
-	d.closed = true
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	return nil
 }
 
 // discardCommitter builds and then drops the records: "disk writing

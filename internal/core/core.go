@@ -136,16 +136,10 @@ type Config struct {
 	NonRTReserve float64
 	// Overload configures the overload manager.
 	Overload sched.OverloadConfig
-	// GroupCommitWindow selects the legacy fixed-sleep disk committer
-	// when > 0: every commit cohort holds for the whole window before
-	// one sync (the ablation DESIGN §8 documents). Zero uses the
-	// leader/follower group-fsync committer, which syncs immediately
-	// when idle and batches naturally under load.
-	GroupCommitWindow time.Duration
 	// MaxCohort caps how many committing transactions one group-commit
 	// cohort may carry: a single wire batch to the mirror in shipping
 	// mode, or one vectored AppendBatch + Sync in transient mode
-	// (default 64).
+	// (default 64). A cap of 1 is the paper's per-commit sync.
 	MaxCohort int
 	// MaxCohortHold bounds the adaptive hold window group commit may
 	// wait for stragglers: the shipper holds a cohort open across a
@@ -180,11 +174,6 @@ type Config struct {
 	// simtime.SimClock lets simulated-time runs pass through commit
 	// retries without real sleeps.
 	Clock simtime.Clock
-	// FrozenCheckpoint selects the legacy stop-the-world checkpoint for
-	// CheckpointToDir — the ablation DESIGN §8 measures against. The
-	// default (false) is the fuzzy stripe-incremental checkpointer,
-	// which never freezes validation.
-	FrozenCheckpoint bool
 	// NoReadOnlyFastPath disables the read-only snapshot fast path (the
 	// ablation DESIGN §8 measures against): every transaction, declared
 	// read-only or not, registers its reads with the concurrency
@@ -250,9 +239,6 @@ const (
 func buildCommitter(mode LogMode, log logstore.Store, cfg Config) Committer {
 	switch mode {
 	case LogDisk:
-		if cfg.GroupCommitWindow > 0 {
-			return NewDiskCommitterClock(log, cfg.GroupCommitWindow, cfg.Clock)
-		}
 		return NewGroupCommitter(log, GroupOptions{
 			MaxCohort: cfg.MaxCohort,
 			MaxHold:   cfg.MaxCohortHold,

@@ -22,14 +22,7 @@ func newTestEngine(t *testing.T, cfg Config, mode LogMode) (*Engine, *store.Stor
 		db.Put(store.ObjectID(i), []byte{byte(i)})
 	}
 	mem := logstore.NewMem()
-	var c Committer
-	switch mode {
-	case LogDisk:
-		c = NewDiskCommitter(mem, cfg.GroupCommitWindow)
-	default:
-		c = buildCommitter(mode, mem, cfg.withDefaults())
-	}
-	e := NewEngine(cfg, db, c, mode)
+	e := NewEngine(cfg, db, buildCommitter(mode, mem, cfg.withDefaults()), mode)
 	t.Cleanup(e.Stop)
 	return e, db, mem
 }
@@ -327,7 +320,7 @@ func TestSetCommitterSwitchesMode(t *testing.T) {
 	if e.LogMode() != LogNone {
 		t.Fatalf("mode = %v", e.LogMode())
 	}
-	prev := e.SetCommitter(NewDiskCommitter(mem, 0), LogDisk)
+	prev := e.SetCommitter(NewGroupCommitter(mem, GroupOptions{}), LogDisk)
 	if prev == nil || e.LogMode() != LogDisk {
 		t.Fatalf("swap failed: %v %v", prev, e.LogMode())
 	}
@@ -338,73 +331,6 @@ func TestSetCommitterSwitchesMode(t *testing.T) {
 	}
 	if mem.Stats().Syncs == 0 {
 		t.Fatal("disk committer not used after swap")
-	}
-}
-
-// --- DiskCommitter ------------------------------------------------------------
-
-func TestDiskCommitterPerCommitSync(t *testing.T) {
-	mem := logstore.NewMem()
-	d := NewDiskCommitter(mem, 0)
-	defer d.Close()
-	for i := 0; i < 3; i++ {
-		g := testGroup(txn.ID(i+1), uint64(i+1))
-		if err := d.Commit(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := d.Stats()
-	if st.Commits != 3 || st.Syncs != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if mem.Stats().Syncs != 3 {
-		t.Fatalf("device syncs = %d", mem.Stats().Syncs)
-	}
-}
-
-func TestDiskCommitterGroupCommit(t *testing.T) {
-	mem := logstore.NewMem()
-	d := NewDiskCommitter(mem, 10*time.Millisecond)
-	defer d.Close()
-	var wg sync.WaitGroup
-	const n = 8
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := d.Commit(testGroup(txn.ID(i+1), uint64(i+1))); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := d.Stats()
-	if st.Commits != n {
-		t.Fatalf("commits = %d", st.Commits)
-	}
-	if st.Syncs >= n {
-		t.Fatalf("group commit did not batch: %d syncs for %d commits", st.Syncs, n)
-	}
-	// All records durable.
-	recovered := store.New()
-	rst, err := wal.Recover(readerOf(mem.SyncedBytes()), recovered)
-	if err != nil || rst.Applied != n {
-		t.Fatalf("recover: %+v %v", rst, err)
-	}
-}
-
-func TestDiskCommitterClosed(t *testing.T) {
-	d := NewDiskCommitter(logstore.NewMem(), 0)
-	d.Close()
-	if err := d.Commit(testGroup(1, 1)); !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func testGroup(id txn.ID, serial uint64) *wal.Group {
-	return &wal.Group{
-		Writes: []*wal.Record{{Type: wal.TypeWrite, TxnID: id, ObjectID: store.ObjectID(serial), AfterImage: []byte("v")}},
-		Commit: &wal.Record{Type: wal.TypeCommit, TxnID: id, SerialOrder: serial, CommitTS: serial * 100},
 	}
 }
 
@@ -532,7 +458,7 @@ func TestCommitStableRetriesThroughSwap(t *testing.T) {
 	// A committer that reports the mirror down once; commitStable must
 	// retry and succeed after a swap.
 	e, _, mem := newTestEngine(t, Config{}, LogNone)
-	e.SetCommitter(&failingOnceCommitter{next: NewDiskCommitter(mem, 0), e: e}, LogShip)
+	e.SetCommitter(&failingOnceCommitter{next: NewGroupCommitter(mem, GroupOptions{}), e: e}, LogShip)
 	if err := e.Execute(Request{Deadline: 2 * time.Second, Do: func(tx *Tx) error {
 		return tx.Write(1, []byte("retried"))
 	}}); err != nil {

@@ -37,13 +37,13 @@ type stripeCache struct {
 }
 
 // FuzzyCheckpoint writes a fuzzy, stripe-incremental checkpoint of the
-// node's database to w and returns its statistics. Unlike Checkpoint it
-// never freezes validation: each stripe is copied under only that
-// stripe's read lock — commits proceed on the other stripes throughout —
-// and is tagged with the controller's stable serial observed before the
-// copy, which bounds exactly which logged groups the copy is guaranteed
-// to contain. Stripes whose change epoch has not moved since the last
-// cycle reuse their cached encoding and merely raise their watermark.
+// node's database to w and returns its statistics. It never freezes
+// validation: each stripe is copied under only that stripe's read lock —
+// commits proceed on the other stripes throughout — and is tagged with
+// the controller's stable serial observed before the copy, which bounds
+// exactly which logged groups the copy is guaranteed to contain. Stripes
+// whose change epoch has not moved since the last cycle reuse their
+// cached encoding and merely raise their watermark.
 //
 // Correctness of the watermark: StableSerial is read before the stripe
 // copy, so every group at or below it had completed its write phase —
@@ -115,7 +115,6 @@ func (n *Node) FuzzyCheckpoint(w io.Writer) (CheckpointStats, error) {
 	st.MinWatermark = wm.Min()
 	st.Bytes = cw.n
 	n.ckptBytes.Observe(st.Bytes)
-	n.ckptSkip.Observe(st.Skipped) // note: IntDist floors 0 at 1
 	return st, nil
 }
 
@@ -132,14 +131,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // CheckpointPauses is the distribution of per-stripe copy pauses — the
 // longest a committer can stall behind the checkpointer on one stripe.
-// The frozen (ablation) path records its whole freeze here, which is
-// exactly the comparison BenchmarkCheckpointPause draws.
 func (n *Node) CheckpointPauses() *metrics.Histogram { return &n.ckptPause }
 
 // CheckpointBytes is the distribution of checkpoint sizes written.
 func (n *Node) CheckpointBytes() *metrics.IntDist { return &n.ckptBytes }
-
-// CheckpointCleanStripes is the distribution of clean (skipped) stripe
-// counts per cycle; IntDist floors zero at one, so a fully-dirty cycle
-// records as 1.
-func (n *Node) CheckpointCleanStripes() *metrics.IntDist { return &n.ckptSkip }

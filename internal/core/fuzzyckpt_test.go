@@ -73,7 +73,7 @@ func TestFuzzyCheckpointIdleNode(t *testing.T) {
 // TestFuzzyCheckpointEquivalenceUnderLoad is the acceptance property of
 // the fuzzy checkpointer: checkpoints taken while committers are running
 // full tilt, plus a watermark-filtered replay of the log, reproduce
-// exactly the checksum of the frozen snapshot they replace.
+// exactly the checksum of the quiesced database.
 func TestFuzzyCheckpointEquivalenceUnderLoad(t *testing.T) {
 	log := logstore.NewMem()
 	n := NewNode("fz", fastCfg(), newDBWith(256), log)
@@ -121,27 +121,14 @@ func TestFuzzyCheckpointEquivalenceUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Quiesced: the frozen snapshot the fuzzy path replaces.
-	var frozen bytes.Buffer
-	if _, err := n.Checkpoint(&frozen); err != nil {
-		t.Fatal(err)
-	}
-	snap, _, err := wal.ReadCheckpoint(&frozen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := store.New()
-	ref.LoadSnapshot(snap)
-	want := ref.Checksum()
-	if want != n.DB().Checksum() {
-		t.Fatal("frozen reference diverged from the live database")
-	}
-
+	// Quiesced: every committer has returned, so the live database is
+	// the reference.
+	want := n.DB().Checksum()
 	logBytes := log.Bytes()
 	for i, ck := range ckpts {
 		got := restoreFuzzy(t, ck, logBytes)
 		if got.Checksum() != want {
-			t.Fatalf("checkpoint %d + suffix replay != frozen snapshot checksum", i)
+			t.Fatalf("checkpoint %d + suffix replay != quiesced database checksum", i)
 		}
 	}
 }
@@ -214,55 +201,6 @@ func TestFuzzyCheckpointOnMirrorFails(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := n.FuzzyCheckpoint(&buf); err != ErrNotServing {
 		t.Fatalf("err = %v, want ErrNotServing", err)
-	}
-}
-
-func TestCheckpointToDirFrozenAblation(t *testing.T) {
-	dir := t.TempDir()
-	log := logstore.NewMem()
-	cfg := fastCfg()
-	cfg.FrozenCheckpoint = true
-	n := NewNode("frz", cfg, newDBWith(50), log)
-	if err := n.ServePrimary("", LogDisk); err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	for i := 0; i < 10; i++ {
-		if err := n.Execute(Request{Deadline: time.Second, Do: func(tx *Tx) error {
-			return tx.Write(store.ObjectID(i), []byte("frozen"))
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	serial, err := n.CheckpointToDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != 10 {
-		t.Fatalf("serial = %d", serial)
-	}
-	f, err := os.Open(filepath.Join(dir, "checkpoint.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := wal.DecodeCheckpoint(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Version != 1 || ck.Watermarks != nil {
-		t.Fatalf("ablation wrote a v%d checkpoint", ck.Version)
-	}
-	if len(log.Bytes()) != 0 {
-		t.Fatalf("frozen checkpoint left %d log bytes", len(log.Bytes()))
-	}
-	want := n.DB().Checksum()
-	n2 := NewNode("re", fastCfg(), store.New(), logstore.NewMem())
-	if _, err := n2.RecoverFromDir(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n2.DB().Checksum() != want {
-		t.Fatal("frozen-ablation recovery differs")
 	}
 }
 

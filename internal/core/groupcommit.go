@@ -27,9 +27,10 @@ import (
 // simtime.Clock so simulated runs stay deterministic) lets a leader that
 // already had to queue for the device linger briefly for stragglers.
 //
-// Durability is unchanged from the per-commit DiskCommitter: Commit
-// returns only after a Sync covering this transaction's records has
-// completed, so an acknowledged transaction is always recoverable.
+// Commit returns only after a Sync covering this transaction's records
+// has completed, so an acknowledged transaction is always recoverable.
+// MaxCohort 1 gives every transaction its own append and sync: the
+// paper's per-commit Log Writer.
 type GroupCommitter struct {
 	log   logstore.Store
 	clock simtime.Clock
@@ -74,7 +75,8 @@ func (c *fsyncCohort) chunks() [][]byte {
 
 // GroupOptions parameterizes a GroupCommitter.
 type GroupOptions struct {
-	// MaxCohort caps how many transactions share one sync (default 64).
+	// MaxCohort caps how many transactions share one sync (default 64);
+	// 1 syncs once per commit.
 	MaxCohort int
 	// MaxHold lets a leader that queued for the device hold the cohort
 	// open a little longer for stragglers. Zero disables holding.

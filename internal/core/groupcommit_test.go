@@ -98,6 +98,57 @@ func TestGroupCommitFewerSyncsThanCommits(t *testing.T) {
 	}
 }
 
+// TestGroupCommitPerCommitSync pins MaxCohort 1, the paper's per-commit
+// Log Writer: under concurrent committers every commit still gets its
+// own sync, its bytes are on stable media by the time Commit returns,
+// and a closed committer refuses further commits.
+func TestGroupCommitPerCommitSync(t *testing.T) {
+	const (
+		committers = 8
+		perWorker  = 25
+		total      = committers * perWorker
+	)
+	mem := logstore.NewMem()
+	gc := NewGroupCommitter(logstore.NewDelayed(mem, 50*time.Microsecond), GroupOptions{MaxCohort: 1})
+
+	var serials atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < committers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				s := serials.Add(1)
+				if err := gc.Commit(diskGroup(s)); err != nil {
+					t.Errorf("commit %d: %v", s, err)
+					return
+				}
+				if !bytes.Contains(mem.SyncedBytes(), diskGroup(s).AppendEncoded(nil)) {
+					t.Errorf("commit %d returned before its records were synced", s)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	st := gc.Stats()
+	if st.Commits != total || st.Syncs != total {
+		t.Fatalf("Commits = %d Syncs = %d, want %d each", st.Commits, st.Syncs, total)
+	}
+	if dev := mem.Stats().Syncs; dev != total {
+		t.Fatalf("device saw %d syncs for %d commits", dev, total)
+	}
+	if st.MaxCohort != 1 {
+		t.Fatalf("MaxCohort = %d, want 1", st.MaxCohort)
+	}
+
+	gc.Close()
+	if err := gc.Commit(diskGroup(total + 1)); !errors.Is(err, ErrStopped) {
+		t.Fatalf("commit after close: %v", err)
+	}
+}
+
 // TestGroupCommitCrashConsistency kills the transient primary mid-cohort
 // and checks the durability invariant: every transaction whose Commit had
 // returned by the crash point is present after recovering the synced

@@ -86,7 +86,6 @@ type Node struct {
 	ckptCache []stripeCache
 	ckptPause metrics.Histogram
 	ckptBytes metrics.IntDist
-	ckptSkip  metrics.IntDist
 }
 
 // NewNode creates a node over its database and local log device. The

@@ -505,13 +505,6 @@ func TestBuildCommitterVariants(t *testing.T) {
 	} else if _, ok := c.(*GroupCommitter); !ok {
 		t.Fatalf("LogDisk default committer is %T, want *GroupCommitter", c)
 	}
-	win := cfg
-	win.GroupCommitWindow = time.Millisecond
-	if c := buildCommitter(LogDisk, mem, win); c == nil {
-		t.Fatal("nil disk committer")
-	} else if _, ok := c.(*DiskCommitter); !ok {
-		t.Fatalf("GroupCommitWindow>0 committer is %T, want *DiskCommitter", c)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("buildCommitter(LogShip) should panic")

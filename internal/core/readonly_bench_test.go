@@ -38,7 +38,7 @@ func BenchmarkReadOnlyTxn(b *testing.B) {
 				cfg.Workers = workers
 				cfg.MaxRestarts = 100
 				mem := logstore.NewMem()
-				e := NewEngine(cfg, db, NewDiskCommitter(mem, cfg.GroupCommitWindow), LogDisk)
+				e := NewEngine(cfg, db, NewGroupCommitter(mem, GroupOptions{MaxCohort: 1}), LogDisk)
 				defer e.Stop()
 				b.ReportAllocs()
 				b.ResetTimer()

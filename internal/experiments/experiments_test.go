@@ -222,18 +222,6 @@ func TestReorderAblation(t *testing.T) {
 	}
 }
 
-func TestGroupCommitAblation(t *testing.T) {
-	tab := GroupCommitAblation(5*time.Millisecond, []time.Duration{0, 2 * time.Millisecond}, 40)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	syncs0, _ := strconv.Atoi(tab.Rows[0][2])
-	syncsG, _ := strconv.Atoi(tab.Rows[1][2])
-	if syncsG >= syncs0 {
-		t.Fatalf("group commit did not reduce syncs: %d vs %d", syncsG, syncs0)
-	}
-}
-
 func TestOverloadAblation(t *testing.T) {
 	tab := OverloadAblation(Options{Reps: 1, Count: 2000, DBSize: 5000, Seed: 1})
 	if len(tab.Rows) != 6 {

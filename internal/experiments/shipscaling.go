@@ -32,7 +32,7 @@ type ShipScalingResult struct {
 // ShipScaling measures the primary's commit path against a real mirror
 // engine over an in-process pipe, as the number of concurrent committers
 // grows. mode=grouped uses the adaptive cohort collector; mode=pertxn
-// caps every wire batch at one group — the pre-group-commit behavior.
+// caps every wire batch at one group — the behavior before group commit.
 // On a single-CPU host the committers time-share, but the batching win
 // (fewer flushes and wakeups per commit) still shows as higher
 // throughput and cohort sizes above one.
@@ -146,8 +146,9 @@ func ShipScalingTable(rs []ShipScalingResult) *metrics.Table {
 }
 
 // TransientFsyncResult is one cell of the transient-primary series: the
-// leader/follower group-fsync committer against the per-commit-sync
-// DiskCommitter over a device with realistic sync latency.
+// leader/follower group-fsync committer against the same committer capped
+// at one transaction per cohort (the paper's per-commit sync) over a
+// device with realistic sync latency.
 type TransientFsyncResult struct {
 	Mode           string // "group" or "persync"
 	Committers     int
@@ -189,14 +190,11 @@ func TransientFsync(txns int, committers []int, syncDelay time.Duration) ([]Tran
 func transientFsyncPoint(mode string, txns, committers int, syncDelay time.Duration) (TransientFsyncResult, error) {
 	mem := logstore.NewMem()
 	slow := logstore.NewDelayed(mem, syncDelay)
-	var c core.Committer
-	var gc *core.GroupCommitter
-	if mode == "group" {
-		gc = core.NewGroupCommitter(slow, core.GroupOptions{})
-		c = gc
-	} else {
-		c = core.NewDiskCommitter(slow, 0)
+	var opts core.GroupOptions
+	if mode == "persync" {
+		opts.MaxCohort = 1
 	}
+	c := core.NewGroupCommitter(slow, opts)
 	defer c.Close()
 
 	img := make([]byte, 64)
@@ -233,10 +231,8 @@ func transientFsyncPoint(mode string, txns, committers int, syncDelay time.Durat
 	}
 	syncs := mem.Stats().Syncs
 	mean := 1.0
-	if gc != nil {
-		if st := gc.Stats(); st.Cohorts > 0 {
-			mean = float64(st.Commits) / float64(st.Cohorts)
-		}
+	if st := c.Stats(); st.Cohorts > 0 {
+		mean = float64(st.Commits) / float64(st.Cohorts)
 	}
 	return TransientFsyncResult{
 		Mode: mode, Committers: committers, Txns: txns, Elapsed: elapsed,

@@ -256,38 +256,3 @@ func ReorderAblation(txns, writesPer int) *metrics.Table {
 	}
 	return t
 }
-
-// GroupCommitAblation measures transient-mode commit throughput with and
-// without group commit on a slow log device.
-func GroupCommitAblation(diskLatency time.Duration, windows []time.Duration, commits int) *metrics.Table {
-	t := &metrics.Table{
-		Title:  fmt.Sprintf("group commit ablation — %v disk, %d concurrent committers", diskLatency, commits),
-		Header: []string{"window", "wall time", "device syncs", "commits/s"},
-	}
-	for _, w := range windows {
-		mem := logstore.NewMem()
-		slow := logstore.NewDelayed(mem, diskLatency)
-		d := core.NewDiskCommitter(slow, w)
-		start := simtime.Wall.Now()
-		done := make(chan error, commits)
-		for i := 0; i < commits; i++ {
-			go func(i int) {
-				done <- d.Commit(&wal.Group{
-					Writes: []*wal.Record{{Type: wal.TypeWrite, TxnID: 1 + txnID(i), ObjectID: store.ObjectID(i), AfterImage: []byte("v")}},
-					Commit: &wal.Record{Type: wal.TypeCommit, TxnID: 1 + txnID(i), SerialOrder: uint64(i + 1), CommitTS: uint64(i+1) * 65536},
-				})
-			}(i)
-		}
-		for i := 0; i < commits; i++ {
-			if err := <-done; err != nil {
-				break
-			}
-		}
-		elapsed := simtime.Wall.Now().Sub(start)
-		d.Close()
-		t.AddRow(w.String(), elapsed.Round(time.Millisecond).String(),
-			fmt.Sprintf("%d", mem.Stats().Syncs),
-			fmt.Sprintf("%.0f", float64(commits)/elapsed.Seconds()))
-	}
-	return t
-}

@@ -43,31 +43,10 @@ type Stats struct {
 // ErrClosed is returned for operations on a closed store.
 var ErrClosed = errors.New("logstore: closed")
 
-// Resetter is implemented by stores whose contents can be discarded —
-// used after a checkpoint makes the old log tail redundant.
-type Resetter interface {
-	// Reset discards everything appended so far.
-	Reset() error
-}
-
-// Reset truncates s if it supports truncation; it reports whether it
-// did. A Delayed wrapper is unwrapped first: capability detection must
-// see the real device, not the latency shim.
-func Reset(s Store) (bool, error) {
-	if d, ok := s.(*Delayed); ok {
-		return Reset(d.Inner)
-	}
-	r, ok := s.(Resetter)
-	if !ok {
-		return false, nil
-	}
-	return true, r.Reset()
-}
-
 // SerialTruncator is implemented by stores that can drop a log prefix
 // made redundant by a durable checkpoint: everything dropped must lie
-// below the given commit serial. Unlike Reset, data above the serial —
-// which the checkpoint does not cover — survives.
+// below the given commit serial. Data above the serial — which the
+// checkpoint does not cover — survives.
 type SerialTruncator interface {
 	// TruncateBelow drops log data containing only groups whose commit
 	// serial is ≤ serial, and returns the number of bytes dropped. It is
@@ -78,7 +57,8 @@ type SerialTruncator interface {
 
 // TruncateBelow drops the ≤ serial prefix of s if it supports serial
 // truncation; it reports whether it did and how many bytes went away.
-// A Delayed wrapper is unwrapped first, like in Reset.
+// A Delayed wrapper is unwrapped first: capability detection must see the
+// real device, not the latency shim.
 func TruncateBelow(s Store, serial uint64) (bool, int, error) {
 	if d, ok := s.(*Delayed); ok {
 		return TruncateBelow(d.Inner, serial)
@@ -191,21 +171,6 @@ func (s *File) Stats() Stats {
 	}
 }
 
-// Reset implements Resetter: the file is truncated to zero length.
-func (s *File) Reset() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.w.Reset(s.f)
-	if err := s.f.Truncate(0); err != nil {
-		return err
-	}
-	_, err := s.f.Seek(0, 0)
-	return err
-}
-
 // --- Mem --------------------------------------------------------------------
 
 // Mem is an in-memory log store. It distinguishes appended-but-unsynced
@@ -290,18 +255,6 @@ func (m *Mem) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// Reset implements Resetter.
-func (m *Mem) Reset() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.data = m.data[:0]
-	m.synced = 0
-	return nil
 }
 
 // TruncateBelow implements SerialTruncator by decoding the stored

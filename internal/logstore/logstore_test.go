@@ -153,64 +153,6 @@ func TestMemConcurrent(t *testing.T) {
 	}
 }
 
-func TestFileReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reset.log")
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Append([]byte("old data"))
-	f.Sync()
-	if err := f.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	f.Append([]byte("new"))
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	if string(data) != "new" {
-		t.Fatalf("contents after reset = %q", data)
-	}
-}
-
-func TestFileResetClosed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.log")
-	f, _ := OpenFile(path)
-	f.Close()
-	if err := f.Reset(); err != ErrClosed {
-		t.Fatalf("Reset after close: %v", err)
-	}
-}
-
-func TestMemReset(t *testing.T) {
-	m := NewMem()
-	m.Append([]byte("junk"))
-	m.Sync()
-	if err := m.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Bytes()) != 0 || len(m.SyncedBytes()) != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	m.Close()
-	if err := m.Reset(); err != ErrClosed {
-		t.Fatalf("Reset after close: %v", err)
-	}
-}
-
-func TestResetHelper(t *testing.T) {
-	m := NewMem()
-	m.Append([]byte("x"))
-	ok, err := Reset(m)
-	if !ok || err != nil {
-		t.Fatalf("Reset(Mem) = %v, %v", ok, err)
-	}
-	if ok, _ := Reset(NewNull()); ok {
-		t.Fatal("Null should not report Resetter support")
-	}
-}
-
 func TestAppendBatchEquivalence(t *testing.T) {
 	chunks := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
 	want := []byte("alphabetagamma")

@@ -403,27 +403,3 @@ func (s *Segmented) TruncateBelow(serial uint64) (int, error) {
 	s.reclaimed.Add(uint64(bytes))
 	return int(bytes), nil
 }
-
-// Reset implements Resetter: every segment is removed and the log
-// restarts at segment 1.
-func (s *Segmented) Reset() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.f.Close(); err != nil {
-		return err
-	}
-	for _, seg := range s.sealed {
-		if err := os.Remove(filepath.Join(s.dir, seg.Name)); err != nil {
-			return err
-		}
-	}
-	if err := os.Remove(filepath.Join(s.dir, segmentName(s.seq))); err != nil {
-		return err
-	}
-	s.sealed = nil
-	s.scan = wal.LogScanner{}
-	return s.openNextLocked(1)
-}

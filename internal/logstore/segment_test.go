@@ -310,35 +310,6 @@ func TestSegmentedTruncateBelowZeroIsNoOp(t *testing.T) {
 	}
 }
 
-func TestSegmentedReset(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSegmented(dir, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	appendGroups(t, s, 1, 20)
-	if err := s.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if got := readAll(t, dir); len(got) != 0 {
-		t.Fatalf("%d bytes survived Reset", len(got))
-	}
-	segs := s.Segments()
-	if len(segs) != 1 || segs[0].Name != "wal-00000001.seg" {
-		t.Fatalf("after Reset: %+v", segs)
-	}
-	// The store still works, and the boundary scanner restarted.
-	appendGroups(t, s, 1, 5)
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	db := store.New()
-	if _, err := wal.Recover(bytes.NewReader(readAll(t, dir)), db); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSegmentedClosed(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSegmented(dir, 256)
@@ -359,9 +330,6 @@ func TestSegmentedClosed(t *testing.T) {
 	}
 	if _, err := s.TruncateBelow(1); err != ErrClosed {
 		t.Fatalf("TruncateBelow after close: %v", err)
-	}
-	if err := s.Reset(); err != ErrClosed {
-		t.Fatalf("Reset after close: %v", err)
 	}
 }
 

@@ -130,13 +130,15 @@ func (s Snapshot) String() string {
 // --- Histogram ---------------------------------------------------------------
 
 // Histogram is a latency histogram with logarithmic buckets from 1 µs to
-// ~17 s, safe for concurrent use.
+// ~17 s, safe for concurrent use. Every cell is an atomic, so Observe
+// costs a few uncontended atomic adds and never serializes observers —
+// fit for instrumenting paths that are themselves lock-free, like the
+// store's versioned read path. The zero value is ready to use.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets [bucketCount]uint64
-	count   uint64
-	sum     time.Duration
-	max     time.Duration
+	buckets [bucketCount]atomic.Uint64
+	count   atomic.Uint64
+	sum     atomic.Int64 // total nanoseconds across samples
+	max     atomic.Int64 // largest sample in nanoseconds (CAS-max)
 }
 
 const bucketCount = 48 // 1µs * 2^(i/2): covers to beyond 10s
@@ -164,115 +166,6 @@ func boundFor(i int) time.Duration {
 
 // Observe records one sample.
 func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.buckets[bucketFor(d)]++
-	h.count++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-}
-
-// Count reports the number of samples.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean reports the mean sample.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Max reports the largest sample.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile reports an upper bound for the q-quantile (0 < q ≤ 1).
-func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, n := range h.buckets {
-		cum += n
-		if cum >= target {
-			// The bucket bound can overshoot the true maximum; never
-			// report a quantile above the largest observed sample.
-			if b := boundFor(i); b < h.max {
-				return b
-			}
-			return h.max
-		}
-	}
-	return h.max
-}
-
-// Summary digests the histogram into its copyable snapshot form.
-func (h *Histogram) Summary() HistogramSummary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSummary{Count: h.count, Max: h.max}
-	if h.count == 0 {
-		return s
-	}
-	s.Mean = h.sum / time.Duration(h.count)
-	quantile := func(q float64) time.Duration {
-		target := uint64(math.Ceil(q * float64(h.count)))
-		if target == 0 {
-			target = 1
-		}
-		var cum uint64
-		for i, n := range h.buckets {
-			cum += n
-			if cum >= target {
-				if b := boundFor(i); b < h.max {
-					return b
-				}
-				return h.max
-			}
-		}
-		return h.max
-	}
-	s.P50 = quantile(0.50)
-	s.P95 = quantile(0.95)
-	s.P99 = quantile(0.99)
-	return s
-}
-
-// --- AtomicHistogram ---------------------------------------------------------
-
-// AtomicHistogram is the lock-free sibling of Histogram: the same
-// logarithmic 1 µs … ~17 s buckets, but every cell is an atomic, so
-// Observe costs a few uncontended atomic adds and never serializes
-// observers — fit for instrumenting paths that are themselves
-// lock-free, like the store's versioned read path. The zero value is
-// ready to use.
-type AtomicHistogram struct {
-	buckets [bucketCount]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Int64 // total nanoseconds across samples
-	max     atomic.Int64 // largest sample in nanoseconds (CAS-max)
-}
-
-// Observe records one sample.
-func (h *AtomicHistogram) Observe(d time.Duration) {
 	h.buckets[bucketFor(d)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(int64(d))
@@ -285,10 +178,10 @@ func (h *AtomicHistogram) Observe(d time.Duration) {
 }
 
 // Count reports the number of samples.
-func (h *AtomicHistogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Mean reports the mean sample.
-func (h *AtomicHistogram) Mean() time.Duration {
+func (h *Histogram) Mean() time.Duration {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -297,7 +190,13 @@ func (h *AtomicHistogram) Mean() time.Duration {
 }
 
 // Max reports the largest sample.
-func (h *AtomicHistogram) Max() time.Duration { return time.Duration(h.max.Load()) }
+func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
+
+// Quantile reports an upper bound for the q-quantile (0 < q ≤ 1).
+func (h *Histogram) Quantile(q float64) time.Duration {
+	c := h.load()
+	return c.quantile(q)
+}
 
 // HistogramSummary is a point-in-time digest of a latency histogram:
 // the copyable form embedded in stats snapshots.
@@ -314,40 +213,58 @@ type HistogramSummary struct {
 // the field loads, so the digest is only approximately consistent —
 // each quantity is individually correct to within the in-flight
 // samples, which is all a monitoring snapshot needs.
-func (h *AtomicHistogram) Summary() HistogramSummary {
-	var counts [bucketCount]uint64
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	max := time.Duration(h.max.Load())
-	s := HistogramSummary{Count: total, Max: max}
-	if total == 0 {
+func (h *Histogram) Summary() HistogramSummary {
+	c := h.load()
+	s := HistogramSummary{Count: c.total, Max: c.max}
+	if c.total == 0 {
 		return s
 	}
-	s.Mean = time.Duration(h.sum.Load() / int64(total))
-	quantile := func(q float64) time.Duration {
-		target := uint64(math.Ceil(q * float64(total)))
-		if target == 0 {
-			target = 1
-		}
-		var cum uint64
-		for i, n := range counts {
-			cum += n
-			if cum >= target {
-				if b := boundFor(i); b < max {
-					return b
-				}
-				return max
-			}
-		}
-		return max
-	}
-	s.P50 = quantile(0.50)
-	s.P95 = quantile(0.95)
-	s.P99 = quantile(0.99)
+	s.Mean = time.Duration(h.sum.Load() / int64(c.total))
+	s.P50 = c.quantile(0.50)
+	s.P95 = c.quantile(0.95)
+	s.P99 = c.quantile(0.99)
 	return s
+}
+
+// histCounts is one load of a Histogram's buckets: the quantile walk
+// runs over a copy whose total matches its cells, so a concurrent
+// Observe can never make the walk miss its target.
+type histCounts struct {
+	buckets [bucketCount]uint64
+	total   uint64
+	max     time.Duration
+}
+
+func (h *Histogram) load() histCounts {
+	c := histCounts{max: time.Duration(h.max.Load())}
+	for i := range h.buckets {
+		c.buckets[i] = h.buckets[i].Load()
+		c.total += c.buckets[i]
+	}
+	return c
+}
+
+func (c *histCounts) quantile(q float64) time.Duration {
+	if c.total == 0 {
+		return 0
+	}
+	target := uint64(math.Ceil(q * float64(c.total)))
+	if target == 0 {
+		target = 1
+	}
+	var cum uint64
+	for i, n := range c.buckets {
+		cum += n
+		if cum >= target {
+			// The bucket bound can overshoot the true maximum; never
+			// report a quantile above the largest observed sample.
+			if b := boundFor(i); b < c.max {
+				return b
+			}
+			return c.max
+		}
+	}
+	return c.max
 }
 
 // --- IntDist -----------------------------------------------------------------

@@ -127,6 +127,54 @@ func TestHistogramExtremes(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrentMatchesSequential fills one histogram from 8
+// goroutines at once and another sequentially with the same samples:
+// the lock-free cells must lose nothing, so every digest agrees exactly.
+func TestHistogramConcurrentMatchesSequential(t *testing.T) {
+	const observers = 8
+	var samples []time.Duration
+	for i := 0; i < 500; i++ {
+		samples = append(samples, time.Duration(i*i*37+i)*time.Nanosecond)
+	}
+	samples = append(samples, 0, time.Minute, 3*time.Second)
+
+	var seq, conc Histogram
+	for g := 0; g < observers; g++ {
+		for _, d := range samples {
+			seq.Observe(d)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < observers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, d := range samples {
+				conc.Observe(d)
+			}
+		}()
+	}
+	wg.Wait()
+
+	if want := uint64(observers * len(samples)); conc.Count() != want || seq.Count() != want {
+		t.Fatalf("Count: concurrent %d, sequential %d, want %d", conc.Count(), seq.Count(), want)
+	}
+	if conc.Max() != seq.Max() || conc.Max() != time.Minute {
+		t.Fatalf("Max: concurrent %v, sequential %v", conc.Max(), seq.Max())
+	}
+	if conc.Mean() != seq.Mean() {
+		t.Fatalf("Mean: concurrent %v, sequential %v", conc.Mean(), seq.Mean())
+	}
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
+		if c, s := conc.Quantile(q), seq.Quantile(q); c != s {
+			t.Fatalf("Quantile(%v): concurrent %v, sequential %v", q, c, s)
+		}
+	}
+	if c, s := conc.Summary(), seq.Summary(); c != s {
+		t.Fatalf("Summary: concurrent %+v, sequential %+v", c, s)
+	}
+}
+
 func TestTableFormatting(t *testing.T) {
 	tab := &Table{
 		Title:  "fig 2(a)",

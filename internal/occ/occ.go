@@ -296,10 +296,10 @@ type Controller struct {
 	// interleaved it.
 	validateSeq atomic.Uint64
 
-	// readLat is the engine-fed data-read latency distribution; it uses
-	// the lock-free histogram so observation costs two atomic adds on
+	// readLat is the engine-fed data-read latency distribution; the
+	// histogram is lock-free, so observation costs a few atomic adds on
 	// the zero-lock read path it measures.
-	readLat metrics.AtomicHistogram
+	readLat metrics.Histogram
 
 	n counters
 }

@@ -145,13 +145,10 @@ type Options struct {
 	// NonRTReserve is the dispatch fraction reserved for non-real-time
 	// transactions (default 0.05).
 	NonRTReserve float64
-	// GroupCommitWindow selects the legacy fixed-window disk batching
-	// when > 0; at zero the adaptive leader/follower group-fsync
-	// committer is used (sync immediately when idle, batch under load).
-	GroupCommitWindow time.Duration
 	// MaxCohort caps how many committing transactions one group-commit
 	// cohort carries — a wire batch to the mirror, or one vectored
-	// append + sync on the transient primary (default 64).
+	// append + sync on the transient primary (default 64; 1 is the
+	// paper's per-commit sync).
 	MaxCohort int
 	// MaxCohortHold bounds the adaptive hold window group commit may
 	// wait for stragglers. Zero keeps the default (200µs); negative
@@ -191,10 +188,6 @@ type Options struct {
 	// CheckpointLogBytes triggers a background checkpoint after this
 	// many bytes of log growth since the previous one.
 	CheckpointLogBytes uint64
-	// FrozenCheckpoint selects the legacy stop-the-world checkpoint
-	// instead of the fuzzy stripe-incremental one — an ablation knob;
-	// see DESIGN §8.
-	FrozenCheckpoint bool
 	// NoReadOnlyFastPath disables the read-only snapshot fast path: View
 	// (and ExecReadOnly) transactions register every read with the
 	// concurrency controller and commit through full validation and the
@@ -207,7 +200,6 @@ func (o Options) coreConfig() (core.Config, error) {
 		Workers:            o.Workers,
 		MaxRestarts:        o.MaxRestarts,
 		NonRTReserve:       o.NonRTReserve,
-		GroupCommitWindow:  o.GroupCommitWindow,
 		MaxCohort:          o.MaxCohort,
 		MaxCohortHold:      o.MaxCohortHold,
 		AckTimeout:         o.AckTimeout,
@@ -215,7 +207,6 @@ func (o Options) coreConfig() (core.Config, error) {
 		HeartbeatMisses:    o.HeartbeatMisses,
 		RecoverWorkers:     o.RecoverWorkers,
 		MirrorApplyWorkers: o.MirrorApplyWorkers,
-		FrozenCheckpoint:   o.FrozenCheckpoint,
 		NoReadOnlyFastPath: o.NoReadOnlyFastPath,
 	}
 	if o.MaxActive > 0 {
@@ -454,14 +445,6 @@ func (db *DB) Recover(r io.Reader) (RecoverStats, error) {
 
 // RecoverStats summarizes a log replay.
 type RecoverStats = wal.RecoverStats
-
-// Checkpoint writes a transaction-consistent snapshot of the database to
-// w and returns the validation order it corresponds to. Replaying the
-// log from that serial over the checkpoint reproduces the database.
-// Validation freezes for the copy; FuzzyCheckpoint avoids the freeze.
-func (db *DB) Checkpoint(w io.Writer) (uint64, error) {
-	return db.node.Checkpoint(w)
-}
 
 // CheckpointStats summarizes one fuzzy checkpoint cycle.
 type CheckpointStats = core.CheckpointStats
