@@ -47,7 +47,7 @@ benchfast:
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkStoreParallel|BenchmarkStoreViewParallel|BenchmarkApplyGroup' -benchmem -benchtime=100000x ./internal/store | $(GO) run ./cmd/rodain-benchjson -o BENCH_store.json
 	$(GO) test -run xxx -bench 'BenchmarkShipperAllocs|BenchmarkMirrorApplyParallel|BenchmarkEngineParallel' -benchmem -benchtime=10000x ./internal/core | $(GO) run ./cmd/rodain-benchjson -o BENCH_core.json
-	$(GO) test -run xxx -bench 'BenchmarkOCCContention|BenchmarkDoomedPoll' -benchmem -benchtime=10000x ./internal/occ | $(GO) run ./cmd/rodain-benchjson -o BENCH_occ.json
+	$(GO) test -run xxx -bench 'BenchmarkOCCContention|BenchmarkDoomedPoll|BenchmarkValidateAfterCommits' -benchmem -benchtime=10000x ./internal/occ | $(GO) run ./cmd/rodain-benchjson -o BENCH_occ.json
 	$(GO) test -run xxx -bench 'BenchmarkRecoverParallel' -benchmem -benchtime=3x ./internal/wal | $(GO) run ./cmd/rodain-benchjson -o BENCH_wal.json
 	$(GO) test -run xxx -bench 'BenchmarkGroupCommit|BenchmarkTransientFsync' -benchmem -benchtime=5000x ./internal/core | $(GO) run ./cmd/rodain-benchjson -o BENCH_ship.json
 	$(GO) test -run xxx -bench 'BenchmarkCheckpointPause|BenchmarkRecoverFromCheckpoint' -benchmem -benchtime=3x ./internal/core | $(GO) run ./cmd/rodain-benchjson -o BENCH_ckpt.json

@@ -105,7 +105,7 @@ func main() {
 		if *quick {
 			txns = 4000
 		}
-		rs, err := experiments.OCCScaling(1024, txns, []int{1, 2, 4, 8}, []int{10, 60})
+		rs, err := experiments.OCCScaling(30000, txns, []int{1, 2, 4, 8}, []int{10, 60})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -113,9 +113,10 @@ func BenchmarkMirrorApplyParallel(b *testing.B) {
 // global section is the validation ticket, so on a multicore host
 // commits/sec should rise with workers; the old single-mutex controller
 // flatlined here. LogDiscard keeps log building on the path without a
-// mirror or disk; LogNone strips logging entirely for contrast.
+// mirror or disk; LogNone strips logging entirely for contrast. The
+// 30 000 uniform ids match the benchmark workload's key space.
 func BenchmarkEngineParallel(b *testing.B) {
-	const nObjects = 1024
+	const nObjects = 30000
 	mixes := []struct {
 		name     string
 		writePct int

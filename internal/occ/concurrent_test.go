@@ -240,28 +240,14 @@ func BenchmarkDoomedPoll(b *testing.B) {
 	}
 }
 
-// benchController is the controller surface the contention benchmark
-// drives, satisfied by both the sharded Controller and the in-test
-// single-mutex refController so the two are directly comparable.
-type benchController interface {
-	Begin(*txn.Transaction)
-	Finish(*txn.Transaction)
-	Doomed(*txn.Transaction) (txn.AbortReason, bool)
-	OnRead(*txn.Transaction, store.ObjectID, uint64) bool
-	OnWrite(*txn.Transaction, store.ObjectID) bool
-	Validate(*txn.Transaction) Result
-}
-
 // BenchmarkOCCContention runs full transactions (begin, reads/writes
 // with registration, validate, finish) against one DATI controller from
 // a fixed number of worker goroutines, for a read-mostly and a
-// write-heavy mix, with the sharded controller and the single-mutex
-// reference it replaced. On a multicore host the sharded variant's
-// throughput should rise with the worker count while the global mutex
-// flatlines; a single-CPU host shows parity (serialized execution never
-// contends either lock).
+// write-heavy mix, over 30 000 uniform ids (the benchmark workload's key
+// space). On a multicore host throughput should rise with the worker
+// count: only the short validation ticket is global.
 func BenchmarkOCCContention(b *testing.B) {
-	const nObjects = 1024
+	const nObjects = 30000
 	mixes := []struct {
 		name     string
 		writePct int
@@ -269,73 +255,104 @@ func BenchmarkOCCContention(b *testing.B) {
 		{"readmostly", 10},
 		{"writeheavy", 60},
 	}
-	impls := []struct {
-		name  string
-		build func(*store.Store) benchController
-	}{
-		{"sharded", func(db *store.Store) benchController { return NewController(DATI, db) }},
-		{"refmutex", func(db *store.Store) benchController { return newRefController(DATI, db) }},
-	}
-	for _, impl := range impls {
-		for _, workers := range []int{1, 2, 4, 8} {
-			for _, mix := range mixes {
-				b.Run(fmt.Sprintf("%s/workers=%d/%s", impl.name, workers, mix.name), func(b *testing.B) {
-					db := store.New()
-					for i := 0; i < nObjects; i++ {
-						db.Put(store.ObjectID(i), []byte{0, 0, 0, 0})
-					}
-					c := impl.build(db)
-					var nextID atomic.Uint64
-					var committed atomic.Uint64
-					b.ReportAllocs()
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					per := b.N / workers
-					if per == 0 {
-						per = 1
-					}
-					for w := 0; w < workers; w++ {
-						w := w
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							rng := rand.New(rand.NewSource(int64(w) * 104729))
-							val := []byte{1, 2, 3, 4}
-							for n := 0; n < per; n++ {
-								tx := txn.New(txn.ID(nextID.Add(1)), txn.Firm, 0, txn.NoDeadline)
-								c.Begin(tx)
-								ok := true
-								for op := 0; op < 6 && ok; op++ {
-									obj := store.ObjectID(rng.Intn(nObjects))
-									if _, dead := c.Doomed(tx); dead {
-										ok = false
-										break
-									}
-									if rng.Intn(100) < mix.writePct {
-										tx.StageWrite(obj, val)
-										ok = c.OnWrite(tx, obj)
-									} else {
-										if _, found := tx.ReadView(db, obj); found {
-											if wts, obs := tx.ObservedWriteTS(obj); obs {
-												ok = c.OnRead(tx, obj, wts)
-											}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, mix := range mixes {
+			b.Run(fmt.Sprintf("workers=%d/%s", workers, mix.name), func(b *testing.B) {
+				db := store.New()
+				for i := 0; i < nObjects; i++ {
+					db.Put(store.ObjectID(i), []byte{0, 0, 0, 0})
+				}
+				c := NewController(DATI, db)
+				var nextID atomic.Uint64
+				var committed atomic.Uint64
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				per := b.N / workers
+				if per == 0 {
+					per = 1
+				}
+				for w := 0; w < workers; w++ {
+					w := w
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(int64(w) * 104729))
+						val := []byte{1, 2, 3, 4}
+						for n := 0; n < per; n++ {
+							tx := txn.New(txn.ID(nextID.Add(1)), txn.Firm, 0, txn.NoDeadline)
+							c.Begin(tx)
+							ok := true
+							for op := 0; op < 6 && ok; op++ {
+								obj := store.ObjectID(rng.Intn(nObjects))
+								if _, dead := c.Doomed(tx); dead {
+									ok = false
+									break
+								}
+								if rng.Intn(100) < mix.writePct {
+									tx.StageWrite(obj, val)
+									ok = c.OnWrite(tx, obj)
+								} else {
+									if _, found := tx.ReadView(db, obj); found {
+										if wts, obs := tx.ObservedWriteTS(obj); obs {
+											ok = c.OnRead(tx, obj, wts)
 										}
 									}
 								}
-								if ok {
-									if r := c.Validate(tx); r.OK {
-										committed.Add(1)
-									}
-								}
-								c.Finish(tx)
 							}
-						}()
-					}
-					wg.Wait()
-					b.StopTimer()
-					b.ReportMetric(float64(committed.Load())/b.Elapsed().Seconds(), "commits/sec")
-				})
-			}
+							if ok {
+								if r := c.Validate(tx); r.OK {
+									committed.Add(1)
+								}
+							}
+							c.Finish(tx)
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				b.ReportMetric(float64(committed.Load())/b.Elapsed().Seconds(), "commits/sec")
+			})
 		}
+	}
+}
+
+// BenchmarkValidateAfterCommits times one DATI blind-write transaction
+// over 30 000 uniform ids after a number of prior commits. The fresh
+// timestamp pick jumps over the run of issued slots, so ns/op is flat in
+// the prior count; a per-slot walk would grow with it.
+func BenchmarkValidateAfterCommits(b *testing.B) {
+	const nObjects = 30000
+	for _, prior := range []int{0, 100000} {
+		b.Run(fmt.Sprintf("prior=%d", prior), func(b *testing.B) {
+			db := store.New()
+			for i := 0; i < nObjects; i++ {
+				db.Put(store.ObjectID(i), []byte{0, 0, 0, 0})
+			}
+			c := NewController(DATI, db)
+			rng := rand.New(rand.NewSource(1))
+			val := []byte{1, 2, 3, 4}
+			var nextID txn.ID
+			commit := func() {
+				nextID++
+				obj := store.ObjectID(rng.Intn(nObjects))
+				tx := txn.New(nextID, txn.Firm, 0, txn.NoDeadline)
+				c.Begin(tx)
+				tx.StageWrite(obj, val)
+				c.OnWrite(tx, obj)
+				if r := c.Validate(tx); !r.OK {
+					b.Fatal("blind write rejected")
+				}
+				c.Finish(tx)
+			}
+			for i := 0; i < prior; i++ {
+				commit()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				commit()
+			}
+		})
 	}
 }

@@ -277,7 +277,13 @@ type Controller struct {
 	// applying holds the serial orders of those in-flight write phases;
 	// StableSerial derives the fuzzy checkpointer's watermark from it.
 	// Bounded by the worker count, so the min scan is a few entries.
-	applying   map[uint64]struct{}
+	applying map[uint64]struct{}
+	// Issued commit timestamps above tsFloor are the gap slots in
+	// [slotLo, slotHi] (a contiguous run of issued slots; empty while
+	// slotHi is 0) plus the exceptions in usedTS: squeezed timestamps
+	// and slots that did not extend the run. See used.
+	slotLo     uint64
+	slotHi     uint64
 	usedTS     map[uint64]struct{}
 	maxTS      uint64
 	tsFloor    uint64 // all new timestamps must exceed this (takeover seeding)
@@ -391,6 +397,7 @@ func (c *Controller) Seed(lastSerial, maxTS uint64) {
 	}
 	if maxTS > c.tsFloor {
 		c.tsFloor = maxTS
+		c.trimRun()
 	}
 }
 
@@ -724,21 +731,21 @@ func (c *Controller) ValidateReadOnly(t *txn.Transaction) (Result, bool) {
 func (c *Controller) validateBC(t *txn.Transaction) Result {
 	c.mu.Lock()
 	for _, re := range t.ReadSet() {
-		_, wts, ok := c.db.Timestamps(re.ID)
-		// A read-set item that has vanished was deleted since the read
-		// — as much an invalidation as an overwrite.
-		if !ok || wts != re.WriteTS {
-			c.mu.Unlock()
-			c.n.selfRestarts.Add(1)
-			return Result{}
-		}
 		// A committed overwrite or delete whose apply is still in
-		// flight invalidates the read just the same.
+		// flight invalidates the read. The overlay is read before the
+		// store: a writer that retires in between has already applied,
+		// so the store read below sees it.
 		sh := c.objShardFor(re.ID)
 		sh.mu.Lock()
 		os := sh.objects[re.ID]
 		stale := os != nil && (os.committedWrite > re.WriteTS || os.committedDelete > re.WriteTS)
 		sh.mu.Unlock()
+		// A read-set item that has vanished was deleted since the read
+		// — as much an invalidation as an overwrite.
+		if !stale {
+			_, wts, ok := c.db.Timestamps(re.ID)
+			stale = !ok || wts != re.WriteTS
+		}
 		if stale {
 			c.mu.Unlock()
 			c.n.selfRestarts.Add(1)
@@ -786,20 +793,10 @@ func (c *Controller) validateInterval(t *txn.Transaction) Result {
 	// timestamp as a tombstone: a re-creating writer must serialize
 	// after the deletion (which itself serialized after every reader
 	// and writer the item had). The overlay folds in committed
-	// transactions whose write phase has not yet reached the store.
+	// transactions whose write phase has not yet reached the store; it
+	// is read first, so a transaction that retires from it in between
+	// is already visible in the store.
 	for _, id := range t.WriteIDs() {
-		rts, wts, del, ok := c.db.ReadInfo(id)
-		if del+1 > lo {
-			lo = del + 1
-		}
-		if ok {
-			if rts+1 > lo {
-				lo = rts + 1
-			}
-			if wts+1 > lo {
-				lo = wts + 1
-			}
-		}
 		sh := c.objShardFor(id)
 		sh.mu.Lock()
 		if os := sh.objects[id]; os != nil {
@@ -814,6 +811,18 @@ func (c *Controller) validateInterval(t *txn.Transaction) Result {
 			}
 		}
 		sh.mu.Unlock()
+		rts, wts, del, ok := c.db.ReadInfo(id)
+		if del+1 > lo {
+			lo = del + 1
+		}
+		if ok {
+			if rts+1 > lo {
+				lo = rts + 1
+			}
+			if wts+1 > lo {
+				lo = wts + 1
+			}
+		}
 	}
 	tlo, hi := t.Interval()
 	if tlo > lo {
@@ -1014,6 +1023,10 @@ const tsGap = 1 << 16
 // for DA); unconstrained ones take a fresh gap-spaced slot — the earliest
 // feasible one for DATI/TI, the next after all issued timestamps
 // (validation order) for DA. Caller holds the ticket.
+//
+// The fresh pick is O(1): a slot inside the run of issued slots jumps to
+// the slot after the run, and only exceptions are stepped over one slot
+// at a time. It returns the same slot as probing every slot would.
 func (c *Controller) pickTimestamp(lo, hi uint64) (uint64, bool) {
 	if hi == math.MaxUint64 {
 		ts := nextGapSlot(lo)
@@ -1023,15 +1036,18 @@ func (c *Controller) pickTimestamp(lo, hi uint64) (uint64, bool) {
 			}
 		}
 		for {
-			if _, used := c.usedTS[ts]; !used {
+			if c.inRun(ts) {
+				ts = c.slotHi + tsGap
+			} else if _, used := c.usedTS[ts]; used {
+				ts += tsGap
+			} else {
 				return ts, true
 			}
-			ts += tsGap
 		}
 	}
 	if c.kind == DA {
 		for ts := hi; ts >= lo; ts-- {
-			if _, used := c.usedTS[ts]; !used {
+			if !c.used(ts) {
 				return ts, true
 			}
 			if ts == 0 {
@@ -1041,21 +1057,47 @@ func (c *Controller) pickTimestamp(lo, hi uint64) (uint64, bool) {
 		return 0, false
 	}
 	for ts := lo; ts <= hi; ts++ {
-		if _, used := c.usedTS[ts]; !used {
+		if !c.used(ts) {
 			return ts, true
 		}
 	}
 	return 0, false
 }
 
+// inRun reports whether ts is a gap slot in the run [slotLo, slotHi].
+func (c *Controller) inRun(ts uint64) bool {
+	return c.slotHi != 0 && ts%tsGap == 0 && ts >= c.slotLo && ts <= c.slotHi
+}
+
+// used reports whether ts has been issued since the floor last rose.
+func (c *Controller) used(ts uint64) bool {
+	if c.inRun(ts) {
+		return true
+	}
+	_, ok := c.usedTS[ts]
+	return ok
+}
+
+// trimRun empties the run once the floor has reached its top: no
+// timestamp at or below the floor is ever picked again, so the next
+// fresh slot starts a new run rather than becoming an exception.
+func (c *Controller) trimRun() {
+	if c.slotHi <= c.tsFloor {
+		c.slotLo, c.slotHi = 0, 0
+	}
+}
+
 // nextGapSlot returns the smallest multiple of tsGap strictly above v.
 func nextGapSlot(v uint64) uint64 { return (v/tsGap + 1) * tsGap }
 
-// maxUsedTS bounds the issued-timestamp set. When it fills, the floor
-// rises to maxTS and the set is cleared: every future timestamp must
-// exceed the floor, so uniqueness holds without remembering old slots.
-// Active transactions squeezed into gaps below the new floor restart —
-// a rare, bounded hiccup traded for bounded memory on long-lived nodes.
+// maxUsedTS bounds the exception set. When it fills, the floor rises to
+// maxTS and the set (and the run below it) is cleared: every future
+// timestamp must exceed the floor, so uniqueness holds without
+// remembering old timestamps. Active transactions squeezed into gaps
+// below the new floor restart — a rare, bounded hiccup traded for
+// bounded memory on long-lived nodes. Fresh slots extend the run and
+// never fill the set, so under the interval protocols it takes
+// maxUsedTS squeezed commits to get here.
 const maxUsedTS = 1 << 17
 
 // commitTicket finalizes an accepted validation under the ticket:
@@ -1063,7 +1105,14 @@ const maxUsedTS = 1 << 17
 // pending-apply window. The write phase itself runs after the ticket is
 // released.
 func (c *Controller) commitTicket(t *txn.Transaction, ts uint64) {
-	c.usedTS[ts] = struct{}{}
+	switch {
+	case ts%tsGap == 0 && c.slotHi == 0:
+		c.slotLo, c.slotHi = ts, ts
+	case ts%tsGap == 0 && ts == c.slotHi+tsGap:
+		c.slotHi = ts
+	default:
+		c.usedTS[ts] = struct{}{}
+	}
 	if ts > c.maxTS {
 		c.maxTS = ts
 	}
@@ -1072,6 +1121,7 @@ func (c *Controller) commitTicket(t *txn.Transaction, ts uint64) {
 		if c.maxTS > c.tsFloor {
 			c.tsFloor = c.maxTS
 		}
+		c.trimRun()
 	}
 	c.nextSerial++
 	t.CommitTS = ts

@@ -605,38 +605,137 @@ func ExampleController() {
 
 func TestTimestampSetPruning(t *testing.T) {
 	c, db := newController(DATI)
-	// Force a prune by lowering the effective fill via direct state:
-	// simulate a long-lived controller by filling usedTS to the cap.
+	// A reader of w1's version that validates after w2 squeezes between
+	// the two writers' slots.
+	w1 := runSimple(t, c, db, 1, nil, []store.ObjectID{1})
+	if r := c.Validate(w1); !r.OK {
+		t.Fatal("w1 rejected")
+	}
+	reader := runSimple(t, c, db, 2, []store.ObjectID{1}, []store.ObjectID{3})
+	w2 := runSimple(t, c, db, 3, nil, []store.ObjectID{1})
+	if r := c.Validate(w2); !r.OK {
+		t.Fatal("w2 rejected")
+	}
+	// Simulate a long-lived controller: fill the exception set to one
+	// below the cap with odd (never gap-slot) timestamps.
 	c.mu.Lock()
 	for i := uint64(0); i < maxUsedTS-1; i++ {
-		c.usedTS[i*7+1] = struct{}{}
+		c.usedTS[2*i+1] = struct{}{}
 	}
-	c.maxTS = (maxUsedTS - 1) * 7
+	c.maxTS = 2*(maxUsedTS-1) - 1
 	c.mu.Unlock()
-	// The next commit crosses the threshold and prunes.
-	tx1 := runSimple(t, c, db, 1, nil, []store.ObjectID{1})
-	if r := c.Validate(tx1); !r.OK {
-		t.Fatal("commit at prune boundary failed")
+	// The squeezed commit crosses the threshold and prunes.
+	if r := c.Validate(reader); !r.OK {
+		t.Fatal("squeezed commit at prune boundary failed")
+	}
+	if reader.CommitTS%tsGap == 0 || reader.CommitTS <= w1.CommitTS || reader.CommitTS >= w2.CommitTS {
+		t.Fatalf("reader ts %d not squeezed between %d and %d", reader.CommitTS, w1.CommitTS, w2.CommitTS)
 	}
 	c.mu.Lock()
-	pruned := len(c.usedTS) < maxUsedTS/2
+	pruned := len(c.usedTS) == 0
 	floor := c.tsFloor
 	c.mu.Unlock()
 	if !pruned {
-		t.Fatal("usedTS not pruned")
+		t.Fatal("exception set not pruned")
 	}
 	if floor == 0 {
 		t.Fatal("floor did not rise")
 	}
 	// Post-prune commits get unique timestamps above the floor.
-	tx2 := runSimple(t, c, db, 2, nil, []store.ObjectID{2})
-	if r := c.Validate(tx2); !r.OK {
-		t.Fatal("post-prune commit failed")
+	seen := map[uint64]bool{w1.CommitTS: true, w2.CommitTS: true, reader.CommitTS: true}
+	for i := 0; i < 10; i++ {
+		tx := runSimple(t, c, db, txn.ID(10+i), nil, []store.ObjectID{store.ObjectID(i % 3)})
+		if r := c.Validate(tx); !r.OK {
+			t.Fatal("post-prune commit failed")
+		}
+		if tx.CommitTS <= floor {
+			t.Fatalf("post-prune ts %d not above floor %d", tx.CommitTS, floor)
+		}
+		if seen[tx.CommitTS] {
+			t.Fatalf("duplicate timestamp %d after prune", tx.CommitTS)
+		}
+		seen[tx.CommitTS] = true
 	}
-	if tx2.CommitTS <= floor {
-		t.Fatalf("post-prune ts %d not above floor %d", tx2.CommitTS, floor)
+}
+
+// TestFreshCommitsExtendRun checks that a long run of unconstrained DATI
+// commits over many ids keeps every issued slot in the contiguous run:
+// the exception set stays empty, so no prune (and no mass restart)
+// fires, and every timestamp is distinct.
+func TestFreshCommitsExtendRun(t *testing.T) {
+	const nIDs, nCommits = 30000, 200000
+	db := store.New()
+	for i := 0; i < nIDs; i++ {
+		db.Put(store.ObjectID(i), []byte{0})
 	}
-	if tx2.CommitTS == tx1.CommitTS {
-		t.Fatal("duplicate timestamp after prune")
+	c := NewController(DATI, db)
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[uint64]struct{}, nCommits)
+	for i := 0; i < nCommits; i++ {
+		id := store.ObjectID(rng.Intn(nIDs))
+		tx := txn.New(txn.ID(i+1), txn.Firm, 0, txn.NoDeadline)
+		c.Begin(tx)
+		tx.StageWrite(id, []byte{byte(i)})
+		c.OnWrite(tx, id)
+		if r := c.Validate(tx); !r.OK {
+			t.Fatalf("commit %d rejected", i)
+		}
+		c.Finish(tx)
+		if _, dup := seen[tx.CommitTS]; dup {
+			t.Fatalf("commit %d: duplicate timestamp %d", i, tx.CommitTS)
+		}
+		seen[tx.CommitTS] = struct{}{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.usedTS) != 0 || c.tsFloor != 0 {
+		t.Fatalf("exceptions=%d floor=%d, want 0 and 0", len(c.usedTS), c.tsFloor)
+	}
+	if c.slotLo != tsGap || c.slotHi != c.maxTS || c.maxTS != nCommits*tsGap {
+		t.Fatalf("run [%d, %d], maxTS %d; want [%d, %d]", c.slotLo, c.slotHi, c.maxTS, tsGap, uint64(nCommits)*tsGap)
+	}
+}
+
+// TestSeedRestartsRun checks that seeding the floor at or above the run
+// starts a new run, so fresh slots after a takeover or recovery do not
+// pile up as exceptions, and that a floor inside the run keeps it.
+func TestSeedRestartsRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed func(maxTS uint64) uint64
+	}{
+		{"at-top", func(m uint64) uint64 { return m }},
+		{"above-top", func(m uint64) uint64 { return m + 12345 }},
+		{"inside-run", func(m uint64) uint64 { return m - 3*tsGap }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, db := newController(DATI)
+			for i := 0; i < 10; i++ {
+				tx := runSimple(t, c, db, txn.ID(i+1), nil, []store.ObjectID{store.ObjectID(i)})
+				if r := c.Validate(tx); !r.OK {
+					t.Fatal("pre-seed commit rejected")
+				}
+				c.Finish(tx)
+			}
+			c.mu.Lock()
+			floor := tc.seed(c.maxTS)
+			c.mu.Unlock()
+			c.Seed(100, floor)
+			for i := 0; i < 1000; i++ {
+				tx := runSimple(t, c, db, txn.ID(100+i), nil, []store.ObjectID{store.ObjectID(i % 32)})
+				if r := c.Validate(tx); !r.OK {
+					t.Fatalf("post-seed commit %d rejected", i)
+				}
+				c.Finish(tx)
+				if tx.CommitTS <= floor {
+					t.Fatalf("post-seed ts %d not above floor %d", tx.CommitTS, floor)
+				}
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if len(c.usedTS) != 0 {
+				t.Fatalf("%d exceptions after post-seed fresh commits, want 0", len(c.usedTS))
+			}
+		})
 	}
 }

@@ -324,16 +324,24 @@ func TestPropertyEquivalenceWithReference(t *testing.T) {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			for seed := int64(0); seed < 10; seed++ {
-				checkEquivalence(t, k, seed)
+				checkEquivalence(t, k, seed, 10, 150)
+			}
+			// One long schedule: fresh commits extend the run of issued
+			// slots far past its start while interval adjustments keep
+			// squeezing commits between slots (the exception set).
+			if squeezed := checkEquivalence(t, k, 100, 30, 2000); squeezed == 0 {
+				t.Fatalf("%v: long schedule produced no squeezed commit", k)
 			}
 		})
 	}
 }
 
-func checkEquivalence(t *testing.T, k Kind, seed int64) {
+// checkEquivalence runs one random schedule of up to wantCommits commits
+// over nObjects objects and reports how many commits took a timestamp
+// off the tsGap grid (squeezed between issued ones).
+func checkEquivalence(t *testing.T, k Kind, seed int64, nObjects, wantCommits int) (squeezed int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	const nObjects = 10
 	dbA := store.New()
 	dbB := store.New()
 	for i := 0; i < nObjects; i++ {
@@ -372,7 +380,7 @@ func checkEquivalence(t *testing.T, k Kind, seed int64) {
 		live = append(live, newPair())
 	}
 	committed := 0
-	for steps := 0; steps < 4000 && committed < 150; steps++ {
+	for steps := 0; steps < 30*wantCommits && committed < wantCommits; steps++ {
 		i := rng.Intn(len(live))
 		p := live[i]
 		retire := false
@@ -400,6 +408,9 @@ func checkEquivalence(t *testing.T, k Kind, seed int64) {
 					t.Fatalf("%v seed %d step %d: victim sets diverged: %s vs %s", k, seed, steps, va, vb)
 				}
 				committed++
+				if p.a.CommitTS%tsGap != 0 {
+					squeezed++
+				}
 			}
 			retire = true
 		default:
@@ -473,6 +484,7 @@ func checkEquivalence(t *testing.T, k Kind, seed int64) {
 	if dbA.Checksum() != dbB.Checksum() {
 		t.Fatalf("%v seed %d: final database state diverged", k, seed)
 	}
+	return squeezed
 }
 
 func victimIDs(r Result) string {
