@@ -7,6 +7,9 @@
 //	rodain-experiments -fig 2a -quick      # one figure, cheap settings
 //	rodain-experiments -fig takeover
 //	rodain-experiments -fig ablations
+//
+// Throughput and per-layer costs of the live system are the benchmark
+// module's job (bash benchmark/run.sh), not this command's.
 package main
 
 import (
@@ -23,7 +26,7 @@ import (
 
 func main() {
 	var (
-		fig    = flag.String("fig", "all", "experiment: all, 2a, 2b, 3a, 3b, 3c, takeover, recovery, occscaling, readscaling, frontend, shipscaling, ablations, timeline")
+		fig    = flag.String("fig", "all", "experiment: all, 2a, 2b, 3a, 3b, 3c, takeover, ablations, timeline")
 		quick  = flag.Bool("quick", false, "cheap settings (fewer repetitions and transactions)")
 		reps   = flag.Int("reps", 0, "override repetitions per point")
 		count  = flag.Int("count", 0, "override transactions per session")
@@ -87,79 +90,6 @@ func main() {
 		fmt.Println()
 	}
 
-	runRecoveryScaling := func() {
-		sizes := []int{10000, 50000, 200000}
-		if *quick {
-			sizes = []int{5000, 20000}
-		}
-		rs, err := experiments.RecoveryScaling(30000, sizes, []int{1, 2, 4, 8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.RecoveryScalingTable(rs).Fprint(os.Stdout)
-		fmt.Println()
-	}
-
-	runOCCScaling := func() {
-		txns := 20000
-		if *quick {
-			txns = 4000
-		}
-		rs, err := experiments.OCCScaling(30000, txns, []int{1, 2, 4, 8}, []int{10, 60})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.OCCScalingTable(rs).Fprint(os.Stdout)
-		fmt.Println()
-	}
-
-	runReadScaling := func() {
-		txns := 20000
-		if *quick {
-			txns = 4000
-		}
-		rs, err := experiments.ReadScaling(1024, txns, []int{1, 2, 4, 8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.ReadScalingTable(rs).Fprint(os.Stdout)
-		fmt.Println()
-	}
-
-	runFrontend := func() {
-		requests := 20000
-		if *quick {
-			requests = 4000
-		}
-		rs, err := experiments.Frontend(1024, requests, 4, []int{1, 2, 4, 8, 16})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.FrontendTable(rs).Fprint(os.Stdout)
-		fmt.Println()
-	}
-
-	runShipScaling := func() {
-		txns := 20000
-		fsyncTxns := 4000
-		if *quick {
-			txns = 4000
-			fsyncTxns = 1000
-		}
-		rs, err := experiments.ShipScaling(txns, []int{1, 2, 4, 8, 16})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.ShipScalingTable(rs).Fprint(os.Stdout)
-		fmt.Println()
-		fs, err := experiments.TransientFsync(fsyncTxns, []int{1, 2, 4, 8, 16}, 100*time.Microsecond)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.TransientFsyncTable(fs).Fprint(os.Stdout)
-		fmt.Println()
-	}
-
 	runAblations := func() {
 		experiments.ProtocolAblation(opts).Fprint(os.Stdout)
 		fmt.Println()
@@ -182,25 +112,10 @@ func main() {
 			runFigure(ids[short])
 		}
 		runTakeover()
-		runRecoveryScaling()
-		runOCCScaling()
-		runReadScaling()
-		runFrontend()
-		runShipScaling()
 		runAblations()
 		runTimeline()
 	case "takeover":
 		runTakeover()
-	case "recovery", "recovery-scaling":
-		runRecoveryScaling()
-	case "occscaling", "occ-scaling", "occ":
-		runOCCScaling()
-	case "readscaling", "read-scaling", "readonly":
-		runReadScaling()
-	case "frontend", "front-end", "pipeline":
-		runFrontend()
-	case "shipscaling", "ship-scaling", "ship":
-		runShipScaling()
 	case "ablations", "ablation":
 		runAblations()
 	case "timeline", "failover":

@@ -174,14 +174,6 @@ type Config struct {
 	// simtime.SimClock lets simulated-time runs pass through commit
 	// retries without real sleeps.
 	Clock simtime.Clock
-	// NoReadOnlyFastPath disables the read-only snapshot fast path (the
-	// ablation DESIGN §8 measures against): every transaction, declared
-	// read-only or not, registers its reads with the concurrency
-	// controller and commits through full validation. The default
-	// (false) lets read-only transactions certify against their snapshot
-	// and commit without a serial ticket, log record or mirror round
-	// trip.
-	NoReadOnlyFastPath bool
 }
 
 func (c Config) withDefaults() Config {

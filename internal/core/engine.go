@@ -306,7 +306,7 @@ func (e *Engine) Execute(req Request) error {
 	}
 	t := txn.New(txn.ID(e.nextID.Add(1)), req.Class, now, deadline)
 	t.Criticality = req.Criticality
-	if req.ReadOnly && !e.cfg.NoReadOnlyFastPath {
+	if req.ReadOnly {
 		t.DeclareReadOnly()
 	}
 	j := &job{t: t, req: req, done: make(chan error, 1)}
@@ -400,7 +400,7 @@ func (e *Engine) run(j *job) {
 		t.State = txn.Validating
 		var res occ.Result
 		roFast := false
-		if !e.cfg.NoReadOnlyFastPath && t.ReadOnly() {
+		if t.ReadOnly() {
 			var decided bool
 			if res, decided = e.ctl.ValidateReadOnly(t); decided {
 				roFast = res.OK

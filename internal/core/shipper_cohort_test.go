@@ -233,7 +233,7 @@ func TestShipperBatchingEquivalence(t *testing.T) {
 		groups[i] = g
 	}
 
-	run := func(opts ShipperOptions) []store.Record {
+	run := func(opts ShipperOptions) ([]store.Record, ShipperStats) {
 		s, db, stop := mirrorPairShipper(t, opts)
 		var next atomic.Uint64
 		var wg sync.WaitGroup
@@ -263,14 +263,17 @@ func TestShipperBatchingEquivalence(t *testing.T) {
 		}
 		snap := db.Snapshot()
 		sort.Slice(snap, func(i, j int) bool { return snap[i].ID < snap[j].ID })
-		return snap
+		return snap, s.Stats()
 	}
 
-	perTxn := run(ShipperOptions{
+	perTxn, st := run(ShipperOptions{
 		AckTimeout: 10 * time.Second, Heartbeat: 50 * time.Millisecond,
 		MaxCohort: 1, // every wire batch carries exactly one group
 	})
-	batched := run(ShipperOptions{
+	if st.Cohorts != st.GroupsShipped {
+		t.Fatalf("MaxCohort 1: %d cohorts for %d groups, want one group per cohort", st.Cohorts, st.GroupsShipped)
+	}
+	batched, _ := run(ShipperOptions{
 		AckTimeout: 10 * time.Second, Heartbeat: 50 * time.Millisecond,
 		MaxCohort: DefaultMaxCohort, MaxHold: DefaultMaxCohortHold,
 	})

@@ -2,11 +2,14 @@
 // experimental study (§4): the miss-ratio curves of Figures 2 and 3 via
 // the discrete-event simulator, the takeover-vs-recovery availability
 // comparison the section closes with, and the ablations DESIGN.md calls
-// out (concurrency-control protocol, mirror reordering, group commit).
+// out (concurrency-control protocol, mirror reordering, overload manager,
+// predictability, failover timeline).
 //
 // Each experiment returns a Result holding the same series the paper
 // plots; absolute values belong to our calibrated cost model, the shape
-// is what reproduces.
+// is what reproduces. The live system's throughput and per-layer costs
+// are measured end to end by the benchmark module (benchmark/README.md),
+// not here.
 package experiments
 
 import (

@@ -306,81 +306,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestOCCScalingExperiment(t *testing.T) {
-	rs, err := OCCScaling(256, 800, []int{1, 2}, []int{10, 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 4 {
-		t.Fatalf("results = %d, want 4", len(rs))
-	}
-	for _, r := range rs {
-		if r.Committed == 0 || r.Throughput <= 0 {
-			t.Fatalf("dead cell: %+v", r)
-		}
-		if r.Workers == 1 && r.Speedup != 1.0 {
-			t.Fatalf("baseline speedup = %v", r.Speedup)
-		}
-	}
-	var b strings.Builder
-	if err := OCCScalingTable(rs).Fprint(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "controller sharding") {
-		t.Fatal("table missing title")
-	}
-}
-
-func TestShipScalingExperiment(t *testing.T) {
-	rs, err := ShipScaling(400, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 4 {
-		t.Fatalf("results = %d, want 4", len(rs))
-	}
-	for _, r := range rs {
-		if r.Throughput <= 0 {
-			t.Fatalf("dead cell: %+v", r)
-		}
-		if r.Mode == "pertxn" && r.MeanCohort > 1.0001 {
-			t.Fatalf("pertxn cohort = %v, want exactly 1", r.MeanCohort)
-		}
-	}
-	var b strings.Builder
-	if err := ShipScalingTable(rs).Fprint(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "shipscaling") {
-		t.Fatal("table missing title")
-	}
-}
-
-func TestTransientFsyncExperiment(t *testing.T) {
-	rs, err := TransientFsync(300, []int{1, 8}, 50*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 4 {
-		t.Fatalf("results = %d, want 4", len(rs))
-	}
-	for _, r := range rs {
-		if r.Throughput <= 0 || r.Syncs == 0 {
-			t.Fatalf("dead cell: %+v", r)
-		}
-		if r.Mode == "persync" && r.SyncsPerCommit != 1.0 {
-			t.Fatalf("persync syncs/commit = %v, want 1", r.SyncsPerCommit)
-		}
-		if r.Mode == "group" && r.Committers == 8 && r.SyncsPerCommit >= 1.0 {
-			t.Fatalf("group fsync never batched: %+v", r)
-		}
-	}
-	var b strings.Builder
-	if err := TransientFsyncTable(rs).Fprint(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "transient primary") {
-		t.Fatal("table missing title")
-	}
-}

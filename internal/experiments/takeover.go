@@ -175,6 +175,16 @@ func takeoverOne(objects, logTail int) (TakeoverResult, error) {
 
 func txnID(i int) txn.ID { return txn.ID(i) }
 
+// mustEncode appends a record to a synthetic log fixture. The targets
+// are in-memory buffers and the records are well formed, so a failure
+// here is a bug in the fixture builder, not an I/O condition callers
+// could handle.
+func mustEncode(w io.Writer, r *wal.Record) {
+	if err := wal.Encode(w, r); err != nil {
+		panic(fmt.Sprintf("experiments: encode fixture record: %v", err))
+	}
+}
+
 func waitFor(n *core.Node, kind core.EventKind, within time.Duration) error {
 	deadline := make(chan struct{})
 	cancel := simtime.Wall.AfterFunc(within, func() { close(deadline) })

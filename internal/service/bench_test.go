@@ -1,12 +1,6 @@
 package service
 
-import (
-	"fmt"
-	"testing"
-	"time"
-
-	rodain "repro"
-)
+import "testing"
 
 // BenchmarkTokenize measures the request tokenizer on the hot protocol
 // verbs. The acceptance bar is 0 allocs/op: the line is copied into the
@@ -33,48 +27,6 @@ func BenchmarkTokenize(b *testing.B) {
 					}
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkServiceThroughput drives the front end closed-loop over real
-// TCP connections: conns connections, each keeping depth requests in
-// flight. depth=1 is the serial ablation; the pipelined configurations
-// should beat it on req/s once several connections contend.
-func BenchmarkServiceThroughput(b *testing.B) {
-	for _, tc := range []struct{ conns, depth int }{
-		{1, 1}, {1, 8}, {4, 1}, {4, 8},
-	} {
-		b.Run(fmt.Sprintf("conns=%d/depth=%d", tc.conns, tc.depth), func(b *testing.B) {
-			db := newTestDB(b, rodain.Options{Durability: rodain.DurNone, Workers: 4, MaxActive: 256})
-			defer db.Close()
-			srv := NewServerConfig(db, Config{PipelineDepth: tc.depth, Workers: 8})
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-
-			total := b.N
-			if total < tc.conns {
-				total = tc.conns
-			}
-			line := func(c, i int) string {
-				if i == 0 {
-					return "DEADLINE 5000" // headroom on loaded CI machines
-				}
-				return fmt.Sprintf("GET %d", 50+i%20)
-			}
-			b.ResetTimer()
-			res, err := GenerateLoad(addr, tc.conns, tc.depth, total, time.Second, line)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Errors > 0 || res.Misses > 0 {
-				b.Fatalf("%d errors, %d misses over %d requests", res.Errors, res.Misses, res.Requests)
-			}
-			b.ReportMetric(res.Throughput, "req/s")
 		})
 	}
 }

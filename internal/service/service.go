@@ -59,8 +59,7 @@ const (
 type Config struct {
 	// PipelineDepth bounds how many requests one connection may have in
 	// flight: parsed ahead, executing, or waiting their turn in the
-	// reply ring. 1 disables pipelining (the ablation knob measured in
-	// EXPERIMENTS.md); 0 means DefaultPipelineDepth.
+	// reply ring. 1 disables pipelining; 0 means DefaultPipelineDepth.
 	PipelineDepth int
 	// Workers sizes the shared pool executing read-only requests from
 	// all connections. 0 means DefaultWorkers.

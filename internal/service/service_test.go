@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -123,8 +124,7 @@ func TestQuit(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	srv, _, db := startServer(t)
-	_ = db
+	srv, _, _ := startServer(t)
 	addr := srv.listeners[0].Addr().String()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -145,6 +145,50 @@ func TestConcurrentClients(t *testing.T) {
 				}
 			}
 		}(g)
+	}
+	wg.Wait()
+
+	// Pipelined: 4 connections × depth 8 of mixed REROUTE/TRANSLATE.
+	// Connection c owns ids ≡ c mod 4, so every TRANSLATE must read the
+	// destination its own connection's preceding REROUTE wrote.
+	const conns, depth, pairs = 4, 8, 100
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl, err := Dial(addr, time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			lines := []string{"DEADLINE 5000"} // headroom under -race
+			dests := make([]string, pairs)
+			for i := range dests {
+				id := c + conns*(i%25)
+				dests[i] = fmt.Sprintf("+3584%d%06d", c, i)
+				lines = append(lines,
+					fmt.Sprintf("REROUTE %d %s", id, dests[i]),
+					fmt.Sprintf("TRANSLATE %d", id))
+			}
+			resps, err := cl.Pipeline(lines, depth)
+			if err != nil {
+				t.Errorf("conn %d: %v", c, err)
+				return
+			}
+			for i, resp := range resps {
+				if !OK(resp) {
+					t.Errorf("conn %d: %q -> %q", c, lines[i], resp)
+					return
+				}
+			}
+			for i, dest := range dests {
+				if got := resps[2+2*i]; !strings.Contains(got, dest+" ") {
+					t.Errorf("conn %d: %q -> %q, want own write %s", c, lines[2+2*i], got, dest)
+					return
+				}
+			}
+		}(c)
 	}
 	wg.Wait()
 }

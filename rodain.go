@@ -188,11 +188,6 @@ type Options struct {
 	// CheckpointLogBytes triggers a background checkpoint after this
 	// many bytes of log growth since the previous one.
 	CheckpointLogBytes uint64
-	// NoReadOnlyFastPath disables the read-only snapshot fast path: View
-	// (and ExecReadOnly) transactions register every read with the
-	// concurrency controller and commit through full validation and the
-	// log path, like any update. An ablation knob; see DESIGN §8.
-	NoReadOnlyFastPath bool
 }
 
 func (o Options) coreConfig() (core.Config, error) {
@@ -207,7 +202,6 @@ func (o Options) coreConfig() (core.Config, error) {
 		HeartbeatMisses:    o.HeartbeatMisses,
 		RecoverWorkers:     o.RecoverWorkers,
 		MirrorApplyWorkers: o.MirrorApplyWorkers,
-		NoReadOnlyFastPath: o.NoReadOnlyFastPath,
 	}
 	if o.MaxActive > 0 {
 		cfg.Overload = sched.OverloadConfig{MaxActive: o.MaxActive}
@@ -340,9 +334,8 @@ func (db *DB) Update(deadline time.Duration, fn func(*Tx) error) error {
 
 // View runs fn as a firm-deadline read-only transaction. Its reads skip
 // conflict registration and commit through the controller's snapshot
-// fast path — no serial ticket, no log record, no mirror round trip
-// (unless Options.NoReadOnlyFastPath disabled it). Writes are not
-// prevented: a View body that writes anyway is transparently demoted to
+// fast path — no serial ticket, no log record, no mirror round trip.
+// Writes are not prevented: a View body that writes anyway is transparently demoted to
 // the fully registered read-write path at the cost of one restart.
 func (db *DB) View(deadline time.Duration, fn func(*Tx) error) error {
 	return db.node.Execute(core.Request{Class: txn.Firm, Deadline: deadline, ReadOnly: true, Do: fn})
