@@ -48,7 +48,6 @@ func main() {
 		ckptBytes  = flag.Uint64("checkpoint-bytes", 0, "also checkpoint after this much log growth (0 = off)")
 		segBytes   = flag.Int64("log-segment-bytes", 0, "roll the log into -log/<segments> at this size so checkpoints drop whole segments (0 = single file)")
 		maxCohort  = flag.Int("max-cohort", 0, "max transactions per group-commit cohort (0 = default 64, 1 = per-commit sync)")
-		cohortHold = flag.Duration("cohort-hold", 0, "max adaptive hold for group-commit stragglers (0 = default 200µs, <0 = off)")
 		pipeDepth  = flag.Int("pipeline-depth", service.DefaultPipelineDepth, "per-connection request window (1 = no pipelining)")
 		svcWorkers = flag.Int("service-workers", service.DefaultWorkers, "shared pool executing read-only requests")
 		idleConn   = flag.Duration("idle-timeout", 2*time.Minute, "disconnect clients idle this long (0 = never)")
@@ -61,7 +60,6 @@ func main() {
 		Protocol:           *protocol,
 		Workers:            *workers,
 		MaxCohort:          *maxCohort,
-		MaxCohortHold:      *cohortHold,
 		RecoverWorkers:     *recWorkers,
 		LogSegmentBytes:    *segBytes,
 		CheckpointDir:      *ckptDir,

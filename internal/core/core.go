@@ -141,12 +141,6 @@ type Config struct {
 	// mode, or one vectored AppendBatch + Sync in transient mode
 	// (default 64). A cap of 1 is the paper's per-commit sync.
 	MaxCohort int
-	// MaxCohortHold bounds the adaptive hold window group commit may
-	// wait for stragglers: the shipper holds a cohort open across a
-	// serial gap, and the transient-mode fsync leader holds under
-	// sustained contention. Zero defaults to 200µs; negative disables
-	// holding entirely (ship/sync the moment a cohort is drainable).
-	MaxCohortHold time.Duration
 	// MirrorSyncEvery is how often the mirror syncs buffered log
 	// records to disk (asynchronously; default 50 ms). Zero keeps the
 	// default; negative disables mirror disk syncs.
@@ -207,24 +201,20 @@ func (c Config) withDefaults() Config {
 	if c.MaxCohort <= 0 {
 		c.MaxCohort = DefaultMaxCohort
 	}
-	if c.MaxCohortHold == 0 {
-		c.MaxCohortHold = DefaultMaxCohortHold
-	} else if c.MaxCohortHold < 0 {
-		c.MaxCohortHold = 0
-	}
 	if c.Clock == nil {
 		c.Clock = simtime.NewWallClock()
 	}
 	return c
 }
 
-// Group-commit defaults: cohorts big enough to amortize a flush or an
-// fsync across a burst, a hold window short enough to be invisible next
-// to a device sync or a network round trip.
-const (
-	DefaultMaxCohort     = 64
-	DefaultMaxCohortHold = 200 * time.Microsecond
-)
+// DefaultMaxCohort caps a group-commit cohort: big enough to amortize a
+// flush or an fsync across a burst.
+const DefaultMaxCohort = 64
+
+// DefaultMaxCohortHold is ignored: group commit arms no hold timer.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 8.
+const DefaultMaxCohortHold = 200 * time.Microsecond
 
 // buildCommitter constructs the committer for a logging mode. cfg must
 // already have its defaults applied.
@@ -233,7 +223,6 @@ func buildCommitter(mode LogMode, log logstore.Store, cfg Config) Committer {
 	case LogDisk:
 		return NewGroupCommitter(log, GroupOptions{
 			MaxCohort: cfg.MaxCohort,
-			MaxHold:   cfg.MaxCohortHold,
 			Clock:     cfg.Clock,
 		})
 	case LogDiscard:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/logstore"
 	"repro/internal/metrics"
@@ -23,9 +22,9 @@ import (
 // paper's one-sync cost; under load the sync amortizes across the cohort
 // and the disk leaves the per-transaction critical path — the same cost
 // the Mirror Node removes in normal mode, recovered without a second
-// machine. An optional adaptive hold (MaxHold, waited out on the
-// simtime.Clock so simulated runs stay deterministic) lets a leader that
-// already had to queue for the device linger briefly for stragglers.
+// machine. No timer is armed: a sub-millisecond hold would be rounded up
+// to a whole millisecond by the Go netpoller whenever every goroutine is
+// parked, which is exactly the state a cohort waits in.
 //
 // Commit returns only after a Sync covering this transaction's records
 // has completed, so an acknowledged transaction is always recoverable.
@@ -36,14 +35,12 @@ type GroupCommitter struct {
 	clock simtime.Clock
 
 	maxCohort int
-	maxHold   time.Duration
 
-	mu         sync.Mutex
-	cond       *sync.Cond // wakes cohort leaders queueing for the device
-	cur        *fsyncCohort
-	syncing    bool
-	closed     bool
-	lastCohort int // size of the last completed cohort (contention signal)
+	mu      sync.Mutex
+	cond    *sync.Cond // wakes cohort leaders queueing for the device
+	cur     *fsyncCohort
+	syncing bool
+	closed  bool
 
 	stats CommitterStats
 	sizes metrics.IntDist
@@ -78,10 +75,7 @@ type GroupOptions struct {
 	// MaxCohort caps how many transactions share one sync (default 64);
 	// 1 syncs once per commit.
 	MaxCohort int
-	// MaxHold lets a leader that queued for the device hold the cohort
-	// open a little longer for stragglers. Zero disables holding.
-	MaxHold time.Duration
-	// Clock supplies the hold timer; nil uses the wall clock.
+	// Clock times the commit waits; nil uses the wall clock.
 	Clock simtime.Clock
 }
 
@@ -98,7 +92,6 @@ func NewGroupCommitter(log logstore.Store, opts GroupOptions) *GroupCommitter {
 		log:       log,
 		clock:     opts.Clock,
 		maxCohort: opts.MaxCohort,
-		maxHold:   opts.MaxHold,
 	}
 	g.cond = sync.NewCond(&g.mu)
 	return g
@@ -126,7 +119,6 @@ func (c *GroupCommitter) Commit(g *wal.Group) error {
 
 	if !lead {
 		// Follower: the cohort's leader syncs for us; park on the latch.
-		c.cond.Broadcast() // a holding leader re-checks its cohort size
 		c.mu.Unlock()
 		<-co.done
 		c.waits.Observe(c.clock.Now().Sub(start))
@@ -134,10 +126,8 @@ func (c *GroupCommitter) Commit(g *wal.Group) error {
 	}
 
 	// Leader. Queue for the device; followers join the cohort meanwhile.
-	waited := false
 	for c.syncing && !c.closed {
 		c.cond.Wait()
-		waited = true
 	}
 	if c.closed {
 		if c.cur == co {
@@ -146,13 +136,6 @@ func (c *GroupCommitter) Commit(g *wal.Group) error {
 		c.mu.Unlock()
 		c.finish(co, ErrStopped)
 		return ErrStopped
-	}
-	// Adaptive hold: only when commits are actually overlapping — we
-	// queued behind a sync, or the previous cohort carried more than one
-	// transaction — and the cohort still has room. When idle this is
-	// skipped entirely and the commit syncs immediately.
-	if c.maxHold > 0 && co.n < c.maxCohort && (waited || c.lastCohort > 1) {
-		c.holdLocked(co)
 	}
 	c.syncing = true
 	if c.cur == co {
@@ -168,36 +151,18 @@ func (c *GroupCommitter) Commit(g *wal.Group) error {
 
 	c.mu.Lock()
 	c.syncing = false
-	c.lastCohort = co.n
 	if err == nil {
 		c.stats.Commits += uint64(co.n)
 		c.stats.Syncs++
 		c.stats.Bytes += uint64(len(co.arena))
 	}
 	c.sizes.Observe(co.n)
-	c.cond.Broadcast() // hand the device to the next cohort's leader
+	c.cond.Signal() // hand the device to the next cohort's leader
 	c.mu.Unlock()
 
 	c.finish(co, err)
 	c.waits.Observe(c.clock.Now().Sub(start))
 	return err
-}
-
-// holdLocked keeps the cohort open for up to maxHold (on the clock) or
-// until it fills. Must hold c.mu; the timer callback must not run inline
-// (both the wall clock and the simulation loop satisfy this).
-func (c *GroupCommitter) holdLocked(co *fsyncCohort) {
-	expired := false
-	cancel := c.clock.AfterFunc(c.maxHold, func() {
-		c.mu.Lock()
-		expired = true
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	for !expired && co.n < c.maxCohort && !c.closed {
-		c.cond.Wait()
-	}
-	cancel()
 }
 
 // finish resolves the cohort latch, releasing every follower.

@@ -238,7 +238,6 @@ func (n *Node) attachMirror(conn *transport.Conn) {
 			AckTimeout: n.cfg.AckTimeout,
 			Heartbeat:  n.cfg.HeartbeatEvery,
 			MaxCohort:  n.cfg.MaxCohort,
-			MaxHold:    n.cfg.MaxCohortHold,
 			Clock:      n.cfg.Clock,
 			OnFailure:  func() { n.mirrorLost() },
 		})

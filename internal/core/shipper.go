@@ -23,45 +23,44 @@ import (
 // the records of everything it might depend on — are on the mirror
 // before its acknowledgment is sent.
 //
-// Commits are group-committed into cohorts: every contiguous pending
-// group is drained into one wire batch (one encode pass, one flush), the
-// mirror's cumulative ack releases the whole cohort at once, and the
-// waiters park on the shared condition latch rather than per-transaction
-// timers. The window is adaptive — an idle commit ships immediately;
-// under contention the sender may hold a partially drained cohort open
-// for up to MaxHold waiting for a serial gap to fill, trading a bounded
-// sliver of latency for fewer, fuller batches.
+// Commits are group-committed into cohorts by natural batching: the
+// sender ships the contiguous prefix of pending groups the moment it has
+// one, so every group that queued while the previous wire write was in
+// flight leaves in one batch (one encode pass, one flush), and the
+// mirror's cumulative ack releases the whole cohort at once. No timer is
+// armed per commit, per cohort or per serial gap.
 //
-// All timing (ack deadlines, heartbeat pacing, the hold window) goes
-// through a simtime.Clock, so simulated runs are deterministic and tests
-// can drive timeouts without real sleeps.
+// All timing goes through one simtime.Ticker at the heartbeat interval:
+// it has the sender ping an otherwise idle mirror, declares a silent
+// mirror down, and fails a commit wait once the acknowledged serial has
+// not advanced for AckTimeout. The sender is the only writer on the
+// connection, so a wire write stuck on a mirror that stopped reading
+// never delays the timeout checks. Simulated runs are therefore
+// deterministic and tests can drive timeouts without real sleeps.
 type MirrorShipper struct {
 	conn       *transport.Conn
 	ackTimeout time.Duration
 	ping       time.Duration
 	maxCohort  int
-	maxHold    time.Duration
 	clock      simtime.Clock
 
 	mu        sync.Mutex
-	cond      *sync.Cond
+	work      *sync.Cond              // wakes the sender: a group was queued
+	ackCond   *sync.Cond              // wakes commit waiters: acked advanced
+	quit      chan struct{}           // closed when the shipper fails or closes
 	pending   map[uint64]*wal.Group   // serial → group awaiting its turn
 	pendingAt map[uint64]simtime.Time // serial → enqueue time (queue-delay metric)
 	nextSend  uint64                  // next serial to ship
+	queued    uint64                  // highest serial ever queued
 	acked     uint64                  // highest acknowledged serial
+	ackedAt   simtime.Time            // when acked last advanced
+	waitSince simtime.Time            // when a commit began waiting with none before it
 	lastHeard simtime.Time            // last message from the mirror
+	shipped   bool                    // a batch went out since the last tick
+	pingDue   bool                    // the heartbeat asks the sender for a ping
 	failed    bool
 	closed    bool
 
-	// Commit waiters share one self-re-arming clock tick that broadcasts
-	// at a coarse period while any waiter exists, instead of arming a
-	// fresh timer per wait iteration per committing transaction. waitGen
-	// invalidates stale tick chains when the waiter count touches zero.
-	commitWaiters int
-	waitGen       uint64
-	waitCancel    func() bool
-
-	failOnce  sync.Once
 	onFailure func()
 
 	wg sync.WaitGroup
@@ -94,29 +93,29 @@ type ShipperStats struct {
 	BytesShipped   uint64
 	Acks           uint64
 	// Cohorts is the number of wire batches shipped; MaxCohort the most
-	// groups any one of them carried; HoldWaits how many times the sender
-	// held a partial cohort open for a serial gap.
+	// groups any one of them carried.
 	Cohorts   uint64
 	MaxCohort uint64
-	HoldWaits uint64
 }
 
 // ShipperOptions parameterizes a MirrorShipper.
 type ShipperOptions struct {
-	// AckTimeout bounds how long a commit waits for the mirror's
-	// acknowledgment (and how long the sender tolerates a silent mirror)
-	// before declaring it down. Zero or negative disables the timeout.
+	// AckTimeout bounds how long a waiting commit tolerates no progress
+	// in the mirror's acknowledgments (and how long the shipper tolerates
+	// a silent mirror) before declaring it down. It is checked once per
+	// heartbeat. Zero or negative disables the timeout.
 	AckTimeout time.Duration
-	// Heartbeat is the idle ping interval (default 100 ms).
+	// Heartbeat is the watchdog tick (default 100 ms): the mirror is
+	// pinged on a tick when nothing shipped since the previous one.
 	Heartbeat time.Duration
 	// MaxCohort caps how many groups one wire batch may carry
 	// (default DefaultMaxCohort).
 	MaxCohort int
-	// MaxHold bounds how long the sender holds a partially drained cohort
-	// open waiting for a serial gap to fill. Zero or negative ships the
-	// moment the contiguous run is drained.
+	// MaxHold is ignored: the sender never holds a cohort open.
+	//
+	// Deprecated: benchmark compat, remove with ROADMAP item 8.
 	MaxHold time.Duration
-	// Clock supplies deadlines and timers; nil uses the wall clock.
+	// Clock drives the heartbeat ticker; nil uses the wall clock.
 	Clock simtime.Clock
 	// OnFailure runs exactly once when the mirror connection breaks; the
 	// node uses it to switch to transient (disk) mode.
@@ -144,30 +143,30 @@ func NewMirrorShipper(conn *transport.Conn, firstSerial uint64, opts ShipperOpti
 		ackTimeout: opts.AckTimeout,
 		ping:       opts.Heartbeat,
 		maxCohort:  opts.MaxCohort,
-		maxHold:    opts.MaxHold,
 		clock:      opts.Clock,
+		quit:       make(chan struct{}),
 		pending:    make(map[uint64]*wal.Group),
 		pendingAt:  make(map[uint64]simtime.Time),
 		nextSend:   firstSerial,
+		queued:     firstSerial - 1,
 		acked:      firstSerial - 1,
 		onFailure:  opts.OnFailure,
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.work = sync.NewCond(&s.mu)
+	s.ackCond = sync.NewCond(&s.mu)
 	s.lastHeard = s.clock.Now()
+	s.ackedAt = s.lastHeard
 	return s
 }
 
-// waitTick is the coarse wakeup period commit waiters use to re-check
-// their ack-timeout deadline.
-const waitTick = 50 * time.Millisecond
-
-// Start launches the sender and acknowledgment reader. It is separate
-// from construction so a rejoining mirror can receive its snapshot on
-// the same connection first.
+// Start launches the sender, the acknowledgment reader and the heartbeat.
+// It is separate from construction so a rejoining mirror can receive its
+// snapshot on the same connection first.
 func (s *MirrorShipper) Start() {
-	s.wg.Add(2)
+	s.wg.Add(3)
 	go s.sender()
 	go s.ackReader()
+	go s.heartbeat(simtime.NewTicker(s.clock, s.ping))
 }
 
 // Commit implements Committer: enqueue the group and wait until the
@@ -182,18 +181,22 @@ func (s *MirrorShipper) Commit(g *wal.Group) error {
 		return ErrMirrorDown
 	}
 	now := s.clock.Now()
+	if s.queued <= s.acked {
+		s.waitSince = now // no commit was waiting: the ack clock starts here
+	}
+	if serial > s.queued {
+		s.queued = serial
+	}
 	s.pending[serial] = g
 	s.pendingAt[serial] = now
-	s.cond.Broadcast()
+	if serial == s.nextSend {
+		s.work.Signal() // a group behind a gap waits for the gap's filler to signal
+	}
 
-	deadline := now.Add(s.ackTimeout)
+	// The heartbeat enforces the ack timeout; this wait is woken only by
+	// acks and by failure or close.
 	for s.acked < serial && !s.failed && !s.closed {
-		if s.ackTimeout > 0 && s.clock.Now() > deadline {
-			s.mu.Unlock()
-			s.fail()
-			return ErrMirrorDown
-		}
-		s.timedWait()
+		s.ackCond.Wait()
 	}
 	ok := s.acked >= serial
 	s.mu.Unlock()
@@ -201,49 +204,6 @@ func (s *MirrorShipper) Commit(g *wal.Group) error {
 		return ErrMirrorDown
 	}
 	return nil
-}
-
-// armWaitTick schedules the shared commit-waiter tick on the clock. The
-// callback re-arms itself while waiters remain; a generation bump
-// invalidates the chain so a stale callback never double-arms. Must hold
-// s.mu.
-func (s *MirrorShipper) armWaitTick() {
-	gen := s.waitGen
-	s.waitCancel = s.clock.AfterFunc(waitTick, func() {
-		s.mu.Lock()
-		if gen == s.waitGen {
-			if s.commitWaiters > 0 && !s.closed {
-				s.armWaitTick()
-			} else {
-				s.waitCancel = nil
-			}
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-}
-
-// timedWait waits on the condition with a coarse timer wakeup so ack
-// timeouts are honored without a timer per commit — or even per wait:
-// the first waiter arms the shared tick, the tick re-arms itself while
-// waiters remain, and the last waiter out cancels it. The callback only
-// broadcasts; a late firing is a harmless spurious wakeup. Must hold
-// s.mu.
-func (s *MirrorShipper) timedWait() {
-	if s.commitWaiters == 0 {
-		s.waitGen++
-		s.armWaitTick()
-	}
-	s.commitWaiters++
-	s.cond.Wait()
-	s.commitWaiters--
-	if s.commitWaiters == 0 {
-		s.waitGen++ // invalidate the chain even if the tick already fired
-		if s.waitCancel != nil {
-			s.waitCancel()
-			s.waitCancel = nil
-		}
-	}
 }
 
 // drainLocked moves contiguous pending groups (up to the cohort cap)
@@ -266,70 +226,36 @@ func (s *MirrorShipper) drainLocked(groups []*wal.Group) []*wal.Group {
 	return groups
 }
 
-// gapWait holds a partially drained cohort open for up to maxHold,
-// waiting for the serial gap at nextSend to fill. This is the adaptive
-// half of the window: it only runs when a transaction has validated but
-// not yet enqueued (pending is non-empty with a gap in front), i.e. when
-// contention is observable — an idle commit never waits here. Must hold
-// s.mu.
-func (s *MirrorShipper) gapWait() {
-	s.stats.HoldWaits++
-	expired := false
-	cancel := s.clock.AfterFunc(s.maxHold, func() {
-		s.mu.Lock()
-		expired = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	for !expired && s.pending[s.nextSend] == nil && !s.failed && !s.closed {
-		s.cond.Wait()
-	}
-	cancel()
-}
-
-// sender ships pending cohorts in contiguous serial order, emitting
-// heartbeats while idle.
+// sender ships pending cohorts in contiguous serial order, and the pings
+// the heartbeat asks for while idle.
 func (s *MirrorShipper) sender() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for s.pending[s.nextSend] == nil && !s.failed && !s.closed {
-			// A mirror that is connected but silent is as dead as a
-			// closed one: if nothing (ack, pong) has arrived within the
-			// ack timeout despite our pings, declare it down.
-			if s.ackTimeout > 0 && s.clock.Now().Sub(s.lastHeard) > s.ackTimeout {
-				s.mu.Unlock()
-				s.fail()
-				return
-			}
-			s.idleWait()
-			if s.pending[s.nextSend] == nil && !s.failed && !s.closed {
-				// Idle: heartbeat so the mirror's watchdog stays calm.
-				s.mu.Unlock()
-				if err := s.conn.SendControl(transport.MsgPing, 0); err != nil {
-					s.fail()
-					return
-				}
-				s.mu.Lock()
-			}
+		for s.pending[s.nextSend] == nil && !s.pingDue && !s.failed && !s.closed {
+			s.work.Wait()
 		}
 		if s.failed || s.closed {
 			s.mu.Unlock()
 			return
 		}
+		s.pingDue = false // a batch is traffic enough
+		if s.pending[s.nextSend] == nil {
+			// Idle: heartbeat so the mirror's watchdog stays calm.
+			s.mu.Unlock()
+			if err := s.conn.SendControl(transport.MsgPing, 0); err != nil {
+				s.fail()
+				return
+			}
+			continue
+		}
 		// Drain every contiguous pending group into one wire batch:
 		// under bursty commit load several transactions validate before
 		// the previous flush completes, and one writev-style batch
 		// amortizes the syscall per group while keeping strict
-		// validation order. If the contiguous run ends at a serial gap
-		// with later groups already queued behind it, hold the cohort
-		// open briefly — the gap-filler is mid-enqueue and catching it
-		// turns two half batches into one.
+		// validation order. Groups queued behind a serial gap ship with
+		// the batch after the gap fills.
 		groups := s.drainLocked(s.groupsBuf[:0])
-		if s.maxHold > 0 && len(groups) < s.maxCohort && len(s.pending) > 0 {
-			s.gapWait()
-			groups = s.drainLocked(groups)
-		}
 		s.mu.Unlock()
 
 		// Encode every record of the batch back to back into the scratch
@@ -382,26 +308,55 @@ func (s *MirrorShipper) sender() {
 		if uint64(nGroups) > s.stats.MaxCohort {
 			s.stats.MaxCohort = uint64(nGroups)
 		}
+		s.shipped = true
 		s.mu.Unlock()
 	}
 }
 
-// idleWait waits for work with a heartbeat-interval wakeup (one-shot,
-// canceled on the way out; the sender is a single goroutine). Must hold
-// s.mu; same broadcast-only discipline as timedWait.
-func (s *MirrorShipper) idleWait() {
-	cancel := s.clock.AfterFunc(s.ping, func() {
+// heartbeat is the shipper's only timer. Each tick it declares the mirror
+// down if it has been silent (no ack, no pong) for AckTimeout, or if a
+// commit is waiting and acked has not advanced for AckTimeout, counted
+// from the later of the last ack advance and the moment the first
+// waiting commit queued. A mirror that answers pings but never acks is
+// caught by the second rule. Otherwise, when nothing shipped since the
+// previous tick, it asks the sender to ping the mirror so its watchdog
+// stays calm. It never blocks on the connection, so a timeout fires
+// within one heartbeat of its deadline even while a wire write is stuck.
+func (s *MirrorShipper) heartbeat(t *simtime.Ticker) {
+	defer s.wg.Done()
+	defer t.Stop()
+	for {
+		select {
+		case <-s.quit:
+			return
+		case <-t.C:
+		}
 		s.mu.Lock()
-		s.cond.Broadcast()
+		now := s.clock.Now()
+		since := s.ackedAt
+		if s.waitSince > since {
+			since = s.waitSince
+		}
+		silent := now.Sub(s.lastHeard) > s.ackTimeout
+		stalled := s.queued > s.acked && now.Sub(since) > s.ackTimeout
+		if s.ackTimeout > 0 && (silent || stalled) {
+			s.mu.Unlock()
+			s.fail()
+			return
+		}
+		if !s.shipped {
+			s.pingDue = true
+			s.work.Signal()
+		}
+		s.shipped = false
 		s.mu.Unlock()
-	})
-	s.cond.Wait()
-	cancel()
+	}
 }
 
-// ackReader consumes acknowledgments (and pongs) from the mirror. Acks
-// are drawn from the transport frame pool and released immediately:
-// nothing on this per-commit path survives the loop iteration.
+// ackReader consumes acknowledgments (and pongs) from the mirror; every
+// message notes the mirror's liveness. Acks are drawn from the transport
+// frame pool and released immediately: nothing on this per-commit path
+// survives the loop iteration.
 func (s *MirrorShipper) ackReader() {
 	defer s.wg.Done()
 	for {
@@ -412,26 +367,23 @@ func (s *MirrorShipper) ackReader() {
 		}
 		typ, serial := m.Type, m.Serial
 		transport.ReleaseMsg(m)
-		s.mu.Lock()
-		s.lastHeard = s.clock.Now()
-		s.mu.Unlock()
-		switch typ {
-		case transport.MsgAck:
-			s.mu.Lock()
-			if serial > s.acked {
-				s.acked = serial
-			}
-			s.stats.Acks++
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		case transport.MsgPong, transport.MsgPing:
-			// watchdog traffic; liveness already noted
-		default:
+		if typ != transport.MsgAck && typ != transport.MsgPong && typ != transport.MsgPing {
 			// Unexpected message from the mirror: treat as protocol
 			// failure.
 			s.fail()
 			return
 		}
+		s.mu.Lock()
+		s.lastHeard = s.clock.Now()
+		if typ == transport.MsgAck {
+			s.stats.Acks++
+			if serial > s.acked {
+				s.acked = serial
+				s.ackedAt = s.lastHeard
+				s.ackCond.Broadcast()
+			}
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -443,20 +395,26 @@ func (s *MirrorShipper) ackReader() {
 // waiter; mirrorLost only flips node state.)
 func (s *MirrorShipper) fail() {
 	s.mu.Lock()
-	already := s.failed || s.closed
+	live := !s.failed && !s.closed
 	s.failed = true
+	if live {
+		close(s.quit)
+	}
 	s.mu.Unlock()
-	if !already {
-		s.failOnce.Do(func() {
-			if s.onFailure != nil {
-				s.onFailure()
-			}
-		})
+	if live && s.onFailure != nil {
+		s.onFailure()
 	}
 	s.mu.Lock()
-	s.cond.Broadcast()
+	s.wakeAllLocked()
 	s.mu.Unlock()
 	s.conn.Close()
+}
+
+// wakeAllLocked releases the sender and every commit waiter so they
+// observe failed or closed. Must hold s.mu.
+func (s *MirrorShipper) wakeAllLocked() {
+	s.work.Broadcast()
+	s.ackCond.Broadcast()
 }
 
 // Acked reports the highest acknowledged serial order.
@@ -487,8 +445,11 @@ func (s *MirrorShipper) Close() error {
 		s.mu.Unlock()
 		return nil
 	}
+	if !s.failed {
+		close(s.quit)
+	}
 	s.closed = true
-	s.cond.Broadcast()
+	s.wakeAllLocked()
 	s.mu.Unlock()
 	s.conn.Close()
 	s.wg.Wait()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/logstore"
 	"repro/internal/simtime"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -125,20 +126,145 @@ func TestShipperClockDrivenAckTimeout(t *testing.T) {
 	}
 }
 
-// TestShipperGapHoldFormsOneCohort drives the adaptive window: serial 1
-// ships ahead of a gap while 3 is already queued, so the sender holds the
-// partial cohort open until 2 arrives — all three groups leave in ONE
-// wire batch instead of two.
-func TestShipperGapHoldFormsOneCohort(t *testing.T) {
+// countingClock wraps a Clock and counts AfterFunc calls: the number of
+// timers a commit path arms.
+type countingClock struct {
+	simtime.Clock
+	armed atomic.Int64
+}
+
+func (c *countingClock) AfterFunc(d simtime.Duration, fn func()) func() bool {
+	c.armed.Add(1)
+	return c.Clock.AfterFunc(d, fn)
+}
+
+// waitFor polls cond until it holds, failing the test after a real-time
+// safety bound.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestCommitPathArmsNoTimers pins "no timer per commit" as a count:
+// 1 000 concurrent commits through the transient-mode group committer
+// arm no timer at all, and through the shipper arm none beyond the
+// heartbeat ticker's first one (the clock never advances, so it never
+// re-arms).
+func TestCommitPathArmsNoTimers(t *testing.T) {
+	const (
+		commits    = 1000
+		committers = 4
+	)
+	run := func(commit func(serial uint64) error) {
+		var next atomic.Uint64
+		var wg sync.WaitGroup
+		for w := 0; w < committers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					serial := next.Add(1)
+					if serial > commits {
+						return
+					}
+					if err := commit(serial); err != nil {
+						t.Errorf("commit %d: %v", serial, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	disk := &countingClock{Clock: simtime.NewWallClock()}
+	gc := buildCommitter(LogDisk, logstore.NewMem(), Config{Clock: disk}.withDefaults())
+	run(func(serial uint64) error { return gc.Commit(diskGroup(serial)) })
+	gc.Close()
+	if n := disk.armed.Load(); n != 0 {
+		t.Fatalf("group committer armed %d timers for %d commits, want 0", n, commits)
+	}
+
+	ship := &countingClock{Clock: newManualClock()}
+	s, _, stop := mirrorPairShipper(t, ShipperOptions{
+		AckTimeout: 10 * time.Second, Heartbeat: 50 * time.Millisecond, Clock: ship,
+	})
+	run(func(serial uint64) error { return s.Commit(shipGroup(serial)) })
+	stop()
+	if n := ship.armed.Load(); n > 1 {
+		t.Fatalf("shipper armed %d timers for %d commits, want at most the ticker's first", n, commits)
+	}
+}
+
+// TestShipperGapShipsContiguousPrefix: the sender never holds a cohort
+// open for a serial gap. With 3 queued behind the gap at 2, serial 1
+// ships alone; once 2 arrives, 2 and 3 leave together as the next cohort.
+func TestShipperGapShipsContiguousPrefix(t *testing.T) {
+	s, fm, failed := shipperPair(t, 5*time.Second)
+
+	done3 := make(chan error, 1)
+	go func() { done3 <- s.Commit(shipGroup(3)) }()
+	waitFor(t, "serial 3 to queue", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.pending[3] != nil
+	})
+	if err := s.Commit(shipGroup(1)); err != nil {
+		t.Fatalf("commit 1: %v", err)
+	}
+	if err := s.Commit(shipGroup(2)); err != nil {
+		t.Fatalf("commit 2: %v", err)
+	}
+	select {
+	case err := <-done3:
+		if err != nil {
+			t.Fatalf("commit 3: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("commit 3 hung")
+	}
+	s.Close() // waits for the sender, which counts a batch after writing it
+
+	if got := fm.commitOrder(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("mirror saw commits %v, want [1 2 3]", got)
+	}
+	st := s.Stats()
+	if st.GroupsShipped != 3 || st.Cohorts != 2 || st.MaxCohort != 2 {
+		t.Fatalf("GroupsShipped = %d Cohorts = %d MaxCohort = %d, want 3 groups in cohorts {1} and {2, 3}",
+			st.GroupsShipped, st.Cohorts, st.MaxCohort)
+	}
+	if failed.Load() {
+		t.Fatal("shipper reported failure")
+	}
+}
+
+// TestShipperAckTimeoutWithLivePongs: a mirror that answers every ping
+// but never acknowledges is never silent, so only the stalled-ack rule
+// can fail it. The commit must fail with ErrMirrorDown on the first
+// heartbeat after AckTimeout of virtual time, and OnFailure must run
+// exactly once.
+func TestShipperAckTimeoutWithLivePongs(t *testing.T) {
+	const (
+		ackTimeout = time.Second
+		beat       = 100 * time.Millisecond
+	)
 	a, b := transport.Pipe()
 	fm := &fakeMirror{conn: b}
+	fm.noAcks.Store(true)
 	go fm.run()
-	var failed atomic.Bool
+	mc := newManualClock()
+	var failures atomic.Int32
 	s := NewMirrorShipper(a, 1, ShipperOptions{
-		AckTimeout: 5 * time.Second,
-		Heartbeat:  time.Second,
-		MaxHold:    2 * time.Second,
-		OnFailure:  func() { failed.Store(true) },
+		AckTimeout: ackTimeout,
+		Heartbeat:  beat,
+		Clock:      mc,
+		OnFailure:  func() { failures.Add(1) },
 	})
 	s.Start()
 	t.Cleanup(func() {
@@ -146,37 +272,134 @@ func TestShipperGapHoldFormsOneCohort(t *testing.T) {
 		b.Close()
 	})
 
-	done := make(chan error, 3)
-	go func() { done <- s.Commit(shipGroup(3)) }()
-	time.Sleep(30 * time.Millisecond) // 3 is pending behind the gap
+	done := make(chan error, 1)
 	go func() { done <- s.Commit(shipGroup(1)) }()
-	time.Sleep(30 * time.Millisecond) // sender drained 1, now holding for 2
-	go func() { done <- s.Commit(shipGroup(2)) }()
-	for i := 0; i < 3; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("commit: %v", err)
+	waitFor(t, "the commit to ship", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.shipped
+	})
+
+	for tick := 1; ; tick++ {
+		mc.Advance(beat)
+		now := mc.Now()
+		// The first tick only clears the shipped flag. Every later one
+		// pings, and its pong lands before virtual time moves on.
+		waitFor(t, "the heartbeat tick", func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if tick == 1 {
+				return !s.shipped
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("commit hung")
+			return s.failed || s.lastHeard == now
+		})
+		s.mu.Lock()
+		failed := s.failed
+		s.mu.Unlock()
+		if !failed {
+			if tick > 20 {
+				t.Fatal("ack timeout never fired")
+			}
+			continue
+		}
+		if elapsed := time.Duration(now); elapsed <= ackTimeout || elapsed > ackTimeout+beat {
+			t.Fatalf("failed at virtual %v, want within one heartbeat after %v", now, ackTimeout)
+		}
+		break
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrMirrorDown) {
+			t.Fatalf("err = %v, want ErrMirrorDown", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("commit never returned")
+	}
+	mc.Advance(10 * ackTimeout)
+	s.Close()
+	if n := failures.Load(); n != 1 {
+		t.Fatalf("OnFailure ran %d times, want 1", n)
+	}
+}
+
+// TestShipperAckTimeoutWithStalledWrite: a mirror that stays connected
+// but stops reading leaves the sender blocked in its wire write (a pipe
+// write blocks until the peer reads). The heartbeat must keep ticking
+// behind that write and fail the waiting commit on the first tick after
+// AckTimeout; OnFailure runs once and Close does not wait on the stuck
+// write.
+func TestShipperAckTimeoutWithStalledWrite(t *testing.T) {
+	const (
+		ackTimeout = time.Second
+		beat       = 100 * time.Millisecond
+	)
+	a, b := transport.Pipe() // nothing ever reads b
+	defer b.Close()
+	mc := newManualClock()
+	var failures atomic.Int32
+	var failedAt atomic.Int64
+	s := NewMirrorShipper(a, 1, ShipperOptions{
+		AckTimeout: ackTimeout,
+		Heartbeat:  beat,
+		Clock:      mc,
+		OnFailure: func() {
+			failures.Add(1)
+			failedAt.Store(int64(mc.Now()))
+		},
+	})
+	s.Start()
+
+	done := make(chan error, 1)
+	go func() { done <- s.Commit(shipGroup(1)) }()
+	waitFor(t, "the sender to take the commit", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.nextSend == 2
+	})
+
+	// Each idle tick asks the sender for a ping, which it cannot send
+	// while its write is stuck; clearing the request before every tick
+	// shows whether the heartbeat is still running.
+	for tick := 1; ; tick++ {
+		s.mu.Lock()
+		s.pingDue = false
+		s.mu.Unlock()
+		mc.Advance(beat)
+		waitFor(t, "the heartbeat tick", func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.pingDue || s.failed
+		})
+		s.mu.Lock()
+		failed := s.failed
+		s.mu.Unlock()
+		if failed {
+			break
+		}
+		if tick > 20 {
+			t.Fatal("ack timeout never fired")
 		}
 	}
-	st := s.Stats()
-	if st.GroupsShipped != 3 {
-		t.Fatalf("GroupsShipped = %d, want 3", st.GroupsShipped)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrMirrorDown) {
+			t.Fatalf("err = %v, want ErrMirrorDown", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("commit never returned")
 	}
-	if st.Cohorts != 1 {
-		t.Fatalf("Cohorts = %d, want 1: the hold window should have merged the batch", st.Cohorts)
+	if at := time.Duration(failedAt.Load()); at <= ackTimeout || at > ackTimeout+beat {
+		t.Fatalf("failed at virtual %v, want within one heartbeat after %v", at, ackTimeout)
 	}
-	if st.MaxCohort != 3 {
-		t.Fatalf("MaxCohort = %d, want 3", st.MaxCohort)
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close blocked behind the stuck wire write")
 	}
-	if st.HoldWaits == 0 {
-		t.Fatal("HoldWaits = 0, want at least one gap hold")
-	}
-	if failed.Load() {
-		t.Fatal("shipper reported failure")
+	if n := failures.Load(); n != 1 {
+		t.Fatalf("OnFailure ran %d times, want 1", n)
 	}
 }
 
@@ -206,7 +429,7 @@ func mirrorPairShipper(t testing.TB, opts ShipperOptions) (*MirrorShipper, *stor
 
 // TestShipperBatchingEquivalence is the property test: the same random
 // workload committed concurrently through a per-txn shipper (cohorts of
-// one, no hold) and through a cohort-batched shipper must leave two real
+// one) and through a cohort-batched shipper must leave two real
 // mirrors in identical end states with every commit acknowledged —
 // batching changes the wire schedule, never the observable outcome.
 func TestShipperBatchingEquivalence(t *testing.T) {
@@ -275,7 +498,7 @@ func TestShipperBatchingEquivalence(t *testing.T) {
 	}
 	batched, _ := run(ShipperOptions{
 		AckTimeout: 10 * time.Second, Heartbeat: 50 * time.Millisecond,
-		MaxCohort: DefaultMaxCohort, MaxHold: DefaultMaxCohortHold,
+		MaxCohort: DefaultMaxCohort,
 	})
 
 	if len(perTxn) != len(batched) {

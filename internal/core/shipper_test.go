@@ -2,11 +2,12 @@ package core
 
 import (
 	"errors"
-
-	"repro/internal/logstore"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/logstore"
 
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -19,7 +20,18 @@ import (
 type fakeMirror struct {
 	conn     *transport.Conn
 	silent   atomic.Bool // stop answering (stay connected)
+	noAcks   atomic.Bool // answer pings but never acknowledge
 	received atomic.Uint64
+
+	mu      sync.Mutex
+	commits []uint64 // commit serials in arrival order
+}
+
+// commitOrder returns the commit serials received so far, in order.
+func (f *fakeMirror) commitOrder() []uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]uint64(nil), f.commits...)
 }
 
 func (f *fakeMirror) run() {
@@ -40,7 +52,13 @@ func (f *fakeMirror) run() {
 			if err != nil {
 				return
 			}
-			if rec.Type == wal.TypeCommit {
+			if rec.Type != wal.TypeCommit {
+				continue
+			}
+			f.mu.Lock()
+			f.commits = append(f.commits, rec.SerialOrder)
+			f.mu.Unlock()
+			if !f.noAcks.Load() {
 				f.conn.Send(&transport.Msg{Type: transport.MsgAck, Serial: rec.SerialOrder})
 			}
 		}

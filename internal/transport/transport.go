@@ -274,12 +274,16 @@ func (c *Conn) SetRecvDeadline(t time.Time) bool {
 }
 
 // Close closes the underlying stream. Safe to call multiple times and
-// concurrently with Recv (which will then return an error).
+// concurrently with Recv and Send (which will then return an error).
+// Buffered output is flushed only when no Send holds the writer: a Send
+// stuck on a peer that stopped reading must not block Close, so the
+// stream is closed under it instead.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
-		c.wmu.Lock()
-		c.bw.Flush()
-		c.wmu.Unlock()
+		if c.wmu.TryLock() {
+			c.bw.Flush()
+			c.wmu.Unlock()
+		}
 		c.closeErr = c.rw.Close()
 	})
 	return c.closeErr

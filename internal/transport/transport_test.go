@@ -129,6 +129,32 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestCloseUnblocksStuckSend: a pipe write blocks until the peer reads,
+// so a Send to a peer that never reads holds the writer indefinitely.
+// Close must not wait for it; the Send fails instead.
+func TestCloseUnblocksStuckSend(t *testing.T) {
+	a, b := Pipe() // nothing ever reads b
+	defer b.Close()
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(&Msg{Type: MsgPing}) }()
+	time.Sleep(10 * time.Millisecond) // let the Send take the writer
+	closed := make(chan struct{})
+	go func() { a.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked behind the stuck Send")
+	}
+	select {
+	case err := <-sent:
+		if err == nil {
+			t.Fatal("Send to a peer that never read succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send still blocked after Close")
+	}
+}
+
 func TestBadFrameCRC(t *testing.T) {
 	client, server := net.Pipe()
 	c := New(server)

@@ -150,10 +150,6 @@ type Options struct {
 	// append + sync on the transient primary (default 64; 1 is the
 	// paper's per-commit sync).
 	MaxCohort int
-	// MaxCohortHold bounds the adaptive hold window group commit may
-	// wait for stragglers. Zero keeps the default (200µs); negative
-	// disables holding.
-	MaxCohortHold time.Duration
 	// SimulatedDiskLatency, when > 0, adds this latency to every log
 	// sync — a stand-in for the slow log disk of the paper's era on
 	// machines whose real storage is too fast to show the effect.
@@ -196,7 +192,6 @@ func (o Options) coreConfig() (core.Config, error) {
 		MaxRestarts:        o.MaxRestarts,
 		NonRTReserve:       o.NonRTReserve,
 		MaxCohort:          o.MaxCohort,
-		MaxCohortHold:      o.MaxCohortHold,
 		AckTimeout:         o.AckTimeout,
 		HeartbeatEvery:     o.HeartbeatEvery,
 		HeartbeatMisses:    o.HeartbeatMisses,
