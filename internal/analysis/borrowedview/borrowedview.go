@@ -1,8 +1,8 @@
 // Package borrowedview keeps zero-copy reads zero-copy AND safe.
 //
-// store.View, store.ViewMeta and the transaction-level ReadView return
-// slices that borrow the store's own memory: valid to read, never to
-// stash. A caller that stores a borrowed slice into a struct field, a
+// store.View, store.ViewMeta, store.ViewVersion and the transaction-level
+// ReadView return slices that borrow the store's own memory: valid to
+// read, never to stash. A caller that stores a borrowed slice into a struct field, a
 // package variable, or a channel extends the borrow past the read —
 // the slice silently stops reflecting the database after the next
 // overwrite, and a later reader sees stale bytes with no race report.
@@ -30,9 +30,10 @@ import (
 // by name and a first []byte result, so the pass covers store.Store,
 // txn.Transaction, core.Tx and any future wrapper uniformly.
 var borrowMethods = map[string]bool{
-	"View":     true,
-	"ViewMeta": true,
-	"ReadView": true,
+	"View":        true,
+	"ViewMeta":    true,
+	"ViewVersion": true,
+	"ReadView":    true,
 }
 
 // Run is the borrowedview pass: View/ReadView borrowed slices must not

@@ -141,7 +141,7 @@ func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, erro
 				maxTS = rec.WriteTS
 			}
 		}
-		n.engine.Controller().Seed(st.LastSerial, maxTS)
+		n.engine.Seed(st.LastSerial, maxTS)
 	}
 	return st, nil
 }

@@ -173,6 +173,9 @@ type job struct {
 	t    *txn.Transaction
 	req  Request
 	done chan error
+	// release is set by the worker before done is signalled: what the
+	// result waits on.
+	release Release
 }
 
 // Engine executes transactions on a (transient) primary node.
@@ -188,6 +191,9 @@ type Engine struct {
 	respTime   *metrics.Histogram // submit → commit
 	commitWait *metrics.Histogram // validation → commit (the LogWait step)
 
+	durable    *durableMark
+	replyHolds atomic.Uint64 // read results that had to wait for the watermark
+
 	committer atomic.Value // Committer
 	logMode   atomic.Int32
 
@@ -196,7 +202,7 @@ type Engine struct {
 	nextID  atomic.Uint64
 	stopped atomic.Bool
 
-	inflight sync.WaitGroup // outstanding Execute calls
+	inflight sync.WaitGroup // outstanding Submit calls and unsettled commits
 	workers  sync.WaitGroup
 }
 
@@ -218,6 +224,7 @@ func NewEngine(cfg Config, db *store.Store, committer Committer, logMode LogMode
 		outcome:    metrics.NewOutcome(),
 		respTime:   new(metrics.Histogram),
 		commitWait: new(metrics.Histogram),
+		durable:    newDurableMark(),
 		jobs:       make(map[txn.ID]*job),
 	}
 	e.committer.Store(committerBox{committer})
@@ -246,6 +253,23 @@ func (e *Engine) ResponseTimes() *metrics.Histogram { return e.respTime }
 // cost the hot stand-by removes from the critical path.
 func (e *Engine) CommitWaits() *metrics.Histogram { return e.commitWait }
 
+// DurableThrough reports the durable-through watermark: every commit
+// with a serial at or below it is stable.
+func (e *Engine) DurableThrough() uint64 { return e.durable.through.Load() }
+
+// ReplyHolds counts read results that had to wait for the watermark
+// because they observed a write whose commit was not yet stable.
+func (e *Engine) ReplyHolds() uint64 { return e.replyHolds.Load() }
+
+// Seed continues the engine from an applied log position: the
+// controller's serial and timestamp counters (see occ.Controller.Seed),
+// and the durable watermark, which starts at lastSerial because
+// everything up to it is already stable where it was applied from.
+func (e *Engine) Seed(lastSerial, maxTS uint64) {
+	e.ctl.Seed(lastSerial, maxTS)
+	e.durable.seed(lastSerial)
+}
+
 // Overload exposes the overload manager.
 func (e *Engine) Overload() *sched.Overload { return e.overload }
 
@@ -269,15 +293,32 @@ func (e *Engine) SetCommitter(c Committer, mode LogMode) Committer {
 	return prev.c
 }
 
-// Execute submits a transaction and blocks until it commits or aborts.
+// Execute submits a transaction and blocks until it commits or aborts
+// and its result is durable: Submit followed by Release.Wait.
 func (e *Engine) Execute(req Request) error {
+	rel, err := e.Submit(req)
+	if werr := rel.Wait(); werr != nil {
+		return werr
+	}
+	return err
+}
+
+// Submit runs a transaction through validation and returns as soon as
+// its outcome is decided, without waiting for the commit to become
+// stable: the engine worker hands the LogWait to a goroutine of its own
+// and takes the next job. The returned Release says what the result
+// waits on before it may be shown — for a commit its own serial, for a
+// read-only or failed transaction the highest serial it read. Until then
+// the caller must hold the result back, and must report a failure
+// instead if Release.Wait fails.
+func (e *Engine) Submit(req Request) (Release, error) {
 	if e.stopped.Load() {
-		return ErrStopped
+		return Release{}, ErrStopped
 	}
 	e.inflight.Add(1)
 	defer e.inflight.Done()
 	if e.stopped.Load() { // recheck under the inflight guard
-		return ErrStopped
+		return Release{}, ErrStopped
 	}
 
 	e.outcome.Submit()
@@ -289,7 +330,7 @@ func (e *Engine) Execute(req Request) error {
 		victim := e.queue.EvictLowerCriticality(req.Criticality)
 		if victim == nil {
 			e.outcome.Abort(txn.OverloadDenied)
-			return ErrOverload
+			return Release{}, ErrOverload
 		}
 		e.mu.Lock()
 		vj := e.jobs[victim.ID]
@@ -321,8 +362,10 @@ func (e *Engine) Execute(req Request) error {
 	e.mu.Lock()
 	delete(e.jobs, t.ID)
 	e.mu.Unlock()
-	e.overload.Done()
-	return err
+	if j.release.e == nil || j.release.read {
+		e.overload.Done() // else the commit's settle frees the slot once stable
+	}
+	return j.release, err
 }
 
 // Stop drains outstanding requests and shuts the workers down.
@@ -382,7 +425,9 @@ func (e *Engine) run(j *job) {
 			return
 		default:
 			// User error: the transaction aborts by its own choice;
-			// deferred writes are simply discarded.
+			// deferred writes are simply discarded. The error may still
+			// reveal what the body read.
+			j.release = Release{e: e, serial: t.ReadSerial(), read: true}
 			e.ctl.Finish(t)
 			t.Abort(txn.UserAbort)
 			e.outcome.Abort(txn.UserAbort)
@@ -430,41 +475,72 @@ func (e *Engine) run(j *job) {
 			continue
 		}
 		// Victims have been marked doomed; their own workers restart
-		// them at the next operation or validation.
+		// them at the next operation or validation. The transaction's
+		// concurrency-control state goes now, at validation: its writes
+		// are installed and constrain later validators through the
+		// store, so nothing is held across the log wait but the result.
+		e.ctl.Finish(t)
 
-		if !roFast {
-			// Write phase already applied inside Validate. Build the
-			// redo group and run the commit step for the current logging
-			// mode. A fast-path read-only commit skips all of this: it
-			// wrote nothing, consumed no serial, and per the paper needs
-			// no shipped log — the committer is never touched.
-			t.State = txn.LogWait
-			validated := e.clock.Now()
-			err = e.commitStable(t)
-			e.commitWait.Observe(e.clock.Now().Sub(validated))
-			e.ctl.Finish(t)
-			if err != nil {
-				// The write phase is already in local memory; losing the
-				// log path mid-commit is a node-level failure for this
-				// transaction.
-				e.outcome.Abort(txn.NodeFailure)
-				j.done <- fmt.Errorf("%w: %v", ErrNodeFailure, err)
-				return
-			}
-		} else {
-			e.ctl.Finish(t)
+		if roFast {
+			// A fast-path read-only commit wrote nothing, consumed no
+			// serial, and per the paper needs no shipped log — the
+			// committer is never touched. Its result waits only for the
+			// commits it read.
+			t.State = txn.Committed
+			e.committed(t, e.clock.Now())
+			j.release = Release{e: e, serial: t.ReadSerial(), read: true}
+			j.done <- nil
+			return
 		}
-		t.State = txn.Committed
-		end := e.clock.Now()
-		e.respTime.Observe(end.Sub(t.Arrival))
-		if t.Class == txn.Soft && t.Expired(end) {
-			e.outcome.CommitLate()
-			e.overload.RecordMiss(end)
-		} else {
-			e.outcome.Commit()
-		}
+		// Write phase already applied inside Validate. The commit step
+		// for the current logging mode runs on its own goroutine, so
+		// this worker is free for the next job while the log is made
+		// stable. The submitter is woken first: the goroutine started
+		// last is the one this CPU runs next, and the log write should
+		// not queue behind the reply path.
+		t.State = txn.LogWait
+		j.release = Release{e: e, serial: t.SerialOrder}
+		e.inflight.Add(1)
+		validated := e.clock.Now()
 		j.done <- nil
+		go e.settle(t, validated)
 		return
+	}
+}
+
+// settle is the LogWait of one validated transaction: it makes the
+// commit stable (retrying through a swapped committer if the mirror
+// vanished), records the outcome and latency, frees the admission slot,
+// and only then moves the durable watermark, so whoever waits on the
+// watermark sees the accounting done.
+func (e *Engine) settle(t *txn.Transaction, validated simtime.Time) {
+	defer e.inflight.Done()
+	err := e.commitStable(t)
+	end := e.clock.Now()
+	e.commitWait.Observe(end.Sub(validated))
+	if err != nil {
+		// The write phase is already in local memory; losing the log
+		// path mid-commit is a node-level failure, and no later serial
+		// can be reported durable.
+		e.outcome.Abort(txn.NodeFailure)
+		e.overload.Done()
+		e.durable.fail(t.SerialOrder, err)
+		return
+	}
+	t.State = txn.Committed
+	e.committed(t, end)
+	e.overload.Done()
+	e.durable.settle(t.SerialOrder)
+}
+
+// committed accounts a commit that finished at end.
+func (e *Engine) committed(t *txn.Transaction, end simtime.Time) {
+	e.respTime.Observe(end.Sub(t.Arrival))
+	if t.Class == txn.Soft && t.Expired(end) {
+		e.outcome.CommitLate()
+		e.overload.RecordMiss(end)
+	} else {
+		e.outcome.Commit()
 	}
 }
 

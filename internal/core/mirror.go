@@ -293,7 +293,7 @@ func (m *MirrorEngine) apply(g *wal.Group) error {
 		// opsBuf needs no lock: apply only runs on the session goroutine.
 		ops := m.opsBuf[:0]
 		for _, w := range g.Writes {
-			ops = append(ops, store.Op{ID: w.ObjectID, Value: w.AfterImage, Delete: w.Type == wal.TypeDelete})
+			ops = append(ops, store.Op{ID: w.ObjectID, Value: w.AfterImage, Delete: w.Type == wal.TypeDelete, Serial: g.SerialOrder()})
 		}
 		m.opsBuf = ops
 		m.db.ApplyGroup(ops, g.Commit.CommitTS)

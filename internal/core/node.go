@@ -348,7 +348,7 @@ func (n *Node) takeover(listenAddr string) error {
 	}
 	n.disk = buildCommitter(LogDisk, n.log, n.cfg)
 	n.engine = NewEngine(n.cfg, n.db, n.disk, LogDisk)
-	n.engine.Controller().Seed(n.mirror.LastSerial(), n.mirror.MaxCommitTS())
+	n.engine.Seed(n.mirror.LastSerial(), n.mirror.MaxCommitTS())
 	n.mode = ModeTransient
 	var err error
 	if listenAddr != "" {
@@ -364,16 +364,25 @@ func (n *Node) takeover(listenAddr string) error {
 	return err
 }
 
-// Execute submits a transaction to the node; it fails with ErrNotServing
-// on a mirror.
+// Execute submits a transaction to the node and waits until its result
+// is durable; it fails with ErrNotServing on a mirror.
 func (n *Node) Execute(req Request) error {
-	n.mu.Lock()
-	engine := n.engine
-	n.mu.Unlock()
+	engine := n.Engine()
 	if engine == nil {
 		return ErrNotServing
 	}
 	return engine.Execute(req)
+}
+
+// Submit runs a transaction through validation without waiting for its
+// commit to become stable (see Engine.Submit); it fails with
+// ErrNotServing on a mirror.
+func (n *Node) Submit(req Request) (Release, error) {
+	engine := n.Engine()
+	if engine == nil {
+		return Release{}, ErrNotServing
+	}
+	return engine.Submit(req)
 }
 
 // RecoverFromLog replays a stored log (as written by a transient primary
@@ -396,7 +405,7 @@ func (n *Node) RecoverFromLog(r io.Reader) (wal.RecoverStats, error) {
 				maxTS = rec.WriteTS
 			}
 		}
-		n.engine.Controller().Seed(st.LastSerial, maxTS)
+		n.engine.Seed(st.LastSerial, maxTS)
 	}
 	return st, nil
 }

@@ -48,8 +48,7 @@ type MirrorShipper struct {
 	work      *sync.Cond              // wakes the sender: a group was queued
 	ackCond   *sync.Cond              // wakes commit waiters: acked advanced
 	quit      chan struct{}           // closed when the shipper fails or closes
-	pending   map[uint64]*wal.Group   // serial → group awaiting its turn
-	pendingAt map[uint64]simtime.Time // serial → enqueue time (queue-delay metric)
+	pending   map[uint64]pendingGroup // serial → group awaiting its turn
 	nextSend  uint64                  // next serial to ship
 	queued    uint64                  // highest serial ever queued
 	acked     uint64                  // highest acknowledged serial
@@ -78,6 +77,13 @@ type MirrorShipper struct {
 	stats       ShipperStats
 	cohortSizes metrics.IntDist
 	queueDelay  metrics.Histogram // enqueue → handed to the wire
+}
+
+// pendingGroup is a queued group and when it was queued (the
+// queue-delay metric): one map entry per commit.
+type pendingGroup struct {
+	g  *wal.Group
+	at simtime.Time
 }
 
 // recSpan locates one encoded record inside the batch encode buffer.
@@ -145,8 +151,7 @@ func NewMirrorShipper(conn *transport.Conn, firstSerial uint64, opts ShipperOpti
 		maxCohort:  opts.MaxCohort,
 		clock:      opts.Clock,
 		quit:       make(chan struct{}),
-		pending:    make(map[uint64]*wal.Group),
-		pendingAt:  make(map[uint64]simtime.Time),
+		pending:    make(map[uint64]pendingGroup),
 		nextSend:   firstSerial,
 		queued:     firstSerial - 1,
 		acked:      firstSerial - 1,
@@ -187,8 +192,7 @@ func (s *MirrorShipper) Commit(g *wal.Group) error {
 	if serial > s.queued {
 		s.queued = serial
 	}
-	s.pending[serial] = g
-	s.pendingAt[serial] = now
+	s.pending[serial] = pendingGroup{g: g, at: now}
 	if serial == s.nextSend {
 		s.work.Signal() // a group behind a gap waits for the gap's filler to signal
 	}
@@ -211,19 +215,23 @@ func (s *MirrorShipper) Commit(g *wal.Group) error {
 func (s *MirrorShipper) drainLocked(groups []*wal.Group) []*wal.Group {
 	now := s.clock.Now()
 	for len(groups) < s.maxCohort {
-		g := s.pending[s.nextSend]
-		if g == nil {
+		p, ok := s.pending[s.nextSend]
+		if !ok {
 			break
 		}
 		delete(s.pending, s.nextSend)
-		if at, ok := s.pendingAt[s.nextSend]; ok {
-			s.queueDelay.Observe(now.Sub(at))
-			delete(s.pendingAt, s.nextSend)
-		}
+		s.queueDelay.Observe(now.Sub(p.at))
 		s.nextSend++
-		groups = append(groups, g)
+		groups = append(groups, p.g)
 	}
 	return groups
+}
+
+// hasNextLocked reports whether the next serial to ship is queued. Must
+// hold s.mu.
+func (s *MirrorShipper) hasNextLocked() bool {
+	_, ok := s.pending[s.nextSend]
+	return ok
 }
 
 // sender ships pending cohorts in contiguous serial order, and the pings
@@ -232,7 +240,7 @@ func (s *MirrorShipper) sender() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for s.pending[s.nextSend] == nil && !s.pingDue && !s.failed && !s.closed {
+		for !s.hasNextLocked() && !s.pingDue && !s.failed && !s.closed {
 			s.work.Wait()
 		}
 		if s.failed || s.closed {
@@ -240,7 +248,7 @@ func (s *MirrorShipper) sender() {
 			return
 		}
 		s.pingDue = false // a batch is traffic enough
-		if s.pending[s.nextSend] == nil {
+		if !s.hasNextLocked() {
 			// Idle: heartbeat so the mirror's watchdog stays calm.
 			s.mu.Unlock()
 			if err := s.conn.SendControl(transport.MsgPing, 0); err != nil {

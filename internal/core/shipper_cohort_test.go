@@ -213,7 +213,8 @@ func TestShipperGapShipsContiguousPrefix(t *testing.T) {
 	waitFor(t, "serial 3 to queue", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.pending[3] != nil
+		_, queued := s.pending[3]
+		return queued
 	})
 	if err := s.Commit(shipGroup(1)); err != nil {
 		t.Fatalf("commit 1: %v", err)

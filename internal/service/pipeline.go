@@ -20,6 +20,15 @@ import (
 // execution barriers: the reader waits for the in-flight window to
 // drain, then runs them inline, so a connection keeps sequential
 // (read-your-writes) semantics while its lookups overlap freely.
+//
+// An update is a barrier only until it validates: its writes are then
+// installed, so everything parsed after it sees them, and the reader
+// moves on while the commit is made stable. Every reply carries a
+// Release — an update's own serial, or the highest serial a read
+// observed — and the writer sends nothing above the engine's durable
+// watermark: at such a reply it flushes what is ready and parks until
+// the watermark reaches it. If a commit fails, that reply and every
+// later one in the window answer ERR and the connection closes.
 
 // maxLineBytes bounds one request line, matching the old Scanner limit.
 const maxLineBytes = 1 << 20
@@ -42,6 +51,8 @@ type request struct {
 
 	buf  []byte // the request line, owned by this request
 	resp []byte // the response line being built (no newline)
+	// rel is the durability resp waits on before it may be written.
+	rel rodain.Release
 
 	// ready is signalled exactly once per cycle, when resp is complete.
 	ready chan struct{}
@@ -65,6 +76,7 @@ func putRequest(req *request) {
 	req.nargs = 0
 	req.buf = req.buf[:0]
 	req.resp = req.resp[:0]
+	req.rel = rodain.Release{}
 	req.done = nil
 	requestPool.Put(req)
 }
@@ -172,7 +184,8 @@ func (c *pipeConn) run() {
 
 		case isWriteCmd(req.cmd):
 			// Updates are ordering points: drain everything in flight,
-			// run inline, and only then parse ahead again.
+			// run inline through validation, and only then parse ahead
+			// again. The reply waits for durability in the writer.
 			c.barrier()
 			req.resp = c.s.exec(req, req.resp[:0])
 			c.completeInline(req)
@@ -239,10 +252,14 @@ func chompNL(b []byte) []byte {
 
 // writeLoop drains the reply ring in sequence, coalescing the flush:
 // the buffered writer is flushed only when no further response is
-// immediately ready — one flush per drained batch, not per request.
+// immediately ready — one flush per drained batch, not per request. A
+// reply whose Release is above the durable watermark is the other flush
+// point: what precedes it leaves, then the writer parks on the
+// watermark. Once a commit has failed (commitErr), every reply answers
+// ERR until the ring runs dry, and the connection closes.
 func (c *pipeConn) writeLoop() {
 	defer close(c.writerDone)
-	var werr error
+	var werr, commitErr error
 	dirty := false
 	flush := func() {
 		if dirty && werr == nil {
@@ -260,6 +277,10 @@ func (c *pipeConn) writeLoop() {
 		case req = <-c.pending:
 		default:
 			flush()
+			if commitErr != nil && werr == nil {
+				werr = commitErr // the window is answered: hang up
+				c.conn.Close()
+			}
 			req = <-c.pending
 		}
 		if req == nil {
@@ -271,6 +292,13 @@ func (c *pipeConn) writeLoop() {
 		default:
 			flush()
 			<-req.ready
+		}
+		if commitErr == nil && !req.rel.Ready() {
+			flush()
+			commitErr = req.rel.Wait()
+		}
+		if commitErr != nil {
+			req.resp = appendErr(req.resp[:0], commitErr)
 		}
 		if werr == nil {
 			c.bw.Write(req.resp)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +24,12 @@ func newTestDB(tb testing.TB, opts rodain.Options) *rodain.DB {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	populate(db)
+	return db
+}
+
+// populate loads newTestDB's population into db.
+func populate(db *rodain.DB) {
 	for i := 0; i < 50; i++ {
 		db.Load(rodain.ObjectID(i), telecom.Encode(&telecom.Entry{
 			Routed: "+358500000001", Active: true, Version: 1, Weight: 1,
@@ -33,7 +41,6 @@ func newTestDB(tb testing.TB, opts rodain.Options) *rodain.DB {
 	for s := 0; s < 5; s++ {
 		db.Load(telecom.SubscriberID(s), telecom.NewSubscriber("+3585", "A", true, 100000).Encode())
 	}
-	return db
 }
 
 func startPipeServer(tb testing.TB, cfg Config, opts rodain.Options) (string, *Server, *rodain.DB) {
@@ -94,11 +101,12 @@ func genScript(rng *rand.Rand, n int) []string {
 }
 
 // runScript executes script against a fresh identically-populated DB
-// through a server with the given pipeline window, using a client
-// keeping clientDepth requests in flight, and returns the transcript.
-func runScript(t *testing.T, script []string, serverDepth, clientDepth int) []string {
+// opened with opts, through a server with the given pipeline window,
+// using a client keeping clientDepth requests in flight, and returns the
+// transcript and the STATS line read after it.
+func runScript(t *testing.T, opts rodain.Options, script []string, serverDepth, clientDepth int) ([]string, string) {
 	t.Helper()
-	db := newTestDB(t, rodain.Options{Durability: rodain.DurNone, Workers: 4})
+	db := newTestDB(t, opts)
 	defer db.Close()
 	srv := NewServerConfig(db, Config{PipelineDepth: serverDepth})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -115,31 +123,72 @@ func runScript(t *testing.T, script []string, serverDepth, clientDepth int) []st
 	if err != nil {
 		t.Fatalf("pipeline (server depth %d, client depth %d): %v", serverDepth, clientDepth, err)
 	}
-	return resps
+	stats, err := c.Do("STATS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resps, stats
 }
 
 // TestPipelineSerialEquivalence is the property test for the pipelined
 // front end: for random scripts (dependent writes, session commands,
 // parse errors included) the transcript at a random pipeline depth is
-// byte-identical to the serial depth-1 transcript.
+// byte-identical to the serial depth-1 transcript. The durable arm runs
+// on a node that syncs a (slow) disk log before a commit is stable, so
+// updates really overlap in their log wait; on an update-only script its
+// reply ring must then hold more than one reply at a time, which it
+// cannot while updates are barriers until durable.
 func TestPipelineSerialEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		script := genScript(rng, 120)
-		serverDepth := 2 + rng.Intn(15)
-		clientDepth := 2 + rng.Intn(15)
+	arms := []struct {
+		name string
+		opts rodain.Options
+	}{
+		{"volatile", rodain.Options{Durability: rodain.DurNone, Workers: 4}},
+		{"durable", rodain.Options{Durability: rodain.DurDisk, SimulatedDiskLatency: 200 * time.Microsecond, Workers: 4}},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			for seed := int64(0); seed < 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				script := genScript(rng, 120)
+				serverDepth := 2 + rng.Intn(15)
+				clientDepth := 2 + rng.Intn(15)
 
-		serial := runScript(t, script, 1, 1)
-		piped := runScript(t, script, serverDepth, clientDepth)
-
-		if len(serial) != len(piped) {
-			t.Fatalf("seed %d: %d serial responses vs %d pipelined", seed, len(serial), len(piped))
-		}
-		for i := range serial {
-			if serial[i] != piped[i] {
-				t.Errorf("seed %d (depth %d/%d), line %d %q:\n  serial:    %q\n  pipelined: %q",
-					seed, serverDepth, clientDepth, i, script[i], serial[i], piped[i])
+				serial, _ := runScript(t, arm.opts, script, 1, 1)
+				piped, _ := runScript(t, arm.opts, script, serverDepth, clientDepth)
+				compareTranscripts(t, fmt.Sprintf("seed %d (depth %d/%d)", seed, serverDepth, clientDepth), script, serial, piped)
 			}
+		})
+	}
+
+	t.Run("durable-updates-overlap", func(t *testing.T) {
+		opts := rodain.Options{Durability: rodain.DurDisk, SimulatedDiskLatency: time.Millisecond, Workers: 4}
+		script := []string{"DEADLINE 10000"}
+		for i := 0; i < 120; i++ {
+			script = append(script, fmt.Sprintf("REROUTE %d +35840%d", i%50, i))
+		}
+		serial, _ := runScript(t, opts, script, 1, 1)
+		piped, stats := runScript(t, opts, script, 16, 8)
+		compareTranscripts(t, "update-only", script, serial, piped)
+		m := regexp.MustCompile(`pdepth=([0-9.]+)/`).FindStringSubmatch(stats)
+		if m == nil {
+			t.Fatalf("no pdepth in STATS: %q", stats)
+		}
+		if depth, _ := strconv.ParseFloat(m[1], 64); depth < 2 {
+			t.Fatalf("pdepth mean %.1f on pipelined updates over a 1 ms log: updates are still barriers until durable (%s)", depth, stats)
+		}
+	})
+}
+
+func compareTranscripts(t *testing.T, what string, script, serial, piped []string) {
+	t.Helper()
+	if len(serial) != len(piped) {
+		t.Fatalf("%s: %d serial responses vs %d pipelined", what, len(serial), len(piped))
+	}
+	for i := range serial {
+		if serial[i] != piped[i] {
+			t.Errorf("%s, line %d %q:\n  serial:    %q\n  pipelined: %q",
+				what, i, script[i], serial[i], piped[i])
 		}
 	}
 }

@@ -28,7 +28,9 @@
 // shared worker pool while update and session-mutating commands
 // (SET/DEL/REROUTE/CHARGE/TOPUP, DEADLINE/CLASS/QUIT) act as execution
 // barriers, so a pipelined connection observes exactly the transcript a
-// serial one would (read-your-writes). See DESIGN.md §8.
+// serial one would (read-your-writes). An update is a barrier only until
+// it validates; no reply leaves before every commit it depends on is
+// durable. See DESIGN.md §8.
 package service
 
 import (
@@ -239,14 +241,19 @@ func (s *Server) overloadedAtSocket() bool {
 
 // view runs fn declared read-only: GET/TRANSLATE/BALANCE lookups ride
 // the snapshot fast path (lock-free reads, no conflict registration,
-// commit without a log record).
+// commit without a log record). The reply waits on req.rel.
 func (s *Server) view(req *request, deadline time.Duration, fn func(*rodain.Tx) error) error {
-	return s.db.ExecReadOnly(req.class, deadline, 0, fn)
+	var err error
+	req.rel, err = s.db.SubmitReadOnly(req.class, deadline, 0, fn)
+	return err
 }
 
-// update runs fn with the request's class and remaining deadline.
+// update runs fn with the request's class and remaining deadline,
+// through validation only: the reply waits on req.rel for the commit.
 func (s *Server) update(req *request, deadline time.Duration, fn func(*rodain.Tx) error) error {
-	return s.db.Exec(req.class, deadline, 0, fn)
+	var err error
+	req.rel, err = s.db.Submit(req.class, deadline, 0, fn)
+	return err
 }
 
 // remainingDeadline converts the request's parse-time deadline tag into
@@ -443,11 +450,11 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 		st := s.db.Stats()
 		lat := s.reqLat.Summary()
 		return fmt.Appendf(resp,
-			"OK mode=%s log=%s submitted=%d committed=%d missed=%d miss=%.4f resp=%v cwait=%v pdepth=%.1f/%d reqp50=%v reqp95=%v sockmiss=%d",
+			"OK mode=%s log=%s submitted=%d committed=%d missed=%d miss=%.4f resp=%v cwait=%v pdepth=%.1f/%d reqp50=%v reqp95=%v sockmiss=%d holds=%d",
 			st.Mode, st.LogMode, st.Outcome.Submitted, st.Outcome.Committed,
 			st.Outcome.Missed, st.MissRatio, st.MeanResponse, st.MeanCommitWait,
 			s.depthDist.Mean(), s.depthDist.Max(), lat.P50, lat.P95,
-			s.sockOverload.Load()+s.sockExpired.Load())
+			s.sockOverload.Load()+s.sockExpired.Load(), st.ReplyHolds)
 	}
 	return appendUnknown(resp, req.cmdTok) // unreachable: the reader filters
 }

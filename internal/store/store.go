@@ -14,7 +14,7 @@
 //
 // Reads, however, take no lock at all on the hot path. Every item holds
 // its current state in one immutable version (value + write timestamp +
-// tombstone timestamp) behind an atomic pointer, installed copy-on-write
+// writer's serial + tombstone timestamp) behind an atomic pointer, installed copy-on-write
 // by the write phase; the read timestamp sits beside the pointer as a
 // CAS-max atomic so ObserveRead stays allocation-free. Each stripe
 // additionally publishes an immutable id→item table through an atomic
@@ -61,23 +61,34 @@ type Record struct {
 
 // Op is one element of a transactional write group: an insert/update
 // (after image in Value) or a deletion (Delete true, Value ignored).
+// Serial is the validation order of the commit the op belongs to; the
+// installed version keeps it, so a reader learns which commit it saw.
 type Op struct {
 	ID     ObjectID
 	Value  []byte
 	Delete bool
+	Serial uint64
 }
 
 // version is one immutable state of an item: the installed value, the
-// commit timestamp of the writer that installed it, and — for an item
-// that has been transactionally deleted — the deletion timestamp. A
-// version is never mutated after it is stored into an item's pointer;
-// writers install a fresh one. Readers therefore obtain (value, writeTS,
-// deletedTS) as one consistent unit from a single atomic load — no torn
-// value/timestamp pairs.
+// commit timestamp and serial (validation order) of the writer that
+// installed it, and — for an item that has been transactionally deleted —
+// the deletion timestamp. A version is never mutated after it is stored
+// into an item's pointer; writers install a fresh one. Readers therefore
+// obtain (value, writeTS, serial, deletedTS) as one consistent unit from
+// a single atomic load — no torn value/timestamp pairs. Loaded state
+// (Put, LoadSnapshot) has serial 0.
 type version struct {
 	value     []byte
 	writeTS   uint64
+	serial    uint64
 	deletedTS uint64 // nonzero: the item was deleted at this timestamp
+}
+
+// tombstone remembers a transactional deletion: its commit timestamp
+// (which keeps older writes from resurrecting the item) and its serial.
+type tombstone struct {
+	ts, serial uint64
 }
 
 // item is one data item. The current version hangs off an atomic
@@ -106,8 +117,8 @@ func (it *item) live() *version {
 // concurrently because nothing ever writes a published table.
 type roTable struct {
 	items   map[ObjectID]*item
-	deleted map[ObjectID]uint64 // tombstone commit timestamps
-	gen     uint64              // structGen value this table reflects
+	deleted map[ObjectID]tombstone
+	gen     uint64 // structGen value this table reflects
 }
 
 // DefaultStripes is the stripe count used by New. Power of two; 64
@@ -123,7 +134,7 @@ const DefaultStripes = 64
 type stripe struct {
 	mu        sync.RWMutex
 	items     map[ObjectID]*item
-	deleted   map[ObjectID]uint64
+	deleted   map[ObjectID]tombstone
 	epoch     uint64 // bumped under mu on every content mutation (checkpointer dirty test)
 	structGen atomic.Uint64
 	tbl       atomic.Pointer[roTable]
@@ -153,10 +164,10 @@ func newStriped(n int) *Store {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.items = make(map[ObjectID]*item)
-		st.deleted = make(map[ObjectID]uint64)
+		st.deleted = make(map[ObjectID]tombstone)
 		// The published table never aliases the authoritative maps: those
 		// are mutated in place under mu while readers walk the table.
-		st.tbl.Store(&roTable{items: make(map[ObjectID]*item), deleted: make(map[ObjectID]uint64)})
+		st.tbl.Store(&roTable{items: make(map[ObjectID]*item), deleted: make(map[ObjectID]tombstone)})
 	}
 	return s
 }
@@ -171,7 +182,7 @@ func (st *stripe) republish() {
 	for id, it := range st.items {
 		items[id] = it
 	}
-	deleted := make(map[ObjectID]uint64, len(st.deleted))
+	deleted := make(map[ObjectID]tombstone, len(st.deleted))
 	for id, ts := range st.deleted {
 		deleted[id] = ts
 	}
@@ -334,6 +345,34 @@ func (s *Store) ViewMeta(id ObjectID) (value []byte, readTS, writeTS uint64, ok 
 	return v.value, it.readTS.Load(), v.writeTS, true
 }
 
+// ViewVersion is the transactional read: the value (borrowed, the View
+// contract applies), its write timestamp and the serial of the commit
+// that installed it. For a missing object it reports ok false with the
+// serial of the transactional deletion that removed it (0 if none), so a
+// reader that saw the absence also knows which commit it depends on.
+func (s *Store) ViewVersion(id ObjectID) (value []byte, writeTS, serial uint64, ok bool) {
+	st := s.stripeFor(id)
+	tbl := st.tbl.Load()
+	if it := tbl.items[id]; it != nil {
+		if v := it.ver.Load(); v != nil {
+			if v.deletedTS == 0 {
+				return v.value, v.writeTS, v.serial, true
+			}
+			return nil, 0, v.serial, false // tombstoned: definitive even from a stale table
+		}
+	} else if st.structGen.Load() == tbl.gen {
+		return nil, 0, tbl.deleted[id].serial, false
+	}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if it, found := st.items[id]; found {
+		if v := it.live(); v != nil {
+			return v.value, v.writeTS, v.serial, true
+		}
+	}
+	return nil, 0, st.deleted[id].serial, false
+}
+
 // Timestamps returns the item's read and write timestamps without copying
 // the value.
 func (s *Store) Timestamps(id ObjectID) (readTS, writeTS uint64, ok bool) {
@@ -356,17 +395,17 @@ func (s *Store) ReadInfo(id ObjectID) (readTS, writeTS, deletedTS uint64, exists
 			// entry (from a deletion before this item's re-creation) only
 			// matters if the table is still current.
 			if st.structGen.Load() == tbl.gen {
-				return it.readTS.Load(), v.writeTS, tbl.deleted[id], true
+				return it.readTS.Load(), v.writeTS, tbl.deleted[id].ts, true
 			}
 		} else if v := it.ver.Load(); v != nil && v.deletedTS != 0 {
 			// Tombstoned version: definitive even from a stale table.
 			return 0, 0, v.deletedTS, false
 		}
 	} else if st.structGen.Load() == tbl.gen {
-		return 0, 0, tbl.deleted[id], false
+		return 0, 0, tbl.deleted[id].ts, false
 	}
 	st.mu.RLock()
-	deletedTS = st.deleted[id]
+	deletedTS = st.deleted[id].ts
 	it, exists := st.items[id]
 	if exists {
 		if v := it.live(); v != nil {
@@ -405,7 +444,7 @@ func (s *Store) Put(id ObjectID, value []byte) {
 func (s *Store) Apply(id ObjectID, value []byte, commitTS uint64) {
 	st := s.stripeFor(id)
 	st.mu.Lock()
-	st.apply(id, value, commitTS)
+	st.apply(id, value, commitTS, 0)
 	st.mu.Unlock()
 }
 
@@ -418,22 +457,22 @@ func (s *Store) Apply(id ObjectID, value []byte, commitTS uint64) {
 // existing item publishes one fresh version through the item's pointer —
 // the structure is untouched, so no table rebuild happens on the
 // steady-state write path.
-func (st *stripe) apply(id ObjectID, value []byte, commitTS uint64) {
+func (st *stripe) apply(id ObjectID, value []byte, commitTS, serial uint64) {
 	st.epoch++ // conservative: count guarded no-ops too; a spurious bump only costs a copy
-	if st.deleted[id] > commitTS {
+	if st.deleted[id].ts > commitTS {
 		return // deleted by a newer transaction; do not resurrect
 	}
 	it, ok := st.items[id]
 	if !ok {
 		it = &item{}
-		it.ver.Store(&version{value: cloneBytes(value), writeTS: commitTS})
+		it.ver.Store(&version{value: cloneBytes(value), writeTS: commitTS, serial: serial})
 		st.structGen.Add(1)
 		st.items[id] = it
 		st.republish()
 		return
 	}
 	if cur := it.ver.Load(); cur == nil || commitTS >= cur.writeTS {
-		it.ver.Store(&version{value: cloneBytes(value), writeTS: commitTS})
+		it.ver.Store(&version{value: cloneBytes(value), writeTS: commitTS, serial: serial})
 	}
 }
 
@@ -475,26 +514,26 @@ func (s *Store) ObserveRead(id ObjectID, commitTS uint64) {
 func (s *Store) ApplyDelete(id ObjectID, commitTS uint64) {
 	st := s.stripeFor(id)
 	st.mu.Lock()
-	st.applyDelete(id, commitTS)
+	st.applyDelete(id, commitTS, 0)
 	st.mu.Unlock()
 }
 
 // applyDelete is ApplyDelete with the stripe lock held. The removed
 // item's version is replaced with a tombstone version first, so readers
 // holding a stale published table observe the deletion too.
-func (st *stripe) applyDelete(id ObjectID, commitTS uint64) {
+func (st *stripe) applyDelete(id ObjectID, commitTS, serial uint64) {
 	st.epoch++
 	it, ok := st.items[id]
 	if ok {
 		if v := it.ver.Load(); v != nil && v.deletedTS == 0 && v.writeTS > commitTS {
 			return // a newer write already superseded this deletion
 		}
-		it.ver.Store(&version{deletedTS: commitTS})
+		it.ver.Store(&version{deletedTS: commitTS, serial: serial})
 	}
 	st.structGen.Add(1)
 	delete(st.items, id)
-	if commitTS > st.deleted[id] {
-		st.deleted[id] = commitTS
+	if commitTS > st.deleted[id].ts {
+		st.deleted[id] = tombstone{ts: commitTS, serial: serial}
 	}
 	st.republish()
 }
@@ -511,17 +550,17 @@ func (st *stripe) applyDelete(id ObjectID, commitTS uint64) {
 // revalidation against the committed-write overlay) is what restores
 // transaction-level atomicity for them. Ops are applied in slice order,
 // so a group may write and then delete (or re-write) the same object
-// with last-op-wins semantics.
+// with last-op-wins semantics. Each installed version (or tombstone)
+// records its op's Serial.
 func (s *Store) ApplyGroup(ops []Op, commitTS uint64) {
 	switch len(ops) {
 	case 0:
 		return
 	case 1: // single-object fast path: plain single-stripe locking
-		if ops[0].Delete {
-			s.ApplyDelete(ops[0].ID, commitTS)
-		} else {
-			s.Apply(ops[0].ID, ops[0].Value, commitTS)
-		}
+		st := s.stripeFor(ops[0].ID)
+		st.mu.Lock()
+		st.applyOp(&ops[0], commitTS)
+		st.mu.Unlock()
 		return
 	}
 	var touched uint64 // stripe bitmask; DefaultStripes and every test count fit in 64 bits
@@ -541,12 +580,7 @@ func (s *Store) ApplyGroup(ops []Op, commitTS uint64) {
 		}
 	}
 	for i := range ops {
-		st := s.stripeFor(ops[i].ID)
-		if ops[i].Delete {
-			st.applyDelete(ops[i].ID, commitTS)
-		} else {
-			st.apply(ops[i].ID, ops[i].Value, commitTS)
-		}
+		s.stripeFor(ops[i].ID).applyOp(&ops[i], commitTS)
 	}
 	if len(s.stripes) <= 64 {
 		for i := range s.stripes {
@@ -561,18 +595,25 @@ func (s *Store) ApplyGroup(ops []Op, commitTS uint64) {
 	}
 }
 
+// applyOp installs one op with the stripe lock held.
+func (st *stripe) applyOp(op *Op, commitTS uint64) {
+	if op.Delete {
+		st.applyDelete(op.ID, commitTS, op.Serial)
+	} else {
+		st.apply(op.ID, op.Value, commitTS, op.Serial)
+	}
+}
+
 // DeletedAt reports the tombstone timestamp for id (zero if never
 // transactionally deleted).
 func (s *Store) DeletedAt(id ObjectID) uint64 {
 	st := s.stripeFor(id)
 	tbl := st.tbl.Load()
-	ts, present := tbl.deleted[id]
 	if st.structGen.Load() == tbl.gen {
-		return ts
+		return tbl.deleted[id].ts
 	}
-	_ = present
 	st.mu.RLock()
-	ts = st.deleted[id]
+	ts := st.deleted[id].ts
 	st.mu.RUnlock()
 	return ts
 }
@@ -705,7 +746,7 @@ func (s *Store) LoadSnapshot(recs []Record) {
 		}
 		st.structGen.Add(1)
 		st.items = make(map[ObjectID]*item)
-		st.deleted = make(map[ObjectID]uint64)
+		st.deleted = make(map[ObjectID]tombstone)
 		st.epoch++
 	}
 	for _, r := range recs {

@@ -189,6 +189,11 @@ type Transaction struct {
 	// declaration is a performance hint, never a correctness contract.
 	roDeclared bool
 
+	// readSerial is the highest commit serial among the database versions
+	// (and deletions) this attempt observed: the commit its result depends
+	// on, and so the durability a reply exposing it must wait for.
+	readSerial uint64
+
 	readSet    []ReadEntry
 	readIndex  map[store.ObjectID]int
 	writes     map[store.ObjectID][]byte // deferred after images
@@ -319,12 +324,8 @@ func (t *Transaction) Read(db *store.Store, id store.ObjectID) ([]byte, bool) {
 	if v, ok := t.writes[id]; ok {
 		return cloneBytes(v), true
 	}
-	v, _, wts, ok := db.GetMeta(id)
-	if !ok {
-		return nil, false
-	}
-	t.recordRead(id, wts)
-	return v, true
+	v, ok := t.readDB(db, id)
+	return cloneBytes(v), ok
 }
 
 // ReadView is Read without the defensive copies: the returned slice is
@@ -340,13 +341,27 @@ func (t *Transaction) ReadView(db *store.Store, id store.ObjectID) ([]byte, bool
 	if v, ok := t.writes[id]; ok {
 		return v, true
 	}
-	v, _, wts, ok := db.ViewMeta(id)
+	return t.readDB(db, id)
+}
+
+// readDB reads id from the database (borrowed), noting the serial of the
+// version — or of the deletion — it observed and recording a present
+// object in the read set.
+func (t *Transaction) readDB(db *store.Store, id store.ObjectID) ([]byte, bool) {
+	v, wts, serial, ok := db.ViewVersion(id)
+	if serial > t.readSerial {
+		t.readSerial = serial
+	}
 	if !ok {
 		return nil, false
 	}
 	t.recordRead(id, wts)
 	return v, true
 }
+
+// ReadSerial reports the highest commit serial among the database
+// versions this attempt has read (0 when it read only loaded state).
+func (t *Transaction) ReadSerial() uint64 { return t.readSerial }
 
 // recordRead adds (or refreshes) a read-set entry.
 func (t *Transaction) recordRead(id store.ObjectID, wts uint64) {
@@ -428,7 +443,7 @@ func (t *Transaction) WritesObject(id store.ObjectID) bool {
 }
 
 // ApplyWrites installs every staged write into db with the transaction's
-// commit timestamp and marks the read set as observed. This is the write
+// commit timestamp and serial order, and marks the read set as observed. This is the write
 // phase; it must only be called after successful validation. The writes
 // go through ApplyGroup, so they become visible as one atomic step even
 // to readers that bypass the concurrency controller.
@@ -436,10 +451,10 @@ func (t *Transaction) ApplyWrites(db *store.Store) {
 	ops := t.applyOps[:0]
 	for _, id := range t.writeIDs {
 		if t.tombstones[id] {
-			ops = append(ops, store.Op{ID: id, Delete: true})
+			ops = append(ops, store.Op{ID: id, Delete: true, Serial: t.SerialOrder})
 			continue
 		}
-		ops = append(ops, store.Op{ID: id, Value: t.writes[id]})
+		ops = append(ops, store.Op{ID: id, Value: t.writes[id], Serial: t.SerialOrder})
 	}
 	t.applyOps = ops
 	db.ApplyGroup(ops, t.CommitTS)
@@ -452,6 +467,7 @@ func (t *Transaction) ApplyWrites(db *store.Store) {
 // deferred-write design. Read/write sets are cleared so a restarted
 // transaction begins fresh.
 func (t *Transaction) DiscardWrites() {
+	t.readSerial = 0
 	t.readSet = t.readSet[:0]
 	t.readIndex = make(map[store.ObjectID]int)
 	t.writes = make(map[store.ObjectID][]byte)

@@ -200,26 +200,23 @@ func (p *ParallelApplier) worker() {
 // applyGroup installs one group's writes; it runs without the scheduler
 // lock. Returns the number of writes actually installed.
 func (p *ParallelApplier) applyGroup(g *Group) int {
-	ts := g.Commit.CommitTS
+	ts, serial := g.Commit.CommitTS, g.SerialOrder()
 	if p.tsGuard {
 		applied := 0
 		for _, w := range g.Writes {
-			if w.Type == TypeDelete {
-				p.db.ApplyDelete(w.ObjectID, ts)
-				applied++
-				continue
+			if w.Type != TypeDelete {
+				if _, wts, ok := p.db.Timestamps(w.ObjectID); ok && wts > ts {
+					continue
+				}
 			}
-			if _, wts, ok := p.db.Timestamps(w.ObjectID); ok && wts > ts {
-				continue
-			}
-			p.db.Apply(w.ObjectID, w.AfterImage, ts)
+			applyRecord(p.db, w, ts, serial)
 			applied++
 		}
 		return applied
 	}
 	ops := make([]store.Op, 0, len(g.Writes))
 	for _, w := range g.Writes {
-		ops = append(ops, store.Op{ID: w.ObjectID, Value: w.AfterImage, Delete: w.Type == TypeDelete})
+		ops = append(ops, store.Op{ID: w.ObjectID, Value: w.AfterImage, Delete: w.Type == TypeDelete, Serial: serial})
 	}
 	p.db.ApplyGroup(ops, ts)
 	return len(ops)

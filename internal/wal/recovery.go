@@ -96,15 +96,12 @@ func RecoverSuffix(r io.Reader, db *store.Store, wm *StripeWatermarks) (RecoverS
 					st.WritesSkipped++
 					continue
 				}
-				if w.Type == TypeDelete {
-					db.ApplyDelete(w.ObjectID, rec.CommitTS)
-					st.WritesApplied++
-					continue
+				if w.Type != TypeDelete {
+					if _, wts, ok := db.Timestamps(w.ObjectID); ok && wts > rec.CommitTS {
+						continue
+					}
 				}
-				if _, wts, ok := db.Timestamps(w.ObjectID); ok && wts > rec.CommitTS {
-					continue
-				}
-				db.Apply(w.ObjectID, w.AfterImage, rec.CommitTS)
+				applyRecord(db, w, rec.CommitTS, rec.SerialOrder)
 				st.WritesApplied++
 			}
 			buffered -= len(pending[uint64(rec.TxnID)])
@@ -117,6 +114,13 @@ func RecoverSuffix(r io.Reader, db *store.Store, wm *StripeWatermarks) (RecoverS
 			// ignore
 		}
 	}
+}
+
+// applyRecord installs one replayed write or delete record as committed
+// at (commitTS, serial).
+func applyRecord(db *store.Store, w *Record, commitTS, serial uint64) {
+	op := [1]store.Op{{ID: w.ObjectID, Value: w.AfterImage, Delete: w.Type == TypeDelete, Serial: serial}}
+	db.ApplyGroup(op[:], commitTS)
 }
 
 // checkpointTxnID marks checkpoint records; it can never collide with a

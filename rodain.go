@@ -61,6 +61,9 @@ type (
 	Event = core.Event
 	// EventKind classifies Events.
 	EventKind = core.EventKind
+	// Release is the durability condition a submitted transaction's
+	// result waits on before it may be shown (see DB.Submit).
+	Release = core.Release
 )
 
 // Criticality classes.
@@ -331,7 +334,8 @@ func (db *DB) Update(deadline time.Duration, fn func(*Tx) error) error {
 // conflict registration and commit through the controller's snapshot
 // fast path — no serial ticket, no log record, no mirror round trip.
 // Writes are not prevented: a View body that writes anyway is transparently demoted to
-// the fully registered read-write path at the cost of one restart.
+// the fully registered read-write path at the cost of one restart. View
+// returns only once every commit whose writes fn observed is durable.
 func (db *DB) View(deadline time.Duration, fn func(*Tx) error) error {
 	return db.node.Execute(core.Request{Class: txn.Firm, Deadline: deadline, ReadOnly: true, Do: fn})
 }
@@ -347,6 +351,22 @@ func (db *DB) Exec(class Class, deadline time.Duration, criticality int, fn func
 // fast path.
 func (db *DB) ExecReadOnly(class Class, deadline time.Duration, criticality int, fn func(*Tx) error) error {
 	return db.node.Execute(core.Request{Class: class, Deadline: deadline, Criticality: criticality, ReadOnly: true, Do: fn})
+}
+
+// Submit is Exec without the wait for durability: it returns once the
+// transaction has validated (or aborted), and the Release says what its
+// result waits on. A front end that pipelines requests uses it to start
+// the next update while earlier commits are still in flight; it must not
+// show the result until Release.Ready (or Release.Wait returns nil), and
+// must report a failure if Release.Wait fails.
+func (db *DB) Submit(class Class, deadline time.Duration, criticality int, fn func(*Tx) error) (Release, error) {
+	return db.node.Submit(core.Request{Class: class, Deadline: deadline, Criticality: criticality, Do: fn})
+}
+
+// SubmitReadOnly is Submit with the read-only declaration: the Release
+// of a read waits for the commits whose writes it observed.
+func (db *DB) SubmitReadOnly(class Class, deadline time.Duration, criticality int, fn func(*Tx) error) (Release, error) {
+	return db.node.Submit(core.Request{Class: class, Deadline: deadline, Criticality: criticality, ReadOnly: true, Do: fn})
 }
 
 // Events delivers role-change notifications (mirror attached/lost,
@@ -396,6 +416,9 @@ type Stats struct {
 	ROFallbacks uint64
 	// ReadLatency digests the per-read data-access latency distribution.
 	ReadLatency metrics.HistogramSummary
+	// ReplyHolds counts read results held back because they observed a
+	// write whose commit was not yet durable.
+	ReplyHolds uint64
 }
 
 // Stats returns a snapshot of the node's counters. Zero for a mirror
@@ -418,6 +441,7 @@ func (db *DB) Stats() Stats {
 		ROFastCommits:  occStats.ROFastCommits,
 		ROFallbacks:    occStats.ROFallbacks,
 		ReadLatency:    occStats.ReadLatency,
+		ReplyHolds:     e.ReplyHolds(),
 	}
 }
 
