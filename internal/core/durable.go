@@ -19,11 +19,11 @@ import (
 // be shown to anyone.
 type durableMark struct {
 	through atomic.Uint64
+	failed  atomic.Uint64 // lowest serial whose commit failed; 0 if none (written under mu)
 
 	mu      sync.Mutex
 	cond    *sync.Cond          // wakes waiters when through moves or a commit fails
 	ahead   map[uint64]struct{} // settled serials above through+1
-	failed  uint64              // lowest serial whose commit failed; 0 if none
 	failErr error               // what waiters at or above failed return
 }
 
@@ -48,7 +48,7 @@ func (d *durableMark) seed(serial uint64) {
 func (d *durableMark) settle(serial uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed != 0 && serial > d.failed {
+	if f := d.failed.Load(); f != 0 && serial > f {
 		return // behind a failed serial: the watermark never gets here
 	}
 	if serial != d.through.Load()+1 {
@@ -66,15 +66,29 @@ func (d *durableMark) settle(serial uint64) {
 	d.cond.Broadcast()
 }
 
-// fail records that serial's commit failed with err.
-func (d *durableMark) fail(serial uint64, err error) {
+// fail records that serial's commit failed with err. It reports whether
+// this is the first failure, and the error waiters now see.
+func (d *durableMark) fail(serial uint64, err error) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed == 0 || serial < d.failed {
-		d.failed = serial
+	f := d.failed.Load()
+	if f == 0 || serial < f {
+		d.failed.Store(serial)
 		d.failErr = fmt.Errorf("%w: serial %d: %v", ErrNodeFailure, serial, err)
 	}
 	d.cond.Broadcast()
+	return f == 0, d.failErr
+}
+
+// broken reports the failure that stopped the watermark, nil if none. The
+// common no-failure case is one atomic load.
+func (d *durableMark) broken() error {
+	if d.failed.Load() == 0 {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.failErr
 }
 
 // wait blocks until the watermark reaches serial, or fails if the commit
@@ -83,7 +97,7 @@ func (d *durableMark) wait(serial uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for serial > d.through.Load() {
-		if d.failed != 0 && serial >= d.failed {
+		if f := d.failed.Load(); f != 0 && serial >= f {
 			return d.failErr
 		}
 		d.cond.Wait()

@@ -163,10 +163,13 @@ func TestSubmitFreesWorkerBeforeStable(t *testing.T) {
 }
 
 // TestFailedCommitStopsWatermark: a commit that cannot be made stable
-// fails its own result and every later one, even those whose own log
-// write succeeded.
+// fails its own result and every result that depends on it. Once the
+// watermark has stopped, a later update is refused before validation, so
+// it installs nothing; the failure is reported once.
 func TestFailedCommitStopsWatermark(t *testing.T) {
 	e, gate := newGateEngine(t, map[uint64]error{2: errors.New("disk gone")})
+	reported := make(chan error, 4)
+	e.onCommitFailure = func(err error) { reported <- err }
 	close(gate.open)
 	if err := e.Execute(bump(1)); err != nil {
 		t.Fatal(err)
@@ -179,10 +182,53 @@ func TestFailedCommitStopsWatermark(t *testing.T) {
 	if got := e.DurableThrough(); got != 1 {
 		t.Fatalf("DurableThrough = %d, want 1", got)
 	}
-	if err := e.Execute(read(3)); !errors.Is(err, ErrNodeFailure) {
-		t.Fatalf("read of a write above the failed commit: %v, want ErrNodeFailure", err)
+	if v, _ := e.DB().Get(3); v[0] != 3 {
+		t.Fatalf("refused update installed %d at object 3", v[0])
 	}
-	if err := e.Execute(read(1)); err != nil {
-		t.Fatalf("read of a durable write: %v", err)
+	if err := e.Execute(read(2)); !errors.Is(err, ErrNodeFailure) {
+		t.Fatalf("read of the failed commit's write: %v, want ErrNodeFailure", err)
+	}
+	for _, id := range []store.ObjectID{1, 3} {
+		if err := e.Execute(read(id)); err != nil {
+			t.Fatalf("read of durable state at %d: %v", id, err)
+		}
+	}
+	if err := <-reported; !errors.Is(err, ErrNodeFailure) {
+		t.Fatalf("reported %v, want ErrNodeFailure", err)
+	}
+	if len(reported) != 0 {
+		t.Fatalf("failure reported %d more times", len(reported))
+	}
+}
+
+// TestCommitWaitsOutMirrorSwap: a commit whose mirror session closed
+// under it is not failed while the node installs the next commit path,
+// however long that takes (a rejoining mirror's state transfer snapshots
+// the whole database first). It completes on the new path, and the
+// engine keeps committing.
+func TestCommitWaitsOutMirrorSwap(t *testing.T) {
+	e, _ := newGateEngine(t, nil)
+	e.SetCommitter(downCommitter{}, LogShip)
+	r, err := e.Submit(bump(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- r.Wait() }()
+	select {
+	case err := <-waited:
+		t.Fatalf("commit settled (%v) with no commit path installed", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	e.SetCommitter(nullCommitter{}, LogShip)
+	if err := <-waited; err != nil {
+		t.Fatalf("commit after the swap: %v", err)
+	}
+	if err := e.Execute(bump(2)); err != nil {
+		t.Fatalf("update after the swap: %v", err)
+	}
+	if got := e.DurableThrough(); got != 2 {
+		t.Fatalf("DurableThrough = %d, want 2", got)
 	}
 }

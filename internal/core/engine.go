@@ -193,8 +193,11 @@ type Engine struct {
 
 	durable    *durableMark
 	replyHolds atomic.Uint64 // read results that had to wait for the watermark
+	// onCommitFailure, if set before the first Submit, runs once when a
+	// commit fails to become stable and stops the watermark.
+	onCommitFailure func(error)
 
-	committer atomic.Value // Committer
+	committer atomic.Pointer[committerBox] // a fresh box per swap
 	logMode   atomic.Int32
 
 	mu      sync.Mutex
@@ -206,8 +209,9 @@ type Engine struct {
 	workers  sync.WaitGroup
 }
 
-// committerBox wraps a Committer for atomic.Value (which needs a single
-// concrete type).
+// committerBox holds the current Committer. Every SetCommitter installs a
+// new box, so a commit that failed through one box can tell by pointer
+// comparison whether the commit path has been swapped since.
 type committerBox struct{ c Committer }
 
 // NewEngine builds an engine over db. The committer defines the commit
@@ -227,7 +231,7 @@ func NewEngine(cfg Config, db *store.Store, committer Committer, logMode LogMode
 		durable:    newDurableMark(),
 		jobs:       make(map[txn.ID]*job),
 	}
-	e.committer.Store(committerBox{committer})
+	e.committer.Store(&committerBox{committer})
 	e.logMode.Store(int32(logMode))
 	for i := 0; i < cfg.Workers; i++ {
 		e.workers.Add(1)
@@ -288,7 +292,7 @@ func (e *Engine) LogMode() LogMode { return LogMode(e.logMode.Load()) }
 // The previous committer is returned; the caller decides when to close
 // it.
 func (e *Engine) SetCommitter(c Committer, mode LogMode) Committer {
-	prev := e.committer.Swap(committerBox{c}).(committerBox)
+	prev := e.committer.Swap(&committerBox{c})
 	e.logMode.Store(int32(mode))
 	return prev.c
 }
@@ -310,7 +314,9 @@ func (e *Engine) Execute(req Request) error {
 // waits on before it may be shown — for a commit its own serial, for a
 // read-only or failed transaction the highest serial it read. Until then
 // the caller must hold the result back, and must report a failure
-// instead if Release.Wait fails.
+// instead if Release.Wait fails. Once a commit has failed to become
+// stable, every later update fails with ErrNodeFailure before it
+// validates.
 func (e *Engine) Submit(req Request) (Release, error) {
 	if e.stopped.Load() {
 		return Release{}, ErrStopped
@@ -376,9 +382,7 @@ func (e *Engine) Stop() {
 	e.inflight.Wait()
 	e.queue.Close()
 	e.workers.Wait()
-	if box, ok := e.committer.Load().(committerBox); ok {
-		box.c.Close()
-	}
+	e.committer.Load().c.Close()
 }
 
 func (e *Engine) worker() {
@@ -440,6 +444,16 @@ func (e *Engine) run(j *job) {
 			e.ctl.Finish(t)
 			e.finish(j, txn.DeadlineMiss, ErrDeadline)
 			return
+		}
+		if !t.ReadOnly() {
+			if err := e.durable.broken(); err != nil {
+				// A commit has already failed to become stable, so the
+				// watermark can never reach this one: refuse it before
+				// validation installs writes no client could be told of.
+				e.ctl.Finish(t)
+				e.finish(j, txn.NodeFailure, err)
+				return
+			}
 		}
 
 		t.State = txn.Validating
@@ -519,12 +533,15 @@ func (e *Engine) settle(t *txn.Transaction, validated simtime.Time) {
 	end := e.clock.Now()
 	e.commitWait.Observe(end.Sub(validated))
 	if err != nil {
-		// The write phase is already in local memory; losing the log
-		// path mid-commit is a node-level failure, and no later serial
-		// can be reported durable.
+		// The write phase is already in local memory, but no log path
+		// could take the commit (or the engine stopped first): a
+		// node-level failure, and no later serial can be reported
+		// durable.
 		e.outcome.Abort(txn.NodeFailure)
 		e.overload.Done()
-		e.durable.fail(t.SerialOrder, err)
+		if first, ferr := e.durable.fail(t.SerialOrder, err); first && e.onCommitFailure != nil {
+			e.onCommitFailure(ferr)
+		}
 		return
 	}
 	t.State = txn.Committed
@@ -544,35 +561,33 @@ func (e *Engine) committed(t *txn.Transaction, end simtime.Time) {
 	}
 }
 
-// commitStable runs the commit step, retrying once through a swapped
-// committer if the mirror vanished mid-commit.
+// commitStable runs the commit step. A lost mirror is not a failure of
+// this commit: the node swaps in another commit path (the disk when the
+// mirror failed, a new session when a mirror rejoined), so the commit
+// waits for the swap and retries there. Only a stopping engine gives up
+// on it; any other committer error is final.
 func (e *Engine) commitStable(t *txn.Transaction) error {
 	if e.LogMode() == LogNone {
 		return nil
 	}
 	g := &wal.Group{Writes: wal.WriteRecordsFor(t), Commit: wal.CommitRecordFor(t)}
 	backoff := 100 * time.Microsecond
-	for attempt := 0; attempt < 3; attempt++ {
-		c := e.committer.Load().(committerBox).c
-		err := c.Commit(g)
-		if err == nil {
-			return nil
+	for {
+		box := e.committer.Load()
+		err := box.c.Commit(g)
+		if !errors.Is(err, ErrMirrorDown) {
+			return err
 		}
-		if errors.Is(err, ErrMirrorDown) {
-			// The node (or a watchdog) swaps in a disk committer; wait
-			// briefly for the swap and retry. The wait goes through the
-			// engine clock so simulated-time runs advance instead of
-			// stalling on a real sleep.
-			e.sleep(backoff)
-			backoff *= 2
-			if backoff > time.Millisecond {
-				backoff = time.Millisecond
+		// The wait goes through the engine clock so simulated-time runs
+		// advance instead of stalling on a real sleep.
+		for e.committer.Load() == box {
+			if e.stopped.Load() {
+				return err
 			}
-			continue
+			e.sleep(backoff)
+			backoff = min(2*backoff, time.Millisecond)
 		}
-		return err
 	}
-	return ErrMirrorDown
 }
 
 // sleep blocks until d has elapsed on the engine clock.

@@ -21,6 +21,8 @@ type jumpClock struct {
 	mu    sync.Mutex
 	now   simtime.Time
 	waits []time.Duration
+	// onWait, if set, runs after the n-th wait (1-based) has elapsed.
+	onWait func(n int)
 }
 
 func (c *jumpClock) Now() simtime.Time {
@@ -33,9 +35,19 @@ func (c *jumpClock) AfterFunc(d simtime.Duration, fn func()) func() bool {
 	c.mu.Lock()
 	c.waits = append(c.waits, d)
 	c.now = c.now.Add(d)
+	n, hook := len(c.waits), c.onWait
 	c.mu.Unlock()
+	if hook != nil {
+		hook(n)
+	}
 	fn()
 	return func() bool { return false }
+}
+
+func (c *jumpClock) recorded() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]time.Duration(nil), c.waits...)
 }
 
 // downCommitter always reports the mirror as down.
@@ -46,12 +58,18 @@ func (downCommitter) Close() error            { return nil }
 
 // TestCommitStableBacksOffOnEngineClock checks that the mirror-down
 // retry loop waits through the engine clock with capped exponential
-// backoff instead of a hard-coded real sleep: under a simulated clock
-// the whole retry sequence completes without blocking wall time.
+// backoff instead of a hard-coded real sleep, for as long as the commit
+// path stays unswapped: under a simulated clock the whole retry sequence
+// completes without blocking wall time.
 func TestCommitStableBacksOffOnEngineClock(t *testing.T) {
 	clk := &jumpClock{}
 	e := NewEngine(Config{Workers: 1, Clock: clk}, store.New(), downCommitter{}, LogShip)
 	defer e.Stop()
+	clk.onWait = func(n int) {
+		if n == 6 { // the node swaps in the disk only after six waits
+			e.SetCommitter(nullCommitter{}, LogDisk)
+		}
+	}
 
 	tx := txn.New(1, txn.Firm, 0, txn.NoDeadline)
 	tx.StageWrite(1, []byte("v"))
@@ -60,13 +78,12 @@ func TestCommitStableBacksOffOnEngineClock(t *testing.T) {
 	err := e.commitStable(tx)
 	elapsed := time.Since(start)
 
-	if !errors.Is(err, ErrMirrorDown) {
-		t.Fatalf("err = %v, want ErrMirrorDown", err)
+	if err != nil {
+		t.Fatalf("commit through the swapped-in committer: %v", err)
 	}
-	clk.mu.Lock()
-	waits := append([]time.Duration(nil), clk.waits...)
-	clk.mu.Unlock()
-	want := []time.Duration{100 * time.Microsecond, 200 * time.Microsecond, 400 * time.Microsecond}
+	waits := clk.recorded()
+	ms := time.Millisecond
+	want := []time.Duration{100 * time.Microsecond, 200 * time.Microsecond, 400 * time.Microsecond, 800 * time.Microsecond, ms, ms}
 	if len(waits) != len(want) {
 		t.Fatalf("waits = %v, want %v", waits, want)
 	}
@@ -80,6 +97,28 @@ func TestCommitStableBacksOffOnEngineClock(t *testing.T) {
 	// slow CI machines.
 	if elapsed > 100*time.Millisecond {
 		t.Fatalf("commitStable blocked %v of wall time under a simulated clock", elapsed)
+	}
+}
+
+// TestCommitStableGivesUpWhenStopped: with the mirror down and no other
+// commit path ever swapped in, the retry loop ends only when the engine
+// stops, and then reports the mirror loss.
+func TestCommitStableGivesUpWhenStopped(t *testing.T) {
+	clk := &jumpClock{}
+	e := NewEngine(Config{Workers: 1, Clock: clk}, store.New(), downCommitter{}, LogShip)
+	clk.onWait = func(n int) {
+		if n == 20 {
+			e.Stop()
+		}
+	}
+	tx := txn.New(1, txn.Firm, 0, txn.NoDeadline)
+	tx.StageWrite(1, []byte("v"))
+
+	if err := e.commitStable(tx); !errors.Is(err, ErrMirrorDown) {
+		t.Fatalf("err = %v, want ErrMirrorDown", err)
+	}
+	if n := len(clk.recorded()); n != 20 {
+		t.Fatalf("%d waits, want 20 (gave up before the engine stopped?)", n)
 	}
 }
 

@@ -34,6 +34,11 @@ const (
 	// EventTakeover: this mirror node detected primary failure and is
 	// now serving as transient primary.
 	EventTakeover
+	// EventCommitFailed: a commit could be made stable on no log path.
+	// The durable watermark has stopped below it, so the node answers
+	// every later update with ErrNodeFailure until it is restarted or
+	// its mirror takes over.
+	EventCommitFailed
 )
 
 func (k EventKind) String() string {
@@ -44,6 +49,8 @@ func (k EventKind) String() string {
 		return "mirror-lost"
 	case EventTakeover:
 		return "takeover"
+	case EventCommitFailed:
+		return "commit-failed"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
@@ -156,7 +163,7 @@ func (n *Node) ServePrimary(listenAddr string, logMode LogMode) error {
 	case LogShip:
 		return fmt.Errorf("core: a primary starts in a single-node mode; shipping begins when a mirror attaches")
 	}
-	n.engine = NewEngine(n.cfg, n.db, c, logMode)
+	n.engine = n.newEngine(c, logMode)
 	n.mode = ModeTransient
 	if listenAddr != "" {
 		l, err := transport.Listen(listenAddr)
@@ -168,6 +175,15 @@ func (n *Node) ServePrimary(listenAddr string, logMode LogMode) error {
 		go n.acceptMirrors()
 	}
 	return nil
+}
+
+// newEngine builds the node's engine; a commit that fails for good is
+// reported as EventCommitFailed. Caller holds n.mu, and no transaction
+// can reach the engine before n.engine is published under it.
+func (n *Node) newEngine(c Committer, logMode LogMode) *Engine {
+	e := NewEngine(n.cfg, n.db, c, logMode)
+	e.onCommitFailure = func(err error) { n.emit(EventCommitFailed, err.Error()) }
+	return e
 }
 
 // ReplAddr reports the replication listener address ("" if none).
@@ -347,7 +363,7 @@ func (n *Node) takeover(listenAddr string) error {
 		return nil
 	}
 	n.disk = buildCommitter(LogDisk, n.log, n.cfg)
-	n.engine = NewEngine(n.cfg, n.db, n.disk, LogDisk)
+	n.engine = n.newEngine(n.disk, LogDisk)
 	n.engine.Seed(n.mirror.LastSerial(), n.mirror.MaxCommitTS())
 	n.mode = ModeTransient
 	var err error

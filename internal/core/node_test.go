@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -360,7 +361,7 @@ func TestModeAndEventStrings(t *testing.T) {
 			t.Fatal("empty log mode string")
 		}
 	}
-	for _, k := range []EventKind{EventMirrorAttached, EventMirrorLost, EventTakeover, EventKind(9)} {
+	for _, k := range []EventKind{EventMirrorAttached, EventMirrorLost, EventTakeover, EventCommitFailed, EventKind(9)} {
 		if k.String() == "" {
 			t.Fatal("empty event kind string")
 		}
@@ -552,4 +553,72 @@ func TestDeleteReplicatesAndRecovers(t *testing.T) {
 	if fresh.DB().Checksum() != want {
 		t.Fatal("recovered state differs")
 	}
+}
+
+// TestMirrorRejoinKeepsCommitting: a mirror that connects while the
+// previous mirror session is still live replaces that session. Commits
+// in flight on the old session are failed by its close before the new
+// session is installed (after a snapshot of the whole database); they
+// must wait for the new commit path instead of failing, and updates keep
+// returning OK before, during and after the replacement.
+func TestMirrorRejoinKeepsCommitting(t *testing.T) {
+	const objects = 20000 // a snapshot that takes a while widens the swap window
+	primary := NewNode("primary", fastCfg(), newDBWith(objects), logstore.NewMem())
+	if err := primary.ServePrimary("127.0.0.1:0", LogDisk); err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	join := func(name string) *Node {
+		m := NewNode(name, fastCfg(), store.New(), logstore.NewMem())
+		go m.RunMirror(primary.ReplAddr(), "")
+		waitEvent(t, primary, EventMirrorAttached, 5*time.Second)
+		return m
+	}
+	first := join("mirror-1")
+	defer first.Close()
+
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := store.ObjectID(w*10 + i%10)
+				if err := primary.Execute(Request{Deadline: 10 * time.Second, Do: func(tx *Tx) error {
+					return tx.Write(id, []byte(fmt.Sprintf("w%d-%d", w, i)))
+				}}); err != nil {
+					errs <- fmt.Errorf("worker %d update %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	time.Sleep(20 * time.Millisecond)
+	second := join("mirror-2")
+	defer second.Close()
+	time.Sleep(20 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+
+	if err := primary.Execute(Request{Deadline: 10 * time.Second, Do: func(tx *Tx) error {
+		return tx.Write(1, []byte("after rejoin"))
+	}}); err != nil {
+		t.Fatalf("update after the rejoin: %v", err)
+	}
+	if got := primary.Engine().LogMode(); got != LogShip {
+		t.Fatalf("log mode %v after the rejoin, want ship", got)
+	}
+	waitConverged(t, primary.DB(), second.DB(), 5*time.Second)
 }

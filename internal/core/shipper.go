@@ -185,6 +185,13 @@ func (s *MirrorShipper) Commit(g *wal.Group) error {
 		s.mu.Unlock()
 		return ErrMirrorDown
 	}
+	if serial <= s.acked {
+		// Validated before this session's state transfer and retried here
+		// after the previous session closed: the snapshot carries it, and
+		// queueing it would leave a pending entry no sender ever drains.
+		s.mu.Unlock()
+		return nil
+	}
 	now := s.clock.Now()
 	if s.queued <= s.acked {
 		s.waitSince = now // no commit was waiting: the ack clock starts here

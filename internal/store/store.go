@@ -14,15 +14,16 @@
 //
 // Reads, however, take no lock at all on the hot path. Every item holds
 // its current state in one immutable version (value + write timestamp +
-// writer's serial + tombstone timestamp) behind an atomic pointer, installed copy-on-write
-// by the write phase; the read timestamp sits beside the pointer as a
-// CAS-max atomic so ObserveRead stays allocation-free. Each stripe
-// additionally publishes an immutable id→item table through an atomic
-// pointer (RCU style): the table is rebuilt and republished only on a
-// structural change — insert, delete, snapshot load — which the paper's
-// number-translation workload makes rare. Get/View/GetMeta/Timestamps/
-// ReadInfo therefore resolve to two or three atomic loads. A reader that
-// misses in its table compares the table's generation against the
+// writer's serial + tombstone timestamp) behind an atomic pointer,
+// installed copy-on-write by the write phase; the read timestamp sits
+// beside the pointer as a CAS-max atomic so ObserveRead stays
+// allocation-free. Each stripe additionally publishes an immutable
+// id→item table through an atomic pointer (RCU style): the table is
+// rebuilt and republished only on a structural change — insert, delete,
+// snapshot load — which the paper's number-translation workload makes
+// rare. Single-item reads therefore resolve to two or three atomic loads
+// (one shared path, stripe.read, plus ReadInfo for validation). A reader
+// that misses in its table compares the table's generation against the
 // stripe's structural-change counter (a seqlock-flavoured check): equal
 // means the miss is real, different means a structural change is in
 // flight and the reader falls back to the locked legacy path for that
@@ -189,32 +190,41 @@ func (st *stripe) republish() {
 	st.tbl.Store(&roTable{items: items, deleted: deleted, gen: st.structGen.Load()})
 }
 
-// lookup is the lock-free read entry: it resolves id to its current
-// version, or reports how the miss should be handled.
-//
-//	it != nil, v != nil  — the item exists; v is its state (linearized
-//	                       at the version load)
-//	ok == true, v == nil — the item definitely does not exist (tombstone
-//	                       or a miss in a table proven current)
-//	ok == false          — a structural change is in flight; the caller
-//	                       must fall back to the locked path
-func (st *stripe) lookup(id ObjectID) (it *item, v *version, ok bool) {
+// read is the single-item read path every accessor but ReadInfo shares.
+// It resolves id to its live item and current version (linearized at the
+// version load). For a missing object it returns a nil version and the
+// tombstone of the transactional deletion that removed it (zero if none).
+// It takes no lock unless a structural change on the stripe is in
+// flight; the version it returns is immutable, so callers clone or decode
+// it without the lock.
+func (st *stripe) read(id ObjectID) (*item, *version, tombstone) {
 	tbl := st.tbl.Load()
-	if it = tbl.items[id]; it != nil {
-		if v = it.live(); v != nil {
-			return it, v, true
+	if it := tbl.items[id]; it != nil {
+		if v := it.ver.Load(); v != nil {
+			if v.deletedTS == 0 {
+				return it, v, tombstone{}
+			}
+			// Tombstoned: the deletion is definitive even if the table is
+			// stale — versions only move forward.
+			return nil, nil, tombstone{ts: v.deletedTS, serial: v.serial}
 		}
-		// Tombstoned: the deletion is definitive even if the table is
-		// stale — versions only move forward.
-		return nil, nil, true
+	} else if st.structGen.Load() == tbl.gen {
+		// A miss in a table no structural change has overtaken is real.
+		return nil, nil, tbl.deleted[id]
 	}
-	// Miss. If no structural change has happened since this table was
-	// published, the miss is real; otherwise an insert may be in flight
-	// and only the locked path can answer.
-	if st.structGen.Load() == tbl.gen {
-		return nil, nil, true
+	// An insert or delete may be in flight: only the locked maps can
+	// answer.
+	st.mu.RLock()
+	it, v := st.items[id], (*version)(nil)
+	if it != nil {
+		v = it.live()
 	}
-	return nil, nil, false
+	tomb := st.deleted[id]
+	st.mu.RUnlock()
+	if v == nil {
+		return nil, nil, tomb
+	}
+	return it, v, tombstone{}
 }
 
 // stripeIndex hashes an object id to its stripe. Fibonacci hashing keeps
@@ -261,32 +271,10 @@ func (s *Store) Len() int {
 // stripe lock, and even then the value is cloned after the lock is
 // released (installed values are immutable, so the clone needs no lock).
 func (s *Store) Get(id ObjectID) ([]byte, bool) {
-	st := s.stripeFor(id)
-	if _, v, ok := st.lookup(id); ok {
-		if v == nil {
-			return nil, false
-		}
+	if _, v, _ := s.stripeFor(id).read(id); v != nil {
 		return cloneBytes(v.value), true
 	}
-	v := st.lockedVersion(id)
-	if v == nil {
-		return nil, false
-	}
-	return cloneBytes(v.value), true
-}
-
-// lockedVersion is the structural-change-window fallback: resolve the
-// item under the stripe read lock. The returned version is immutable, so
-// callers clone or decode it after the lock is released.
-func (st *stripe) lockedVersion(id ObjectID) *version {
-	st.mu.RLock()
-	it, ok := st.items[id]
-	var v *version
-	if ok {
-		v = it.live()
-	}
-	st.mu.RUnlock()
-	return v
+	return nil, false
 }
 
 // View returns the object's value without copying. The returned slice is
@@ -296,53 +284,21 @@ func (st *stripe) lockedVersion(id ObjectID) *version {
 // once a later transaction overwrites the object — callers should decode
 // and discard it. Use Get where the caller needs an owned copy.
 func (s *Store) View(id ObjectID) ([]byte, bool) {
-	st := s.stripeFor(id)
-	if _, v, ok := st.lookup(id); ok {
-		if v == nil {
-			return nil, false
-		}
+	if _, v, _ := s.stripeFor(id).read(id); v != nil {
 		return v.value, true
 	}
-	v := st.lockedVersion(id)
-	if v == nil {
-		return nil, false
-	}
-	return v.value, true
+	return nil, false
 }
 
-// GetMeta returns a copy of the value together with the item's read and
-// write timestamps.
-func (s *Store) GetMeta(id ObjectID) (value []byte, readTS, writeTS uint64, ok bool) {
-	value, readTS, writeTS, ok = s.ViewMeta(id)
-	if ok {
-		value = cloneBytes(value)
-	}
-	return value, readTS, writeTS, ok
-}
-
-// ViewMeta is GetMeta without the value copy; the View borrowing
-// contract applies to the returned slice. (value, writeTS) come from one
-// immutable version — a single atomic load — so the pair can never tear;
-// readTS is an independently monotone atomic read beside it.
+// ViewMeta is View together with the item's read and write timestamps.
+// (value, writeTS) come from one immutable version — a single atomic
+// load — so the pair can never tear; readTS is an independently monotone
+// atomic read beside it.
 func (s *Store) ViewMeta(id ObjectID) (value []byte, readTS, writeTS uint64, ok bool) {
-	st := s.stripeFor(id)
-	if it, v, fastOK := st.lookup(id); fastOK {
-		if v == nil {
-			return nil, 0, 0, false
-		}
+	if it, v, _ := s.stripeFor(id).read(id); v != nil {
 		return v.value, it.readTS.Load(), v.writeTS, true
 	}
-	st.mu.RLock()
-	it, ok := st.items[id]
-	var v *version
-	if ok {
-		v = it.live()
-	}
-	st.mu.RUnlock()
-	if v == nil {
-		return nil, 0, 0, false
-	}
-	return v.value, it.readTS.Load(), v.writeTS, true
+	return nil, 0, 0, false
 }
 
 // ViewVersion is the transactional read: the value (borrowed, the View
@@ -351,26 +307,11 @@ func (s *Store) ViewMeta(id ObjectID) (value []byte, readTS, writeTS uint64, ok 
 // serial of the transactional deletion that removed it (0 if none), so a
 // reader that saw the absence also knows which commit it depends on.
 func (s *Store) ViewVersion(id ObjectID) (value []byte, writeTS, serial uint64, ok bool) {
-	st := s.stripeFor(id)
-	tbl := st.tbl.Load()
-	if it := tbl.items[id]; it != nil {
-		if v := it.ver.Load(); v != nil {
-			if v.deletedTS == 0 {
-				return v.value, v.writeTS, v.serial, true
-			}
-			return nil, 0, v.serial, false // tombstoned: definitive even from a stale table
-		}
-	} else if st.structGen.Load() == tbl.gen {
-		return nil, 0, tbl.deleted[id].serial, false
+	_, v, tomb := s.stripeFor(id).read(id)
+	if v == nil {
+		return nil, 0, tomb.serial, false
 	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if it, found := st.items[id]; found {
-		if v := it.live(); v != nil {
-			return v.value, v.writeTS, v.serial, true
-		}
-	}
-	return nil, 0, st.deleted[id].serial, false
+	return v.value, v.writeTS, v.serial, true
 }
 
 // Timestamps returns the item's read and write timestamps without copying
@@ -438,17 +379,15 @@ func (s *Store) Put(id ObjectID, value []byte) {
 	st.mu.Unlock()
 }
 
-// Apply installs a validated transactional write: the after image becomes
-// the current value and the item's write timestamp advances to commitTS.
-// Apply creates the object if it does not exist (an insert).
+// Apply installs one transactional write outside any commit group: the
+// after image becomes the current value and the item's write timestamp
+// advances to commitTS; the object is created if it does not exist. It
+// is ApplyGroup of a single op with serial 0, for loaders and tests.
 func (s *Store) Apply(id ObjectID, value []byte, commitTS uint64) {
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	st.apply(id, value, commitTS, 0)
-	st.mu.Unlock()
+	s.ApplyGroup([]Op{{ID: id, Value: value}}, commitTS)
 }
 
-// apply is Apply with the stripe lock held. Writes install in
+// apply installs one write with the stripe lock held. Writes install in
 // timestamp order regardless of arrival order: when validated write
 // phases run concurrently, a transaction with a lower commit timestamp
 // may reach the stripe after one with a higher timestamp, and its
@@ -482,16 +421,8 @@ func (st *stripe) apply(id ObjectID, value []byte, commitTS, serial uint64) {
 // validation (monotone, independent of the value), so it needs neither
 // the stripe lock nor a fresh version.
 func (s *Store) ObserveRead(id ObjectID, commitTS uint64) {
-	st := s.stripeFor(id)
-	it, v, ok := st.lookup(id)
-	if !ok {
-		st.mu.RLock()
-		if cur, found := st.items[id]; found {
-			it, v = cur, cur.live()
-		}
-		st.mu.RUnlock()
-	}
-	if it == nil || v == nil {
+	it, _, _ := s.stripeFor(id).read(id)
+	if it == nil {
 		return
 	}
 	for {
@@ -505,20 +436,18 @@ func (s *Store) ObserveRead(id ObjectID, commitTS uint64) {
 	}
 }
 
-// ApplyDelete installs a validated transactional deletion. Unlike
+// ApplyDelete installs one transactional deletion outside any commit
+// group, as ApplyGroup of a single delete op with serial 0. Unlike
 // Delete, it remembers the deletion timestamp as a tombstone so that a
 // log replay applying groups out of timestamp order cannot resurrect the
 // object with an older write. Tombstones are retained until the next
 // LoadSnapshot — bounded in practice by the checkpoint cycle, which
 // replaces the store contents and clears them.
 func (s *Store) ApplyDelete(id ObjectID, commitTS uint64) {
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	st.applyDelete(id, commitTS, 0)
-	st.mu.Unlock()
+	s.ApplyGroup([]Op{{ID: id, Delete: true}}, commitTS)
 }
 
-// applyDelete is ApplyDelete with the stripe lock held. The removed
+// applyDelete installs one deletion with the stripe lock held. The removed
 // item's version is replaced with a tombstone version first, so readers
 // holding a stale published table observe the deletion too.
 func (st *stripe) applyDelete(id ObjectID, commitTS, serial uint64) {

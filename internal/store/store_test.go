@@ -12,8 +12,8 @@ func TestGetMissing(t *testing.T) {
 	if _, ok := s.Get(42); ok {
 		t.Fatal("Get on empty store reported ok")
 	}
-	if _, _, _, ok := s.GetMeta(42); ok {
-		t.Fatal("GetMeta on empty store reported ok")
+	if _, _, _, ok := s.ViewMeta(42); ok {
+		t.Fatal("ViewMeta on empty store reported ok")
 	}
 	if _, _, ok := s.Timestamps(42); ok {
 		t.Fatal("Timestamps on empty store reported ok")

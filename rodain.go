@@ -82,6 +82,7 @@ const (
 	EventMirrorAttached = core.EventMirrorAttached
 	EventMirrorLost     = core.EventMirrorLost
 	EventTakeover       = core.EventTakeover
+	EventCommitFailed   = core.EventCommitFailed
 )
 
 // Errors surfaced by transactions.
@@ -317,7 +318,10 @@ func OpenMirror(opts Options, primaryAddr, takeoverListen string) (*DB, error) {
 // mirror or run it as a transaction instead).
 func (db *DB) Load(id ObjectID, value []byte) { db.node.DB().Put(id, value) }
 
-// Get reads the latest committed value outside any transaction.
+// Get reads the latest validated value outside any transaction. It does
+// not wait for the durable watermark, so it may return a value whose
+// commit is not yet stable and could still be lost in a crash. View
+// returns only values whose commits are durable.
 func (db *DB) Get(id ObjectID) ([]byte, bool) { return db.node.DB().Get(id) }
 
 // Len reports the number of objects.
@@ -370,7 +374,7 @@ func (db *DB) SubmitReadOnly(class Class, deadline time.Duration, criticality in
 }
 
 // Events delivers role-change notifications (mirror attached/lost,
-// takeover).
+// takeover) and the failure of a commit on every log path.
 func (db *DB) Events() <-chan Event { return db.node.Events() }
 
 // ReplAddr reports the node's replication listener address, "" if none
