@@ -4,8 +4,7 @@
 // directories in order.
 //
 //	rodain-logdump primary.wal
-//	rodain-logdump -recover -v primary.wal
-//	rodain-logdump -recover -workers 4 primary.wal   # parallel replay
+//	rodain-logdump -recover primary.wal              # replay as a node would
 //	rodain-logdump -ckpt ckptdir/checkpoint.ckpt     # checkpoint header
 //	rodain-logdump logdir                            # segment directory
 package main
@@ -30,12 +29,11 @@ func main() {
 	var (
 		verbose  = flag.Bool("v", false, "print every record")
 		recover_ = flag.Bool("recover", false, "dry-run the recovery pass and report the resulting database")
-		workers  = flag.Int("workers", 1, "recovery apply workers (0 = one per CPU, <=1 = sequential)")
 		ckpt     = flag.Bool("ckpt", false, "decode the argument as a checkpoint file: format version, stripe watermarks, record count")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rodain-logdump [-v] [-recover] [-workers N] [-ckpt] <logfile|segmentdir|checkpoint>")
+		fmt.Fprintln(os.Stderr, "usage: rodain-logdump [-v] [-recover] [-ckpt] <logfile|segmentdir|checkpoint>")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -53,7 +51,7 @@ func main() {
 	if *recover_ {
 		r := openLog(path, fi.IsDir())
 		defer r.Close()
-		dryRecover(r, *workers)
+		dryRecover(r)
 		return
 	}
 
@@ -91,30 +89,26 @@ func openLog(path string, isDir bool) io.ReadCloser {
 	}{bufio.NewReaderSize(f, 256<<10), f}
 }
 
-func dryRecover(r io.Reader, workers int) {
-	w := workers
-	if w == 0 {
-		w = wal.DefaultRecoverWorkers()
-	} else if w < 1 {
-		w = 1
-	}
+// dryRecover replays the log into a scratch store the way a recovering
+// node does — on one worker per CPU — and times it.
+func dryRecover(r io.Reader) {
 	db := store.New()
 	start := time.Now()
-	st, err := wal.ParallelRecover(r, db, w)
+	st, err := wal.Recover(r, db)
 	elapsed := time.Since(start)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovery: %d transactions applied, %d writes, %d uncommitted discarded\n",
 		st.Applied, st.WritesApplied, st.Discarded)
-	fmt.Printf("          last serial %d, truncated tail: %v, peak buffered records: %d\n",
-		st.LastSerial, st.Truncated, st.PeakBuffered)
+	fmt.Printf("          last serial %d, max commit ts %d, truncated tail: %v, peak buffered records: %d\n",
+		st.LastSerial, st.MaxCommitTS, st.Truncated, st.PeakBuffered)
 	rate := 0.0
 	if s := elapsed.Seconds(); s > 0 {
 		rate = float64(st.Applied) / s
 	}
 	fmt.Printf("          replayed in %v with %d worker(s) (%.0f txn/s)\n",
-		elapsed.Round(time.Microsecond), w, rate)
+		elapsed.Round(time.Microsecond), wal.DefaultRecoverWorkers(), rate)
 	fmt.Printf("database: %d objects, checksum %08x\n", db.Len(), db.Checksum())
 }
 

@@ -42,7 +42,6 @@ func main() {
 		protocol   = flag.String("occ", "dati", "concurrency control: dati, ti, da, bc")
 		workers    = flag.Int("workers", 2, "executor goroutines")
 		recover_   = flag.String("recover", "", "replay this log file or segment directory into the database before serving")
-		recWorkers = flag.Int("recover-workers", 0, "parallel log-replay workers (0 = one per CPU, <0 = sequential)")
 		ckptDir    = flag.String("checkpoint-dir", "", "write periodic checkpoints here (and truncate the log)")
 		ckptEvery  = flag.Duration("checkpoint-every", 5*time.Minute, "checkpoint interval when -checkpoint-dir is set (0 = off)")
 		ckptBytes  = flag.Uint64("checkpoint-bytes", 0, "also checkpoint after this much log growth (0 = off)")
@@ -60,7 +59,6 @@ func main() {
 		Protocol:           *protocol,
 		Workers:            *workers,
 		MaxCohort:          *maxCohort,
-		RecoverWorkers:     *recWorkers,
 		LogSegmentBytes:    *segBytes,
 		CheckpointDir:      *ckptDir,
 		CheckpointEvery:    *ckptEvery,

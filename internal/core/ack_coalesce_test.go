@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,9 +87,7 @@ func TestShipperCumulativeAckReleasesAll(t *testing.T) {
 // commit record.
 func TestMirrorBatchGetsOneCumulativeAck(t *testing.T) {
 	a, b := transport.Pipe()
-	cfg := fastCfg()
-	cfg.MirrorApplyWorkers = -1 // inline apply: groups land before the ack is flushed
-	m := NewMirrorEngine(cfg, store.New(), newMemLog())
+	m := NewMirrorEngine(fastCfg(), store.New(), newMemLog())
 	errc := make(chan error, 1)
 	go func() { errc <- m.Run(b) }()
 
@@ -117,10 +116,63 @@ func TestMirrorBatchGetsOneCumulativeAck(t *testing.T) {
 		t.Fatalf("first reply = type %v serial %d, want one cumulative ack with serial 3", ack.Type, ack.Serial)
 	}
 	// The coalesced ack is sent only after the whole buffered batch is
-	// processed, so all three groups are already applied.
+	// processed, so all three groups are already handed to the database.
 	if got := m.Applied(); got != 3 {
 		t.Fatalf("Applied = %d at ack time, want 3", got)
 	}
 	a.Close()
 	<-errc
+}
+
+// TestMirrorRejectsSerialGap: acks are cumulative, so a mirror that
+// answered serials 1 and 3 with an ack for 3 would release commit 2 on
+// the primary, which this mirror never saw. A commit that is not the
+// next serial of the stream must fail the session as corruption, and no
+// ack may cover it.
+func TestMirrorRejectsSerialGap(t *testing.T) {
+	a, b := transport.Pipe()
+	m := NewMirrorEngine(fastCfg(), store.New(), newMemLog())
+	errc := make(chan error, 1)
+	go func() { errc <- m.Run(b) }()
+	if hello, err := a.Recv(); err != nil || hello.Type != transport.MsgHello {
+		t.Fatalf("hello: %+v, %v", hello, err)
+	}
+	acks := make(chan uint64, 16)
+	go func() {
+		defer close(acks)
+		for {
+			msg, err := a.Recv()
+			if err != nil {
+				return
+			}
+			if msg.Type == transport.MsgAck {
+				acks <- msg.Serial
+			}
+		}
+	}()
+
+	var msgs []*transport.Msg
+	for _, serial := range []uint64{1, 3} {
+		for _, rec := range shipGroup(serial).Flatten() {
+			msgs = append(msgs, &transport.Msg{Type: transport.MsgRecord, Serial: serial, Payload: wal.AppendEncoded(nil, rec)})
+		}
+	}
+	if err := a.SendBatch(msgs); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("Run returned %v, want an error wrapping wal.ErrCorrupt", err)
+		}
+	case <-time.After(5 * time.Second):
+		a.Close()
+		t.Fatal("the mirror accepted serial 3 after serial 1")
+	}
+	a.Close()
+	for serial := range acks {
+		if serial > 1 {
+			t.Fatalf("the mirror acknowledged serial %d without holding serial 2", serial)
+		}
+	}
 }

@@ -56,13 +56,12 @@ func BenchmarkShipperAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkMirrorApplyParallel measures the mirror's full per-group
-// apply path — database install plus the ordered log append — with the
-// inline sequential loop (workers=1) and the conflict-aware parallel
-// sink (workers 2/4/8), under disjoint and hot-object write sets. On a
-// single-CPU host the worker variants only add scheduling overhead; on a
-// multicore host the disjoint case scales with workers because groups
-// land on different store stripes.
+// BenchmarkMirrorApplyParallel measures the mirror's full per-record
+// receive path — grouping, the database install on the replayer's pool
+// and the ordered log append — at 1, 2, 4 and 8 workers, under disjoint
+// and hot-object write sets. On a single-CPU host the extra workers only
+// add scheduling overhead; on a multicore host the disjoint case scales
+// with workers because groups land on different store stripes.
 func BenchmarkMirrorApplyParallel(b *testing.B) {
 	img := make([]byte, 64)
 	for _, c := range []struct {
@@ -87,21 +86,20 @@ func BenchmarkMirrorApplyParallel(b *testing.B) {
 					}
 				}
 				m := NewMirrorEngine(Config{}, store.New(), logstore.NewMem())
-				if workers > 1 {
-					m.applier = wal.NewParallelApplier(m.db, workers, false)
-					defer func() {
-						m.applier.Close()
-						m.applier = nil
-					}()
-				}
+				rp := wal.NewReplayer(m.db, workers, nil)
+				defer rp.Close()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.apply(groups[i%len(groups)])
+					g := groups[i%len(groups)]
+					for _, rec := range g.Writes {
+						m.receive(rp, rec)
+					}
+					if _, err := m.receive(rp, g.Commit); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if m.applier != nil {
-					m.applier.Wait()
-				}
+				rp.Wait()
 			})
 		}
 	}

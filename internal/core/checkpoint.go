@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/logstore"
+	"repro/internal/store"
 	"repro/internal/wal"
 )
 
@@ -107,7 +108,7 @@ func syncDir(dir string) error {
 // reader — re-applying records the snapshot already contains is
 // idempotent.
 func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, error) {
-	var st wal.RecoverStats
+	var base wal.RecoverStats
 	var wm *wal.StripeWatermarks
 	ckpt := filepath.Join(dir, checkpointFinal)
 	if f, err := os.Open(ckpt); err == nil {
@@ -116,39 +117,23 @@ func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, erro
 		ck, cerr := wal.DecodeCheckpoint(bufio.NewReaderSize(f, 256<<10))
 		f.Close()
 		if cerr != nil {
-			return st, fmt.Errorf("core: bad checkpoint %s: %w", ckpt, cerr)
+			return base, fmt.Errorf("core: bad checkpoint %s: %w", ckpt, cerr)
 		}
 		n.db.LoadSnapshot(ck.Snapshot)
-		st.LastSerial = ck.LastSerial
+		base.LastSerial = ck.LastSerial
+		base.MaxCommitTS = maxWriteTS(ck.Snapshot)
 		wm = ck.Watermarks
 	} else if !os.IsNotExist(err) {
-		return st, err
+		return base, err
 	}
-	if log != nil {
-		tail, err := wal.ParallelRecoverSuffix(log, n.db, n.cfg.RecoverWorkers, wm)
-		if err != nil {
-			return st, err
-		}
-		tail.LastSerial = maxU64(tail.LastSerial, st.LastSerial)
-		st = tail
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.engine != nil {
-		maxTS := uint64(0)
-		for _, rec := range n.db.Snapshot() {
-			if rec.WriteTS > maxTS {
-				maxTS = rec.WriteTS
-			}
-		}
-		n.engine.Seed(st.LastSerial, maxTS)
-	}
-	return st, nil
+	return n.replayAndSeed(log, wm, base)
 }
 
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
+// maxWriteTS reports the largest write timestamp among recs.
+func maxWriteTS(recs []store.Record) uint64 {
+	ts := uint64(0)
+	for _, r := range recs {
+		ts = max(ts, r.WriteTS)
 	}
-	return b
+	return ts
 }

@@ -176,6 +176,82 @@ func TestRecoverFromDirBadCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoverFromDirSeedsPastTailDelete: when the log tail ends with a
+// delete, no live version carries that commit's timestamp. Recovery must
+// still seed the serving engine at or above the delete's serial and
+// timestamp, so the next commit orders after it.
+func TestRecoverFromDirSeedsPastTailDelete(t *testing.T) {
+	dir := t.TempDir()
+	log := logstore.NewMem()
+	n1 := NewNode("a", fastCfg(), newDBWith(20), log)
+	if err := n1.ServePrimary("", LogDisk); err != nil {
+		t.Fatal(err)
+	}
+	write := func(n *Node, id store.ObjectID) {
+		t.Helper()
+		if err := n.Execute(Request{Deadline: time.Second, Do: func(tx *Tx) error {
+			return tx.Write(id, []byte("v"))
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		write(n1, store.ObjectID(i))
+	}
+	if _, err := n1.CheckpointToDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i := 5; i < 10; i++ {
+		write(n1, store.ObjectID(i))
+	}
+	if err := n1.Execute(Request{Deadline: time.Second, Do: func(tx *Tx) error {
+		if _, err := tx.Read(15); err != nil {
+			return err
+		}
+		return tx.Delete(15)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	n1.Crash()
+
+	tail := log.SyncedBytes()
+	var last, lastWrite *wal.Record
+	for r := bytes.NewReader(tail); r.Len() > 0; {
+		rec, err := wal.Decode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == wal.TypeCommit {
+			last = rec
+		} else {
+			lastWrite = rec
+		}
+	}
+	if last == nil || lastWrite.Type != wal.TypeDelete {
+		t.Fatal("the log tail does not end with the delete's group")
+	}
+
+	n2 := NewNode("b", fastCfg(), store.New(), logstore.NewMem())
+	if err := n2.ServePrimary("", LogDisk); err != nil {
+		t.Fatal(err)
+	}
+	defer n2.Close()
+	st, err := n2.RecoverFromDir(dir, bytes.NewReader(tail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LastSerial < last.SerialOrder || st.MaxCommitTS < last.CommitTS {
+		t.Fatalf("stats %+v do not cover the delete (serial %d, ts %d)", st, last.SerialOrder, last.CommitTS)
+	}
+	if got := n2.Engine().Controller().LastSerial(); got < last.SerialOrder {
+		t.Fatalf("controller serial %d, below the delete's %d", got, last.SerialOrder)
+	}
+	write(n2, 19) // an object no logged group touched: only the floor orders it
+	if _, wts, _ := n2.DB().Timestamps(19); wts <= last.CommitTS {
+		t.Fatalf("first commit after recovery at ts %d, not above the delete's %d", wts, last.CommitTS)
+	}
+}
+
 // TestMirrorWatchdogTimeout exercises the heartbeat-timeout detection
 // path: a primary that goes silent (without closing the connection) must
 // be declared dead after HeartbeatMisses × HeartbeatEvery.

@@ -10,11 +10,11 @@
 //     mirror and lets the transaction commit as soon as the mirror's
 //     acknowledgment arrives. The disk write is off the critical path:
 //     commit costs one message round trip instead of one disk write.
-//   - Mirror: receives the log stream, reorders it into true validation
-//     order, applies updates only on commit records (never undoes
-//     anything), stores the log to disk asynchronously, and acknowledges
-//     each commit record immediately on arrival. It is ready to take
-//     over at any moment.
+//   - Mirror: receives the log stream in true validation order (checking
+//     that serials are contiguous), applies updates only on commit
+//     records (never undoes anything), stores the log to disk
+//     asynchronously, and acknowledges each commit record immediately on
+//     arrival. It is ready to take over at any moment.
 //   - Transient primary: a node running alone after its peer failed. It
 //     must put log records onto its own disk before letting transactions
 //     commit. A recovered peer always rejoins as mirror — the database
@@ -145,16 +145,6 @@ type Config struct {
 	// records to disk (asynchronously; default 50 ms). Zero keeps the
 	// default; negative disables mirror disk syncs.
 	MirrorSyncEvery time.Duration
-	// MirrorApplyWorkers sizes the mirror's parallel apply pool:
-	// committed groups with disjoint write sets install into the
-	// database copy concurrently while receive/ack and the stored log
-	// stay strictly ordered. Zero defaults to one worker per CPU;
-	// negative (or 1) applies inline on the session goroutine.
-	MirrorApplyWorkers int
-	// RecoverWorkers sizes the worker pool for log replay
-	// (RecoverFromLog / RecoverFromDir). Zero defaults to one worker
-	// per CPU; negative (or 1) replays sequentially.
-	RecoverWorkers int
 	// AckTimeout bounds how long a commit waits for the mirror's
 	// acknowledgment before declaring the mirror down (default 2 s).
 	AckTimeout time.Duration
@@ -182,12 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MirrorSyncEvery == 0 {
 		c.MirrorSyncEvery = 50 * time.Millisecond
-	}
-	if c.MirrorApplyWorkers == 0 {
-		c.MirrorApplyWorkers = wal.DefaultRecoverWorkers()
-	}
-	if c.RecoverWorkers == 0 {
-		c.RecoverWorkers = wal.DefaultRecoverWorkers()
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 2 * time.Second

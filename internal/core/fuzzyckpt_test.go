@@ -24,7 +24,7 @@ func restoreFuzzy(t *testing.T, ckpt, logBytes []byte) *store.Store {
 	}
 	db := store.New()
 	db.LoadSnapshot(ck.Snapshot)
-	if _, err := wal.ParallelRecoverSuffix(bytes.NewReader(logBytes), db, 4, ck.Watermarks); err != nil {
+	if _, err := wal.Replay(bytes.NewReader(logBytes), wal.NewReplayer(db, 4, ck.Watermarks)); err != nil {
 		t.Fatal(err)
 	}
 	return db

@@ -83,7 +83,7 @@ func TestGroupCommitFewerSyncsThanCommits(t *testing.T) {
 
 	// Everything that committed is on stable media.
 	recovered := store.New()
-	rst, err := wal.ParallelRecover(bytes.NewReader(mem.SyncedBytes()), recovered, 2)
+	rst, err := wal.Replay(bytes.NewReader(mem.SyncedBytes()), wal.NewReplayer(recovered, 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 	}
 
 	recovered := store.New()
-	if _, err := wal.ParallelRecover(bytes.NewReader(synced), recovered, 2); err != nil {
+	if _, err := wal.Replay(bytes.NewReader(synced), wal.NewReplayer(recovered, 2, nil)); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range ackedAtCrash {

@@ -19,31 +19,24 @@ import (
 var ErrPrimaryDown = errors.New("core: primary down")
 
 // MirrorEngine is the hot stand-by side of a RODAIN pair: it receives
-// the primary's log stream, acknowledges every commit record immediately
-// on arrival, reorders records into true validation order, applies each
-// transaction's updates to its database copy only once the commit record
-// has been seen (so it never needs to undo anything), and stores the
-// reordered log to disk asynchronously — the disk write is not
-// synchronized with transaction commits.
+// the primary's log stream, which the shipper sends in true validation
+// order, and feeds it to a wal.Replayer. The replayer groups records by
+// transaction, checks that commits arrive at contiguous serials, and
+// applies each transaction's updates to the database copy only once its
+// commit record has been seen (so the mirror never needs to undo
+// anything). Each commit is acknowledged once its group is complete, and
+// the group's records are stored to disk asynchronously — the disk write
+// is not synchronized with transaction commits.
 type MirrorEngine struct {
 	cfg Config
 	db  *store.Store
 	log logstore.Store
 
-	mu           sync.Mutex
-	lastSerial   uint64 // last applied validation order
-	maxCommitTS  uint64
-	applied      uint64
-	ackedCommits uint64
-	logBuf       []byte
-	opsBuf       []store.Op // group-apply scratch, reused per group
-	logErr       error      // first log-device failure; fails the session
+	mu     sync.Mutex
+	rp     *wal.Replayer // the current or last session's; nil before the first Run
+	logErr error         // first log-device failure; fails the session
 
-	// applier, when non-nil, fans the database apply out over a
-	// conflict-aware worker pool; receive/ack and the stored log stay
-	// strictly ordered on the session goroutine. Only the session
-	// goroutine touches it.
-	applier *wal.ParallelApplier
+	logBuf []byte // session-goroutine scratch for one group's log bytes
 
 	stopFlush chan struct{}
 	flushWG   sync.WaitGroup
@@ -58,56 +51,56 @@ func NewMirrorEngine(cfg Config, db *store.Store, log logstore.Store) *MirrorEng
 // DB exposes the database copy.
 func (m *MirrorEngine) DB() *store.Store { return m.db }
 
-// LastSerial reports the validation order of the last applied
-// transaction — the replay position a takeover or rejoin resumes from.
-func (m *MirrorEngine) LastSerial() uint64 {
+// stats reads the replayer's position: zero before the first session.
+func (m *MirrorEngine) stats() wal.RecoverStats {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastSerial
+	rp := m.rp
+	m.mu.Unlock()
+	if rp == nil {
+		return wal.RecoverStats{}
+	}
+	return rp.Stats()
 }
 
-// MaxCommitTS reports the largest commit timestamp applied; a takeover
+// LastSerial reports the validation order of the last transaction handed
+// to the database copy — the replay position a takeover or rejoin
+// resumes from (Run drains the apply pool before it returns).
+func (m *MirrorEngine) LastSerial() uint64 { return m.stats().LastSerial }
+
+// MaxCommitTS reports the largest commit timestamp received; a takeover
 // seeds its concurrency controller above it.
-func (m *MirrorEngine) MaxCommitTS() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.maxCommitTS
-}
+func (m *MirrorEngine) MaxCommitTS() uint64 { return m.stats().MaxCommitTS }
 
-// Applied reports how many transactions have been applied.
-func (m *MirrorEngine) Applied() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.applied
-}
+// Applied reports how many transactions the current (or last) session
+// has handed to the database copy.
+func (m *MirrorEngine) Applied() uint64 { return uint64(m.stats().Applied) }
 
 // Run drives one mirror session over conn until the primary fails or
 // the session is closed. It sends the hello (with the mirror's current
 // replay position), processes an optional state transfer, then consumes
 // the log stream. The returned error is ErrPrimaryDown for failures that
-// should trigger takeover.
+// should trigger takeover; a commit out of serial order is an error
+// wrapping wal.ErrCorrupt.
 func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 	defer conn.Close()
 
-	m.mu.Lock()
-	hello := m.lastSerial
-	m.mu.Unlock()
+	prev := m.stats()
+	hello := prev.LastSerial
 	if err := conn.Send(&transport.Msg{Type: transport.MsgHello, Serial: hello}); err != nil {
 		return fmt.Errorf("%w: hello: %v", ErrPrimaryDown, err)
 	}
 
-	// Parallel apply sink: commit acknowledgment and log storage stay
-	// synchronous and ordered below, but the database apply itself fans
-	// out so the mirror's copy keeps up with a multicore primary. Closed
-	// (drained) before Run returns, so a takeover always promotes a
-	// fully-applied database.
-	if workers := m.cfg.MirrorApplyWorkers; workers > 1 {
-		m.applier = wal.NewParallelApplier(m.db, workers, false)
-		defer func() {
-			m.applier.Close()
-			m.applier = nil
-		}()
-	}
+	// Receive, ack and the stored log stay ordered on this goroutine; the
+	// database apply fans out over the replayer's pool. Closing it drains
+	// the pool, so a takeover always promotes a fully-applied database,
+	// and discards transactions without a commit record: when the
+	// Primary Node fails they are considered aborted.
+	rp := wal.NewReplayer(m.db, wal.DefaultRecoverWorkers(), nil)
+	rp.Restart(hello, prev.MaxCommitTS)
+	m.mu.Lock()
+	m.rp = rp
+	m.mu.Unlock()
+	defer rp.Close()
 
 	// Background log flusher: "the data storing to the disk is not
 	// synchronized with the transaction commits".
@@ -127,7 +120,6 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 		}()
 	}
 
-	reorderer := wal.NewReorderer(hello + 1)
 	watchdog := time.Duration(m.cfg.HeartbeatMisses) * m.cfg.HeartbeatEvery
 	// Until the log stream is live (state transfer done, heartbeats
 	// flowing) the primary may legitimately be busy building and
@@ -141,10 +133,12 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 	// Ack coalescing: the shipper treats acknowledgments as cumulative
 	// (an ack for serial n releases every commit with serial <= n), so
 	// while more of the received batch is still buffered the mirror only
-	// notes the highest commit serial seen and sends one MsgAck when the
+	// notes the highest complete serial and sends one MsgAck when the
 	// read buffer drains (or after ackCoalesceMax commits, to bound how
 	// long a waiter rides along). One control frame per wire batch
-	// instead of one per commit record.
+	// instead of one per commit record. Only a commit the replayer
+	// accepted — the next serial of the stream — is ever acknowledged, so
+	// the cumulative ack never covers a serial this node does not hold.
 	var (
 		pendingAckSerial uint64 // highest commit serial not yet acked
 		pendingAckCount  uint64 // commit records covered by it
@@ -159,10 +153,6 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 		}
 		msg, err := conn.RecvPooled()
 		if err != nil {
-			// Discard buffered, uncommitted transactions: when the
-			// Primary Node fails, transactions without a commit record
-			// are considered aborted.
-			reorderer.DiscardPending()
 			return fmt.Errorf("%w: %v", ErrPrimaryDown, err)
 		}
 		// Every arm below either copies or fully decodes the payload, so
@@ -194,19 +184,9 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 			if err != nil {
 				return fmt.Errorf("core: mirror: state transfer: %v", err)
 			}
-			if m.applier != nil {
-				m.applier.Wait() // no in-flight group may race the reload
-			}
+			rp.Wait() // no in-flight group may race the reload
 			m.db.LoadSnapshot(snap)
-			m.mu.Lock()
-			m.lastSerial = serial
-			for _, r := range snap {
-				if r.WriteTS > m.maxCommitTS {
-					m.maxCommitTS = r.WriteTS
-				}
-			}
-			m.mu.Unlock()
-			reorderer = wal.NewReorderer(serial + 1)
+			rp.Restart(serial, maxWriteTS(snap))
 			snapshotBuf = nil
 			// Persist the transferred state so this node's own disk
 			// can recover without the peer. A failure here means this
@@ -227,26 +207,13 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 			if err != nil {
 				return fmt.Errorf("core: mirror: bad record: %v", err)
 			}
-			// Commit records are acknowledged on arrival — the signal
-			// that this transaction's logs are on the mirror — but the
-			// send itself is coalesced per wire batch (below).
-			if rec.Type == wal.TypeCommit {
-				if rec.SerialOrder > pendingAckSerial {
-					pendingAckSerial = rec.SerialOrder
-				}
-				pendingAckCount++
-			}
-			groups, err := reorderer.Add(rec)
+			g, err := m.receive(rp, rec)
 			if err != nil {
-				return fmt.Errorf("core: mirror: %v", err)
+				return fmt.Errorf("core: mirror: %w", err)
 			}
-			for _, g := range groups {
-				if err := m.apply(g); err != nil {
-					// The database copy is still good, but the stored
-					// log no longer is: stop acking commits this node
-					// could not replay on its own.
-					return fmt.Errorf("core: mirror: log store: %v", err)
-				}
+			if g != nil {
+				pendingAckSerial = g.SerialOrder()
+				pendingAckCount++
 			}
 		default:
 			typ := msg.Type
@@ -260,12 +227,8 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 		// is drained and the primary may be waiting on us.
 		if pendingAckCount > 0 && (conn.Buffered() == 0 || pendingAckCount >= ackCoalesceMax) {
 			if err := conn.SendControl(transport.MsgAck, pendingAckSerial); err != nil {
-				reorderer.DiscardPending()
 				return fmt.Errorf("%w: ack: %v", ErrPrimaryDown, err)
 			}
-			m.mu.Lock()
-			m.ackedCommits += pendingAckCount
-			m.mu.Unlock()
 			pendingAckSerial, pendingAckCount = 0, 0
 		}
 	}
@@ -276,52 +239,35 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 // this often.
 const ackCoalesceMax = 32
 
-// apply installs one committed group into the database copy and appends
-// its records (already in validation order) to the log buffer. With a
-// parallel applier the database install is handed to the worker pool
-// (per-object order preserved, so the drained copy is identical to a
-// sequential apply); otherwise the group goes through ApplyGroup inline.
-// Either way its writes become visible atomically, mirroring the
-// primary's write phase, and the stored log stays in validation order.
-// A log-device failure (this append, or an earlier background flush) is
+// receive feeds one record to rp. When the record completes a group —
+// a commit at the stream's next serial — the group is already scheduled
+// on the replayer's pool, and its records (in validation order) are
+// appended to the log buffer here; the group is returned for the ack. A
+// log-device failure (this append, or an earlier background flush) is
 // returned: the mirror must not keep acknowledging commits it cannot
-// replay from its own disk.
-func (m *MirrorEngine) apply(g *wal.Group) error {
-	if m.applier != nil {
-		m.applier.Apply(g)
-	} else {
-		// opsBuf needs no lock: apply only runs on the session goroutine.
-		ops := m.opsBuf[:0]
-		for _, w := range g.Writes {
-			ops = append(ops, store.Op{ID: w.ObjectID, Value: w.AfterImage, Delete: w.Type == wal.TypeDelete, Serial: g.SerialOrder()})
-		}
-		m.opsBuf = ops
-		m.db.ApplyGroup(ops, g.Commit.CommitTS)
+// replay from its own disk. The database copy is still good then, but
+// the stored log no longer is.
+func (m *MirrorEngine) receive(rp *wal.Replayer, rec *wal.Record) (*wal.Group, error) {
+	g, err := rp.Add(rec)
+	if g == nil {
+		return nil, err
 	}
+	m.logBuf = g.AppendEncoded(m.logBuf[:0])
 	m.mu.Lock()
-	buf := g.AppendEncoded(m.logBuf[:0])
-	m.logBuf = buf
-	m.applied++
-	if g.SerialOrder() > m.lastSerial {
-		m.lastSerial = g.SerialOrder()
-	}
-	if g.Commit.CommitTS > m.maxCommitTS {
-		m.maxCommitTS = g.Commit.CommitTS
-	}
 	logErr := m.logErr
 	m.mu.Unlock()
-	if logErr != nil {
-		return logErr
+	if logErr == nil {
+		logErr = m.log.Append(m.logBuf)
 	}
-	if err := m.log.Append(buf); err != nil {
+	if logErr != nil {
 		m.mu.Lock()
 		if m.logErr == nil {
-			m.logErr = err
+			m.logErr = logErr
 		}
 		m.mu.Unlock()
-		return err
+		return nil, fmt.Errorf("log store: %v", logErr)
 	}
-	return nil
+	return g, nil
 }
 
 // flusher syncs the log store periodically, off the commit path. It

@@ -6,40 +6,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/logstore"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
 
-// startPairWorkers boots a loopback pair whose mirror fans its database
-// apply out over the given worker count.
-func startPairWorkers(t *testing.T, workers int) (primary, mirror *Node, mLog *logstore.Mem) {
-	t.Helper()
-	cfg := fastCfg()
-	cfg.MirrorApplyWorkers = workers
-	pLog := logstore.NewMem()
-	mLog = logstore.NewMem()
-	primary = NewNode("primary", cfg, newDBWith(100), pLog)
-	if err := primary.ServePrimary("127.0.0.1:0", LogDisk); err != nil {
-		t.Fatal(err)
-	}
-	mirror = NewNode("mirror", cfg, store.New(), mLog)
-	go func() {
-		if err := mirror.RunMirror(primary.ReplAddr(), "127.0.0.1:0"); err != nil {
-			t.Logf("mirror RunMirror: %v", err)
-		}
-	}()
-	waitEvent(t, primary, EventMirrorAttached, 5*time.Second)
-	return primary, mirror, mLog
-}
-
-// TestPairConvergesWithParallelMirrorApply runs a live pair with the
-// mirror's parallel apply sink enabled and a workload that mixes
+// TestPairConvergesWithParallelMirrorApply runs a live pair (the mirror
+// applies on one worker per CPU) and a workload that mixes
 // disjoint and write-write conflicting transactions: the mirror's copy
 // must converge to the primary's, and its stored log must stay in
 // validation order (it replays to the same state).
 func TestPairConvergesWithParallelMirrorApply(t *testing.T) {
-	primary, mirror, mLog := startPairWorkers(t, 4)
+	primary, mirror, _, mLog := startPair(t)
 	defer primary.Close()
 	defer mirror.Close()
 
@@ -74,12 +51,12 @@ func TestPairConvergesWithParallelMirrorApply(t *testing.T) {
 }
 
 // TestTakeoverDrainsParallelApply crashes the primary while the mirror
-// runs the parallel sink: the takeover must promote a fully-applied
-// database (Run drains the applier before returning), so the promoted
+// applies on its pool: the takeover must promote a fully-applied
+// database (Run drains the replayer before returning), so the promoted
 // node's state matches the primary's last committed state and it serves
 // immediately.
 func TestTakeoverDrainsParallelApply(t *testing.T) {
-	primary, mirror, _ := startPairWorkers(t, 8)
+	primary, mirror, _, _ := startPair(t)
 	defer primary.Close()
 	defer mirror.Close()
 

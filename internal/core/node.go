@@ -402,26 +402,34 @@ func (n *Node) Submit(req Request) (Release, error) {
 }
 
 // RecoverFromLog replays a stored log (as written by a transient primary
-// or a mirror) into the node's database before it starts, fanning the
-// apply phase out over cfg.RecoverWorkers conflict-aware workers (the
-// result is bit-identical to a sequential replay). It returns the
-// recovery statistics; the engine's counters are seeded so a subsequent
-// ServePrimary continues the epoch.
+// or a mirror) into the node's database before it starts. It returns the
+// recovery statistics; a serving engine is seeded past them so it
+// continues the epoch.
 func (n *Node) RecoverFromLog(r io.Reader) (wal.RecoverStats, error) {
-	st, err := wal.ParallelRecover(r, n.db, n.cfg.RecoverWorkers)
-	if err != nil {
-		return st, err
+	return n.replayAndSeed(r, nil, wal.RecoverStats{})
+}
+
+// replayAndSeed is the one recovery step behind RecoverFromLog and
+// RecoverFromDir: it replays log (when non-nil) on top of base — the
+// position of a checkpoint already loaded, filtered by its watermarks wm
+// — and seeds a serving engine's serial and timestamp floor at or above
+// every commit recovered. Every replayed version's write timestamp is its
+// group's commit timestamp, so MaxCommitTS covers the whole store.
+func (n *Node) replayAndSeed(log io.Reader, wm *wal.StripeWatermarks, base wal.RecoverStats) (wal.RecoverStats, error) {
+	st := base
+	if log != nil {
+		tail, err := wal.Replay(log, wal.NewReplayer(n.db, wal.DefaultRecoverWorkers(), wm))
+		if err != nil {
+			return tail, err
+		}
+		tail.LastSerial = max(tail.LastSerial, base.LastSerial)
+		tail.MaxCommitTS = max(tail.MaxCommitTS, base.MaxCommitTS)
+		st = tail
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.engine != nil {
-		maxTS := uint64(0)
-		for _, rec := range n.db.Snapshot() {
-			if rec.WriteTS > maxTS {
-				maxTS = rec.WriteTS
-			}
-		}
-		n.engine.Seed(st.LastSerial, maxTS)
+		n.engine.Seed(st.LastSerial, st.MaxCommitTS)
 	}
 	return st, nil
 }

@@ -177,7 +177,8 @@ type Transaction struct {
 
 	// SerialOrder is the true validation order: the position of this
 	// transaction in the sequence of successfully validated
-	// transactions. The mirror reorders log records by this.
+	// transactions. The shipper sends log groups in this order and the
+	// mirror checks it.
 	SerialOrder uint64
 
 	// roDeclared marks a transaction its submitter declared read-only.

@@ -235,3 +235,61 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	return ck, nil
 }
+
+// checkpointTxnID marks checkpoint records; it can never collide with a
+// real transaction id because ids start at 1.
+const checkpointTxnID = 0
+
+// WriteCheckpoint serializes a database snapshot to w in log-record
+// format: one Write record per object followed by a Commit record whose
+// SerialOrder is the validation order the log tail resumes from.
+func WriteCheckpoint(w io.Writer, snap []store.Record, lastSerial uint64) error {
+	buf := make([]byte, 0, 4096)
+	for _, rec := range snap {
+		buf = AppendEncoded(buf[:0], &Record{
+			Type:       TypeWrite,
+			TxnID:      checkpointTxnID,
+			ObjectID:   rec.ID,
+			CommitTS:   rec.WriteTS,
+			AfterImage: rec.Value,
+		})
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	buf = AppendEncoded(buf[:0], &Record{
+		Type:        TypeCommit,
+		TxnID:       checkpointTxnID,
+		SerialOrder: lastSerial,
+	})
+	_, err := w.Write(buf)
+	return err
+}
+
+// ErrIncompleteCheckpoint reports a checkpoint stream without the final
+// commit marker — the checkpoint was cut mid-write and must not be used.
+var ErrIncompleteCheckpoint = errors.New("wal: incomplete checkpoint")
+
+// ReadCheckpoint parses a checkpoint written by WriteCheckpoint and
+// returns the snapshot along with the validation order to resume the log
+// from.
+func ReadCheckpoint(r io.Reader) ([]store.Record, uint64, error) {
+	var snap []store.Record
+	for {
+		rec, err := Decode(r)
+		if err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, ErrCorrupt) {
+				return nil, 0, ErrIncompleteCheckpoint
+			}
+			return nil, 0, err
+		}
+		switch rec.Type {
+		case TypeWrite:
+			snap = append(snap, store.Record{ID: rec.ObjectID, Value: rec.AfterImage, WriteTS: rec.CommitTS})
+		case TypeCommit:
+			return snap, rec.SerialOrder, nil
+		default:
+			return nil, 0, ErrCorrupt
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package wal implements RODAIN's redo-only transaction log: record
-// encoding, the log writer, the mirror-side reordering buffer, single-pass
-// recovery, and database checkpoints.
+// encoding, the one replay operator behind recovery and the mirror's live
+// apply, and database checkpoints.
 //
 // Log records serve two purposes in a RODAIN node (§3 of the paper):
 // they keep the database copy on the Mirror Node up to date, and they are
@@ -232,6 +232,43 @@ func CommitRecordFor(t *txn.Transaction) *Record {
 		SerialOrder: t.SerialOrder,
 		CommitTS:    t.CommitTS,
 	}
+}
+
+// Group is one committed transaction's log records in apply order: all
+// Write records followed by the Commit record.
+type Group struct {
+	Writes []*Record
+	Commit *Record
+}
+
+// SerialOrder reports the group's true validation order.
+func (g *Group) SerialOrder() uint64 { return g.Commit.SerialOrder }
+
+// Flatten returns the group's records in stored-log order: writes first,
+// then the commit record.
+func (g *Group) Flatten() []*Record {
+	out := make([]*Record, 0, len(g.Writes)+1)
+	out = append(out, g.Writes...)
+	return append(out, g.Commit)
+}
+
+// AppendEncoded appends the group's records in stored-log order to dst
+// and returns the extended slice — Flatten + AppendEncoded without the
+// intermediate slice, for the commit hot path.
+func (g *Group) AppendEncoded(dst []byte) []byte {
+	for _, rec := range g.Writes {
+		dst = AppendEncoded(dst, rec)
+	}
+	return AppendEncoded(dst, g.Commit)
+}
+
+// EncodedSize reports the group's total stored-log size.
+func (g *Group) EncodedSize() int {
+	n := EncodedSize(g.Commit)
+	for _, rec := range g.Writes {
+		n += EncodedSize(rec)
+	}
+	return n
 }
 
 func (r *Record) String() string {

@@ -77,115 +77,101 @@ func randomLog(rng *rand.Rand, txns, idDomain int, interleave bool) []byte {
 	return buf.Bytes()
 }
 
-// TestPropertyParallelRecoverEquivalence is the acceptance property of
-// the parallel redo pipeline: across randomized group interleavings,
-// contention levels and worker counts, ParallelRecover yields a database
-// checksum and recovery statistics identical to the sequential pass.
-func TestPropertyParallelRecoverEquivalence(t *testing.T) {
-	f := func(seed int64, w uint8, inter bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		workers := 2 + int(w%7) // 2..8
-		idDomain := 1 + rng.Intn(12)
-		logBytes := randomLog(rng, 20+rng.Intn(40), idDomain, inter)
+// replayWith replays logBytes into db on a pool of workers workers,
+// filtered by wm.
+func replayWith(t *testing.T, logBytes []byte, db *store.Store, workers int, wm *StripeWatermarks) RecoverStats {
+	t.Helper()
+	st, err := Replay(bytes.NewReader(logBytes), NewReplayer(db, workers, wm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
-		seq := store.New()
-		seqStats, err := Recover(bytes.NewReader(logBytes), seq)
-		if err != nil {
-			t.Logf("sequential recover: %v", err)
-			return false
+// randomMarks draws an 8-stripe watermark vector with marks in [0, top].
+func randomMarks(rng *rand.Rand, top uint64) *StripeWatermarks {
+	marks := make([]uint64, 8)
+	for i := range marks {
+		marks[i] = uint64(rng.Int63n(int64(top) + 1))
+	}
+	return NewStripeWatermarks(marks)
+}
+
+// TestPropertyParallelRecoverEquivalence is the Replayer's worker-count
+// property: for randomized logs (grouped or interleaved, contended or
+// not, with and without a random watermark filter), a replay on 1–8
+// workers leaves the same database and exactly the same statistics as a
+// replay on one worker.
+func TestPropertyParallelRecoverEquivalence(t *testing.T) {
+	f := func(seed int64, w uint8, inter, filtered bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		workers := 1 + int(w%8)
+		txns, idDomain := 20+rng.Intn(40), 1+rng.Intn(12)
+		logBytes := randomLog(rng, txns, idDomain, inter)
+		var wm *StripeWatermarks
+		if filtered {
+			wm = randomMarks(rng, uint64(txns))
 		}
-		par := store.New()
-		parStats, err := ParallelRecover(bytes.NewReader(logBytes), par, workers)
-		if err != nil {
-			t.Logf("parallel recover: %v", err)
-			return false
-		}
-		if seq.Checksum() != par.Checksum() {
-			t.Logf("checksum mismatch: workers=%d domain=%d interleave=%v", workers, idDomain, inter)
-			return false
-		}
-		if seqStats.Applied != parStats.Applied ||
-			seqStats.WritesApplied != parStats.WritesApplied ||
-			seqStats.Discarded != parStats.Discarded ||
-			seqStats.LastSerial != parStats.LastSerial ||
-			seqStats.Truncated != parStats.Truncated {
-			t.Logf("stats mismatch: seq=%+v par=%+v", seqStats, parStats)
+		one, par := store.New(), store.New()
+		oneStats := replayWith(t, logBytes, one, 1, wm)
+		parStats := replayWith(t, logBytes, par, workers, wm)
+		if one.Checksum() != par.Checksum() || oneStats != parStats {
+			t.Logf("workers=%d domain=%d interleave=%v filtered=%v: one=%+v par=%+v",
+				workers, idDomain, inter, filtered, oneStats, parStats)
 			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestParallelRecoverTruncatedTail pushes a torn log (ended mid-record)
-// through the parallel path: everything before the damage applies, the
-// pass ends cleanly with Truncated set, and the result still matches the
-// sequential pass bit for bit.
+// through a four-worker replay: everything before the damage applies,
+// the pass ends cleanly with Truncated set, and the result matches a
+// one-worker replay bit for bit.
 func TestParallelRecoverTruncatedTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	logBytes := randomLog(rng, 40, 8, true)
 	logBytes = logBytes[:len(logBytes)-11] // tear the last record
-
-	seq := store.New()
-	seqStats, err := Recover(bytes.NewReader(logBytes), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seqStats.Truncated {
-		t.Fatal("sequential pass did not report truncation — test setup broken")
-	}
-	par := store.New()
-	parStats, err := ParallelRecover(bytes.NewReader(logBytes), par, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one, par := store.New(), store.New()
+	oneStats := replayWith(t, logBytes, one, 1, nil)
+	parStats := replayWith(t, logBytes, par, 4, nil)
 	if !parStats.Truncated {
-		t.Fatal("parallel pass did not report the torn tail")
+		t.Fatal("the torn tail was not reported")
 	}
-	if seq.Checksum() != par.Checksum() {
-		t.Fatalf("torn-tail divergence: seq %08x par %08x", seq.Checksum(), par.Checksum())
-	}
-	if seqStats.Applied != parStats.Applied || seqStats.Discarded != parStats.Discarded {
-		t.Fatalf("torn-tail stats mismatch: seq=%+v par=%+v", seqStats, parStats)
+	if one.Checksum() != par.Checksum() || oneStats != parStats {
+		t.Fatalf("torn-tail divergence: one=%+v par=%+v", oneStats, parStats)
 	}
 }
 
 // TestParallelRecoverCorruptTail covers checksum damage (not just
-// truncation) ending the parallel pass cleanly.
+// truncation) ending a four-worker replay cleanly.
 func TestParallelRecoverCorruptTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	logBytes := randomLog(rng, 30, 6, false)
 	logBytes[len(logBytes)-20] ^= 0xff // corrupt inside the last record
-
-	par := store.New()
-	st, err := ParallelRecover(bytes.NewReader(logBytes), par, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Truncated {
+	one, par := store.New(), store.New()
+	oneStats := replayWith(t, logBytes, one, 1, nil)
+	parStats := replayWith(t, logBytes, par, 4, nil)
+	if !parStats.Truncated {
 		t.Fatal("corrupt tail not reported as truncation")
 	}
-	seq := store.New()
-	seqStats, err := Recover(bytes.NewReader(logBytes), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Checksum() != par.Checksum() || seqStats.Applied != st.Applied {
-		t.Fatalf("corrupt-tail divergence: seq=%+v par=%+v", seqStats, st)
+	if one.Checksum() != par.Checksum() || oneStats != parStats {
+		t.Fatalf("corrupt-tail divergence: one=%+v par=%+v", oneStats, parStats)
 	}
 }
 
-// TestPropertyParallelApplierMirrorEquivalence checks the mirror-side
-// sink (no timestamp guard, atomic ApplyGroup write phase): applying
-// groups through the parallel applier in validation order leaves the
-// database copy identical to the sequential inline loop, for any
-// conflict structure and worker count.
+// TestPropertyParallelApplierMirrorEquivalence checks the mirror's mode:
+// a live stream fed record by record after Restart, in validation order,
+// leaves the database copy identical to applying each group directly,
+// for any conflict structure and worker count, and every group comes
+// back from Add in serial order.
 func TestPropertyParallelApplierMirrorEquivalence(t *testing.T) {
 	f := func(seed int64, w uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		workers := 2 + int(w%7)
+		workers := 1 + int(w%8)
 		idDomain := 1 + rng.Intn(10)
 		groups := make([]*Group, 0, 64)
 		for i := 0; i < 30+rng.Intn(30); i++ {
@@ -207,80 +193,89 @@ func TestPropertyParallelApplierMirrorEquivalence(t *testing.T) {
 			}})
 		}
 
-		seq := store.New()
+		direct := store.New()
 		for _, g := range groups {
 			ops := make([]store.Op, 0, len(g.Writes))
 			for _, w := range g.Writes {
 				ops = append(ops, store.Op{ID: w.ObjectID, Value: w.AfterImage, Delete: w.Type == TypeDelete})
 			}
-			seq.ApplyGroup(ops, g.Commit.CommitTS)
+			direct.ApplyGroup(ops, g.Commit.CommitTS)
 		}
 
-		par := store.New()
-		ap := NewParallelApplier(par, workers, false)
+		live := store.New()
+		r := NewReplayer(live, workers, nil)
+		r.Restart(0, 0)
 		for _, g := range groups {
-			ap.Apply(g)
+			for _, w := range g.Writes {
+				if _, err := r.Add(w); err != nil {
+					return false
+				}
+			}
+			got, err := r.Add(g.Commit)
+			if err != nil || got == nil || got.SerialOrder() != g.SerialOrder() {
+				t.Logf("serial %d: got %v, err %v", g.SerialOrder(), got, err)
+				return false
+			}
 		}
-		ap.Close()
-		if ap.Applied() != len(groups) {
-			t.Logf("applied %d of %d groups", ap.Applied(), len(groups))
+		r.Close()
+		if st := r.Stats(); st.Applied != len(groups) || st.LastSerial != uint64(len(groups)) {
+			t.Logf("stats %+v after %d groups", st, len(groups))
 			return false
 		}
-		return seq.Checksum() == par.Checksum()
+		return direct.Checksum() == live.Checksum()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestParallelApplierWaitDrains checks that Wait is a full barrier: the
-// store is a consistent serial-order prefix afterwards and the applier
-// remains usable for further groups.
-func TestParallelApplierWaitDrains(t *testing.T) {
-	db := store.New()
-	ap := NewParallelApplier(db, 4, false)
-	defer ap.Close()
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 200; i++ {
-			serial := uint64(round*200 + i + 1)
-			ap.Apply(&Group{
-				Writes: []*Record{{Type: TypeWrite, TxnID: txn.ID(serial),
-					ObjectID: store.ObjectID(i % 17), AfterImage: []byte{byte(round)}}},
-				Commit: &Record{Type: TypeCommit, TxnID: txn.ID(serial),
-					SerialOrder: serial, CommitTS: serial},
-			})
-		}
-		ap.Wait()
-		if got, want := ap.Applied(), (round+1)*200; got != want {
-			t.Fatalf("round %d: applied %d, want %d", round, got, want)
-		}
-		if got, want := ap.MaxSerial(), uint64((round+1)*200); got != want {
-			t.Fatalf("round %d: max serial %d, want %d", round, got, want)
-		}
-	}
-	if db.Len() != 17 {
-		t.Fatalf("got %d objects, want 17", db.Len())
+// addGroup feeds one single-write group to r.
+func addGroup(t *testing.T, r *Replayer, serial uint64, obj store.ObjectID, img byte) {
+	t.Helper()
+	id := txn.ID(serial)
+	addNone(t, r, &Record{Type: TypeWrite, TxnID: id, ObjectID: obj, AfterImage: []byte{img}})
+	if g, err := r.Add(&Record{Type: TypeCommit, TxnID: id, SerialOrder: serial, CommitTS: serial}); err != nil || g == nil {
+		t.Fatalf("serial %d: group %v err %v", serial, g, err)
 	}
 }
 
-// TestParallelApplierBackpressure floods the applier far past its
+// TestParallelApplierWaitDrains checks that Wait is a full barrier: the
+// store is a consistent serial-order prefix afterwards and the replayer
+// remains usable for further groups.
+func TestParallelApplierWaitDrains(t *testing.T) {
+	db := store.New()
+	r := NewReplayer(db, 4, nil)
+	defer r.Close()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 200; i++ {
+			addGroup(t, r, uint64(round*200+i+1), store.ObjectID(i%17), byte(round))
+		}
+		r.Wait()
+		st := r.Stats()
+		if want := (round + 1) * 200; st.Applied != want || st.LastSerial != uint64(want) {
+			t.Fatalf("round %d: stats %+v, want %d groups", round, st, want)
+		}
+		for id := store.ObjectID(0); id < 17; id++ {
+			if v, ok := db.Get(id); !ok || v[0] != byte(round) {
+				t.Fatalf("round %d: object %d = %v after Wait", round, id, v)
+			}
+		}
+	}
+}
+
+// TestParallelApplierBackpressure floods the replayer far past its
 // inflight bound with maximally conflicting groups (every group writes
 // object 0, forcing a fully serial chain) and checks nothing deadlocks
 // or is lost.
 func TestParallelApplierBackpressure(t *testing.T) {
 	db := store.New()
-	ap := NewParallelApplier(db, 8, true)
+	r := NewReplayer(db, 8, nil)
 	const n = 3 * maxApplierInflight
 	for i := 1; i <= n; i++ {
-		ap.Apply(&Group{
-			Writes: []*Record{{Type: TypeWrite, TxnID: txn.ID(i),
-				ObjectID: 0, AfterImage: []byte{byte(i)}}},
-			Commit: &Record{Type: TypeCommit, TxnID: txn.ID(i),
-				SerialOrder: uint64(i), CommitTS: uint64(i)},
-		})
+		addGroup(t, r, uint64(i), 0, byte(i))
 	}
-	ap.Close()
-	if got := ap.Applied(); got != n {
+	r.Close()
+	if got := r.Stats().Applied; got != n {
 		t.Fatalf("applied %d, want %d", got, n)
 	}
 	v, ok := db.Get(0)
@@ -289,8 +284,8 @@ func TestParallelApplierBackpressure(t *testing.T) {
 	}
 }
 
-// TestParallelRecoverWorkerDefaults: 0 means one worker per CPU, <=1
-// falls back to the sequential pass — both must still replay correctly.
+// TestParallelRecoverWorkerDefaults: a worker count below one is raised
+// to a pool of one, which still replays correctly.
 func TestParallelRecoverWorkerDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	logBytes := randomLog(rng, 25, 6, true)
@@ -300,9 +295,7 @@ func TestParallelRecoverWorkerDefaults(t *testing.T) {
 	}
 	for _, workers := range []int{-1, 0, 1} {
 		db := store.New()
-		if _, err := ParallelRecover(bytes.NewReader(logBytes), db, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		replayWith(t, logBytes, db, workers, nil)
 		if db.Checksum() != want.Checksum() {
 			t.Fatalf("workers=%d: checksum mismatch", workers)
 		}

@@ -36,7 +36,7 @@ func randomLogUniqueTS(rng *rand.Rand, txns, idDomain int, interleave bool) []by
 
 // replayPrefix applies to db exactly the committed writes a fuzzy
 // checkpoint is guaranteed to contain: those whose group serial is at or
-// below the watermark of the object's stripe. It mirrors RecoverSuffix's
+// below the watermark of the object's stripe. It mirrors the Replayer's
 // apply semantics (buffer per transaction, last-writer-wins timestamps,
 // tombstones) with the filter inverted.
 func replayPrefix(t *testing.T, logBytes []byte, db *store.Store, wm *StripeWatermarks) {
@@ -73,55 +73,30 @@ func replayPrefix(t *testing.T, logBytes []byte, db *store.Store, wm *StripeWate
 }
 
 // TestPropertySuffixReplayEquivalence is the replay half of the fuzzy
-// checkpoint contract: for any log and any per-stripe watermark vector,
-// (state guaranteed by the checkpoint at those watermarks) + (suffix
-// replay filtered by them) equals a full sequential replay.
+// checkpoint contract: for any log, any per-stripe watermark vector and
+// any worker count, (state guaranteed by the checkpoint at those
+// watermarks) + (suffix replay filtered by them) equals a full replay.
 func TestPropertySuffixReplayEquivalence(t *testing.T) {
 	totalSkipped := 0
-	f := func(seed int64, inter bool) bool {
+	f := func(seed int64, w uint8, inter bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		logBytes := randomLogUniqueTS(rng, 20+rng.Intn(40), 1+rng.Intn(12), inter)
+		workers := 1 + int(w%8)
 
 		full := store.New()
-		fullStats, err := Recover(bytes.NewReader(logBytes), full)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		marks := make([]uint64, 8)
-		for i := range marks {
-			marks[i] = uint64(rng.Intn(int(fullStats.LastSerial) + 2))
-		}
-		wm := NewStripeWatermarks(marks)
+		fullStats := replayWith(t, logBytes, full, workers, nil)
+		wm := randomMarks(rng, fullStats.LastSerial+1)
 
 		snap := store.New()
 		replayPrefix(t, logBytes, snap, wm)
-		st, err := RecoverSuffix(bytes.NewReader(logBytes), snap, wm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := replayWith(t, logBytes, snap, workers, wm)
 		totalSkipped += st.WritesSkipped
-		if st.LastSerial != fullStats.LastSerial {
-			t.Fatalf("suffix LastSerial = %d, full = %d", st.LastSerial, fullStats.LastSerial)
+		if st.LastSerial != fullStats.LastSerial || st.MaxCommitTS != fullStats.MaxCommitTS {
+			t.Fatalf("suffix stats %+v, full %+v", st, fullStats)
 		}
 		if snap.Checksum() != full.Checksum() {
-			t.Logf("seed=%d marks=%v", seed, marks)
+			t.Logf("seed=%d workers=%d", seed, workers)
 			return false
-		}
-
-		// The parallel suffix pass agrees with the sequential one.
-		psnap := store.New()
-		replayPrefix(t, logBytes, psnap, wm)
-		pst, err := ParallelRecoverSuffix(bytes.NewReader(logBytes), psnap, 4, wm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if psnap.Checksum() != full.Checksum() {
-			t.Logf("parallel: seed=%d marks=%v", seed, marks)
-			return false
-		}
-		if pst.WritesSkipped != st.WritesSkipped {
-			t.Fatalf("WritesSkipped: parallel %d, sequential %d", pst.WritesSkipped, st.WritesSkipped)
 		}
 		return true
 	}
@@ -141,10 +116,7 @@ func TestSuffixReplayNilWatermarksIsFullReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := RecoverSuffix(bytes.NewReader(logBytes), b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sb := replayWith(t, logBytes, b, 1, nil)
 	if a.Checksum() != b.Checksum() || sa != sb {
 		t.Fatalf("nil-watermark suffix differs: %+v vs %+v", sa, sb)
 	}
@@ -169,10 +141,7 @@ func TestSuffixReplayMaxWatermarkSkipsEverything(t *testing.T) {
 		marks[i] = fullStats.LastSerial
 	}
 	before := full.Checksum()
-	st, err := RecoverSuffix(bytes.NewReader(logBytes), full, NewStripeWatermarks(marks))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := replayWith(t, logBytes, full, 2, NewStripeWatermarks(marks))
 	if st.WritesApplied != 0 {
 		t.Fatalf("WritesApplied = %d, want 0", st.WritesApplied)
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -139,7 +140,7 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-// --- Reorderer ---------------------------------------------------------------
+// --- Replayer: grouping --------------------------------------------------------
 
 func commitRec(id txn.ID, serial uint64) *Record {
 	return &Record{Type: TypeCommit, TxnID: id, SerialOrder: serial, CommitTS: serial * 100}
@@ -149,160 +150,113 @@ func writeRec(id txn.ID, obj store.ObjectID) *Record {
 	return &Record{Type: TypeWrite, TxnID: id, ObjectID: obj, AfterImage: []byte{byte(id)}}
 }
 
-func TestReordererGroupsByTransaction(t *testing.T) {
-	r := NewReorderer(0)
-	addEmpty(t, r, writeRec(1, 10))
-	addEmpty(t, r, writeRec(2, 20))
-	addEmpty(t, r, writeRec(1, 11))
-	groups, err := r.Add(commitRec(1, 1))
-	if err != nil || len(groups) != 1 {
-		t.Fatalf("groups = %v err = %v", groups, err)
+// addNone feeds rec and fails the test if it completed a group.
+func addNone(t *testing.T, r *Replayer, rec *Record) {
+	t.Helper()
+	g, err := r.Add(rec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := groups[0]
+	if g != nil {
+		t.Fatalf("unexpected group: %+v", g)
+	}
+}
+
+func TestReordererGroupsByTransaction(t *testing.T) {
+	db := store.New()
+	r := NewReplayer(db, 2, nil)
+	addNone(t, r, writeRec(1, 10))
+	addNone(t, r, writeRec(2, 20))
+	addNone(t, r, writeRec(1, 11))
+	g, err := r.Add(commitRec(1, 1))
+	if err != nil || g == nil {
+		t.Fatalf("group = %v err = %v", g, err)
+	}
 	if len(g.Writes) != 2 || g.Writes[0].ObjectID != 10 || g.Writes[1].ObjectID != 11 {
 		t.Fatalf("group writes = %v", g.Writes)
 	}
 	if g.SerialOrder() != 1 {
 		t.Fatalf("serial = %d", g.SerialOrder())
 	}
-	if r.PendingTxns() != 1 { // txn 2 still open
-		t.Fatalf("PendingTxns = %d", r.PendingTxns())
+	r.Close()
+	if st := r.Stats(); st.Discarded != 1 || st.PeakBuffered != 3 { // txn 2 never committed
+		t.Fatalf("stats = %+v", st)
 	}
-}
-
-func TestReordererReleasesInSerialOrder(t *testing.T) {
-	r := NewReorderer(0)
-	// Commit records arrive out of validation order: 2 before 1.
-	addEmpty(t, r, writeRec(2, 20))
-	groups, err := r.Add(commitRec(2, 2))
-	if err != nil || len(groups) != 0 {
-		t.Fatalf("serial 2 must be held until serial 1 arrives: %v", groups)
+	if _, ok := db.Get(11); !ok {
+		t.Fatal("committed write not applied")
 	}
-	addEmpty(t, r, writeRec(1, 10))
-	groups, err = r.Add(commitRec(1, 1))
-	if err != nil || len(groups) != 2 {
-		t.Fatalf("groups = %v err = %v", groups, err)
-	}
-	if groups[0].SerialOrder() != 1 || groups[1].SerialOrder() != 2 {
-		t.Fatalf("release order = %d, %d", groups[0].SerialOrder(), groups[1].SerialOrder())
-	}
-	if r.Buffered() != 0 {
-		t.Fatalf("Buffered = %d", r.Buffered())
+	if _, ok := db.Get(20); ok {
+		t.Fatal("uncommitted write applied")
 	}
 }
 
 func TestReordererAbortDropsWrites(t *testing.T) {
-	r := NewReorderer(0)
-	addEmpty(t, r, writeRec(1, 10))
-	addEmpty(t, r, &Record{Type: TypeAbort, TxnID: 1})
-	if r.PendingTxns() != 0 || r.Buffered() != 0 {
-		t.Fatalf("abort did not clear: pending=%d buffered=%d", r.PendingTxns(), r.Buffered())
+	db := store.New()
+	r := NewReplayer(db, 1, nil)
+	addNone(t, r, writeRec(1, 10))
+	addNone(t, r, &Record{Type: TypeAbort, TxnID: 1})
+	r.Close()
+	if st := r.Stats(); st.Discarded != 0 || st.Applied != 0 {
+		t.Fatalf("abort did not clear: %+v", st)
+	}
+	if db.Len() != 0 {
+		t.Fatal("aborted write applied")
 	}
 }
 
 func TestReordererHeartbeatIgnored(t *testing.T) {
-	r := NewReorderer(0)
-	groups, err := r.Add(&Record{Type: TypeHeartbeat})
-	if err != nil || groups != nil {
-		t.Fatalf("heartbeat: %v %v", groups, err)
-	}
+	r := NewReplayer(store.New(), 1, nil)
+	defer r.Close()
+	addNone(t, r, &Record{Type: TypeHeartbeat})
 }
 
 func TestReordererUnknownType(t *testing.T) {
-	r := NewReorderer(0)
-	if _, err := r.Add(&Record{Type: Type(99)}); err == nil {
-		t.Fatal("unknown record type accepted")
+	r := NewReplayer(store.New(), 1, nil)
+	defer r.Close()
+	if _, err := r.Add(&Record{Type: Type(99)}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown record type: err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestReordererDiscardPending(t *testing.T) {
-	r := NewReorderer(0)
-	addEmpty(t, r, writeRec(1, 10))
-	addEmpty(t, r, writeRec(2, 20))
-	if n := r.DiscardPending(); n != 2 {
-		t.Fatalf("DiscardPending = %d", n)
-	}
-	if r.Buffered() != 0 {
-		t.Fatalf("Buffered = %d", r.Buffered())
+	r := NewReplayer(store.New(), 1, nil)
+	addNone(t, r, writeRec(1, 10))
+	addNone(t, r, writeRec(2, 20))
+	r.Close()
+	if n := r.Stats().Discarded; n != 2 {
+		t.Fatalf("Discarded = %d", n)
 	}
 }
 
-func TestReordererStartSerial(t *testing.T) {
-	r := NewReorderer(5)
-	groups, _ := r.Add(commitRec(1, 6))
-	if len(groups) != 0 {
-		t.Fatal("serial 6 released before serial 5")
+// TestReplayerRestartChecksContiguity: after Restart a live stream must
+// continue at the next serial; a gap is corruption, and its group is not
+// applied.
+func TestReplayerRestartChecksContiguity(t *testing.T) {
+	db := store.New()
+	r := NewReplayer(db, 2, nil)
+	defer r.Close()
+	addNone(t, r, writeRec(9, 90))
+	r.Restart(5, 700)
+	if st := r.Stats(); st.LastSerial != 5 || st.MaxCommitTS != 700 || st.Discarded != 1 {
+		t.Fatalf("after Restart: %+v", st)
 	}
-	groups, _ = r.Add(commitRec(2, 5))
-	if len(groups) != 2 {
-		t.Fatalf("groups = %v", groups)
+	addNone(t, r, writeRec(1, 10))
+	if _, err := r.Add(commitRec(1, 7)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("serial 7 after 5: err = %v, want ErrCorrupt", err)
 	}
-}
-
-// Property: feeding groups in any interleaving releases them in exactly
-// serial order 1..n with the right writes attached.
-func TestPropertyReordererTotalOrder(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		total := int(n%20) + 1
-		// Build per-transaction record lists.
-		type src struct {
-			recs []*Record
-		}
-		srcs := make([]*src, total)
-		for i := 0; i < total; i++ {
-			s := &src{}
-			id := txn.ID(i + 1)
-			for w := 0; w < rng.Intn(4); w++ {
-				s.recs = append(s.recs, writeRec(id, store.ObjectID(w)))
-			}
-			s.recs = append(s.recs, commitRec(id, uint64(i+1)))
-			srcs[i] = s
-		}
-		// Interleave: repeatedly pick a source with records left; its
-		// writes stay in order and commit comes last (FIFO per txn).
-		r := NewReorderer(0)
-		var released []*Group
-		remaining := total
-		for remaining > 0 {
-			i := rng.Intn(total)
-			if len(srcs[i].recs) == 0 {
-				continue
-			}
-			rec := srcs[i].recs[0]
-			srcs[i].recs = srcs[i].recs[1:]
-			if len(srcs[i].recs) == 0 {
-				remaining--
-			}
-			gs, err := r.Add(rec)
-			if err != nil {
-				return false
-			}
-			released = append(released, gs...)
-		}
-		if len(released) != total {
-			return false
-		}
-		for i, g := range released {
-			if g.SerialOrder() != uint64(i+1) {
-				return false
-			}
-		}
-		return r.Buffered() == 0 && r.PendingTxns() == 0
+	addNone(t, r, writeRec(2, 20))
+	if g, err := r.Add(commitRec(2, 6)); err != nil || g == nil {
+		t.Fatalf("serial 6: group %v err %v", g, err)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	r.Wait()
+	if _, ok := db.Get(10); ok {
+		t.Fatal("the out-of-order group was applied")
 	}
-}
-
-func addEmpty(t *testing.T, r *Reorderer, rec *Record) {
-	t.Helper()
-	groups, err := r.Add(rec)
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := db.Get(20); !ok {
+		t.Fatal("the next serial was not applied")
 	}
-	if len(groups) != 0 {
-		t.Fatalf("unexpected release: %v", groups)
+	if st := r.Stats(); st.LastSerial != 6 || st.Applied != 1 {
+		t.Fatalf("after serial 6: %+v", st)
 	}
 }
 
@@ -395,10 +349,11 @@ func TestRecoverRespectsAbortRecords(t *testing.T) {
 	}
 }
 
-// Property: recovery of a log equals direct application of committed
-// groups, for any mix of committed and uncommitted transactions.
+// Property: replaying a log equals direct application of its committed
+// groups, for any mix of committed and uncommitted transactions and any
+// worker count.
 func TestPropertyRecoveryMatchesDirectApply(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, w uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		direct := store.New()
 		var recs []*Record
@@ -431,7 +386,7 @@ func TestPropertyRecoveryMatchesDirectApply(t *testing.T) {
 			}
 		}
 		recovered := store.New()
-		if _, err := Recover(&buf, recovered); err != nil {
+		if _, err := Replay(&buf, NewReplayer(recovered, 1+int(w%8), nil)); err != nil {
 			return false
 		}
 		return recovered.Checksum() == direct.Checksum()

@@ -163,15 +163,6 @@ type Options struct {
 	// HeartbeatEvery and HeartbeatMisses tune failure detection.
 	HeartbeatEvery  time.Duration
 	HeartbeatMisses int
-	// RecoverWorkers sizes the parallel log-replay pool used by
-	// Recover/RecoverFromDir: groups with disjoint write sets install
-	// concurrently, bit-identical to a sequential replay. 0 uses one
-	// worker per CPU; negative forces sequential replay.
-	RecoverWorkers int
-	// MirrorApplyWorkers sizes a mirror node's parallel apply pool
-	// (same semantics: 0 = one per CPU, negative = inline sequential).
-	// Acknowledgment latency is unaffected either way.
-	MirrorApplyWorkers int
 	// LogSegmentBytes switches the file log (LogPath must be set) to a
 	// segmented store rolling at this size: LogPath becomes a directory
 	// of segment files, and the checkpoint cycle reclaims space by
@@ -192,15 +183,13 @@ type Options struct {
 
 func (o Options) coreConfig() (core.Config, error) {
 	cfg := core.Config{
-		Workers:            o.Workers,
-		MaxRestarts:        o.MaxRestarts,
-		NonRTReserve:       o.NonRTReserve,
-		MaxCohort:          o.MaxCohort,
-		AckTimeout:         o.AckTimeout,
-		HeartbeatEvery:     o.HeartbeatEvery,
-		HeartbeatMisses:    o.HeartbeatMisses,
-		RecoverWorkers:     o.RecoverWorkers,
-		MirrorApplyWorkers: o.MirrorApplyWorkers,
+		Workers:         o.Workers,
+		MaxRestarts:     o.MaxRestarts,
+		NonRTReserve:    o.NonRTReserve,
+		MaxCohort:       o.MaxCohort,
+		AckTimeout:      o.AckTimeout,
+		HeartbeatEvery:  o.HeartbeatEvery,
+		HeartbeatMisses: o.HeartbeatMisses,
 	}
 	if o.MaxActive > 0 {
 		cfg.Overload = sched.OverloadConfig{MaxActive: o.MaxActive}
@@ -452,9 +441,9 @@ func (db *DB) Stats() Stats {
 // Recover replays a stored redo log (as written by a transient primary
 // or a mirror) into the database: the path taken when both nodes of a
 // pair have failed and the survivor restarts from disk. The replay runs
-// on Options.RecoverWorkers conflict-aware workers (default one per
-// CPU); the result is bit-identical to a sequential pass. Hand Recover a
-// buffered reader — it decodes one record at a time.
+// on one conflict-aware worker per CPU; the result is bit-identical to a
+// sequential pass. Hand Recover a buffered reader — it decodes one record
+// at a time.
 func (db *DB) Recover(r io.Reader) (RecoverStats, error) {
 	return db.node.RecoverFromLog(r)
 }
