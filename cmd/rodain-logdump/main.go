@@ -208,9 +208,8 @@ func dumpSegments(dir string, verbose bool) {
 	total.print()
 }
 
-// dumpCheckpoint decodes a checkpoint file of either format and prints
-// its header facts; fuzzy (v2) checkpoints include the per-stripe
-// watermark vector.
+// dumpCheckpoint decodes a checkpoint file and prints its header facts
+// and per-stripe watermark vector.
 func dumpCheckpoint(path string) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -221,20 +220,11 @@ func dumpCheckpoint(path string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	kind := "frozen (transaction-consistent)"
-	if ck.Version == 2 {
-		kind = "fuzzy (stripe-incremental)"
-	}
 	bytes := 0
 	for _, rec := range ck.Snapshot {
 		bytes += len(rec.Value)
 	}
-	fmt.Printf("checkpoint v%d: %s\n", ck.Version, kind)
 	fmt.Printf("%d records (%d value bytes), last serial %d\n", len(ck.Snapshot), bytes, ck.LastSerial)
-	if ck.Watermarks == nil {
-		fmt.Println("no stripe watermarks: replay the whole log tail over the snapshot")
-		return
-	}
 	wm := ck.Watermarks
 	fmt.Printf("%d stripe watermarks: min %d, max %d (log below %d is redundant)\n",
 		wm.Stripes(), wm.Min(), wm.Max(), wm.Min())

@@ -102,11 +102,9 @@ func syncDir(dir string) error {
 // the checkpoint). Either part may be absent: a missing checkpoint file
 // replays the log alone; a nil log restores the checkpoint alone.
 //
-// A fuzzy (v2) checkpoint carries per-stripe watermarks; each logged
-// record then replays only if its group's serial exceeds the watermark
-// of its stripe. A v1 checkpoint (no watermarks) replays the whole log
-// reader — re-applying records the snapshot already contains is
-// idempotent.
+// The checkpoint carries per-stripe watermarks; each logged record
+// replays only if its group's serial exceeds the watermark of its
+// stripe.
 func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, error) {
 	var base wal.RecoverStats
 	var wm *wal.StripeWatermarks

@@ -25,6 +25,11 @@ type CheckpointStats struct {
 	// MinWatermark is the smallest stripe watermark — the serial below
 	// which the log is redundant and may be truncated.
 	MinWatermark uint64
+	// Issued is the controller's last issued serial, read after the last
+	// stripe copy: an upper bound on the serial of any write the image
+	// holds. A watermark is only a lower bound, so the image is a
+	// consistent prefix once the log suffix is replayed through Issued.
+	Issued uint64
 }
 
 // stripeCache remembers one stripe's last encoding so a checkpoint cycle
@@ -43,7 +48,9 @@ type stripeCache struct {
 // the controller's stable serial observed before the copy, which bounds
 // exactly which logged groups the copy is guaranteed to contain. Stripes
 // whose change epoch has not moved since the last cycle reuse their
-// cached encoding and merely raise their watermark.
+// cached encoding and merely raise their watermark. The same stream is
+// a joining mirror's state transfer (attachMirror), so a join is one
+// checkpoint cycle in CheckpointBytes and CheckpointPauses.
 //
 // Correctness of the watermark: StableSerial is read before the stripe
 // copy, so every group at or below it had completed its write phase —
@@ -107,6 +114,9 @@ func (n *Node) FuzzyCheckpoint(w io.Writer) (CheckpointStats, error) {
 		}
 		st.Records += c.records
 	}
+	// A serial is issued before its write phase, so a group whose writes
+	// any copy above holds is at or below this.
+	st.Issued = ctl.LastSerial()
 	if err := wal.WriteCheckpointTrailer(cw, marks); err != nil {
 		return st, err
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/logstore"
@@ -34,9 +36,15 @@ type MirrorEngine struct {
 
 	mu     sync.Mutex
 	rp     *wal.Replayer // the current or last session's; nil before the first Run
+	synced atomic.Bool   // the session's state transfer is replayed through its sync point
 	logErr error         // first log-device failure; fails the session
 
 	logBuf []byte // session-goroutine scratch for one group's log bytes
+	// held is a state transfer's log image and the groups after it,
+	// stored only once the replay reaches the sync point: before that the
+	// image may hold part of a group the log has not got, and a replay of
+	// the log would install it as committed. Session goroutine only.
+	held []byte
 
 	stopFlush chan struct{}
 	flushWG   sync.WaitGroup
@@ -75,12 +83,19 @@ func (m *MirrorEngine) MaxCommitTS() uint64 { return m.stats().MaxCommitTS }
 // has handed to the database copy.
 func (m *MirrorEngine) Applied() uint64 { return uint64(m.stats().Applied) }
 
+// Synced reports whether the current (or last) session installed a state
+// transfer and replayed the live stream up to its sync point, the last
+// serial the primary had issued when the image's copy ended. Only a
+// synced mirror may take over.
+func (m *MirrorEngine) Synced() bool { return m.synced.Load() }
+
 // Run drives one mirror session over conn until the primary fails or
 // the session is closed. It sends the hello (with the mirror's current
 // replay position), processes an optional state transfer, then consumes
 // the log stream. The returned error is ErrPrimaryDown for failures that
-// should trigger takeover; a commit out of serial order is an error
-// wrapping wal.ErrCorrupt.
+// should trigger takeover; a commit out of serial order, or a state
+// transfer whose watermarks do not cover its serial, is an error wrapping
+// wal.ErrCorrupt.
 func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 	defer conn.Close()
 
@@ -96,10 +111,12 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 	// and discards transactions without a commit record: when the
 	// Primary Node fails they are considered aborted.
 	rp := wal.NewReplayer(m.db, wal.DefaultRecoverWorkers(), nil)
-	rp.Restart(hello, prev.MaxCommitTS)
+	rp.Restart(hello, prev.MaxCommitTS, nil)
 	m.mu.Lock()
 	m.rp = rp
 	m.mu.Unlock()
+	m.synced.Store(false)
+	m.held = nil
 	defer rp.Close()
 
 	// Background log flusher: "the data storing to the disk is not
@@ -122,8 +139,8 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 
 	watchdog := time.Duration(m.cfg.HeartbeatMisses) * m.cfg.HeartbeatEvery
 	// Until the log stream is live (state transfer done, heartbeats
-	// flowing) the primary may legitimately be busy building and
-	// shipping a multi-megabyte snapshot; use a generous deadline.
+	// flowing) the primary may legitimately be busy streaming a large
+	// image; use a generous deadline.
 	handshake := 10 * time.Second
 	if handshake < watchdog {
 		handshake = watchdog
@@ -139,12 +156,32 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 	// instead of one per commit record. Only a commit the replayer
 	// accepted — the next serial of the stream — is ever acknowledged, so
 	// the cumulative ack never covers a serial this node does not hold.
+	// After a state transfer at s nothing is acked before the replay
+	// reaches the sync point syncAt; the first ack then covers s, and the
+	// held log is stored. Without a transfer syncAt stays 0, which no
+	// commit carries.
 	var (
 		pendingAckSerial uint64 // highest commit serial not yet acked
 		pendingAckCount  uint64 // commit records covered by it
+		syncAt           uint64
 	)
+	reached := func(serial uint64) error {
+		pendingAckSerial = serial
+		pendingAckCount++
+		if serial != syncAt {
+			return nil
+		}
+		// This node could not replay alone after a crash without the
+		// image: fail the session rather than run with silently degraded
+		// durability.
+		if err := m.appendLog(m.held); err != nil {
+			return fmt.Errorf("core: mirror: persist state transfer: %v", err)
+		}
+		m.held = nil
+		m.synced.Store(true)
+		return nil
+	}
 
-	var snapshotBuf *bytes.Buffer // non-nil while a state transfer is in progress
 	for {
 		if live {
 			conn.SetRecvDeadline(time.Now().Add(watchdog)) //rodain:allow wallclock (socket I/O deadlines are wall-clock by nature)
@@ -166,39 +203,15 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 				return fmt.Errorf("%w: pong: %v", ErrPrimaryDown, err)
 			}
 		case transport.MsgSnapshotBegin:
+			serial := msg.Serial
 			transport.ReleaseMsg(msg)
-			snapshotBuf = new(bytes.Buffer)
-		case transport.MsgSnapshotChunk:
-			if snapshotBuf == nil {
-				transport.ReleaseMsg(msg)
-				return fmt.Errorf("core: mirror: snapshot chunk without begin")
+			if syncAt, err = m.installImage(conn, rp, serial, handshake); err != nil {
+				return err
 			}
-			snapshotBuf.Write(msg.Payload)
-			transport.ReleaseMsg(msg)
-		case transport.MsgSnapshotEnd:
-			transport.ReleaseMsg(msg)
-			if snapshotBuf == nil {
-				return fmt.Errorf("core: mirror: snapshot end without begin")
-			}
-			snap, serial, err := wal.ReadCheckpoint(snapshotBuf)
-			if err != nil {
-				return fmt.Errorf("core: mirror: state transfer: %v", err)
-			}
-			rp.Wait() // no in-flight group may race the reload
-			m.db.LoadSnapshot(snap)
-			rp.Restart(serial, maxWriteTS(snap))
-			snapshotBuf = nil
-			// Persist the transferred state so this node's own disk
-			// can recover without the peer. A failure here means this
-			// node could not replay alone after a crash — fail the
-			// session instead of running with silently degraded
-			// durability.
-			var cp bytes.Buffer
-			if err := wal.WriteCheckpoint(&cp, snap, serial); err != nil {
-				return fmt.Errorf("core: mirror: persist state transfer: %v", err)
-			}
-			if err := m.log.Append(cp.Bytes()); err != nil {
-				return fmt.Errorf("core: mirror: persist state transfer: %v", err)
+			if syncAt == serial {
+				if err := reached(serial); err != nil {
+					return err
+				}
 			}
 		case transport.MsgRecord:
 			live = true
@@ -211,9 +224,10 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 			if err != nil {
 				return fmt.Errorf("core: mirror: %w", err)
 			}
-			if g != nil {
-				pendingAckSerial = g.SerialOrder()
-				pendingAckCount++
+			if g != nil && g.SerialOrder() >= syncAt {
+				if err := reached(g.SerialOrder()); err != nil {
+					return err
+				}
 			}
 		default:
 			typ := msg.Type
@@ -239,25 +253,114 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 // this often.
 const ackCoalesceMax = 32
 
+// installImage receives and installs the state transfer opened at
+// serial: a fuzzy checkpoint whose every stripe watermark must be ≥
+// serial, or it misses commits nobody will ship. rp continues after
+// serial with its watermarks, so a live group skips writes a stripe image
+// already holds. The image is held for the stored log as one group at
+// serial. It returns the sync point: the serial the end frame carries,
+// an upper bound on any write the image holds (never below its max
+// watermark).
+func (m *MirrorEngine) installImage(conn *transport.Conn, rp *wal.Replayer, serial uint64, timeout time.Duration) (uint64, error) {
+	cr := &chunkReader{conn: conn, timeout: timeout}
+	ck, err := wal.DecodeCheckpoint(cr)
+	if err == nil {
+		var extra int64
+		if extra, err = io.Copy(io.Discard, cr); err == nil && extra > 0 {
+			err = fmt.Errorf("%w: %d bytes past the checkpoint", wal.ErrCorrupt, extra)
+		}
+	}
+	if cr.err != nil {
+		return 0, cr.err
+	}
+	if err == nil && ck.Watermarks.Min() < serial {
+		err = fmt.Errorf("%w: stripe watermark %d below transfer serial %d", wal.ErrCorrupt, ck.Watermarks.Min(), serial)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("core: mirror: state transfer: %w", err)
+	}
+	rp.Wait() // no in-flight group may race the reload
+	m.db.LoadSnapshot(ck.Snapshot)
+	rp.Restart(serial, maxWriteTS(ck.Snapshot), ck.Watermarks)
+	var img bytes.Buffer
+	if err := wal.WriteCheckpoint(&img, ck.Snapshot, serial); err != nil {
+		return 0, fmt.Errorf("core: mirror: persist state transfer: %v", err)
+	}
+	m.held = img.Bytes()
+	return max(cr.end, ck.LastSerial), nil
+}
+
+// chunkReader reads a state transfer's chunk frames as one stream that
+// ends at MsgSnapshotEnd (serial in end); a connection failure is kept in
+// err, wrapping ErrPrimaryDown.
+type chunkReader struct {
+	conn    *transport.Conn
+	timeout time.Duration
+	rest    []byte
+	done    bool
+	end     uint64
+	err     error
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	for len(r.rest) == 0 {
+		if r.done {
+			return 0, io.EOF
+		}
+		if r.err != nil {
+			return 0, r.err
+		}
+		r.conn.SetRecvDeadline(time.Now().Add(r.timeout)) //rodain:allow wallclock (socket I/O deadlines are wall-clock by nature)
+		msg, err := r.conn.Recv()
+		switch {
+		case err != nil:
+			r.err = fmt.Errorf("%w: state transfer: %v", ErrPrimaryDown, err)
+		case msg.Type == transport.MsgSnapshotChunk:
+			r.rest = msg.Payload
+		case msg.Type == transport.MsgSnapshotEnd:
+			r.done, r.end = true, msg.Serial
+		default:
+			return 0, fmt.Errorf("core: mirror: unexpected message %v in state transfer", msg.Type)
+		}
+	}
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
+	return n, nil
+}
+
 // receive feeds one record to rp. When the record completes a group —
 // a commit at the stream's next serial — the group is already scheduled
 // on the replayer's pool, and its records (in validation order) are
-// appended to the log buffer here; the group is returned for the ack. A
-// log-device failure (this append, or an earlier background flush) is
-// returned: the mirror must not keep acknowledging commits it cannot
-// replay from its own disk. The database copy is still good then, but
-// the stored log no longer is.
+// appended to the log buffer (or, before a transfer's sync point, to the
+// held log) here; the group is returned for the ack. A log-device
+// failure (this append, or an earlier background flush) is returned: the
+// mirror must not keep acknowledging commits it cannot replay from its
+// own disk. The database copy is still good then, but the stored log no
+// longer is.
 func (m *MirrorEngine) receive(rp *wal.Replayer, rec *wal.Record) (*wal.Group, error) {
 	g, err := rp.Add(rec)
 	if g == nil {
 		return nil, err
 	}
+	if m.held != nil {
+		m.held = g.AppendEncoded(m.held)
+		return g, nil
+	}
 	m.logBuf = g.AppendEncoded(m.logBuf[:0])
+	if err := m.appendLog(m.logBuf); err != nil {
+		return nil, fmt.Errorf("log store: %v", err)
+	}
+	return g, nil
+}
+
+// appendLog appends p to the log device, or returns the device's first
+// failure, which sticks.
+func (m *MirrorEngine) appendLog(p []byte) error {
 	m.mu.Lock()
 	logErr := m.logErr
 	m.mu.Unlock()
 	if logErr == nil {
-		logErr = m.log.Append(m.logBuf)
+		logErr = m.log.Append(p)
 	}
 	if logErr != nil {
 		m.mu.Lock()
@@ -265,9 +368,8 @@ func (m *MirrorEngine) receive(rp *wal.Replayer, rec *wal.Record) (*wal.Group, e
 			m.logErr = logErr
 		}
 		m.mu.Unlock()
-		return nil, fmt.Errorf("log store: %v", logErr)
 	}
-	return g, nil
+	return logErr
 }
 
 // flusher syncs the log store periodically, off the commit path. It

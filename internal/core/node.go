@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -25,8 +25,9 @@ type EventKind int
 
 // Node events.
 const (
-	// EventMirrorAttached: a mirror completed state transfer and log
-	// shipping is live; commits now wait on the mirror, not the disk.
+	// EventMirrorAttached: the state transfer to a mirror has been sent
+	// and log shipping is live; commits now wait on the mirror, not the
+	// disk.
 	EventMirrorAttached EventKind = iota
 	// EventMirrorLost: the mirror connection failed; the node switched
 	// to transient mode (direct disk logging).
@@ -236,20 +237,15 @@ func (n *Node) attachMirror(conn *transport.Conn) {
 	engine := n.engine
 	n.mu.Unlock()
 
-	// Quiescent point: freeze validation, snapshot the committed state,
-	// and install the shipper so every transaction validated after the
-	// snapshot ships to this mirror.
+	// The freeze only swaps the commit path at serial s. Its wait for
+	// in-flight write phases makes every stripe watermark read after it
+	// ≥ s, so the image covers every commit the shipper will not ship.
 	var (
-		snap    []store.Record
 		serial  uint64
 		shipper *MirrorShipper
 	)
 	engine.Controller().WithFrozen(func(lastSerial uint64) {
 		serial = lastSerial
-		// A mirror that is already at our position (fresh pair started
-		// together) needs no data, but the snapshot is cheap insurance
-		// and makes rejoin identical to first join.
-		snap = n.db.Snapshot()
 		shipper = NewMirrorShipper(conn, serial+1, ShipperOptions{
 			AckTimeout: n.cfg.AckTimeout,
 			Heartbeat:  n.cfg.HeartbeatEvery,
@@ -265,37 +261,63 @@ func (n *Node) attachMirror(conn *transport.Conn) {
 	n.mode = ModePrimary
 	n.mu.Unlock()
 
-	// Ship the snapshot outside the freeze; commits queue in the
-	// shipper meanwhile.
-	if err := sendSnapshot(conn, snap, serial); err != nil {
+	// Commits queue in the shipper while the image streams.
+	st, err := n.sendImage(conn, serial, n.cfg.AckTimeout)
+	if err != nil {
 		shipper.fail()
 		return
 	}
 	shipper.Start()
-	n.emit(EventMirrorAttached, fmt.Sprintf("serial=%d objects=%d", serial, len(snap)))
+	n.emit(EventMirrorAttached, fmt.Sprintf("serial=%d objects=%d", serial, st.Records))
 }
 
-// sendSnapshot streams a checkpoint over the wire in bounded chunks.
-func sendSnapshot(conn *transport.Conn, snap []store.Record, serial uint64) error {
-	var buf bytes.Buffer
-	if err := wal.WriteCheckpoint(&buf, snap, serial); err != nil {
-		return err
+// sendImage streams the state transfer for a session starting after
+// serial: one fuzzy checkpoint cycle in chunk frames, bracketed by
+// MsgSnapshotBegin{serial} and MsgSnapshotEnd carrying the image's sync
+// point (CheckpointStats.Issued). Each frame must leave within timeout
+// (the ack timeout: a mirror that accepts no frame for that long is
+// down), so a joiner that stops reading fails the session rather than
+// hold the checkpoint lock.
+func (n *Node) sendImage(conn *transport.Conn, serial uint64, timeout time.Duration) (CheckpointStats, error) {
+	cw := chunkWriter{conn, timeout}
+	defer conn.SetSendDeadline(time.Time{})
+	if err := cw.send(&transport.Msg{Type: transport.MsgSnapshotBegin, Serial: serial}); err != nil {
+		return CheckpointStats{}, err
 	}
-	if err := conn.Send(&transport.Msg{Type: transport.MsgSnapshotBegin, Serial: serial}); err != nil {
-		return err
+	// Buffered so the checkpointer's small writes share frames.
+	bw := bufio.NewWriterSize(cw, snapshotChunk)
+	st, err := n.FuzzyCheckpoint(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	const chunk = 64 << 10
-	data := buf.Bytes()
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
+	if err == nil {
+		err = cw.send(&transport.Msg{Type: transport.MsgSnapshotEnd, Serial: st.Issued})
+	}
+	return st, err
+}
+
+// snapshotChunk bounds one state-transfer frame.
+const snapshotChunk = 64 << 10
+
+// chunkWriter sends each write as MsgSnapshotChunk frames of at most
+// snapshotChunk bytes, each under a send deadline of timeout.
+type chunkWriter struct {
+	conn    *transport.Conn
+	timeout time.Duration
+}
+
+func (w chunkWriter) Write(p []byte) (int, error) {
+	for off := 0; off < len(p); off += snapshotChunk {
+		if err := w.send(&transport.Msg{Type: transport.MsgSnapshotChunk, Payload: p[off:min(off+snapshotChunk, len(p))]}); err != nil {
+			return off, err
 		}
-		if err := conn.Send(&transport.Msg{Type: transport.MsgSnapshotChunk, Payload: data[off:end]}); err != nil {
-			return err
-		}
 	}
-	return conn.Send(&transport.Msg{Type: transport.MsgSnapshotEnd, Serial: serial})
+	return len(p), nil
+}
+
+func (w chunkWriter) send(m *transport.Msg) error {
+	w.conn.SetSendDeadline(time.Now().Add(w.timeout)) //rodain:allow wallclock (socket I/O deadlines are wall-clock by nature)
+	return w.conn.Send(m)
 }
 
 // mirrorLost switches the node back to transient mode: the Log Writer
@@ -320,8 +342,10 @@ func (n *Node) mirrorLost() {
 // primaryAddr. It blocks until either the node is closed (returns nil)
 // or the primary fails — in which case the node takes over as transient
 // primary, starts its replication listener on takeoverListen (so the
-// recovered peer can rejoin as mirror), and returns nil. Any other error
-// is returned.
+// recovered peer can rejoin as mirror), and returns nil — but only once
+// the mirror has synced (MirrorEngine.Synced); before that its database
+// is empty, stale or torn, and RunMirror returns an error instead. Any
+// other error is returned.
 func (n *Node) RunMirror(primaryAddr, takeoverListen string) error {
 	conn, err := dialRetry(primaryAddr, 5*time.Second, n.cfg.Clock)
 	if err != nil {
@@ -348,7 +372,7 @@ func (n *Node) RunMirror(primaryAddr, takeoverListen string) error {
 	if closed {
 		return nil
 	}
-	if errors.Is(err, ErrPrimaryDown) {
+	if errors.Is(err, ErrPrimaryDown) && mirror.Synced() {
 		return n.takeover(takeoverListen)
 	}
 	return err

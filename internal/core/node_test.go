@@ -558,23 +558,26 @@ func TestDeleteReplicatesAndRecovers(t *testing.T) {
 // TestMirrorRejoinKeepsCommitting: a mirror that connects while the
 // previous mirror session is still live replaces that session. Commits
 // in flight on the old session are failed by its close before the new
-// session is installed (after a snapshot of the whole database); they
-// must wait for the new commit path instead of failing, and updates keep
-// returning OK before, during and after the replacement.
+// session is installed; they must wait for the new commit path instead
+// of failing, and updates keep returning OK before, during and after the
+// replacement. The new mirror joins from a fuzzy image taken while the
+// writers run, so its log — the image plus the live suffix — must
+// replay to the primary's state.
 func TestMirrorRejoinKeepsCommitting(t *testing.T) {
-	const objects = 20000 // a snapshot that takes a while widens the swap window
+	const objects = 20000 // an image that takes a while widens the swap window
 	primary := NewNode("primary", fastCfg(), newDBWith(objects), logstore.NewMem())
 	if err := primary.ServePrimary("127.0.0.1:0", LogDisk); err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	join := func(name string) *Node {
-		m := NewNode(name, fastCfg(), store.New(), logstore.NewMem())
+	join := func(name string) (*Node, *logstore.Mem) {
+		log := logstore.NewMem()
+		m := NewNode(name, fastCfg(), store.New(), log)
 		go m.RunMirror(primary.ReplAddr(), "")
 		waitEvent(t, primary, EventMirrorAttached, 5*time.Second)
-		return m
+		return m, log
 	}
-	first := join("mirror-1")
+	first, _ := join("mirror-1")
 	defer first.Close()
 
 	stop := make(chan struct{})
@@ -601,7 +604,7 @@ func TestMirrorRejoinKeepsCommitting(t *testing.T) {
 		}(w)
 	}
 	time.Sleep(20 * time.Millisecond)
-	second := join("mirror-2")
+	second, secondLog := join("mirror-2")
 	defer second.Close()
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
@@ -621,4 +624,14 @@ func TestMirrorRejoinKeepsCommitting(t *testing.T) {
 		t.Fatalf("log mode %v after the rejoin, want ship", got)
 	}
 	waitConverged(t, primary.DB(), second.DB(), 5*time.Second)
+
+	want := primary.DB().Checksum()
+	second.Close() // syncs the log
+	recovered := store.New()
+	if _, err := wal.Recover(bytes.NewReader(secondLog.SyncedBytes()), recovered); err != nil {
+		t.Fatal(err)
+	}
+	if recovered.Checksum() != want {
+		t.Fatal("the rejoined mirror's log does not replay to the primary's state")
+	}
 }

@@ -49,6 +49,7 @@ type MirrorShipper struct {
 	ackCond   *sync.Cond              // wakes commit waiters: acked advanced
 	quit      chan struct{}           // closed when the shipper fails or closes
 	pending   map[uint64]pendingGroup // serial → group awaiting its turn
+	covered   uint64                  // serials up to here ride in the state transfer
 	nextSend  uint64                  // next serial to ship
 	queued    uint64                  // highest serial ever queued
 	acked     uint64                  // highest acknowledged serial
@@ -130,7 +131,9 @@ type ShipperOptions struct {
 
 // NewMirrorShipper returns a shipper over an established mirror
 // connection. firstSerial is the validation order of the first group
-// this mirror session will carry (lastSerial at attach time + 1).
+// this mirror session will carry (lastSerial at attach time + 1). Groups
+// below it are covered by the session's state transfer: they are never
+// shipped, and a commit of one returns once the mirror acknowledges it.
 func NewMirrorShipper(conn *transport.Conn, firstSerial uint64, opts ShipperOptions) *MirrorShipper {
 	if firstSerial == 0 {
 		firstSerial = 1
@@ -152,22 +155,24 @@ func NewMirrorShipper(conn *transport.Conn, firstSerial uint64, opts ShipperOpti
 		clock:      opts.Clock,
 		quit:       make(chan struct{}),
 		pending:    make(map[uint64]pendingGroup),
+		covered:    firstSerial - 1,
 		nextSend:   firstSerial,
-		queued:     firstSerial - 1,
-		acked:      firstSerial - 1,
 		onFailure:  opts.OnFailure,
 	}
 	s.work = sync.NewCond(&s.mu)
 	s.ackCond = sync.NewCond(&s.mu)
-	s.lastHeard = s.clock.Now()
-	s.ackedAt = s.lastHeard
 	return s
 }
 
 // Start launches the sender, the acknowledgment reader and the heartbeat.
 // It is separate from construction so a rejoining mirror can receive its
-// snapshot on the same connection first.
+// state transfer on the same connection first; the mirror is silent
+// until then, so the liveness and ack clocks start here.
 func (s *MirrorShipper) Start() {
+	s.mu.Lock()
+	s.lastHeard = s.clock.Now()
+	s.ackedAt = s.lastHeard
+	s.mu.Unlock()
 	s.wg.Add(3)
 	go s.sender()
 	go s.ackReader()
@@ -185,13 +190,6 @@ func (s *MirrorShipper) Commit(g *wal.Group) error {
 		s.mu.Unlock()
 		return ErrMirrorDown
 	}
-	if serial <= s.acked {
-		// Validated before this session's state transfer and retried here
-		// after the previous session closed: the snapshot carries it, and
-		// queueing it would leave a pending entry no sender ever drains.
-		s.mu.Unlock()
-		return nil
-	}
 	now := s.clock.Now()
 	if s.queued <= s.acked {
 		s.waitSince = now // no commit was waiting: the ack clock starts here
@@ -199,9 +197,13 @@ func (s *MirrorShipper) Commit(g *wal.Group) error {
 	if serial > s.queued {
 		s.queued = serial
 	}
-	s.pending[serial] = pendingGroup{g: g, at: now}
-	if serial == s.nextSend {
-		s.work.Signal() // a group behind a gap waits for the gap's filler to signal
+	// A covered serial is in the state transfer: it is not queued (no
+	// sender would drain it) but waits for the mirror's ack like the rest.
+	if serial > s.covered {
+		s.pending[serial] = pendingGroup{g: g, at: now}
+		if serial == s.nextSend {
+			s.work.Signal() // a group behind a gap waits for the gap's filler to signal
+		}
 	}
 
 	// The heartbeat enforces the ack timeout; this wait is woken only by

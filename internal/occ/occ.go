@@ -271,12 +271,12 @@ type Controller struct {
 	// mu is the serial ticket: it orders validations and guards the
 	// timestamp/serial state below. Nothing on the per-operation path
 	// (Begin, Finish, OnRead, OnWrite, Doomed) takes it.
-	mu           sync.Mutex
-	applyIdle    *sync.Cond // signaled when pendingApply drops to zero
-	pendingApply int        // accepted validations whose write phase is in flight
-	// applying holds the serial orders of those in-flight write phases;
-	// StableSerial derives the fuzzy checkpointer's watermark from it.
-	// Bounded by the worker count, so the min scan is a few entries.
+	mu        sync.Mutex
+	applyIdle *sync.Cond // signaled when applying empties
+	// applying holds the serial orders of accepted validations whose
+	// write phase is in flight; StableSerial derives the fuzzy
+	// checkpointer's watermark from it. Bounded by the worker count, so
+	// the min scan is a few entries.
 	applying map[uint64]struct{}
 	// Issued commit timestamps above tsFloor are the gap slots in
 	// [slotLo, slotHi] (a contiguous run of issued slots; empty while
@@ -428,13 +428,14 @@ func (c *Controller) StableSerial() uint64 {
 }
 
 // WithFrozen runs f while validation is blocked and no accepted write
-// phase is in flight, passing the last issued validation order. The
-// database is transaction-consistent for the duration of f — this is
-// the quiescent point used to snapshot state for a rejoining mirror.
+// phase is in flight, passing the last issued validation order. It is
+// the commit-path switch point for a joining mirror: the freeze lasts
+// one write phase plus f, and f must be O(1) (swap the committer), not
+// a snapshot. Once it returns, StableSerial is at least lastSerial.
 func (c *Controller) WithFrozen(f func(lastSerial uint64)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.pendingApply > 0 {
+	for len(c.applying) > 0 {
 		c.applyIdle.Wait()
 	}
 	f(c.nextSerial)
@@ -966,7 +967,7 @@ func (c *Controller) publishOverlay(t *txn.Transaction, ts uint64) {
 
 // applyAndRetire runs the write phase outside the ticket, then retires
 // t's overlay entries (the store's item timestamps now subsume them)
-// and releases the pending-apply count that WithFrozen waits on.
+// and leaves the applying set that WithFrozen waits on.
 func (c *Controller) applyAndRetire(t *txn.Transaction, ts uint64) {
 	t.ApplyWrites(c.db)
 
@@ -1002,9 +1003,8 @@ func (c *Controller) applyAndRetire(t *txn.Transaction, ts uint64) {
 	}
 
 	c.mu.Lock()
-	c.pendingApply--
 	delete(c.applying, t.SerialOrder)
-	if c.pendingApply == 0 {
+	if len(c.applying) == 0 {
 		c.applyIdle.Broadcast()
 	}
 	c.mu.Unlock()
@@ -1101,8 +1101,8 @@ func nextGapSlot(v uint64) uint64 { return (v/tsGap + 1) * tsGap }
 const maxUsedTS = 1 << 17
 
 // commitTicket finalizes an accepted validation under the ticket:
-// records the timestamp, assigns the serial order and opens the
-// pending-apply window. The write phase itself runs after the ticket is
+// records the timestamp, assigns the serial order and adds it to the
+// applying set. The write phase itself runs after the ticket is
 // released.
 func (c *Controller) commitTicket(t *txn.Transaction, ts uint64) {
 	switch {
@@ -1126,6 +1126,5 @@ func (c *Controller) commitTicket(t *txn.Transaction, ts uint64) {
 	c.nextSerial++
 	t.CommitTS = ts
 	t.SerialOrder = c.nextSerial
-	c.pendingApply++
 	c.applying[t.SerialOrder] = struct{}{}
 }

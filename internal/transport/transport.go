@@ -33,12 +33,13 @@ const (
 	// MsgAck acknowledges that every log record of the transaction
 	// whose commit record had validation order Serial is on the mirror.
 	MsgAck
-	// MsgSnapshotBegin starts a state transfer; Serial is the serial
-	// order the snapshot corresponds to.
+	// MsgSnapshotBegin starts a state transfer; Serial is the last
+	// serial order the transfer covers (the log stream resumes after it).
 	MsgSnapshotBegin
 	// MsgSnapshotChunk carries a chunk of checkpoint-encoded records.
 	MsgSnapshotChunk
-	// MsgSnapshotEnd completes a state transfer.
+	// MsgSnapshotEnd completes a state transfer; Serial bounds from above
+	// the serial order of any write the image holds.
 	MsgSnapshotEnd
 	// MsgPing and MsgPong are watchdog heartbeats.
 	MsgPing
@@ -269,6 +270,15 @@ func (c *Conn) Buffered() int { return c.br.Buffered() }
 func (c *Conn) SetRecvDeadline(t time.Time) bool {
 	if d, ok := c.rw.(interface{ SetReadDeadline(time.Time) error }); ok {
 		return d.SetReadDeadline(t) == nil
+	}
+	return false
+}
+
+// SetSendDeadline is SetRecvDeadline for writes: a Send that cannot hand
+// its frame to the stream by t fails.
+func (c *Conn) SetSendDeadline(t time.Time) bool {
+	if d, ok := c.rw.(interface{ SetWriteDeadline(time.Time) error }); ok {
+		return d.SetWriteDeadline(t) == nil
 	}
 	return false
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -10,30 +9,23 @@ import (
 	"repro/internal/store"
 )
 
-// This file implements the v2 checkpoint format produced by the fuzzy,
-// stripe-incremental checkpointer. A v1 checkpoint (WriteCheckpoint) is
-// a transaction-consistent snapshot: a bare record stream — Write
-// records followed by one Commit marker carrying the serial the log
-// resumes from. A v2 checkpoint is fuzzy: each lock stripe of the store
-// was copied at a different moment, so one serial is not enough — the
-// file carries a per-stripe watermark vector, and recovery replays each
-// logged record's suffix from its own stripe's watermark.
+// This file implements the one checkpoint format, produced by the fuzzy,
+// stripe-incremental checkpointer for checkpoint files and for a
+// joining mirror's state transfer alike. The checkpoint is fuzzy: each
+// lock stripe of the store was copied at a different moment, so one
+// serial is not enough — it carries a per-stripe watermark vector, and a
+// replay applies each logged write only above its own stripe's
+// watermark.
 //
 // Layout:
 //
 //	magic "RDCKPT2\x00" (8) | stripes u32 | crc32(magic+stripes) u32
 //	record stream: Write records per object (stripe by stripe),
-//	               terminated by the v1 Commit marker (SerialOrder =
+//	               terminated by a Commit marker (SerialOrder =
 //	               max watermark)
 //	watermarks: stripes × u64 | crc32(watermark bytes) u32
-//
-// The record stream between header and trailer is exactly the v1 body,
-// so every v1 tool that tolerates the header keeps working, and
-// DecodeCheckpoint reads both formats transparently (the 8-byte magic
-// cannot begin a v1 stream: a record's first 4 bytes are a CRC over a
-// header that would have to declare an impossible type).
 
-// checkpointMagic begins every v2 checkpoint file.
+// checkpointMagic begins every checkpoint.
 const checkpointMagic = "RDCKPT2\x00"
 
 // checkpointHeaderSize is magic + stripe count + header CRC.
@@ -43,7 +35,7 @@ const checkpointHeaderSize = 8 + 4 + 4
 // header cannot cause a huge allocation.
 const maxCheckpointStripes = 1 << 20
 
-// StripeWatermarks is a v2 checkpoint's per-stripe serial vector: mark
+// StripeWatermarks is a checkpoint's per-stripe serial vector: mark
 // i promises that every committed group with serial ≤ mark i had its
 // writes installed in stripe i before that stripe was copied. Replay
 // applies a logged write iff its group's serial exceeds the mark of the
@@ -97,7 +89,7 @@ func (w *StripeWatermarks) Max() uint64 {
 	return max
 }
 
-// WriteCheckpointHeader begins a v2 checkpoint: magic, stripe count and
+// WriteCheckpointHeader begins a checkpoint: magic, stripe count and
 // a CRC over both, so a corrupt count is caught before it sizes the
 // watermark read.
 func WriteCheckpointHeader(w io.Writer, stripes int) error {
@@ -122,9 +114,8 @@ func AppendCheckpointRecord(dst []byte, rec store.Record) []byte {
 	})
 }
 
-// WriteCheckpointTrailer ends a v2 checkpoint: the commit marker that
-// terminates the record stream (carrying the max watermark, which is
-// what a v1-style reader reports as the checkpoint serial) followed by
+// WriteCheckpointTrailer ends a checkpoint: the commit marker that
+// terminates the record stream (carrying the max watermark) followed by
 // the CRC-protected watermark vector. marks must match the stripe count
 // declared in the header.
 func WriteCheckpointTrailer(w io.Writer, marks []uint64) error {
@@ -148,56 +139,37 @@ func WriteCheckpointTrailer(w io.Writer, marks []uint64) error {
 	return err
 }
 
-// Checkpoint is a decoded checkpoint file of either format.
+// Checkpoint is a decoded checkpoint.
 type Checkpoint struct {
 	// Snapshot is the database image, one record per object.
 	Snapshot []store.Record
-	// LastSerial is the serial the log tail resumes from: the v1
-	// checkpoint serial, or the max stripe watermark of a v2 file.
+	// LastSerial is the max stripe watermark: the serial the image as a
+	// whole corresponds to once the log suffix is replayed.
 	LastSerial uint64
-	// Version is 1 (frozen, WriteCheckpoint) or 2 (fuzzy).
-	Version int
-	// Watermarks is the per-stripe replay vector; nil on v1 files
-	// (replay everything — the frozen copy makes re-applying the prefix
-	// idempotent).
+	// Watermarks is the per-stripe replay vector.
 	Watermarks *StripeWatermarks
 }
 
-// DecodeCheckpoint reads a checkpoint of either version from r: a v2
-// file is recognized by its magic, anything else is parsed as a v1
-// record stream. Incomplete or damaged files yield
-// ErrIncompleteCheckpoint or ErrCorrupt — a checkpoint is all-or-
-// nothing; recovery must fall back to the previous one plus the log.
+// DecodeCheckpoint reads a checkpoint from r. Incomplete or damaged
+// input — including anything that does not begin with the magic — yields
+// ErrIncompleteCheckpoint or ErrCorrupt: a checkpoint is all-or-nothing;
+// recovery must fall back to the previous one plus the log.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var head [checkpointHeaderSize]byte
-	if _, err := io.ReadFull(r, head[:8]); err != nil {
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, ErrIncompleteCheckpoint
 		}
 		return nil, err
 	}
-	if string(head[:8]) != checkpointMagic {
-		// v1: the 8 bytes already consumed are the stream's start.
-		snap, serial, err := ReadCheckpoint(io.MultiReader(bytes.NewReader(head[:8]), r))
-		if err != nil {
-			return nil, err
-		}
-		return &Checkpoint{Snapshot: snap, LastSerial: serial, Version: 1}, nil
-	}
-	if _, err := io.ReadFull(r, head[8:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrIncompleteCheckpoint
-		}
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(head[:12]) != binary.LittleEndian.Uint32(head[12:]) {
+	if string(head[:8]) != checkpointMagic || crc32.ChecksumIEEE(head[:12]) != binary.LittleEndian.Uint32(head[12:]) {
 		return nil, ErrCorrupt
 	}
 	stripes := int(binary.LittleEndian.Uint32(head[8:]))
 	if stripes <= 0 || stripes&(stripes-1) != 0 || stripes > maxCheckpointStripes {
 		return nil, ErrCorrupt
 	}
-	ck := &Checkpoint{Version: 2}
+	ck := &Checkpoint{}
 	for {
 		rec, err := Decode(r)
 		if err != nil {
@@ -240,9 +212,12 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // real transaction id because ids start at 1.
 const checkpointTxnID = 0
 
-// WriteCheckpoint serializes a database snapshot to w in log-record
-// format: one Write record per object followed by a Commit record whose
-// SerialOrder is the validation order the log tail resumes from.
+// WriteCheckpoint writes a database image into a log as a bare record
+// stream: one Write record per object followed by a Commit record whose
+// SerialOrder is lastSerial, so a replay of the log applies the image as
+// one group. It is not a checkpoint file (DecodeCheckpoint rejects it):
+// its one product use is the image a mirror stores in its own log when a
+// state transfer installs it.
 func WriteCheckpoint(w io.Writer, snap []store.Record, lastSerial uint64) error {
 	buf := make([]byte, 0, 4096)
 	for _, rec := range snap {
@@ -269,27 +244,3 @@ func WriteCheckpoint(w io.Writer, snap []store.Record, lastSerial uint64) error 
 // ErrIncompleteCheckpoint reports a checkpoint stream without the final
 // commit marker — the checkpoint was cut mid-write and must not be used.
 var ErrIncompleteCheckpoint = errors.New("wal: incomplete checkpoint")
-
-// ReadCheckpoint parses a checkpoint written by WriteCheckpoint and
-// returns the snapshot along with the validation order to resume the log
-// from.
-func ReadCheckpoint(r io.Reader) ([]store.Record, uint64, error) {
-	var snap []store.Record
-	for {
-		rec, err := Decode(r)
-		if err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, ErrCorrupt) {
-				return nil, 0, ErrIncompleteCheckpoint
-			}
-			return nil, 0, err
-		}
-		switch rec.Type {
-		case TypeWrite:
-			snap = append(snap, store.Record{ID: rec.ObjectID, Value: rec.AfterImage, WriteTS: rec.CommitTS})
-		case TypeCommit:
-			return snap, rec.SerialOrder, nil
-		default:
-			return nil, 0, ErrCorrupt
-		}
-	}
-}

@@ -12,7 +12,7 @@ import (
 
 // writeV2 builds a complete v2 checkpoint file from a snapshot and a
 // watermark vector, the way the fuzzy checkpointer does.
-func writeV2(t *testing.T, snap []store.Record, marks []uint64) []byte {
+func writeV2(t testing.TB, snap []store.Record, marks []uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteCheckpointHeader(&buf, len(marks)); err != nil {
@@ -39,9 +39,6 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 	ck, err := DecodeCheckpoint(bytes.NewReader(writeV2(t, snap, marks)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ck.Version != 2 {
-		t.Fatalf("Version = %d, want 2", ck.Version)
 	}
 	if ck.LastSerial != 9 {
 		t.Fatalf("LastSerial = %d, want max watermark 9", ck.LastSerial)
@@ -88,7 +85,9 @@ func TestCheckpointV2RestoresStore(t *testing.T) {
 	}
 }
 
-func TestDecodeCheckpointV1Fallback(t *testing.T) {
+// TestDecodeCheckpointRejectsV1Stream: a bare record stream (the image
+// WriteCheckpoint puts into a mirror's log) is not a checkpoint.
+func TestDecodeCheckpointRejectsV1Stream(t *testing.T) {
 	db := store.New()
 	for i := 0; i < 20; i++ {
 		db.Put(store.ObjectID(i*3), []byte("v1"))
@@ -97,17 +96,8 @@ func TestDecodeCheckpointV1Fallback(t *testing.T) {
 	if err := WriteCheckpoint(&buf, db.Snapshot(), 77); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := DecodeCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Version != 1 || ck.LastSerial != 77 || ck.Watermarks != nil {
-		t.Fatalf("v1 decode: version=%d serial=%d wm=%v", ck.Version, ck.LastSerial, ck.Watermarks)
-	}
-	restored := store.New()
-	restored.LoadSnapshot(ck.Snapshot)
-	if restored.Checksum() != db.Checksum() {
-		t.Fatal("v1 fallback does not reproduce the store")
+	if _, err := DecodeCheckpoint(&buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 

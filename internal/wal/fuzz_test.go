@@ -49,15 +49,20 @@ func FuzzRecover(f *testing.F) {
 	})
 }
 
-// FuzzReadCheckpoint must reject or parse any byte soup without panic.
-func FuzzReadCheckpoint(f *testing.F) {
-	var good bytes.Buffer
-	db := store.New()
-	db.Put(1, []byte("x"))
-	WriteCheckpoint(&good, db.Snapshot(), 7)
-	f.Add(good.Bytes())
-	f.Add([]byte{1, 2, 3})
+// FuzzDecodeCheckpoint: the checkpoint decoder reads a mirror's state
+// transfer off the wire, so it must reject or parse any byte soup
+// without panic, and a decoded checkpoint must be self-consistent.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	good := writeV2(f, []store.Record{{ID: 1, Value: []byte("x"), WriteTS: 3}, {ID: 9, Value: []byte("y"), WriteTS: 5}}, []uint64{7, 6})
+	f.Add(good)
+	f.Add(good[:len(good)-7])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ReadCheckpoint(bytes.NewReader(data))
+		ck, err := DecodeCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if ck.Watermarks == nil || ck.Watermarks.Max() != ck.LastSerial {
+			t.Fatalf("decoded checkpoint: LastSerial %d, watermarks %+v", ck.LastSerial, ck.Watermarks)
+		}
 	})
 }

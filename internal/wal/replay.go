@@ -154,10 +154,11 @@ func (g *grouper) discard() int {
 // Add, Wait, Restart and Close must be called from one goroutine; Stats
 // may be called from any.
 type Replayer struct {
-	db   *store.Store
-	wm   *StripeWatermarks
-	grp  grouper
-	next uint64 // live stream: the serial the next commit must carry; 0 = unchecked
+	db    *store.Store
+	wm    *StripeWatermarks
+	wmTop uint64 // wm.Max(): a group above it passes the filter whole
+	grp   grouper
+	next  uint64 // live stream: the serial the next commit must carry; 0 = unchecked
 
 	mu         sync.Mutex
 	cond       sync.Cond // queue became non-empty, or closing
@@ -188,7 +189,8 @@ const maxApplierInflight = 1024
 // (at least one). wm, when non-nil, is the watermark filter of the
 // checkpoint the replay resumes from.
 func NewReplayer(db *store.Store, workers int, wm *StripeWatermarks) *Replayer {
-	r := &Replayer{db: db, wm: wm, lastWriter: make(map[store.ObjectID]*applyTask)}
+	r := &Replayer{db: db, lastWriter: make(map[store.ObjectID]*applyTask)}
+	r.setWatermarks(wm)
 	r.cond.L = &r.mu
 	r.idle.L = &r.mu
 	workers = max(workers, 1)
@@ -224,15 +226,26 @@ func (r *Replayer) Add(rec *Record) (*Group, error) {
 // serial is already in the store (a state transfer just installed it):
 // pending transactions are discarded, LastSerial becomes serial and
 // MaxCommitTS maxCommitTS, and from now on commits must arrive as
-// serial+1, serial+2, … A caller replacing the store calls Wait first.
-func (r *Replayer) Restart(serial, maxCommitTS uint64) {
+// serial+1, serial+2, … wm, when non-nil, becomes the watermark filter:
+// the installed image's stripes may already hold groups above serial,
+// and their writes there are skipped. A caller replacing the store
+// calls Wait first.
+func (r *Replayer) Restart(serial, maxCommitTS uint64, wm *StripeWatermarks) {
 	n := r.grp.discard()
 	r.next = serial + 1
+	r.setWatermarks(wm)
 	r.mu.Lock()
 	r.st.Discarded += n
 	r.st.LastSerial = serial
 	r.st.MaxCommitTS = maxCommitTS
 	r.mu.Unlock()
+}
+
+func (r *Replayer) setWatermarks(wm *StripeWatermarks) {
+	r.wm, r.wmTop = wm, 0
+	if wm != nil {
+		r.wmTop = wm.Max()
+	}
 }
 
 // Stats reports the groups scheduled so far; once Wait or Close has
@@ -273,7 +286,7 @@ func (r *Replayer) Close() {
 // schedule filters a completed group and adds it to the conflict graph.
 func (r *Replayer) schedule(g *Group) {
 	t := &applyTask{writes: g.Writes, serial: g.SerialOrder(), ts: g.Commit.CommitTS}
-	if r.wm != nil {
+	if r.wm != nil && t.serial <= r.wmTop {
 		t.writes = make([]*Record, 0, len(g.Writes))
 		for _, w := range g.Writes {
 			if t.serial > r.wm.For(w.ObjectID) {

@@ -204,7 +204,7 @@ func TestPropertyParallelApplierMirrorEquivalence(t *testing.T) {
 
 		live := store.New()
 		r := NewReplayer(live, workers, nil)
-		r.Restart(0, 0)
+		r.Restart(0, 0, nil)
 		for _, g := range groups {
 			for _, w := range g.Writes {
 				if _, err := r.Add(w); err != nil {

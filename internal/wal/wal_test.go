@@ -236,7 +236,7 @@ func TestReplayerRestartChecksContiguity(t *testing.T) {
 	r := NewReplayer(db, 2, nil)
 	defer r.Close()
 	addNone(t, r, writeRec(9, 90))
-	r.Restart(5, 700)
+	r.Restart(5, 700, nil)
 	if st := r.Stats(); st.LastSerial != 5 || st.MaxCommitTS != 700 || st.Discarded != 1 {
 		t.Fatalf("after Restart: %+v", st)
 	}
@@ -257,6 +257,40 @@ func TestReplayerRestartChecksContiguity(t *testing.T) {
 	}
 	if st := r.Stats(); st.LastSerial != 6 || st.Applied != 1 {
 		t.Fatalf("after serial 6: %+v", st)
+	}
+}
+
+// TestReplayerRestartFiltersByWatermarks: after a state transfer at 5
+// whose stripes are at watermarks 7 and 5, live groups skip the writes
+// a stripe image already holds, and the filter ends at the top mark.
+func TestReplayerRestartFiltersByWatermarks(t *testing.T) {
+	var a, b store.ObjectID // one object in each of two stripes
+	for a = 0; store.StripeOf(a, 2) != 0; a++ {
+	}
+	for b = 0; store.StripeOf(b, 2) != 1; b++ {
+	}
+	db := store.New()
+	r := NewReplayer(db, 2, nil)
+	defer r.Close()
+	r.Restart(5, 0, NewStripeWatermarks([]uint64{7, 5}))
+	for serial := uint64(6); serial <= 8; serial++ {
+		addNone(t, r, writeRec(txn.ID(serial), a))
+		if serial == 6 {
+			addNone(t, r, writeRec(txn.ID(serial), b))
+		}
+		if g, err := r.Add(commitRec(txn.ID(serial), serial)); err != nil || g == nil {
+			t.Fatalf("serial %d: group %v err %v", serial, g, err)
+		}
+	}
+	r.Wait()
+	if st := r.Stats(); st.WritesSkipped != 2 || st.WritesApplied != 2 || st.LastSerial != 8 {
+		t.Fatalf("stats %+v, want 2 skipped (a at 6 and 7), 2 applied", st)
+	}
+	if v, _ := db.Get(a); len(v) != 1 || v[0] != 8 {
+		t.Fatalf("a = %v, want the write of serial 8", v)
+	}
+	if v, _ := db.Get(b); len(v) != 1 || v[0] != 6 {
+		t.Fatalf("b = %v, want the write of serial 6", v)
 	}
 }
 
@@ -398,6 +432,8 @@ func TestPropertyRecoveryMatchesDirectApply(t *testing.T) {
 
 // --- Checkpoint ----------------------------------------------------------------
 
+// TestCheckpointRoundTrip: a log image (WriteCheckpoint) replays as one
+// group at its serial and reproduces the database.
 func TestCheckpointRoundTrip(t *testing.T) {
 	db := store.New()
 	for i := 0; i < 50; i++ {
@@ -408,36 +444,37 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := WriteCheckpoint(&buf, db.Snapshot(), 42); err != nil {
 		t.Fatal(err)
 	}
-	snap, serial, err := ReadCheckpoint(&buf)
+	db2 := store.New()
+	st, err := Recover(&buf, db2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != 42 {
-		t.Fatalf("serial = %d", serial)
+	if st.LastSerial != 42 || st.Applied != 1 || st.Truncated {
+		t.Fatalf("replayed image: %+v, want one group at serial 42", st)
 	}
-	db2 := store.New()
-	db2.LoadSnapshot(snap)
 	if db2.Checksum() != db.Checksum() {
-		t.Fatal("checkpoint round trip changed the database")
-	}
-	_, wts, _ := db2.Timestamps(7)
-	if wts != 123 {
-		t.Fatalf("write timestamp lost: %d", wts)
+		t.Fatal("log image round trip changed the database")
 	}
 }
 
+// TestCheckpointIncomplete: a log image cut before its commit marker is
+// an uncommitted group — a replay installs none of it.
 func TestCheckpointIncomplete(t *testing.T) {
 	db := store.New()
 	db.Put(1, []byte("v"))
+	db.Put(2, []byte("w"))
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, db.Snapshot(), 9); err != nil {
 		t.Fatal(err)
 	}
-	cut := buf.Bytes()[:buf.Len()-5]
-	if _, _, err := ReadCheckpoint(bytes.NewReader(cut)); err != ErrIncompleteCheckpoint {
-		t.Fatalf("err = %v, want ErrIncompleteCheckpoint", err)
-	}
-	if _, _, err := ReadCheckpoint(bytes.NewReader(nil)); err != ErrIncompleteCheckpoint {
-		t.Fatalf("empty: err = %v", err)
+	for _, cut := range []int{buf.Len() - 5, buf.Len() / 2, 0} {
+		db2 := store.New()
+		st, err := Recover(bytes.NewReader(buf.Bytes()[:cut]), db2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Applied != 0 || db2.Len() != 0 {
+			t.Fatalf("cut at %d/%d: applied %d groups, %d objects", cut, buf.Len(), st.Applied, db2.Len())
+		}
 	}
 }

@@ -268,8 +268,8 @@ func TestPublicCheckpointStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Version != 2 {
-		t.Fatalf("checkpoint stream is v%d, want v2", ck.Version)
+	if got, want := ck.Watermarks.Stripes(), db.node.DB().NumStripes(); got != want {
+		t.Fatalf("checkpoint stream has %d stripe watermarks, want %d", got, want)
 	}
 	fresh := store.New()
 	fresh.LoadSnapshot(ck.Snapshot)
