@@ -72,8 +72,8 @@ func TestShipperCumulativeAckReleasesAll(t *testing.T) {
 			t.Fatal("cumulative ack did not release all pending commits")
 		}
 	}
-	if s.Acked() != n {
-		t.Fatalf("Acked = %d, want %d", s.Acked(), n)
+	if ackedBy(s) != n {
+		t.Fatalf("Acked = %d, want %d", ackedBy(s), n)
 	}
 	if failed.Load() {
 		t.Fatal("shipper reported failure")

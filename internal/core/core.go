@@ -101,10 +101,10 @@ func (m LogMode) String() string {
 	}
 }
 
-// Committer is the commit step of the transaction pipeline: it must make
-// the transaction's log records stable (per the node's logging mode)
-// before returning. Validate has already applied the write phase; commit
-// record fields are filled in.
+// Committer is the commit step of the transaction pipeline: it makes a
+// transaction's log records stable per the node's logging mode. The
+// package's committers take the engine's commits without blocking; any
+// other Committer is driven through its blocking Commit.
 type Committer interface {
 	// Commit blocks until the transaction's records are stable.
 	Commit(g *wal.Group) error
@@ -112,9 +112,8 @@ type Committer interface {
 	Close() error
 }
 
-// ErrMirrorDown reports that the mirror connection failed mid-commit;
-// the node should switch to transient mode and retry the commit against
-// the disk.
+// ErrMirrorDown reports that the mirror connection failed mid-commit and
+// no other commit path took the commit over.
 var ErrMirrorDown = errors.New("core: mirror down")
 
 // ErrStopped reports an engine that is shutting down.
@@ -153,10 +152,10 @@ type Config struct {
 	// HeartbeatMisses is how many missed heartbeats declare the peer
 	// dead (default 3).
 	HeartbeatMisses int
-	// Clock supplies time to the engine (deadline checks, latency
-	// histograms, commit retry backoff). Nil uses the wall clock; a
-	// simtime.SimClock lets simulated-time runs pass through commit
-	// retries without real sleeps.
+	// Clock supplies time to the engine and its committers (deadline
+	// checks, latency histograms, the shipper's heartbeat). Nil uses the
+	// wall clock; a simtime.SimClock drives simulated-time runs without
+	// real sleeps.
 	Clock simtime.Clock
 }
 
@@ -197,7 +196,7 @@ const DefaultMaxCohort = 64
 
 // DefaultMaxCohortHold is ignored: group commit arms no hold timer.
 //
-// Deprecated: benchmark compat, remove with ROADMAP item 8.
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 const DefaultMaxCohortHold = 200 * time.Microsecond
 
 // buildCommitter constructs the committer for a logging mode. cfg must
@@ -205,14 +204,9 @@ const DefaultMaxCohortHold = 200 * time.Microsecond
 func buildCommitter(mode LogMode, log logstore.Store, cfg Config) Committer {
 	switch mode {
 	case LogDisk:
-		return NewGroupCommitter(log, GroupOptions{
-			MaxCohort: cfg.MaxCohort,
-			Clock:     cfg.Clock,
-		})
-	case LogDiscard:
-		return discardCommitter{}
-	case LogNone:
-		return nullCommitter{}
+		return NewGroupCommitter(log, GroupOptions{MaxCohort: cfg.MaxCohort})
+	case LogDiscard, LogNone:
+		return newNoWaitCommitter()
 	default:
 		panic("core: LogShip committers are built from a mirror connection")
 	}

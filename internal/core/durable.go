@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // durableMark is the engine's durable-through watermark: the largest
 // serial S such that the commit of every serial ≤ S is stable (acked by
-// the mirror, synced to disk, or needing no log at all). Serials are
-// taken in validation order but settle on their own goroutines in any
-// order; one that settles above a gap waits in ahead until the gap fills.
+// the mirror, synced to disk, or needing no log at all). The committer
+// keeps its commits in serial order and advances the watermark once per
+// contiguous run it makes stable; the watermark itself only moves up.
 // The first serial whose commit fails stops the watermark for good:
 // nothing at or above it can ever be reported durable.
 //
@@ -22,13 +24,13 @@ type durableMark struct {
 	failed  atomic.Uint64 // lowest serial whose commit failed; 0 if none (written under mu)
 
 	mu      sync.Mutex
-	cond    *sync.Cond          // wakes waiters when through moves or a commit fails
-	ahead   map[uint64]struct{} // settled serials above through+1
-	failErr error               // what waiters at or above failed return
+	cond    *sync.Cond      // wakes waiters when through moves or a commit fails
+	failErr error           // what waiters at or above failed return
+	cohorts metrics.IntDist // serials covered by each advance
 }
 
 func newDurableMark() *durableMark {
-	d := &durableMark{ahead: make(map[uint64]struct{})}
+	d := &durableMark{}
 	d.cond = sync.NewCond(&d.mu)
 	return d
 }
@@ -43,27 +45,19 @@ func (d *durableMark) seed(serial uint64) {
 	d.mu.Unlock()
 }
 
-// settle records that serial's commit is stable and advances the
-// watermark over the contiguous prefix it completes.
-func (d *durableMark) settle(serial uint64) {
+// advance moves the watermark up to serial, which the caller has seen
+// stable along with every serial below it, and records the cohort.
+func (d *durableMark) advance(serial uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if f := d.failed.Load(); f != 0 && serial > f {
-		return // behind a failed serial: the watermark never gets here
+	if f := d.failed.Load(); f != 0 {
+		serial = min(serial, f-1) // the watermark never passes a failed serial
 	}
-	if serial != d.through.Load()+1 {
-		d.ahead[serial] = struct{}{}
-		return
+	if through := d.through.Load(); serial > through {
+		d.cohorts.Observe(int(serial - through))
+		d.through.Store(serial)
+		d.cond.Broadcast()
 	}
-	for {
-		if _, ok := d.ahead[serial+1]; !ok {
-			break
-		}
-		delete(d.ahead, serial+1)
-		serial++
-	}
-	d.through.Store(serial)
-	d.cond.Broadcast()
 }
 
 // fail records that serial's commit failed with err. It reports whether

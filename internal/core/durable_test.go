@@ -2,14 +2,38 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/sched"
+	"repro/internal/simtime"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
 
 func TestDurableMarkContiguousPrefix(t *testing.T) {
+	// The committer's queue releases only the contiguous run: 13 waits
+	// behind the gap at 12.
+	var q cohortQueue
+	q.init(11, nil)
+	q.adopt(11, []*commit{{serial: 13}, {serial: 11}})
+	if got := q.drain(nil, 8); len(got) != 1 || got[0].serial != 11 {
+		t.Fatalf("drained %v with 12 missing, want [11]", got)
+	}
+	if cs := q.settle(11); len(cs) != 1 {
+		t.Fatalf("settle(11) = %d commits", len(cs))
+	}
+	q.enqueue(&commit{serial: 12})
+	if got := q.drain(nil, 8); len(got) != 2 || got[1].serial != 13 {
+		t.Fatalf("drained %d after the gap filled, want 12 and 13", len(got))
+	}
+	done := make(chan error, 1)
+	q.enqueue(&commit{serial: 10, done: done})
+	if err := <-done; err != nil || len(q.pending) != 2 {
+		t.Fatalf("a serial below the stable point: %v, %d queued", err, len(q.pending))
+	}
+
 	d := newDurableMark()
 	d.seed(10)
 	if got := d.through.Load(); got != 10 {
@@ -17,29 +41,23 @@ func TestDurableMarkContiguousPrefix(t *testing.T) {
 	}
 	waited := make(chan error, 1)
 	go func() { waited <- d.wait(13) }()
-
-	d.settle(13) // above a gap: waits in ahead
-	d.settle(11)
-	if got := d.through.Load(); got != 11 {
-		t.Fatalf("through = %d after 11 and 13 settled, want 11", got)
-	}
+	d.advance(11)
 	select {
 	case err := <-waited:
-		t.Fatalf("wait(13) returned %v with 12 unsettled", err)
+		t.Fatalf("wait(13) returned %v at 11", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	d.settle(12)
-	if got := d.through.Load(); got != 13 {
-		t.Fatalf("through = %d after the gap filled, want 13", got)
-	}
+	d.advance(13)
 	if err := <-waited; err != nil {
 		t.Fatalf("wait(13): %v", err)
+	}
+	if n, m := d.cohorts.Count(), d.cohorts.Max(); n != 2 || m != 2 {
+		t.Fatalf("cohorts: %d advances, largest %d; want 2 and 2", n, m)
 	}
 
 	boom := errors.New("boom")
 	d.fail(15, boom)
-	d.settle(16) // behind the failure: never durable
-	d.settle(14)
+	d.advance(16) // behind the failure: stops at 14
 	if got := d.through.Load(); got != 14 {
 		t.Fatalf("through = %d, want 14 (15 failed)", got)
 	}
@@ -51,24 +69,51 @@ func TestDurableMarkContiguousPrefix(t *testing.T) {
 			t.Fatalf("wait(%d) = %v, want ErrNodeFailure", s, err)
 		}
 	}
-	if len(d.ahead) != 0 {
-		t.Fatalf("ahead holds %d serials the watermark can never reach", len(d.ahead))
-	}
 }
 
-// gateCommitter holds every commit until open is closed, then fails the
-// serials listed in fail.
+// gateCommitter holds every commit until release, then reports each
+// contiguous run stable in one advance, failing the serials listed in
+// fail. Never released, it is a commit path that has lost its device and
+// waits for the node to install the next one.
 type gateCommitter struct {
-	open chan struct{}
+	cohortQueue
+	open bool
 	fail map[uint64]error
 }
 
-func (c *gateCommitter) Commit(g *wal.Group) error {
-	<-c.open
-	return c.fail[g.SerialOrder()]
+func newGate(fail map[uint64]error) *gateCommitter {
+	c := &gateCommitter{fail: fail}
+	c.init(1, c.releaseLocked)
+	return c
 }
 
-func (c *gateCommitter) Close() error { return nil }
+func (c *gateCommitter) releaseLocked() {
+	if !c.open || !c.ready() {
+		return
+	}
+	run := c.drain(nil, len(c.pending))
+	cs := c.settle(run[len(run)-1].serial)
+	for _, cm := range cs {
+		if c.fail[cm.serial] != nil {
+			for _, cm := range cs {
+				deliver([]*commit{cm}, c.fail[cm.serial])
+			}
+			return
+		}
+	}
+	deliver(cs, nil)
+}
+
+// release opens the gate.
+func (c *gateCommitter) release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.open = true
+	c.releaseLocked()
+}
+
+func (c *gateCommitter) Commit(g *wal.Group) error { return waitStable(c, simtime.Wall, g) }
+func (c *gateCommitter) Close() error              { return nil }
 
 func newGateEngine(t *testing.T, fail map[uint64]error) (*Engine, *gateCommitter) {
 	t.Helper()
@@ -76,8 +121,10 @@ func newGateEngine(t *testing.T, fail map[uint64]error) (*Engine, *gateCommitter
 	for i := 0; i < 10; i++ {
 		db.Put(store.ObjectID(i), []byte{byte(i)})
 	}
-	gate := &gateCommitter{open: make(chan struct{}), fail: fail}
-	e := NewEngine(Config{Workers: 1}, db, gate, LogDisk)
+	gate := newGate(fail)
+	// Room for every commit a test holds behind the gate.
+	cfg := Config{Workers: 1, Overload: sched.OverloadConfig{MaxActive: 128, MinActive: 128}}
+	e := NewEngine(cfg, db, gate, LogDisk)
 	t.Cleanup(e.Stop)
 	return e, gate
 }
@@ -147,7 +194,7 @@ func TestSubmitFreesWorkerBeforeStable(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 
-	close(gate.open)
+	gate.release()
 	if err := <-executed; err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +217,7 @@ func TestFailedCommitStopsWatermark(t *testing.T) {
 	e, gate := newGateEngine(t, map[uint64]error{2: errors.New("disk gone")})
 	reported := make(chan error, 4)
 	e.onCommitFailure = func(err error) { reported <- err }
-	close(gate.open)
+	gate.release()
 	if err := e.Execute(bump(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +255,7 @@ func TestFailedCommitStopsWatermark(t *testing.T) {
 // engine keeps committing.
 func TestCommitWaitsOutMirrorSwap(t *testing.T) {
 	e, _ := newGateEngine(t, nil)
-	e.SetCommitter(downCommitter{}, LogShip)
+	e.SetCommitter(newGate(nil), LogShip)
 	r, err := e.Submit(bump(1))
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +268,7 @@ func TestCommitWaitsOutMirrorSwap(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	e.SetCommitter(nullCommitter{}, LogShip)
+	e.SetCommitter(newNoWaitCommitter(), LogShip)
 	if err := <-waited; err != nil {
 		t.Fatalf("commit after the swap: %v", err)
 	}
@@ -230,5 +277,60 @@ func TestCommitWaitsOutMirrorSwap(t *testing.T) {
 	}
 	if got := e.DurableThrough(); got != 2 {
 		t.Fatalf("DurableThrough = %d, want 2", got)
+	}
+}
+
+// TestCohortCountsOneAdvance: k commits held behind a gated committer and
+// then released by one advance count as one cohort of k.
+func TestCohortCountsOneAdvance(t *testing.T) {
+	const k = 5
+	e, gate := newGateEngine(t, nil)
+	var last Release
+	for i := 0; i < k; i++ {
+		r, err := e.Submit(bump(store.ObjectID(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = r
+	}
+	gate.release()
+	if err := last.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n, m := e.CommitCohorts().Count(), e.CommitCohorts().Max(); n != 1 || m != k {
+		t.Fatalf("cohorts: %d advances, largest %d; want one of %d", n, m, k)
+	}
+}
+
+// TestHeldCommitsStartNoGoroutines: validated commits waiting for a
+// stable log cost no goroutine each. 64 of them held behind a gate grow
+// the goroutine count by far fewer than 64.
+func TestHeldCommitsStartNoGoroutines(t *testing.T) {
+	const held = 64
+	e, gate := newGateEngine(t, nil)
+	t.Cleanup(gate.release) // before the engine's Stop, which drains
+	before := runtime.NumGoroutine()
+	rels := make([]Release, 0, held)
+	for i := 0; i < held; i++ {
+		r, err := e.Submit(bump(store.ObjectID(i % 10)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, r)
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= held/4 {
+		t.Fatalf("%d held commits started %d goroutines", held, grew)
+	}
+	if rels[held-1].Ready() {
+		t.Fatal("a commit behind the gate is already stable")
+	}
+	gate.release()
+	for _, r := range rels {
+		if err := r.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.DurableThrough(); got != held {
+		t.Fatalf("DurableThrough = %d, want %d", got, held)
 	}
 }

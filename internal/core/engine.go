@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -72,26 +73,11 @@ func (x *Tx) Restarts() int { return x.t.Restarts }
 // retried) when the transaction has been doomed by a conflicting commit,
 // with ErrDeadline past a firm deadline, and reports missing objects.
 func (x *Tx) Read(id store.ObjectID) ([]byte, error) {
-	if err := x.check(); err != nil {
+	v, err := x.ReadView(id)
+	if err != nil {
 		return nil, err
 	}
-	start := x.e.clock.Now()
-	v, ok := x.t.Read(x.e.db, id)
-	x.e.ctl.ObserveReadLatency(x.e.clock.Now().Sub(start))
-	if !ok {
-		return nil, fmt.Errorf("core: object %d does not exist", id)
-	}
-	if x.t.ReadOnlyDeclared() {
-		// Declared read-only: no conflict-set registration. The snapshot
-		// fast path revalidates every read at commit instead.
-		return v, nil
-	}
-	if wts, observed := x.t.ObservedWriteTS(id); observed {
-		if !x.e.ctl.OnRead(x.t, id, wts) {
-			return nil, errRestart
-		}
-	}
-	return v, nil
+	return bytes.Clone(v), nil
 }
 
 // ReadView is Read without the defensive copy: the returned slice is
@@ -112,6 +98,8 @@ func (x *Tx) ReadView(id store.ObjectID) ([]byte, error) {
 		return nil, fmt.Errorf("core: object %d does not exist", id)
 	}
 	if x.t.ReadOnlyDeclared() {
+		// Declared read-only: no conflict-set registration. The snapshot
+		// fast path revalidates every read at commit instead.
 		return v, nil
 	}
 	if wts, observed := x.t.ObservedWriteTS(id); observed {
@@ -124,7 +112,12 @@ func (x *Tx) ReadView(id store.ObjectID) ([]byte, error) {
 
 // Delete stages a deletion of id in the private workspace. For
 // concurrency control a delete is a write.
-func (x *Tx) Delete(id store.ObjectID) error {
+func (x *Tx) Delete(id store.ObjectID) error { return x.stage(id, nil, true) }
+
+// Write stages an after image for id in the private workspace.
+func (x *Tx) Write(id store.ObjectID, value []byte) error { return x.stage(id, value, false) }
+
+func (x *Tx) stage(id store.ObjectID, value []byte, del bool) error {
 	if err := x.check(); err != nil {
 		return err
 	}
@@ -135,23 +128,11 @@ func (x *Tx) Delete(id store.ObjectID) error {
 		x.t.DemoteReadOnly()
 		return errRestart
 	}
-	x.t.StageDelete(id)
-	if !x.e.ctl.OnWrite(x.t, id) {
-		return errRestart
+	if del {
+		x.t.StageDelete(id)
+	} else {
+		x.t.StageWrite(id, value)
 	}
-	return nil
-}
-
-// Write stages an after image for id in the private workspace.
-func (x *Tx) Write(id store.ObjectID, value []byte) error {
-	if err := x.check(); err != nil {
-		return err
-	}
-	if x.t.ReadOnlyDeclared() {
-		x.t.DemoteReadOnly()
-		return errRestart
-	}
-	x.t.StageWrite(id, value)
 	if !x.e.ctl.OnWrite(x.t, id) {
 		return errRestart
 	}
@@ -197,8 +178,8 @@ type Engine struct {
 	// commit fails to become stable and stops the watermark.
 	onCommitFailure func(error)
 
-	committer atomic.Pointer[committerBox] // a fresh box per swap
-	logMode   atomic.Int32
+	path    atomic.Pointer[logPath] // the current commit path
+	logMode atomic.Int32
 
 	mu      sync.Mutex
 	jobs    map[txn.ID]*job
@@ -208,11 +189,6 @@ type Engine struct {
 	inflight sync.WaitGroup // outstanding Submit calls and unsettled commits
 	workers  sync.WaitGroup
 }
-
-// committerBox holds the current Committer. Every SetCommitter installs a
-// new box, so a commit that failed through one box can tell by pointer
-// comparison whether the commit path has been swapped since.
-type committerBox struct{ c Committer }
 
 // NewEngine builds an engine over db. The committer defines the commit
 // path; swap it with SetCommitter on failover.
@@ -231,7 +207,8 @@ func NewEngine(cfg Config, db *store.Store, committer Committer, logMode LogMode
 		durable:    newDurableMark(),
 		jobs:       make(map[txn.ID]*job),
 	}
-	e.committer.Store(&committerBox{committer})
+	p := pathFor(committer, 1)
+	e.path.Store(&p)
 	e.logMode.Store(int32(logMode))
 	for i := 0; i < cfg.Workers; i++ {
 		e.workers.Add(1)
@@ -261,6 +238,11 @@ func (e *Engine) CommitWaits() *metrics.Histogram { return e.commitWait }
 // with a serial at or below it is stable.
 func (e *Engine) DurableThrough() uint64 { return e.durable.through.Load() }
 
+// CommitCohorts is the distribution of serials covered by each advance of
+// the durable watermark: the size of each cohort the committer made
+// stable at once.
+func (e *Engine) CommitCohorts() *metrics.IntDist { return &e.durable.cohorts }
+
 // ReplyHolds counts read results that had to wait for the watermark
 // because they observed a write whose commit was not yet stable.
 func (e *Engine) ReplyHolds() uint64 { return e.replyHolds.Load() }
@@ -272,6 +254,7 @@ func (e *Engine) ReplyHolds() uint64 { return e.replyHolds.Load() }
 func (e *Engine) Seed(lastSerial, maxTS uint64) {
 	e.ctl.Seed(lastSerial, maxTS)
 	e.durable.seed(lastSerial)
+	(*e.path.Load()).adopt(lastSerial+1, nil)
 }
 
 // Overload exposes the overload manager.
@@ -289,12 +272,17 @@ func (e *Engine) AtAdmissionLimit() bool {
 func (e *Engine) LogMode() LogMode { return LogMode(e.logMode.Load()) }
 
 // SetCommitter atomically swaps the commit path (failover: ship→disk).
-// The previous committer is returned; the caller decides when to close
-// it.
+// The previous committer hands every commit it has not made stable to c
+// in serial order, and forwards any that still reach it. It is returned;
+// the caller decides when to close it.
 func (e *Engine) SetCommitter(c Committer, mode LogMode) Committer {
-	prev := e.committer.Swap(&committerBox{c})
+	next := pathFor(c, e.DurableThrough()+1)
 	e.logMode.Store(int32(mode))
-	return prev.c
+	prev := *e.path.Swap(&next)
+	if _, compat := next.(*blockingPath); !compat {
+		prev.handoff(next)
+	}
+	return prev
 }
 
 // Execute submits a transaction and blocks until it commits or aborts
@@ -309,8 +297,8 @@ func (e *Engine) Execute(req Request) error {
 
 // Submit runs a transaction through validation and returns as soon as
 // its outcome is decided, without waiting for the commit to become
-// stable: the engine worker hands the LogWait to a goroutine of its own
-// and takes the next job. The returned Release says what the result
+// stable: the engine worker hands the commit to the committer and takes
+// the next job. The returned Release says what the result
 // waits on before it may be shown — for a commit its own serial, for a
 // read-only or failed transaction the highest serial it read. Until then
 // the caller must hold the result back, and must report a failure
@@ -369,7 +357,7 @@ func (e *Engine) Submit(req Request) (Release, error) {
 	delete(e.jobs, t.ID)
 	e.mu.Unlock()
 	if j.release.e == nil || j.release.read {
-		e.overload.Done() // else the commit's settle frees the slot once stable
+		e.overload.Done() // else settle frees the slot once the commit is stable
 	}
 	return j.release, err
 }
@@ -382,7 +370,7 @@ func (e *Engine) Stop() {
 	e.inflight.Wait()
 	e.queue.Close()
 	e.workers.Wait()
-	e.committer.Load().c.Close()
+	(*e.path.Load()).Close()
 }
 
 func (e *Engine) worker() {
@@ -506,48 +494,60 @@ func (e *Engine) run(j *job) {
 			j.done <- nil
 			return
 		}
-		// Write phase already applied inside Validate. The commit step
-		// for the current logging mode runs on its own goroutine, so
-		// this worker is free for the next job while the log is made
-		// stable. The submitter is woken first: the goroutine started
-		// last is the one this CPU runs next, and the log write should
-		// not queue behind the reply path.
+		// Write phase already applied inside Validate. The committer
+		// makes the commit stable without this worker: it settles the
+		// commit, with the rest of its cohort, when the log is stable.
 		t.State = txn.LogWait
 		j.release = Release{e: e, serial: t.SerialOrder}
 		e.inflight.Add(1)
-		validated := e.clock.Now()
+		c := &commit{serial: t.SerialOrder, at: e.clock.Now(), e: e, t: t}
+		if e.LogMode() != LogNone {
+			c.g = &wal.Group{Writes: wal.WriteRecordsFor(t), Commit: wal.CommitRecordFor(t)}
+		}
 		j.done <- nil
-		go e.settle(t, validated)
+		(*e.path.Load()).enqueue(c)
 		return
 	}
 }
 
-// settle is the LogWait of one validated transaction: it makes the
-// commit stable (retrying through a swapped committer if the mirror
-// vanished), records the outcome and latency, frees the admission slot,
-// and only then moves the durable watermark, so whoever waits on the
-// watermark sees the accounting done.
-func (e *Engine) settle(t *txn.Transaction, validated simtime.Time) {
-	defer e.inflight.Done()
-	err := e.commitStable(t)
+// settle is the LogWait's end for a run of commits the committer made
+// stable (err nil) or could not: it records each outcome and latency,
+// frees the admission slots, and only then moves the durable watermark
+// once, so whoever waits on the watermark sees the accounting done.
+// Commits not from this engine (direct Commit calls) are skipped.
+func (e *Engine) settle(cs []*commit, err error) {
 	end := e.clock.Now()
-	e.commitWait.Observe(end.Sub(validated))
-	if err != nil {
-		// The write phase is already in local memory, but no log path
-		// could take the commit (or the engine stopped first): a
-		// node-level failure, and no later serial can be reported
-		// durable.
-		e.outcome.Abort(txn.NodeFailure)
-		e.overload.Done()
-		if first, ferr := e.durable.fail(t.SerialOrder, err); first && e.onCommitFailure != nil {
-			e.onCommitFailure(ferr)
+	var lo, hi uint64
+	n := 0
+	for _, c := range cs {
+		if c.e != e {
+			continue
 		}
+		if n++; n == 1 {
+			lo = c.serial
+		}
+		hi = c.serial
+		e.commitWait.Observe(end.Sub(c.at))
+		if err != nil {
+			// Installed in memory, but stable on no log path.
+			e.outcome.Abort(txn.NodeFailure)
+		} else {
+			c.t.State = txn.Committed
+			e.committed(c.t, end)
+		}
+		e.overload.Done()
+	}
+	if n == 0 {
 		return
 	}
-	t.State = txn.Committed
-	e.committed(t, end)
-	e.overload.Done()
-	e.durable.settle(t.SerialOrder)
+	if err != nil {
+		if first, ferr := e.durable.fail(lo, err); first && e.onCommitFailure != nil {
+			e.onCommitFailure(ferr)
+		}
+	} else {
+		e.durable.advance(hi)
+	}
+	e.inflight.Add(-n)
 }
 
 // committed accounts a commit that finished at end.
@@ -559,42 +559,6 @@ func (e *Engine) committed(t *txn.Transaction, end simtime.Time) {
 	} else {
 		e.outcome.Commit()
 	}
-}
-
-// commitStable runs the commit step. A lost mirror is not a failure of
-// this commit: the node swaps in another commit path (the disk when the
-// mirror failed, a new session when a mirror rejoined), so the commit
-// waits for the swap and retries there. Only a stopping engine gives up
-// on it; any other committer error is final.
-func (e *Engine) commitStable(t *txn.Transaction) error {
-	if e.LogMode() == LogNone {
-		return nil
-	}
-	g := &wal.Group{Writes: wal.WriteRecordsFor(t), Commit: wal.CommitRecordFor(t)}
-	backoff := 100 * time.Microsecond
-	for {
-		box := e.committer.Load()
-		err := box.c.Commit(g)
-		if !errors.Is(err, ErrMirrorDown) {
-			return err
-		}
-		// The wait goes through the engine clock so simulated-time runs
-		// advance instead of stalling on a real sleep.
-		for e.committer.Load() == box {
-			if e.stopped.Load() {
-				return err
-			}
-			e.sleep(backoff)
-			backoff = min(2*backoff, time.Millisecond)
-		}
-	}
-}
-
-// sleep blocks until d has elapsed on the engine clock.
-func (e *Engine) sleep(d time.Duration) {
-	done := make(chan struct{})
-	e.clock.AfterFunc(d, func() { close(done) })
-	<-done
 }
 
 // restart resets the transaction for another attempt if it has restarts
@@ -624,14 +588,5 @@ func (e *Engine) finish(j *job, reason txn.AbortReason, err error) {
 	if reason == txn.DeadlineMiss {
 		e.overload.RecordMiss(e.clock.Now())
 	}
-	var final error
-	switch reason {
-	case txn.DeadlineMiss:
-		final = ErrDeadline
-	case txn.Conflict:
-		final = ErrConflict
-	default:
-		final = err
-	}
-	j.done <- final
+	j.done <- err
 }

@@ -453,37 +453,3 @@ func TestWriteAfterDeadline(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func TestCommitStableRetriesThroughSwap(t *testing.T) {
-	// A committer that reports the mirror down once; commitStable must
-	// retry and succeed after a swap.
-	e, _, mem := newTestEngine(t, Config{}, LogNone)
-	e.SetCommitter(&failingOnceCommitter{next: NewGroupCommitter(mem, GroupOptions{}), e: e}, LogShip)
-	if err := e.Execute(Request{Deadline: 2 * time.Second, Do: func(tx *Tx) error {
-		return tx.Write(1, []byte("retried"))
-	}}); err != nil {
-		t.Fatalf("commit through failing committer: %v", err)
-	}
-	if mem.Stats().Syncs == 0 {
-		t.Fatal("retry never reached the disk committer")
-	}
-}
-
-// failingOnceCommitter fails its first commit with ErrMirrorDown and
-// swaps the engine to its fallback, mimicking a mirror loss mid-commit.
-type failingOnceCommitter struct {
-	next   Committer
-	e      *Engine
-	failed bool
-}
-
-func (f *failingOnceCommitter) Commit(g *wal.Group) error {
-	if !f.failed {
-		f.failed = true
-		f.e.SetCommitter(f.next, LogDisk)
-		return ErrMirrorDown
-	}
-	return f.next.Commit(g)
-}
-
-func (f *failingOnceCommitter) Close() error { return f.next.Close() }

@@ -226,10 +226,10 @@ func (n *Node) attachMirror(conn *transport.Conn) {
 		conn.Close()
 		return
 	}
-	if n.shipper != nil {
-		// Replace any previous mirror session.
-		old := n.shipper
-		n.shipper = nil
+	if old := n.shipper; old != nil {
+		// Replace the previous mirror session: its un-acked commits go
+		// to the disk before it closes.
+		n.useDiskLocked()
 		n.mu.Unlock()
 		old.Close()
 		n.mu.Lock()
@@ -240,6 +240,9 @@ func (n *Node) attachMirror(conn *transport.Conn) {
 	// The freeze only swaps the commit path at serial s. Its wait for
 	// in-flight write phases makes every stripe watermark read after it
 	// ≥ s, so the image covers every commit the shipper will not ship.
+	// The swap waits out a cohort already on the disk; the disk's queued
+	// commits, all at or below s, are handed to the shipper, which
+	// reports them stable once the mirror acknowledges the transfer.
 	var (
 		serial  uint64
 		shipper *MirrorShipper
@@ -251,7 +254,7 @@ func (n *Node) attachMirror(conn *transport.Conn) {
 			Heartbeat:  n.cfg.HeartbeatEvery,
 			MaxCohort:  n.cfg.MaxCohort,
 			Clock:      n.cfg.Clock,
-			OnFailure:  func() { n.mirrorLost() },
+			OnFailure:  func() { n.mirrorLost(shipper) },
 		})
 		engine.SetCommitter(shipper, LogShip)
 	})
@@ -320,22 +323,29 @@ func (w chunkWriter) send(m *transport.Msg) error {
 	return w.conn.Send(m)
 }
 
-// mirrorLost switches the node back to transient mode: the Log Writer
-// must store logs directly to disk again.
-func (n *Node) mirrorLost() {
+// mirrorLost switches the node back to transient mode when the session
+// of s fails: the Log Writer must store logs directly to disk again, and
+// s hands its un-acked commits to the disk committer.
+func (n *Node) mirrorLost(s *MirrorShipper) {
 	n.mu.Lock()
-	if n.closed || n.engine == nil {
+	if n.closed || n.shipper != s {
 		n.mu.Unlock()
 		return
 	}
+	n.useDiskLocked()
+	n.mu.Unlock()
+	n.emit(EventMirrorLost, "switched to direct disk logging")
+}
+
+// useDiskLocked makes the disk committer the engine's commit path; the
+// current shipper hands its un-acked commits over. Caller holds n.mu.
+func (n *Node) useDiskLocked() {
 	if n.disk == nil {
 		n.disk = buildCommitter(LogDisk, n.log, n.cfg)
 	}
 	n.engine.SetCommitter(n.disk, LogDisk)
 	n.shipper = nil
 	n.mode = ModeTransient
-	n.mu.Unlock()
-	n.emit(EventMirrorLost, "switched to direct disk logging")
 }
 
 // RunMirror runs the node as the hot stand-by of the primary at
@@ -461,47 +471,28 @@ func (n *Node) replayAndSeed(log io.Reader, wm *wal.StripeWatermarks, base wal.R
 // Close shuts the node down gracefully: outstanding transactions drain,
 // the log is synced, connections close.
 func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if !n.shutdown(false) {
 		return nil
 	}
-	n.closed = true
-	listener := n.listener
-	shipper := n.shipper
-	mirrorConn := n.mirrorConn
-	engine := n.engine
-	n.mu.Unlock()
-
-	if listener != nil {
-		listener.Close()
-	}
-	if mirrorConn != nil {
-		mirrorConn.Close()
-	}
-	if engine != nil {
-		engine.Stop()
-	}
-	if shipper != nil {
-		shipper.Close()
-	}
-	n.wg.Wait()
 	return n.log.Sync()
 }
 
 // Crash kills the node abruptly: connections drop, nothing is drained or
 // synced. It models the failures of the paper's availability story.
-func (n *Node) Crash() {
+func (n *Node) Crash() { n.shutdown(true) }
+
+// shutdown stops the node once, reporting whether this call did. A
+// graceful one lets the engine drain its commits through the mirror
+// before the session closes; a crash drops the session first.
+func (n *Node) shutdown(crash bool) bool {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return
+		return false
 	}
 	n.closed = true
-	listener := n.listener
-	shipper := n.shipper
-	mirrorConn := n.mirrorConn
-	engine := n.engine
+	listener, mirrorConn := n.listener, n.mirrorConn
+	engine, shipper, disk := n.engine, n.shipper, n.disk
 	n.mu.Unlock()
 
 	if listener != nil {
@@ -510,13 +501,20 @@ func (n *Node) Crash() {
 	if mirrorConn != nil {
 		mirrorConn.Close()
 	}
-	if shipper != nil {
+	if shipper != nil && crash {
 		shipper.Close()
 	}
 	if engine != nil {
 		engine.Stop()
 	}
+	if shipper != nil {
+		shipper.Close()
+	}
 	n.wg.Wait()
+	if disk != nil {
+		disk.Close() // its writer stays parked while a mirror holds the path
+	}
+	return true
 }
 
 // dialRetry dials addr until it answers or the budget runs out on

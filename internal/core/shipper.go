@@ -12,11 +12,9 @@ import (
 
 // MirrorShipper is the Log Writer of a primary node in normal two-node
 // operation: it ships each committing transaction's redo records and
-// commit record to the Mirror Node and releases the transaction to its
-// final commit step when the mirror's acknowledgment arrives. The
-// communication between the committing transaction and the Log Writer is
-// synchronous; commit time contains one message round trip instead of a
-// disk write.
+// commit record to the Mirror Node and reports the transaction stable
+// when the mirror's acknowledgment arrives. Commit time contains one
+// message round trip instead of a disk write.
 //
 // Groups are shipped in true validation order (contiguous SerialOrder),
 // giving the stream the prefix property: a transaction's records — and
@@ -27,8 +25,13 @@ import (
 // sender ships the contiguous prefix of pending groups the moment it has
 // one, so every group that queued while the previous wire write was in
 // flight leaves in one batch (one encode pass, one flush), and the
-// mirror's cumulative ack releases the whole cohort at once. No timer is
-// armed per commit, per cohort or per serial gap.
+// mirror's cumulative ack reports everything up to it stable in one call.
+// No timer is armed per commit, per cohort or per serial gap.
+//
+// A shipper that ends — its mirror failed, or a rejoining mirror replaced
+// it — hands every commit it has not seen acknowledged, shipped or still
+// queued, to the node's disk committer in serial order, and forwards any
+// commit that reaches it afterwards.
 //
 // All timing goes through one simtime.Ticker at the heartbeat interval:
 // it has the sender ping an otherwise idle mirror, declares a silent
@@ -44,20 +47,17 @@ type MirrorShipper struct {
 	maxCohort  int
 	clock      simtime.Clock
 
-	mu        sync.Mutex
-	work      *sync.Cond              // wakes the sender: a group was queued
-	ackCond   *sync.Cond              // wakes commit waiters: acked advanced
-	quit      chan struct{}           // closed when the shipper fails or closes
-	pending   map[uint64]pendingGroup // serial → group awaiting its turn
-	covered   uint64                  // serials up to here ride in the state transfer
-	nextSend  uint64                  // next serial to ship
-	queued    uint64                  // highest serial ever queued
-	acked     uint64                  // highest acknowledged serial
-	ackedAt   simtime.Time            // when acked last advanced
-	waitSince simtime.Time            // when a commit began waiting with none before it
-	lastHeard simtime.Time            // last message from the mirror
-	shipped   bool                    // a batch went out since the last tick
-	pingDue   bool                    // the heartbeat asks the sender for a ping
+	// The queue holds every un-acked commit; its cursor is the next
+	// serial to ship, and commits below firstSerial ride in the state
+	// transfer. Its cond wakes the sender.
+	cohortQueue
+	quit      chan struct{} // closed when the shipper fails or closes
+	acked     uint64        // highest acknowledged serial
+	ackedAt   simtime.Time  // when acked last advanced
+	waitSince simtime.Time  // when a commit began waiting with none before it
+	lastHeard simtime.Time  // last message from the mirror
+	shipped   bool          // a batch went out since the last tick
+	pingDue   bool          // the heartbeat asks the sender for a ping
 	failed    bool
 	closed    bool
 
@@ -69,22 +69,15 @@ type MirrorShipper struct {
 	// path does not allocate per record: all records of a batch are
 	// encoded back to back into encBuf and the wire messages borrow
 	// sub-slices of it.
-	encBuf    []byte
-	spans     []recSpan
-	msgBuf    []transport.Msg
-	msgPtrs   []*transport.Msg
-	groupsBuf []*wal.Group
+	encBuf  []byte
+	spans   []recSpan
+	msgBuf  []transport.Msg
+	msgPtrs []*transport.Msg
+	batch   []*commit
 
 	stats       ShipperStats
 	cohortSizes metrics.IntDist
 	queueDelay  metrics.Histogram // enqueue → handed to the wire
-}
-
-// pendingGroup is a queued group and when it was queued (the
-// queue-delay metric): one map entry per commit.
-type pendingGroup struct {
-	g  *wal.Group
-	at simtime.Time
 }
 
 // recSpan locates one encoded record inside the batch encode buffer.
@@ -120,7 +113,7 @@ type ShipperOptions struct {
 	MaxCohort int
 	// MaxHold is ignored: the sender never holds a cohort open.
 	//
-	// Deprecated: benchmark compat, remove with ROADMAP item 8.
+	// Deprecated: benchmark compat, remove with ROADMAP item 6.
 	MaxHold time.Duration
 	// Clock drives the heartbeat ticker; nil uses the wall clock.
 	Clock simtime.Clock
@@ -133,11 +126,8 @@ type ShipperOptions struct {
 // connection. firstSerial is the validation order of the first group
 // this mirror session will carry (lastSerial at attach time + 1). Groups
 // below it are covered by the session's state transfer: they are never
-// shipped, and a commit of one returns once the mirror acknowledges it.
+// shipped, and are stable once the mirror acknowledges them.
 func NewMirrorShipper(conn *transport.Conn, firstSerial uint64, opts ShipperOptions) *MirrorShipper {
-	if firstSerial == 0 {
-		firstSerial = 1
-	}
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 100 * time.Millisecond
 	}
@@ -154,13 +144,13 @@ func NewMirrorShipper(conn *transport.Conn, firstSerial uint64, opts ShipperOpti
 		maxCohort:  opts.MaxCohort,
 		clock:      opts.Clock,
 		quit:       make(chan struct{}),
-		pending:    make(map[uint64]pendingGroup),
-		covered:    firstSerial - 1,
-		nextSend:   firstSerial,
 		onFailure:  opts.OnFailure,
 	}
-	s.work = sync.NewCond(&s.mu)
-	s.ackCond = sync.NewCond(&s.mu)
+	s.init(firstSerial, func() {
+		if len(s.pending) == 1 {
+			s.waitSince = s.clock.Now() // no commit was waiting: the ack clock starts here
+		}
+	})
 	return s
 }
 
@@ -179,69 +169,10 @@ func (s *MirrorShipper) Start() {
 	go s.heartbeat(simtime.NewTicker(s.clock, s.ping))
 }
 
-// Commit implements Committer: enqueue the group and wait until the
-// mirror has acknowledged its commit record. Concurrent committers form
-// a cohort — the sender drains them into one wire batch and the mirror's
-// cumulative ack releases them together.
-func (s *MirrorShipper) Commit(g *wal.Group) error {
-	serial := g.SerialOrder()
-	s.mu.Lock()
-	if s.failed || s.closed {
-		s.mu.Unlock()
-		return ErrMirrorDown
-	}
-	now := s.clock.Now()
-	if s.queued <= s.acked {
-		s.waitSince = now // no commit was waiting: the ack clock starts here
-	}
-	if serial > s.queued {
-		s.queued = serial
-	}
-	// A covered serial is in the state transfer: it is not queued (no
-	// sender would drain it) but waits for the mirror's ack like the rest.
-	if serial > s.covered {
-		s.pending[serial] = pendingGroup{g: g, at: now}
-		if serial == s.nextSend {
-			s.work.Signal() // a group behind a gap waits for the gap's filler to signal
-		}
-	}
-
-	// The heartbeat enforces the ack timeout; this wait is woken only by
-	// acks and by failure or close.
-	for s.acked < serial && !s.failed && !s.closed {
-		s.ackCond.Wait()
-	}
-	ok := s.acked >= serial
-	s.mu.Unlock()
-	if !ok {
-		return ErrMirrorDown
-	}
-	return nil
-}
-
-// drainLocked moves contiguous pending groups (up to the cohort cap)
-// into groups, recording each one's queue delay. Must hold s.mu.
-func (s *MirrorShipper) drainLocked(groups []*wal.Group) []*wal.Group {
-	now := s.clock.Now()
-	for len(groups) < s.maxCohort {
-		p, ok := s.pending[s.nextSend]
-		if !ok {
-			break
-		}
-		delete(s.pending, s.nextSend)
-		s.queueDelay.Observe(now.Sub(p.at))
-		s.nextSend++
-		groups = append(groups, p.g)
-	}
-	return groups
-}
-
-// hasNextLocked reports whether the next serial to ship is queued. Must
-// hold s.mu.
-func (s *MirrorShipper) hasNextLocked() bool {
-	_, ok := s.pending[s.nextSend]
-	return ok
-}
+// Commit implements Committer for a direct caller: it enqueues g and
+// waits until the mirror has acknowledged its commit record. The engine
+// enqueues without waiting.
+func (s *MirrorShipper) Commit(g *wal.Group) error { return waitStable(s, s.clock, g) }
 
 // sender ships pending cohorts in contiguous serial order, and the pings
 // the heartbeat asks for while idle.
@@ -249,15 +180,15 @@ func (s *MirrorShipper) sender() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for !s.hasNextLocked() && !s.pingDue && !s.failed && !s.closed {
-			s.work.Wait()
+		for !s.ready() && !s.pingDue && !s.failed && !s.closed {
+			s.cond.Wait()
 		}
 		if s.failed || s.closed {
 			s.mu.Unlock()
 			return
 		}
 		s.pingDue = false // a batch is traffic enough
-		if !s.hasNextLocked() {
+		if !s.ready() {
 			// Idle: heartbeat so the mirror's watchdog stays calm.
 			s.mu.Unlock()
 			if err := s.conn.SendControl(transport.MsgPing, 0); err != nil {
@@ -272,8 +203,12 @@ func (s *MirrorShipper) sender() {
 		// amortizes the syscall per group while keeping strict
 		// validation order. Groups queued behind a serial gap ship with
 		// the batch after the gap fills.
-		groups := s.drainLocked(s.groupsBuf[:0])
+		batch := s.drain(s.batch[:0], s.maxCohort)
 		s.mu.Unlock()
+		now := s.clock.Now()
+		for _, c := range batch {
+			s.queueDelay.Observe(now.Sub(c.at))
+		}
 
 		// Encode every record of the batch back to back into the scratch
 		// buffer, then hand the transport sub-slices of it: one grown
@@ -281,7 +216,8 @@ func (s *MirrorShipper) sender() {
 		// recorded first because appending may relocate the buffer.
 		enc := s.encBuf[:0]
 		spans := s.spans[:0]
-		for _, g := range groups {
+		for _, c := range batch {
+			g := c.g
 			for _, rec := range g.Writes {
 				start := len(enc)
 				enc = wal.AppendEncoded(enc, rec)
@@ -307,11 +243,9 @@ func (s *MirrorShipper) sender() {
 		// SendBatch copies payloads into the connection's write buffer
 		// before returning, so the scratch storage can be reused for the
 		// next batch.
-		nGroups, nRecords, nBytes := len(groups), len(msgs), len(enc)
-		for i := range groups {
-			groups[i] = nil // do not retain applied groups
-		}
-		s.encBuf, s.spans, s.msgBuf, s.msgPtrs, s.groupsBuf = enc, spans, mbuf, msgs, groups
+		nGroups, nRecords, nBytes := len(batch), len(msgs), len(enc)
+		clear(batch) // do not retain shipped groups
+		s.encBuf, s.spans, s.msgBuf, s.msgPtrs, s.batch = enc, spans, mbuf, msgs, batch
 		if err != nil {
 			s.fail()
 			return
@@ -355,7 +289,7 @@ func (s *MirrorShipper) heartbeat(t *simtime.Ticker) {
 			since = s.waitSince
 		}
 		silent := now.Sub(s.lastHeard) > s.ackTimeout
-		stalled := s.queued > s.acked && now.Sub(since) > s.ackTimeout
+		stalled := len(s.pending) > 0 && now.Sub(since) > s.ackTimeout
 		if s.ackTimeout > 0 && (silent || stalled) {
 			s.mu.Unlock()
 			s.fail()
@@ -363,7 +297,7 @@ func (s *MirrorShipper) heartbeat(t *simtime.Ticker) {
 		}
 		if !s.shipped {
 			s.pingDue = true
-			s.work.Signal()
+			s.cond.Signal()
 		}
 		s.shipped = false
 		s.mu.Unlock()
@@ -392,53 +326,41 @@ func (s *MirrorShipper) ackReader() {
 		}
 		s.mu.Lock()
 		s.lastHeard = s.clock.Now()
+		var stable []*commit
 		if typ == transport.MsgAck {
 			s.stats.Acks++
 			if serial > s.acked {
 				s.acked = serial
 				s.ackedAt = s.lastHeard
-				s.ackCond.Broadcast()
+				stable = s.settle(serial)
 			}
 		}
 		s.mu.Unlock()
+		if len(stable) > 0 {
+			deliver(stable, nil)
+		}
 	}
 }
 
-// fail marks the mirror dead, runs the failure callback once, and only
-// then wakes the waiters. The ordering is a guarantee, not a nicety: by
-// the time a pending Commit returns ErrMirrorDown the node has already
-// switched to transient mode, so the caller can immediately retry on
-// the disk path. (The callback must therefore not block on a commit
-// waiter; mirrorLost only flips node state.)
+// fail marks the mirror dead and runs the failure callback once. The
+// node's callback installs the disk committer, which makes this shipper
+// hand its un-acked commits over; whatever is still queued after it
+// returns had no successor and fails with ErrMirrorDown.
 func (s *MirrorShipper) fail() {
 	s.mu.Lock()
 	live := !s.failed && !s.closed
 	s.failed = true
-	if live {
-		close(s.quit)
-	}
-	s.mu.Unlock()
-	if live && s.onFailure != nil {
-		s.onFailure()
-	}
-	s.mu.Lock()
-	s.wakeAllLocked()
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.conn.Close()
-}
-
-// wakeAllLocked releases the sender and every commit waiter so they
-// observe failed or closed. Must hold s.mu.
-func (s *MirrorShipper) wakeAllLocked() {
-	s.work.Broadcast()
-	s.ackCond.Broadcast()
-}
-
-// Acked reports the highest acknowledged serial order.
-func (s *MirrorShipper) Acked() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked
+	if !live {
+		return // the first failure (or Close) hands off or ends
+	}
+	close(s.quit)
+	if s.onFailure != nil {
+		s.onFailure()
+	}
+	s.end(ErrMirrorDown)
 }
 
 // Stats returns shipping accounting.
@@ -455,7 +377,8 @@ func (s *MirrorShipper) CohortSizes() *metrics.IntDist { return &s.cohortSizes }
 // committed group waited for its cohort to ship.
 func (s *MirrorShipper) QueueDelay() *metrics.Histogram { return &s.queueDelay }
 
-// Close implements Committer. Pending commits fail with ErrMirrorDown.
+// Close implements Committer. Commits not yet handed off fail with
+// ErrMirrorDown.
 func (s *MirrorShipper) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -466,9 +389,10 @@ func (s *MirrorShipper) Close() error {
 		close(s.quit)
 	}
 	s.closed = true
-	s.wakeAllLocked()
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.conn.Close()
 	s.wg.Wait()
+	s.end(ErrMirrorDown)
 	return nil
 }

@@ -155,7 +155,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // 1 000 concurrent commits through the transient-mode group committer
 // arm no timer at all, and through the shipper arm none beyond the
 // heartbeat ticker's first one (the clock never advances, so it never
-// re-arms).
+// re-arms). A mirror failure with commits in flight arms none on the
+// engine's clock: the shipper hands the commits to the disk.
 func TestCommitPathArmsNoTimers(t *testing.T) {
 	const (
 		commits    = 1000
@@ -200,6 +201,49 @@ func TestCommitPathArmsNoTimers(t *testing.T) {
 	if n := ship.armed.Load(); n > 1 {
 		t.Fatalf("shipper armed %d timers for %d commits, want at most the ticker's first", n, commits)
 	}
+
+	// Mirror failure with commits in flight, and more arriving while the
+	// node is still installing the disk: the shipper hands them all to the
+	// disk committer, and nothing on the engine's clock waits for the swap.
+	engineClock := &countingClock{Clock: simtime.NewWallClock()}
+	swap := make(chan struct{})
+	e, sh, b, _ := shipEngine(t, engineClock, swap)
+	var swapOnce sync.Once
+	release := func() { swapOnce.Do(func() { close(swap) }) }
+	t.Cleanup(release) // runs before the engine's Stop, even after a failure
+	go func() {        // read and never ack
+		for {
+			if _, err := b.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	var last Release
+	submit := func(from, to store.ObjectID) {
+		for id := from; id < to; id++ {
+			r, err := e.Submit(bump(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = r
+		}
+	}
+	submit(0, 4)
+	b.Close()
+	waitFor(t, "the shipper to fail", func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.failed
+	})
+	submit(4, 8)
+	time.Sleep(20 * time.Millisecond) // let any retry loop start waiting
+	release()
+	if err := last.Wait(); err != nil {
+		t.Fatalf("commit after the mirror failed: %v", err)
+	}
+	if n := engineClock.armed.Load(); n != 0 {
+		t.Fatalf("engine armed %d timers across the mirror swap, want 0", n)
+	}
 }
 
 // TestShipperGapShipsContiguousPrefix: the sender never holds a cohort
@@ -213,8 +257,7 @@ func TestShipperGapShipsContiguousPrefix(t *testing.T) {
 	waitFor(t, "serial 3 to queue", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		_, queued := s.pending[3]
-		return queued
+		return len(s.pending) == 1 && s.pending[0].serial == 3
 	})
 	if err := s.Commit(shipGroup(1)); err != nil {
 		t.Fatalf("commit 1: %v", err)
@@ -355,7 +398,7 @@ func TestShipperAckTimeoutWithStalledWrite(t *testing.T) {
 	waitFor(t, "the sender to take the commit", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.nextSend == 2
+		return s.next == 2
 	})
 
 	// Each idle tick asks the sender for a ping, which it cannot send
@@ -482,7 +525,7 @@ func TestShipperBatchingEquivalence(t *testing.T) {
 		// stop waits for Run to return, which drains the applier, so
 		// the snapshot sees every acked group installed.
 		stop()
-		if got := s.Acked(); got != nTxns {
+		if got := ackedBy(s); got != nTxns {
 			t.Fatalf("Acked = %d, want %d", got, nTxns)
 		}
 		snap := db.Snapshot()

@@ -326,7 +326,7 @@ func TestMirrorWithoutTransferDoesNotTakeOver(t *testing.T) {
 // mirror acknowledges the transfer's serial.
 func TestTransferCoveredCommitWaitsForMirrorAck(t *testing.T) {
 	e, _ := newGateEngine(t, nil)
-	e.SetCommitter(downCommitter{}, LogShip)
+	e.SetCommitter(newGate(nil), LogShip)
 	r, err := e.Submit(bump(1))
 	if err != nil {
 		t.Fatal(err)

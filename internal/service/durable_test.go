@@ -256,6 +256,8 @@ func TestNoReplyBeforeDurable(t *testing.T) {
 	a.send(t, "STATS")
 	if stats := a.next(t); !strings.Contains(stats, " holds=1") {
 		t.Fatalf("STATS should count the held read: %q", stats)
+	} else if !strings.Contains(stats, " cohort=") {
+		t.Fatalf("STATS should end with the commit cohort mean: %q", stats)
 	}
 }
 

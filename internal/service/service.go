@@ -450,11 +450,11 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 		st := s.db.Stats()
 		lat := s.reqLat.Summary()
 		return fmt.Appendf(resp,
-			"OK mode=%s log=%s submitted=%d committed=%d missed=%d miss=%.4f resp=%v cwait=%v pdepth=%.1f/%d reqp50=%v reqp95=%v sockmiss=%d holds=%d",
+			"OK mode=%s log=%s submitted=%d committed=%d missed=%d miss=%.4f resp=%v cwait=%v pdepth=%.1f/%d reqp50=%v reqp95=%v sockmiss=%d holds=%d cohort=%.1f",
 			st.Mode, st.LogMode, st.Outcome.Submitted, st.Outcome.Committed,
 			st.Outcome.Missed, st.MissRatio, st.MeanResponse, st.MeanCommitWait,
 			s.depthDist.Mean(), s.depthDist.Max(), lat.P50, lat.P95,
-			s.sockOverload.Load()+s.sockExpired.Load(), st.ReplyHolds)
+			s.sockOverload.Load()+s.sockExpired.Load(), st.ReplyHolds, st.CommitCohortMean)
 	}
 	return appendUnknown(resp, req.cmdTok) // unreachable: the reader filters
 }

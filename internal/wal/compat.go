@@ -5,17 +5,17 @@ import "repro/internal/store"
 // Reorderer groups records by transaction; it is the Replayer's grouping
 // step without the apply.
 //
-// Deprecated: benchmark compat, remove with ROADMAP item 8.
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 type Reorderer struct{ g grouper }
 
 // NewReorderer returns an empty grouping buffer; the serial is ignored.
 //
-// Deprecated: benchmark compat, remove with ROADMAP item 8.
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 func NewReorderer(uint64) *Reorderer { return &Reorderer{} }
 
 // Add feeds one record and returns the group its commit record completes.
 //
-// Deprecated: benchmark compat, remove with ROADMAP item 8.
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 func (r *Reorderer) Add(rec *Record) ([]*Group, error) {
 	g, err := r.g.add(rec)
 	if g == nil {
@@ -26,17 +26,17 @@ func (r *Reorderer) Add(rec *Record) ([]*Group, error) {
 
 // ParallelApplier is a Replayer fed whole groups.
 //
-// Deprecated: benchmark compat, remove with ROADMAP item 8.
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 type ParallelApplier struct{ *Replayer }
 
 // NewParallelApplier returns a Replayer into db; tsGuard is ignored.
 //
-// Deprecated: benchmark compat, remove with ROADMAP item 8.
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 func NewParallelApplier(db *store.Store, workers int, tsGuard bool) *ParallelApplier {
 	return &ParallelApplier{NewReplayer(db, workers, nil)}
 }
 
 // Apply schedules one committed group.
 //
-// Deprecated: benchmark compat, remove with ROADMAP item 8.
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 func (p *ParallelApplier) Apply(g *Group) { p.schedule(g) }

@@ -412,6 +412,9 @@ type Stats struct {
 	// ReplyHolds counts read results held back because they observed a
 	// write whose commit was not yet durable.
 	ReplyHolds uint64
+	// CommitCohortMean is the mean number of commits made durable by one
+	// advance of the durable watermark: one ack or one sync per cohort.
+	CommitCohortMean float64
 }
 
 // Stats returns a snapshot of the node's counters. Zero for a mirror
@@ -435,6 +438,8 @@ func (db *DB) Stats() Stats {
 		ROFallbacks:    occStats.ROFallbacks,
 		ReadLatency:    occStats.ReadLatency,
 		ReplyHolds:     e.ReplyHolds(),
+
+		CommitCohortMean: e.CommitCohorts().Mean(),
 	}
 }
 
