@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -33,7 +34,7 @@ func TestShipperCumulativeAckReleasesAll(t *testing.T) {
 	// A mirror that stays quiet until it has seen all n commit records,
 	// then answers with one cumulative ack for the last serial.
 	go func() {
-		commits := 0
+		var seen []uint64
 		for {
 			m, err := b.Recv()
 			if err != nil {
@@ -43,15 +44,12 @@ func TestShipperCumulativeAckReleasesAll(t *testing.T) {
 			case transport.MsgPing:
 				b.Send(&transport.Msg{Type: transport.MsgPong})
 			case transport.MsgRecord:
-				rec, err := wal.Decode(newReader(m.Payload))
+				commits, _, err := frameCommits(m.Payload)
 				if err != nil {
 					return
 				}
-				if rec.Type == wal.TypeCommit {
-					commits++
-					if commits == n {
-						b.Send(&transport.Msg{Type: transport.MsgAck, Serial: rec.SerialOrder})
-					}
+				if seen = append(seen, commits...); len(seen) == n {
+					b.Send(&transport.Msg{Type: transport.MsgAck, Serial: seen[n-1]})
 				}
 			}
 		}
@@ -81,7 +79,7 @@ func TestShipperCumulativeAckReleasesAll(t *testing.T) {
 }
 
 // TestMirrorBatchGetsOneCumulativeAck drives the mirror engine with
-// three transactions shipped as one wire batch (a single flush, so they
+// three transactions shipped as one wire batch (one log frame, so they
 // land in the mirror's read buffer together) and expects a single
 // cumulative MsgAck for the highest serial instead of one ack per
 // commit record.
@@ -96,15 +94,7 @@ func TestMirrorBatchGetsOneCumulativeAck(t *testing.T) {
 		t.Fatalf("hello: %+v, %v", hello, err)
 	}
 
-	var msgs []*transport.Msg
-	for serial := uint64(1); serial <= 3; serial++ {
-		g := shipGroup(serial)
-		for _, rec := range g.Writes {
-			msgs = append(msgs, &transport.Msg{Type: transport.MsgRecord, Serial: serial, Payload: wal.AppendEncoded(nil, rec)})
-		}
-		msgs = append(msgs, &transport.Msg{Type: transport.MsgRecord, Serial: serial, Payload: wal.AppendEncoded(nil, g.Commit)})
-	}
-	if err := a.SendBatch(msgs); err != nil {
+	if err := a.Send(logFrame(shipGroup(1), shipGroup(2), shipGroup(3))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,10 +118,12 @@ func TestMirrorBatchGetsOneCumulativeAck(t *testing.T) {
 // answered serials 1 and 3 with an ack for 3 would release commit 2 on
 // the primary, which this mirror never saw. A commit that is not the
 // next serial of the stream must fail the session as corruption, and no
-// ack may cover it.
+// ack may cover it. The gap stops the frame after group 1, which is
+// applied, so the log holds exactly group 1.
 func TestMirrorRejectsSerialGap(t *testing.T) {
 	a, b := transport.Pipe()
-	m := NewMirrorEngine(fastCfg(), store.New(), newMemLog())
+	log := newMemLog()
+	m := NewMirrorEngine(fastCfg(), store.New(), log)
 	errc := make(chan error, 1)
 	go func() { errc <- m.Run(b) }()
 	if hello, err := a.Recv(); err != nil || hello.Type != transport.MsgHello {
@@ -151,13 +143,7 @@ func TestMirrorRejectsSerialGap(t *testing.T) {
 		}
 	}()
 
-	var msgs []*transport.Msg
-	for _, serial := range []uint64{1, 3} {
-		for _, rec := range shipGroup(serial).Flatten() {
-			msgs = append(msgs, &transport.Msg{Type: transport.MsgRecord, Serial: serial, Payload: wal.AppendEncoded(nil, rec)})
-		}
-	}
-	if err := a.SendBatch(msgs); err != nil {
+	if err := a.Send(logFrame(shipGroup(1), shipGroup(3))); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -174,5 +160,8 @@ func TestMirrorRejectsSerialGap(t *testing.T) {
 		if serial > 1 {
 			t.Fatalf("the mirror acknowledged serial %d without holding serial 2", serial)
 		}
+	}
+	if want := logFrame(shipGroup(1)).Payload; !bytes.Equal(log.Bytes(), want) {
+		t.Fatalf("log holds %d bytes, want group 1's %d", len(log.Bytes()), len(want))
 	}
 }

@@ -188,6 +188,19 @@ func (q *cohortQueue) settle(through uint64) []*commit {
 	return cs
 }
 
+// appendCohort appends the stored-log bytes of every group in batch, in
+// serial order, to dst. It is the one form a cohort takes: the group
+// committer puts it on the disk as is, the shipper sends it as one log
+// frame, and the mirror stores the frame as it arrives.
+func appendCohort(dst []byte, batch []*commit) []byte {
+	for _, c := range batch {
+		if c.g != nil {
+			dst = c.g.AppendEncoded(dst)
+		}
+	}
+	return dst
+}
+
 // noWaitCommitter is the commit path with no log device: LogDiscard
 // (records built, then dropped: "disk writing turned off") and LogNone
 // (no records at all). Each commit is stable as soon as it is enqueued,

@@ -11,10 +11,11 @@
 //     acknowledgment arrives. The disk write is off the critical path:
 //     commit costs one message round trip instead of one disk write.
 //   - Mirror: receives the log stream in true validation order (checking
-//     that serials are contiguous), applies updates only on commit
-//     records (never undoes anything), stores the log to disk
-//     asynchronously, and acknowledges each commit record immediately on
-//     arrival. It is ready to take over at any moment.
+//     that serials are contiguous), one frame of stored-log bytes per
+//     cohort; applies updates only on commit records (never undoes
+//     anything), stores each frame's bytes as received and syncs them to
+//     disk asynchronously, and acknowledges a frame's commits as soon as
+//     it has taken it in. It is ready to take over at any moment.
 //   - Transient primary: a node running alone after its peer failed. It
 //     must put log records onto its own disk before letting transactions
 //     commit. A recovered peer always rejoins as mirror — the database
@@ -136,9 +137,8 @@ type Config struct {
 	// Overload configures the overload manager.
 	Overload sched.OverloadConfig
 	// MaxCohort caps how many committing transactions one group-commit
-	// cohort may carry: a single wire batch to the mirror in shipping
-	// mode, or one vectored AppendBatch + Sync in transient mode
-	// (default 64). A cap of 1 is the paper's per-commit sync.
+	// cohort may carry: one log frame to the mirror in shipping mode,
+	// or one Append + Sync in transient mode (default 64). A cap of 1 is the paper's per-commit sync.
 	MaxCohort int
 	// MirrorSyncEvery is how often the mirror syncs buffered log
 	// records to disk (asynchronously; default 50 ms). Zero keeps the

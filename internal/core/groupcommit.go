@@ -9,9 +9,9 @@ import (
 
 // GroupCommitter is the transient-primary Log Writer with group fsync.
 // Commits queue in serial order; one writer goroutine drains the
-// contiguous run at the head of the queue and puts it on the device with
-// one vectored AppendBatch and one Sync, then reports the whole cohort
-// stable in one call.
+// contiguous run at the head of the queue, encodes it back to back in
+// stored-log form (appendCohort) and puts it on the device with one
+// Append and one Sync, then reports the whole cohort stable in one call.
 //
 // The batching window is the device itself: while a sync is in flight,
 // arriving commits queue behind it, and the next cohort covers them all.
@@ -65,7 +65,10 @@ func NewGroupCommitter(log logstore.Store, opts GroupOptions) *GroupCommitter {
 // reports it. After Close it drains what is ready and fails the rest.
 func (c *GroupCommitter) writer() {
 	defer close(c.exited)
-	var batch []*commit
+	var (
+		batch []*commit
+		buf   []byte // reused: Append does not retain it
+	)
 	c.mu.Lock()
 	for {
 		for !c.ready() && c.refuse == nil {
@@ -78,17 +81,8 @@ func (c *GroupCommitter) writer() {
 		c.busy = true
 		c.mu.Unlock()
 
-		var arena []byte
-		chunks := make([][]byte, 0, len(batch))
-		for _, cm := range batch {
-			if cm.g == nil {
-				continue
-			}
-			start := len(arena)
-			arena = cm.g.AppendEncoded(arena)
-			chunks = append(chunks, arena[start:])
-		}
-		err := c.log.AppendBatch(chunks)
+		buf = appendCohort(buf[:0], batch)
+		err := c.log.Append(buf)
 		if err == nil {
 			err = c.log.Sync()
 		}

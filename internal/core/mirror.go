@@ -22,13 +22,14 @@ var ErrPrimaryDown = errors.New("core: primary down")
 
 // MirrorEngine is the hot stand-by side of a RODAIN pair: it receives
 // the primary's log stream, which the shipper sends in true validation
-// order, and feeds it to a wal.Replayer. The replayer groups records by
-// transaction, checks that commits arrive at contiguous serials, and
-// applies each transaction's updates to the database copy only once its
-// commit record has been seen (so the mirror never needs to undo
-// anything). Each commit is acknowledged once its group is complete, and
-// the group's records are stored to disk asynchronously — the disk write
-// is not synchronized with transaction commits.
+// order as one frame of stored-log bytes per cohort, and feeds its
+// records to a wal.Replayer. The replayer groups records by transaction,
+// checks that commits arrive at contiguous serials, and applies each
+// transaction's updates to the database copy only once its commit record
+// has been seen (so the mirror never needs to undo anything). The frame's
+// bytes are stored to the log as received, and its commits acknowledged;
+// the log is synced to disk asynchronously — the disk write is not
+// synchronized with transaction commits.
 type MirrorEngine struct {
 	cfg Config
 	db  *store.Store
@@ -39,7 +40,6 @@ type MirrorEngine struct {
 	synced atomic.Bool   // the session's state transfer is replayed through its sync point
 	logErr error         // first log-device failure; fails the session
 
-	logBuf []byte // session-goroutine scratch for one group's log bytes
 	// held is a state transfer's log image and the groups after it,
 	// stored only once the replay reaches the sync point: before that the
 	// image may hold part of a group the log has not got, and a replay of
@@ -149,26 +149,29 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 
 	// Ack coalescing: the shipper treats acknowledgments as cumulative
 	// (an ack for serial n releases every commit with serial <= n), so
-	// while more of the received batch is still buffered the mirror only
-	// notes the highest complete serial and sends one MsgAck when the
-	// read buffer drains (or after ackCoalesceMax commits, to bound how
-	// long a waiter rides along). One control frame per wire batch
+	// while more frames are still buffered the mirror only notes the
+	// highest complete serial and sends one MsgAck when the read buffer
+	// drains (or after the frame that brings the count to ackCoalesceMax
+	// commits, to bound how long a waiter rides along). One control frame per wire batch
 	// instead of one per commit record. Only a commit the replayer
 	// accepted — the next serial of the stream — is ever acknowledged, so
 	// the cumulative ack never covers a serial this node does not hold.
 	// After a state transfer at s nothing is acked before the replay
 	// reaches the sync point syncAt; the first ack then covers s, and the
-	// held log is stored. Without a transfer syncAt stays 0, which no
-	// commit carries.
+	// held log is stored. Without a transfer syncAt stays 0 and nothing
+	// is held.
 	var (
 		pendingAckSerial uint64 // highest commit serial not yet acked
-		pendingAckCount  uint64 // commit records covered by it
+		pendingAckCount  int    // commit records covered by it
 		syncAt           uint64
 	)
-	reached := func(serial uint64) error {
+	reached := func(serial uint64, n int) error {
+		if n == 0 || serial < syncAt {
+			return nil
+		}
 		pendingAckSerial = serial
-		pendingAckCount++
-		if serial != syncAt {
+		pendingAckCount += n
+		if m.held == nil {
 			return nil
 		}
 		// This node could not replay alone after a crash without the
@@ -193,8 +196,7 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 			return fmt.Errorf("%w: %v", ErrPrimaryDown, err)
 		}
 		// Every arm below either copies or fully decodes the payload, so
-		// the frame goes straight back to the pool: the log stream is
-		// consumed without a per-message allocation.
+		// the frame goes straight back to the pool.
 		switch msg.Type {
 		case transport.MsgPing:
 			transport.ReleaseMsg(msg)
@@ -209,25 +211,21 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 				return err
 			}
 			if syncAt == serial {
-				if err := reached(serial); err != nil {
+				if err := reached(serial, 1); err != nil {
 					return err
 				}
 			}
 		case transport.MsgRecord:
 			live = true
-			rec, err := wal.DecodeBytes(msg.Payload)
+			last, n, err := m.receive(rp, msg.Payload)
 			transport.ReleaseMsg(msg)
-			if err != nil {
-				return fmt.Errorf("core: mirror: bad record: %v", err)
+			// Groups accepted before a failure are applied and stored:
+			// they still count toward the sync point.
+			if rerr := reached(last, n); rerr != nil {
+				return rerr
 			}
-			g, err := m.receive(rp, rec)
 			if err != nil {
 				return fmt.Errorf("core: mirror: %w", err)
-			}
-			if g != nil && g.SerialOrder() >= syncAt {
-				if err := reached(g.SerialOrder()); err != nil {
-					return err
-				}
 			}
 		default:
 			typ := msg.Type
@@ -235,10 +233,10 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 			return fmt.Errorf("core: mirror: unexpected message %v", typ)
 		}
 		// Flush the coalesced ack before blocking on the next receive.
-		// Buffered() > 0 means more frames of this batch are already on
-		// this side (the primary flushed them, so they arrive without
-		// needing the ack first) — keep coalescing; == 0 means the wire
-		// is drained and the primary may be waiting on us.
+		// Buffered() > 0 means more frames are already on this side (the
+		// primary flushed them, so they arrive without needing the ack
+		// first) — keep coalescing; == 0 means the wire is drained and
+		// the primary may be waiting on us.
 		if pendingAckCount > 0 && (conn.Buffered() == 0 || pendingAckCount >= ackCoalesceMax) {
 			if err := conn.SendControl(transport.MsgAck, pendingAckSerial); err != nil {
 				return fmt.Errorf("%w: ack: %v", ErrPrimaryDown, err)
@@ -249,8 +247,8 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 }
 
 // ackCoalesceMax bounds how many commit records one cumulative ack may
-// cover: even in a continuous burst the primary hears back at least
-// this often.
+// cover, checked once per frame: even in a continuous burst the primary
+// hears back at least once per frame that reaches it.
 const ackCoalesceMax = 32
 
 // installImage receives and installs the state transfer opened at
@@ -328,29 +326,39 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// receive feeds one record to rp. When the record completes a group —
-// a commit at the stream's next serial — the group is already scheduled
-// on the replayer's pool, and its records (in validation order) are
-// appended to the log buffer (or, before a transfer's sync point, to the
-// held log) here; the group is returned for the ack. A log-device
-// failure (this append, or an earlier background flush) is returned: the
-// mirror must not keep acknowledging commits it cannot replay from its
-// own disk. The database copy is still good then, but the stored log no
+// receive feeds one log frame — whole groups' stored-log bytes in serial
+// order — to rp, and stores the bytes of the groups rp accepted exactly
+// as received: to the log, or before a transfer's sync point to the held
+// log. It returns the last serial accepted and how many groups were. A
+// damaged record, a serial gap or a frame ending inside a group is an
+// error wrapping wal.ErrCorrupt; the groups before it are still stored,
+// so the log always equals what was applied. A log-device failure (this
+// append, or an earlier background flush) is returned too: the mirror
+// must not keep acknowledging commits it cannot replay from its own
+// disk. The database copy is still good then, but the stored log no
 // longer is.
-func (m *MirrorEngine) receive(rp *wal.Replayer, rec *wal.Record) (*wal.Group, error) {
-	g, err := rp.Add(rec)
-	if g == nil {
-		return nil, err
+func (m *MirrorEngine) receive(rp *wal.Replayer, frame []byte) (last uint64, n int, err error) {
+	end := 0 // frame[:end] holds the accepted groups
+	for off := 0; off < len(frame) && err == nil; {
+		rec, k, derr := wal.DecodeNext(frame[off:])
+		if derr != nil {
+			break
+		}
+		off += k
+		var g *wal.Group
+		if g, err = rp.Add(rec); g != nil {
+			end, last, n = off, g.SerialOrder(), n+1
+		}
+	}
+	if err == nil && end < len(frame) {
+		err = fmt.Errorf("%w: no whole group at byte %d of a %d-byte frame", wal.ErrCorrupt, end, len(frame))
 	}
 	if m.held != nil {
-		m.held = g.AppendEncoded(m.held)
-		return g, nil
+		m.held = append(m.held, frame[:end]...)
+	} else if lerr := m.appendLog(frame[:end]); lerr != nil {
+		err = fmt.Errorf("log store: %v", lerr)
 	}
-	m.logBuf = g.AppendEncoded(m.logBuf[:0])
-	if err := m.appendLog(m.logBuf); err != nil {
-		return nil, fmt.Errorf("log store: %v", err)
-	}
-	return g, nil
+	return last, n, err
 }
 
 // appendLog appends p to the log device, or returns the device's first

@@ -24,8 +24,11 @@ import (
 // Commits are group-committed into cohorts by natural batching: the
 // sender ships the contiguous prefix of pending groups the moment it has
 // one, so every group that queued while the previous wire write was in
-// flight leaves in one batch (one encode pass, one flush), and the
-// mirror's cumulative ack reports everything up to it stable in one call.
+// flight leaves in one batch, and the mirror's cumulative ack reports
+// everything up to it stable in one call. A batch is one MsgRecord frame
+// whose payload is the groups' stored-log bytes (appendCohort), the same
+// bytes the group committer writes to disk; the mirror stores them as
+// received.
 // No timer is armed per commit, per cohort or per serial gap.
 //
 // A shipper that ends — its mirror failed, or a rejoining mirror replaced
@@ -66,24 +69,14 @@ type MirrorShipper struct {
 	wg sync.WaitGroup
 
 	// sender scratch, reused across batches so the steady-state shipping
-	// path does not allocate per record: all records of a batch are
-	// encoded back to back into encBuf and the wire messages borrow
-	// sub-slices of it.
-	encBuf  []byte
-	spans   []recSpan
-	msgBuf  []transport.Msg
-	msgPtrs []*transport.Msg
-	batch   []*commit
+	// path does not allocate: a batch's groups are encoded back to back
+	// into encBuf, which is the payload of its one log frame.
+	encBuf []byte
+	batch  []*commit
 
 	stats       ShipperStats
 	cohortSizes metrics.IntDist
 	queueDelay  metrics.Histogram // enqueue → handed to the wire
-}
-
-// recSpan locates one encoded record inside the batch encode buffer.
-type recSpan struct {
-	start, end int
-	serial     uint64
 }
 
 // ShipperStats counts shipping activity.
@@ -199,53 +192,28 @@ func (s *MirrorShipper) sender() {
 		}
 		// Drain every contiguous pending group into one wire batch:
 		// under bursty commit load several transactions validate before
-		// the previous flush completes, and one writev-style batch
-		// amortizes the syscall per group while keeping strict
-		// validation order. Groups queued behind a serial gap ship with
-		// the batch after the gap fills.
+		// the previous flush completes, and one frame amortizes the
+		// syscall per group while keeping strict validation order.
+		// Groups queued behind a serial gap ship with the batch after
+		// the gap fills.
 		batch := s.drain(s.batch[:0], s.maxCohort)
 		s.mu.Unlock()
 		now := s.clock.Now()
+		nRecords := 0
 		for _, c := range batch {
 			s.queueDelay.Observe(now.Sub(c.at))
+			nRecords += len(c.g.Writes) + 1
 		}
 
-		// Encode every record of the batch back to back into the scratch
-		// buffer, then hand the transport sub-slices of it: one grown
-		// buffer instead of one allocation per record. Offsets are
-		// recorded first because appending may relocate the buffer.
-		enc := s.encBuf[:0]
-		spans := s.spans[:0]
-		for _, c := range batch {
-			g := c.g
-			for _, rec := range g.Writes {
-				start := len(enc)
-				enc = wal.AppendEncoded(enc, rec)
-				spans = append(spans, recSpan{start: start, end: len(enc), serial: rec.SerialOrder})
-			}
-			start := len(enc)
-			enc = wal.AppendEncoded(enc, g.Commit)
-			spans = append(spans, recSpan{start: start, end: len(enc), serial: g.Commit.SerialOrder})
-		}
-		mbuf := s.msgBuf[:0]
-		for _, sp := range spans {
-			mbuf = append(mbuf, transport.Msg{
-				Type:    transport.MsgRecord,
-				Serial:  sp.serial,
-				Payload: enc[sp.start:sp.end],
-			})
-		}
-		msgs := s.msgPtrs[:0]
-		for i := range mbuf {
-			msgs = append(msgs, &mbuf[i])
-		}
-		err := s.conn.SendBatch(msgs)
-		// SendBatch copies payloads into the connection's write buffer
-		// before returning, so the scratch storage can be reused for the
-		// next batch.
-		nGroups, nRecords, nBytes := len(batch), len(msgs), len(enc)
+		// The frame is the groups' stored-log bytes, which the mirror
+		// stores as received; Serial is the batch's last commit.
+		enc := appendCohort(s.encBuf[:0], batch)
+		err := s.conn.Send(&transport.Msg{Type: transport.MsgRecord, Serial: batch[len(batch)-1].serial, Payload: enc})
+		// Send copies the payload into the connection's write buffer
+		// before returning, so encBuf can be reused for the next batch.
+		nGroups, nBytes := len(batch), len(enc)
 		clear(batch) // do not retain shipped groups
-		s.encBuf, s.spans, s.msgBuf, s.msgPtrs, s.batch = enc, spans, mbuf, msgs, batch
+		s.encBuf, s.batch = enc, batch
 		if err != nil {
 			s.fail()
 			return

@@ -47,43 +47,50 @@ func (f *fakeMirror) run() {
 		case transport.MsgPing:
 			f.conn.Send(&transport.Msg{Type: transport.MsgPong})
 		case transport.MsgRecord:
-			f.received.Add(1)
-			rec, err := wal.Decode(newReader(m.Payload))
+			commits, records, err := frameCommits(m.Payload)
 			if err != nil {
 				return
 			}
-			if rec.Type != wal.TypeCommit {
-				continue
-			}
-			f.mu.Lock()
-			f.commits = append(f.commits, rec.SerialOrder)
-			f.mu.Unlock()
-			if !f.noAcks.Load() {
-				f.conn.Send(&transport.Msg{Type: transport.MsgAck, Serial: rec.SerialOrder})
+			f.received.Add(uint64(records))
+			for _, serial := range commits {
+				f.mu.Lock()
+				f.commits = append(f.commits, serial)
+				f.mu.Unlock()
+				if !f.noAcks.Load() {
+					f.conn.Send(&transport.Msg{Type: transport.MsgAck, Serial: serial})
+				}
 			}
 		}
 	}
 }
 
-func newReader(b []byte) *sliceReader { return &sliceReader{b: b} }
-
-type sliceReader struct {
-	b   []byte
-	off int
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, errEOF()
+// logFrame builds the log frame the shipper sends for a cohort of gs:
+// their stored-log bytes back to back, Serial the last commit's.
+func logFrame(gs ...*wal.Group) *transport.Msg {
+	var b []byte
+	for _, g := range gs {
+		b = g.AppendEncoded(b)
 	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
+	return &transport.Msg{Type: transport.MsgRecord, Serial: gs[len(gs)-1].SerialOrder(), Payload: b}
 }
 
-func errEOF() error { return errEOFSentinel }
-
-var errEOFSentinel = errors.New("EOF")
+// frameCommits walks a log frame and returns its commit serials in order
+// and how many records it holds.
+func frameCommits(frame []byte) (commits []uint64, records int, err error) {
+	for len(frame) > 0 {
+		var rec *wal.Record
+		var n int
+		if rec, n, err = wal.DecodeNext(frame); err != nil {
+			return nil, 0, err
+		}
+		frame = frame[n:]
+		records++
+		if rec.Type == wal.TypeCommit {
+			commits = append(commits, rec.SerialOrder)
+		}
+	}
+	return commits, records, nil
+}
 
 func shipperPair(t *testing.T, ackTimeout time.Duration) (*MirrorShipper, *fakeMirror, *atomic.Bool) {
 	t.Helper()

@@ -44,18 +44,19 @@ func sendTransfer(t *testing.T, c *transport.Conn, serial, end uint64, image []b
 	}
 }
 
-// sendGroup ships one group writing ids at serial, as the shipper does.
-func sendGroup(t *testing.T, c *transport.Conn, serial uint64, ids ...store.ObjectID) {
-	t.Helper()
+// groupAt builds the group committed at serial that writes ids.
+func groupAt(serial uint64, ids ...store.ObjectID) *wal.Group {
 	g := &wal.Group{Commit: &wal.Record{Type: wal.TypeCommit, TxnID: txn.ID(serial), SerialOrder: serial, CommitTS: serial * 65536}}
 	for _, id := range ids {
 		g.Writes = append(g.Writes, &wal.Record{Type: wal.TypeWrite, TxnID: txn.ID(serial), ObjectID: id, AfterImage: []byte{byte(serial)}})
 	}
-	var msgs []*transport.Msg
-	for _, rec := range g.Flatten() {
-		msgs = append(msgs, &transport.Msg{Type: transport.MsgRecord, Serial: serial, Payload: wal.AppendEncoded(nil, rec)})
-	}
-	if err := c.SendBatch(msgs); err != nil {
+	return g
+}
+
+// sendGroup ships one group writing ids at serial, as the shipper does.
+func sendGroup(t *testing.T, c *transport.Conn, serial uint64, ids ...store.ObjectID) {
+	t.Helper()
+	if err := c.Send(logFrame(groupAt(serial, ids...))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -198,6 +199,104 @@ func TestMirrorLogHoldsTransferUntilSyncPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitConverged(t, synced, m.DB(), 3*time.Second)
+}
+
+// TestMirrorStoresFramesAsReceived: the mirror stores a log frame's
+// bytes as they arrive. After a state transfer at 5 with its sync point
+// at 7, and frames {6}, {7, 8} (across the sync point) and {9, 10, 11},
+// its log is the held image followed by the three payloads, byte for
+// byte, and the groups' part is what a group committer writes for them.
+func TestMirrorStoresFramesAsReceived(t *testing.T) {
+	a, b := stripeObjects()
+	log := newMemLog()
+	m := NewMirrorEngine(fastCfg(), store.New(), log)
+	conn, errc, acks := startPipeMirror(t, m)
+
+	image := transferImage(t, []uint64{5, 5}, a, b)
+	sendTransfer(t, conn, 5, 7, image)
+	var groups []*wal.Group
+	for serial := uint64(6); serial <= 11; serial++ {
+		ids := []store.ObjectID{a, b}[:serial%2+1]
+		groups = append(groups, groupAt(serial, ids...))
+	}
+	frames := []*transport.Msg{logFrame(groups[0]), logFrame(groups[1:3]...), logFrame(groups[3:]...)}
+	want := heldImage(t, image, 5)
+	for _, f := range frames {
+		if err := conn.Send(f); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, f.Payload...)
+	}
+	for _, serial := range []uint64{8, 11} {
+		select {
+		case s := <-acks:
+			if s != serial {
+				t.Fatalf("ack %d, want %d", s, serial)
+			}
+		case err := <-errc:
+			t.Fatalf("session failed: %v", err)
+		}
+	}
+	if !bytes.Equal(log.Bytes(), want) {
+		t.Fatalf("mirror log holds %d bytes, want the held image and the frames as received (%d)", len(log.Bytes()), len(want))
+	}
+
+	disk := newMemLog()
+	gc := NewGroupCommitter(disk, GroupOptions{})
+	defer gc.Close()
+	gc.adopt(6, nil)
+	for _, g := range groups {
+		if err := gc.Commit(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := log.Bytes()[len(want)-len(disk.Bytes()):]; !bytes.Equal(got, disk.Bytes()) {
+		t.Fatal("the mirror's stored groups differ from the group committer's log")
+	}
+}
+
+// heldImage is the log image a mirror holds for a state transfer of
+// image at serial.
+func heldImage(t *testing.T, image []byte, serial uint64) []byte {
+	t.Helper()
+	ck, err := wal.DecodeCheckpoint(bytes.NewReader(image))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := wal.WriteCheckpoint(&b, ck.Snapshot, serial); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestMirrorRejectsFrameEndingMidGroup: a frame whose last record is not
+// a commit leaves a group half received. The mirror must not
+// acknowledge the frame's complete groups as if the frame were whole:
+// the session fails as corruption, with no ack.
+func TestMirrorRejectsFrameEndingMidGroup(t *testing.T) {
+	m := NewMirrorEngine(fastCfg(), store.New(), newMemLog())
+	conn, errc, acks := startPipeMirror(t, m)
+	f := logFrame(groupAt(1, 1), groupAt(2, 2))
+	f.Payload = f.Payload[:len(f.Payload)-wal.EncodedSize(groupAt(2).Commit)]
+	if err := conn.Send(f); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("Run returned %v, want an error wrapping wal.ErrCorrupt", err)
+		}
+	case s := <-acks:
+		t.Fatalf("ack %d for a frame that ends inside a group", s)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the mirror accepted a frame that ends inside a group")
+	}
+	select {
+	case s := <-acks:
+		t.Fatalf("ack %d for a frame that ends inside a group", s)
+	case <-time.After(20 * time.Millisecond):
+	}
 }
 
 // TestSendImageFailsOnStalledJoiner: a joiner that stops reading fails

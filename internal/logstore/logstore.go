@@ -22,7 +22,9 @@ import (
 // everything appended so far onto stable media. Implementations are safe
 // for concurrent use.
 type Store interface {
-	// Append adds p to the log buffer.
+	// Append adds p to the log buffer. An implementation must not
+	// retain p after it returns: callers reuse it (the group
+	// committer's encode buffer, the mirror's pooled receive frame).
 	Append(p []byte) error
 	// AppendBatch adds every chunk to the log buffer, in order, as one
 	// vectored operation: a group-commit cohort lands with one call (and

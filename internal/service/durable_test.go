@@ -2,7 +2,6 @@ package service
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -58,15 +57,18 @@ func (m *stallMirror) run() {
 		case transport.MsgPing:
 			m.conn.SendControl(transport.MsgPong, 0)
 		case transport.MsgRecord:
-			rec, err := wal.Decode(bytes.NewReader(msg.Payload))
-			if err != nil {
-				return
-			}
-			if rec.Type == wal.TypeCommit {
-				m.mu.Lock()
-				m.seen = max(m.seen, rec.SerialOrder)
-				m.ackLocked()
-				m.mu.Unlock()
+			// One frame per cohort: the last record is its last commit.
+			for b := msg.Payload; len(b) > 0; {
+				rec, n, err := wal.DecodeNext(b)
+				if err != nil {
+					return
+				}
+				if b = b[n:]; len(b) == 0 && rec.Type == wal.TypeCommit {
+					m.mu.Lock()
+					m.seen = max(m.seen, rec.SerialOrder)
+					m.ackLocked()
+					m.mu.Unlock()
+				}
 			}
 		}
 	}

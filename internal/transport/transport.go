@@ -1,8 +1,9 @@
 // Package transport implements the message channel between the Primary
 // and Mirror nodes of a RODAIN pair: a length-prefixed, CRC-checked
-// framing protocol carrying log records primary→mirror and commit
-// acknowledgments mirror→primary, plus the handshake and state-transfer
-// messages used when a recovered node rejoins as mirror.
+// framing protocol carrying log frames primary→mirror (one per commit
+// cohort) and cumulative commit acknowledgments mirror→primary, plus the
+// handshake and state-transfer messages used when a recovered node
+// rejoins as mirror.
 //
 // The framing runs over any io.ReadWriteCloser; production uses a TCP
 // net.Conn, tests use net.Pipe.
@@ -28,7 +29,10 @@ const (
 	// MsgHello opens a session; Serial carries the sender's last known
 	// validation order (the mirror's replay position).
 	MsgHello MsgType = iota + 1
-	// MsgRecord carries one encoded wal record in Payload.
+	// MsgRecord is a log frame: Payload holds whole committed groups in
+	// wal's stored-log encoding, back to back in serial order, and
+	// Serial is the last group's commit serial. The mirror stores the
+	// payload as received.
 	MsgRecord
 	// MsgAck acknowledges that every log record of the transaction
 	// whose commit record had validation order Serial is on the mirror.
@@ -152,8 +156,9 @@ func (c *Conn) Send(m *Msg) error {
 	return c.bw.Flush()
 }
 
-// SendBatch writes several messages with a single flush, amortizing
-// syscalls when the log writer ships a whole transaction group.
+// SendBatch writes several messages with a single flush.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 func (c *Conn) SendBatch(ms []*Msg) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()

@@ -40,3 +40,15 @@ func NewParallelApplier(db *store.Store, workers int, tsGuard bool) *ParallelApp
 //
 // Deprecated: benchmark compat, remove with ROADMAP item 6.
 func (p *ParallelApplier) Apply(g *Group) { p.schedule(g) }
+
+// DecodeBytes decodes exactly one record from b: DecodeNext, with any
+// error, or bytes left over, reported as ErrCorrupt.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
+func DecodeBytes(b []byte) (*Record, error) {
+	rec, n, err := DecodeNext(b)
+	if err != nil || n != len(b) {
+		return nil, ErrCorrupt
+	}
+	return rec, nil
+}

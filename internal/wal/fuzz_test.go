@@ -2,13 +2,18 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/store"
 )
 
-// FuzzDecode hammers the record decoder with arbitrary bytes: it must
-// never panic or over-allocate, only return records or errors.
+// FuzzDecode hammers the record decoders with arbitrary bytes: they must
+// never panic or over-allocate, only return records or errors. DecodeNext
+// walking the buffer and Decode reading it as a stream share one header
+// parser and one check, so at every step they must agree on the record,
+// the error class and the bytes consumed.
 func FuzzDecode(f *testing.F) {
 	f.Add(AppendEncoded(nil, &Record{Type: TypeWrite, TxnID: 1, ObjectID: 2, AfterImage: []byte("seed")}))
 	f.Add(AppendEncoded(nil, &Record{Type: TypeCommit, TxnID: 3, SerialOrder: 4, CommitTS: 5}))
@@ -16,21 +21,52 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		for {
+		for off := 0; ; {
 			rec, err := Decode(r)
+			next, n, nerr := DecodeNext(data[off:])
+			if errClass(err) != errClass(nerr) {
+				t.Fatalf("at %d: Decode error %v, DecodeNext error %v", off, err, nerr)
+			}
 			if err != nil {
 				break
+			}
+			off += n
+			if consumed := len(data) - r.Len(); consumed != off {
+				t.Fatalf("Decode consumed %d bytes, DecodeNext %d", consumed, off)
+			}
+			if !sameRecord(rec, next) {
+				t.Fatalf("Decode gave %v, DecodeNext %v", rec, next)
 			}
 			// Any decoded record must re-encode to a decodable form.
 			round, err2 := Decode(bytes.NewReader(AppendEncoded(nil, rec)))
 			if err2 != nil {
 				t.Fatalf("re-encode of decoded record failed: %v", err2)
 			}
-			if round.Type != rec.Type || round.TxnID != rec.TxnID {
+			if !sameRecord(round, rec) {
 				t.Fatal("re-encode round trip mismatch")
 			}
 		}
 	})
+}
+
+// errClass maps a decode error to the classes callers tell apart.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case err == io.EOF:
+		return "eof"
+	case err == io.ErrUnexpectedEOF:
+		return "truncated"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	}
+	return err.Error()
+}
+
+func sameRecord(a, b *Record) bool {
+	return a.Type == b.Type && a.TxnID == b.TxnID && a.SerialOrder == b.SerialOrder &&
+		a.CommitTS == b.CommitTS && a.ObjectID == b.ObjectID && bytes.Equal(a.AfterImage, b.AfterImage)
 }
 
 // FuzzRecover feeds arbitrary bytes to the recovery pass: it must

@@ -118,38 +118,35 @@ func Encode(w io.Writer, r *Record) error {
 	return err
 }
 
-// DecodeBytes decodes exactly one record from b, the zero-reader fast
-// path for framed transports whose payload is one whole record. The
-// after image is copied out of b, so the caller may reuse b immediately.
-// It returns ErrCorrupt on checksum, framing or trailing-garbage damage.
-func DecodeBytes(b []byte) (*Record, error) {
+// DecodeNext decodes the record at the start of b and reports how many
+// bytes it takes: the zero-reader form of Decode, for a buffer that holds
+// a run of records back to back (a log frame, or a stored log). The after
+// image is copied out of b, so the caller may reuse b immediately. Errors
+// are Decode's: io.EOF for an empty b, io.ErrUnexpectedEOF if b ends
+// mid-record, and ErrCorrupt on checksum or framing damage.
+func DecodeNext(b []byte) (*Record, int, error) {
+	if len(b) == 0 {
+		return nil, 0, io.EOF
+	}
 	if len(b) < headerSize {
-		return nil, ErrCorrupt
+		return nil, 0, io.ErrUnexpectedEOF
 	}
-	imgLen := binary.LittleEndian.Uint32(b[4:])
-	if imgLen > MaxImageSize || len(b) != headerSize+int(imgLen) {
-		return nil, ErrCorrupt
+	rec, imgLen, err := parseHeader(b[:headerSize])
+	if err != nil {
+		return nil, 0, err
 	}
-	if crc32.ChecksumIEEE(b[4:]) != binary.LittleEndian.Uint32(b[:4]) {
-		return nil, ErrCorrupt
-	}
-	rec := &Record{
-		Type:        Type(b[8]),
-		TxnID:       txn.ID(binary.LittleEndian.Uint64(b[9:])),
-		SerialOrder: binary.LittleEndian.Uint64(b[17:]),
-		CommitTS:    binary.LittleEndian.Uint64(b[25:]),
-		ObjectID:    store.ObjectID(binary.LittleEndian.Uint64(b[33:])),
+	n := headerSize + imgLen
+	if len(b) < n {
+		return nil, 0, io.ErrUnexpectedEOF
 	}
 	if imgLen > 0 {
 		rec.AfterImage = make([]byte, imgLen)
-		copy(rec.AfterImage, b[headerSize:])
+		copy(rec.AfterImage, b[headerSize:n])
 	}
-	switch rec.Type {
-	case TypeWrite, TypeCommit, TypeAbort, TypeHeartbeat, TypeDelete:
-	default:
-		return nil, ErrCorrupt
+	if err := check(rec, b[:headerSize]); err != nil {
+		return nil, 0, err
 	}
-	return rec, nil
+	return rec, n, nil
 }
 
 // Decode reads one record from r. It returns io.EOF at a clean record
@@ -157,50 +154,57 @@ func DecodeBytes(b []byte) (*Record, error) {
 // ErrCorrupt on checksum or framing damage.
 func Decode(r io.Reader) (*Record, error) {
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, io.ErrUnexpectedEOF
-		}
+	rec, imgLen, err := parseHeader(hdr[:])
+	if err != nil {
 		return nil, err
-	}
-	imgLen := binary.LittleEndian.Uint32(hdr[4:])
-	if imgLen > MaxImageSize {
-		return nil, ErrCorrupt
-	}
-	rec := &Record{
-		Type:        Type(hdr[8]),
-		TxnID:       txn.ID(binary.LittleEndian.Uint64(hdr[9:])),
-		SerialOrder: binary.LittleEndian.Uint64(hdr[17:]),
-		CommitTS:    binary.LittleEndian.Uint64(hdr[25:]),
-		ObjectID:    store.ObjectID(binary.LittleEndian.Uint64(hdr[33:])),
 	}
 	if imgLen > 0 {
 		rec.AfterImage = make([]byte, imgLen)
 		if _, err := io.ReadFull(r, rec.AfterImage); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, io.ErrUnexpectedEOF
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
 	}
-	wantCRC := binary.LittleEndian.Uint32(hdr[:4])
-	crc := crc32.ChecksumIEEE(hdr[4:])
-	crc = crc32.Update(crc, crc32.IEEETable, rec.AfterImage)
-	if crc != wantCRC {
-		return nil, ErrCorrupt
+	if err := check(rec, hdr[:]); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// parseHeader decodes a record header into a record without its after
+// image, and returns the image length; a length above MaxImageSize is
+// ErrCorrupt.
+func parseHeader(h []byte) (*Record, int, error) {
+	imgLen := binary.LittleEndian.Uint32(h[4:])
+	if imgLen > MaxImageSize {
+		return nil, 0, ErrCorrupt
+	}
+	return &Record{
+		Type:        Type(h[8]),
+		TxnID:       txn.ID(binary.LittleEndian.Uint64(h[9:])),
+		SerialOrder: binary.LittleEndian.Uint64(h[17:]),
+		CommitTS:    binary.LittleEndian.Uint64(h[25:]),
+		ObjectID:    store.ObjectID(binary.LittleEndian.Uint64(h[33:])),
+	}, int(imgLen), nil
+}
+
+// check verifies a decoded record against its header h: the checksum over
+// the header and the after image, and a known type.
+func check(rec *Record, h []byte) error {
+	crc := crc32.Update(crc32.ChecksumIEEE(h[4:]), crc32.IEEETable, rec.AfterImage)
+	if crc != binary.LittleEndian.Uint32(h[:4]) {
+		return ErrCorrupt
 	}
 	switch rec.Type {
 	case TypeWrite, TypeCommit, TypeAbort, TypeHeartbeat, TypeDelete:
-	default:
-		return nil, ErrCorrupt
+		return nil
 	}
-	return rec, nil
+	return ErrCorrupt
 }
 
 // WriteRecordsFor builds the redo records for a validated transaction:
@@ -260,15 +264,6 @@ func (g *Group) AppendEncoded(dst []byte) []byte {
 		dst = AppendEncoded(dst, rec)
 	}
 	return AppendEncoded(dst, g.Commit)
-}
-
-// EncodedSize reports the group's total stored-log size.
-func (g *Group) EncodedSize() int {
-	n := EncodedSize(g.Commit)
-	for _, rec := range g.Writes {
-		n += EncodedSize(rec)
-	}
-	return n
 }
 
 func (r *Record) String() string {
