@@ -40,7 +40,7 @@ func main() {
 		logPath    = flag.String("log", "", "log file (empty: in-memory)")
 		durability = flag.String("durability", "disk", "single-node commit path: disk, relaxed, none")
 		protocol   = flag.String("occ", "dati", "concurrency control: dati, ti, da, bc")
-		workers    = flag.Int("workers", 2, "executor goroutines")
+		workers    = flag.Int("workers", 2, "executor slots (the node's CPUs)")
 		recover_   = flag.String("recover", "", "replay this log file or segment directory into the database before serving")
 		ckptDir    = flag.String("checkpoint-dir", "", "write periodic checkpoints here (and truncate the log)")
 		ckptEvery  = flag.Duration("checkpoint-every", 5*time.Minute, "checkpoint interval when -checkpoint-dir is set (0 = off)")

@@ -24,12 +24,14 @@ type commit struct {
 // device: the committer reports stability by calling deliver, once per
 // contiguous advance. adopt makes it the current path, with every serial
 // below from stable and cs its predecessor's un-stable commits; handoff
-// passes its own to next, and forwards every later enqueue there.
+// passes its own to next, and forwards every later enqueue there. kick
+// wakes a committer that waited out an engine's Hold.
 type logPath interface {
 	Committer
 	enqueue(c *commit)
 	adopt(from uint64, cs []*commit)
 	handoff(next logPath)
+	kick()
 }
 
 // deliver reports cs stable (err nil) or failed: it settles their engine
@@ -58,13 +60,20 @@ func waitStable(p logPath, clock simtime.Clock, g *wal.Group) error {
 
 // cohortQueue is what every committer shares: its un-stable commits in
 // serial order, and the hand-off. Commits may arrive out of serial order
-// when several workers validate at once; the committer drains only the
-// contiguous run starting at next onto its device, and settles a prefix
-// when the device reports it stable. Embedded, it supplies a committer's
-// enqueue, adopt and handoff.
+// when several transactions validate at once; the committer drains only
+// the contiguous run starting at next onto its device, and settles a
+// prefix when the device reports it stable. Embedded, it supplies a
+// committer's enqueue, adopt, handoff and kick.
+//
+// A committer with a device starts a cohort when it is due: while a
+// front end holds the engine's commit path open (Engine.Hold), the
+// cohort waits for the commits the front end already has in hand, up to
+// a full maxCohort run.
 type cohortQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond // wakes the committer's device goroutine, and a hand-off waiting for it
+
+	maxCohort int // a run this long is due even under a hold; 0 never is
 
 	pending []*commit // sorted by serial
 	sent    int       // pending[:sent] are below next: on the device, or covered
@@ -135,12 +144,22 @@ func (q *cohortQueue) handoff(next logPath) {
 }
 
 func (q *cohortQueue) wakeLocked() {
-	if q.ready() {
+	if q.due() {
 		q.cond.Broadcast()
 	}
 	if q.queued != nil {
 		q.queued()
 	}
+}
+
+// kick wakes the device goroutine if a cohort became due when the last
+// Hold on an engine was released.
+func (q *cohortQueue) kick() {
+	q.mu.Lock()
+	if q.due() {
+		q.cond.Broadcast()
+	}
+	q.mu.Unlock()
 }
 
 // end fails every queued commit with err, and every later one that is
@@ -157,6 +176,20 @@ func (q *cohortQueue) end(err error) {
 // ready reports whether the next serial is queued.
 func (q *cohortQueue) ready() bool {
 	return q.sent < len(q.pending) && q.pending[q.sent].serial == q.next
+}
+
+// due reports whether a cohort should start now: the next serial is
+// queued, and no Hold is out on its engine, a full maxCohort run is
+// ready, or the queue is refusing.
+func (q *cohortQueue) due() bool {
+	if !q.ready() {
+		return false
+	}
+	if e := q.pending[q.sent].e; e == nil || e.holds.Load() <= 0 || q.refuse != nil {
+		return true
+	}
+	last := q.sent + q.maxCohort - 1
+	return q.maxCohort > 0 && last < len(q.pending) && q.pending[last].serial == q.next+uint64(q.maxCohort-1)
 }
 
 // drain appends to dst the contiguous run of at most n commits starting at
@@ -204,7 +237,8 @@ func appendCohort(dst []byte, batch []*commit) []byte {
 // noWaitCommitter is the commit path with no log device: LogDiscard
 // (records built, then dropped: "disk writing turned off") and LogNone
 // (no records at all). Each commit is stable as soon as it is enqueued,
-// released in serial order.
+// released in serial order; with no device to amortize, it ignores
+// holds.
 type noWaitCommitter struct{ cohortQueue }
 
 func newNoWaitCommitter() *noWaitCommitter {
@@ -275,6 +309,9 @@ func (b *blockingPath) enqueue(cm *commit) {
 
 // handoff is a no-op: commits already in a blocking Commit finish there.
 func (b *blockingPath) handoff(logPath) {}
+
+// kick is a no-op: every commit is already in a Commit of its own.
+func (b *blockingPath) kick() {}
 
 func (b *blockingPath) Commit(g *wal.Group) error { return b.c.Commit(g) }
 func (b *blockingPath) Close() error              { return b.c.Close() }

@@ -124,8 +124,11 @@ var ErrStopped = errors.New("core: engine stopped")
 type Config struct {
 	// Protocol is the concurrency-control protocol (default OCC-DATI).
 	Protocol occ.Kind
-	// Workers is the number of executor goroutines — the "CPUs" of the
-	// node (default 1, like the prototype's single Pentium Pro).
+	// Workers is the number of executor slots — the "CPUs" of the node
+	// (default 1, like the prototype's single Pentium Pro). No goroutine
+	// backs a slot: the submitter runs its own transaction in it, at once
+	// if one is free, else when a finishing transaction hands it over in
+	// EDF order.
 	Workers int
 	// MaxRestarts bounds concurrency-control restarts per transaction
 	// before it is aborted with a conflict (default 10; firm deadlines

@@ -146,9 +146,9 @@ func read(id store.ObjectID) Request {
 	}}
 }
 
-// TestSubmitFreesWorkerBeforeStable: with one engine worker and a log
+// TestSubmitFreesWorkerBeforeStable: with one executor slot and a log
 // that never becomes stable until the test says so, two updates still
-// both validate — the worker does not sit in the log wait. A read of an
+// both validate — the slot is not held across the log wait. A read of an
 // object they wrote waits for their commits; a read of anything else is
 // ready at once. Execute waits for durability.
 func TestSubmitFreesWorkerBeforeStable(t *testing.T) {

@@ -149,16 +149,6 @@ func (x *Tx) check() error {
 	return nil
 }
 
-// job couples a queued transaction with its submitter.
-type job struct {
-	t    *txn.Transaction
-	req  Request
-	done chan error
-	// release is set by the worker before done is signalled: what the
-	// result waits on.
-	release Release
-}
-
 // Engine executes transactions on a (transient) primary node.
 type Engine struct {
 	cfg      Config
@@ -180,14 +170,19 @@ type Engine struct {
 
 	path    atomic.Pointer[logPath] // the current commit path
 	logMode atomic.Int32
+	holds   atomic.Int64 // Holds out on the commit path
 
+	// mu guards the executor slots: free counts those no transaction
+	// holds, and turns has the hand-off of each transaction queued in EDF
+	// order for one. A queued submitter's turn is signalled once: nil
+	// when it is handed a slot, ErrOverload when an arrival displaced it.
 	mu      sync.Mutex
-	jobs    map[txn.ID]*job
+	free    int
+	turns   map[txn.ID]chan error
 	nextID  atomic.Uint64
 	stopped atomic.Bool
 
 	inflight sync.WaitGroup // outstanding Submit calls and unsettled commits
-	workers  sync.WaitGroup
 }
 
 // NewEngine builds an engine over db. The committer defines the commit
@@ -205,15 +200,12 @@ func NewEngine(cfg Config, db *store.Store, committer Committer, logMode LogMode
 		respTime:   new(metrics.Histogram),
 		commitWait: new(metrics.Histogram),
 		durable:    newDurableMark(),
-		jobs:       make(map[txn.ID]*job),
+		free:       cfg.Workers,
+		turns:      make(map[txn.ID]chan error),
 	}
 	p := pathFor(committer, 1)
 	e.path.Store(&p)
 	e.logMode.Store(int32(logMode))
-	for i := 0; i < cfg.Workers; i++ {
-		e.workers.Add(1)
-		go e.worker()
-	}
 	return e
 }
 
@@ -297,14 +289,16 @@ func (e *Engine) Execute(req Request) error {
 
 // Submit runs a transaction through validation and returns as soon as
 // its outcome is decided, without waiting for the commit to become
-// stable: the engine worker hands the commit to the committer and takes
-// the next job. The returned Release says what the result
-// waits on before it may be shown — for a commit its own serial, for a
-// read-only or failed transaction the highest serial it read. Until then
-// the caller must hold the result back, and must report a failure
-// instead if Release.Wait fails. Once a commit has failed to become
-// stable, every later update fails with ErrNodeFailure before it
-// validates.
+// stable: the commit goes to the committer and the caller moves on. The
+// caller's goroutine runs the transaction itself when an executor slot
+// is free and nothing is queued; otherwise it queues in EDF order and
+// runs it when a finishing transaction hands it the slot. The returned
+// Release says what the result waits on before it may be shown — for a
+// commit its own serial, for a read-only or failed transaction the
+// highest serial it read. Until then the caller must hold the result
+// back, and must report a failure instead if Release.Wait fails. Once a
+// commit has failed to become stable, every later update fails with
+// ErrNodeFailure before it validates.
 func (e *Engine) Submit(req Request) (Release, error) {
 	if e.stopped.Load() {
 		return Release{}, ErrStopped
@@ -321,17 +315,19 @@ func (e *Engine) Submit(req Request) (Release, error) {
 		// The overload manager is at its limit: the arriving
 		// transaction is the lowest-priority work in the system unless
 		// its criticality displaces something still queued.
+		e.mu.Lock()
 		victim := e.queue.EvictLowerCriticality(req.Criticality)
+		var turn chan error
+		if victim != nil {
+			turn = e.turns[victim.ID]
+			delete(e.turns, victim.ID)
+		}
+		e.mu.Unlock()
 		if victim == nil {
 			e.outcome.Abort(txn.OverloadDenied)
 			return Release{}, ErrOverload
 		}
-		e.mu.Lock()
-		vj := e.jobs[victim.ID]
-		e.mu.Unlock()
-		if vj != nil {
-			e.finish(vj, txn.OverloadDenied, ErrOverload)
-		}
+		turn <- e.finish(victim, txn.OverloadDenied, ErrOverload)
 		e.overload.ForceAdmit()
 	}
 
@@ -344,94 +340,114 @@ func (e *Engine) Submit(req Request) (Release, error) {
 	if req.ReadOnly {
 		t.DeclareReadOnly()
 	}
-	j := &job{t: t, req: req, done: make(chan error, 1)}
 
 	e.mu.Lock()
-	e.jobs[t.ID] = j
-	e.mu.Unlock()
-
-	e.queue.Push(t)
-	err := <-j.done
-
-	e.mu.Lock()
-	delete(e.jobs, t.ID)
-	e.mu.Unlock()
-	if j.release.e == nil || j.release.read {
+	if e.free > 0 && len(e.turns) == 0 {
+		e.free--
+		e.mu.Unlock()
+	} else {
+		turn := make(chan error, 1)
+		e.turns[t.ID] = turn
+		e.queue.Push(t)
+		e.mu.Unlock()
+		if err := <-turn; err != nil {
+			e.overload.Done() // displaced before it ran
+			return Release{}, err
+		}
+	}
+	rel, err := e.run(t, req)
+	e.yield()
+	if rel.e == nil || rel.read {
 		e.overload.Done() // else settle frees the slot once the commit is stable
 	}
-	return j.release, err
+	return rel, err
 }
 
-// Stop drains outstanding requests and shuts the workers down.
+// yield passes a finishing transaction's executor slot to the earliest
+// queued transaction, or frees it if none is queued.
+func (e *Engine) yield() {
+	e.mu.Lock()
+	if len(e.turns) == 0 {
+		e.free++
+		e.mu.Unlock()
+		return
+	}
+	t := e.queue.Pop()
+	turn := e.turns[t.ID]
+	delete(e.turns, t.ID)
+	e.mu.Unlock()
+	turn <- nil
+}
+
+// Hold keeps an engine's commit path open. While any Hold is out, a
+// committer with a device does not start a cohort with this engine's
+// commits until a full one is ready: a front end that already has more
+// updates in hand takes a Hold, submits them, and releases it, and they
+// share one wire write or one sync. A Hold must be released exactly
+// once, and before its holder waits for anything, since the commits it
+// holds wait for it. The zero Hold is a no-op.
+type Hold struct{ e *Engine }
+
+// Hold holds the commit path open until Release.
+func (e *Engine) Hold() Hold {
+	e.holds.Add(1)
+	return Hold{e: e}
+}
+
+// Release ends the hold; the last one out wakes the current commit path.
+func (h Hold) Release() {
+	if h.e != nil && h.e.holds.Add(-1) == 0 {
+		(*h.e.path.Load()).kick()
+	}
+}
+
+// Stop drains outstanding requests and closes the commit path.
 func (e *Engine) Stop() {
 	if e.stopped.Swap(true) {
 		return
 	}
 	e.inflight.Wait()
-	e.queue.Close()
-	e.workers.Wait()
 	(*e.path.Load()).Close()
 }
 
-func (e *Engine) worker() {
-	defer e.workers.Done()
-	for {
-		t := e.queue.PopWait()
-		if t == nil {
-			return
-		}
-		e.mu.Lock()
-		j := e.jobs[t.ID]
-		e.mu.Unlock()
-		if j == nil {
-			continue // job abandoned (shutdown race)
-		}
-		e.run(j)
-	}
-}
-
-// run executes one attempt chain (with restarts) of a job to completion.
-func (e *Engine) run(j *job) {
-	t := j.t
+// run executes one attempt chain (with restarts) of a transaction to
+// completion and returns its result and what the result waits on.
+func (e *Engine) run(t *txn.Transaction, req Request) (Release, error) {
 	for {
 		now := e.clock.Now()
 		if t.Class == txn.Firm && t.Expired(now) {
-			e.finish(j, txn.DeadlineMiss, ErrDeadline)
-			return
+			return Release{}, e.finish(t, txn.DeadlineMiss, ErrDeadline)
 		}
 		e.ctl.Begin(t)
 		t.State = txn.Running
-		err := j.req.Do(&Tx{e: e, t: t})
+		err := req.Do(&Tx{e: e, t: t})
 
 		switch {
 		case err == nil:
 			// fall through to validation
 		case errors.Is(err, errRestart):
-			if !e.restart(j) {
-				return
+			if err := e.restart(t); err != nil {
+				return Release{}, err
 			}
 			continue
 		case errors.Is(err, ErrDeadline):
 			e.ctl.Finish(t)
-			e.finish(j, txn.DeadlineMiss, ErrDeadline)
-			return
+			return Release{}, e.finish(t, txn.DeadlineMiss, ErrDeadline)
 		default:
 			// User error: the transaction aborts by its own choice;
 			// deferred writes are simply discarded. The error may still
 			// reveal what the body read.
-			j.release = Release{e: e, serial: t.ReadSerial(), read: true}
+			rel := Release{e: e, serial: t.ReadSerial(), read: true}
 			e.ctl.Finish(t)
 			t.Abort(txn.UserAbort)
 			e.outcome.Abort(txn.UserAbort)
-			j.done <- err
-			return
+			return rel, err
 		}
 
 		now = e.clock.Now()
 		if t.Class == txn.Firm && t.Expired(now) {
 			e.ctl.Finish(t)
-			e.finish(j, txn.DeadlineMiss, ErrDeadline)
-			return
+			return Release{}, e.finish(t, txn.DeadlineMiss, ErrDeadline)
 		}
 		if !t.ReadOnly() {
 			if err := e.durable.broken(); err != nil {
@@ -439,8 +455,7 @@ func (e *Engine) run(j *job) {
 				// watermark can never reach this one: refuse it before
 				// validation installs writes no client could be told of.
 				e.ctl.Finish(t)
-				e.finish(j, txn.NodeFailure, err)
-				return
+				return Release{}, e.finish(t, txn.NodeFailure, err)
 			}
 		}
 
@@ -457,8 +472,8 @@ func (e *Engine) run(j *job) {
 				// validation would be unsound for it: restart into the
 				// fully registered path.
 				t.DemoteReadOnly()
-				if !e.restart(j) {
-					return
+				if err := e.restart(t); err != nil {
+					return Release{}, err
 				}
 				continue
 			} else {
@@ -471,12 +486,12 @@ func (e *Engine) run(j *job) {
 			res = e.ctl.Validate(t)
 		}
 		if !res.OK {
-			if !e.restart(j) {
-				return
+			if err := e.restart(t); err != nil {
+				return Release{}, err
 			}
 			continue
 		}
-		// Victims have been marked doomed; their own workers restart
+		// Victims have been marked doomed; their own submitters restart
 		// them at the next operation or validation. The transaction's
 		// concurrency-control state goes now, at validation: its writes
 		// are installed and constrain later validators through the
@@ -490,23 +505,19 @@ func (e *Engine) run(j *job) {
 			// commits it read.
 			t.State = txn.Committed
 			e.committed(t, e.clock.Now())
-			j.release = Release{e: e, serial: t.ReadSerial(), read: true}
-			j.done <- nil
-			return
+			return Release{e: e, serial: t.ReadSerial(), read: true}, nil
 		}
 		// Write phase already applied inside Validate. The committer
-		// makes the commit stable without this worker: it settles the
+		// makes the commit stable without the submitter: it settles the
 		// commit, with the rest of its cohort, when the log is stable.
 		t.State = txn.LogWait
-		j.release = Release{e: e, serial: t.SerialOrder}
 		e.inflight.Add(1)
 		c := &commit{serial: t.SerialOrder, at: e.clock.Now(), e: e, t: t}
 		if e.LogMode() != LogNone {
 			c.g = &wal.Group{Writes: wal.WriteRecordsFor(t), Commit: wal.CommitRecordFor(t)}
 		}
-		j.done <- nil
 		(*e.path.Load()).enqueue(c)
-		return
+		return Release{e: e, serial: t.SerialOrder}, nil
 	}
 }
 
@@ -562,31 +573,27 @@ func (e *Engine) committed(t *txn.Transaction, end simtime.Time) {
 }
 
 // restart resets the transaction for another attempt if it has restarts
-// and time left; otherwise it finishes with a conflict abort. It reports
-// whether the caller should retry.
-func (e *Engine) restart(j *job) bool {
-	t := j.t
+// and time left, and returns nil; otherwise it finishes the transaction
+// with a conflict or deadline abort and returns that error.
+func (e *Engine) restart(t *txn.Transaction) error {
 	e.ctl.Finish(t)
 	if t.Restarts >= e.cfg.MaxRestarts {
-		e.finish(j, txn.Conflict, ErrConflict)
-		return false
+		return e.finish(t, txn.Conflict, ErrConflict)
 	}
 	if t.Class == txn.Firm && t.Expired(e.clock.Now()) {
-		e.finish(j, txn.DeadlineMiss, ErrDeadline)
-		return false
+		return e.finish(t, txn.DeadlineMiss, ErrDeadline)
 	}
 	e.outcome.Restart()
 	t.ResetForRestart()
-	return true
+	return nil
 }
 
-// finish completes a job with a terminal abort.
-func (e *Engine) finish(j *job, reason txn.AbortReason, err error) {
-	t := j.t
+// finish aborts t for reason and returns err, the submitter's result.
+func (e *Engine) finish(t *txn.Transaction, reason txn.AbortReason, err error) error {
 	t.Abort(reason)
 	e.outcome.Abort(reason)
 	if reason == txn.DeadlineMiss {
 		e.overload.RecordMiss(e.clock.Now())
 	}
-	j.done <- err
+	return err
 }

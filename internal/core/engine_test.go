@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -337,7 +338,7 @@ func TestSetCommitterSwitchesMode(t *testing.T) {
 func readerOf(b []byte) *bytes.Reader { return bytes.NewReader(b) }
 
 func TestCriticalityDisplacement(t *testing.T) {
-	// One worker busy with a held transaction; the queue holds a
+	// One executor slot busy with a held transaction; the queue holds a
 	// low-criticality transaction; the admission limit is 2. A
 	// high-criticality arrival displaces the queued one.
 	cfg := Config{Workers: 1, Overload: sched.OverloadConfig{MaxActive: 2, MinActive: 2}}
@@ -367,7 +368,7 @@ func TestCriticalityDisplacement(t *testing.T) {
 		}})
 	}()
 	// Wait until the low-criticality txn is queued (admitted, not
-	// running: the single worker is held).
+	// running: the single slot is held).
 	deadline := time.After(2 * time.Second)
 	for e.queue.Len() == 0 {
 		select {
@@ -383,7 +384,7 @@ func TestCriticalityDisplacement(t *testing.T) {
 		t.Fatalf("plain arrival: %v", err)
 	}
 	// ...but a criticality-9 arrival displaces the queued one. It runs
-	// in a goroutine: it cannot finish until the held worker frees up.
+	// in a goroutine: it cannot finish until the held slot frees up.
 	highDone := make(chan error, 1)
 	go func() {
 		highDone <- e.Execute(Request{Deadline: 5 * time.Second, Criticality: 9, Do: func(tx *Tx) error {
@@ -451,5 +452,60 @@ func TestWriteAfterDeadline(t *testing.T) {
 	}})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestQueuedDispatchIsEDF: with the one executor slot taken, queued
+// transactions run in deadline order once it frees, not in arrival order.
+func TestQueuedDispatchIsEDF(t *testing.T) {
+	e, _, _ := newTestEngine(t, Config{Workers: 1}, LogNone)
+	hold := make(chan struct{})
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e.Execute(Request{Deadline: 5 * time.Second, Do: func(*Tx) error {
+			close(started)
+			<-hold
+			return nil
+		}})
+	}()
+	<-started
+
+	var mu sync.Mutex
+	var order []time.Duration
+	for _, d := range []time.Duration{300 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := e.Execute(Request{Class: txn.Soft, Deadline: d, Do: func(*Tx) error {
+				mu.Lock()
+				order = append(order, d)
+				mu.Unlock()
+				return nil
+			}})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitFor(t, "three queued transactions", func() bool { return e.queue.Len() == 3 })
+	close(hold)
+	wg.Wait()
+	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond}
+	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+		t.Fatalf("ran in order %v, want %v", order, want)
+	}
+}
+
+// TestEngineStartsNoGoroutines: executor slots are not goroutines; the
+// submitter runs its own transaction.
+func TestEngineStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(Config{Workers: 4}, store.New(), newNoWaitCommitter(), LogDiscard)
+	t.Cleanup(e.Stop)
+	if grew := runtime.NumGoroutine() - before; grew > 0 {
+		t.Fatalf("NewEngine with 4 slots started %d goroutines", grew)
 	}
 }

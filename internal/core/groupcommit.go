@@ -15,11 +15,14 @@ import (
 //
 // The batching window is the device itself: while a sync is in flight,
 // arriving commits queue behind it, and the next cohort covers them all.
-// When the committer is idle the writer syncs at once, so an uncontended
-// commit pays exactly the paper's one-sync cost; under load the sync
-// amortizes across the cohort and the disk leaves the per-transaction
-// critical path — the same cost the Mirror Node removes in normal mode,
-// recovered without a second machine. No timer is armed: a
+// A front end that holds the engine's commit path open (Engine.Hold)
+// while it submits updates it already has in hand widens the window to
+// those updates, up to a full cohort. Otherwise, when the committer is
+// idle the writer syncs at once, so an uncontended commit pays exactly
+// the paper's one-sync cost; under load the sync amortizes across the
+// cohort and the disk leaves the per-transaction critical path — the
+// same cost the Mirror Node removes in normal mode, recovered without a
+// second machine. No timer is armed: a
 // sub-millisecond hold would be rounded up to a whole millisecond by the
 // Go netpoller whenever every goroutine is parked, which is exactly the
 // state a cohort waits in.
@@ -29,8 +32,7 @@ import (
 // MaxCohort 1 gives every transaction its own append and sync: the
 // paper's per-commit Log Writer.
 type GroupCommitter struct {
-	log       logstore.Store
-	maxCohort int
+	log logstore.Store
 
 	cohortQueue
 	exited chan struct{}
@@ -52,9 +54,9 @@ func NewGroupCommitter(log logstore.Store, opts GroupOptions) *GroupCommitter {
 		opts.MaxCohort = DefaultMaxCohort
 	}
 	c := &GroupCommitter{
-		log:       log,
-		maxCohort: opts.MaxCohort,
-		exited:    make(chan struct{}),
+		log:         log,
+		cohortQueue: cohortQueue{maxCohort: opts.MaxCohort},
+		exited:      make(chan struct{}),
 	}
 	c.init(1, nil)
 	go c.writer()
@@ -71,7 +73,7 @@ func (c *GroupCommitter) writer() {
 	)
 	c.mu.Lock()
 	for {
-		for !c.ready() && c.refuse == nil {
+		for !c.due() && c.refuse == nil {
 			c.cond.Wait()
 		}
 		if !c.ready() {

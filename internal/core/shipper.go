@@ -25,10 +25,13 @@ import (
 // sender ships the contiguous prefix of pending groups the moment it has
 // one, so every group that queued while the previous wire write was in
 // flight leaves in one batch, and the mirror's cumulative ack reports
-// everything up to it stable in one call. A batch is one MsgRecord frame
-// whose payload is the groups' stored-log bytes (appendCohort), the same
-// bytes the group committer writes to disk; the mirror stores them as
-// received.
+// everything up to it stable in one call. While a front end holds the
+// engine's commit path open (Engine.Hold), the sender waits for the
+// updates it already has in hand, up to a full batch, so a pipelined
+// connection's updates leave in one frame. A batch is one MsgRecord
+// frame whose payload is the groups' stored-log bytes (appendCohort),
+// the same bytes the group committer writes to disk; the mirror stores
+// them as received.
 // No timer is armed per commit, per cohort or per serial gap.
 //
 // A shipper that ends — its mirror failed, or a rejoining mirror replaced
@@ -47,7 +50,6 @@ type MirrorShipper struct {
 	conn       *transport.Conn
 	ackTimeout time.Duration
 	ping       time.Duration
-	maxCohort  int
 	clock      simtime.Clock
 
 	// The queue holds every un-acked commit; its cursor is the next
@@ -131,13 +133,13 @@ func NewMirrorShipper(conn *transport.Conn, firstSerial uint64, opts ShipperOpti
 		opts.Clock = simtime.NewWallClock()
 	}
 	s := &MirrorShipper{
-		conn:       conn,
-		ackTimeout: opts.AckTimeout,
-		ping:       opts.Heartbeat,
-		maxCohort:  opts.MaxCohort,
-		clock:      opts.Clock,
-		quit:       make(chan struct{}),
-		onFailure:  opts.OnFailure,
+		conn:        conn,
+		ackTimeout:  opts.AckTimeout,
+		ping:        opts.Heartbeat,
+		clock:       opts.Clock,
+		cohortQueue: cohortQueue{maxCohort: opts.MaxCohort},
+		quit:        make(chan struct{}),
+		onFailure:   opts.OnFailure,
 	}
 	s.init(firstSerial, func() {
 		if len(s.pending) == 1 {
@@ -173,7 +175,7 @@ func (s *MirrorShipper) sender() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for !s.ready() && !s.pingDue && !s.failed && !s.closed {
+		for !s.due() && !s.pingDue && !s.failed && !s.closed {
 			s.cond.Wait()
 		}
 		if s.failed || s.closed {

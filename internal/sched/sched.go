@@ -41,9 +41,6 @@ type Queue struct {
 	// reservation.
 	dispatched      uint64
 	nonRTDispatched uint64
-
-	closed bool
-	cond   *sync.Cond
 }
 
 // NewQueue returns a ready queue that reserves the given fraction
@@ -55,9 +52,7 @@ func NewQueue(reserve float64) *Queue {
 	if reserve >= 1 {
 		reserve = 0.99
 	}
-	q := &Queue{reserve: reserve}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &Queue{reserve: reserve}
 }
 
 type edfItem struct {
@@ -93,7 +88,6 @@ func (q *Queue) Push(t *txn.Transaction) {
 		q.seq++
 		heap.Push(&q.rt, edfItem{t: t, seq: q.seq})
 	}
-	q.cond.Signal()
 }
 
 // Pop removes and returns the next transaction to run, or nil if the
@@ -103,31 +97,6 @@ func (q *Queue) Pop() *txn.Transaction {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.popLocked()
-}
-
-// PopWait blocks until a transaction is available or the queue is
-// closed, in which case it returns nil.
-func (q *Queue) PopWait() *txn.Transaction {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if t := q.popLocked(); t != nil {
-			return t
-		}
-		if q.closed {
-			return nil
-		}
-		q.cond.Wait()
-	}
-}
-
-// Close wakes all PopWait callers; they return nil once the queue
-// drains. Push after Close is still accepted (drain continues).
-func (q *Queue) Close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
 }
 
 func (q *Queue) popLocked() *txn.Transaction {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/simtime"
 	"repro/internal/txn"
@@ -136,43 +135,6 @@ func TestDropExpiredKeepsSoft(t *testing.T) {
 	q.Push(soft)
 	if dropped := q.DropExpired(100); len(dropped) != 0 {
 		t.Fatal("soft transactions must survive deadline expiry")
-	}
-}
-
-func TestPopWaitAndClose(t *testing.T) {
-	q := NewQueue(0)
-	got := make(chan *txn.Transaction, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		got <- q.PopWait()
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.Push(rt(7, 100))
-	select {
-	case tx := <-got:
-		if tx.ID != 7 {
-			t.Fatalf("PopWait = %v", tx)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("PopWait never returned")
-	}
-	wg.Wait()
-
-	done := make(chan struct{})
-	go func() {
-		if q.PopWait() != nil {
-			t.Error("PopWait after Close on empty queue should be nil")
-		}
-		close(done)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.Close()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not wake PopWait")
 	}
 }
 

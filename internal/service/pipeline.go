@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -21,14 +22,18 @@ import (
 // drain, then runs them inline, so a connection keeps sequential
 // (read-your-writes) semantics while its lookups overlap freely.
 //
-// An update is a barrier only until it validates: its writes are then
-// installed, so everything parsed after it sees them, and the reader
-// moves on while the commit is made stable. Every reply carries a
-// Release — an update's own serial, or the highest serial a read
-// observed — and the writer sends nothing above the engine's durable
-// watermark: at such a reply it flushes what is ready and parks until
-// the watermark reaches it. If a commit fails, that reply and every
-// later one in the window answer ERR and the connection closes.
+// An update runs on the reader, which is its submitter, and is a
+// barrier only until it validates: its writes are then installed, so
+// everything parsed after it sees them, and the reader moves on while
+// the commit is made stable. While the next request is an update
+// already buffered whole and the ring has room for it, the reader holds
+// the node's commit path open (holdCommits), so the run's commits leave
+// in one cohort; it releases before anything that can wait. Every reply
+// carries a Release — an update's own serial, or the highest serial a
+// read observed — and the writer sends nothing above the engine's
+// durable watermark: at such a reply it flushes what is ready and parks
+// until the watermark reaches it. If a commit fails, that reply and
+// every later one in the window answer ERR and the connection closes.
 
 // maxLineBytes bounds one request line, matching the old Scanner limit.
 const maxLineBytes = 1 << 20
@@ -99,6 +104,9 @@ type pipeConn struct {
 	pending    chan *request
 	inflight   sync.WaitGroup // requests out with the worker pool
 	writerDone chan struct{}
+
+	hold    rodain.Hold // see holdCommits; valid while holding
+	holding bool
 }
 
 // serve runs one client connection through the pipeline.
@@ -131,11 +139,15 @@ func (s *Server) serve(conn net.Conn) {
 func (c *pipeConn) run() {
 	go c.writeLoop()
 	defer func() {
+		c.releaseCommits()
 		close(c.pending)
 		<-c.writerDone
 		c.conn.Close()
 	}()
 	for {
+		if c.holding && !c.updateNext() {
+			c.releaseCommits()
+		}
 		line, err := c.readLine()
 		if err != nil {
 			return
@@ -185,8 +197,13 @@ func (c *pipeConn) run() {
 		case isWriteCmd(req.cmd):
 			// Updates are ordering points: drain everything in flight,
 			// run inline through validation, and only then parse ahead
-			// again. The reply waits for durability in the writer.
+			// again. The reply waits for durability in the writer. If
+			// another update is already buffered, its commit joins
+			// this one's cohort.
 			c.barrier()
+			if c.updateNext() {
+				c.holdCommits()
+			}
 			req.resp = c.s.exec(req, req.resp[:0])
 			c.completeInline(req)
 
@@ -205,8 +222,47 @@ func (c *pipeConn) run() {
 
 // barrier waits until every request handed to the worker pool has
 // finished executing (its response is built; the writer may still be
-// flushing it, which preserves ordering on its own).
+// flushing it, which preserves ordering on its own). No hold is out
+// while it waits: a hold is taken only after an update's barrier, and
+// ends before any request that is not an update is read.
 func (c *pipeConn) barrier() { c.inflight.Wait() }
+
+// updateNext reports whether the next unread request is an update the
+// reader can take without waiting: its whole line is buffered, its verb
+// is an update, and the reply ring has room for one more request.
+func (c *pipeConn) updateNext() bool {
+	if len(c.pending) == cap(c.pending) {
+		return false
+	}
+	b, _ := c.br.Peek(c.br.Buffered())
+	nl := bytes.IndexByte(b, '\n')
+	if nl < 0 {
+		return false
+	}
+	verb, _ := nextToken(b[:nl])
+	return isWriteCmd(matchCommand(verb))
+}
+
+// holdCommits holds the node's commit path open, if the reader does
+// not already. The reader holds while it submits updates with another
+// one right behind (updateNext): their commits wait for it, and a run of
+// pipelined updates leaves in one cohort — one frame to the mirror, or
+// one sync. The hold ends (releaseCommits) after the run's last update
+// is submitted, before the reader can wait on the socket or the ring,
+// and before any request that adds no commit.
+func (c *pipeConn) holdCommits() {
+	if !c.holding {
+		c.hold, c.holding = c.s.db.HoldCommits(), true
+	}
+}
+
+// releaseCommits ends the reader's hold, if it has one.
+func (c *pipeConn) releaseCommits() {
+	if c.holding {
+		c.hold.Release()
+		c.holding = false
+	}
+}
 
 // completeInline enqueues a reader-built response into the reply ring.
 func (c *pipeConn) completeInline(req *request) {

@@ -28,9 +28,12 @@
 // shared worker pool while update and session-mutating commands
 // (SET/DEL/REROUTE/CHARGE/TOPUP, DEADLINE/CLASS/QUIT) act as execution
 // barriers, so a pipelined connection observes exactly the transcript a
-// serial one would (read-your-writes). An update is a barrier only until
-// it validates; no reply leaves before every commit it depends on is
-// durable. See DESIGN.md §8.
+// serial one would (read-your-writes). An update executes on the
+// connection's reader and is a barrier only until it validates; no reply
+// leaves before every commit it depends on is durable. While the next
+// update is already buffered, the reader holds the node's commit path
+// open, so a pipelined run of updates shares one cohort. See DESIGN.md
+// §8.
 package service
 
 import (

@@ -64,6 +64,9 @@ type (
 	// Release is the durability condition a submitted transaction's
 	// result waits on before it may be shown (see DB.Submit).
 	Release = core.Release
+	// Hold keeps the node's commit path open while a front end submits
+	// updates it already has in hand (see DB.HoldCommits).
+	Hold = core.Hold
 )
 
 // Criticality classes.
@@ -140,7 +143,8 @@ type Options struct {
 	// Protocol selects concurrency control: "dati" (default), "ti",
 	// "da" or "bc".
 	Protocol string
-	// Workers is the number of executor goroutines (default 1).
+	// Workers is the number of executor slots, the node's "CPUs": each
+	// submitter runs its own transaction in one (default 1).
 	Workers int
 	// MaxActive caps concurrently admitted transactions (default 50).
 	MaxActive int
@@ -360,6 +364,20 @@ func (db *DB) Submit(class Class, deadline time.Duration, criticality int, fn fu
 // of a read waits for the commits whose writes it observed.
 func (db *DB) SubmitReadOnly(class Class, deadline time.Duration, criticality int, fn func(*Tx) error) (Release, error) {
 	return db.node.Submit(core.Request{Class: class, Deadline: deadline, Criticality: criticality, ReadOnly: true, Do: fn})
+}
+
+// HoldCommits holds the commit path open: until Release, a cohort waits
+// for the updates the caller is about to submit (up to a full cohort),
+// so they share one mirror frame or one sync. The caller must release
+// the Hold exactly once, and before it waits for anything — a reply's
+// Release, a socket read — since the commits it holds wait for it. On a
+// node that is not serving it is a no-op.
+func (db *DB) HoldCommits() Hold {
+	e := db.node.Engine()
+	if e == nil {
+		return Hold{}
+	}
+	return e.Hold()
 }
 
 // Events delivers role-change notifications (mirror attached/lost,
