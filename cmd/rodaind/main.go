@@ -48,7 +48,6 @@ func main() {
 		segBytes   = flag.Int64("log-segment-bytes", 0, "roll the log into -log/<segments> at this size so checkpoints drop whole segments (0 = single file)")
 		maxCohort  = flag.Int("max-cohort", 0, "max transactions per group-commit cohort (0 = default 64, 1 = per-commit sync)")
 		pipeDepth  = flag.Int("pipeline-depth", service.DefaultPipelineDepth, "per-connection request window (1 = no pipelining)")
-		svcWorkers = flag.Int("service-workers", service.DefaultWorkers, "shared pool executing read-only requests")
 		idleConn   = flag.Duration("idle-timeout", 2*time.Minute, "disconnect clients idle this long (0 = never)")
 	)
 	flag.Parse()
@@ -139,7 +138,6 @@ func main() {
 
 	srv := service.NewServerConfig(db, service.Config{
 		PipelineDepth: *pipeDepth,
-		Workers:       *svcWorkers,
 		IdleTimeout:   *idleConn,
 	})
 	addr, err := srv.Listen(*listen)

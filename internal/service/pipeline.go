@@ -13,29 +13,28 @@ import (
 	"repro/internal/simtime"
 )
 
-// The per-connection pipeline. One reader goroutine parses ahead up to
-// the configured window, one writer goroutine drains a sequenced reply
-// ring so responses always leave in request order, and a server-wide
-// worker pool executes read-only requests concurrently. Session-mutating
-// commands (DEADLINE, CLASS, QUIT) and update transactions are
-// execution barriers: the reader waits for the in-flight window to
-// drain, then runs them inline, so a connection keeps sequential
-// (read-your-writes) semantics while its lookups overlap freely.
+// The per-connection pipeline. One reader goroutine parses and executes
+// every request in order, up to the configured window ahead of the
+// replies, and one writer goroutine drains a sequenced reply ring so
+// responses leave in request order. A request is complete when it
+// enters the ring, so a pipelined connection observes exactly the
+// transcript a serial one would (read-your-writes included).
 //
-// An update runs on the reader, which is its submitter, and is a
-// barrier only until it validates: its writes are then installed, so
-// everything parsed after it sees them, and the reader moves on while
-// the commit is made stable. While the next request is an update
-// already buffered whole and the ring has room for it, the reader holds
-// the node's commit path open (holdCommits), so the run's commits leave
-// in one cohort; it releases before anything that can wait. Every reply
+// An update runs through validation only: its writes are then
+// installed, so everything parsed after it sees them, and the reader
+// moves on while the commit is made stable. While the next request is an
+// update already buffered whole and the ring has room for it, the reader
+// holds the node's commit path open (holdCommits), so the run's commits
+// leave in one cohort; it releases before anything that can wait, so a
+// read never executes under a hold. Every reply
 // carries a Release — an update's own serial, or the highest serial a
 // read observed — and the writer sends nothing above the engine's
 // durable watermark: at such a reply it flushes what is ready and parks
 // until the watermark reaches it. If a commit fails, that reply and
 // every later one in the window answer ERR and the connection closes.
 
-// maxLineBytes bounds one request line, matching the old Scanner limit.
+// maxLineBytes bounds one request line, not counting its newline; a
+// longer line closes the connection.
 const maxLineBytes = 1 << 20
 
 // request is one parsed client request flowing through a connection's
@@ -48,8 +47,8 @@ type request struct {
 	args   [maxArgs][]byte // argument tokens; into buf
 	nargs  int
 
-	// Session snapshot at parse time: the deadline/class this request
-	// runs under regardless of later session commands.
+	// The session's class and deadline when the request was parsed,
+	// and its arrival time (for the request-latency histogram).
 	class    rodain.Class
 	deadline time.Duration
 	arrival  simtime.Time
@@ -58,17 +57,9 @@ type request struct {
 	resp []byte // the response line being built (no newline)
 	// rel is the durability resp waits on before it may be written.
 	rel rodain.Release
-
-	// ready is signalled exactly once per cycle, when resp is complete.
-	ready chan struct{}
-	// done is the owning connection's in-flight counter; set only while
-	// the request is out with the worker pool.
-	done *sync.WaitGroup
 }
 
-var requestPool = sync.Pool{
-	New: func() any { return &request{ready: make(chan struct{}, 1)} },
-}
+var requestPool = sync.Pool{New: func() any { return new(request) }}
 
 func getRequest() *request { return requestPool.Get().(*request) }
 
@@ -82,13 +73,8 @@ func putRequest(req *request) {
 	req.buf = req.buf[:0]
 	req.resp = req.resp[:0]
 	req.rel = rodain.Release{}
-	req.done = nil
 	requestPool.Put(req)
 }
-
-// signalReady marks the response complete. It must be the request's
-// last touch by its producer: the writer may recycle it immediately.
-func (req *request) signalReady() { req.ready <- struct{}{} }
 
 // pipeConn is the per-connection pipeline state.
 type pipeConn struct {
@@ -99,10 +85,9 @@ type pipeConn struct {
 	sess session
 
 	// pending is the sequenced reply ring: requests enter in parse
-	// order and the writer drains them in that order; its capacity is
-	// the connection's in-flight window.
+	// order, each with its response built, and the writer drains them
+	// in that order; its capacity is the connection's in-flight window.
 	pending    chan *request
-	inflight   sync.WaitGroup // requests out with the worker pool
 	writerDone chan struct{}
 
 	hold    rodain.Hold // see holdCommits; valid while holding
@@ -164,68 +149,39 @@ func (c *pipeConn) run() {
 
 		switch {
 		case req.cmd == cmdQuit:
-			// Barrier, then answer and hang up (any arguments are
-			// ignored, as they always were).
-			c.barrier()
+			// Answer and hang up (any arguments are ignored, as they
+			// always were).
 			req.resp = append(req.resp[:0], "OK bye"...)
-			c.completeInline(req)
-			return
-
 		case isSessionCmd(req.cmd):
-			// DEADLINE/CLASS: drain the window, then mutate the session
-			// inline so the new settings bind exactly the requests
-			// parsed after this one.
-			c.barrier()
+			// DEADLINE/CLASS: the new settings bind exactly the
+			// requests parsed after this one.
 			req.resp = handleSession(req, &c.sess, req.resp[:0])
-			c.completeInline(req)
-
 		case req.cmd == cmdUnknown:
 			req.resp = appendUnknown(req.resp[:0], req.cmdTok)
-			c.completeInline(req)
-
 		case cmdArgc[req.cmd] >= 0 && req.nargs != cmdArgc[req.cmd]:
 			req.resp = appendUsage(req.resp[:0], req.cmd)
-			c.completeInline(req)
-
 		case isTxnCmd(req.cmd) && c.s.overloadedAtSocket():
 			// Admission at the socket: the overload manager is at its
 			// limit, so the arriving request — the lowest-priority work
-			// in the system — is denied without consuming a worker.
+			// in the system — is denied without executing.
 			req.resp = append(req.resp[:0], "MISS overload"...)
-			c.completeInline(req)
-
-		case isWriteCmd(req.cmd):
-			// Updates are ordering points: drain everything in flight,
-			// run inline through validation, and only then parse ahead
-			// again. The reply waits for durability in the writer. If
-			// another update is already buffered, its commit joins
-			// this one's cohort.
-			c.barrier()
-			if c.updateNext() {
+		default:
+			// A transaction or STATS. An update's reply waits for
+			// durability in the writer; if another update is already
+			// buffered, its commit joins this one's cohort.
+			if isWriteCmd(req.cmd) && c.updateNext() {
 				c.holdCommits()
 			}
 			req.resp = c.s.exec(req, req.resp[:0])
-			c.completeInline(req)
-
-		default:
-			// Read-only request (GET/TRANSLATE/BALANCE/STATS): enter
-			// the reply ring in order, then hand it to the shared
-			// worker pool so many lookups overlap per connection.
-			c.s.depthDist.Observe(len(c.pending) + 1)
-			c.pending <- req
-			c.inflight.Add(1)
-			req.done = &c.inflight
-			c.s.work <- req
+		}
+		quit := req.cmd == cmdQuit // req is the writer's once enqueued
+		c.s.depthDist.Observe(len(c.pending) + 1)
+		c.pending <- req
+		if quit {
+			return
 		}
 	}
 }
-
-// barrier waits until every request handed to the worker pool has
-// finished executing (its response is built; the writer may still be
-// flushing it, which preserves ordering on its own). No hold is out
-// while it waits: a hold is taken only after an update's barrier, and
-// ends before any request that is not an update is read.
-func (c *pipeConn) barrier() { c.inflight.Wait() }
 
 // updateNext reports whether the next unread request is an update the
 // reader can take without waiting: its whole line is buffered, its verb
@@ -264,13 +220,6 @@ func (c *pipeConn) releaseCommits() {
 	}
 }
 
-// completeInline enqueues a reader-built response into the reply ring.
-func (c *pipeConn) completeInline(req *request) {
-	c.s.depthDist.Observe(len(c.pending) + 1)
-	req.signalReady()
-	c.pending <- req
-}
-
 // readLine returns the next request line (without its newline),
 // enforcing the idle timeout and the line-length bound.
 func (c *pipeConn) readLine() ([]byte, error) {
@@ -282,11 +231,11 @@ func (c *pipeConn) readLine() ([]byte, error) {
 		// Long line: accumulate (allocates; off the hot path).
 		acc := append([]byte(nil), line...)
 		for errors.Is(err, bufio.ErrBufferFull) {
-			if len(acc) > maxLineBytes {
-				return nil, bufio.ErrBufferFull
-			}
 			line, err = c.br.ReadSlice('\n')
 			acc = append(acc, line...)
+			if len(chompNL(acc)) > maxLineBytes {
+				return nil, bufio.ErrBufferFull
+			}
 		}
 		line = acc
 	}
@@ -343,12 +292,6 @@ func (c *pipeConn) writeLoop() {
 			flush()
 			return
 		}
-		select {
-		case <-req.ready:
-		default:
-			flush()
-			<-req.ready
-		}
 		if commitErr == nil && !req.rel.Ready() {
 			flush()
 			commitErr = req.rel.Wait()
@@ -363,17 +306,5 @@ func (c *pipeConn) writeLoop() {
 		}
 		c.s.reqLat.Observe(c.s.clock.Now().Sub(req.arrival))
 		putRequest(req)
-	}
-}
-
-// worker executes read-only requests from every connection.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for req := range s.work {
-		req.resp = s.exec(req, req.resp[:0])
-		done := req.done
-		req.done = nil
-		req.signalReady() // last touch: the writer owns req now
-		done.Done()
 	}
 }

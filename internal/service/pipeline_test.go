@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -221,7 +222,8 @@ func TestPipelineOrderedResponses(t *testing.T) {
 }
 
 // TestPipelineBarrierSemantics pins the exact transcript around session
-// commands, updates and parse errors inside one pipelined batch.
+// commands, updates and parse errors inside one pipelined batch: each
+// request sees the session and the writes of every request before it.
 func TestPipelineBarrierSemantics(t *testing.T) {
 	addr, _, _ := startPipeServer(t, Config{PipelineDepth: 8},
 		rodain.Options{Durability: rodain.DurNone, Workers: 4})
@@ -232,7 +234,7 @@ func TestPipelineBarrierSemantics(t *testing.T) {
 	defer c.Close()
 	steps := []struct{ line, want string }{
 		{`SET 50 "x1"`, "OK"},
-		{"GET 50", `OK "x1"`}, // read-your-writes across the barrier
+		{"GET 50", `OK "x1"`}, // read-your-writes within the batch
 		{"CLASS soft", "OK"},
 		{"GET 50", `OK "x1"`},
 		{"DEADLINE 5000", "OK"},
@@ -258,8 +260,9 @@ func TestPipelineBarrierSemantics(t *testing.T) {
 	}
 }
 
-// TestPipelineQuitDrains checks that QUIT behaves as a barrier: every
-// pipelined request written before it is answered before "OK bye".
+// TestPipelineQuitDrains checks that QUIT answers last: every pipelined
+// request written before it is answered before "OK bye", and nothing
+// after.
 func TestPipelineQuitDrains(t *testing.T) {
 	addr, _, _ := startPipeServer(t, Config{PipelineDepth: 32},
 		rodain.Options{Durability: rodain.DurNone, Workers: 4})
@@ -318,8 +321,8 @@ func TestBlankLinesSkipped(t *testing.T) {
 }
 
 // TestLongLines: a line longer than the 64 KiB read buffer takes the
-// slow accumulation path and still works; a line over the 1 MiB bound
-// hangs up the connection.
+// slow accumulation path and still works; a line over the 1 MiB bound,
+// by one byte or by far, hangs up the connection.
 func TestLongLines(t *testing.T) {
 	addr, _, _ := startPipeServer(t, Config{}, rodain.Options{Durability: rodain.DurNone, Workers: 2})
 	c, err := Dial(addr, time.Second)
@@ -335,20 +338,18 @@ func TestLongLines(t *testing.T) {
 		t.Fatalf("long GET: %d bytes, %v", len(resp), err)
 	}
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	huge := make([]byte, maxLineBytes+(1<<17))
-	for i := range huge {
-		huge[i] = 'a'
-	}
-	huge[len(huge)-1] = '\n'
-	if _, err := conn.Write(huge); err == nil {
-		if _, err := bufio.NewReader(conn).ReadString('\n'); err == nil {
-			t.Fatal("over-long line was answered instead of hanging up")
+	for _, n := range []int{maxLineBytes + 1, maxLineBytes + 1<<17} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		huge := []byte(strings.Repeat("a", n) + "\n")
+		if _, err := conn.Write(huge); err == nil {
+			if _, err := bufio.NewReader(conn).ReadString('\n'); err == nil {
+				t.Fatalf("%d-byte line was answered instead of hanging up", n)
+			}
 		}
 	}
 }
@@ -431,6 +432,45 @@ func TestListenAfterClose(t *testing.T) {
 		t.Fatal("Listen succeeded on a never-listened closed server")
 	}
 	srv2.Close()
+}
+
+// TestServerStartsNoWorkers: Listen starts one goroutine, its accept
+// loop, and a connection needs nothing but serve: every request,
+// read-only ones included, runs on the connection's own reader.
+func TestServerStartsNoWorkers(t *testing.T) {
+	db := newTestDB(t, rodain.Options{Durability: rodain.DurNone, Workers: 2})
+	srv := NewServer(db)
+	// Let goroutines earlier tests left behind finish first.
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
+	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	grew := runtime.NumGoroutine() - before
+	srv.Close()
+	if grew != 1 {
+		t.Errorf("Listen started %d goroutines, want 1: the accept loop", grew)
+	}
+
+	conn, r := pipeClient(t, db, Config{})
+	go conn.Write([]byte("GET 50\nTRANSLATE 1\nBALANCE 0\nSTATS\n"))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for _, want := range []string{"OK \"v50\"\n", "OK +358500000001 v1\n", "OK 100000 prepaid\n", "OK mode="} {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("waiting for %q: %v", want, err)
+		}
+		if !strings.HasPrefix(line, want) {
+			t.Fatalf("reply %q, want %q", line, want)
+		}
+	}
 }
 
 // TestIdleTimeout: a connection that goes quiet past the idle deadline

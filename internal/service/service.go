@@ -24,16 +24,13 @@
 //
 // Clients may pipeline: many request lines may be written before the
 // first response is read. Responses always come back in request order.
-// Within one connection, read-only requests execute concurrently on a
-// shared worker pool while update and session-mutating commands
-// (SET/DEL/REROUTE/CHARGE/TOPUP, DEADLINE/CLASS/QUIT) act as execution
-// barriers, so a pipelined connection observes exactly the transcript a
-// serial one would (read-your-writes). An update executes on the
-// connection's reader and is a barrier only until it validates; no reply
-// leaves before every commit it depends on is durable. While the next
-// update is already buffered, the reader holds the node's commit path
-// open, so a pipelined run of updates shares one cohort. See DESIGN.md
-// §8.
+// Every request executes on its connection's reader in parse order, so a
+// pipelined connection observes exactly the transcript a serial one
+// would (read-your-writes). An update returns to the reader once it
+// validates; no reply leaves before every commit it depends on is
+// durable. While the next update is already buffered, the reader holds
+// the node's commit path open, so a pipelined run of updates shares one
+// cohort. See DESIGN.md §8.
 package service
 
 import (
@@ -52,13 +49,8 @@ import (
 	"repro/internal/telecom"
 )
 
-// Defaults for Config's zero values.
-const (
-	// DefaultPipelineDepth is the per-connection in-flight window.
-	DefaultPipelineDepth = 16
-	// DefaultWorkers sizes the shared read-request execution pool.
-	DefaultWorkers = 16
-)
+// DefaultPipelineDepth is the per-connection in-flight window.
+const DefaultPipelineDepth = 16
 
 // Config tunes the service front end.
 type Config struct {
@@ -66,24 +58,18 @@ type Config struct {
 	// flight: parsed ahead, executing, or waiting their turn in the
 	// reply ring. 1 disables pipelining; 0 means DefaultPipelineDepth.
 	PipelineDepth int
-	// Workers sizes the shared pool executing read-only requests from
-	// all connections. 0 means DefaultWorkers.
-	Workers int
 	// IdleTimeout disconnects a client that sends nothing for this
 	// long, so dead connections cannot pin pooled buffers and
 	// goroutines forever. 0 disables the timeout.
 	IdleTimeout time.Duration
-	// Clock stamps request arrivals for queue-expiry checks and the
-	// request-latency histogram. Nil means the shared wall clock.
+	// Clock stamps request arrivals for the request-latency histogram.
+	// Nil means the shared wall clock.
 	Clock simtime.Clock
 }
 
 func (c Config) withDefaults() Config {
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = DefaultPipelineDepth
-	}
-	if c.Workers <= 0 {
-		c.Workers = DefaultWorkers
 	}
 	if c.Clock == nil {
 		c.Clock = simtime.Wall
@@ -103,10 +89,6 @@ type Server struct {
 	closed    bool
 	wg        sync.WaitGroup
 
-	work        chan *request
-	workersOnce sync.Once
-	workerWG    sync.WaitGroup
-
 	readers sync.Pool // *bufio.Reader
 	writers sync.Pool // *bufio.Writer
 
@@ -114,14 +96,13 @@ type Server struct {
 	depthDist    metrics.IntDist   // reply-ring occupancy at enqueue
 	reqLat       metrics.Histogram // parse → response-written latency
 	sockOverload atomic.Uint64     // MISS overload answered at the socket
-	sockExpired  atomic.Uint64     // MISS deadline answered on dequeue
 }
 
 // NewServer returns a server over db with default front-end settings.
 func NewServer(db *rodain.DB) *Server { return NewServerConfig(db, Config{}) }
 
 // NewServerConfig returns a server over db with explicit front-end
-// settings (pipeline window, worker pool, idle timeout).
+// settings (pipeline window, idle timeout, clock).
 func NewServerConfig(db *rodain.DB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
@@ -161,13 +142,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	}
 	s.listeners = append(s.listeners, l)
 	s.mu.Unlock()
-	s.workersOnce.Do(func() {
-		s.work = make(chan *request)
-		for i := 0; i < s.cfg.Workers; i++ {
-			s.workerWG.Add(1)
-			go s.worker()
-		}
-	})
 	s.wg.Add(1)
 	go s.acceptLoop(l)
 	return l.Addr().String(), nil
@@ -199,11 +173,10 @@ func (s *Server) acceptLoop(l net.Listener) {
 	}
 }
 
-// Close stops the listeners, disconnects clients and shuts the worker
-// pool down. Safe to call more than once.
+// Close stops the listeners, disconnects clients and waits for their
+// connections to be served out. Safe to call more than once.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	already := s.closed
 	s.closed = true
 	ls := s.listeners
 	s.listeners = nil
@@ -218,10 +191,6 @@ func (s *Server) Close() error {
 		}
 	}
 	s.wg.Wait()
-	if !already && s.work != nil {
-		close(s.work)
-	}
-	s.workerWG.Wait()
 	return err
 }
 
@@ -245,52 +214,25 @@ func (s *Server) overloadedAtSocket() bool {
 // view runs fn declared read-only: GET/TRANSLATE/BALANCE lookups ride
 // the snapshot fast path (lock-free reads, no conflict registration,
 // commit without a log record). The reply waits on req.rel.
-func (s *Server) view(req *request, deadline time.Duration, fn func(*rodain.Tx) error) error {
+func (s *Server) view(req *request, fn func(*rodain.Tx) error) error {
 	var err error
-	req.rel, err = s.db.SubmitReadOnly(req.class, deadline, 0, fn)
+	req.rel, err = s.db.SubmitReadOnly(req.class, req.deadline, 0, fn)
 	return err
 }
 
-// update runs fn with the request's class and remaining deadline,
-// through validation only: the reply waits on req.rel for the commit.
-func (s *Server) update(req *request, deadline time.Duration, fn func(*rodain.Tx) error) error {
+// update runs fn with the request's class and deadline, through
+// validation only: the reply waits on req.rel for the commit.
+func (s *Server) update(req *request, fn func(*rodain.Tx) error) error {
 	var err error
-	req.rel, err = s.db.Submit(req.class, deadline, 0, fn)
+	req.rel, err = s.db.Submit(req.class, req.deadline, 0, fn)
 	return err
 }
 
-// remainingDeadline converts the request's parse-time deadline tag into
-// the budget left at execution time. Firm requests whose budget is gone
-// report expired=true and are MISSed without executing; soft requests
-// keep a token budget so the engine still counts them late.
-func (s *Server) remainingDeadline(req *request) (d time.Duration, expired bool) {
-	if req.class == rodain.NonRealTime || req.deadline <= 0 {
-		return req.deadline, false
-	}
-	left := req.deadline - time.Duration(s.clock.Now().Sub(req.arrival))
-	if left > 0 {
-		return left, false
-	}
-	if req.class == rodain.Firm {
-		return 0, true
-	}
-	return time.Nanosecond, false
-}
-
-// exec executes one validated, non-session request and appends its
-// response line to resp. It runs on a pool worker for read-only
-// commands and inline on the connection reader for updates.
+// exec executes one validated, non-session request on the connection's
+// reader and appends its response line to resp. The engine enforces
+// the request's firm deadline; its ErrDeadline is answered MISS
+// deadline.
 func (s *Server) exec(req *request, resp []byte) []byte {
-	deadline := req.deadline
-	if isTxnCmd(req.cmd) {
-		var expired bool
-		if deadline, expired = s.remainingDeadline(req); expired {
-			// Tagged deadline already passed while queued: answer the
-			// miss on dequeue without consuming execution time.
-			s.sockExpired.Add(1)
-			return append(resp, "MISS deadline"...)
-		}
-	}
 	switch req.cmd {
 	case cmdGet:
 		id, ok := parseUintBytes(req.args[0])
@@ -298,7 +240,7 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 			return appendBadID(resp, req.args[0])
 		}
 		var value []byte
-		err := s.view(req, deadline, func(tx *rodain.Tx) error {
+		err := s.view(req, func(tx *rodain.Tx) error {
 			v, err := tx.Read(rodain.ObjectID(id))
 			value = v
 			return err
@@ -318,7 +260,7 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 		if err != nil {
 			value = string(req.args[1]) // allow bare words
 		}
-		err = s.update(req, deadline, func(tx *rodain.Tx) error {
+		err = s.update(req, func(tx *rodain.Tx) error {
 			if _, err := tx.ReadView(rodain.ObjectID(id)); err != nil { // existence check only
 				return err
 			}
@@ -334,7 +276,7 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 		if !ok {
 			return appendBadID(resp, req.args[0])
 		}
-		err := s.update(req, deadline, func(tx *rodain.Tx) error {
+		err := s.update(req, func(tx *rodain.Tx) error {
 			if _, err := tx.ReadView(rodain.ObjectID(id)); err != nil { // existence check only
 				return err
 			}
@@ -351,7 +293,7 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 			return appendErr(resp, err)
 		}
 		var entry *telecom.Entry
-		err = s.view(req, deadline, func(tx *rodain.Tx) error {
+		err = s.view(req, func(tx *rodain.Tx) error {
 			e, err := telecom.Translate(func(id rodain.ObjectID) ([]byte, bool) {
 				// Translate decodes and discards, so the zero-copy
 				// borrowed read is safe.
@@ -372,7 +314,7 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 			return appendErr(resp, err)
 		}
 		dest := string(req.args[1])
-		err = s.update(req, deadline, func(tx *rodain.Tx) error {
+		err = s.update(req, func(tx *rodain.Tx) error {
 			v, err := tx.ReadView(id) // decoded below before any write is staged
 			if err != nil {
 				return err
@@ -395,7 +337,7 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 		}
 		var balance int64
 		var prepaid bool
-		err := s.view(req, deadline, func(tx *rodain.Tx) error {
+		err := s.view(req, func(tx *rodain.Tx) error {
 			enc, err := tx.ReadView(telecom.SubscriberID(int(idx)))
 			if err != nil {
 				return err
@@ -427,7 +369,7 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 			return append(resp, "ERR bad amount"...)
 		}
 		charge := req.cmd == cmdCharge
-		err := s.update(req, deadline, func(tx *rodain.Tx) error {
+		err := s.update(req, func(tx *rodain.Tx) error {
 			id := telecom.SubscriberID(int(idx))
 			enc, err := tx.ReadView(id) // consumed by Charge/TopUp before the write
 			if err != nil {
@@ -457,14 +399,14 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 			st.Mode, st.LogMode, st.Outcome.Submitted, st.Outcome.Committed,
 			st.Outcome.Missed, st.MissRatio, st.MeanResponse, st.MeanCommitWait,
 			s.depthDist.Mean(), s.depthDist.Max(), lat.P50, lat.P95,
-			s.sockOverload.Load()+s.sockExpired.Load(), st.ReplyHolds, st.CommitCohortMean)
+			s.sockOverload.Load(), st.ReplyHolds, st.CommitCohortMean)
 	}
 	return appendUnknown(resp, req.cmdTok) // unreachable: the reader filters
 }
 
 // handleSession applies a session-mutating command (DEADLINE, CLASS) to
-// sess and appends the response. It runs on the connection reader,
-// after the pipeline barrier.
+// sess and appends the response. It runs on the connection reader, so
+// the new settings bind exactly the requests parsed after it.
 func handleSession(req *request, sess *session, resp []byte) []byte {
 	if cmdArgc[req.cmd] >= 0 && req.nargs != cmdArgc[req.cmd] {
 		return appendUsage(resp, req.cmd)

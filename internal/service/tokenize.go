@@ -84,16 +84,15 @@ var cmdUsage = [commandCount]string{
 	cmdTopup:     "TOPUP <subscriber> <cents>",
 }
 
-// isSessionCmd reports whether cmd mutates per-connection session state
-// and therefore acts as a pipeline barrier (DESIGN.md §8).
+// isSessionCmd reports whether cmd acts on the connection's session
+// (DEADLINE, CLASS, QUIT) rather than submitting a transaction.
 func isSessionCmd(c command) bool {
 	return c == cmdDeadline || c == cmdClass || c == cmdQuit
 }
 
-// isWriteCmd reports whether cmd runs an update transaction. Updates
-// are execution ordering points within a connection: they wait for the
-// in-flight window to drain and run before anything later, so a
-// pipeline keeps read-your-writes semantics.
+// isWriteCmd reports whether cmd runs an update transaction: its reply
+// waits for its commit, and a buffered run of them shares one cohort
+// (DESIGN.md §8).
 func isWriteCmd(c command) bool {
 	switch c {
 	case cmdSet, cmdDel, cmdReroute, cmdCharge, cmdTopup:
@@ -103,7 +102,7 @@ func isWriteCmd(c command) bool {
 }
 
 // isTxnCmd reports whether cmd submits a transaction to the engine (and
-// is therefore subject to socket admission and deadline expiry).
+// is therefore subject to socket admission).
 func isTxnCmd(c command) bool {
 	switch c {
 	case cmdGet, cmdSet, cmdDel, cmdTranslate, cmdReroute, cmdBalance, cmdCharge, cmdTopup:
