@@ -8,13 +8,14 @@ all: build test
 
 # Everything a change must keep green before it lands: build, vet, the
 # full test suite (which runs the module's own invariant passes,
-# DESIGN.md §9), the race detector over the concurrency-heavy packages,
-# and one fast benchmark pass to catch perf-path breakage.
+# DESIGN.md §9), the race detector over the concurrency-heavy packages
+# and the root package (Open/Crash/Close with the checkpoint scheduler's
+# goroutine), and one fast benchmark pass to catch perf-path breakage.
 check: build vet test race-hot benchfast
 
 .PHONY: race-hot
 race-hot:
-	$(GO) test -race ./internal/store ./internal/core ./internal/occ ./internal/txn ./internal/transport ./internal/logstore ./internal/wal ./internal/service ./internal/metrics
+	$(GO) test -race ./internal/store ./internal/core ./internal/occ ./internal/txn ./internal/transport ./internal/logstore ./internal/wal ./internal/service ./internal/metrics .
 
 build:
 	$(GO) build ./...

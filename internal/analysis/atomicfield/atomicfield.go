@@ -3,7 +3,7 @@
 //
 // A field that is written with sync/atomic anywhere must be read and
 // written with sync/atomic everywhere: one plain load of the engine's
-// doomed flag, or of the lock-free File.Stats counters, is a data race
+// doomed flag, or of the lock-free log Stats counters, is a data race
 // that the race detector only catches if a test happens to interleave
 // it. The pass records every field whose address is passed to a
 // sync/atomic operation (atomic.AddUint64(&s.n, 1) and friends) in

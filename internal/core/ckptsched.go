@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/logstore"
@@ -16,9 +17,6 @@ type CheckpointSchedulerOptions struct {
 	// this many bytes appended since the last one (the device must
 	// expose Stats; others never fire this trigger). Zero disables it.
 	LogBytes uint64
-	// Poll is how often the triggers are evaluated. Zero picks a quarter
-	// of Every, clamped to [10ms, 1s].
-	Poll time.Duration
 	// OnCycle, if set, observes every completed cycle (serial, or the
 	// error that stopped it). Called from the scheduler goroutine.
 	OnCycle func(serial uint64, err error)
@@ -29,28 +27,21 @@ type CheckpointSchedulerOptions struct {
 // checkpoint-and-truncate cycle made continuous, which is what bounds
 // both recovery time and log disk usage.
 type CheckpointScheduler struct {
-	stop chan struct{}
-	done chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
 // logStats is the optional accounting surface of a log device.
 type logStats interface{ Stats() logstore.Stats }
 
-// StartCheckpointScheduler begins checkpointing into dir. While the node
-// is a mirror (no engine) the loop idles; it resumes checkpointing after
-// a takeover promotes the node. Stop the scheduler before closing the
-// node.
+// StartCheckpointScheduler begins checkpointing into dir. The triggers
+// are evaluated every quarter of Every, clamped to [10ms, 1s]. While the
+// node is a mirror (no engine) the loop idles; it resumes checkpointing
+// after a takeover promotes the node. Stop the scheduler before closing
+// the node.
 func (n *Node) StartCheckpointScheduler(dir string, opts CheckpointSchedulerOptions) *CheckpointScheduler {
-	poll := opts.Poll
-	if poll <= 0 {
-		poll = opts.Every / 4
-		if poll < 10*time.Millisecond {
-			poll = 10 * time.Millisecond
-		}
-		if poll > time.Second {
-			poll = time.Second
-		}
-	}
+	poll := min(max(opts.Every/4, 10*time.Millisecond), time.Second)
 	s := &CheckpointScheduler{stop: make(chan struct{}), done: make(chan struct{})}
 	go s.run(n, dir, opts, poll)
 	return s
@@ -96,8 +87,10 @@ func (s *CheckpointScheduler) run(n *Node, dir string, opts CheckpointSchedulerO
 	}
 }
 
-// Stop ends the loop and waits for an in-flight cycle to finish.
+// Stop ends the loop and waits for an in-flight cycle to finish. A
+// second Stop only waits: closing a database after crashing it stops
+// its scheduler twice.
 func (s *CheckpointScheduler) Stop() {
-	close(s.stop)
+	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
 }

@@ -144,8 +144,7 @@ type Config struct {
 	// or one Append + Sync in transient mode (default 64). A cap of 1 is the paper's per-commit sync.
 	MaxCohort int
 	// MirrorSyncEvery is how often the mirror syncs buffered log
-	// records to disk (asynchronously; default 50 ms). Zero keeps the
-	// default; negative disables mirror disk syncs.
+	// records to disk (asynchronously; default 50 ms when not positive).
 	MirrorSyncEvery time.Duration
 	// AckTimeout bounds how long a commit waits for the mirror's
 	// acknowledgment before declaring the mirror down (default 2 s).
@@ -172,7 +171,7 @@ func (c Config) withDefaults() Config {
 	if c.NonRTReserve == 0 {
 		c.NonRTReserve = 0.05
 	}
-	if c.MirrorSyncEvery == 0 {
+	if c.MirrorSyncEvery <= 0 {
 		c.MirrorSyncEvery = 50 * time.Millisecond
 	}
 	if c.AckTimeout <= 0 {

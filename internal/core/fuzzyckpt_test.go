@@ -219,7 +219,6 @@ func TestCheckpointSchedulerTimeTrigger(t *testing.T) {
 	cycles := make(chan cycleResult, 64)
 	s := n.StartCheckpointScheduler(dir, CheckpointSchedulerOptions{
 		Every: 30 * time.Millisecond,
-		Poll:  10 * time.Millisecond,
 		OnCycle: func(serial uint64, err error) {
 			cycles <- cycleResult{serial, err}
 		},
@@ -249,7 +248,6 @@ func TestCheckpointSchedulerLogBytesTrigger(t *testing.T) {
 	cycles := make(chan cycleResult, 64)
 	s := n.StartCheckpointScheduler(dir, CheckpointSchedulerOptions{
 		LogBytes: 1, // any growth
-		Poll:     10 * time.Millisecond,
 		OnCycle: func(serial uint64, err error) {
 			cycles <- cycleResult{serial, err}
 		},
@@ -288,7 +286,6 @@ func TestCheckpointSchedulerIdlesOnMirror(t *testing.T) {
 	cycles := make(chan cycleResult, 64)
 	s := n.StartCheckpointScheduler(dir, CheckpointSchedulerOptions{
 		Every: 20 * time.Millisecond,
-		Poll:  10 * time.Millisecond,
 		OnCycle: func(serial uint64, err error) {
 			cycles <- cycleResult{serial, err}
 		},

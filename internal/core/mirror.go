@@ -121,21 +121,19 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 
 	// Background log flusher: "the data storing to the disk is not
 	// synchronized with the transaction commits".
-	if m.cfg.MirrorSyncEvery > 0 {
-		m.stopFlush = make(chan struct{})
-		m.flushWG.Add(1)
-		go m.flusher()
-		defer func() {
-			close(m.stopFlush)
-			m.flushWG.Wait()
-			// Final sync so a clean shutdown loses nothing. The session
-			// is already ending; surface a failure rather than mask the
-			// original error.
-			if serr := m.log.Sync(); serr != nil && err == nil {
-				err = fmt.Errorf("core: mirror: final log sync: %v", serr)
-			}
-		}()
-	}
+	m.stopFlush = make(chan struct{})
+	m.flushWG.Add(1)
+	go m.flusher()
+	defer func() {
+		close(m.stopFlush)
+		m.flushWG.Wait()
+		// Final sync so a clean shutdown loses nothing. The session is
+		// already ending; surface a failure rather than mask the
+		// original error.
+		if serr := m.log.Sync(); serr != nil && err == nil {
+			err = fmt.Errorf("core: mirror: final log sync: %v", serr)
+		}
+	}()
 
 	watchdog := time.Duration(m.cfg.HeartbeatMisses) * m.cfg.HeartbeatEvery
 	// Until the log stream is live (state transfer done, heartbeats

@@ -1,17 +1,14 @@
 // Package logstore provides the stable-storage backends a RODAIN node
-// writes its transaction log to: a real file, an in-memory store for
-// tests (which models the synced/unsynced distinction of a crash), a
-// null device for "logging disabled" configurations, and a delaying
-// wrapper that emulates a slow disk on the commit path.
+// writes its transaction log to: one file-backed log (Segmented; a
+// single-file log is its one-segment case that never rolls), an
+// in-memory store for tests (which models the synced/unsynced
+// distinction of a crash), and a delaying wrapper that emulates a slow
+// disk on the commit path.
 package logstore
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
-	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/simtime"
@@ -71,106 +68,6 @@ func TruncateBelow(s Store, serial uint64) (bool, int, error) {
 	}
 	n, err := t.TruncateBelow(serial)
 	return true, n, err
-}
-
-// --- File -------------------------------------------------------------------
-
-// File is a file-backed log store using buffered appends and fsync.
-// The I/O counters are atomics so Stats never blocks behind the device:
-// a monitoring read during a slow fsync (which holds mu for its whole
-// duration) must not stall.
-type File struct {
-	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
-	closed bool
-
-	bytesAppended atomic.Uint64
-	syncs         atomic.Uint64
-}
-
-// OpenFile opens (creating, appending) the log file at path.
-func OpenFile(path string) (*File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &File{f: f, w: bufio.NewWriterSize(f, 1<<16)}, nil
-}
-
-// Append implements Store.
-func (s *File) Append(p []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	n, err := s.w.Write(p)
-	s.bytesAppended.Add(uint64(n))
-	return err
-}
-
-// AppendBatch implements Store: every chunk goes into the write buffer
-// under one lock acquisition.
-func (s *File) AppendBatch(chunks [][]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	var total uint64
-	for _, p := range chunks {
-		n, err := s.w.Write(p)
-		total += uint64(n)
-		if err != nil {
-			s.bytesAppended.Add(total)
-			return err
-		}
-	}
-	s.bytesAppended.Add(total)
-	return nil
-}
-
-// Sync implements Store.
-func (s *File) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	s.syncs.Add(1)
-	return s.f.Sync()
-}
-
-// Close implements Store.
-func (s *File) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
-}
-
-// Stats returns I/O accounting. It is lock-free: safe to call while an
-// Append or a long device Sync is in flight.
-func (s *File) Stats() Stats {
-	return Stats{
-		BytesAppended: s.bytesAppended.Load(),
-		Syncs:         s.syncs.Load(),
-	}
 }
 
 // --- Mem --------------------------------------------------------------------
@@ -259,11 +156,12 @@ func (m *Mem) Stats() Stats {
 	return m.stats
 }
 
-// TruncateBelow implements SerialTruncator by decoding the stored
-// stream and cutting at the last group boundary before any commit above
-// serial: the dropped prefix holds only commits the checkpoint covers,
-// and no write whose commit lies beyond the cut. The synced marker
-// shifts with the data so crash modeling stays exact.
+// TruncateBelow implements SerialTruncator: it walks the stored records
+// through a wal.LogScanner and cuts at the last group boundary before
+// the first commit above serial, so the dropped prefix holds only
+// commits the checkpoint covers, and no write whose commit lies beyond
+// the cut. The synced marker shifts with the data so crash modeling
+// stays exact.
 func (m *Mem) TruncateBelow(serial uint64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -271,34 +169,20 @@ func (m *Mem) TruncateBelow(serial uint64) (int, error) {
 		return 0, ErrClosed
 	}
 	cut := 0
-	open := make(map[uint64]int)
-	r := bytes.NewReader(m.data)
-	for {
-		rec, err := wal.Decode(r)
+	var scan wal.LogScanner
+	for off := 0; ; {
+		// A clean end, a partial tail record or damage ends the walk.
+		_, n, err := wal.DecodeNext(m.data[off:])
 		if err != nil {
-			// Clean EOF, a partial tail record, or damage: stop scanning;
-			// everything decoded so far determined the cut.
 			break
 		}
-		switch rec.Type {
-		case wal.TypeWrite, wal.TypeDelete:
-			open[uint64(rec.TxnID)]++
-		case wal.TypeAbort:
-			delete(open, uint64(rec.TxnID))
-		case wal.TypeCommit:
-			if rec.SerialOrder > serial {
-				// First uncovered group: the cut stands where it is.
-				r = nil
-			}
-			delete(open, uint64(rec.TxnID))
-		case wal.TypeHeartbeat:
-			// no state
+		scan.Scan(m.data[off : off+n])
+		if scan.MaxSerial() > serial {
+			break // the first uncovered commit: the cut stands
 		}
-		if r == nil {
-			break
-		}
-		if len(open) == 0 {
-			cut = len(m.data) - r.Len()
+		off += n
+		if scan.AtBoundary() {
+			cut = off
 		}
 	}
 	if cut == 0 {
@@ -310,27 +194,6 @@ func (m *Mem) TruncateBelow(serial uint64) (int, error) {
 	}
 	return cut, nil
 }
-
-// --- Null -------------------------------------------------------------------
-
-// Null discards everything: the "logging disabled" configuration of the
-// paper's optimal baseline.
-type Null struct{}
-
-// NewNull returns a discarding store.
-func NewNull() Null { return Null{} }
-
-// Append implements Store.
-func (Null) Append([]byte) error { return nil }
-
-// AppendBatch implements Store.
-func (Null) AppendBatch([][]byte) error { return nil }
-
-// Sync implements Store.
-func (Null) Sync() error { return nil }
-
-// Close implements Store.
-func (Null) Close() error { return nil }
 
 // --- Delayed ----------------------------------------------------------------
 

@@ -52,17 +52,20 @@ func TestFileAppendSyncClose(t *testing.T) {
 
 func TestFileAppendsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.log")
-	for _, chunk := range []string{"one", "two"} {
+	var want []byte
+	for serial := uint64(1); serial <= 2; serial++ {
 		f, err := OpenFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Append([]byte(chunk))
-		f.Close()
+		want = append(want, appendGroups(t, f, serial, 1)...)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	data, _ := os.ReadFile(path)
-	if string(data) != "onetwo" {
-		t.Fatalf("contents = %q", data)
+	if !bytes.Equal(data, want) {
+		t.Fatalf("contents: %d bytes, want %d", len(data), len(want))
 	}
 }
 
@@ -95,19 +98,6 @@ func TestMemCloseSyncs(t *testing.T) {
 	}
 	if err := m.Sync(); err != ErrClosed {
 		t.Fatalf("Sync after close: %v", err)
-	}
-}
-
-func TestNull(t *testing.T) {
-	n := NewNull()
-	if err := n.Append([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -190,9 +180,6 @@ func TestAppendBatchEquivalence(t *testing.T) {
 		t.Fatalf("File batch contents = %q", data)
 	}
 
-	if err := NewNull().AppendBatch(chunks); err != nil {
-		t.Fatal(err)
-	}
 	inner := NewMem()
 	d := NewDelayed(inner, 0)
 	if err := d.AppendBatch(chunks); err != nil {

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -31,12 +32,14 @@ import (
 //     group above any stripe watermark.
 //
 // The active segment is fsynced before it seals, so a sealed segment is
-// always durable in full.
+// always durable in full. A single-file log (OpenFile) is the case with
+// one segment and no roll threshold: it opens, appends, syncs and
+// reopens the same way, and TruncateBelow drops nothing from it.
 type Segmented struct {
 	mu       sync.Mutex
 	dir      string
 	segBytes int64
-	seq      uint64 // sequence number of the active segment
+	name     string // file name of the active segment
 	f        *os.File
 	w        *bufio.Writer
 	size     int64 // bytes appended to the active segment
@@ -160,10 +163,7 @@ func (m *multiFileReader) Close() error {
 }
 
 // OpenSegmented opens (creating if needed) a segmented log in dir,
-// rolling segments at segBytes. Existing segments are scanned to rebuild
-// sealing serials and the active segment is truncated back to its last
-// group boundary, discarding a torn tail exactly like single-file
-// recovery does at decode time.
+// rolling segments at segBytes (DefaultSegmentBytes if non-positive).
 func OpenSegmented(dir string, segBytes int64) (*Segmented, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
@@ -175,78 +175,107 @@ func OpenSegmented(dir string, segBytes int64) (*Segmented, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(names) == 0 {
+		names = []string{segmentName(1)}
+	}
+	return openLog(dir, names, segBytes)
+}
+
+// OpenFile opens (creating if needed) the single-file log at path: a
+// segmented log whose only segment is path and which never rolls.
+func OpenFile(path string) (*Segmented, error) {
+	return openLog(filepath.Dir(path), []string{filepath.Base(path)}, 0)
+}
+
+// openLog opens the log made of the files names in dir, in log order;
+// the last one is the active file, created if absent. The sealed files
+// are scanned to rebuild their sealing serials. The active file is cut
+// back to its last group boundary and appends resume there. Every writer
+// appends whole groups, so what follows that boundary is one group a
+// crash left unfinished (a torn record, or writes without their commit):
+// exactly the bytes replay stops at or discards. A segBytes of 0 never
+// rolls.
+func openLog(dir string, names []string, segBytes int64) (*Segmented, error) {
 	s := &Segmented{dir: dir, segBytes: segBytes}
-	for i, name := range names {
-		boundary, err := s.scanSegment(filepath.Join(dir, name))
+	for _, name := range names[:len(names)-1] {
+		boundary, err := s.scanFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
-		if i < len(names)-1 {
-			s.sealed = append(s.sealed, SegmentInfo{
-				Name: name, Bytes: boundary, MaxSerial: s.scan.MaxSerial(), Sealed: true,
-			})
-			continue
-		}
-		// Last segment: drop the torn tail and keep appending to it.
-		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if err := f.Truncate(boundary); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Seek(boundary, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		seq, _ := segmentSeq(name)
-		s.seq, s.f, s.size = seq, f, boundary
+		s.sealed = append(s.sealed, SegmentInfo{
+			Name: name, Bytes: boundary, MaxSerial: s.scan.MaxSerial(), Sealed: true,
+		})
 	}
-	if s.f == nil {
-		if err := s.openNextLocked(1); err != nil {
-			return nil, err
-		}
+	s.name = names[len(names)-1]
+	path := filepath.Join(dir, s.name)
+	boundary, err := s.scanFile(path)
+	if err != nil {
+		return nil, err
 	}
-	s.w = bufio.NewWriterSize(s.f, 1<<16)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > boundary {
+		// Only a file longer than its boundary is cut: a device such
+		// as /dev/full has no length and cannot be truncated.
+		err = f.Truncate(boundary)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	s.f, s.size = f, boundary
+	s.w = bufio.NewWriterSize(f, 1<<16)
 	return s, nil
 }
 
-// scanSegment feeds one segment file through the boundary scanner and
-// returns the offset of its last group boundary. Damage or a torn tail
-// ends the scan at the last complete record, exactly as replay would.
-func (s *Segmented) scanSegment(path string) (int64, error) {
+// scanFile feeds the whole groups of one log file through the boundary
+// scanner and returns the offset of the file's last group boundary; an
+// absent file is empty. Damage or a torn tail ends the scan at the last
+// complete record, exactly as replay would, and the scanner never sees
+// the bytes past the boundary, so appends resume in step with it.
+func (s *Segmented) scanFile(path string) (int64, error) {
 	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	var boundary, off int64
-	r := bufio.NewReaderSize(f, 1<<16)
+	var (
+		boundary int64
+		probe    wal.LogScanner // a file starts at a group boundary
+		raw      bytes.Buffer   // the record Decode is reading
+		group    []byte         // records since the last boundary
+	)
+	r := io.TeeReader(bufio.NewReaderSize(f, 1<<16), &raw)
 	for {
-		rec, err := wal.Decode(r)
-		if err != nil {
+		raw.Reset()
+		if _, err := wal.Decode(r); err != nil {
 			return boundary, nil
 		}
-		off += int64(wal.EncodedSize(rec))
-		s.scan.Scan(wal.AppendEncoded(nil, rec))
-		if s.scan.AtBoundary() {
-			boundary = off
+		probe.Scan(raw.Bytes())
+		group = append(group, raw.Bytes()...)
+		if probe.AtBoundary() {
+			s.scan.Scan(group)
+			boundary += int64(len(group))
+			group = group[:0]
 		}
 	}
 }
 
-// openNextLocked creates and switches to segment seq; the bufio writer
-// is rewired by the caller (or created by OpenSegmented).
+// openNextLocked creates and switches to segment seq.
 func (s *Segmented) openNextLocked(seq uint64) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, segmentName(seq)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	name := segmentName(seq)
+	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	s.seq, s.f, s.size = seq, f, 0
-	if s.w != nil {
-		s.w.Reset(f)
-	}
+	s.name, s.f, s.size = name, f, 0
+	s.w.Reset(f)
 	return nil
 }
 
@@ -293,7 +322,7 @@ func (s *Segmented) appendLocked(p []byte) error {
 // threshold, but only at a group boundary; mid-group the roll waits for
 // the next append that closes the group.
 func (s *Segmented) maybeRollLocked() error {
-	if s.size < s.segBytes || !s.scan.AtBoundary() {
+	if s.segBytes == 0 || s.size < s.segBytes || !s.scan.AtBoundary() {
 		return nil
 	}
 	// Seal order matters: flush and fsync the old segment BEFORE sealing
@@ -305,8 +334,9 @@ func (s *Segmented) maybeRollLocked() error {
 	if err := s.f.Sync(); err != nil {
 		return err
 	}
-	old, oldName, oldSize := s.f, segmentName(s.seq), s.size
-	if err := s.openNextLocked(s.seq + 1); err != nil {
+	old, oldName, oldSize := s.f, s.name, s.size
+	seq, _ := segmentSeq(oldName)
+	if err := s.openNextLocked(seq + 1); err != nil {
 		// Could not create the next file: openNextLocked left all state
 		// untouched, so appends continue on the current segment.
 		return err
@@ -352,7 +382,9 @@ func (s *Segmented) Close() error {
 	return s.f.Close()
 }
 
-// Stats returns I/O accounting. Lock-free, like File.Stats.
+// Stats returns I/O accounting. The counters are atomics, so Stats never
+// blocks behind the device: a monitoring read during a slow fsync (which
+// holds mu for its whole duration) must not stall.
 func (s *Segmented) Stats() Stats {
 	return Stats{
 		BytesAppended: s.bytesAppended.Load(),
@@ -366,7 +398,7 @@ func (s *Segmented) Segments() []SegmentInfo {
 	defer s.mu.Unlock()
 	out := make([]SegmentInfo, 0, len(s.sealed)+1)
 	out = append(out, s.sealed...)
-	out = append(out, SegmentInfo{Name: segmentName(s.seq), Bytes: s.size})
+	out = append(out, SegmentInfo{Name: s.name, Bytes: s.size})
 	return out
 }
 

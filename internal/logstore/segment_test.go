@@ -168,41 +168,69 @@ func TestSegmentedReopenContinues(t *testing.T) {
 	}
 }
 
+// TestSegmentedReopenDropsTornTail runs on a segment directory and on a
+// single-file log: either way, the commit appended after the reopen
+// must follow the last whole group, not the torn record that replay
+// stops at.
 func TestSegmentedReopenDropsTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSegmented(dir, 1<<20) // one active segment
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := appendGroups(t, s, 1, 5)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash mid-append: garbage half-record at the tail.
-	name := filepath.Join(dir, "wal-00000001.seg")
-	f, err := os.OpenFile(name, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := wal.AppendEncoded(nil, &wal.Record{
-		Type: wal.TypeWrite, TxnID: 99, ObjectID: 1, AfterImage: []byte("never committed"),
-	})
-	if _, err := f.Write(torn[:len(torn)-3]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	file := filepath.Join(dir, "pair.wal")
+	for _, tc := range []struct {
+		name string
+		open func() (Store, error)
+		path string // the active file the crash tears
+		read func(t *testing.T) []byte
+	}{{
+		name: "segmented",
+		open: func() (Store, error) { return OpenSegmented(dir, 1<<20) }, // one active segment
+		path: filepath.Join(dir, "wal-00000001.seg"),
+		read: func(t *testing.T) []byte { return readAll(t, dir) },
+	}, {
+		name: "file",
+		open: func() (Store, error) { return OpenFile(file) },
+		path: file,
+		read: func(t *testing.T) []byte {
+			b, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := appendGroups(t, s, 1, 5)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Crash mid-append: garbage half-record at the tail.
+			f, err := os.OpenFile(tc.path, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			torn := wal.AppendEncoded(nil, &wal.Record{
+				Type: wal.TypeWrite, TxnID: 99, ObjectID: 1, AfterImage: []byte("never committed"),
+			})
+			if _, err := f.Write(torn[:len(torn)-3]); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	s2, err := OpenSegmented(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, appendGroups(t, s2, 6, 1)...)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := readAll(t, dir)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("torn tail not truncated back to the boundary: %d bytes, want %d", len(got), len(want))
+			s2, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, appendGroups(t, s2, 6, 1)...)
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := tc.read(t); !bytes.Equal(got, want) {
+				t.Fatalf("torn tail not truncated back to the boundary: %d bytes, want %d", len(got), len(want))
+			}
+		})
 	}
 }
 
@@ -234,6 +262,36 @@ func TestSegmentedReopenDropsUncommittedTail(t *testing.T) {
 	}
 	if got := readAll(t, dir); !bytes.Equal(got, want) {
 		t.Fatalf("dangling group survived reopen: %d bytes, want %d", len(got), len(want))
+	}
+}
+
+// TestSegmentedRollsAfterDroppingUncommittedTail: the writes a reopen
+// cuts off must not reach the boundary scanner either, or it would wait
+// for their commit forever and the log would never roll again.
+func TestSegmentedRollsAfterDroppingUncommittedTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegmented(dir, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendGroups(t, s, 1, 1)
+	dangling := wal.AppendEncoded(nil, &wal.Record{
+		Type: wal.TypeWrite, TxnID: 50, ObjectID: 9, AfterImage: []byte("no commit"),
+	})
+	if err := s.Append(dangling); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenSegmented(dir, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	appendGroups(t, s2, 2, 20)
+	if segs := s2.Segments(); len(segs) < 3 {
+		t.Fatalf("only %d segments after 20 groups at a 256-byte threshold", len(segs))
 	}
 }
 
@@ -452,9 +510,9 @@ func TestTruncateBelowHelper(t *testing.T) {
 		t.Fatalf("Mem: did=%v n=%d err=%v", did, n, err)
 	}
 	// A store without the capability reports !did and no error.
-	did, n, err = TruncateBelow(Null{}, 1)
+	did, n, err = TruncateBelow(plainStore{NewMem()}, 1)
 	if err != nil || did || n != 0 {
-		t.Fatalf("Null: did=%v n=%d err=%v", did, n, err)
+		t.Fatalf("plain store: did=%v n=%d err=%v", did, n, err)
 	}
 	// Delayed forwards to its inner store.
 	d := NewDelayed(NewMem(), 0)
@@ -465,7 +523,10 @@ func TestTruncateBelowHelper(t *testing.T) {
 	if err != nil || !did {
 		t.Fatalf("Delayed: did=%v err=%v", did, err)
 	}
-	if did, _, err := TruncateBelow(NewDelayed(Null{}, 0), 2); err != nil || did {
-		t.Fatalf("Delayed(Null): did=%v err=%v", did, err)
+	if did, _, err := TruncateBelow(NewDelayed(plainStore{NewMem()}, 0), 2); err != nil || did {
+		t.Fatalf("Delayed(plain store): did=%v err=%v", did, err)
 	}
 }
+
+// plainStore hides every capability of the store it wraps but Store's.
+type plainStore struct{ Store }

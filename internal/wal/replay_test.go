@@ -13,8 +13,10 @@ import (
 // randomLog builds an encoded log of randomized transactions: random
 // write-set sizes over a small (contended) id domain, a mix of
 // committed, aborted and dangling transactions, and — when interleave is
-// set — write records shuffled across transaction boundaries the way a
-// transient-mode log can hold them. It returns the encoded bytes.
+// set — write records shuffled across transaction boundaries. Every log
+// writer appends whole groups, so no stored log holds such a stream;
+// replay groups records by transaction id and must not depend on that.
+// It returns the encoded bytes.
 func randomLog(rng *rand.Rand, txns, idDomain int, interleave bool) []byte {
 	type source struct{ recs []*Record }
 	srcs := make([]*source, 0, txns)

@@ -171,7 +171,7 @@ type Options struct {
 	// segmented store rolling at this size: LogPath becomes a directory
 	// of segment files, and the checkpoint cycle reclaims space by
 	// unlinking whole sealed segments instead of keeping one
-	// ever-growing file. Zero keeps the single-file log.
+	// ever-growing file. Zero keeps one log file that never rolls.
 	LogSegmentBytes int64
 	// CheckpointDir, when set, starts a background checkpoint-and-
 	// truncate scheduler writing into this directory. At least one of

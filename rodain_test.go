@@ -99,6 +99,24 @@ func TestFileBackedLog(t *testing.T) {
 	}
 }
 
+// TestCloseAfterCrash: Close after Crash releases the log, even with a
+// checkpoint scheduler running, which both of them stop.
+func TestCloseAfterCrash(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{
+		LogPath:         filepath.Join(dir, "wal"),
+		CheckpointDir:   filepath.Join(dir, "ckpt"),
+		CheckpointEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBadProtocol(t *testing.T) {
 	if _, err := Open(Options{Protocol: "nope"}); err == nil {
 		t.Fatal("bad protocol accepted")
