@@ -38,11 +38,19 @@ type logStats interface{ Stats() logstore.Stats }
 // StartCheckpointScheduler begins checkpointing into dir. The triggers
 // are evaluated every quarter of Every, clamped to [10ms, 1s]. While the
 // node is a mirror (no engine) the loop idles; it resumes checkpointing
-// after a takeover promotes the node. Stop the scheduler before closing
-// the node.
+// after a takeover promotes the node. The node stops the scheduler when
+// it closes or crashes, before its engine drains; Stop ends it earlier.
+// On a node already closed the scheduler never runs.
 func (n *Node) StartCheckpointScheduler(dir string, opts CheckpointSchedulerOptions) *CheckpointScheduler {
 	poll := min(max(opts.Every/4, 10*time.Millisecond), time.Second)
 	s := &CheckpointScheduler{stop: make(chan struct{}), done: make(chan struct{})}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		close(s.done)
+		return s
+	}
+	n.ckpts = append(n.ckpts, s)
 	go s.run(n, dir, opts, poll)
 	return s
 }
@@ -88,8 +96,8 @@ func (s *CheckpointScheduler) run(n *Node, dir string, opts CheckpointSchedulerO
 }
 
 // Stop ends the loop and waits for an in-flight cycle to finish. A
-// second Stop only waits: closing a database after crashing it stops
-// its scheduler twice.
+// second Stop only waits: the node's own shutdown stops the scheduler
+// again.
 func (s *CheckpointScheduler) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done

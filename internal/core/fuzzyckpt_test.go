@@ -209,7 +209,11 @@ type cycleResult struct {
 	err    error
 }
 
+// TestCheckpointSchedulerTimeTrigger: the scheduler fires on its
+// interval, and closing the node stops it: no cycle completes after
+// Close returns, and one started on a closed node never runs.
 func TestCheckpointSchedulerTimeTrigger(t *testing.T) {
+	const every = 30 * time.Millisecond
 	dir := t.TempDir()
 	n := NewNode("sched", fastCfg(), newDBWith(64), logstore.NewMem())
 	if err := n.ServePrimary("", LogDisk); err != nil {
@@ -217,13 +221,13 @@ func TestCheckpointSchedulerTimeTrigger(t *testing.T) {
 	}
 	defer n.Close()
 	cycles := make(chan cycleResult, 64)
-	s := n.StartCheckpointScheduler(dir, CheckpointSchedulerOptions{
-		Every: 30 * time.Millisecond,
+	opts := CheckpointSchedulerOptions{
+		Every: every,
 		OnCycle: func(serial uint64, err error) {
 			cycles <- cycleResult{serial, err}
 		},
-	})
-	defer s.Stop()
+	}
+	n.StartCheckpointScheduler(dir, opts)
 	select {
 	case c := <-cycles:
 		if c.err != nil {
@@ -234,6 +238,24 @@ func TestCheckpointSchedulerTimeTrigger(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "checkpoint.ckpt")); err != nil {
 		t.Fatal(err)
+	}
+
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for len(cycles) > 0 { // cycles that completed before Close returned
+		<-cycles
+	}
+	late := n.StartCheckpointScheduler(dir, opts)
+	select {
+	case <-late.done:
+	default:
+		t.Fatal("scheduler started on a closed node is running")
+	}
+	select {
+	case c := <-cycles:
+		t.Fatalf("checkpoint cycle %+v after Close", c)
+	case <-time.After(5 * every):
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // must converge to the primary's, and its stored log must stay in
 // validation order (it replays to the same state).
 func TestPairConvergesWithParallelMirrorApply(t *testing.T) {
-	primary, mirror, _, mLog := startPair(t)
+	primary, mirror, _, mLog := startPair(t, LogDisk)
 	defer primary.Close()
 	defer mirror.Close()
 
@@ -56,7 +56,7 @@ func TestPairConvergesWithParallelMirrorApply(t *testing.T) {
 // node's state matches the primary's last committed state and it serves
 // immediately.
 func TestTakeoverDrainsParallelApply(t *testing.T) {
-	primary, mirror, _, _ := startPair(t)
+	primary, mirror, _, _ := startPair(t, LogDisk)
 	defer primary.Close()
 	defer mirror.Close()
 

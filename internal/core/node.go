@@ -30,7 +30,8 @@ const (
 	// disk.
 	EventMirrorAttached EventKind = iota
 	// EventMirrorLost: the mirror connection failed; the node switched
-	// to transient mode (direct disk logging).
+	// to transient mode, back on the single-node commit path it was
+	// served with (direct disk logging under LogDisk).
 	EventMirrorLost
 	// EventTakeover: this mirror node detected primary failure and is
 	// now serving as transient primary.
@@ -74,14 +75,17 @@ type Node struct {
 	db   *store.Store
 	log  logstore.Store
 
+	// The role is read from engine and shipper (see Mode); it changes
+	// only in serveLocked, useSoloLocked and attachMirror's swap.
 	mu         sync.Mutex
-	mode       Mode
 	engine     *Engine
+	solo       Committer // the engine's single-node commit path, in soloMode
+	soloMode   LogMode
 	mirror     *MirrorEngine
 	listener   *transport.Listener
 	shipper    *MirrorShipper
 	mirrorConn *transport.Conn // the upstream connection while in mirror mode
-	disk       Committer       // transient-mode disk committer (group fsync by default)
+	ckpts      []*CheckpointScheduler
 	closed     bool
 
 	events chan Event
@@ -114,11 +118,19 @@ func (n *Node) Name() string { return n.name }
 // DB exposes the node's database.
 func (n *Node) DB() *store.Store { return n.db }
 
-// Mode reports the node's current role.
+// Mode reports the node's current role: a mirror until it serves, then
+// a primary while it ships to a mirror and transient otherwise.
 func (n *Node) Mode() Mode {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.mode
+	switch {
+	case n.engine == nil:
+		return ModeMirror
+	case n.shipper != nil:
+		return ModePrimary
+	default:
+		return ModeTransient
+	}
 }
 
 // Events delivers role-change notifications. The channel is buffered;
@@ -140,12 +152,16 @@ func (n *Node) emit(kind EventKind, detail string) {
 }
 
 // ServePrimary starts the node as the database server. It begins in
-// transient mode (logs to its own disk) and switches to mirror shipping
-// when a mirror connects to listenAddr. Pass listenAddr "" to run
-// without a replication endpoint (pure single-node configurations).
-// logMode selects the single-node commit path: LogDisk (true log
-// writes), LogDiscard (disk off) or LogNone (no logs at all).
+// transient mode, committing on the single-node path logMode selects —
+// LogDisk (logs to its own disk), LogDiscard (disk off) or LogNone (no
+// logs at all) — switches to mirror shipping when a mirror connects to
+// listenAddr, and returns to logMode whenever it has no mirror. Pass
+// listenAddr "" to run without a replication endpoint (pure single-node
+// configurations).
 func (n *Node) ServePrimary(listenAddr string, logMode LogMode) error {
+	if logMode == LogShip {
+		return fmt.Errorf("core: a primary starts in a single-node mode; shipping begins when a mirror attaches")
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -154,37 +170,30 @@ func (n *Node) ServePrimary(listenAddr string, logMode LogMode) error {
 	if n.engine != nil {
 		return fmt.Errorf("core: node %s already serving", n.name)
 	}
-	var c Committer
-	switch logMode {
-	case LogDisk:
-		n.disk = buildCommitter(LogDisk, n.log, n.cfg)
-		c = n.disk
-	case LogDiscard, LogNone:
-		c = buildCommitter(logMode, n.log, n.cfg)
-	case LogShip:
-		return fmt.Errorf("core: a primary starts in a single-node mode; shipping begins when a mirror attaches")
-	}
-	n.engine = n.newEngine(c, logMode)
-	n.mode = ModeTransient
-	if listenAddr != "" {
-		l, err := transport.Listen(listenAddr)
-		if err != nil {
-			return err
-		}
-		n.listener = l
-		n.wg.Add(1)
-		go n.acceptMirrors()
-	}
-	return nil
+	return n.serveLocked(logMode, listenAddr)
 }
 
-// newEngine builds the node's engine; a commit that fails for good is
-// reported as EventCommitFailed. Caller holds n.mu, and no transaction
-// can reach the engine before n.engine is published under it.
-func (n *Node) newEngine(c Committer, logMode LogMode) *Engine {
-	e := NewEngine(n.cfg, n.db, c, logMode)
-	e.onCommitFailure = func(err error) { n.emit(EventCommitFailed, err.Error()) }
-	return e
+// serveLocked makes the node the database server: an engine over its
+// single-node committer in logMode, and, unless listenAddr is "", the
+// replication listener a mirror joins on. A commit that fails for good
+// is reported as EventCommitFailed. The engine serves even if the
+// listener fails to start. Caller holds n.mu, and no transaction can
+// reach the engine before n.engine is published under it.
+func (n *Node) serveLocked(logMode LogMode, listenAddr string) error {
+	n.solo, n.soloMode = buildCommitter(logMode, n.log, n.cfg), logMode
+	n.engine = NewEngine(n.cfg, n.db, n.solo, logMode)
+	n.engine.onCommitFailure = func(err error) { n.emit(EventCommitFailed, err.Error()) }
+	if listenAddr == "" {
+		return nil
+	}
+	l, err := transport.Listen(listenAddr)
+	if err != nil {
+		return err
+	}
+	n.listener = l
+	n.wg.Add(1)
+	go n.acceptMirrors()
+	return nil
 }
 
 // ReplAddr reports the replication listener address ("" if none).
@@ -228,8 +237,8 @@ func (n *Node) attachMirror(conn *transport.Conn) {
 	}
 	if old := n.shipper; old != nil {
 		// Replace the previous mirror session: its un-acked commits go
-		// to the disk before it closes.
-		n.useDiskLocked()
+		// to the single-node path before it closes.
+		n.useSoloLocked()
 		n.mu.Unlock()
 		old.Close()
 		n.mu.Lock()
@@ -261,7 +270,6 @@ func (n *Node) attachMirror(conn *transport.Conn) {
 
 	n.mu.Lock()
 	n.shipper = shipper
-	n.mode = ModePrimary
 	n.mu.Unlock()
 
 	// Commits queue in the shipper while the image streams.
@@ -324,28 +332,27 @@ func (w chunkWriter) send(m *transport.Msg) error {
 }
 
 // mirrorLost switches the node back to transient mode when the session
-// of s fails: the Log Writer must store logs directly to disk again, and
-// s hands its un-acked commits to the disk committer.
+// of s fails: the Log Writer commits on the single-node path again (the
+// paper's direct disk logging under LogDisk), and s hands its un-acked
+// commits over.
 func (n *Node) mirrorLost(s *MirrorShipper) {
 	n.mu.Lock()
 	if n.closed || n.shipper != s {
 		n.mu.Unlock()
 		return
 	}
-	n.useDiskLocked()
+	n.useSoloLocked()
+	mode := n.soloMode
 	n.mu.Unlock()
-	n.emit(EventMirrorLost, "switched to direct disk logging")
+	n.emit(EventMirrorLost, "switched to "+mode.String()+" logging")
 }
 
-// useDiskLocked makes the disk committer the engine's commit path; the
-// current shipper hands its un-acked commits over. Caller holds n.mu.
-func (n *Node) useDiskLocked() {
-	if n.disk == nil {
-		n.disk = buildCommitter(LogDisk, n.log, n.cfg)
-	}
-	n.engine.SetCommitter(n.disk, LogDisk)
+// useSoloLocked returns the engine to its single-node committer, in the
+// mode it was served with; the current shipper hands its un-acked
+// commits over. Caller holds n.mu.
+func (n *Node) useSoloLocked() {
+	n.engine.SetCommitter(n.solo, n.soloMode)
 	n.shipper = nil
-	n.mode = ModeTransient
 }
 
 // RunMirror runs the node as the hot stand-by of the primary at
@@ -367,7 +374,6 @@ func (n *Node) RunMirror(primaryAddr, takeoverListen string) error {
 		conn.Close()
 		return ErrStopped
 	}
-	n.mode = ModeMirror
 	n.mirror = NewMirrorEngine(n.cfg, n.db, n.log)
 	n.mirrorConn = conn
 	mirror := n.mirror
@@ -396,19 +402,9 @@ func (n *Node) takeover(listenAddr string) error {
 		n.mu.Unlock()
 		return nil
 	}
-	n.disk = buildCommitter(LogDisk, n.log, n.cfg)
-	n.engine = n.newEngine(n.disk, LogDisk)
-	n.engine.Seed(n.mirror.LastSerial(), n.mirror.MaxCommitTS())
-	n.mode = ModeTransient
-	var err error
-	if listenAddr != "" {
-		n.listener, err = transport.Listen(listenAddr)
-		if err == nil {
-			n.wg.Add(1)
-			go n.acceptMirrors()
-		}
-	}
+	err := n.serveLocked(LogDisk, listenAddr)
 	serial := n.mirror.LastSerial()
+	n.engine.Seed(serial, n.mirror.MaxCommitTS())
 	n.mu.Unlock()
 	n.emit(EventTakeover, fmt.Sprintf("resuming from serial %d", serial))
 	return err
@@ -481,9 +477,10 @@ func (n *Node) Close() error {
 // synced. It models the failures of the paper's availability story.
 func (n *Node) Crash() { n.shutdown(true) }
 
-// shutdown stops the node once, reporting whether this call did. A
-// graceful one lets the engine drain its commits through the mirror
-// before the session closes; a crash drops the session first.
+// shutdown stops the node once, reporting whether this call did. Its
+// checkpoint schedulers stop before the engine drains. A graceful one
+// lets the engine drain its commits through the mirror before the
+// session closes; a crash drops the session first.
 func (n *Node) shutdown(crash bool) bool {
 	n.mu.Lock()
 	if n.closed {
@@ -491,8 +488,8 @@ func (n *Node) shutdown(crash bool) bool {
 		return false
 	}
 	n.closed = true
-	listener, mirrorConn := n.listener, n.mirrorConn
-	engine, shipper, disk := n.engine, n.shipper, n.disk
+	listener, mirrorConn, ckpts := n.listener, n.mirrorConn, n.ckpts
+	engine, shipper, solo := n.engine, n.shipper, n.solo
 	n.mu.Unlock()
 
 	if listener != nil {
@@ -504,6 +501,9 @@ func (n *Node) shutdown(crash bool) bool {
 	if shipper != nil && crash {
 		shipper.Close()
 	}
+	for _, s := range ckpts {
+		s.Stop()
+	}
 	if engine != nil {
 		engine.Stop()
 	}
@@ -511,8 +511,8 @@ func (n *Node) shutdown(crash bool) bool {
 		shipper.Close()
 	}
 	n.wg.Wait()
-	if disk != nil {
-		disk.Close() // its writer stays parked while a mirror holds the path
+	if solo != nil {
+		solo.Close() // its writer stays parked while a mirror holds the path
 	}
 	return true
 }

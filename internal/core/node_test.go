@@ -62,12 +62,13 @@ func waitConverged(t *testing.T, a, b *store.Store, within time.Duration) {
 	}
 }
 
-// startPair boots a primary+mirror pair connected over loopback TCP.
-func startPair(t *testing.T) (primary, mirror *Node, pLog, mLog *logstore.Mem) {
+// startPair boots a primary+mirror pair connected over loopback TCP; the
+// primary is served in logMode.
+func startPair(t *testing.T, logMode LogMode) (primary, mirror *Node, pLog, mLog *logstore.Mem) {
 	t.Helper()
 	pLog, mLog = logstore.NewMem(), logstore.NewMem()
 	primary = NewNode("primary", fastCfg(), newDBWith(100), pLog)
-	if err := primary.ServePrimary("127.0.0.1:0", LogDisk); err != nil {
+	if err := primary.ServePrimary("127.0.0.1:0", logMode); err != nil {
 		t.Fatal(err)
 	}
 	mirror = NewNode("mirror", fastCfg(), store.New(), mLog)
@@ -81,7 +82,7 @@ func startPair(t *testing.T) (primary, mirror *Node, pLog, mLog *logstore.Mem) {
 }
 
 func TestPairShipsAndConverges(t *testing.T) {
-	primary, mirror, _, mLog := startPair(t)
+	primary, mirror, _, mLog := startPair(t, LogDisk)
 	defer primary.Close()
 	defer mirror.Close()
 
@@ -122,7 +123,7 @@ func TestPairShipsAndConverges(t *testing.T) {
 }
 
 func TestCommitWaitsForMirrorAck(t *testing.T) {
-	primary, mirror, pLog, _ := startPair(t)
+	primary, mirror, pLog, _ := startPair(t, LogDisk)
 	defer primary.Close()
 	defer mirror.Close()
 
@@ -138,28 +139,39 @@ func TestCommitWaitsForMirrorAck(t *testing.T) {
 	}
 }
 
+// TestMirrorLossSwitchesToTransient: a primary that loses its mirror
+// returns to the single-node path it was served with, and only LogDisk
+// syncs its own disk.
 func TestMirrorLossSwitchesToTransient(t *testing.T) {
-	primary, mirror, pLog, _ := startPair(t)
-	defer primary.Close()
+	for _, mode := range []LogMode{LogDisk, LogDiscard, LogNone} {
+		t.Run(mode.String(), func(t *testing.T) {
+			primary, mirror, pLog, _ := startPair(t, mode)
+			defer primary.Close()
 
-	mirror.Crash()
-	waitEvent(t, primary, EventMirrorLost, 5*time.Second)
+			mirror.Crash()
+			waitEvent(t, primary, EventMirrorLost, 5*time.Second)
+			syncs := pLog.Stats().Syncs
 
-	if err := primary.Execute(Request{Deadline: 2 * time.Second, Do: func(tx *Tx) error {
-		return tx.Write(2, []byte("after mirror loss"))
-	}}); err != nil {
-		t.Fatalf("transient-mode txn: %v", err)
-	}
-	if primary.Engine().LogMode() != LogDisk {
-		t.Fatalf("log mode = %v", primary.Engine().LogMode())
-	}
-	if pLog.Stats().Syncs == 0 {
-		t.Fatal("transient mode must sync the local disk on commit")
+			if err := primary.Execute(Request{Deadline: 2 * time.Second, Do: func(tx *Tx) error {
+				return tx.Write(2, []byte("after mirror loss"))
+			}}); err != nil {
+				t.Fatalf("transient-mode txn: %v", err)
+			}
+			if got := primary.Engine().LogMode(); got != mode {
+				t.Fatalf("log mode = %v, want %v", got, mode)
+			}
+			if got := primary.Mode(); got != ModeTransient {
+				t.Fatalf("mode = %v, want %v", got, ModeTransient)
+			}
+			if synced := pLog.Stats().Syncs > syncs; synced != (mode == LogDisk) {
+				t.Fatalf("%v: disk synced after the loss = %v", mode, synced)
+			}
+		})
 	}
 }
 
 func TestTakeoverOnPrimaryFailure(t *testing.T) {
-	primary, mirror, _, _ := startPair(t)
+	primary, mirror, _, _ := startPair(t, LogDisk)
 	defer mirror.Close()
 
 	// Commit some state, then kill the primary.
@@ -195,7 +207,7 @@ func TestTakeoverOnPrimaryFailure(t *testing.T) {
 }
 
 func TestRecoveredNodeRejoinsAsMirror(t *testing.T) {
-	primary, mirror, _, _ := startPair(t)
+	primary, mirror, _, _ := startPair(t, LogDisk)
 
 	if err := primary.Execute(Request{Deadline: 2 * time.Second, Do: func(tx *Tx) error {
 		return tx.Write(1, []byte("epoch-1"))
@@ -239,7 +251,7 @@ func TestRecoveredNodeRejoinsAsMirror(t *testing.T) {
 }
 
 func TestExecuteOnMirrorFails(t *testing.T) {
-	primary, mirror, _, _ := startPair(t)
+	primary, mirror, _, _ := startPair(t, LogDisk)
 	defer primary.Close()
 	defer mirror.Close()
 	err := mirror.Execute(Request{Do: func(tx *Tx) error { return nil }})
@@ -404,7 +416,7 @@ func TestSimultaneousFailureRecoversFromMirrorLog(t *testing.T) {
 	// Both nodes die. The mirror's disk log — written asynchronously,
 	// reordered into validation order — rebuilds everything that had
 	// been synced; with a graceful mirror stop, that is everything.
-	primary, mirror, _, mLog := startPair(t)
+	primary, mirror, _, mLog := startPair(t, LogDisk)
 	for i := 0; i < 30; i++ {
 		if err := primary.Execute(Request{Deadline: 2 * time.Second, Do: func(tx *Tx) error {
 			return tx.Write(store.ObjectID(i), []byte("both-fail"))
@@ -440,10 +452,16 @@ func TestNodeAccessors(t *testing.T) {
 	if n.ReplAddr() != "" {
 		t.Fatal("ReplAddr before listen should be empty")
 	}
+	if n.Mode() != ModeMirror {
+		t.Fatalf("Mode before serve = %v, want %v", n.Mode(), ModeMirror)
+	}
 	n.ServePrimary("", LogNone)
 	defer n.Close()
 	if n.Engine() == nil {
 		t.Fatal("Engine nil after serve")
+	}
+	if n.Mode() != ModeTransient {
+		t.Fatalf("Mode after serve = %v, want %v", n.Mode(), ModeTransient)
 	}
 }
 
@@ -515,7 +533,7 @@ func TestBuildCommitterVariants(t *testing.T) {
 }
 
 func TestDeleteReplicatesAndRecovers(t *testing.T) {
-	primary, mirror, _, mLog := startPair(t)
+	primary, mirror, _, mLog := startPair(t, LogDisk)
 	defer mirror.Close()
 	// Insert then delete, both replicated.
 	if err := primary.Execute(Request{Deadline: 2 * time.Second, Do: func(tx *Tx) error {

@@ -131,17 +131,6 @@ func (q *Queue) Len() int {
 	return q.rtLenLocked() + q.nonRTLenLocked()
 }
 
-// NextDeadline reports the earliest queued real-time deadline, or
-// txn.NoDeadline if no real-time work is queued.
-func (q *Queue) NextDeadline() simtime.Time {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.rtLenLocked() == 0 {
-		return txn.NoDeadline
-	}
-	return q.rt.peek().t.Deadline
-}
-
 // DropExpired removes and returns every queued firm transaction whose
 // deadline has passed at now; they are aborted by the caller without
 // consuming execution time.

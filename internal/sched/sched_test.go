@@ -55,9 +55,6 @@ func TestPopEmpty(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatal("Len should be 0")
 	}
-	if q.NextDeadline() != txn.NoDeadline {
-		t.Fatal("NextDeadline on empty queue should be NoDeadline")
-	}
 }
 
 func TestNonRTServedWhenIdle(t *testing.T) {
@@ -102,15 +99,6 @@ func TestNonRTReservationPreventsStarvation(t *testing.T) {
 	}
 	if nonRTruns > 10+2 {
 		t.Fatalf("non-RT overserved: %d runs out of 100 at 10%% reserve", nonRTruns)
-	}
-}
-
-func TestNextDeadline(t *testing.T) {
-	q := NewQueue(0)
-	q.Push(rt(1, 500))
-	q.Push(rt(2, 100))
-	if d := q.NextDeadline(); d != 100 {
-		t.Fatalf("NextDeadline = %v, want 100", d)
 	}
 }
 

@@ -13,7 +13,6 @@ package txn
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/simtime"
@@ -497,15 +496,6 @@ func (t *Transaction) Abort(reason AbortReason) {
 	t.State = Aborted
 	t.Reason = reason
 	t.DiscardWrites()
-}
-
-// SortedWriteIDs returns the written ids in ascending order (a fresh
-// slice), used where deterministic output is wanted.
-func (t *Transaction) SortedWriteIDs() []store.ObjectID {
-	ids := make([]store.ObjectID, len(t.writeIDs))
-	copy(ids, t.writeIDs)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 func (t *Transaction) String() string {

@@ -190,10 +190,6 @@ func TestWriteIDsFirstWriteOrder(t *testing.T) {
 	if !ok || string(img) != "c" {
 		t.Fatalf("WriteImage = %q %v", img, ok)
 	}
-	sorted := tx.SortedWriteIDs()
-	if sorted[0] != 2 || sorted[1] != 5 {
-		t.Fatalf("SortedWriteIDs = %v", sorted)
-	}
 }
 
 func TestStringers(t *testing.T) {

@@ -103,12 +103,15 @@ var (
 	ErrClosed = core.ErrStopped
 )
 
-// Durability selects what happens on the commit path of a node running
-// without a mirror.
+// Durability selects what happens on the commit path of a primary
+// running without a mirror: before one attaches, and again whenever it
+// is lost or replaced. OpenMirror ignores it: a mirror that takes over
+// logs to its own disk, as the paper's transient primary does.
 type Durability int
 
-// Durability levels for single-node operation. A node with an attached
-// mirror always ships logs; these control the fallback.
+// Durability levels for single-node operation. A primary with an
+// attached mirror always ships logs; it returns to its own Durability
+// whenever it has no mirror.
 const (
 	// DurDisk stores log records on the local log device before commit
 	// (the paper's transient mode).
@@ -138,7 +141,8 @@ type Options struct {
 	// LogPath is the log file. Empty keeps the log in memory (useful
 	// for tests and for DurNone/DurRelaxed nodes).
 	LogPath string
-	// Durability is the single-node commit path (see Durability).
+	// Durability is a primary's single-node commit path, used whenever
+	// it has no mirror; OpenMirror ignores it (see Durability).
 	Durability Durability
 	// Protocol selects concurrency control: "dati" (default), "ti",
 	// "da" or "bc".
@@ -236,9 +240,8 @@ func (o Options) openLog() (logstore.Store, error) {
 // embedded single node, the primary of a pair, or a mirror (which serves
 // transactions only after a takeover).
 type DB struct {
-	node      *core.Node
-	log       logstore.Store
-	ckptSched *core.CheckpointScheduler
+	node *core.Node
+	log  logstore.Store
 }
 
 // Open starts an embedded single-node database.
@@ -248,8 +251,9 @@ func Open(opts Options) (*DB, error) {
 }
 
 // OpenPrimary starts a database-server node that accepts a mirror on
-// replListen. Until a mirror attaches it runs in transient mode,
-// committing per opts.Durability.
+// replListen. Whenever it has no mirror — until one attaches, and after
+// one is lost — it runs in transient mode, committing per
+// opts.Durability.
 func OpenPrimary(opts Options, replListen string) (*DB, error) {
 	if replListen == "" {
 		return nil, errors.New("rodain: OpenPrimary needs a replication listen address")
@@ -278,14 +282,13 @@ func open(opts Options, replListen string, mirror bool) (*DB, *core.Node, error)
 			return nil, nil, err
 		}
 	}
-	db := &DB{node: node, log: log}
 	if opts.CheckpointDir != "" && (opts.CheckpointEvery > 0 || opts.CheckpointLogBytes > 0) {
-		db.ckptSched = node.StartCheckpointScheduler(opts.CheckpointDir, core.CheckpointSchedulerOptions{
+		node.StartCheckpointScheduler(opts.CheckpointDir, core.CheckpointSchedulerOptions{
 			Every:    opts.CheckpointEvery,
 			LogBytes: opts.CheckpointLogBytes,
 		})
 	}
-	return db, node, nil
+	return &DB{node: node, log: log}, node, nil
 }
 
 // OpenMirror starts a hot stand-by for the primary at primaryAddr. The
@@ -502,9 +505,6 @@ func (db *DB) RecoverFromDir(dir string, log io.Reader) (RecoverStats, error) {
 // Close shuts the node down gracefully, draining transactions and
 // syncing the log.
 func (db *DB) Close() error {
-	if db.ckptSched != nil {
-		db.ckptSched.Stop()
-	}
 	err := db.node.Close()
 	if cerr := db.log.Close(); err == nil {
 		err = cerr
@@ -513,12 +513,7 @@ func (db *DB) Close() error {
 }
 
 // Crash kills the node abruptly (testing failure scenarios).
-func (db *DB) Crash() {
-	if db.ckptSched != nil {
-		db.ckptSched.Stop()
-	}
-	db.node.Crash()
-}
+func (db *DB) Crash() { db.node.Crash() }
 
 func (db *DB) String() string {
 	return fmt.Sprintf("rodain.DB{%s %s}", db.node.Name(), db.node.Mode())

@@ -100,7 +100,7 @@ func TestFileBackedLog(t *testing.T) {
 }
 
 // TestCloseAfterCrash: Close after Crash releases the log, even with a
-// checkpoint scheduler running, which both of them stop.
+// checkpoint scheduler running, which the node stops when it crashes.
 func TestCloseAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{
@@ -359,5 +359,28 @@ func TestPublicRecover(t *testing.T) {
 func TestOpenMirrorBadOptions(t *testing.T) {
 	if _, err := OpenMirror(Options{Protocol: "bogus"}, "127.0.0.1:1", ""); err == nil {
 		t.Fatal("bad protocol accepted by OpenMirror")
+	}
+}
+
+// TestUnreachableMirrorIsMirror: a mirror whose primary never answers
+// reports itself a mirror, not a primary, while it dials, and Close does
+// not wait out the dial.
+func TestUnreachableMirrorIsMirror(t *testing.T) {
+	db, err := OpenMirror(Options{}, "127.0.0.1:1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Mode != "mirror" || db.Serving() {
+		t.Fatalf("mode %q serving %v, want a mirror not serving", st.Mode, db.Serving())
+	}
+	start := time.Now()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v", d)
+	}
+	if st := db.Stats(); st.Mode != "mirror" || db.Serving() {
+		t.Fatalf("after Close: mode %q serving %v", st.Mode, db.Serving())
 	}
 }
