@@ -1,11 +1,13 @@
 // Command rodain-logdump inspects RODAIN log artifacts: it prints
 // records, summarizes committed and uncommitted transactions, dry-runs
-// the recovery pass, decodes checkpoint files, and walks segmented log
-// directories in order.
+// the recovery pass, and walks segmented log directories in order. A
+// checkpoint file is a log of one group, so it reads like any log; for
+// each checkpoint group it meets, the dump prints its serial, stripe
+// count and min and max watermark.
 //
 //	rodain-logdump primary.wal
 //	rodain-logdump -recover primary.wal              # replay as a node would
-//	rodain-logdump -ckpt ckptdir/checkpoint.ckpt     # checkpoint header
+//	rodain-logdump ckptdir/checkpoint.ckpt           # a checkpoint
 //	rodain-logdump logdir                            # segment directory
 package main
 
@@ -29,19 +31,13 @@ func main() {
 	var (
 		verbose  = flag.Bool("v", false, "print every record")
 		recover_ = flag.Bool("recover", false, "dry-run the recovery pass and report the resulting database")
-		ckpt     = flag.Bool("ckpt", false, "decode the argument as a checkpoint file: format version, stripe watermarks, record count")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rodain-logdump [-v] [-recover] [-ckpt] <logfile|segmentdir|checkpoint>")
+		fmt.Fprintln(os.Stderr, "usage: rodain-logdump [-v] [-recover] <logfile|segmentdir|checkpoint>")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
-
-	if *ckpt {
-		dumpCheckpoint(path)
-		return
-	}
 
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -155,6 +151,10 @@ func (s *summary) scan(r io.Reader, verbose bool) {
 			if rec.SerialOrder > s.maxSerial {
 				s.maxSerial = rec.SerialOrder
 			}
+			if wm := wal.CheckpointWatermarks(rec); wm != nil {
+				fmt.Printf("checkpoint at serial %d: %d stripes, watermarks min %d max %d (log below %d is redundant)\n",
+					rec.SerialOrder, wm.Stripes(), wm.Min(), wm.Max(), wm.Min())
+			}
 		case wal.TypeAbort:
 			s.aborts++
 		case wal.TypeHeartbeat:
@@ -206,33 +206,4 @@ func dumpSegments(dir string, verbose bool) {
 	}
 	fmt.Printf("-- %d segments --\n", len(names))
 	total.print()
-}
-
-// dumpCheckpoint decodes a checkpoint file and prints its header facts
-// and per-stripe watermark vector.
-func dumpCheckpoint(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	ck, err := wal.DecodeCheckpoint(bufio.NewReaderSize(f, 256<<10))
-	if err != nil {
-		log.Fatal(err)
-	}
-	bytes := 0
-	for _, rec := range ck.Snapshot {
-		bytes += len(rec.Value)
-	}
-	fmt.Printf("%d records (%d value bytes), last serial %d\n", len(ck.Snapshot), bytes, ck.LastSerial)
-	wm := ck.Watermarks
-	fmt.Printf("%d stripe watermarks: min %d, max %d (log below %d is redundant)\n",
-		wm.Stripes(), wm.Min(), wm.Max(), wm.Min())
-	for i := 0; i < wm.Stripes(); i += 8 {
-		fmt.Printf("  [%3d]", i)
-		for j := i; j < i+8 && j < wm.Stripes(); j++ {
-			fmt.Printf(" %10d", wm.Mark(j))
-		}
-		fmt.Println()
-	}
 }

@@ -12,8 +12,8 @@
 // whose method set includes Append([]byte) error and Sync() error —
 // the logstore.Store contract — so the pass needs no dependency on the
 // logstore package and covers test doubles too. WAL writer calls are
-// matched by package name: wal.Encode, wal.WriteCheckpoint and the
-// fuzzy-checkpoint header/trailer writers. The checkpoint publish path
+// matched by package name: wal.Encode and the checkpoint trailer writer
+// that closes a checkpoint group. The checkpoint publish path
 // is covered too: (*os.File).Sync and os.Rename — a dropped error there
 // lets a checkpoint that never reached disk justify truncating the log.
 //
@@ -44,8 +44,6 @@ var storeMethods = map[string]bool{
 // stream — or a checkpoint a truncated log depends on — was not written.
 var walFuncs = map[string]bool{
 	"Encode":                 true,
-	"WriteCheckpoint":        true,
-	"WriteCheckpointHeader":  true,
 	"WriteCheckpointTrailer": true,
 }
 

@@ -32,9 +32,7 @@ func ignored(d *Dev, b []byte) {
 
 func encodeIgnored(buf *bytes.Buffer, r *wal.Record) {
 	wal.Encode(buf, r)                   // want `Encode error ignored`
-	wal.WriteCheckpoint(buf, nil)        // want `WriteCheckpoint error ignored`
 	_ = wal.Encode(buf, r)               // want `Encode error discarded into _`
-	wal.WriteCheckpointHeader(buf, 64)   // want `WriteCheckpointHeader error ignored`
 	wal.WriteCheckpointTrailer(buf, nil) // want `WriteCheckpointTrailer error ignored`
 }
 
@@ -74,7 +72,7 @@ func checkedEncode(buf *bytes.Buffer, r *wal.Record) error {
 	if err := wal.Encode(buf, r); err != nil {
 		return err
 	}
-	return wal.WriteCheckpoint(buf, buf.Bytes())
+	return wal.WriteCheckpointTrailer(buf, nil)
 }
 
 func bestEffortTeardown(d *Dev) {

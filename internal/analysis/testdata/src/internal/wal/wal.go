@@ -12,8 +12,4 @@ type Record struct {
 
 func Encode(w io.Writer, r *Record) error { _ = w; _ = r; return nil }
 
-func WriteCheckpoint(w io.Writer, img []byte) error { _ = w; _ = img; return nil }
-
-func WriteCheckpointHeader(w io.Writer, stripes int) error { _ = w; _ = stripes; return nil }
-
 func WriteCheckpointTrailer(w io.Writer, marks []uint64) error { _ = w; _ = marks; return nil }

@@ -88,7 +88,7 @@ func BenchmarkMirrorApplyParallel(b *testing.B) {
 					frames[i] = logFrame(g).Payload
 				}
 				m := NewMirrorEngine(Config{}, store.New(), logstore.NewMem())
-				rp := wal.NewReplayer(m.db, workers, nil)
+				rp := wal.NewReplayer(m.db, workers)
 				defer rp.Close()
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/logstore"
-	"repro/internal/store"
 	"repro/internal/wal"
 )
 
@@ -102,12 +101,11 @@ func syncDir(dir string) error {
 // the checkpoint). Either part may be absent: a missing checkpoint file
 // replays the log alone; a nil log restores the checkpoint alone.
 //
-// The checkpoint carries per-stripe watermarks; each logged record
-// replays only if its group's serial exceeds the watermark of its
-// stripe.
+// The checkpoint is installed on the replayer the tail then runs on, so
+// its per-stripe watermarks filter the tail: each logged record replays
+// only if its group's serial exceeds the watermark of its stripe.
 func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, error) {
-	var base wal.RecoverStats
-	var wm *wal.StripeWatermarks
+	rp := wal.NewReplayer(n.db, wal.DefaultRecoverWorkers())
 	ckpt := filepath.Join(dir, checkpointFinal)
 	if f, err := os.Open(ckpt); err == nil {
 		// Buffered: DecodeCheckpoint decodes record by record and would
@@ -115,23 +113,13 @@ func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, erro
 		ck, cerr := wal.DecodeCheckpoint(bufio.NewReaderSize(f, 256<<10))
 		f.Close()
 		if cerr != nil {
-			return base, fmt.Errorf("core: bad checkpoint %s: %w", ckpt, cerr)
+			rp.Close()
+			return wal.RecoverStats{}, fmt.Errorf("core: bad checkpoint %s: %w", ckpt, cerr)
 		}
-		n.db.LoadSnapshot(ck.Snapshot)
-		base.LastSerial = ck.LastSerial
-		base.MaxCommitTS = maxWriteTS(ck.Snapshot)
-		wm = ck.Watermarks
+		rp.Install(ck)
 	} else if !os.IsNotExist(err) {
-		return base, err
+		rp.Close()
+		return wal.RecoverStats{}, err
 	}
-	return n.replayAndSeed(log, wm, base)
-}
-
-// maxWriteTS reports the largest write timestamp among recs.
-func maxWriteTS(recs []store.Record) uint64 {
-	ts := uint64(0)
-	for _, r := range recs {
-		ts = max(ts, r.WriteTS)
-	}
-	return ts
+	return n.replayAndSeed(log, rp)
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -173,6 +176,36 @@ func TestRecoverFromDirBadCheckpoint(t *testing.T) {
 	n := NewNode("x", fastCfg(), store.New(), logstore.NewMem())
 	if _, err := n.RecoverFromDir(dir, nil); err == nil {
 		t.Fatal("garbage checkpoint accepted")
+	}
+}
+
+// TestRecoverFromDirRefusesOldLayout: a checkpoint file in the earlier
+// layout (an "RDCKPT2" header, the records, then a CRC-guarded watermark
+// trailer) is refused, and the store is left as it was — not half
+// restored. Read as a record, the header declares an after image past
+// the end of this small file, so the decoder sees a cut; a larger file
+// fails the record CRC instead.
+func TestRecoverFromDirRefusesOldLayout(t *testing.T) {
+	head := binary.LittleEndian.AppendUint32([]byte("RDCKPT2\x00"), 2)
+	file := binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head))
+	for id := store.ObjectID(1); id <= 3; id++ {
+		file = wal.AppendCheckpointRecord(file, store.Record{ID: id, Value: []byte("old"), WriteTS: 1})
+	}
+	file = wal.AppendEncoded(file, &wal.Record{Type: wal.TypeCommit, SerialOrder: 4})
+	marks := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 4), 4)
+	file = binary.LittleEndian.AppendUint32(append(file, marks...), crc32.ChecksumIEEE(marks))
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.ckpt"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode("x", fastCfg(), newDBWith(5), logstore.NewMem())
+	want := n.DB().Checksum()
+	if _, err := n.RecoverFromDir(dir, nil); !errors.Is(err, wal.ErrCorrupt) && !errors.Is(err, wal.ErrIncompleteCheckpoint) {
+		t.Fatalf("old-layout checkpoint: err = %v, want ErrCorrupt or ErrIncompleteCheckpoint", err)
+	}
+	if n.DB().Checksum() != want {
+		t.Fatal("a refused checkpoint changed the store")
 	}
 }
 

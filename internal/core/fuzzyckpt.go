@@ -78,9 +78,6 @@ func (n *Node) FuzzyCheckpoint(w io.Writer) (CheckpointStats, error) {
 	}
 	st := CheckpointStats{Stripes: stripes}
 	cw := &countingWriter{w: w}
-	if err := wal.WriteCheckpointHeader(cw, stripes); err != nil {
-		return st, err
-	}
 	marks := make([]uint64, stripes)
 	for i := 0; i < stripes; i++ {
 		c := &n.ckptCache[i]

@@ -14,8 +14,8 @@ import (
 	"repro/internal/wal"
 )
 
-// restoreFuzzy decodes a fuzzy checkpoint and replays the given log
-// suffix over it, returning the recovered store.
+// restoreFuzzy decodes a fuzzy checkpoint, installs it and replays the
+// given log suffix over it, returning the recovered store.
 func restoreFuzzy(t *testing.T, ckpt, logBytes []byte) *store.Store {
 	t.Helper()
 	ck, err := wal.DecodeCheckpoint(bytes.NewReader(ckpt))
@@ -23,8 +23,9 @@ func restoreFuzzy(t *testing.T, ckpt, logBytes []byte) *store.Store {
 		t.Fatal(err)
 	}
 	db := store.New()
-	db.LoadSnapshot(ck.Snapshot)
-	if _, err := wal.Replay(bytes.NewReader(logBytes), wal.NewReplayer(db, 4, ck.Watermarks)); err != nil {
+	rp := wal.NewReplayer(db, 4)
+	rp.Install(ck)
+	if _, err := wal.Replay(bytes.NewReader(logBytes), rp); err != nil {
 		t.Fatal(err)
 	}
 	return db

@@ -40,10 +40,11 @@ type MirrorEngine struct {
 	synced atomic.Bool   // the session's state transfer is replayed through its sync point
 	logErr error         // first log-device failure; fails the session
 
-	// held is a state transfer's log image and the groups after it,
-	// stored only once the replay reaches the sync point: before that the
-	// image may hold part of a group the log has not got, and a replay of
-	// the log would install it as committed. Session goroutine only.
+	// held is a state transfer's bytes as received (one checkpoint
+	// group) and the groups after it, stored only once the replay reaches
+	// the sync point: before that the image may hold part of a group the
+	// log has not got, and a replay of the log would install it as
+	// committed. Session goroutine only.
 	held []byte
 
 	stopFlush chan struct{}
@@ -110,8 +111,8 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 	// the pool, so a takeover always promotes a fully-applied database,
 	// and discards transactions without a commit record: when the
 	// Primary Node fails they are considered aborted.
-	rp := wal.NewReplayer(m.db, wal.DefaultRecoverWorkers(), nil)
-	rp.Restart(hello, prev.MaxCommitTS, nil)
+	rp := wal.NewReplayer(m.db, wal.DefaultRecoverWorkers())
+	rp.Restart(hello, prev.MaxCommitTS)
 	m.mu.Lock()
 	m.rp = rp
 	m.mu.Unlock()
@@ -251,15 +252,16 @@ const ackCoalesceMax = 32
 
 // installImage receives and installs the state transfer opened at
 // serial: a fuzzy checkpoint whose every stripe watermark must be ≥
-// serial, or it misses commits nobody will ship. rp continues after
-// serial with its watermarks, so a live group skips writes a stripe image
-// already holds. The image is held for the stored log as one group at
-// serial. It returns the sync point: the serial the end frame carries,
-// an upper bound on any write the image holds (never below its max
-// watermark).
+// serial, or it misses commits nobody will ship. rp installs it and
+// continues after serial with its watermarks, so a live group skips
+// writes a stripe image already holds. The transfer's bytes are held for
+// the stored log as received. It returns the sync point: the serial the
+// end frame carries, an upper bound on any write the image holds (never
+// below its max watermark).
 func (m *MirrorEngine) installImage(conn *transport.Conn, rp *wal.Replayer, serial uint64, timeout time.Duration) (uint64, error) {
 	cr := &chunkReader{conn: conn, timeout: timeout}
-	ck, err := wal.DecodeCheckpoint(cr)
+	var img bytes.Buffer
+	ck, err := wal.DecodeCheckpoint(io.TeeReader(cr, &img))
 	if err == nil {
 		var extra int64
 		if extra, err = io.Copy(io.Discard, cr); err == nil && extra > 0 {
@@ -275,13 +277,8 @@ func (m *MirrorEngine) installImage(conn *transport.Conn, rp *wal.Replayer, seri
 	if err != nil {
 		return 0, fmt.Errorf("core: mirror: state transfer: %w", err)
 	}
-	rp.Wait() // no in-flight group may race the reload
-	m.db.LoadSnapshot(ck.Snapshot)
-	rp.Restart(serial, maxWriteTS(ck.Snapshot), ck.Watermarks)
-	var img bytes.Buffer
-	if err := wal.WriteCheckpoint(&img, ck.Snapshot, serial); err != nil {
-		return 0, fmt.Errorf("core: mirror: persist state transfer: %v", err)
-	}
+	rp.Install(ck)
+	rp.Restart(serial, 0)
 	m.held = img.Bytes()
 	return max(cr.end, ck.LastSerial), nil
 }

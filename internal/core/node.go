@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -436,25 +437,23 @@ func (n *Node) Submit(req Request) (Release, error) {
 // recovery statistics; a serving engine is seeded past them so it
 // continues the epoch.
 func (n *Node) RecoverFromLog(r io.Reader) (wal.RecoverStats, error) {
-	return n.replayAndSeed(r, nil, wal.RecoverStats{})
+	return n.replayAndSeed(r, wal.NewReplayer(n.db, wal.DefaultRecoverWorkers()))
 }
 
 // replayAndSeed is the one recovery step behind RecoverFromLog and
-// RecoverFromDir: it replays log (when non-nil) on top of base — the
-// position of a checkpoint already loaded, filtered by its watermarks wm
-// — and seeds a serving engine's serial and timestamp floor at or above
-// every commit recovered. Every replayed version's write timestamp is its
-// group's commit timestamp, so MaxCommitTS covers the whole store.
-func (n *Node) replayAndSeed(log io.Reader, wm *wal.StripeWatermarks, base wal.RecoverStats) (wal.RecoverStats, error) {
-	st := base
-	if log != nil {
-		tail, err := wal.Replay(log, wal.NewReplayer(n.db, wal.DefaultRecoverWorkers(), wm))
-		if err != nil {
-			return tail, err
-		}
-		tail.LastSerial = max(tail.LastSerial, base.LastSerial)
-		tail.MaxCommitTS = max(tail.MaxCommitTS, base.MaxCommitTS)
-		st = tail
+// RecoverFromDir: it replays log (when non-nil) on rp — which may hold an
+// installed checkpoint — closes rp, and seeds a serving engine's serial
+// and timestamp floor at or above every commit recovered. Every replayed
+// version's write timestamp is its group's commit timestamp or an
+// installed image's write timestamp, so MaxCommitTS covers the whole
+// store.
+func (n *Node) replayAndSeed(log io.Reader, rp *wal.Replayer) (wal.RecoverStats, error) {
+	if log == nil {
+		log = bytes.NewReader(nil) // the checkpoint alone
+	}
+	st, err := wal.Replay(log, rp)
+	if err != nil {
+		return st, err
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

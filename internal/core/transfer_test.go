@@ -16,17 +16,15 @@ import (
 // record per id, and the given watermarks.
 func transferImage(t *testing.T, marks []uint64, ids ...store.ObjectID) []byte {
 	t.Helper()
-	var img bytes.Buffer
-	if err := wal.WriteCheckpointHeader(&img, len(marks)); err != nil {
-		t.Fatal(err)
-	}
+	var img []byte
 	for _, id := range ids {
-		img.Write(wal.AppendCheckpointRecord(nil, store.Record{ID: id, Value: []byte("image"), WriteTS: 1}))
+		img = wal.AppendCheckpointRecord(img, store.Record{ID: id, Value: []byte("image"), WriteTS: 1})
 	}
-	if err := wal.WriteCheckpointTrailer(&img, marks); err != nil {
+	buf := bytes.NewBuffer(img)
+	if err := wal.WriteCheckpointTrailer(buf, marks); err != nil {
 		t.Fatal(err)
 	}
-	return img.Bytes()
+	return buf.Bytes()
 }
 
 // sendTransfer sends one state transfer at serial, image in one chunk,
@@ -201,10 +199,10 @@ func TestMirrorLogHoldsTransferUntilSyncPoint(t *testing.T) {
 	waitConverged(t, synced, m.DB(), 3*time.Second)
 }
 
-// TestMirrorStoresFramesAsReceived: the mirror stores a log frame's
-// bytes as they arrive. After a state transfer at 5 with its sync point
-// at 7, and frames {6}, {7, 8} (across the sync point) and {9, 10, 11},
-// its log is the held image followed by the three payloads, byte for
+// TestMirrorStoresFramesAsReceived: the mirror stores what it receives
+// as it arrives. After a state transfer at 5 with its sync point at 7,
+// and frames {6}, {7, 8} (across the sync point) and {9, 10, 11}, its
+// log is the transfer's bytes followed by the three payloads, byte for
 // byte, and the groups' part is what a group committer writes for them.
 func TestMirrorStoresFramesAsReceived(t *testing.T) {
 	a, b := stripeObjects()
@@ -220,7 +218,7 @@ func TestMirrorStoresFramesAsReceived(t *testing.T) {
 		groups = append(groups, groupAt(serial, ids...))
 	}
 	frames := []*transport.Msg{logFrame(groups[0]), logFrame(groups[1:3]...), logFrame(groups[3:]...)}
-	want := heldImage(t, image, 5)
+	want := append([]byte(nil), image...)
 	for _, f := range frames {
 		if err := conn.Send(f); err != nil {
 			t.Fatal(err)
@@ -238,7 +236,7 @@ func TestMirrorStoresFramesAsReceived(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(log.Bytes(), want) {
-		t.Fatalf("mirror log holds %d bytes, want the held image and the frames as received (%d)", len(log.Bytes()), len(want))
+		t.Fatalf("mirror log holds %d bytes, want the transfer and the frames as received (%d)", len(log.Bytes()), len(want))
 	}
 
 	disk := newMemLog()
@@ -255,19 +253,43 @@ func TestMirrorStoresFramesAsReceived(t *testing.T) {
 	}
 }
 
-// heldImage is the log image a mirror holds for a state transfer of
-// image at serial.
-func heldImage(t *testing.T, image []byte, serial uint64) []byte {
-	t.Helper()
-	ck, err := wal.DecodeCheckpoint(bytes.NewReader(image))
-	if err != nil {
+// TestMirrorRejectsCheckpointInFrame: a state transfer arrives only
+// between MsgSnapshotBegin and MsgSnapshotEnd. A checkpoint group inside
+// a log frame of a live session would reset the database mid-stream; the
+// session fails as corruption with no ack, and the group before it is
+// still applied.
+func TestMirrorRejectsCheckpointInFrame(t *testing.T) {
+	a, b := stripeObjects()
+	m := NewMirrorEngine(fastCfg(), store.New(), newMemLog())
+	conn, errc, acks := startPipeMirror(t, m)
+	sendTransfer(t, conn, 5, 5, transferImage(t, []uint64{5, 5}, a))
+	if s := <-acks; s != 5 {
+		t.Fatalf("ack %d for the transfer, want 5", s)
+	}
+	f := logFrame(groupAt(6, a))
+	// Its serial is the next one, so only its being a checkpoint is wrong.
+	f.Payload = append(f.Payload, transferImage(t, []uint64{7, 7}, b)...)
+	if err := conn.Send(f); err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	if err := wal.WriteCheckpoint(&b, ck.Snapshot, serial); err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-errc:
+		if !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("Run returned %v, want an error wrapping wal.ErrCorrupt", err)
+		}
+	case s := <-acks:
+		t.Fatalf("ack %d for a frame holding a checkpoint group", s)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the mirror accepted a checkpoint group in a log frame")
 	}
-	return b.Bytes()
+	select {
+	case s := <-acks:
+		t.Fatalf("ack %d for a frame holding a checkpoint group", s)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, ok := m.DB().Get(b); ok || m.LastSerial() != 6 {
+		t.Fatalf("object b present %v, LastSerial %d: want the image untouched and group 6 applied", ok, m.LastSerial())
+	}
 }
 
 // TestMirrorRejectsFrameEndingMidGroup: a frame whose last record is not
@@ -394,7 +416,7 @@ func TestMirrorWithoutTransferDoesNotTakeOver(t *testing.T) {
 			return
 		}
 		conn.Send(&transport.Msg{Type: transport.MsgSnapshotBegin, Serial: 3})
-		conn.Send(&transport.Msg{Type: transport.MsgSnapshotChunk, Payload: []byte("RDCKPT2\x00partial")})
+		conn.Send(&transport.Msg{Type: transport.MsgSnapshotChunk, Payload: wal.AppendCheckpointRecord(nil, store.Record{ID: 1, Value: []byte("partial")})[:20]})
 	}()
 
 	mirror := NewNode("mirror", fastCfg(), store.New(), newMemLog())

@@ -92,8 +92,13 @@ func takeoverOne(objects, logTail int) (TakeoverResult, error) {
 	db := store.New()
 	workload.Populate(db, wl)
 
-	var image bytes.Buffer
-	if err := wal.WriteCheckpoint(&image, db.Snapshot(), 0); err != nil {
+	// The disk image is a checkpoint at serial 0.
+	var image []byte
+	for _, rec := range db.Snapshot() {
+		image = wal.AppendCheckpointRecord(image, rec)
+	}
+	ckpt := bytes.NewBuffer(image)
+	if err := wal.WriteCheckpointTrailer(ckpt, make([]uint64, db.NumStripes())); err != nil {
 		return res, err
 	}
 	// A log tail of update transactions past the checkpoint.
@@ -114,9 +119,10 @@ func takeoverOne(objects, logTail int) (TakeoverResult, error) {
 		}
 	}
 
-	// The image is the log's first group, so one replay reads both.
+	// The checkpoint is the log's first group, so one replay installs it
+	// and redoes the tail.
 	start := simtime.Wall.Now()
-	disk := io.MultiReader(bytes.NewReader(image.Bytes()), bytes.NewReader(tail.Bytes()))
+	disk := io.MultiReader(ckpt, bytes.NewReader(tail.Bytes()))
 	if _, err := wal.Recover(bufio.NewReaderSize(
 		newThrottledReader(disk, diskReadBandwidth), 64<<10), store.New()); err != nil {
 		return res, err

@@ -3,36 +3,34 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
 	"io"
 
 	"repro/internal/store"
 )
 
-// This file implements the one checkpoint format, produced by the fuzzy,
-// stripe-incremental checkpointer for checkpoint files and for a
-// joining mirror's state transfer alike. The checkpoint is fuzzy: each
-// lock stripe of the store was copied at a different moment, so one
-// serial is not enough — it carries a per-stripe watermark vector, and a
-// replay applies each logged write only above its own stripe's
-// watermark.
+// This file implements the one database-image format, produced by the
+// fuzzy, stripe-incremental checkpointer for checkpoint files and for a
+// joining mirror's state transfer alike, and stored as received in a
+// mirror's log. The checkpoint is fuzzy: each lock stripe of the store
+// was copied at a different moment, so one serial is not enough — it
+// carries a per-stripe watermark vector, and a replay applies each logged
+// write only above its own stripe's watermark.
 //
-// Layout:
+// A checkpoint is one log group under the reserved checkpointTxnID, so
+// the record CRCs guard all of it:
 //
-//	magic "RDCKPT2\x00" (8) | stripes u32 | crc32(magic+stripes) u32
-//	record stream: Write records per object (stripe by stripe),
-//	               terminated by a Commit marker (SerialOrder =
-//	               max watermark)
-//	watermarks: stripes × u64 | crc32(watermark bytes) u32
+//	Write records, one per object (stripe by stripe), each carrying
+//	        the object's write timestamp in CommitTS
+//	Commit record: SerialOrder = max watermark, after image = the
+//	        watermark vector (stripes × u64)
+//
+// A checkpoint file is therefore a log of one group, and a log that
+// reaches a checkpoint group replays as the history the image starts
+// (Replayer.Install).
 
-// checkpointMagic begins every checkpoint.
-const checkpointMagic = "RDCKPT2\x00"
-
-// checkpointHeaderSize is magic + stripe count + header CRC.
-const checkpointHeaderSize = 8 + 4 + 4
-
-// maxCheckpointStripes bounds the declared stripe count so a corrupt
-// header cannot cause a huge allocation.
+// maxCheckpointStripes bounds the stripe count a watermark vector may
+// hold.
 const maxCheckpointStripes = 1 << 20
 
 // StripeWatermarks is a checkpoint's per-stripe serial vector: mark
@@ -89,18 +87,6 @@ func (w *StripeWatermarks) Max() uint64 {
 	return max
 }
 
-// WriteCheckpointHeader begins a checkpoint: magic, stripe count and
-// a CRC over both, so a corrupt count is caught before it sizes the
-// watermark read.
-func WriteCheckpointHeader(w io.Writer, stripes int) error {
-	var buf [checkpointHeaderSize]byte
-	copy(buf[:8], checkpointMagic)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(stripes))
-	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(buf[:12]))
-	_, err := w.Write(buf[:])
-	return err
-}
-
 // AppendCheckpointRecord appends one snapshot record in checkpoint body
 // form (a Write record under the reserved checkpoint transaction id)
 // and returns the extended slice.
@@ -114,28 +100,21 @@ func AppendCheckpointRecord(dst []byte, rec store.Record) []byte {
 	})
 }
 
-// WriteCheckpointTrailer ends a checkpoint: the commit marker that
-// terminates the record stream (carrying the max watermark) followed by
-// the CRC-protected watermark vector. marks must match the stripe count
-// declared in the header.
+// WriteCheckpointTrailer ends a checkpoint: the commit record that
+// closes its group, carrying the max watermark as its serial and the
+// watermark vector as its after image. len(marks) is the store's stripe
+// count.
 func WriteCheckpointTrailer(w io.Writer, marks []uint64) error {
-	var max uint64
+	vec := make([]byte, 0, 8*len(marks))
 	for _, m := range marks {
-		if m > max {
-			max = m
-		}
+		vec = binary.LittleEndian.AppendUint64(vec, m)
 	}
-	buf := AppendEncoded(nil, &Record{
+	_, err := w.Write(AppendEncoded(nil, &Record{
 		Type:        TypeCommit,
 		TxnID:       checkpointTxnID,
-		SerialOrder: max,
-	})
-	start := len(buf)
-	for _, m := range marks {
-		buf = binary.LittleEndian.AppendUint64(buf, m)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
-	_, err := w.Write(buf)
+		SerialOrder: NewStripeWatermarks(marks).Max(),
+		AfterImage:  vec,
+	}))
 	return err
 }
 
@@ -150,60 +129,69 @@ type Checkpoint struct {
 	Watermarks *StripeWatermarks
 }
 
-// DecodeCheckpoint reads a checkpoint from r. Incomplete or damaged
-// input — including anything that does not begin with the magic — yields
-// ErrIncompleteCheckpoint or ErrCorrupt: a checkpoint is all-or-nothing;
+// DecodeCheckpoint reads exactly one checkpoint group from r. A cut
+// yields ErrIncompleteCheckpoint; a damaged record, a record of any other
+// transaction or type, a bad watermark vector or a serial that is not its
+// max mark yields ErrCorrupt: a checkpoint is all-or-nothing, and
 // recovery must fall back to the previous one plus the log.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var head [checkpointHeaderSize]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrIncompleteCheckpoint
-		}
-		return nil, err
-	}
-	if string(head[:8]) != checkpointMagic || crc32.ChecksumIEEE(head[:12]) != binary.LittleEndian.Uint32(head[12:]) {
-		return nil, ErrCorrupt
-	}
-	stripes := int(binary.LittleEndian.Uint32(head[8:]))
-	if stripes <= 0 || stripes&(stripes-1) != 0 || stripes > maxCheckpointStripes {
-		return nil, ErrCorrupt
-	}
-	ck := &Checkpoint{}
+	var writes []*Record
 	for {
 		rec, err := Decode(r)
-		if err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, ErrCorrupt) {
-				return nil, ErrIncompleteCheckpoint
-			}
-			return nil, err
-		}
-		if rec.Type == TypeCommit {
-			ck.LastSerial = rec.SerialOrder
-			break
-		}
-		if rec.Type != TypeWrite {
-			return nil, ErrCorrupt
-		}
-		ck.Snapshot = append(ck.Snapshot, store.Record{ID: rec.ObjectID, Value: rec.AfterImage, WriteTS: rec.CommitTS})
-	}
-	trailer := make([]byte, 8*stripes+4)
-	if _, err := io.ReadFull(r, trailer); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, ErrIncompleteCheckpoint
 		}
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
+		if rec.TxnID != checkpointTxnID {
+			return nil, fmt.Errorf("%w: record of transaction %d in a checkpoint", ErrCorrupt, rec.TxnID)
+		}
+		if rec.Type == TypeCommit {
+			return checkpointOf(&Group{Writes: writes, Commit: rec})
+		}
+		writes = append(writes, rec)
 	}
-	if crc32.ChecksumIEEE(trailer[:8*stripes]) != binary.LittleEndian.Uint32(trailer[8*stripes:]) {
-		return nil, ErrCorrupt
+}
+
+// CheckpointWatermarks decodes the watermark vector carried by rec, the
+// commit record of a checkpoint group. It returns nil if rec is not one,
+// or if its vector is not 8 × a power of two ≤ 2²⁰ bytes.
+func CheckpointWatermarks(rec *Record) *StripeWatermarks {
+	vec := rec.AfterImage
+	stripes := len(vec) / 8
+	if rec.Type != TypeCommit || rec.TxnID != checkpointTxnID ||
+		len(vec)%8 != 0 || stripes == 0 || stripes&(stripes-1) != 0 || stripes > maxCheckpointStripes {
+		return nil
 	}
 	marks := make([]uint64, stripes)
 	for i := range marks {
-		marks[i] = binary.LittleEndian.Uint64(trailer[8*i:])
+		marks[i] = binary.LittleEndian.Uint64(vec[8*i:])
 	}
-	ck.Watermarks = NewStripeWatermarks(marks)
-	if s := ck.Watermarks.Max(); s != ck.LastSerial {
-		return nil, ErrCorrupt
+	return NewStripeWatermarks(marks)
+}
+
+// checkpointOf converts a checkpoint group, checking that it holds only
+// Write records and a watermark vector of a valid stripe count whose max
+// mark is the group's serial.
+func checkpointOf(g *Group) (*Checkpoint, error) {
+	wm := CheckpointWatermarks(g.Commit)
+	if wm == nil {
+		return nil, fmt.Errorf("%w: checkpoint watermark vector of %d bytes", ErrCorrupt, len(g.Commit.AfterImage))
+	}
+	ck := &Checkpoint{
+		Snapshot:   make([]store.Record, 0, len(g.Writes)),
+		LastSerial: g.SerialOrder(),
+		Watermarks: wm,
+	}
+	if top := wm.Max(); top != ck.LastSerial {
+		return nil, fmt.Errorf("%w: checkpoint serial %d, max watermark %d", ErrCorrupt, ck.LastSerial, top)
+	}
+	for _, w := range g.Writes {
+		if w.Type != TypeWrite {
+			return nil, fmt.Errorf("%w: %v record in a checkpoint", ErrCorrupt, w.Type)
+		}
+		ck.Snapshot = append(ck.Snapshot, store.Record{ID: w.ObjectID, Value: w.AfterImage, WriteTS: w.CommitTS})
 	}
 	return ck, nil
 }
@@ -211,35 +199,6 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // checkpointTxnID marks checkpoint records; it can never collide with a
 // real transaction id because ids start at 1.
 const checkpointTxnID = 0
-
-// WriteCheckpoint writes a database image into a log as a bare record
-// stream: one Write record per object followed by a Commit record whose
-// SerialOrder is lastSerial, so a replay of the log applies the image as
-// one group. It is not a checkpoint file (DecodeCheckpoint rejects it):
-// its one product use is the image a mirror stores in its own log when a
-// state transfer installs it.
-func WriteCheckpoint(w io.Writer, snap []store.Record, lastSerial uint64) error {
-	buf := make([]byte, 0, 4096)
-	for _, rec := range snap {
-		buf = AppendEncoded(buf[:0], &Record{
-			Type:       TypeWrite,
-			TxnID:      checkpointTxnID,
-			ObjectID:   rec.ID,
-			CommitTS:   rec.WriteTS,
-			AfterImage: rec.Value,
-		})
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	buf = AppendEncoded(buf[:0], &Record{
-		Type:        TypeCommit,
-		TxnID:       checkpointTxnID,
-		SerialOrder: lastSerial,
-	})
-	_, err := w.Write(buf)
-	return err
-}
 
 // ErrIncompleteCheckpoint reports a checkpoint stream without the final
 // commit marker — the checkpoint was cut mid-write and must not be used.

@@ -4,39 +4,40 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"testing"
 
 	"repro/internal/store"
 )
 
-// writeV2 builds a complete v2 checkpoint file from a snapshot and a
+// writeCheckpoint builds a complete checkpoint from a snapshot and a
 // watermark vector, the way the fuzzy checkpointer does.
-func writeV2(t testing.TB, snap []store.Record, marks []uint64) []byte {
+func writeCheckpoint(t testing.TB, snap []store.Record, marks []uint64) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteCheckpointHeader(&buf, len(marks)); err != nil {
-		t.Fatal(err)
-	}
 	var body []byte
 	for _, rec := range snap {
 		body = AppendCheckpointRecord(body, rec)
 	}
-	buf.Write(body)
-	if err := WriteCheckpointTrailer(&buf, marks); err != nil {
+	buf := bytes.NewBuffer(body)
+	if err := WriteCheckpointTrailer(buf, marks); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func TestCheckpointV2RoundTrip(t *testing.T) {
+// watermarkRecord encodes a checkpoint's closing commit record with an
+// arbitrary serial and watermark vector.
+func watermarkRecord(serial uint64, vec []byte) []byte {
+	return AppendEncoded(nil, &Record{Type: TypeCommit, TxnID: checkpointTxnID, SerialOrder: serial, AfterImage: vec})
+}
+
+func TestDecodeCheckpointRoundTrip(t *testing.T) {
 	snap := []store.Record{
 		{ID: 1, Value: []byte("one"), WriteTS: 11},
 		{ID: 7, Value: []byte("seven"), WriteTS: 3},
 		{ID: 1 << 40, Value: []byte(""), WriteTS: 99},
 	}
 	marks := []uint64{5, 9, 2, 9, 7, 5, 2, 8}
-	ck, err := DecodeCheckpoint(bytes.NewReader(writeV2(t, snap, marks)))
+	ck, err := DecodeCheckpoint(bytes.NewReader(writeCheckpoint(t, snap, marks)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,109 +66,69 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointV2RestoresStore(t *testing.T) {
-	db := store.New()
-	for i := 0; i < 100; i++ {
-		db.Put(store.ObjectID(i), []byte{byte(i), byte(i >> 1)})
-	}
-	marks := make([]uint64, db.NumStripes())
-	for i := range marks {
-		marks[i] = uint64(40 + i%3)
-	}
-	ck, err := DecodeCheckpoint(bytes.NewReader(writeV2(t, db.Snapshot(), marks)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := store.New()
-	restored.LoadSnapshot(ck.Snapshot)
-	if restored.Checksum() != db.Checksum() {
-		t.Fatal("v2 checkpoint does not reproduce the store")
-	}
-}
-
-// TestDecodeCheckpointRejectsV1Stream: a bare record stream (the image
-// WriteCheckpoint puts into a mirror's log) is not a checkpoint.
-func TestDecodeCheckpointRejectsV1Stream(t *testing.T) {
-	db := store.New()
-	for i := 0; i < 20; i++ {
-		db.Put(store.ObjectID(i*3), []byte("v1"))
-	}
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, db.Snapshot(), 77); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCheckpoint(&buf); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+// TestDecodeCheckpointRejectsOtherTransaction: a checkpoint is one
+// group of the reserved checkpoint transaction. An ordinary group, a
+// checkpoint record followed by another transaction's, and a delete
+// inside the checkpoint group are all corrupt.
+func TestDecodeCheckpointRejectsOtherTransaction(t *testing.T) {
+	ordinary := append(AppendEncoded(nil, &Record{Type: TypeWrite, TxnID: 3, ObjectID: 1, AfterImage: []byte("v")}),
+		AppendEncoded(nil, &Record{Type: TypeCommit, TxnID: 3, SerialOrder: 1})...)
+	mixed := append(AppendCheckpointRecord(nil, store.Record{ID: 1, Value: []byte("v")}), ordinary...)
+	withDelete := append(AppendEncoded(nil, &Record{Type: TypeDelete, TxnID: checkpointTxnID, ObjectID: 1}),
+		watermarkRecord(4, binary.LittleEndian.AppendUint64(nil, 4))...)
+	for name, b := range map[string][]byte{"ordinary": ordinary, "mixed": mixed, "delete": withDelete} {
+		if _, err := DecodeCheckpoint(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
 func TestDecodeCheckpointEveryTruncationFails(t *testing.T) {
 	snap := []store.Record{{ID: 4, Value: []byte("x"), WriteTS: 1}, {ID: 5, Value: []byte("y"), WriteTS: 2}}
-	full := writeV2(t, snap, []uint64{3, 3, 3, 3})
+	full := writeCheckpoint(t, snap, []uint64{3, 3, 3, 3})
 	if _, err := DecodeCheckpoint(bytes.NewReader(full)); err != nil {
 		t.Fatalf("full file must decode: %v", err)
 	}
 	for cut := 0; cut < len(full); cut++ {
 		_, err := DecodeCheckpoint(bytes.NewReader(full[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d/%d accepted", cut, len(full))
-		}
-		// A cut can land so a record frame looks damaged (ErrCorrupt via
-		// the record CRC) but never so the file silently decodes.
-		if !errors.Is(err, ErrIncompleteCheckpoint) && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation at %d: unexpected error %v", cut, err)
+		if !errors.Is(err, ErrIncompleteCheckpoint) {
+			t.Fatalf("truncation at %d/%d: err = %v, want ErrIncompleteCheckpoint", cut, len(full), err)
 		}
 	}
 }
 
+// TestDecodeCheckpointHeaderCorruption: the closing commit record holds
+// what a header would (stripe count, serial, marks), and a write record
+// holds an object; damage to either fails its record CRC.
 func TestDecodeCheckpointHeaderCorruption(t *testing.T) {
-	full := writeV2(t, []store.Record{{ID: 1, Value: []byte("a")}}, []uint64{1, 1})
-	// Flip the stripe count without fixing the header CRC.
-	bad := append([]byte(nil), full...)
-	bad[8] ^= 0xff
-	if _, err := DecodeCheckpoint(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("header corruption: err = %v, want ErrCorrupt", err)
+	full := writeCheckpoint(t, []store.Record{{ID: 1, Value: []byte("a")}}, []uint64{1, 1})
+	for _, at := range []int{len(full) - 6, headerSize} {
+		bad := append([]byte(nil), full...)
+		bad[at] ^= 0x01
+		if _, err := DecodeCheckpoint(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip at byte %d: err = %v, want ErrCorrupt", at, err)
+		}
 	}
-	// Flip a watermark byte without fixing the trailer CRC.
-	bad = append([]byte(nil), full...)
-	bad[len(bad)-6] ^= 0x01
-	if _, err := DecodeCheckpoint(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("trailer corruption: err = %v, want ErrCorrupt", err)
-	}
-}
-
-// badHeader builds a v2 header with a valid CRC but an arbitrary stripe
-// count, to prove the count is validated beyond the checksum.
-func badHeader(stripes uint32) []byte {
-	buf := make([]byte, checkpointHeaderSize)
-	copy(buf, checkpointMagic)
-	binary.LittleEndian.PutUint32(buf[8:], stripes)
-	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(buf[:12]))
-	return buf
 }
 
 func TestDecodeCheckpointRejectsBadStripeCounts(t *testing.T) {
-	for _, stripes := range []uint32{0, 3, 6, 1 << 21} {
-		if _, err := DecodeCheckpoint(bytes.NewReader(badHeader(stripes))); !errors.Is(err, ErrCorrupt) {
+	for _, stripes := range []int{0, 3, 6, 1 << 21} {
+		vec := make([]byte, 8*stripes)
+		if _, err := DecodeCheckpoint(bytes.NewReader(watermarkRecord(0, vec))); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("stripes=%d: err = %v, want ErrCorrupt", stripes, err)
 		}
+	}
+	// A vector that is not a whole number of marks.
+	if _, err := DecodeCheckpoint(bytes.NewReader(watermarkRecord(0, make([]byte, 12)))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("12-byte vector: err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestDecodeCheckpointRejectsWatermarkMismatch(t *testing.T) {
-	// Commit marker says serial 5 but the watermark vector maxes at 7:
-	// one of the two is lying, so the file must be rejected.
-	var buf bytes.Buffer
-	buf.Write(badHeader(2))
-	buf.Write(AppendEncoded(nil, &Record{Type: TypeCommit, TxnID: checkpointTxnID, SerialOrder: 5}))
-	marks := []uint64{7, 4}
-	var trailer []byte
-	for _, m := range marks {
-		trailer = binary.LittleEndian.AppendUint64(trailer, m)
-	}
-	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.ChecksumIEEE(trailer))
-	buf.Write(trailer)
-	if _, err := DecodeCheckpoint(&buf); !errors.Is(err, ErrCorrupt) {
+	// The commit record says serial 5 but the watermark vector maxes at
+	// 7: one of the two is lying, so the checkpoint must be rejected.
+	vec := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 7), 4)
+	if _, err := DecodeCheckpoint(bytes.NewReader(watermarkRecord(5, vec))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }

@@ -33,7 +33,7 @@ type ParallelApplier struct{ *Replayer }
 //
 // Deprecated: benchmark compat, remove with ROADMAP item 6.
 func NewParallelApplier(db *store.Store, workers int, tsGuard bool) *ParallelApplier {
-	return &ParallelApplier{NewReplayer(db, workers, nil)}
+	return &ParallelApplier{NewReplayer(db, workers)}
 }
 
 // Apply schedules one committed group.

@@ -77,6 +77,11 @@ func FuzzRecover(f *testing.F) {
 	Encode(&good, &Record{Type: TypeCommit, TxnID: 1, SerialOrder: 1, CommitTS: 65536})
 	f.Add(good.Bytes())
 	f.Add([]byte("not a log at all"))
+	// A log holding a checkpoint group between two ordinary ones.
+	withCkpt := append([]byte(nil), good.Bytes()...)
+	withCkpt = append(withCkpt, writeCheckpoint(f, []store.Record{{ID: 1, Value: []byte("img"), WriteTS: 7}}, []uint64{2, 2})...)
+	withCkpt = append(withCkpt, AppendEncoded(nil, &Record{Type: TypeCommit, TxnID: 2, SerialOrder: 3, CommitTS: 1 << 17})...)
+	f.Add(withCkpt)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := store.New()
 		if _, err := Recover(bytes.NewReader(data), db); err != nil {
@@ -89,7 +94,7 @@ func FuzzRecover(f *testing.F) {
 // transfer off the wire, so it must reject or parse any byte soup
 // without panic, and a decoded checkpoint must be self-consistent.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	good := writeV2(f, []store.Record{{ID: 1, Value: []byte("x"), WriteTS: 3}, {ID: 9, Value: []byte("y"), WriteTS: 5}}, []uint64{7, 6})
+	good := writeCheckpoint(f, []store.Record{{ID: 1, Value: []byte("x"), WriteTS: 3}, {ID: 9, Value: []byte("y"), WriteTS: 5}}, []uint64{7, 6})
 	f.Add(good)
 	f.Add(good[:len(good)-7])
 	f.Fuzz(func(t *testing.T, data []byte) {

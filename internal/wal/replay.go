@@ -50,7 +50,7 @@ func DefaultRecoverWorkers() int { return runtime.GOMAXPROCS(0) }
 // Recover replays a stored redo log into db on DefaultRecoverWorkers
 // workers (see Replay).
 func Recover(r io.Reader, db *store.Store) (RecoverStats, error) {
-	return Replay(r, NewReplayer(db, DefaultRecoverWorkers(), nil))
+	return Replay(r, NewReplayer(db, DefaultRecoverWorkers()))
 }
 
 // Replay is the one decode loop: it feeds every record of a stored log
@@ -129,15 +129,16 @@ func (g *grouper) discard() int {
 }
 
 // Replayer is the one redo operator, shared by crash recovery, fuzzy
-// checkpoint suffix replay and the mirror's live apply. It has three
-// steps:
+// checkpoint suffix replay and the mirror's live apply, and the one place
+// a database image enters the store (Install). It has three steps:
 //
 //   - Grouping: write records are buffered per transaction; the commit
 //     record completes the group (so nothing is ever undone), an abort
-//     record drops it, and Close discards what never committed.
-//   - Filter: with stripe watermarks, a write whose group serial is at or
-//     below the watermark of its object's stripe is dropped (the
-//     checkpoint holds it). The commit still counts.
+//     record drops it, and Close discards what never committed. A
+//     checkpoint group is not applied but installed.
+//   - Filter: after Install, a write whose group serial is at or below
+//     the watermark of its object's stripe is dropped (the checkpoint
+//     holds it). The commit still counts.
 //   - Apply: each group goes through store.ApplyGroup on a conflict-aware
 //     worker pool. Groups that write the same object apply in the order
 //     they were added; groups with disjoint write sets commute, so they
@@ -151,12 +152,12 @@ func (g *grouper) discard() int {
 // group 7 may be visible while group 5 is in flight — so a caller that
 // needs a consistent point (takeover, state transfer) calls Wait.
 //
-// Add, Wait, Restart and Close must be called from one goroutine; Stats
-// may be called from any.
+// Add, Install, Wait, Restart and Close must be called from one
+// goroutine; Stats may be called from any.
 type Replayer struct {
 	db    *store.Store
-	wm    *StripeWatermarks
-	wmTop uint64 // wm.Max(): a group above it passes the filter whole
+	wm    *StripeWatermarks // the installed checkpoint's filter; nil before Install
+	wmTop uint64            // wm.Max(): a group above it passes the filter whole
 	grp   grouper
 	next  uint64 // live stream: the serial the next commit must carry; 0 = unchecked
 
@@ -186,11 +187,9 @@ type applyTask struct {
 const maxApplierInflight = 1024
 
 // NewReplayer returns a replayer into db with a pool of workers workers
-// (at least one). wm, when non-nil, is the watermark filter of the
-// checkpoint the replay resumes from.
-func NewReplayer(db *store.Store, workers int, wm *StripeWatermarks) *Replayer {
+// (at least one).
+func NewReplayer(db *store.Store, workers int) *Replayer {
 	r := &Replayer{db: db, lastWriter: make(map[store.ObjectID]*applyTask)}
-	r.setWatermarks(wm)
 	r.cond.L = &r.mu
 	r.idle.L = &r.mu
 	workers = max(workers, 1)
@@ -203,14 +202,27 @@ func NewReplayer(db *store.Store, workers int, wm *StripeWatermarks) *Replayer {
 
 // Add feeds one record. When it completes a group, the group is
 // scheduled for apply and returned; Add blocks only while the pool is
-// full. After Restart, a commit must carry the next serial of the
-// stream: any other serial is an error wrapping ErrCorrupt, and its group
-// is neither returned nor applied. An unknown record type is an error
-// wrapping ErrCorrupt too.
+// full. A checkpoint group in a stored log is installed (Install) and
+// returned: it is a reset barrier, and the log replays from there as the
+// history the image starts. After Restart, a commit must carry the next
+// serial of the stream: any other serial, or a checkpoint group, is an
+// error wrapping ErrCorrupt, and its group is neither returned nor
+// applied. An unknown record type is an error wrapping ErrCorrupt too.
 func (r *Replayer) Add(rec *Record) (*Group, error) {
 	g, err := r.grp.add(rec)
 	if g == nil {
 		return nil, err
+	}
+	if g.Commit.TxnID == checkpointTxnID {
+		if r.next != 0 {
+			return nil, fmt.Errorf("%w: checkpoint group in a live stream", ErrCorrupt)
+		}
+		ck, err := checkpointOf(g)
+		if err != nil {
+			return nil, err
+		}
+		r.Install(ck)
+		return g, nil
 	}
 	if r.next != 0 {
 		if g.SerialOrder() != r.next {
@@ -222,30 +234,45 @@ func (r *Replayer) Add(rec *Record) (*Group, error) {
 	return g, nil
 }
 
-// Restart positions the replayer on a live stream whose state up to
-// serial is already in the store (a state transfer just installed it):
-// pending transactions are discarded, LastSerial becomes serial and
-// MaxCommitTS maxCommitTS, and from now on commits must arrive as
-// serial+1, serial+2, … wm, when non-nil, becomes the watermark filter:
-// the installed image's stripes may already hold groups above serial,
-// and their writes there are skipped. A caller replacing the store
-// calls Wait first.
-func (r *Replayer) Restart(serial, maxCommitTS uint64, wm *StripeWatermarks) {
+// Install puts the database image ck in the store in place of
+// everything replayed so far: it waits for the groups in flight, discards
+// pending transactions, bulk-loads the image, makes its watermarks the
+// filter (its stripes may already hold groups above a mark, and their
+// writes there are skipped) and resets LastSerial to ck's serial and
+// MaxCommitTS to its largest write timestamp. The image is not a
+// transaction: Applied does not count it.
+func (r *Replayer) Install(ck *Checkpoint) {
+	r.Wait()
 	n := r.grp.discard()
-	r.next = serial + 1
-	r.setWatermarks(wm)
+	r.db.LoadSnapshot(ck.Snapshot)
+	r.setFilter(ck.Watermarks)
+	var ts uint64
+	for _, rec := range ck.Snapshot {
+		ts = max(ts, rec.WriteTS)
+	}
 	r.mu.Lock()
 	r.st.Discarded += n
-	r.st.LastSerial = serial
-	r.st.MaxCommitTS = maxCommitTS
+	r.st.LastSerial = ck.LastSerial
+	r.st.MaxCommitTS = ts
 	r.mu.Unlock()
 }
 
-func (r *Replayer) setWatermarks(wm *StripeWatermarks) {
-	r.wm, r.wmTop = wm, 0
-	if wm != nil {
-		r.wmTop = wm.Max()
-	}
+// setFilter makes wm the watermark filter.
+func (r *Replayer) setFilter(wm *StripeWatermarks) { r.wm, r.wmTop = wm, wm.Max() }
+
+// Restart positions the replayer on a live stream whose state up to
+// serial is already in the store (a session resumes there, or Install
+// just put a state transfer in): pending transactions are discarded,
+// LastSerial becomes serial, MaxCommitTS rises to at least maxCommitTS,
+// and from now on commits must arrive as serial+1, serial+2, …
+func (r *Replayer) Restart(serial, maxCommitTS uint64) {
+	n := r.grp.discard()
+	r.next = serial + 1
+	r.mu.Lock()
+	r.st.Discarded += n
+	r.st.LastSerial = serial
+	r.st.MaxCommitTS = max(r.st.MaxCommitTS, maxCommitTS)
+	r.mu.Unlock()
 }
 
 // Stats reports the groups scheduled so far; once Wait or Close has

@@ -55,7 +55,7 @@ func BenchmarkReplay(b *testing.B) {
 				b.SetBytes(int64(len(logBytes)))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Replay(bytes.NewReader(logBytes), NewReplayer(store.New(), workers, nil)); err != nil {
+					if _, err := Replay(bytes.NewReader(logBytes), NewReplayer(store.New(), workers)); err != nil {
 						b.Fatal(err)
 					}
 				}

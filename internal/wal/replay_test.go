@@ -80,10 +80,15 @@ func randomLog(rng *rand.Rand, txns, idDomain int, interleave bool) []byte {
 }
 
 // replayWith replays logBytes into db on a pool of workers workers,
-// filtered by wm.
+// filtered by wm when it is non-nil: db already holds the state of a
+// checkpoint at wm, so only Install's filter step is taken.
 func replayWith(t *testing.T, logBytes []byte, db *store.Store, workers int, wm *StripeWatermarks) RecoverStats {
 	t.Helper()
-	st, err := Replay(bytes.NewReader(logBytes), NewReplayer(db, workers, wm))
+	rp := NewReplayer(db, workers)
+	if wm != nil {
+		rp.setFilter(wm)
+	}
+	st, err := Replay(bytes.NewReader(logBytes), rp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +210,8 @@ func TestPropertyParallelApplierMirrorEquivalence(t *testing.T) {
 		}
 
 		live := store.New()
-		r := NewReplayer(live, workers, nil)
-		r.Restart(0, 0, nil)
+		r := NewReplayer(live, workers)
+		r.Restart(0, 0)
 		for _, g := range groups {
 			for _, w := range g.Writes {
 				if _, err := r.Add(w); err != nil {
@@ -246,7 +251,7 @@ func addGroup(t *testing.T, r *Replayer, serial uint64, obj store.ObjectID, img 
 // remains usable for further groups.
 func TestParallelApplierWaitDrains(t *testing.T) {
 	db := store.New()
-	r := NewReplayer(db, 4, nil)
+	r := NewReplayer(db, 4)
 	defer r.Close()
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 200; i++ {
@@ -271,7 +276,7 @@ func TestParallelApplierWaitDrains(t *testing.T) {
 // or is lost.
 func TestParallelApplierBackpressure(t *testing.T) {
 	db := store.New()
-	r := NewReplayer(db, 8, nil)
+	r := NewReplayer(db, 8)
 	const n = 3 * maxApplierInflight
 	for i := 1; i <= n; i++ {
 		addGroup(t, r, uint64(i), 0, byte(i))

@@ -164,7 +164,7 @@ func addNone(t *testing.T, r *Replayer, rec *Record) {
 
 func TestReordererGroupsByTransaction(t *testing.T) {
 	db := store.New()
-	r := NewReplayer(db, 2, nil)
+	r := NewReplayer(db, 2)
 	addNone(t, r, writeRec(1, 10))
 	addNone(t, r, writeRec(2, 20))
 	addNone(t, r, writeRec(1, 11))
@@ -192,7 +192,7 @@ func TestReordererGroupsByTransaction(t *testing.T) {
 
 func TestReordererAbortDropsWrites(t *testing.T) {
 	db := store.New()
-	r := NewReplayer(db, 1, nil)
+	r := NewReplayer(db, 1)
 	addNone(t, r, writeRec(1, 10))
 	addNone(t, r, &Record{Type: TypeAbort, TxnID: 1})
 	r.Close()
@@ -205,13 +205,13 @@ func TestReordererAbortDropsWrites(t *testing.T) {
 }
 
 func TestReordererHeartbeatIgnored(t *testing.T) {
-	r := NewReplayer(store.New(), 1, nil)
+	r := NewReplayer(store.New(), 1)
 	defer r.Close()
 	addNone(t, r, &Record{Type: TypeHeartbeat})
 }
 
 func TestReordererUnknownType(t *testing.T) {
-	r := NewReplayer(store.New(), 1, nil)
+	r := NewReplayer(store.New(), 1)
 	defer r.Close()
 	if _, err := r.Add(&Record{Type: Type(99)}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown record type: err = %v, want ErrCorrupt", err)
@@ -219,7 +219,7 @@ func TestReordererUnknownType(t *testing.T) {
 }
 
 func TestReordererDiscardPending(t *testing.T) {
-	r := NewReplayer(store.New(), 1, nil)
+	r := NewReplayer(store.New(), 1)
 	addNone(t, r, writeRec(1, 10))
 	addNone(t, r, writeRec(2, 20))
 	r.Close()
@@ -233,10 +233,10 @@ func TestReordererDiscardPending(t *testing.T) {
 // applied.
 func TestReplayerRestartChecksContiguity(t *testing.T) {
 	db := store.New()
-	r := NewReplayer(db, 2, nil)
+	r := NewReplayer(db, 2)
 	defer r.Close()
 	addNone(t, r, writeRec(9, 90))
-	r.Restart(5, 700, nil)
+	r.Restart(5, 700)
 	if st := r.Stats(); st.LastSerial != 5 || st.MaxCommitTS != 700 || st.Discarded != 1 {
 		t.Fatalf("after Restart: %+v", st)
 	}
@@ -270,9 +270,10 @@ func TestReplayerRestartFiltersByWatermarks(t *testing.T) {
 	for b = 0; store.StripeOf(b, 2) != 1; b++ {
 	}
 	db := store.New()
-	r := NewReplayer(db, 2, nil)
+	r := NewReplayer(db, 2)
 	defer r.Close()
-	r.Restart(5, 0, NewStripeWatermarks([]uint64{7, 5}))
+	r.Install(&Checkpoint{LastSerial: 7, Watermarks: NewStripeWatermarks([]uint64{7, 5})})
+	r.Restart(5, 0)
 	for serial := uint64(6); serial <= 8; serial++ {
 		addNone(t, r, writeRec(txn.ID(serial), a))
 		if serial == 6 {
@@ -420,7 +421,7 @@ func TestPropertyRecoveryMatchesDirectApply(t *testing.T) {
 			}
 		}
 		recovered := store.New()
-		if _, err := Replay(&buf, NewReplayer(recovered, 1+int(w%8), nil)); err != nil {
+		if _, err := Replay(&buf, NewReplayer(recovered, 1+int(w%8))); err != nil {
 			return false
 		}
 		return recovered.Checksum() == direct.Checksum()
@@ -432,49 +433,117 @@ func TestPropertyRecoveryMatchesDirectApply(t *testing.T) {
 
 // --- Checkpoint ----------------------------------------------------------------
 
-// TestCheckpointRoundTrip: a log image (WriteCheckpoint) replays as one
-// group at its serial and reproduces the database.
+// TestCheckpointRoundTrip: a checkpoint restores the store, both decoded
+// and installed, and replayed as a log of one group; the image is not a
+// transaction, so a replay counts no Applied group.
 func TestCheckpointRoundTrip(t *testing.T) {
 	db := store.New()
-	for i := 0; i < 50; i++ {
-		db.Put(store.ObjectID(i), []byte{byte(i), byte(i + 1)})
+	for i := 0; i < 100; i++ {
+		db.Put(store.ObjectID(i), []byte{byte(i), byte(i >> 1)})
 	}
 	db.Apply(7, []byte("updated"), 123)
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, db.Snapshot(), 42); err != nil {
-		t.Fatal(err)
+	marks := make([]uint64, db.NumStripes())
+	for i := range marks {
+		marks[i] = uint64(40 + i%3)
 	}
-	db2 := store.New()
-	st, err := Recover(&buf, db2)
+	file := writeCheckpoint(t, db.Snapshot(), marks)
+
+	ck, err := DecodeCheckpoint(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LastSerial != 42 || st.Applied != 1 || st.Truncated {
-		t.Fatalf("replayed image: %+v, want one group at serial 42", st)
+	installed := store.New()
+	r := NewReplayer(installed, 2)
+	r.Install(ck)
+	r.Close()
+	if installed.Checksum() != db.Checksum() {
+		t.Fatal("installed checkpoint does not reproduce the store")
 	}
-	if db2.Checksum() != db.Checksum() {
-		t.Fatal("log image round trip changed the database")
+
+	replayed := store.New()
+	replayed.Put(1000, []byte("superseded"))
+	st, err := Recover(bytes.NewReader(file), replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LastSerial != 42 || st.MaxCommitTS != 123 || st.Applied != 0 || st.Truncated {
+		t.Fatalf("replayed checkpoint: %+v, want serial 42, max commit ts 123, no group applied", st)
+	}
+	if replayed.Checksum() != db.Checksum() {
+		t.Fatal("replayed checkpoint does not reproduce the store")
 	}
 }
 
-// TestCheckpointIncomplete: a log image cut before its commit marker is
+// TestCheckpointIncomplete: a checkpoint cut before its commit record is
 // an uncommitted group — a replay installs none of it.
 func TestCheckpointIncomplete(t *testing.T) {
-	db := store.New()
-	db.Put(1, []byte("v"))
-	db.Put(2, []byte("w"))
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, db.Snapshot(), 9); err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{buf.Len() - 5, buf.Len() / 2, 0} {
-		db2 := store.New()
-		st, err := Recover(bytes.NewReader(buf.Bytes()[:cut]), db2)
+	file := writeCheckpoint(t, []store.Record{{ID: 1, Value: []byte("v")}, {ID: 2, Value: []byte("w")}}, []uint64{9, 9})
+	for _, cut := range []int{len(file) - 5, len(file) / 2, 0} {
+		db := store.New()
+		db.Put(3, []byte("kept"))
+		st, err := Recover(bytes.NewReader(file[:cut]), db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Applied != 0 || db2.Len() != 0 {
-			t.Fatalf("cut at %d/%d: applied %d groups, %d objects", cut, buf.Len(), st.Applied, db2.Len())
+		if st.Applied != 0 || st.LastSerial != 0 || db.Len() != 1 {
+			t.Fatalf("cut at %d/%d: %+v, %d objects", cut, len(file), st, db.Len())
 		}
+	}
+}
+
+// TestReplayCheckpointResetsHistory: a log that reaches a checkpoint
+// group replays as the history the image starts. Group 1 wrote object 1
+// = "old" and object 2; the checkpoint holds only object 1 = "new" at
+// write timestamp 200, so object 2 was deleted in the history it
+// summarizes. The log must recover object 1 = "new", no object 2, and
+// the image's timestamps — not the superseded ones.
+func TestReplayCheckpointResetsHistory(t *testing.T) {
+	log := encodeAll(t, []*Record{
+		{Type: TypeWrite, TxnID: 1, ObjectID: 1, AfterImage: []byte("old")},
+		{Type: TypeWrite, TxnID: 1, ObjectID: 2, AfterImage: []byte("gone")},
+		{Type: TypeCommit, TxnID: 1, SerialOrder: 1, CommitTS: 900},
+	})
+	log = append(log, writeCheckpoint(t, []store.Record{{ID: 1, Value: []byte("new"), WriteTS: 200}}, []uint64{2, 2})...)
+	db := store.New()
+	st, err := Recover(bytes.NewReader(log), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := db.Get(1); string(v) != "new" {
+		t.Fatalf("object 1 = %q, want the checkpoint's \"new\"", v)
+	}
+	if _, ok := db.Get(2); ok {
+		t.Fatal("object 2, deleted in the checkpoint's history, survived")
+	}
+	if st.MaxCommitTS != 200 || st.LastSerial != 2 {
+		t.Fatalf("stats %+v, want MaxCommitTS 200 and LastSerial 2", st)
+	}
+}
+
+// TestReplayerRejectsCheckpointAfterRestart: on a live stream a state
+// transfer arrives only as a transfer, never inside the log; a
+// checkpoint group there is corrupt and installs nothing.
+func TestReplayerRejectsCheckpointAfterRestart(t *testing.T) {
+	db := store.New()
+	db.Put(5, []byte("live"))
+	r := NewReplayer(db, 1)
+	defer r.Close()
+	r.Restart(3, 0)
+	file := writeCheckpoint(t, []store.Record{{ID: 1, Value: []byte("img")}}, []uint64{4, 4})
+	var err error
+	for off := 0; off < len(file) && err == nil; {
+		var rec *Record
+		var n int
+		if rec, n, err = DecodeNext(file[off:]); err == nil {
+			off += n
+			_, err = r.Add(rec)
+		}
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("checkpoint group after Restart: err = %v, want ErrCorrupt", err)
+	}
+	r.Wait()
+	if v, _ := db.Get(5); string(v) != "live" || db.Len() != 1 {
+		t.Fatalf("store changed: object 5 = %q, %d objects", v, db.Len())
 	}
 }

@@ -278,6 +278,7 @@ func open(opts Options, replListen string, mirror bool) (*DB, *core.Node, error)
 	node := core.NewNode(name, cfg, store.New(), log)
 	if !mirror {
 		if err := node.ServePrimary(replListen, opts.Durability.logMode()); err != nil {
+			node.Close()
 			log.Close()
 			return nil, nil, err
 		}
@@ -483,8 +484,9 @@ type CheckpointStats = core.CheckpointStats
 // FuzzyCheckpoint writes a fuzzy, stripe-incremental checkpoint to w:
 // each store stripe is copied under only its own lock, tagged with a
 // per-stripe serial watermark, while commits proceed on the other
-// stripes. RecoverFromDir (and DecodeCheckpoint-based tools) replay the
-// log suffix per stripe watermark.
+// stripes. The checkpoint is one log group: RecoverFromDir, or Recover
+// over the checkpoint followed by the log, replays the suffix per stripe
+// watermark.
 func (db *DB) FuzzyCheckpoint(w io.Writer) (CheckpointStats, error) {
 	return db.node.FuzzyCheckpoint(w)
 }

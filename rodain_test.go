@@ -1,11 +1,13 @@
 package rodain
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -155,6 +157,25 @@ func TestOpenPrimaryValidation(t *testing.T) {
 	}
 }
 
+// TestFailedOpenPrimaryStopsItsGoroutines: when the replication listener
+// cannot start, OpenPrimary fails and leaves nothing running — the node
+// it had started serving is closed, its committer included.
+func TestFailedOpenPrimaryStopsItsGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := OpenPrimary(Options{}, "127.0.0.1:99999"); err == nil {
+			t.Fatal("an invalid listen address was accepted")
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after five failed opens, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestPairAndFailoverThroughPublicAPI(t *testing.T) {
 	opts := Options{
 		Workers:         2,
@@ -209,6 +230,87 @@ func TestPairAndFailoverThroughPublicAPI(t *testing.T) {
 	}
 	if mirror.ReplAddr() == "" {
 		t.Fatal("promoted node has no replication listener for rejoin")
+	}
+}
+
+// TestRejoinedMirrorLogIsOneHistory: a node whose log holds its own
+// history (object 1 = "old", object 2) rejoins, over the same log file,
+// as the mirror of a primary that holds object 1 = "new" and no object 2.
+// The state transfer supersedes the old history, so a replay of the log
+// must give the primary's database — with and without an update shipped
+// after the attach.
+func TestRejoinedMirrorLogIsOneHistory(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		update bool
+	}{{"transfer-only", false}, {"update-after-attach", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "node.wal")
+			old, err := Open(Options{LogPath: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Update(time.Second, func(tx *Tx) error {
+				if err := tx.Write(1, []byte("old")); err != nil {
+					return err
+				}
+				return tx.Write(2, []byte("two"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			opts := Options{Workers: 2, HeartbeatEvery: 25 * time.Millisecond, HeartbeatMisses: 4}
+			primary, err := OpenPrimary(opts, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer primary.Close()
+			primary.Load(1, []byte("new"))
+			opts.LogPath = path
+			mirror, err := OpenMirror(opts, primary.ReplAddr(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitKind(t, primary, EventMirrorAttached)
+			want := "new"
+			if tc.update {
+				want = "newer"
+				if err := primary.Update(time.Second, func(tx *Tx) error {
+					return tx.Write(1, []byte(want))
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A mirror takes over only once its log holds the transfer.
+			primary.Crash()
+			waitKind(t, mirror, EventTakeover)
+			if err := mirror.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			fresh, err := Open(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if _, err := fresh.Recover(bufio.NewReader(f)); err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := fresh.Get(1); string(v) != want {
+				t.Fatalf("object 1 = %q, want %q", v, want)
+			}
+			if v, ok := fresh.Get(2); ok {
+				t.Fatalf("object 2 = %q, absent on the primary, survived in the rejoined log", v)
+			}
+		})
 	}
 }
 
