@@ -433,33 +433,11 @@ func TestPropertyRecoveryMatchesDirectApply(t *testing.T) {
 
 // --- Checkpoint ----------------------------------------------------------------
 
-// TestCheckpointRoundTrip: a checkpoint restores the store, both decoded
-// and installed, and replayed as a log of one group; the image is not a
-// transaction, so a replay counts no Applied group.
+// TestCheckpointRoundTrip: a checkpoint replayed as a log of one group
+// restores the store; the image is not a transaction, so a replay counts
+// no Applied group.
 func TestCheckpointRoundTrip(t *testing.T) {
-	db := store.New()
-	for i := 0; i < 100; i++ {
-		db.Put(store.ObjectID(i), []byte{byte(i), byte(i >> 1)})
-	}
-	db.Apply(7, []byte("updated"), 123)
-	marks := make([]uint64, db.NumStripes())
-	for i := range marks {
-		marks[i] = uint64(40 + i%3)
-	}
-	file := writeCheckpoint(t, db.Snapshot(), marks)
-
-	ck, err := DecodeCheckpoint(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	installed := store.New()
-	r := NewReplayer(installed, 2)
-	r.Install(ck)
-	r.Close()
-	if installed.Checksum() != db.Checksum() {
-		t.Fatal("installed checkpoint does not reproduce the store")
-	}
-
+	db, file := checkpointedStore(t)
 	replayed := store.New()
 	replayed.Put(1000, []byte("superseded"))
 	st, err := Recover(bytes.NewReader(file), replayed)
