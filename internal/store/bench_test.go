@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -118,5 +120,29 @@ func BenchmarkApplyGroup(b *testing.B) {
 			ops[j] = Op{ID: ObjectID((i + j*7919) % benchObjects), Value: img}
 		}
 		s.ApplyGroup(ops, uint64(i+1))
+	}
+}
+
+// BenchmarkPopulate fills an empty store with n objects by Put, the
+// populate a node runs before it serves, and reports the cost per
+// insert. An insert is amortised O(1), so ns/insert and B/insert stay
+// flat from 10 k to 300 k objects.
+func BenchmarkPopulate(b *testing.B) {
+	v := make([]byte, 32)
+	for _, n := range []int{10_000, 300_000} {
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				s := New()
+				for id := 0; id < n; id++ {
+					s.Put(ObjectID(id), v)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			inserts := float64(b.N) * float64(n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/inserts, "ns/insert")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/inserts, "B/insert")
+		})
 	}
 }

@@ -7,27 +7,25 @@
 //
 // The store is hash-partitioned into power-of-two stripes. Writers
 // (Apply, ApplyGroup, Put, deletes, snapshot loads) serialize on the
-// stripe mutex exactly as before: multi-object operations acquire the
-// stripes they need in ascending stripe order, which keeps them
-// deadlock-free against each other, and a Snapshot remains a
-// transaction-consistent point-in-time copy.
+// stripe mutex: multi-object operations acquire the stripes they need in
+// ascending stripe order, which keeps them deadlock-free against each
+// other, and a Snapshot remains a transaction-consistent point-in-time
+// copy.
 //
-// Reads, however, take no lock at all on the hot path. Every item holds
-// its current state in one immutable version (value + write timestamp +
-// writer's serial + tombstone timestamp) behind an atomic pointer,
-// installed copy-on-write by the write phase; the read timestamp sits
-// beside the pointer as a CAS-max atomic so ObserveRead stays
-// allocation-free. Each stripe additionally publishes an immutable
-// id→item table through an atomic pointer (RCU style): the table is
-// rebuilt and republished only on a structural change — insert, delete,
-// snapshot load — which the paper's number-translation workload makes
-// rare. Single-item reads therefore resolve to two or three atomic loads
-// (one shared path, stripe.read, plus ReadInfo for validation). A reader
-// that misses in its table compares the table's generation against the
-// stripe's structural-change counter (a seqlock-flavoured check): equal
-// means the miss is real, different means a structural change is in
-// flight and the reader falls back to the locked legacy path for that
-// one access.
+// Reads take no lock. Every item holds its current state in one
+// immutable version (value + write timestamp + writer's serial +
+// tombstone) behind an atomic pointer, installed copy-on-write by the
+// write phase; the read timestamp sits beside the pointer as a CAS-max
+// atomic so ObserveRead stays allocation-free. Each stripe indexes its
+// items in an open-addressing table published through an atomic
+// pointer. A writer fills an empty slot with a fully built item, so an
+// insert is amortised O(1); at a 3/4 load factor it publishes a copy
+// twice the size and never writes the old table again. A reader loads
+// the table pointer, probes to the id or to an empty slot and loads one
+// version; slots only ever go from empty to filled, so a miss on the
+// table it loaded is a real miss. A deletion is a gone version of the
+// same item, so an item never leaves its table until LoadSnapshot
+// replaces it.
 //
 // Values are immutable once installed: every update stores a fresh copy
 // and never mutates an installed byte slice in place. This is what makes
@@ -73,53 +71,123 @@ type Op struct {
 
 // version is one immutable state of an item: the installed value, the
 // commit timestamp and serial (validation order) of the writer that
-// installed it, and — for an item that has been transactionally deleted —
-// the deletion timestamp. A version is never mutated after it is stored
-// into an item's pointer; writers install a fresh one. Readers therefore
-// obtain (value, writeTS, serial, deletedTS) as one consistent unit from
-// a single atomic load — no torn value/timestamp pairs. Loaded state
-// (Put, LoadSnapshot) has serial 0.
+// installed it (serial 0 for Put and LoadSnapshot), and the newest
+// transactional deletion, which a re-created object carries forward.
+// Writers install a fresh version and never mutate one, so a reader gets
+// the whole state from a single atomic load — no torn pairs. A deleted
+// object keeps its item with a gone version, whose tombstone keeps older
+// writes (a log replay out of timestamp order) from resurrecting it.
 type version struct {
-	value     []byte
-	writeTS   uint64
-	serial    uint64
-	deletedTS uint64 // nonzero: the item was deleted at this timestamp
+	value   []byte
+	writeTS uint64
+	serial  uint64
+	tomb    tombstone // the newest transactional deletion, zero if none
+	gone    bool
 }
 
 // tombstone remembers a transactional deletion: its commit timestamp
-// (which keeps older writes from resurrecting the item) and its serial.
+// and its serial.
 type tombstone struct {
 	ts, serial uint64
 }
 
-// item is one data item. The current version hangs off an atomic
-// pointer; the read timestamp is a CAS-max atomic beside it (it
-// constrains future writers but is independent of the value, and keeping
-// it out of the version keeps ObserveRead allocation-free). An item
-// reachable from a stale published table whose object has since been
-// deleted carries a tombstone version, so even stale readers observe the
-// deletion without locking.
+// missing is the version every accessor sees for an id its stripe's
+// table does not hold: never written since the last LoadSnapshot.
+var missing = &version{gone: true}
+
+// item is one data item: its id, its current version and its read
+// timestamp, a CAS-max atomic kept out of the version so ObserveRead
+// stays allocation-free. An item stays in its table until LoadSnapshot
+// replaces the table; deletion and re-creation are versions of it.
 type item struct {
+	id     ObjectID
 	ver    atomic.Pointer[version]
 	readTS atomic.Uint64 // largest commit timestamp of any validated reader
 }
 
-// live reports the item's current version, nil if it is tombstoned.
-func (it *item) live() *version {
-	v := it.ver.Load()
-	if v == nil || v.deletedTS != 0 {
-		return nil
-	}
-	return v
+// table is a stripe's id index: open addressing with linear probing over
+// a power-of-two slot array. Writers, under the stripe mutex, only ever
+// fill empty slots, and a table grows by publishing a copy twice the
+// size, after which nothing writes the old one. A lock-free reader can
+// therefore probe whichever table it loaded: an id is found wherever it
+// was stored, and an empty slot before it means the id was not there
+// yet when the reader passed.
+type table struct {
+	slots []atomic.Pointer[item]
+	used  int  // filled slots, live or gone; guarded by the stripe mutex
+	skip  uint // stripe-index bits, shifted off the id hash
+	shift uint // 64 - log2(len(slots))
 }
 
-// roTable is a stripe's published, immutable id→item index. Both maps
-// are frozen at publication: lock-free readers may look items up in them
-// concurrently because nothing ever writes a published table.
-type roTable struct {
-	items   map[ObjectID]*item
-	deleted map[ObjectID]tombstone
-	gen     uint64 // structGen value this table reflects
+// minSlots is a stripe table's initial and smallest size.
+const minSlots = 8
+
+// newTable returns an empty table of a power-of-two size that holds n
+// items under the 3/4 load factor.
+func newTable(n int, skip uint) *table {
+	size, shift := minSlots, uint(61)
+	for size*3 < n*4 {
+		size, shift = size*2, shift-1
+	}
+	return &table{slots: make([]atomic.Pointer[item], size), skip: skip, shift: shift}
+}
+
+// home is id's first probe slot: the Fibonacci hash bits just below the
+// ones that chose the stripe, which every id in this stripe shares.
+func (t *table) home(id ObjectID) uint64 {
+	return (uint64(id) * 0x9E3779B97F4A7C15) << t.skip >> t.shift
+}
+
+// find returns id's item, nil if the table does not hold it.
+func (t *table) find(id ObjectID) *item {
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(id); ; i = (i + 1) & mask {
+		it := t.slots[i].Load()
+		if it == nil || it.id == id {
+			return it
+		}
+	}
+}
+
+// add stores it, whose id the table does not hold, into its first empty
+// slot. The caller holds the stripe mutex and has made room.
+func (t *table) add(it *item) {
+	mask := uint64(len(t.slots) - 1)
+	i := t.home(it.id)
+	for t.slots[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i].Store(it)
+	t.used++
+}
+
+// each calls f for every item in the table. The caller holds the stripe
+// lock.
+func (t *table) each(f func(*item)) {
+	for i := range t.slots {
+		if it := t.slots[i].Load(); it != nil {
+			f(it)
+		}
+	}
+}
+
+// itemBlock is how many items a stripe allocates at once. An item leaves
+// its table only when LoadSnapshot replaces the table, so a block pins
+// no dead item while its stripe uses it, and the allocator and the
+// collector see one object per block instead of one per item.
+const itemBlock = 32
+
+// nextItem returns a fresh item holding (id, v), cut from *block, which
+// is first refilled with itemBlock items if it is used up.
+func nextItem(block *[]item, id ObjectID, v *version) *item {
+	if len(*block) == 0 {
+		*block = make([]item, itemBlock)
+	}
+	it := &(*block)[0]
+	*block = (*block)[1:]
+	it.id = id
+	it.ver.Store(v)
+	return it
 }
 
 // DefaultStripes is the stripe count used by New. Power of two; 64
@@ -128,17 +196,13 @@ type roTable struct {
 const DefaultStripes = 64
 
 // stripe is one lock partition. The mutex serializes writers; readers go
-// through tbl. items/deleted are the authoritative mutable maps, guarded
-// by mu; tbl is their immutable published copy, rebuilt on structural
-// changes only (value updates reuse the shared *item and need no
-// republish).
+// through tbl without it.
 type stripe struct {
-	mu        sync.RWMutex
-	items     map[ObjectID]*item
-	deleted   map[ObjectID]tombstone
-	epoch     uint64 // bumped under mu on every content mutation (checkpointer dirty test)
-	structGen atomic.Uint64
-	tbl       atomic.Pointer[roTable]
+	mu    sync.RWMutex
+	tbl   atomic.Pointer[table]
+	live  int    // items whose version is not gone; guarded by mu
+	spare []item // the unused rest of the stripe's item block; guarded by mu
+	epoch uint64 // bumped under mu on every content mutation (checkpointer dirty test)
 }
 
 // Store is a main-memory object store safe for concurrent use.
@@ -163,68 +227,51 @@ func newStriped(n int) *Store {
 		s.shift--
 	}
 	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.items = make(map[ObjectID]*item)
-		st.deleted = make(map[ObjectID]tombstone)
-		// The published table never aliases the authoritative maps: those
-		// are mutated in place under mu while readers walk the table.
-		st.tbl.Store(&roTable{items: make(map[ObjectID]*item), deleted: make(map[ObjectID]tombstone)})
+		s.stripes[i].tbl.Store(newTable(0, 64-s.shift))
 	}
 	return s
 }
 
-// republish rebuilds the stripe's published table from the authoritative
-// maps. Caller holds the stripe write lock and must have bumped
-// structGen before mutating the maps (bump → mutate → republish is the
-// order the lock-free miss check relies on). The published maps are
-// fresh copies: after publication nothing writes them.
-func (st *stripe) republish() {
-	items := make(map[ObjectID]*item, len(st.items))
-	for id, it := range st.items {
-		items[id] = it
+// read is the single-item read path every accessor shares: a table
+// load, a probe and a version load, linearized at the version load (for
+// a miss, at the empty slot). It takes no lock, and an id the table does
+// not hold reads as missing, never as a nil version.
+func (st *stripe) read(id ObjectID) (*item, *version) {
+	if it := st.tbl.Load().find(id); it != nil {
+		return it, it.ver.Load()
 	}
-	deleted := make(map[ObjectID]tombstone, len(st.deleted))
-	for id, ts := range st.deleted {
-		deleted[id] = ts
-	}
-	st.tbl.Store(&roTable{items: items, deleted: deleted, gen: st.structGen.Load()})
+	return nil, missing
 }
 
-// read is the single-item read path every accessor but ReadInfo shares.
-// It resolves id to its live item and current version (linearized at the
-// version load). For a missing object it returns a nil version and the
-// tombstone of the transactional deletion that removed it (zero if none).
-// It takes no lock unless a structural change on the stripe is in
-// flight; the version it returns is immutable, so callers clone or decode
-// it without the lock.
-func (st *stripe) read(id ObjectID) (*item, *version, tombstone) {
-	tbl := st.tbl.Load()
-	if it := tbl.items[id]; it != nil {
-		if v := it.ver.Load(); v != nil {
-			if v.deletedTS == 0 {
-				return it, v, tombstone{}
-			}
-			// Tombstoned: the deletion is definitive even if the table is
-			// stale — versions only move forward.
-			return nil, nil, tombstone{ts: v.deletedTS, serial: v.serial}
+// install stores v as id's version with the stripe lock held, into it
+// or, when it is nil, into a new item added to the table. An add that
+// would pass the 3/4 load factor first publishes a copy of the table at
+// twice the size. A re-created object starts with a zero read timestamp,
+// as a new one does.
+func (st *stripe) install(id ObjectID, it *item, v *version) {
+	was := missing
+	if it == nil {
+		it = nextItem(&st.spare, id, v)
+		t := st.tbl.Load()
+		if (t.used+1)*4 > len(t.slots)*3 {
+			bigger := newTable(t.used+1, t.skip)
+			t.each(bigger.add)
+			st.tbl.Store(bigger)
+			t = bigger
 		}
-	} else if st.structGen.Load() == tbl.gen {
-		// A miss in a table no structural change has overtaken is real.
-		return nil, nil, tbl.deleted[id]
+		t.add(it)
+	} else {
+		if was = it.ver.Load(); was.gone && !v.gone {
+			it.readTS.Store(0)
+		}
+		it.ver.Store(v)
 	}
-	// An insert or delete may be in flight: only the locked maps can
-	// answer.
-	st.mu.RLock()
-	it, v := st.items[id], (*version)(nil)
-	if it != nil {
-		v = it.live()
+	switch {
+	case was.gone && !v.gone:
+		st.live++
+	case !was.gone && v.gone:
+		st.live--
 	}
-	tomb := st.deleted[id]
-	st.mu.RUnlock()
-	if v == nil {
-		return nil, nil, tomb
-	}
-	return it, v, tombstone{}
 }
 
 // stripeIndex hashes an object id to its stripe. Fibonacci hashing keeps
@@ -259,19 +306,16 @@ func (s *Store) Len() int {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
-		n += len(st.items)
+		n += st.live
 		st.mu.RUnlock()
 	}
 	return n
 }
 
 // Get returns a copy of the object's value. It reports false if the
-// object does not exist. The common case is two atomic loads plus the
-// copy; only a read racing a structural change on its stripe touches the
-// stripe lock, and even then the value is cloned after the lock is
-// released (installed values are immutable, so the clone needs no lock).
+// object does not exist.
 func (s *Store) Get(id ObjectID) ([]byte, bool) {
-	if _, v, _ := s.stripeFor(id).read(id); v != nil {
+	if _, v := s.stripeFor(id).read(id); !v.gone {
 		return cloneBytes(v.value), true
 	}
 	return nil, false
@@ -284,7 +328,7 @@ func (s *Store) Get(id ObjectID) ([]byte, bool) {
 // once a later transaction overwrites the object — callers should decode
 // and discard it. Use Get where the caller needs an owned copy.
 func (s *Store) View(id ObjectID) ([]byte, bool) {
-	if _, v, _ := s.stripeFor(id).read(id); v != nil {
+	if _, v := s.stripeFor(id).read(id); !v.gone {
 		return v.value, true
 	}
 	return nil, false
@@ -295,7 +339,7 @@ func (s *Store) View(id ObjectID) ([]byte, bool) {
 // load — so the pair can never tear; readTS is an independently monotone
 // atomic read beside it.
 func (s *Store) ViewMeta(id ObjectID) (value []byte, readTS, writeTS uint64, ok bool) {
-	if it, v, _ := s.stripeFor(id).read(id); v != nil {
+	if it, v := s.stripeFor(id).read(id); !v.gone {
 		return v.value, it.readTS.Load(), v.writeTS, true
 	}
 	return nil, 0, 0, false
@@ -307,9 +351,9 @@ func (s *Store) ViewMeta(id ObjectID) (value []byte, readTS, writeTS uint64, ok 
 // serial of the transactional deletion that removed it (0 if none), so a
 // reader that saw the absence also knows which commit it depends on.
 func (s *Store) ViewVersion(id ObjectID) (value []byte, writeTS, serial uint64, ok bool) {
-	_, v, tomb := s.stripeFor(id).read(id)
-	if v == nil {
-		return nil, 0, tomb.serial, false
+	_, v := s.stripeFor(id).read(id)
+	if v.gone {
+		return nil, 0, v.tomb.serial, false
 	}
 	return v.value, v.writeTS, v.serial, true
 }
@@ -324,57 +368,27 @@ func (s *Store) Timestamps(id ObjectID) (readTS, writeTS uint64, ok bool) {
 // ReadInfo returns the item's timestamps together with its tombstone
 // timestamp — the copy-free read the validation path performs per
 // write-set member. exists reports whether the item is present;
-// deletedTS is meaningful either way. Lock-free in the common case; a
-// racing structural change falls back to the stripe lock so the answer
-// is never built from a half-published table.
+// deletedTS is meaningful either way (a re-created object keeps the
+// timestamp of its deletion). Lock-free, like every single-item read.
 func (s *Store) ReadInfo(id ObjectID) (readTS, writeTS, deletedTS uint64, exists bool) {
-	st := s.stripeFor(id)
-	tbl := st.tbl.Load()
-	if it := tbl.items[id]; it != nil {
-		if v := it.live(); v != nil {
-			// Live item: its version is authoritative; the tombstone
-			// entry (from a deletion before this item's re-creation) only
-			// matters if the table is still current.
-			if st.structGen.Load() == tbl.gen {
-				return it.readTS.Load(), v.writeTS, tbl.deleted[id].ts, true
-			}
-		} else if v := it.ver.Load(); v != nil && v.deletedTS != 0 {
-			// Tombstoned version: definitive even from a stale table.
-			return 0, 0, v.deletedTS, false
-		}
-	} else if st.structGen.Load() == tbl.gen {
-		return 0, 0, tbl.deleted[id].ts, false
+	it, v := s.stripeFor(id).read(id)
+	if v.gone {
+		return 0, 0, v.tomb.ts, false
 	}
-	st.mu.RLock()
-	deletedTS = st.deleted[id].ts
-	it, exists := st.items[id]
-	if exists {
-		if v := it.live(); v != nil {
-			readTS, writeTS = it.readTS.Load(), v.writeTS
-		} else {
-			exists = false
-		}
-	}
-	st.mu.RUnlock()
-	return readTS, writeTS, deletedTS, exists
+	return it.readTS.Load(), v.writeTS, v.tomb.ts, true
 }
 
 // Put inserts or replaces an object outside of any transaction (bulk
-// load). Timestamps are reset to zero.
+// load). Timestamps are reset to zero; a transactional deletion's
+// tombstone stays.
 func (s *Store) Put(id ObjectID, value []byte) {
 	st := s.stripeFor(id)
 	st.mu.Lock()
 	st.epoch++
-	v := &version{value: cloneBytes(value)}
-	if it, ok := st.items[id]; ok {
-		it.ver.Store(v)
+	it, cur := st.read(id)
+	st.install(id, it, &version{value: cloneBytes(value), tomb: cur.tomb})
+	if it != nil {
 		it.readTS.Store(0)
-	} else {
-		it = &item{}
-		it.ver.Store(v)
-		st.structGen.Add(1)
-		st.items[id] = it
-		st.republish()
 	}
 	st.mu.Unlock()
 }
@@ -392,27 +406,16 @@ func (s *Store) Apply(id ObjectID, value []byte, commitTS uint64) {
 // phases run concurrently, a transaction with a lower commit timestamp
 // may reach the stripe after one with a higher timestamp, and its
 // after image must not clobber the newer value (last-writer-wins by
-// commitTS, mirroring applyDelete's tombstone check). An update of an
-// existing item publishes one fresh version through the item's pointer —
-// the structure is untouched, so no table rebuild happens on the
-// steady-state write path.
+// commitTS), nor bring back an object a newer transaction deleted. An
+// update of an existing item publishes one fresh version through the
+// item's pointer and leaves the table alone.
 func (st *stripe) apply(id ObjectID, value []byte, commitTS, serial uint64) {
 	st.epoch++ // conservative: count guarded no-ops too; a spurious bump only costs a copy
-	if st.deleted[id].ts > commitTS {
-		return // deleted by a newer transaction; do not resurrect
-	}
-	it, ok := st.items[id]
-	if !ok {
-		it = &item{}
-		it.ver.Store(&version{value: cloneBytes(value), writeTS: commitTS, serial: serial})
-		st.structGen.Add(1)
-		st.items[id] = it
-		st.republish()
+	it, cur := st.read(id)
+	if cur.tomb.ts > commitTS || !cur.gone && cur.writeTS > commitTS {
 		return
 	}
-	if cur := it.ver.Load(); cur == nil || commitTS >= cur.writeTS {
-		it.ver.Store(&version{value: cloneBytes(value), writeTS: commitTS, serial: serial})
-	}
+	st.install(id, it, &version{value: cloneBytes(value), writeTS: commitTS, serial: serial, tomb: cur.tomb})
 }
 
 // ObserveRead records that a transaction with the given commit timestamp
@@ -421,8 +424,8 @@ func (st *stripe) apply(id ObjectID, value []byte, commitTS, serial uint64) {
 // validation (monotone, independent of the value), so it needs neither
 // the stripe lock nor a fresh version.
 func (s *Store) ObserveRead(id ObjectID, commitTS uint64) {
-	it, _, _ := s.stripeFor(id).read(id)
-	if it == nil {
+	it, v := s.stripeFor(id).read(id)
+	if v.gone {
 		return
 	}
 	for {
@@ -447,24 +450,20 @@ func (s *Store) ApplyDelete(id ObjectID, commitTS uint64) {
 	s.ApplyGroup([]Op{{ID: id, Delete: true}}, commitTS)
 }
 
-// applyDelete installs one deletion with the stripe lock held. The removed
-// item's version is replaced with a tombstone version first, so readers
-// holding a stale published table observe the deletion too.
+// applyDelete installs one deletion with the stripe lock held: a gone
+// version whose tombstone is the newer of the old one and this deletion.
+// A deletion older than the live version is a no-op.
 func (st *stripe) applyDelete(id ObjectID, commitTS, serial uint64) {
 	st.epoch++
-	it, ok := st.items[id]
-	if ok {
-		if v := it.ver.Load(); v != nil && v.deletedTS == 0 && v.writeTS > commitTS {
-			return // a newer write already superseded this deletion
-		}
-		it.ver.Store(&version{deletedTS: commitTS, serial: serial})
+	it, cur := st.read(id)
+	if !cur.gone && cur.writeTS > commitTS {
+		return // a newer write already superseded this deletion
 	}
-	st.structGen.Add(1)
-	delete(st.items, id)
-	if commitTS > st.deleted[id].ts {
-		st.deleted[id] = tombstone{ts: commitTS, serial: serial}
+	tomb := cur.tomb
+	if commitTS > tomb.ts {
+		tomb = tombstone{ts: commitTS, serial: serial}
 	}
-	st.republish()
+	st.install(id, it, &version{tomb: tomb, gone: true})
 }
 
 // ApplyGroup installs one committed transaction's writes and deletes as
@@ -536,28 +535,19 @@ func (st *stripe) applyOp(op *Op, commitTS uint64) {
 // DeletedAt reports the tombstone timestamp for id (zero if never
 // transactionally deleted).
 func (s *Store) DeletedAt(id ObjectID) uint64 {
-	st := s.stripeFor(id)
-	tbl := st.tbl.Load()
-	if st.structGen.Load() == tbl.gen {
-		return tbl.deleted[id].ts
-	}
-	st.mu.RLock()
-	ts := st.deleted[id].ts
-	st.mu.RUnlock()
-	return ts
+	_, v := s.stripeFor(id).read(id)
+	return v.tomb.ts
 }
 
 // Delete removes an object. It reports whether the object existed.
 func (s *Store) Delete(id ObjectID) bool {
 	st := s.stripeFor(id)
 	st.mu.Lock()
-	it, ok := st.items[id]
+	it, cur := st.read(id)
+	ok := !cur.gone
 	if ok {
-		it.ver.Store(&version{deletedTS: ^uint64(0)}) // non-transactional removal: stale tables must still see it gone
-		st.structGen.Add(1)
-		delete(st.items, id)
+		st.install(id, it, &version{tomb: cur.tomb, gone: true})
 		st.epoch++
-		st.republish()
 	}
 	st.mu.Unlock()
 	return ok
@@ -578,46 +568,59 @@ func (s *Store) runlockAll() {
 	}
 }
 
-// IDs returns all object ids in ascending order.
-func (s *Store) IDs() []ObjectID {
-	s.rlockAll()
-	ids := make([]ObjectID, 0, s.lenLocked())
-	for i := range s.stripes {
-		for id := range s.stripes[i].items {
-			ids = append(ids, id)
+// appendLive appends the stripe's live objects to recs, values borrowed;
+// the stripe lock must be held.
+func (st *stripe) appendLive(recs []Record) []Record {
+	st.tbl.Load().each(func(it *item) {
+		if v := it.ver.Load(); !v.gone {
+			recs = append(recs, Record{ID: it.id, Value: v.value, WriteTS: v.writeTS})
 		}
+	})
+	return recs
+}
+
+// liveRecords returns every live object in ascending id order, values
+// borrowed, under every stripe read lock: one point in time.
+func (s *Store) liveRecords() []Record {
+	s.rlockAll()
+	recs := make([]Record, 0, s.lenLocked())
+	for i := range s.stripes {
+		recs = s.stripes[i].appendLive(recs)
 	}
 	s.runlockAll()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	sortRecords(recs)
+	return recs
+}
+
+// IDs returns all object ids in ascending order.
+func (s *Store) IDs() []ObjectID {
+	recs := s.liveRecords()
+	ids := make([]ObjectID, len(recs))
+	for i := range recs {
+		ids[i] = recs[i].ID
+	}
 	return ids
 }
 
-// lenLocked sums item counts; every stripe lock must be held.
+// lenLocked sums live counts; every stripe lock must be held.
 func (s *Store) lenLocked() int {
 	n := 0
 	for i := range s.stripes {
-		n += len(s.stripes[i].items)
+		n += s.stripes[i].live
 	}
 	return n
 }
 
 // Snapshot returns a consistent copy of the whole database in ascending
 // id order, suitable for state transfer to a rejoining mirror node. All
-// stripes are read-locked for the duration, so the copy is a single
+// stripes are read-locked while it is taken, so the copy is a single
 // point in time: it contains every group applied before it and none
 // applied after.
 func (s *Store) Snapshot() []Record {
-	s.rlockAll()
-	recs := make([]Record, 0, s.lenLocked())
-	for i := range s.stripes {
-		for id, it := range s.stripes[i].items {
-			if v := it.live(); v != nil {
-				recs = append(recs, Record{ID: id, Value: cloneBytes(v.value), WriteTS: v.writeTS})
-			}
-		}
+	recs := s.liveRecords()
+	for i := range recs {
+		recs[i].Value = cloneBytes(recs[i].Value)
 	}
-	s.runlockAll()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 	return recs
 }
 
@@ -643,50 +646,53 @@ func (s *Store) StripeEpoch(i int) uint64 {
 //
 // The Value slices are borrowed, not copied (the View contract):
 // installed values are immutable, so the caller may encode them after
-// the lock is released, which keeps the per-stripe pause to the map
+// the lock is released, which keeps the per-stripe pause to the table
 // walk instead of the full value copy. Callers that mutate or retain
 // them must clone.
 func (s *Store) SnapshotStripe(i int) ([]Record, uint64) {
 	st := &s.stripes[i]
 	st.mu.RLock()
-	recs := make([]Record, 0, len(st.items))
-	for id, it := range st.items {
-		if v := it.live(); v != nil {
-			recs = append(recs, Record{ID: id, Value: v.value, WriteTS: v.writeTS})
-		}
-	}
+	recs := st.appendLive(make([]Record, 0, st.live))
 	epoch := st.epoch
 	st.mu.RUnlock()
-	sort.Slice(recs, func(a, b int) bool { return recs[a].ID < recs[b].ID })
+	sortRecords(recs)
 	return recs, epoch
 }
 
-// LoadSnapshot replaces the store contents with the given records.
+// LoadSnapshot replaces the store contents with the given records and
+// clears every tombstone. Each stripe gets a fresh table sized for its
+// records. A reader still probing a replaced table sees the state just
+// before the load, which nothing writes any more.
 func (s *Store) LoadSnapshot(recs []Record) {
+	counts := make([]int, len(s.stripes))
+	for i := range recs {
+		counts[s.stripeIndex(recs[i].ID)]++
+	}
+	tables := make([]*table, len(s.stripes))
+	blocks := make([][]item, len(s.stripes))
+	for i := range tables {
+		tables[i] = newTable(counts[i], 64-s.shift)
+		blocks[i] = make([]item, counts[i])
+	}
+	for _, r := range recs {
+		i := s.stripeIndex(r.ID)
+		v := &version{value: cloneBytes(r.Value), writeTS: r.WriteTS}
+		if it := tables[i].find(r.ID); it != nil {
+			it.ver.Store(v) // a repeated id: the last record wins
+			continue
+		}
+		tables[i].add(nextItem(&blocks[i], r.ID, v))
+	}
 	for i := range s.stripes {
 		s.stripes[i].mu.Lock()
 	}
 	for i := range s.stripes {
 		st := &s.stripes[i]
-		// Tombstone every replaced item so stale published tables do not
-		// resurrect pre-snapshot state for lock-free readers.
-		for _, it := range st.items {
-			it.ver.Store(&version{deletedTS: ^uint64(0)})
-		}
-		st.structGen.Add(1)
-		st.items = make(map[ObjectID]*item)
-		st.deleted = make(map[ObjectID]tombstone)
+		st.tbl.Store(tables[i])
+		st.live = tables[i].used // every item of a fresh table is live
+		st.spare = blocks[i]
 		st.epoch++
-	}
-	for _, r := range recs {
-		st := s.stripeFor(r.ID)
-		it := &item{}
-		it.ver.Store(&version{value: cloneBytes(r.Value), writeTS: r.WriteTS})
-		st.items[r.ID] = it
-	}
-	for i := range s.stripes {
-		s.stripes[i].republish()
-		s.stripes[i].mu.Unlock()
+		st.mu.Unlock()
 	}
 }
 
@@ -695,23 +701,12 @@ func (s *Store) LoadSnapshot(recs []Record) {
 // regardless of stripe count; timestamps are deliberately excluded since
 // a mirror rebuilt from logs may carry different read timestamps.
 func (s *Store) Checksum() uint32 {
-	s.rlockAll()
-	defer s.runlockAll()
-	ids := make([]ObjectID, 0, s.lenLocked())
-	for i := range s.stripes {
-		for id := range s.stripes[i].items {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	h := crc32.NewIEEE()
 	var buf [8]byte
-	for _, id := range ids {
-		putUint64(buf[:], uint64(id))
+	for _, r := range s.liveRecords() {
+		putUint64(buf[:], uint64(r.ID))
 		h.Write(buf[:])
-		if v := s.stripeFor(id).items[id].live(); v != nil {
-			h.Write(v.value)
-		}
+		h.Write(r.Value)
 		h.Write([]byte{0xff}) // separator so (1,"ab")+(2,"") != (1,"a")+(2,"b")
 	}
 	return h.Sum32()
@@ -719,6 +714,10 @@ func (s *Store) Checksum() uint32 {
 
 func (s *Store) String() string {
 	return fmt.Sprintf("store{%d objects}", s.Len())
+}
+
+func sortRecords(recs []Record) {
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 }
 
 func cloneBytes(b []byte) []byte {
