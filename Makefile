@@ -33,12 +33,14 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Fast hot-path benchmarks only (store contention, shipping allocations):
+# Fast hot-path benchmarks only (store contention, shipping allocations,
+# the database image a mirror join encodes, decodes and installs):
 # seconds, suitable for every edit-compile cycle and for `make check`.
 benchfast:
 	$(GO) test -run xxx -bench 'BenchmarkStoreParallel|BenchmarkStoreViewParallel|BenchmarkApplyGroup' -benchmem -benchtime=100000x ./internal/store
 	$(GO) test -run xxx -bench 'BenchmarkReadMostly' -benchmem -benchtime=20000x ./internal/store
 	$(GO) test -run xxx -bench 'BenchmarkShipperAllocs' -benchmem -benchtime=10000x ./internal/core
+	$(GO) test -run xxx -bench 'BenchmarkCheckpointImage' -benchmem -benchtime=20x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkStoreReadWrite|BenchmarkShippedCommit' -benchmem -benchtime=10000x .
 	$(GO) test -run xxx -bench 'BenchmarkTokenize' -benchmem -benchtime=1000x ./internal/service
 

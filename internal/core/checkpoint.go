@@ -107,11 +107,8 @@ func syncDir(dir string) error {
 func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, error) {
 	rp := wal.NewReplayer(n.db, wal.DefaultRecoverWorkers())
 	ckpt := filepath.Join(dir, checkpointFinal)
-	if f, err := os.Open(ckpt); err == nil {
-		// Buffered: DecodeCheckpoint decodes record by record and would
-		// otherwise pay a read syscall per record.
-		ck, cerr := wal.DecodeCheckpoint(bufio.NewReaderSize(f, 256<<10))
-		f.Close()
+	if img, err := os.ReadFile(ckpt); err == nil {
+		ck, _, cerr := wal.DecodeCheckpoint(img)
 		if cerr != nil {
 			rp.Close()
 			return wal.RecoverStats{}, fmt.Errorf("core: bad checkpoint %s: %w", ckpt, cerr)

@@ -38,7 +38,7 @@ func TestCheckpointRoundTripThroughNode(t *testing.T) {
 	if st.Serial != 30 {
 		t.Fatalf("serial = %d, want 30", st.Serial)
 	}
-	ck, err := wal.DecodeCheckpoint(&buf)
+	ck, _, err := wal.DecodeCheckpoint(buf.Bytes())
 	if err != nil || ck.LastSerial != 30 {
 		t.Fatalf("decode: %v serial=%d", err, ck.LastSerial)
 	}
@@ -188,9 +188,11 @@ func TestRecoverFromDirBadCheckpoint(t *testing.T) {
 func TestRecoverFromDirRefusesOldLayout(t *testing.T) {
 	head := binary.LittleEndian.AppendUint32([]byte("RDCKPT2\x00"), 2)
 	file := binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head))
-	for id := store.ObjectID(1); id <= 3; id++ {
-		file = wal.AppendCheckpointRecord(file, store.Record{ID: id, Value: []byte("old"), WriteTS: 1})
-	}
+	file = wal.AppendCheckpointRecords(file, []store.Record{
+		{ID: 1, Value: []byte("old"), WriteTS: 1},
+		{ID: 2, Value: []byte("old"), WriteTS: 1},
+		{ID: 3, Value: []byte("old"), WriteTS: 1},
+	})
 	file = wal.AppendEncoded(file, &wal.Record{Type: wal.TypeCommit, SerialOrder: 4})
 	marks := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 4), 4)
 	file = binary.LittleEndian.AppendUint32(append(file, marks...), crc32.ChecksumIEEE(marks))

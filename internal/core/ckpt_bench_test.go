@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/logstore"
 	"repro/internal/store"
+	"repro/internal/telecom"
+	"repro/internal/wal"
 )
 
 // benchNode builds a serving primary with objs populated objects and
@@ -129,4 +131,69 @@ func BenchmarkRecoverFromCheckpoint(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckpointImage measures the three steps of a mirror join's
+// database image at the paper's 30 000 number-translation entries:
+// encode is one fuzzy checkpoint cycle with a cold stripe cache (every
+// stripe copied and encoded, as for a joining mirror), decode is
+// wal.DecodeCheckpoint of that image, and install is Replayer.Install of
+// the decoded checkpoint into a store.
+func BenchmarkCheckpointImage(b *testing.B) {
+	const objs = 30000
+	db := store.New()
+	for i := 0; i < objs; i++ {
+		db.Put(store.ObjectID(i), telecom.Encode(&telecom.Entry{
+			Routed: fmt.Sprintf("+35850%07d", i), Weight: 100, Active: true, Version: 1,
+		}))
+	}
+	n := NewNode("bench", fastCfg(), db, logstore.NewMem())
+	if err := n.ServePrimary("", LogDisk); err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	var img bytes.Buffer
+	if _, err := n.FuzzyCheckpoint(&img); err != nil {
+		b.Fatal(err)
+	}
+	decode := func(b *testing.B) *wal.Checkpoint {
+		ck, _, err := wal.DecodeCheckpoint(img.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ck
+	}
+
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n.ckptMu.Lock()
+			n.ckptCache = nil // cold: every stripe is copied and encoded
+			n.ckptMu.Unlock()
+			if _, err := n.FuzzyCheckpoint(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			decode(b)
+		}
+	})
+	b.Run("install", func(b *testing.B) {
+		ck := decode(b)
+		target := store.New()
+		rp := wal.NewReplayer(target, 1)
+		defer rp.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rp.Install(ck)
+		}
+		b.StopTimer()
+		if target.Len() != objs {
+			b.Fatalf("installed %d objects, want %d", target.Len(), objs)
+		}
+	})
 }

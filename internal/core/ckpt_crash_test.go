@@ -184,7 +184,7 @@ func TestCheckpointCrashConsistency(t *testing.T) {
 
 	// Truncation safety: the dropped prefix contains only groups at or
 	// below the checkpoint's watermark for every object they touch.
-	ck, err := wal.DecodeCheckpoint(bytes.NewReader(ckptBytes))
+	ck, _, err := wal.DecodeCheckpoint(ckptBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestSegmentedCheckpointTruncationInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := wal.DecodeCheckpoint(bytes.NewReader(ckptBytes))
+	ck, _, err := wal.DecodeCheckpoint(ckptBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,10 +98,7 @@ func (n *Node) FuzzyCheckpoint(w io.Writer) (CheckpointStats, error) {
 			// Encoding happens outside the stripe lock: SnapshotStripe
 			// borrows the after images under the store's immutable-value
 			// contract.
-			enc := c.enc[:0]
-			for _, rec := range recs {
-				enc = wal.AppendCheckpointRecord(enc, rec)
-			}
+			enc := wal.AppendCheckpointRecords(c.enc[:0], recs)
 			*c = stripeCache{valid: true, epoch: epoch, records: len(recs), enc: enc}
 			marks[i] = stable
 			st.Copied++

@@ -18,7 +18,7 @@ import (
 // given log suffix over it, returning the recovered store.
 func restoreFuzzy(t *testing.T, ckpt, logBytes []byte) *store.Store {
 	t.Helper()
-	ck, err := wal.DecodeCheckpoint(bytes.NewReader(ckpt))
+	ck, _, err := wal.DecodeCheckpoint(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFuzzyCheckpointIncrementalSkipsCleanStripes(t *testing.T) {
 	}
 	// Clean stripes still raised their watermarks to the new stable
 	// serial: the whole log is redundant again.
-	ck, err := wal.DecodeCheckpoint(bytes.NewReader(third.Bytes()))
+	ck, _, err := wal.DecodeCheckpoint(third.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,24 +251,21 @@ const ackCoalesceMax = 32
 
 // installImage receives and installs the state transfer opened at
 // serial: a fuzzy checkpoint whose every stripe watermark must be ≥
-// serial, or it misses commits nobody will ship. rp installs it and
-// continues after serial with its watermarks, so a live group skips
-// writes a stripe image already holds. The transfer's bytes are held for
-// the stored log as received. It returns the sync point: the serial the
-// end frame carries, an upper bound on any write the image holds (never
-// below its max watermark).
+// serial, or it misses commits nobody will ship. The chunk frames are
+// read into the held log first — the transfer is stored as received —
+// and the image is decoded from those bytes; nothing may follow its
+// group. rp installs it and continues after serial with its watermarks,
+// so a live group skips writes a stripe image already holds. It returns
+// the sync point: the serial the end frame carries, an upper bound on any
+// write the image holds (never below its max watermark).
 func (m *MirrorEngine) installImage(conn *transport.Conn, rp *wal.Replayer, serial uint64, timeout time.Duration) (uint64, error) {
-	cr := &chunkReader{conn: conn, timeout: timeout}
-	var img bytes.Buffer
-	ck, err := wal.DecodeCheckpoint(io.TeeReader(cr, &img))
-	if err == nil {
-		var extra int64
-		if extra, err = io.Copy(io.Discard, cr); err == nil && extra > 0 {
-			err = fmt.Errorf("%w: %d bytes past the checkpoint", wal.ErrCorrupt, extra)
-		}
+	img, end, err := receiveTransfer(conn, timeout)
+	if err != nil {
+		return 0, err
 	}
-	if cr.err != nil {
-		return 0, cr.err
+	ck, n, err := wal.DecodeCheckpoint(img)
+	if err == nil && n < len(img) {
+		err = fmt.Errorf("%w: %d bytes past the checkpoint", wal.ErrCorrupt, len(img)-n)
 	}
 	if err == nil && ck.Watermarks.Min() < serial {
 		err = fmt.Errorf("%w: stripe watermark %d below transfer serial %d", wal.ErrCorrupt, ck.Watermarks.Min(), serial)
@@ -279,46 +275,31 @@ func (m *MirrorEngine) installImage(conn *transport.Conn, rp *wal.Replayer, seri
 	}
 	rp.Install(ck)
 	rp.Restart(serial, 0)
-	m.held = img.Bytes()
-	return max(cr.end, ck.LastSerial), nil
+	m.held = img
+	return max(end, ck.LastSerial), nil
 }
 
-// chunkReader reads a state transfer's chunk frames as one stream that
-// ends at MsgSnapshotEnd (serial in end); a connection failure is kept in
-// err, wrapping ErrPrimaryDown.
-type chunkReader struct {
-	conn    *transport.Conn
-	timeout time.Duration
-	rest    []byte
-	done    bool
-	end     uint64
-	err     error
-}
-
-func (r *chunkReader) Read(p []byte) (int, error) {
-	for len(r.rest) == 0 {
-		if r.done {
-			return 0, io.EOF
+// receiveTransfer reads a state transfer's chunk frames up to
+// MsgSnapshotEnd and returns their bytes, joined once into a buffer of
+// the exact size, and the end frame's serial. A connection failure wraps
+// ErrPrimaryDown.
+func receiveTransfer(conn *transport.Conn, timeout time.Duration) ([]byte, uint64, error) {
+	var chunks [][]byte
+	for {
+		conn.SetRecvDeadline(time.Now().Add(timeout)) //rodain:allow wallclock (socket I/O deadlines are wall-clock by nature)
+		msg, err := conn.Recv()
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: state transfer: %v", ErrPrimaryDown, err)
 		}
-		if r.err != nil {
-			return 0, r.err
-		}
-		r.conn.SetRecvDeadline(time.Now().Add(r.timeout)) //rodain:allow wallclock (socket I/O deadlines are wall-clock by nature)
-		msg, err := r.conn.Recv()
-		switch {
-		case err != nil:
-			r.err = fmt.Errorf("%w: state transfer: %v", ErrPrimaryDown, err)
-		case msg.Type == transport.MsgSnapshotChunk:
-			r.rest = msg.Payload
-		case msg.Type == transport.MsgSnapshotEnd:
-			r.done, r.end = true, msg.Serial
+		switch msg.Type {
+		case transport.MsgSnapshotChunk:
+			chunks = append(chunks, msg.Payload)
+		case transport.MsgSnapshotEnd:
+			return bytes.Join(chunks, nil), msg.Serial, nil
 		default:
-			return 0, fmt.Errorf("core: mirror: unexpected message %v in state transfer", msg.Type)
+			return nil, 0, fmt.Errorf("core: mirror: unexpected message %v in state transfer", msg.Type)
 		}
 	}
-	n := copy(p, r.rest)
-	r.rest = r.rest[n:]
-	return n, nil
 }
 
 // receive feeds one log frame — whole groups' stored-log bytes in serial

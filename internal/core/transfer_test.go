@@ -16,11 +16,11 @@ import (
 // record per id, and the given watermarks.
 func transferImage(t *testing.T, marks []uint64, ids ...store.ObjectID) []byte {
 	t.Helper()
-	var img []byte
-	for _, id := range ids {
-		img = wal.AppendCheckpointRecord(img, store.Record{ID: id, Value: []byte("image"), WriteTS: 1})
+	recs := make([]store.Record, len(ids))
+	for i, id := range ids {
+		recs[i] = store.Record{ID: id, Value: []byte("image"), WriteTS: 1}
 	}
-	buf := bytes.NewBuffer(img)
+	buf := bytes.NewBuffer(wal.AppendCheckpointRecords(nil, recs))
 	if err := wal.WriteCheckpointTrailer(buf, marks); err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +397,39 @@ func TestMirrorRejectsTransferBelowSerial(t *testing.T) {
 	}
 }
 
+// TestMirrorRejectsBytesPastTransfer: a state transfer is exactly one
+// checkpoint group. Bytes after it, whether junk or a whole log group,
+// fail the session as corruption; nothing is installed, acknowledged or
+// stored.
+func TestMirrorRejectsBytesPastTransfer(t *testing.T) {
+	for name, tail := range map[string][]byte{
+		"junk":  []byte("junk"),
+		"group": groupAt(6, 1).AppendEncoded(nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			log := newMemLog()
+			m := NewMirrorEngine(fastCfg(), store.New(), log)
+			conn, errc, acks := startPipeMirror(t, m)
+			img := append(transferImage(t, []uint64{5, 5}, 1, 2, 3), tail...)
+			sendTransfer(t, conn, 5, 5, img)
+			select {
+			case err := <-errc:
+				if !errors.Is(err, wal.ErrCorrupt) {
+					t.Fatalf("Run returned %v, want an error wrapping wal.ErrCorrupt", err)
+				}
+			case s := <-acks:
+				t.Fatalf("ack %d for a transfer with bytes past its checkpoint", s)
+			case <-time.After(5 * time.Second):
+				t.Fatal("mirror accepted a transfer with bytes past its checkpoint")
+			}
+			if m.Synced() || m.DB().Len() != 0 || len(log.Bytes()) != 0 {
+				t.Fatalf("synced %v, %d objects, %d log bytes: want nothing installed or stored",
+					m.Synced(), m.DB().Len(), len(log.Bytes()))
+			}
+		})
+	}
+}
+
 // TestMirrorWithoutTransferDoesNotTakeOver: a primary that dies in the
 // middle of the state transfer leaves the mirror with nothing it may
 // serve. RunMirror must fail instead of promoting an empty database.
@@ -416,7 +449,7 @@ func TestMirrorWithoutTransferDoesNotTakeOver(t *testing.T) {
 			return
 		}
 		conn.Send(&transport.Msg{Type: transport.MsgSnapshotBegin, Serial: 3})
-		conn.Send(&transport.Msg{Type: transport.MsgSnapshotChunk, Payload: wal.AppendCheckpointRecord(nil, store.Record{ID: 1, Value: []byte("partial")})[:20]})
+		conn.Send(&transport.Msg{Type: transport.MsgSnapshotChunk, Payload: wal.AppendCheckpointRecords(nil, []store.Record{{ID: 1, Value: []byte("partial")}})[:20]})
 	}()
 
 	mirror := NewNode("mirror", fastCfg(), store.New(), newMemLog())

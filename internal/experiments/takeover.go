@@ -93,11 +93,7 @@ func takeoverOne(objects, logTail int) (TakeoverResult, error) {
 	workload.Populate(db, wl)
 
 	// The disk image is a checkpoint at serial 0.
-	var image []byte
-	for _, rec := range db.Snapshot() {
-		image = wal.AppendCheckpointRecord(image, rec)
-	}
-	ckpt := bytes.NewBuffer(image)
+	ckpt := bytes.NewBuffer(wal.AppendCheckpointRecords(nil, db.Snapshot()))
 	if err := wal.WriteCheckpointTrailer(ckpt, make([]uint64, db.NumStripes())); err != nil {
 		return res, err
 	}

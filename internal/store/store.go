@@ -40,9 +40,10 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -641,8 +642,10 @@ func (s *Store) StripeEpoch(i int) uint64 {
 
 // SnapshotStripe copies stripe i alone — the fuzzy checkpointer's unit
 // of work: only this stripe's lock is held, so commits touching other
-// stripes proceed while the copy runs. The returned records are sorted
-// by id and their epoch is the stripe's change epoch at the copy point.
+// stripes proceed while the copy runs. The records come in table order,
+// which is unspecified (nothing that loads an image depends on it, and an
+// id appears once); their epoch is the stripe's change epoch at the copy
+// point.
 //
 // The Value slices are borrowed, not copied (the View contract):
 // installed values are immutable, so the caller may encode them after
@@ -655,7 +658,6 @@ func (s *Store) SnapshotStripe(i int) ([]Record, uint64) {
 	recs := st.appendLive(make([]Record, 0, st.live))
 	epoch := st.epoch
 	st.mu.RUnlock()
-	sortRecords(recs)
 	return recs, epoch
 }
 
@@ -717,7 +719,7 @@ func (s *Store) String() string {
 }
 
 func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 func cloneBytes(b []byte) []byte {

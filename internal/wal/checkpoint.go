@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/store"
 )
@@ -87,17 +88,25 @@ func (w *StripeWatermarks) Max() uint64 {
 	return max
 }
 
-// AppendCheckpointRecord appends one snapshot record in checkpoint body
-// form (a Write record under the reserved checkpoint transaction id)
-// and returns the extended slice.
-func AppendCheckpointRecord(dst []byte, rec store.Record) []byte {
-	return AppendEncoded(dst, &Record{
-		Type:       TypeWrite,
-		TxnID:      checkpointTxnID,
-		ObjectID:   rec.ID,
-		CommitTS:   rec.WriteTS,
-		AfterImage: rec.Value,
-	})
+// AppendCheckpointRecords appends recs in checkpoint body form, one
+// Write record each under the reserved checkpoint transaction id, and
+// returns the extended slice, growing dst once to the exact encoded size.
+func AppendCheckpointRecords(dst []byte, recs []store.Record) []byte {
+	size := 0
+	for i := range recs {
+		size += headerSize + len(recs[i].Value)
+	}
+	dst = slices.Grow(dst, size)
+	for _, rec := range recs {
+		dst = AppendEncoded(dst, &Record{
+			Type:       TypeWrite,
+			TxnID:      checkpointTxnID,
+			ObjectID:   rec.ID,
+			CommitTS:   rec.WriteTS,
+			AfterImage: rec.Value,
+		})
+	}
+	return dst
 }
 
 // WriteCheckpointTrailer ends a checkpoint: the commit record that
@@ -129,29 +138,62 @@ type Checkpoint struct {
 	Watermarks *StripeWatermarks
 }
 
-// DecodeCheckpoint reads exactly one checkpoint group from r. A cut
-// yields ErrIncompleteCheckpoint; a damaged record, a record of any other
-// transaction or type, a bad watermark vector or a serial that is not its
-// max mark yields ErrCorrupt: a checkpoint is all-or-nothing, and
-// recovery must fall back to the previous one plus the log.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var writes []*Record
+// DecodeCheckpoint decodes the checkpoint group at the start of b and
+// reports how many bytes it takes. The snapshot values alias b, so b
+// must not change while the checkpoint is in use (Replayer.Install
+// copies them into the store). A cut yields ErrIncompleteCheckpoint; a
+// damaged record, a record of any other transaction or type, a bad
+// watermark vector or a serial that is not its max mark yields
+// ErrCorrupt: a checkpoint is all-or-nothing, and recovery must fall
+// back to the previous one plus the log.
+//
+// The first pass checks every record in place and finds the commit
+// record; the second fills a snapshot sized to the write count from the
+// headers alone, so decoding allocates the same few objects at any
+// image size.
+func DecodeCheckpoint(b []byte) (*Checkpoint, int, error) {
+	var (
+		off, writes int
+		other       Type // the first record type other than TypeWrite
+		commit      Record
+	)
 	for {
-		rec, err := Decode(r)
+		rec, k, err := decodeInPlace(b[off:])
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrIncompleteCheckpoint
+			return nil, 0, ErrIncompleteCheckpoint
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if rec.TxnID != checkpointTxnID {
-			return nil, fmt.Errorf("%w: record of transaction %d in a checkpoint", ErrCorrupt, rec.TxnID)
+			return nil, 0, fmt.Errorf("%w: record of transaction %d in a checkpoint", ErrCorrupt, rec.TxnID)
 		}
+		off += k
 		if rec.Type == TypeCommit {
-			return checkpointOf(&Group{Writes: writes, Commit: rec})
+			commit = rec
+			break
 		}
-		writes = append(writes, rec)
+		if rec.Type != TypeWrite && other == 0 {
+			other = rec.Type
+		}
+		writes++
 	}
+	ck, err := newCheckpoint(&commit, writes, other)
+	if err != nil {
+		return nil, 0, err
+	}
+	ck.Snapshot = ck.Snapshot[:writes]
+	for i, p := 0, 0; i < writes; i++ {
+		h, imgLen, _ := parseHeader(b[p : p+headerSize])
+		p += headerSize
+		rec := &ck.Snapshot[i]
+		rec.ID, rec.WriteTS = h.ObjectID, h.CommitTS
+		if imgLen > 0 {
+			rec.Value = b[p : p+imgLen]
+		}
+		p += imgLen
+	}
+	return ck, off, nil
 }
 
 // CheckpointWatermarks decodes the watermark vector carried by rec, the
@@ -171,29 +213,47 @@ func CheckpointWatermarks(rec *Record) *StripeWatermarks {
 	return NewStripeWatermarks(marks)
 }
 
-// checkpointOf converts a checkpoint group, checking that it holds only
-// Write records and a watermark vector of a valid stripe count whose max
-// mark is the group's serial.
+// checkpointOf converts a checkpoint group whose records are already
+// decoded: the stored-log path (Replayer.Add).
 func checkpointOf(g *Group) (*Checkpoint, error) {
-	wm := CheckpointWatermarks(g.Commit)
-	if wm == nil {
-		return nil, fmt.Errorf("%w: checkpoint watermark vector of %d bytes", ErrCorrupt, len(g.Commit.AfterImage))
-	}
-	ck := &Checkpoint{
-		Snapshot:   make([]store.Record, 0, len(g.Writes)),
-		LastSerial: g.SerialOrder(),
-		Watermarks: wm,
-	}
-	if top := wm.Max(); top != ck.LastSerial {
-		return nil, fmt.Errorf("%w: checkpoint serial %d, max watermark %d", ErrCorrupt, ck.LastSerial, top)
-	}
+	var other Type
 	for _, w := range g.Writes {
 		if w.Type != TypeWrite {
-			return nil, fmt.Errorf("%w: %v record in a checkpoint", ErrCorrupt, w.Type)
+			other = w.Type
+			break
 		}
+	}
+	ck, err := newCheckpoint(g.Commit, len(g.Writes), other)
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range g.Writes {
 		ck.Snapshot = append(ck.Snapshot, store.Record{ID: w.ObjectID, Value: w.AfterImage, WriteTS: w.CommitTS})
 	}
 	return ck, nil
+}
+
+// newCheckpoint checks a checkpoint group of writes records closed by
+// commit — a watermark vector of a valid stripe count whose max mark is
+// the group's serial, and no record type but TypeWrite (other, if set,
+// is the first one seen) — and returns its checkpoint with room for the
+// snapshot.
+func newCheckpoint(commit *Record, writes int, other Type) (*Checkpoint, error) {
+	wm := CheckpointWatermarks(commit)
+	if wm == nil {
+		return nil, fmt.Errorf("%w: checkpoint watermark vector of %d bytes", ErrCorrupt, len(commit.AfterImage))
+	}
+	if top := wm.Max(); top != commit.SerialOrder {
+		return nil, fmt.Errorf("%w: checkpoint serial %d, max watermark %d", ErrCorrupt, commit.SerialOrder, top)
+	}
+	if other != 0 {
+		return nil, fmt.Errorf("%w: %v record in a checkpoint", ErrCorrupt, other)
+	}
+	return &Checkpoint{
+		Snapshot:   make([]store.Record, 0, writes),
+		LastSerial: commit.SerialOrder,
+		Watermarks: wm,
+	}, nil
 }
 
 // checkpointTxnID marks checkpoint records; it can never collide with a

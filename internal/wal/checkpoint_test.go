@@ -13,11 +13,7 @@ import (
 // watermark vector, the way the fuzzy checkpointer does.
 func writeCheckpoint(t testing.TB, snap []store.Record, marks []uint64) []byte {
 	t.Helper()
-	var body []byte
-	for _, rec := range snap {
-		body = AppendCheckpointRecord(body, rec)
-	}
-	buf := bytes.NewBuffer(body)
+	buf := bytes.NewBuffer(AppendCheckpointRecords(nil, snap))
 	if err := WriteCheckpointTrailer(buf, marks); err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +49,13 @@ func TestDecodeCheckpointRoundTrip(t *testing.T) {
 		{ID: 1 << 40, Value: []byte(""), WriteTS: 99},
 	}
 	marks := []uint64{5, 9, 2, 9, 7, 5, 2, 8}
-	ck, err := DecodeCheckpoint(bytes.NewReader(writeCheckpoint(t, snap, marks)))
+	file := writeCheckpoint(t, snap, marks)
+	ck, n, err := DecodeCheckpoint(file)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n != len(file) {
+		t.Fatalf("consumed %d of %d bytes", n, len(file))
 	}
 	if ck.LastSerial != 9 {
 		t.Fatalf("LastSerial = %d, want max watermark 9", ck.LastSerial)
@@ -86,7 +86,7 @@ func TestDecodeCheckpointRoundTrip(t *testing.T) {
 // a Replayer, reproduces the store it was taken from.
 func TestCheckpointV2RestoresStore(t *testing.T) {
 	db, file := checkpointedStore(t)
-	ck, err := DecodeCheckpoint(bytes.NewReader(file))
+	ck, _, err := DecodeCheckpoint(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestCheckpointV2RestoresStore(t *testing.T) {
 func TestDecodeCheckpointRejectsOtherTransaction(t *testing.T) {
 	ordinary := append(AppendEncoded(nil, &Record{Type: TypeWrite, TxnID: 3, ObjectID: 1, AfterImage: []byte("v")}),
 		AppendEncoded(nil, &Record{Type: TypeCommit, TxnID: 3, SerialOrder: 1})...)
-	mixed := append(AppendCheckpointRecord(nil, store.Record{ID: 1, Value: []byte("v")}), ordinary...)
+	mixed := append(AppendCheckpointRecords(nil, []store.Record{{ID: 1, Value: []byte("v")}}), ordinary...)
 	withDelete := append(AppendEncoded(nil, &Record{Type: TypeDelete, TxnID: checkpointTxnID, ObjectID: 1}),
 		watermarkRecord(4, binary.LittleEndian.AppendUint64(nil, 4))...)
 	for name, b := range map[string][]byte{"ordinary": ordinary, "mixed": mixed, "delete": withDelete} {
-		if _, err := DecodeCheckpoint(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeCheckpoint(b); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -119,11 +119,11 @@ func TestDecodeCheckpointRejectsOtherTransaction(t *testing.T) {
 func TestDecodeCheckpointEveryTruncationFails(t *testing.T) {
 	snap := []store.Record{{ID: 4, Value: []byte("x"), WriteTS: 1}, {ID: 5, Value: []byte("y"), WriteTS: 2}}
 	full := writeCheckpoint(t, snap, []uint64{3, 3, 3, 3})
-	if _, err := DecodeCheckpoint(bytes.NewReader(full)); err != nil {
+	if _, _, err := DecodeCheckpoint(full); err != nil {
 		t.Fatalf("full file must decode: %v", err)
 	}
 	for cut := 0; cut < len(full); cut++ {
-		_, err := DecodeCheckpoint(bytes.NewReader(full[:cut]))
+		_, _, err := DecodeCheckpoint(full[:cut])
 		if !errors.Is(err, ErrIncompleteCheckpoint) {
 			t.Fatalf("truncation at %d/%d: err = %v, want ErrIncompleteCheckpoint", cut, len(full), err)
 		}
@@ -138,7 +138,7 @@ func TestDecodeCheckpointHeaderCorruption(t *testing.T) {
 	for _, at := range []int{len(full) - 6, headerSize} {
 		bad := append([]byte(nil), full...)
 		bad[at] ^= 0x01
-		if _, err := DecodeCheckpoint(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrCorrupt", at, err)
 		}
 	}
@@ -147,12 +147,12 @@ func TestDecodeCheckpointHeaderCorruption(t *testing.T) {
 func TestDecodeCheckpointRejectsBadStripeCounts(t *testing.T) {
 	for _, stripes := range []int{0, 3, 6, 1 << 21} {
 		vec := make([]byte, 8*stripes)
-		if _, err := DecodeCheckpoint(bytes.NewReader(watermarkRecord(0, vec))); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeCheckpoint(watermarkRecord(0, vec)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("stripes=%d: err = %v, want ErrCorrupt", stripes, err)
 		}
 	}
 	// A vector that is not a whole number of marks.
-	if _, err := DecodeCheckpoint(bytes.NewReader(watermarkRecord(0, make([]byte, 12)))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeCheckpoint(watermarkRecord(0, make([]byte, 12))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("12-byte vector: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -161,8 +161,32 @@ func TestDecodeCheckpointRejectsWatermarkMismatch(t *testing.T) {
 	// The commit record says serial 5 but the watermark vector maxes at
 	// 7: one of the two is lying, so the checkpoint must be rejected.
 	vec := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 7), 4)
-	if _, err := DecodeCheckpoint(bytes.NewReader(watermarkRecord(5, vec))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeCheckpoint(watermarkRecord(5, vec)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeCheckpointAllocsDoNotScale: decoding parses the image in
+// place, so its allocations are a few fixed objects (the checkpoint, its
+// snapshot slice and its watermark vector) at any image size, not a
+// record and an after image per object.
+func TestDecodeCheckpointAllocsDoNotScale(t *testing.T) {
+	const maxAllocs = 10
+	for _, objects := range []int{2_000, 64_000} {
+		snap := make([]store.Record, objects)
+		for i := range snap {
+			snap[i] = store.Record{ID: store.ObjectID(i), Value: []byte("entry value"), WriteTS: uint64(i + 1)}
+		}
+		file := writeCheckpoint(t, snap, []uint64{9, 9, 9, 9})
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, _, err := DecodeCheckpoint(file); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d objects: %.0f allocs per decode", objects, allocs)
+		if allocs > maxAllocs {
+			t.Fatalf("decoding %d objects allocates %.0f times; want at most %d at any size", objects, allocs, maxAllocs)
+		}
 	}
 }
 

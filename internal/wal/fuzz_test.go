@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/store"
@@ -91,19 +92,32 @@ func FuzzRecover(f *testing.F) {
 }
 
 // FuzzDecodeCheckpoint: the checkpoint decoder reads a mirror's state
-// transfer off the wire, so it must reject or parse any byte soup
-// without panic, and a decoded checkpoint must be self-consistent.
+// transfer off the wire and a checkpoint file off the disk, so it must
+// reject or parse any byte soup without panic. A decoded checkpoint must
+// be self-consistent and keep the consumed-length contract: it used
+// n ≤ len(data) bytes, data[:n] decodes to the same checkpoint, and bytes
+// after n change nothing.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	good := writeCheckpoint(f, []store.Record{{ID: 1, Value: []byte("x"), WriteTS: 3}, {ID: 9, Value: []byte("y"), WriteTS: 5}}, []uint64{7, 6})
 	f.Add(good)
 	f.Add(good[:len(good)-7])
+	f.Add(append(append([]byte(nil), good...), "trailing"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpoint(bytes.NewReader(data))
+		ck, n, err := DecodeCheckpoint(data)
 		if err != nil {
 			return
 		}
 		if ck.Watermarks == nil || ck.Watermarks.Max() != ck.LastSerial {
 			t.Fatalf("decoded checkpoint: LastSerial %d, watermarks %+v", ck.LastSerial, ck.Watermarks)
+		}
+		if n <= 0 || n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		for _, b := range [][]byte{data[:n:n], append(append([]byte(nil), data[:n]...), 0xff, 0, 1)} {
+			again, m, err := DecodeCheckpoint(b)
+			if err != nil || m != n || !reflect.DeepEqual(again, ck) {
+				t.Fatalf("re-decoding the first %d bytes of %d (input length %d): n %d, err %v", n, len(data), len(b), m, err)
+			}
 		}
 	})
 }

@@ -125,26 +125,38 @@ func Encode(w io.Writer, r *Record) error {
 // are Decode's: io.EOF for an empty b, io.ErrUnexpectedEOF if b ends
 // mid-record, and ErrCorrupt on checksum or framing damage.
 func DecodeNext(b []byte) (*Record, int, error) {
-	if len(b) == 0 {
-		return nil, 0, io.EOF
-	}
-	if len(b) < headerSize {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	rec, imgLen, err := parseHeader(b[:headerSize])
+	rec, n, err := decodeInPlace(b)
 	if err != nil {
 		return nil, 0, err
 	}
+	if rec.AfterImage != nil {
+		rec.AfterImage = append([]byte(nil), rec.AfterImage...)
+	}
+	return &rec, n, nil
+}
+
+// decodeInPlace is DecodeNext with the after image aliasing b (nil when
+// empty) and the record returned by value, so it allocates nothing.
+func decodeInPlace(b []byte) (Record, int, error) {
+	if len(b) == 0 {
+		return Record{}, 0, io.EOF
+	}
+	if len(b) < headerSize {
+		return Record{}, 0, io.ErrUnexpectedEOF
+	}
+	rec, imgLen, err := parseHeader(b[:headerSize])
+	if err != nil {
+		return Record{}, 0, err
+	}
 	n := headerSize + imgLen
 	if len(b) < n {
-		return nil, 0, io.ErrUnexpectedEOF
+		return Record{}, 0, io.ErrUnexpectedEOF
 	}
 	if imgLen > 0 {
-		rec.AfterImage = make([]byte, imgLen)
-		copy(rec.AfterImage, b[headerSize:n])
+		rec.AfterImage = b[headerSize:n]
 	}
-	if err := check(rec, b[:headerSize]); err != nil {
-		return nil, 0, err
+	if err := check(&rec, b[:headerSize]); err != nil {
+		return Record{}, 0, err
 	}
 	return rec, n, nil
 }
@@ -170,21 +182,21 @@ func Decode(r io.Reader) (*Record, error) {
 			return nil, err
 		}
 	}
-	if err := check(rec, hdr[:]); err != nil {
+	if err := check(&rec, hdr[:]); err != nil {
 		return nil, err
 	}
-	return rec, nil
+	return &rec, nil
 }
 
 // parseHeader decodes a record header into a record without its after
 // image, and returns the image length; a length above MaxImageSize is
 // ErrCorrupt.
-func parseHeader(h []byte) (*Record, int, error) {
+func parseHeader(h []byte) (Record, int, error) {
 	imgLen := binary.LittleEndian.Uint32(h[4:])
 	if imgLen > MaxImageSize {
-		return nil, 0, ErrCorrupt
+		return Record{}, 0, ErrCorrupt
 	}
-	return &Record{
+	return Record{
 		Type:        Type(h[8]),
 		TxnID:       txn.ID(binary.LittleEndian.Uint64(h[9:])),
 		SerialOrder: binary.LittleEndian.Uint64(h[17:]),

@@ -384,7 +384,7 @@ func TestPublicCheckpointStream(t *testing.T) {
 	if _, err := db.FuzzyCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := wal.DecodeCheckpoint(&buf)
+	ck, _, err := wal.DecodeCheckpoint(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
