@@ -127,17 +127,6 @@ func BenchmarkProtocolAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkReorderAblation measures recovery buffering with and without
-// the mirror's validation-order reordering.
-func BenchmarkReorderAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.ReorderAblation(2000, 2)
-		if len(tab.Rows) != 2 {
-			b.Fatal("ablation failed")
-		}
-	}
-}
-
 // BenchmarkOverloadAblation compares the system with and without the
 // overload manager past saturation.
 func BenchmarkOverloadAblation(b *testing.B) {

@@ -93,8 +93,6 @@ func main() {
 	runAblations := func() {
 		experiments.ProtocolAblation(opts).Fprint(os.Stdout)
 		fmt.Println()
-		experiments.ReorderAblation(1000, 2).Fprint(os.Stdout)
-		fmt.Println()
 		experiments.OverloadAblation(opts).Fprint(os.Stdout)
 		fmt.Println()
 		experiments.Predictability(opts).Fprint(os.Stdout)

@@ -1,5 +1,5 @@
 // Command rodain-logdump inspects RODAIN log artifacts: it prints
-// records, summarizes committed and uncommitted transactions, dry-runs
+// records, summarizes them and whether the log ends inside a group, dry-runs
 // the recovery pass, and walks segmented log directories in order. A
 // checkpoint file is a log of one group, so it reads like any log; for
 // each checkpoint group it meets, the dump prints its serial, stripe
@@ -86,7 +86,7 @@ func openLog(path string, isDir bool) io.ReadCloser {
 }
 
 // dryRecover replays the log into a scratch store the way a recovering
-// node does — on one worker per CPU — and times it.
+// node does, and times it.
 func dryRecover(r io.Reader) {
 	db := store.New()
 	start := time.Now()
@@ -95,30 +95,29 @@ func dryRecover(r io.Reader) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovery: %d transactions applied, %d writes, %d uncommitted discarded\n",
-		st.Applied, st.WritesApplied, st.Discarded)
-	fmt.Printf("          last serial %d, max commit ts %d, truncated tail: %v, peak buffered records: %d\n",
-		st.LastSerial, st.MaxCommitTS, st.Truncated, st.PeakBuffered)
+	fmt.Printf("recovery: %d transactions applied, %d writes, ended inside a group: %v\n",
+		st.Applied, st.WritesApplied, st.Discarded > 0)
+	fmt.Printf("          last serial %d, max commit ts %d, truncated tail: %v\n",
+		st.LastSerial, st.MaxCommitTS, st.Truncated)
 	rate := 0.0
 	if s := elapsed.Seconds(); s > 0 {
 		rate = float64(st.Applied) / s
 	}
-	fmt.Printf("          replayed in %v with %d worker(s) (%.0f txn/s)\n",
-		elapsed.Round(time.Microsecond), wal.DefaultRecoverWorkers(), rate)
+	fmt.Printf("          replayed in %v (%.0f txn/s)\n", elapsed.Round(time.Microsecond), rate)
 	fmt.Printf("database: %d objects, checksum %08x\n", db.Len(), db.Checksum())
 }
 
 // summary tallies one record stream.
 type summary struct {
-	records, writes, deletes, commits, aborts, heartbeats int
-	bytesTotal                                            int
-	maxSerial                                             uint64
-	truncated                                             bool
-	committed, seen                                       map[uint64]bool
+	records, writes, deletes, commits int
+	bytesTotal                        int
+	maxSerial                         uint64
+	truncated                         bool
+	open                              bool // the last group has no commit record
 }
 
 func summarize(r io.Reader, verbose bool) *summary {
-	s := &summary{committed: map[uint64]bool{}, seen: map[uint64]bool{}}
+	s := &summary{}
 	s.scan(r, verbose)
 	return s
 }
@@ -139,7 +138,7 @@ func (s *summary) scan(r io.Reader, verbose bool) {
 		}
 		s.records++
 		s.bytesTotal += wal.EncodedSize(rec)
-		s.seen[uint64(rec.TxnID)] = true
+		s.open = rec.Type != wal.TypeCommit
 		switch rec.Type {
 		case wal.TypeWrite:
 			s.writes++
@@ -147,7 +146,6 @@ func (s *summary) scan(r io.Reader, verbose bool) {
 			s.deletes++
 		case wal.TypeCommit:
 			s.commits++
-			s.committed[uint64(rec.TxnID)] = true
 			if rec.SerialOrder > s.maxSerial {
 				s.maxSerial = rec.SerialOrder
 			}
@@ -155,10 +153,6 @@ func (s *summary) scan(r io.Reader, verbose bool) {
 				fmt.Printf("checkpoint at serial %d: %d stripes, watermarks min %d max %d (log below %d is redundant)\n",
 					rec.SerialOrder, wm.Stripes(), wm.Min(), wm.Max(), wm.Min())
 			}
-		case wal.TypeAbort:
-			s.aborts++
-		case wal.TypeHeartbeat:
-			s.heartbeats++
 		}
 		if verbose {
 			fmt.Println(rec)
@@ -167,15 +161,9 @@ func (s *summary) scan(r io.Reader, verbose bool) {
 }
 
 func (s *summary) print() {
-	fmt.Printf("%d records (%d bytes): %d writes, %d deletes, %d commits, %d aborts, %d heartbeats\n",
-		s.records, s.bytesTotal, s.writes, s.deletes, s.commits, s.aborts, s.heartbeats)
-	uncommitted := 0
-	for id := range s.seen {
-		if !s.committed[id] {
-			uncommitted++
-		}
-	}
-	fmt.Printf("%d transactions touched, %d without a commit record\n", len(s.seen), uncommitted)
+	fmt.Printf("%d records (%d bytes): %d writes, %d deletes, %d commits\n",
+		s.records, s.bytesTotal, s.writes, s.deletes, s.commits)
+	fmt.Printf("ended inside a group: %v\n", s.open)
 }
 
 // dumpSegments walks a segmented log directory in log order, timing and
@@ -189,7 +177,7 @@ func dumpSegments(dir string, verbose bool) {
 		fmt.Printf("no segments in %s\n", dir)
 		return
 	}
-	total := &summary{committed: map[uint64]bool{}, seen: map[uint64]bool{}}
+	total := &summary{}
 	for _, name := range names {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {

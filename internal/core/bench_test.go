@@ -58,11 +58,8 @@ func BenchmarkShipperAllocs(b *testing.B) {
 
 // BenchmarkMirrorApplyParallel measures the mirror's full receive path
 // for one-group log frames — record decode, grouping, the database
-// install on the replayer's pool and the ordered log append — at 1, 2, 4
-// and 8 workers, under disjoint
-// and hot-object write sets. On a single-CPU host the extra workers only
-// add scheduling overhead; on a multicore host the disjoint case scales
-// with workers because groups land on different store stripes.
+// apply and the ordered log append — under disjoint and hot-object write
+// sets.
 func BenchmarkMirrorApplyParallel(b *testing.B) {
 	img := make([]byte, 64)
 	for _, c := range []struct {
@@ -72,34 +69,30 @@ func BenchmarkMirrorApplyParallel(b *testing.B) {
 		{"lowContention", 1 << 20},
 		{"highContention", 64},
 	} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				frames := make([][]byte, 4096)
-				for i := range frames {
-					serial := uint64(i + 1)
-					g := &wal.Group{
-						Writes: []*wal.Record{
-							{Type: wal.TypeWrite, TxnID: txn.ID(serial), ObjectID: store.ObjectID(rng.Intn(c.idDomain)), AfterImage: img},
-							{Type: wal.TypeWrite, TxnID: txn.ID(serial), ObjectID: store.ObjectID(rng.Intn(c.idDomain)), AfterImage: img},
-						},
-						Commit: &wal.Record{Type: wal.TypeCommit, TxnID: txn.ID(serial), SerialOrder: serial, CommitTS: serial * 65536},
-					}
-					frames[i] = logFrame(g).Payload
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			frames := make([][]byte, 4096)
+			for i := range frames {
+				serial := uint64(i + 1)
+				g := &wal.Group{
+					Writes: []*wal.Record{
+						{Type: wal.TypeWrite, TxnID: txn.ID(serial), ObjectID: store.ObjectID(rng.Intn(c.idDomain)), AfterImage: img},
+						{Type: wal.TypeWrite, TxnID: txn.ID(serial), ObjectID: store.ObjectID(rng.Intn(c.idDomain)), AfterImage: img},
+					},
+					Commit: &wal.Record{Type: wal.TypeCommit, TxnID: txn.ID(serial), SerialOrder: serial, CommitTS: serial * 65536},
 				}
-				m := NewMirrorEngine(Config{}, store.New(), logstore.NewMem())
-				rp := wal.NewReplayer(m.db, workers)
-				defer rp.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := m.receive(rp, frames[i%len(frames)]); err != nil {
-						b.Fatal(err)
-					}
+				frames[i] = logFrame(g).Payload
+			}
+			m := NewMirrorEngine(Config{}, store.New(), logstore.NewMem())
+			rp := wal.NewReplayer(m.db)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := m.receive(rp, frames[i%len(frames)]); err != nil {
+					b.Fatal(err)
 				}
-				rp.Wait()
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -105,17 +105,15 @@ func syncDir(dir string) error {
 // its per-stripe watermarks filter the tail: each logged record replays
 // only if its group's serial exceeds the watermark of its stripe.
 func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, error) {
-	rp := wal.NewReplayer(n.db, wal.DefaultRecoverWorkers())
+	rp := wal.NewReplayer(n.db)
 	ckpt := filepath.Join(dir, checkpointFinal)
 	if img, err := os.ReadFile(ckpt); err == nil {
 		ck, _, cerr := wal.DecodeCheckpoint(img)
 		if cerr != nil {
-			rp.Close()
 			return wal.RecoverStats{}, fmt.Errorf("core: bad checkpoint %s: %w", ckpt, cerr)
 		}
 		rp.Install(ck)
 	} else if !os.IsNotExist(err) {
-		rp.Close()
 		return wal.RecoverStats{}, err
 	}
 	return n.replayAndSeed(log, rp)

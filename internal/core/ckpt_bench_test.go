@@ -184,8 +184,7 @@ func BenchmarkCheckpointImage(b *testing.B) {
 	b.Run("install", func(b *testing.B) {
 		ck := decode(b)
 		target := store.New()
-		rp := wal.NewReplayer(target, 1)
-		defer rp.Close()
+		rp := wal.NewReplayer(target)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

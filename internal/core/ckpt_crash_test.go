@@ -218,7 +218,7 @@ func assertDroppedCovered(t *testing.T, dropped []byte, wm *wal.StripeWatermarks
 		t.Fatal("fuzzy checkpoint without watermarks")
 	}
 	r := bytes.NewReader(dropped)
-	pending := make(map[uint64][]*wal.Record)
+	var open []*wal.Record // the open group's writes
 	commits := 0
 	for {
 		rec, err := wal.Decode(r)
@@ -230,26 +230,24 @@ func assertDroppedCovered(t *testing.T, dropped []byte, wm *wal.StripeWatermarks
 		}
 		switch rec.Type {
 		case wal.TypeWrite, wal.TypeDelete:
-			pending[uint64(rec.TxnID)] = append(pending[uint64(rec.TxnID)], rec)
-		case wal.TypeAbort:
-			delete(pending, uint64(rec.TxnID))
+			open = append(open, rec)
 		case wal.TypeCommit:
 			commits++
 			if rec.SerialOrder > wm.Min() {
 				t.Fatalf("dropped group serial %d above the minimum watermark %d",
 					rec.SerialOrder, wm.Min())
 			}
-			for _, w := range pending[uint64(rec.TxnID)] {
+			for _, w := range open {
 				if rec.SerialOrder > wm.For(w.ObjectID) {
 					t.Fatalf("dropped write to object %d at serial %d above its stripe watermark %d",
 						w.ObjectID, rec.SerialOrder, wm.For(w.ObjectID))
 				}
 			}
-			delete(pending, uint64(rec.TxnID))
+			open = nil
 		}
 	}
-	if len(pending) != 0 {
-		t.Fatalf("truncation stranded %d uncommitted transactions' writes", len(pending))
+	if len(open) != 0 {
+		t.Fatalf("truncation stranded %d writes of an open group", len(open))
 	}
 }
 

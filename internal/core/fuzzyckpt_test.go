@@ -23,7 +23,7 @@ func restoreFuzzy(t *testing.T, ckpt, logBytes []byte) *store.Store {
 		t.Fatal(err)
 	}
 	db := store.New()
-	rp := wal.NewReplayer(db, 4)
+	rp := wal.NewReplayer(db)
 	rp.Install(ck)
 	if _, err := wal.Replay(bytes.NewReader(logBytes), rp); err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func TestGroupCommitFewerSyncsThanCommits(t *testing.T) {
 
 	// Everything that committed is on stable media.
 	recovered := store.New()
-	rst, err := wal.Replay(bytes.NewReader(mem.SyncedBytes()), wal.NewReplayer(recovered, 2))
+	rst, err := wal.Replay(bytes.NewReader(mem.SyncedBytes()), wal.NewReplayer(recovered))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 	}
 
 	recovered := store.New()
-	if _, err := wal.Replay(bytes.NewReader(synced), wal.NewReplayer(recovered, 2)); err != nil {
+	if _, err := wal.Replay(bytes.NewReader(synced), wal.NewReplayer(recovered)); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range ackedAtCrash {

@@ -22,13 +22,13 @@ var ErrPrimaryDown = errors.New("core: primary down")
 // MirrorEngine is the hot stand-by side of a RODAIN pair: it receives
 // the primary's log stream, which the shipper sends in true validation
 // order as one frame of stored-log bytes per cohort, and feeds its
-// records to a wal.Replayer. The replayer groups records by transaction,
-// checks that commits arrive at contiguous serials, and applies each
-// transaction's updates to the database copy only once its commit record
+// records to a wal.Replayer. The replayer takes each transaction as one
+// contiguous group, checks that commits arrive at contiguous serials, and
+// applies each group to the database copy only once its commit record
 // has been seen (so the mirror never needs to undo anything). The frame's
-// bytes are stored to the log as received, and its commits acknowledged;
-// the log is synced to disk asynchronously — the disk write is not
-// synchronized with transaction commits.
+// bytes are stored to the log as received, and its commits, already
+// applied, acknowledged; the log is synced to disk asynchronously — the
+// disk write is not synchronized with transaction commits.
 type MirrorEngine struct {
 	cfg Config
 	db  *store.Store
@@ -70,9 +70,9 @@ func (m *MirrorEngine) stats() wal.RecoverStats {
 	return rp.Stats()
 }
 
-// LastSerial reports the validation order of the last transaction handed
+// LastSerial reports the validation order of the last transaction applied
 // to the database copy — the replay position a takeover or rejoin
-// resumes from (Run drains the apply pool before it returns).
+// resumes from. The copy holds every group up to it, and no later one.
 func (m *MirrorEngine) LastSerial() uint64 { return m.stats().LastSerial }
 
 // MaxCommitTS reports the largest commit timestamp received; a takeover
@@ -105,12 +105,12 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 		return fmt.Errorf("%w: hello: %v", ErrPrimaryDown, err)
 	}
 
-	// Receive, ack and the stored log stay ordered on this goroutine; the
-	// database apply fans out over the replayer's pool. Closing it drains
-	// the pool, so a takeover always promotes a fully-applied database,
-	// and discards transactions without a commit record: when the
-	// Primary Node fails they are considered aborted.
-	rp := wal.NewReplayer(m.db, wal.DefaultRecoverWorkers())
+	// Receive, apply, ack and the stored log stay ordered on this
+	// goroutine: a group is in the database copy before its commit is
+	// acknowledged, so a takeover always promotes a fully-applied
+	// database. Closing the replayer discards a group without a commit
+	// record: when the Primary Node fails it is considered aborted.
+	rp := wal.NewReplayer(m.db)
 	rp.Restart(hello, prev.MaxCommitTS)
 	m.mu.Lock()
 	m.rp = rp

@@ -10,10 +10,9 @@ import (
 	"repro/internal/wal"
 )
 
-// TestPairConvergesWithParallelMirrorApply runs a live pair (the mirror
-// applies on one worker per CPU) and a workload that mixes
-// disjoint and write-write conflicting transactions: the mirror's copy
-// must converge to the primary's, and its stored log must stay in
+// TestPairConvergesWithParallelMirrorApply runs a live pair and a
+// workload that mixes disjoint and write-write conflicting transactions:
+// the mirror's copy must converge to the primary's, and its stored log must stay in
 // validation order (it replays to the same state).
 func TestPairConvergesWithParallelMirrorApply(t *testing.T) {
 	primary, mirror, _, mLog := startPair(t, LogDisk)
@@ -50,11 +49,11 @@ func TestPairConvergesWithParallelMirrorApply(t *testing.T) {
 	}
 }
 
-// TestTakeoverDrainsParallelApply crashes the primary while the mirror
-// applies on its pool: the takeover must promote a fully-applied
-// database (Run drains the replayer before returning), so the promoted
-// node's state matches the primary's last committed state and it serves
-// immediately.
+// TestTakeoverDrainsParallelApply crashes the primary after a run of
+// commits: the takeover must promote a fully-applied database (the
+// mirror applies each group before it acknowledges the commit), so the
+// promoted node's state matches the primary's last committed state and
+// it serves immediately.
 func TestTakeoverDrainsParallelApply(t *testing.T) {
 	primary, mirror, _, _ := startPair(t, LogDisk)
 	defer primary.Close()

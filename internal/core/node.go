@@ -437,7 +437,7 @@ func (n *Node) Submit(req Request) (Release, error) {
 // recovery statistics; a serving engine is seeded past them so it
 // continues the epoch.
 func (n *Node) RecoverFromLog(r io.Reader) (wal.RecoverStats, error) {
-	return n.replayAndSeed(r, wal.NewReplayer(n.db, wal.DefaultRecoverWorkers()))
+	return n.replayAndSeed(r, wal.NewReplayer(n.db))
 }
 
 // replayAndSeed is the one recovery step behind RecoverFromLog and

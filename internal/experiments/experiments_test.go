@@ -207,21 +207,6 @@ func TestTakeoverExperiment(t *testing.T) {
 	}
 }
 
-func TestReorderAblation(t *testing.T) {
-	tab := ReorderAblation(200, 3)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	reordered, _ := strconv.Atoi(tab.Rows[0][2])
-	interleaved, _ := strconv.Atoi(tab.Rows[1][2])
-	if reordered > 3 {
-		t.Fatalf("reordered log peak buffering = %d, want ≤ writes per txn", reordered)
-	}
-	if interleaved < 100*3 {
-		t.Fatalf("interleaved log peak buffering = %d, want hundreds", interleaved)
-	}
-}
-
 func TestOverloadAblation(t *testing.T) {
 	tab := OverloadAblation(Options{Reps: 1, Count: 2000, DBSize: 5000, Seed: 1})
 	if len(tab.Rows) != 6 {

@@ -171,16 +171,6 @@ func takeoverOne(objects, logTail int) (TakeoverResult, error) {
 
 func txnID(i int) txn.ID { return txn.ID(i) }
 
-// mustEncode appends a record to a synthetic log fixture. The targets
-// are in-memory buffers and the records are well formed, so a failure
-// here is a bug in the fixture builder, not an I/O condition callers
-// could handle.
-func mustEncode(w io.Writer, r *wal.Record) {
-	if err := wal.Encode(w, r); err != nil {
-		panic(fmt.Sprintf("experiments: encode fixture record: %v", err))
-	}
-}
-
 func waitFor(n *core.Node, kind core.EventKind, within time.Duration) error {
 	deadline := make(chan struct{})
 	cancel := simtime.Wall.AfterFunc(within, func() { close(deadline) })
@@ -211,54 +201,6 @@ func TakeoverTable(rs []TakeoverResult) *metrics.Table {
 			r.DetectionTime.Round(100*time.Microsecond).String(),
 			r.RecoveryTime.Round(time.Millisecond).String(),
 		)
-	}
-	return t
-}
-
-// ReorderAblation quantifies the mirror's validation-order reordering:
-// recovery of a grouped (reordered) log needs to buffer only one
-// transaction's records, an interleaved log needs far more.
-func ReorderAblation(txns, writesPer int) *metrics.Table {
-	grouped := new(bytes.Buffer)
-	interleaved := new(bytes.Buffer)
-
-	// Grouped: writes immediately followed by their commit record.
-	for i := 0; i < txns; i++ {
-		id := txnID(i) + 1
-		for w := 0; w < writesPer; w++ {
-			mustEncode(grouped, &wal.Record{Type: wal.TypeWrite, TxnID: 1 + txnID(i), ObjectID: store.ObjectID(w), AfterImage: []byte{byte(i)}})
-		}
-		mustEncode(grouped, &wal.Record{Type: wal.TypeCommit, TxnID: 1 + txnID(i), SerialOrder: uint64(id), CommitTS: uint64(id) * 65536})
-	}
-	// Interleaved: all writes first, then all commit records — the
-	// worst case an unordered stream can produce.
-	for i := 0; i < txns; i++ {
-		for w := 0; w < writesPer; w++ {
-			mustEncode(interleaved, &wal.Record{Type: wal.TypeWrite, TxnID: 1 + txnID(i), ObjectID: store.ObjectID(w), AfterImage: []byte{byte(i)}})
-		}
-	}
-	for i := 0; i < txns; i++ {
-		id := txnID(i) + 1
-		mustEncode(interleaved, &wal.Record{Type: wal.TypeCommit, TxnID: 1 + txnID(i), SerialOrder: uint64(id), CommitTS: uint64(id) * 65536})
-	}
-
-	t := &metrics.Table{
-		Title:  "mirror reordering ablation — recovery buffering",
-		Header: []string{"log layout", "records", "peak buffered", "applied"},
-	}
-	for _, c := range []struct {
-		name string
-		buf  *bytes.Buffer
-	}{{"reordered (as stored by mirror)", grouped}, {"interleaved (no reordering)", interleaved}} {
-		db := store.New()
-		st, err := wal.Recover(bytes.NewReader(c.buf.Bytes()), db)
-		if err != nil {
-			continue
-		}
-		t.AddRow(c.name,
-			fmt.Sprintf("%d", txns*(writesPer+1)),
-			fmt.Sprintf("%d", st.PeakBuffered),
-			fmt.Sprintf("%d", st.Applied))
 	}
 	return t
 }

@@ -464,30 +464,28 @@ func TestMemTruncateBelow(t *testing.T) {
 }
 
 // TestMemTruncateBelowStopsAtOpenTransaction: the cut point can only be
-// a group boundary — a covered commit inside an interleaved stretch must
-// not strand another transaction's writes behind the cut.
+// a group boundary — a covered commit followed by an open group must not
+// take the open group's writes with it, or its commit would land behind
+// the cut without them.
 func TestMemTruncateBelowStopsAtOpenTransaction(t *testing.T) {
 	m := NewMem()
-	// txn 1 writes, txn 2 writes, txn 1 commits (serial 1), txn 2
-	// commits (serial 2): no boundary exists between the two commits.
+	// txn 1 writes and commits (serial 1); txn 2 writes, commit pending.
 	var b []byte
 	b = wal.AppendEncoded(b, &wal.Record{Type: wal.TypeWrite, TxnID: 1, ObjectID: 1, AfterImage: []byte("a")})
-	b = wal.AppendEncoded(b, &wal.Record{Type: wal.TypeWrite, TxnID: 2, ObjectID: 2, AfterImage: []byte("b")})
 	b = wal.AppendEncoded(b, &wal.Record{Type: wal.TypeCommit, TxnID: 1, SerialOrder: 1, CommitTS: 1})
+	first := len(b)
+	b = wal.AppendEncoded(b, &wal.Record{Type: wal.TypeWrite, TxnID: 2, ObjectID: 2, AfterImage: []byte("b")})
 	if err := m.Append(b); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := m.TruncateBelow(1); err != nil || n != 0 {
-		t.Fatalf("cut inside an open group: dropped %d bytes, %v", n, err)
+	if n, err := m.TruncateBelow(1); err != nil || n != first {
+		t.Fatalf("dropped %d bytes (%v), want exactly serial 1's group of %d", n, err, first)
+	}
+	if n, err := m.TruncateBelow(5); err != nil || n != 0 {
+		t.Fatalf("cut inside the open group: dropped %d bytes, %v", n, err)
 	}
 	tail := wal.AppendEncoded(nil, &wal.Record{Type: wal.TypeCommit, TxnID: 2, SerialOrder: 2, CommitTS: 2})
 	if err := m.Append(tail); err != nil {
-		t.Fatal(err)
-	}
-	// Now serial 1's group closes at the very end only; truncating below
-	// 1 still keeps serial 2's group — the boundary cut keeps everything.
-	n, err := m.TruncateBelow(1)
-	if err != nil {
 		t.Fatal(err)
 	}
 	db := store.New()
@@ -495,8 +493,8 @@ func TestMemTruncateBelowStopsAtOpenTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LastSerial != 2 && n != 0 {
-		t.Fatalf("serial-2 group lost: %+v after dropping %d bytes", st, n)
+	if v, ok := db.Get(2); st.LastSerial != 2 || !ok || string(v) != "b" {
+		t.Fatalf("serial 2's group lost: %+v, object 2 = %q", st, v)
 	}
 }
 

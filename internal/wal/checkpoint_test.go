@@ -91,9 +91,7 @@ func TestCheckpointV2RestoresStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	installed := store.New()
-	r := NewReplayer(installed, 2)
-	r.Install(ck)
-	r.Close()
+	NewReplayer(installed).Install(ck)
 	if installed.Checksum() != db.Checksum() {
 		t.Fatal("installed checkpoint does not reproduce the store")
 	}

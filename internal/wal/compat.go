@@ -24,22 +24,33 @@ func (r *Reorderer) Add(rec *Record) ([]*Group, error) {
 	return []*Group{g}, nil
 }
 
+// DefaultRecoverWorkers reports 1: replay runs on the caller's goroutine.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
+func DefaultRecoverWorkers() int { return 1 }
+
 // ParallelApplier is a Replayer fed whole groups.
 //
 // Deprecated: benchmark compat, remove with ROADMAP item 6.
 type ParallelApplier struct{ *Replayer }
 
-// NewParallelApplier returns a Replayer into db; tsGuard is ignored.
+// NewParallelApplier returns a Replayer into db; workers and tsGuard are
+// ignored.
 //
 // Deprecated: benchmark compat, remove with ROADMAP item 6.
 func NewParallelApplier(db *store.Store, workers int, tsGuard bool) *ParallelApplier {
-	return &ParallelApplier{NewReplayer(db, workers)}
+	return &ParallelApplier{NewReplayer(db)}
 }
 
-// Apply schedules one committed group.
+// Apply applies one committed group.
 //
 // Deprecated: benchmark compat, remove with ROADMAP item 6.
-func (p *ParallelApplier) Apply(g *Group) { p.schedule(g) }
+func (p *ParallelApplier) Apply(g *Group) { p.apply(g) }
+
+// Wait returns at once: Apply has applied its group before it returns.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
+func (p *ParallelApplier) Wait() {}
 
 // DecodeBytes decodes exactly one record from b: DecodeNext, with any
 // error, or bytes left over, reported as ErrCorrupt.

@@ -83,6 +83,21 @@ func FuzzRecover(f *testing.F) {
 	withCkpt = append(withCkpt, writeCheckpoint(f, []store.Record{{ID: 1, Value: []byte("img"), WriteTS: 7}}, []uint64{2, 2})...)
 	withCkpt = append(withCkpt, AppendEncoded(nil, &Record{Type: TypeCommit, TxnID: 2, SerialOrder: 3, CommitTS: 1 << 17})...)
 	f.Add(withCkpt)
+	// An interleaved pair: transaction 2 writes inside transaction 1's
+	// open group, which no writer produces.
+	var interleaved []byte
+	for _, rec := range []*Record{
+		{Type: TypeWrite, TxnID: 1, ObjectID: 1, AfterImage: []byte("a")},
+		{Type: TypeWrite, TxnID: 2, ObjectID: 2, AfterImage: []byte("b")},
+		{Type: TypeCommit, TxnID: 1, SerialOrder: 1, CommitTS: 1},
+		{Type: TypeCommit, TxnID: 2, SerialOrder: 2, CommitTS: 2},
+	} {
+		interleaved = AppendEncoded(interleaved, rec)
+	}
+	f.Add(interleaved)
+	// The retired abort and heartbeat codes, after a good group.
+	f.Add(append(append([]byte(nil), good.Bytes()...), AppendEncoded(nil, &Record{Type: 3, TxnID: 2})...))
+	f.Add(append(append([]byte(nil), good.Bytes()...), AppendEncoded(nil, &Record{Type: 4})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := store.New()
 		if _, err := Recover(bytes.NewReader(data), db); err != nil {

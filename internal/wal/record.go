@@ -31,22 +31,16 @@ import (
 // Type discriminates log record kinds.
 type Type uint8
 
-// Record kinds.
+// Record kinds. The codes are stored on disk, so they are pinned. Codes 3
+// and 4 are retired (no writer produces them) and decode as ErrCorrupt.
 const (
 	// TypeWrite carries one updated item's after image.
-	TypeWrite Type = iota + 1
+	TypeWrite Type = 1
 	// TypeCommit marks a transaction committed; its log records are
 	// complete. SerialOrder carries the true validation order.
-	TypeCommit
-	// TypeAbort tells the mirror to drop a transaction's buffered
-	// records (used when the primary restarts a validated-then-doomed
-	// transaction; rare, but keeps the stream self-contained).
-	TypeAbort
-	// TypeHeartbeat is an empty keep-alive record used by the shipping
-	// layer; it never reaches the database.
-	TypeHeartbeat
+	TypeCommit Type = 2
 	// TypeDelete removes one item (transaction id, object id).
-	TypeDelete
+	TypeDelete Type = 5
 )
 
 func (t Type) String() string {
@@ -55,10 +49,6 @@ func (t Type) String() string {
 		return "write"
 	case TypeCommit:
 		return "commit"
-	case TypeAbort:
-		return "abort"
-	case TypeHeartbeat:
-		return "heartbeat"
 	case TypeDelete:
 		return "delete"
 	default:
@@ -213,7 +203,7 @@ func check(rec *Record, h []byte) error {
 		return ErrCorrupt
 	}
 	switch rec.Type {
-	case TypeWrite, TypeCommit, TypeAbort, TypeHeartbeat, TypeDelete:
+	case TypeWrite, TypeCommit, TypeDelete:
 		return nil
 	}
 	return ErrCorrupt
@@ -284,10 +274,6 @@ func (r *Record) String() string {
 		return fmt.Sprintf("write{txn=%d obj=%d len=%d}", r.TxnID, r.ObjectID, len(r.AfterImage))
 	case TypeCommit:
 		return fmt.Sprintf("commit{txn=%d serial=%d ts=%d}", r.TxnID, r.SerialOrder, r.CommitTS)
-	case TypeAbort:
-		return fmt.Sprintf("abort{txn=%d}", r.TxnID)
-	case TypeHeartbeat:
-		return "heartbeat{}"
 	case TypeDelete:
 		return fmt.Sprintf("delete{txn=%d obj=%d}", r.TxnID, r.ObjectID)
 	default:

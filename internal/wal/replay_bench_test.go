@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,8 +11,8 @@ import (
 
 // benchLog builds a committed-only log of txns transactions with
 // writesPer 64-byte after images each, drawing object ids from idDomain.
-// A small domain forces write-write conflicts (serial chains in the
-// conflict graph); a large one keeps write sets disjoint.
+// A small domain makes groups overwrite the same objects; a large one
+// keeps write sets disjoint, so most writes insert.
 func benchLog(txns, writesPer, idDomain int) []byte {
 	rng := rand.New(rand.NewSource(42))
 	img := make([]byte, 64)
@@ -33,13 +32,11 @@ func benchLog(txns, writesPer, idDomain int) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkReplay measures full-log replay throughput at 1, 2, 4 and 8
-// workers under low contention (write sets effectively disjoint — the
-// conflict graph is wide and the store's 64 stripes absorb the
-// parallelism) and high contention (64 hot objects — conflict chains
-// serialize much of the apply). One op = one complete replay: decode,
-// grouping and the pooled apply, which is also the mirror's live path
-// minus its log append. The B/s figure is log bytes per second.
+// BenchmarkReplay measures full-log replay throughput under low
+// contention (write sets effectively disjoint) and high contention (64
+// hot objects). One op = one complete replay: decode, grouping and the
+// apply, which is also the mirror's live path minus its log append. The
+// B/s figure is log bytes per second.
 func BenchmarkReplay(b *testing.B) {
 	const txns, writesPer = 3000, 4
 	for _, c := range []struct {
@@ -50,17 +47,15 @@ func BenchmarkReplay(b *testing.B) {
 		{"highContention", 64},
 	} {
 		logBytes := benchLog(txns, writesPer, c.idDomain)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(logBytes)))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Replay(bytes.NewReader(logBytes), NewReplayer(store.New(), workers)); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(logBytes)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Replay(bytes.NewReader(logBytes), NewReplayer(store.New())); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(txns)*float64(b.N)/b.Elapsed().Seconds(), "txn/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(txns)*float64(b.N)/b.Elapsed().Seconds(), "txn/s")
+		})
 	}
 }

@@ -4,8 +4,8 @@ import "encoding/binary"
 
 // LogScanner is a streaming frame tracker for an append path: feed it
 // every byte written to a log device, in order, and it tells you whether
-// the stream currently ends at a group boundary — no partial record, no
-// transaction with buffered writes awaiting its commit — and the largest
+// the stream currently ends at a group boundary — no partial record and
+// no group open, its writes scanned and its commit not — and the largest
 // commit serial seen so far. A segmented log store uses it to roll
 // segment files only at points where the prefix is a self-contained
 // group sequence, which is what makes whole-segment truncation safe.
@@ -14,9 +14,9 @@ import "encoding/binary"
 // disk read-back), so it tracks framing only and skips checksums.
 type LogScanner struct {
 	hdr  [headerSize]byte
-	hdrN int               // bytes of the current header buffered
-	skip uint32            // after-image bytes still to consume
-	open map[uint64]uint64 // txn id -> buffered write/delete records
+	hdrN int    // bytes of the current header buffered
+	skip uint32 // after-image bytes still to consume
+	open bool   // a group's writes are scanned and its commit is not
 
 	records   uint64
 	maxSerial uint64
@@ -43,31 +43,21 @@ func (s *LogScanner) Scan(b []byte) {
 		s.hdrN = 0
 		s.skip = binary.LittleEndian.Uint32(s.hdr[4:])
 		s.records++
-		txn := binary.LittleEndian.Uint64(s.hdr[9:])
 		switch Type(s.hdr[8]) {
 		case TypeWrite, TypeDelete:
-			if s.open == nil {
-				s.open = make(map[uint64]uint64)
-			}
-			s.open[txn]++
-		case TypeCommit, TypeAbort:
-			delete(s.open, txn)
-			if Type(s.hdr[8]) == TypeCommit {
-				if serial := binary.LittleEndian.Uint64(s.hdr[17:]); serial > s.maxSerial {
-					s.maxSerial = serial
-				}
-			}
-		case TypeHeartbeat:
-			// stateless keep-alive
+			s.open = true
+		case TypeCommit:
+			s.open = false
+			s.maxSerial = max(s.maxSerial, binary.LittleEndian.Uint64(s.hdr[17:]))
 		}
 	}
 }
 
 // AtBoundary reports whether everything scanned so far forms a
-// self-contained group sequence: no record is cut mid-frame and every
-// transaction with buffered writes has committed or aborted.
+// self-contained group sequence: no record is cut mid-frame and no
+// group is open.
 func (s *LogScanner) AtBoundary() bool {
-	return s.hdrN == 0 && s.skip == 0 && len(s.open) == 0
+	return s.hdrN == 0 && s.skip == 0 && !s.open
 }
 
 // MaxSerial reports the largest commit SerialOrder scanned so far. It is

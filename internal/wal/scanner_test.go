@@ -7,7 +7,7 @@ import (
 
 // groupStream encodes a few transactions and returns the byte stream
 // plus the set of offsets that are group boundaries (no partial frame,
-// no uncommitted transaction).
+// no open group).
 func groupStream() (stream []byte, boundaries map[int]bool, maxSerial uint64) {
 	boundaries = map[int]bool{0: true}
 	add := func(recs ...*Record) {
@@ -16,7 +16,6 @@ func groupStream() (stream []byte, boundaries map[int]bool, maxSerial uint64) {
 		}
 		boundaries[len(stream)] = true
 	}
-	add(&Record{Type: TypeHeartbeat})
 	add(
 		&Record{Type: TypeWrite, TxnID: 1, ObjectID: 10, AfterImage: []byte("aa")},
 		&Record{Type: TypeWrite, TxnID: 1, ObjectID: 11, AfterImage: []byte("bbb")},
@@ -26,17 +25,12 @@ func groupStream() (stream []byte, boundaries map[int]bool, maxSerial uint64) {
 		&Record{Type: TypeDelete, TxnID: 2, ObjectID: 10},
 		&Record{Type: TypeCommit, TxnID: 2, SerialOrder: 2, CommitTS: 6},
 	)
-	// An aborted transaction closes its group too.
-	add(
-		&Record{Type: TypeWrite, TxnID: 3, ObjectID: 12, AfterImage: []byte("dropped")},
-		&Record{Type: TypeAbort, TxnID: 3},
-	)
-	// Interleaved transactions: the boundary is only after both commit.
+	// A group with no writes (a read-only commit) is a boundary at once.
+	add(&Record{Type: TypeCommit, TxnID: 3, SerialOrder: 3, CommitTS: 7})
 	add(
 		&Record{Type: TypeWrite, TxnID: 4, ObjectID: 13, AfterImage: []byte("x")},
-		&Record{Type: TypeWrite, TxnID: 5, ObjectID: 14, AfterImage: []byte("y")},
-		&Record{Type: TypeCommit, TxnID: 4, SerialOrder: 3, CommitTS: 7},
-		&Record{Type: TypeCommit, TxnID: 5, SerialOrder: 4, CommitTS: 8},
+		&Record{Type: TypeWrite, TxnID: 4, ObjectID: 14, AfterImage: []byte("y")},
+		&Record{Type: TypeCommit, TxnID: 4, SerialOrder: 4, CommitTS: 8},
 	)
 	return stream, boundaries, 4
 }

@@ -16,8 +16,8 @@ import (
 // under last-writer-wins only when conflicting groups have distinct
 // timestamps; randomLog's deliberate collisions would test an ordering
 // no engine-written log contains.
-func randomLogUniqueTS(rng *rand.Rand, txns, idDomain int, interleave bool) []byte {
-	logBytes := randomLog(rng, txns, idDomain, interleave)
+func randomLogUniqueTS(rng *rand.Rand, txns, idDomain int) []byte {
+	logBytes := randomLog(rng, txns, idDomain)
 	perm := rng.Perm(txns * 8)
 	var out []byte
 	r := bytes.NewReader(logBytes)
@@ -37,11 +37,11 @@ func randomLogUniqueTS(rng *rand.Rand, txns, idDomain int, interleave bool) []by
 // replayPrefix applies to db exactly the committed writes a fuzzy
 // checkpoint is guaranteed to contain: those whose group serial is at or
 // below the watermark of the object's stripe. It mirrors the Replayer's
-// apply semantics (buffer per transaction, last-writer-wins timestamps,
-// tombstones) with the filter inverted.
+// apply semantics (the open group applies at its commit, last-writer-wins
+// timestamps, tombstones) with the filter inverted.
 func replayPrefix(t *testing.T, logBytes []byte, db *store.Store, wm *StripeWatermarks) {
 	t.Helper()
-	pending := make(map[uint64][]*Record)
+	var open []*Record
 	r := bytes.NewReader(logBytes)
 	for r.Len() > 0 {
 		rec, err := Decode(r)
@@ -50,11 +50,9 @@ func replayPrefix(t *testing.T, logBytes []byte, db *store.Store, wm *StripeWate
 		}
 		switch rec.Type {
 		case TypeWrite, TypeDelete:
-			pending[uint64(rec.TxnID)] = append(pending[uint64(rec.TxnID)], rec)
-		case TypeAbort:
-			delete(pending, uint64(rec.TxnID))
+			open = append(open, rec)
 		case TypeCommit:
-			for _, w := range pending[uint64(rec.TxnID)] {
+			for _, w := range open {
 				if rec.SerialOrder > wm.For(w.ObjectID) {
 					continue
 				}
@@ -67,35 +65,34 @@ func replayPrefix(t *testing.T, logBytes []byte, db *store.Store, wm *StripeWate
 				}
 				db.Apply(w.ObjectID, w.AfterImage, rec.CommitTS)
 			}
-			delete(pending, uint64(rec.TxnID))
+			open = nil
 		}
 	}
 }
 
 // TestPropertySuffixReplayEquivalence is the replay half of the fuzzy
-// checkpoint contract: for any log, any per-stripe watermark vector and
-// any worker count, (state guaranteed by the checkpoint at those
-// watermarks) + (suffix replay filtered by them) equals a full replay.
+// checkpoint contract: for any log and any per-stripe watermark vector,
+// (state guaranteed by the checkpoint at those watermarks) + (suffix
+// replay filtered by them) equals a full replay.
 func TestPropertySuffixReplayEquivalence(t *testing.T) {
 	totalSkipped := 0
-	f := func(seed int64, w uint8, inter bool) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		logBytes := randomLogUniqueTS(rng, 20+rng.Intn(40), 1+rng.Intn(12), inter)
-		workers := 1 + int(w%8)
+		logBytes := randomLogUniqueTS(rng, 20+rng.Intn(40), 1+rng.Intn(12))
 
 		full := store.New()
-		fullStats := replayWith(t, logBytes, full, workers, nil)
+		fullStats := replayWith(t, logBytes, full, nil)
 		wm := randomMarks(rng, fullStats.LastSerial+1)
 
 		snap := store.New()
 		replayPrefix(t, logBytes, snap, wm)
-		st := replayWith(t, logBytes, snap, workers, wm)
+		st := replayWith(t, logBytes, snap, wm)
 		totalSkipped += st.WritesSkipped
 		if st.LastSerial != fullStats.LastSerial || st.MaxCommitTS != fullStats.MaxCommitTS {
 			t.Fatalf("suffix stats %+v, full %+v", st, fullStats)
 		}
 		if snap.Checksum() != full.Checksum() {
-			t.Logf("seed=%d workers=%d", seed, workers)
+			t.Logf("seed=%d", seed)
 			return false
 		}
 		return true
@@ -110,13 +107,13 @@ func TestPropertySuffixReplayEquivalence(t *testing.T) {
 
 func TestSuffixReplayNilWatermarksIsFullReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	logBytes := randomLog(rng, 30, 8, true)
+	logBytes := randomLog(rng, 30, 8)
 	a, b := store.New(), store.New()
 	sa, err := Recover(bytes.NewReader(logBytes), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := replayWith(t, logBytes, b, 1, nil)
+	sb := replayWith(t, logBytes, b, nil)
 	if a.Checksum() != b.Checksum() || sa != sb {
 		t.Fatalf("nil-watermark suffix differs: %+v vs %+v", sa, sb)
 	}
@@ -130,7 +127,7 @@ func TestSuffixReplayNilWatermarksIsFullReplay(t *testing.T) {
 // nothing and apply nothing.
 func TestSuffixReplayMaxWatermarkSkipsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	logBytes := randomLog(rng, 30, 8, false)
+	logBytes := randomLog(rng, 30, 8)
 	full := store.New()
 	fullStats, err := Recover(bytes.NewReader(logBytes), full)
 	if err != nil {
@@ -141,7 +138,7 @@ func TestSuffixReplayMaxWatermarkSkipsEverything(t *testing.T) {
 		marks[i] = fullStats.LastSerial
 	}
 	before := full.Checksum()
-	st := replayWith(t, logBytes, full, 2, NewStripeWatermarks(marks))
+	st := replayWith(t, logBytes, full, NewStripeWatermarks(marks))
 	if st.WritesApplied != 0 {
 		t.Fatalf("WritesApplied = %d, want 0", st.WritesApplied)
 	}

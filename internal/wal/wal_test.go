@@ -17,8 +17,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Type: TypeWrite, TxnID: 7, ObjectID: 42, AfterImage: []byte("after")},
 		{Type: TypeWrite, TxnID: 7, ObjectID: 43, AfterImage: nil},
 		{Type: TypeCommit, TxnID: 7, SerialOrder: 3, CommitTS: 65536},
-		{Type: TypeAbort, TxnID: 9},
-		{Type: TypeHeartbeat},
+		{Type: TypeDelete, TxnID: 9, ObjectID: 44},
 	}
 	var buf bytes.Buffer
 	for _, r := range recs {
@@ -124,16 +123,40 @@ func TestEncodedSize(t *testing.T) {
 	}
 }
 
+// TestRetiredTypeCodesAreCorrupt pins the stored type codes: write 1,
+// commit 2 and delete 5 decode, and the retired codes 3 and 4 (abort and
+// heartbeat records, which no writer produces) fail both decoders as
+// ErrCorrupt even under a valid checksum.
+func TestRetiredTypeCodesAreCorrupt(t *testing.T) {
+	for ty, code := range map[Type]byte{TypeWrite: 1, TypeCommit: 2, TypeDelete: 5} {
+		if byte(ty) != code {
+			t.Fatalf("%v has code %d, want %d", ty, byte(ty), code)
+		}
+		enc := AppendEncoded(nil, &Record{Type: ty, TxnID: 1})
+		if _, err := Decode(bytes.NewReader(enc)); err != nil {
+			t.Fatalf("code %d: Decode: %v", code, err)
+		}
+	}
+	for _, code := range []Type{3, 4} {
+		enc := AppendEncoded(nil, &Record{Type: code, TxnID: 1})
+		if _, err := Decode(bytes.NewReader(enc)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("code %d: Decode err = %v, want ErrCorrupt", code, err)
+		}
+		if _, _, err := DecodeNext(enc); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("code %d: DecodeNext err = %v, want ErrCorrupt", code, err)
+		}
+	}
+}
+
 func TestStringers(t *testing.T) {
 	for _, r := range []*Record{
-		{Type: TypeWrite}, {Type: TypeCommit}, {Type: TypeAbort},
-		{Type: TypeHeartbeat}, {Type: Type(9)},
+		{Type: TypeWrite}, {Type: TypeCommit}, {Type: TypeDelete}, {Type: Type(9)},
 	} {
 		if r.String() == "" {
 			t.Fatal("empty record string")
 		}
 	}
-	for _, ty := range []Type{TypeWrite, TypeCommit, TypeAbort, TypeHeartbeat, Type(9)} {
+	for _, ty := range []Type{TypeWrite, TypeCommit, TypeDelete, Type(9)} {
 		if ty.String() == "" {
 			t.Fatal("empty type string")
 		}
@@ -164,9 +187,8 @@ func addNone(t *testing.T, r *Replayer, rec *Record) {
 
 func TestReordererGroupsByTransaction(t *testing.T) {
 	db := store.New()
-	r := NewReplayer(db, 2)
+	r := NewReplayer(db)
 	addNone(t, r, writeRec(1, 10))
-	addNone(t, r, writeRec(2, 20))
 	addNone(t, r, writeRec(1, 11))
 	g, err := r.Add(commitRec(1, 1))
 	if err != nil || g == nil {
@@ -178,8 +200,9 @@ func TestReordererGroupsByTransaction(t *testing.T) {
 	if g.SerialOrder() != 1 {
 		t.Fatalf("serial = %d", g.SerialOrder())
 	}
+	addNone(t, r, writeRec(2, 20))
 	r.Close()
-	if st := r.Stats(); st.Discarded != 1 || st.PeakBuffered != 3 { // txn 2 never committed
+	if st := r.Stats(); st.Discarded != 1 || st.Applied != 1 { // txn 2 never committed
 		t.Fatalf("stats = %+v", st)
 	}
 	if _, ok := db.Get(11); !ok {
@@ -190,40 +213,22 @@ func TestReordererGroupsByTransaction(t *testing.T) {
 	}
 }
 
-func TestReordererAbortDropsWrites(t *testing.T) {
-	db := store.New()
-	r := NewReplayer(db, 1)
-	addNone(t, r, writeRec(1, 10))
-	addNone(t, r, &Record{Type: TypeAbort, TxnID: 1})
-	r.Close()
-	if st := r.Stats(); st.Discarded != 0 || st.Applied != 0 {
-		t.Fatalf("abort did not clear: %+v", st)
-	}
-	if db.Len() != 0 {
-		t.Fatal("aborted write applied")
-	}
-}
-
-func TestReordererHeartbeatIgnored(t *testing.T) {
-	r := NewReplayer(store.New(), 1)
-	defer r.Close()
-	addNone(t, r, &Record{Type: TypeHeartbeat})
-}
-
 func TestReordererUnknownType(t *testing.T) {
-	r := NewReplayer(store.New(), 1)
-	defer r.Close()
+	r := NewReplayer(store.New())
 	if _, err := r.Add(&Record{Type: Type(99)}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown record type: err = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestReordererDiscardPending: a stream that ends inside a group
+// discards that one group, whatever its size.
 func TestReordererDiscardPending(t *testing.T) {
-	r := NewReplayer(store.New(), 1)
+	db := store.New()
+	r := NewReplayer(db)
 	addNone(t, r, writeRec(1, 10))
-	addNone(t, r, writeRec(2, 20))
+	addNone(t, r, writeRec(1, 20))
 	r.Close()
-	if n := r.Stats().Discarded; n != 2 {
+	if n := r.Stats().Discarded; n != 1 || db.Len() != 0 {
 		t.Fatalf("Discarded = %d", n)
 	}
 }
@@ -233,8 +238,7 @@ func TestReordererDiscardPending(t *testing.T) {
 // applied.
 func TestReplayerRestartChecksContiguity(t *testing.T) {
 	db := store.New()
-	r := NewReplayer(db, 2)
-	defer r.Close()
+	r := NewReplayer(db)
 	addNone(t, r, writeRec(9, 90))
 	r.Restart(5, 700)
 	if st := r.Stats(); st.LastSerial != 5 || st.MaxCommitTS != 700 || st.Discarded != 1 {
@@ -248,7 +252,6 @@ func TestReplayerRestartChecksContiguity(t *testing.T) {
 	if g, err := r.Add(commitRec(2, 6)); err != nil || g == nil {
 		t.Fatalf("serial 6: group %v err %v", g, err)
 	}
-	r.Wait()
 	if _, ok := db.Get(10); ok {
 		t.Fatal("the out-of-order group was applied")
 	}
@@ -270,8 +273,7 @@ func TestReplayerRestartFiltersByWatermarks(t *testing.T) {
 	for b = 0; store.StripeOf(b, 2) != 1; b++ {
 	}
 	db := store.New()
-	r := NewReplayer(db, 2)
-	defer r.Close()
+	r := NewReplayer(db)
 	r.Install(&Checkpoint{LastSerial: 7, Watermarks: NewStripeWatermarks([]uint64{7, 5})})
 	r.Restart(5, 0)
 	for serial := uint64(6); serial <= 8; serial++ {
@@ -283,7 +285,6 @@ func TestReplayerRestartFiltersByWatermarks(t *testing.T) {
 			t.Fatalf("serial %d: group %v err %v", serial, g, err)
 		}
 	}
-	r.Wait()
 	if st := r.Stats(); st.WritesSkipped != 2 || st.WritesApplied != 2 || st.LastSerial != 8 {
 		t.Fatalf("stats %+v, want 2 skipped (a at 6 and 7), 2 applied", st)
 	}
@@ -312,9 +313,9 @@ func TestRecoverAppliesCommittedOnly(t *testing.T) {
 	log := encodeAll(t, []*Record{
 		writeRec(1, 10),
 		commitRec(1, 1),
-		writeRec(2, 20), // no commit record: txn 2 aborted by failure
 		{Type: TypeWrite, TxnID: 3, ObjectID: 30, AfterImage: []byte("three")},
 		commitRec(3, 2),
+		writeRec(2, 20), // no commit record: txn 2 aborted by failure
 	})
 	db := store.New()
 	st, err := Recover(bytes.NewReader(log), db)
@@ -368,60 +369,44 @@ func TestRecoverCorruptTailStopsCleanly(t *testing.T) {
 	}
 }
 
-func TestRecoverRespectsAbortRecords(t *testing.T) {
-	log := encodeAll(t, []*Record{
-		writeRec(1, 10),
-		{Type: TypeAbort, TxnID: 1},
-		commitRec(1, 1), // commit after abort applies nothing (writes dropped)
-	})
-	db := store.New()
-	st, err := Recover(bytes.NewReader(log), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.WritesApplied != 0 {
-		t.Fatalf("aborted writes applied: %+v", st)
-	}
-}
-
-// Property: replaying a log equals direct application of its committed
-// groups, for any mix of committed and uncommitted transactions and any
-// worker count.
+// TestPropertyRecoveryMatchesDirectApply is the replay reference: for a
+// log of contiguous groups (writes and deletes over a contended domain,
+// commit timestamps not serial-monotone), perhaps ending inside one more
+// group, the replayed store equals applying each committed group straight
+// to a store in log order, and the counts match.
 func TestPropertyRecoveryMatchesDirectApply(t *testing.T) {
-	f := func(seed int64, w uint8) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		direct := store.New()
-		var recs []*Record
-		serial := uint64(0)
-		for i := 0; i < 30; i++ {
+		var buf []byte
+		const txns = 30
+		writes := 0
+		for i := 0; i < txns; i++ {
 			id := txn.ID(i + 1)
-			nw := rng.Intn(4)
-			var writes []*Record
-			for w := 0; w < nw; w++ {
-				writes = append(writes, &Record{
-					Type: TypeWrite, TxnID: id,
-					ObjectID:   store.ObjectID(rng.Intn(10)),
-					AfterImage: []byte{byte(rng.Intn(256))},
-				})
-			}
-			recs = append(recs, writes...)
-			if rng.Intn(100) < 70 { // 70% commit
-				serial++
-				ts := serial * 7
-				recs = append(recs, &Record{Type: TypeCommit, TxnID: id, SerialOrder: serial, CommitTS: ts})
-				for _, w := range writes {
-					direct.Apply(w.ObjectID, w.AfterImage, ts)
+			var ops []store.Op
+			for w := rng.Intn(4); w > 0; w-- {
+				rec := &Record{Type: TypeWrite, TxnID: id, ObjectID: store.ObjectID(rng.Intn(10)),
+					AfterImage: []byte{byte(rng.Intn(256))}}
+				if rng.Intn(8) == 0 {
+					rec = &Record{Type: TypeDelete, TxnID: id, ObjectID: rec.ObjectID}
 				}
+				buf = AppendEncoded(buf, rec)
+				ops = append(ops, store.Op{ID: rec.ObjectID, Value: rec.AfterImage, Delete: rec.Type == TypeDelete})
 			}
+			ts := uint64(1 + rng.Intn(txns*4))
+			buf = AppendEncoded(buf, &Record{Type: TypeCommit, TxnID: id, SerialOrder: uint64(i + 1), CommitTS: ts})
+			direct.ApplyGroup(ops, ts)
+			writes += len(ops)
 		}
-		var buf bytes.Buffer
-		for _, r := range recs {
-			if Encode(&buf, r) != nil {
-				return false
-			}
+		dangling := rng.Intn(3) == 0
+		if dangling { // the crash caught one more group before its commit
+			buf = AppendEncoded(buf, &Record{Type: TypeWrite, TxnID: txns + 1, ObjectID: 1, AfterImage: []byte("lost")})
 		}
 		recovered := store.New()
-		if _, err := Replay(&buf, NewReplayer(recovered, 1+int(w%8))); err != nil {
+		st, err := Recover(bytes.NewReader(buf), recovered)
+		if err != nil || st.Applied != txns || st.WritesApplied != writes || st.LastSerial != txns ||
+			(st.Discarded == 1) != dangling || st.Truncated {
+			t.Logf("stats %+v, err %v, dangling %v", st, err, dangling)
 			return false
 		}
 		return recovered.Checksum() == direct.Checksum()
@@ -504,8 +489,7 @@ func TestReplayCheckpointResetsHistory(t *testing.T) {
 func TestReplayerRejectsCheckpointAfterRestart(t *testing.T) {
 	db := store.New()
 	db.Put(5, []byte("live"))
-	r := NewReplayer(db, 1)
-	defer r.Close()
+	r := NewReplayer(db)
 	r.Restart(3, 0)
 	file := writeCheckpoint(t, []store.Record{{ID: 1, Value: []byte("img")}}, []uint64{4, 4})
 	var err error
@@ -520,7 +504,6 @@ func TestReplayerRejectsCheckpointAfterRestart(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("checkpoint group after Restart: err = %v, want ErrCorrupt", err)
 	}
-	r.Wait()
 	if v, _ := db.Get(5); string(v) != "live" || db.Len() != 1 {
 		t.Fatalf("store changed: object 5 = %q, %d objects", v, db.Len())
 	}
