@@ -183,7 +183,7 @@ func BenchmarkLogDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wal.Decode(bytes.NewReader(enc)); err != nil {
+		if _, _, err := wal.DecodeNext(enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
-// Command rodain-logdump inspects RODAIN log artifacts: it prints
-// records, summarizes them and whether the log ends inside a group, dry-runs
-// the recovery pass, and walks segmented log directories in order. A
+// Command rodain-logdump inspects RODAIN log artifacts: it reads a log a
+// whole group at a time, as replay does, prints records, summarizes them
+// and whether the log ends inside a group, dry-runs the recovery pass,
+// and walks segmented log directories in order. A
 // checkpoint file is a log of one group, so it reads like any log; for
 // each checkpoint group it meets, the dump prints its serial, stripe
 // count and min and max watermark.
@@ -45,7 +46,10 @@ func main() {
 	}
 
 	if *recover_ {
-		r := openLog(path, fi.IsDir())
+		r, err := logstore.OpenSegmentsReader(path)
+		if err != nil {
+			log.Fatal(err)
+		}
 		defer r.Close()
 		dryRecover(r)
 		return
@@ -55,34 +59,14 @@ func main() {
 		dumpSegments(path, *verbose)
 		return
 	}
-	rawFile, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rawFile.Close()
-	// Buffered: record-at-a-time decoding over a raw file pays a read
-	// syscall per record.
-	sum := summarize(bufio.NewReaderSize(rawFile, 256<<10), *verbose)
-	sum.print()
-}
-
-// openLog opens a single log file or a segment directory as one stream.
-func openLog(path string, isDir bool) io.ReadCloser {
-	if isDir {
-		r, err := logstore.OpenSegmentsReader(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return struct {
-		io.Reader
-		io.Closer
-	}{bufio.NewReaderSize(f, 256<<10), f}
+	defer f.Close()
+	sum := &summary{}
+	sum.scan(f, *verbose)
+	sum.print()
 }
 
 // dryRecover replays the log into a scratch store the way a recovering
@@ -116,15 +100,17 @@ type summary struct {
 	open                              bool // the last group has no commit record
 }
 
-func summarize(r io.Reader, verbose bool) *summary {
-	s := &summary{}
-	s.scan(r, verbose)
-	return s
-}
-
+// scan reads r a whole group at a time, as replay does, and tallies the
+// records of each group: a torn or damaged tail ends the scan, and the
+// records of the group it cuts that passed their checks are tallied too.
 func (s *summary) scan(r io.Reader, verbose bool) {
+	br := bufio.NewReaderSize(r, 256<<10)
+	var g []byte
 	for {
-		rec, err := wal.Decode(r)
+		var err error
+		g, err = wal.ReadGroup(br, g)
+		s.tally(g, verbose)
+		s.open = err != nil && len(g) > 0
 		if err != nil {
 			switch {
 			case err == io.EOF:
@@ -136,9 +122,19 @@ func (s *summary) scan(r io.Reader, verbose bool) {
 			}
 			return
 		}
+	}
+}
+
+// tally counts the records of g, whole records that passed their checks.
+func (s *summary) tally(g []byte, verbose bool) {
+	for len(g) > 0 {
+		rec, n, err := wal.DecodeNext(g)
+		if err != nil {
+			log.Fatal(err)
+		}
+		g = g[n:]
 		s.records++
-		s.bytesTotal += wal.EncodedSize(rec)
-		s.open = rec.Type != wal.TypeCommit
+		s.bytesTotal += n
 		switch rec.Type {
 		case wal.TypeWrite:
 			s.writes++
@@ -185,7 +181,7 @@ func dumpSegments(dir string, verbose bool) {
 		}
 		before := *total
 		start := time.Now()
-		total.scan(bufio.NewReaderSize(f, 256<<10), verbose)
+		total.scan(f, verbose)
 		elapsed := time.Since(start)
 		f.Close()
 		fmt.Printf("segment %s: %d records (%d bytes), %d commits, max serial %d, scanned in %v\n",

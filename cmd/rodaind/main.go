@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -99,13 +98,18 @@ func main() {
 	}
 	defer db.Close()
 
+	if *recover_ != "" { // a log the operator names must exist
+		if _, err := os.Stat(*recover_); err != nil {
+			log.Fatalf("recover: %v", err)
+		}
+	}
 	if *ckptDir != "" {
 		// Restore checkpoint + log tail as one pass: the tail replays
 		// over the snapshot per stripe watermark, so ordering is handled
 		// inside RecoverFromDir instead of here.
 		var tail io.Reader
 		if *recover_ != "" {
-			rc, err := openLogReader(*recover_)
+			rc, err := logstore.OpenSegmentsReader(*recover_)
 			if err != nil {
 				log.Fatalf("recover: %v", err)
 			}
@@ -159,30 +163,8 @@ func main() {
 	log.Printf("shutting down; final stats: %+v", db.Stats().Outcome)
 }
 
-// openLogReader opens a stored log for replay: a single log file, or a
-// directory of segments written by -log-segment-bytes (read in order).
-func openLogReader(path string) (io.ReadCloser, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if fi.IsDir() {
-		return logstore.OpenSegmentsReader(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	// Buffered: the replay decodes one record at a time and would
-	// otherwise pay a read syscall per record.
-	return struct {
-		io.Reader
-		io.Closer
-	}{bufio.NewReaderSize(f, 256<<10), f}, nil
-}
-
 func recoverInto(db *rodain.DB, path string) error {
-	r, err := openLogReader(path)
+	r, err := logstore.OpenSegmentsReader(path)
 	if err != nil {
 		return err
 	}

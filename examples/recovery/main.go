@@ -9,7 +9,6 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"log"
 	"os"
@@ -65,7 +64,7 @@ func part1(dir string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := recovered.Recover(bufio.NewReader(f))
+	st, err := recovered.Recover(f)
 	f.Close()
 	if err != nil {
 		log.Fatal(err)

@@ -251,11 +251,12 @@ func TestRecoverFromDirSeedsPastTailDelete(t *testing.T) {
 
 	tail := log.SyncedBytes()
 	var last, lastWrite *wal.Record
-	for r := bytes.NewReader(tail); r.Len() > 0; {
-		rec, err := wal.Decode(r)
+	for b := tail; len(b) > 0; {
+		rec, n, err := wal.DecodeNext(b)
 		if err != nil {
 			t.Fatal(err)
 		}
+		b = b[n:]
 		if rec.Type == wal.TypeCommit {
 			last = rec
 		} else {

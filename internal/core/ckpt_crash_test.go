@@ -217,17 +217,17 @@ func assertDroppedCovered(t *testing.T, dropped []byte, wm *wal.StripeWatermarks
 	if wm == nil {
 		t.Fatal("fuzzy checkpoint without watermarks")
 	}
-	r := bytes.NewReader(dropped)
 	var open []*wal.Record // the open group's writes
 	commits := 0
 	for {
-		rec, err := wal.Decode(r)
+		rec, n, err := wal.DecodeNext(dropped)
 		if err != nil {
 			if err == io.EOF {
 				break
 			}
 			t.Fatalf("dropped prefix does not decode cleanly: %v", err)
 		}
+		dropped = dropped[n:]
 		switch rec.Type {
 		case wal.TypeWrite, wal.TypeDelete:
 			open = append(open, rec)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"slices"
@@ -57,15 +56,15 @@ func shipEngine(t *testing.T, clock simtime.Clock, hold <-chan struct{}) (*Engin
 // and how many write records it holds.
 func commitSerials(t *testing.T, log []byte) (commits []uint64, writes int) {
 	t.Helper()
-	r := bytes.NewReader(log)
 	for {
-		rec, err := wal.Decode(r)
+		rec, n, err := wal.DecodeNext(log)
 		if errors.Is(err, io.EOF) {
 			return commits, writes
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		log = log[n:]
 		if rec.Type == wal.TypeCommit {
 			commits = append(commits, rec.SerialOrder)
 		} else {

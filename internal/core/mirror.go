@@ -21,11 +21,12 @@ var ErrPrimaryDown = errors.New("core: primary down")
 
 // MirrorEngine is the hot stand-by side of a RODAIN pair: it receives
 // the primary's log stream, which the shipper sends in true validation
-// order as one frame of stored-log bytes per cohort, and feeds its
-// records to a wal.Replayer. The replayer takes each transaction as one
-// contiguous group, checks that commits arrive at contiguous serials, and
-// applies each group to the database copy only once its commit record
-// has been seen (so the mirror never needs to undo anything). The frame's
+// order as one frame of stored-log bytes per cohort, checks the frame a
+// whole group at a time (wal.NextGroup) and feeds each group to a
+// wal.Replayer. The replayer checks that commits arrive at contiguous
+// serials and applies each group to the database copy, which therefore
+// only ever sees a transaction whose commit record has arrived (so the
+// mirror never needs to undo anything). The frame's
 // bytes are stored to the log as received, and its commits, already
 // applied, acknowledged; the log is synced to disk asynchronously — the
 // disk write is not synchronized with transaction commits.
@@ -108,8 +109,9 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 	// Receive, apply, ack and the stored log stay ordered on this
 	// goroutine: a group is in the database copy before its commit is
 	// acknowledged, so a takeover always promotes a fully-applied
-	// database. Closing the replayer discards a group without a commit
-	// record: when the Primary Node fails it is considered aborted.
+	// database. The replayer takes only whole groups, so a group whose
+	// commit record never arrived is never applied: when the Primary Node
+	// fails it is considered aborted.
 	rp := wal.NewReplayer(m.db)
 	rp.Restart(hello, prev.MaxCommitTS)
 	m.mu.Lock()
@@ -117,7 +119,6 @@ func (m *MirrorEngine) Run(conn *transport.Conn) (err error) {
 	m.mu.Unlock()
 	m.synced.Store(false)
 	m.held = nil
-	defer rp.Close()
 
 	// Background log flusher: "the data storing to the disk is not
 	// synchronized with the transaction commits".
@@ -302,11 +303,13 @@ func receiveTransfer(conn *transport.Conn, timeout time.Duration) ([]byte, uint6
 	}
 }
 
-// receive feeds one log frame — whole groups' stored-log bytes in serial
-// order — to rp, and stores the bytes of the groups rp accepted exactly
+// receive checks one log frame — whole groups' stored-log bytes in
+// serial order — a group at a time (wal.NextGroup), feeds each group to
+// rp, and stores the bytes of the groups rp accepted exactly
 // as received: to the log, or before a transfer's sync point to the held
 // log. It returns the last serial accepted and how many groups were. A
-// damaged record, a serial gap or a frame ending inside a group is an
+// damaged record, a record of another transaction inside a group, a
+// serial gap or a frame ending inside a group is an
 // error wrapping wal.ErrCorrupt; the groups before it are still stored,
 // so the log always equals what was applied. A log-device failure (this
 // append, or an earlier background flush) is returned too: the mirror
@@ -315,19 +318,16 @@ func receiveTransfer(conn *transport.Conn, timeout time.Duration) ([]byte, uint6
 // longer is.
 func (m *MirrorEngine) receive(rp *wal.Replayer, frame []byte) (last uint64, n int, err error) {
 	end := 0 // frame[:end] holds the accepted groups
-	for off := 0; off < len(frame) && err == nil; {
-		rec, k, derr := wal.DecodeNext(frame[off:])
-		if derr != nil {
+	for end < len(frame) {
+		k, commit, gerr := wal.NextGroup(frame[end:])
+		if gerr != nil {
+			err = fmt.Errorf("%w: no whole group at byte %d of a %d-byte frame: %v", wal.ErrCorrupt, end, len(frame), gerr)
 			break
 		}
-		off += k
-		var g *wal.Group
-		if g, err = rp.Add(rec); g != nil {
-			end, last, n = off, g.SerialOrder(), n+1
+		if err = rp.Add(frame[end : end+k]); err != nil {
+			break
 		}
-	}
-	if err == nil && end < len(frame) {
-		err = fmt.Errorf("%w: no whole group at byte %d of a %d-byte frame", wal.ErrCorrupt, end, len(frame))
+		end, last, n = end+k, commit.SerialOrder, n+1
 	}
 	if m.held != nil {
 		m.held = append(m.held, frame[:end]...)

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/logstore"
 	"repro/internal/store"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -77,5 +79,55 @@ func TestTakeoverDrainsParallelApply(t *testing.T) {
 		return tx.Write(1, []byte("post-takeover"))
 	}}); err != nil {
 		t.Fatalf("post-takeover txn: %v", err)
+	}
+}
+
+// TestMirrorReceiveAllocs bounds the allocations of the mirror's ack
+// path. Receiving a frame of one two-write group checks the group in
+// place and applies it without a copy of its own: what it allocates is
+// the store's, a version and a value copy per installed write, plus an
+// item on an insert. Writes the store already holds at a newer commit
+// timestamp (commit timestamps are not serial-monotone) install nothing.
+func TestMirrorReceiveAllocs(t *testing.T) {
+	const runs = 200
+	img := make([]byte, 64)
+	for _, c := range []struct {
+		name   string
+		held   uint64 // the commit timestamp objects 0 and 1 already hold; 0 = fresh ids
+		budget float64
+	}{{"fresh ids", 0, 6}, {"overwrites", 1, 4}, {"superseded overwrites", 1 << 62, 2}} {
+		frames := make([][]byte, runs+1) // AllocsPerRun adds one warm-up run
+		for i := range frames {
+			serial := uint64(i + 1)
+			id := store.ObjectID(2 * i)
+			if c.held != 0 {
+				id = 0
+			}
+			frames[i] = logFrame(&wal.Group{
+				Writes: []*wal.Record{
+					{Type: wal.TypeWrite, TxnID: txn.ID(serial), ObjectID: id, AfterImage: img},
+					{Type: wal.TypeWrite, TxnID: txn.ID(serial), ObjectID: id + 1, AfterImage: img},
+				},
+				Commit: &wal.Record{Type: wal.TypeCommit, TxnID: txn.ID(serial), SerialOrder: serial, CommitTS: serial << 16},
+			}).Payload
+		}
+		db := store.New()
+		if c.held != 0 {
+			db.ApplyGroup([]store.Op{{ID: 0, Value: img}, {ID: 1, Value: img}}, c.held)
+		}
+		m := NewMirrorEngine(Config{}, db, logstore.NewMem())
+		rp := wal.NewReplayer(db)
+		rp.Restart(0, 0)
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, _, err := m.receive(rp, frames[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		t.Logf("%s: %.1f allocations per frame", c.name, allocs)
+		if allocs > c.budget {
+			t.Errorf("%s: %.1f allocations per one-group frame, want at most %.0f", c.name, allocs, c.budget)
+		}
 	}
 }

@@ -442,8 +442,8 @@ func (n *Node) RecoverFromLog(r io.Reader) (wal.RecoverStats, error) {
 
 // replayAndSeed is the one recovery step behind RecoverFromLog and
 // RecoverFromDir: it replays log (when non-nil) on rp — which may hold an
-// installed checkpoint — closes rp, and seeds a serving engine's serial
-// and timestamp floor at or above every commit recovered. Every replayed
+// installed checkpoint — and seeds a serving engine's serial and
+// timestamp floor at or above every commit recovered. Every replayed
 // version's write timestamp is its group's commit timestamp or an
 // installed image's write timestamp, so MaxCommitTS covers the whole
 // store.

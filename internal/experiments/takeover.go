@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -119,8 +118,7 @@ func takeoverOne(objects, logTail int) (TakeoverResult, error) {
 	// and redoes the tail.
 	start := simtime.Wall.Now()
 	disk := io.MultiReader(ckpt, bytes.NewReader(tail.Bytes()))
-	if _, err := wal.Recover(bufio.NewReaderSize(
-		newThrottledReader(disk, diskReadBandwidth), 64<<10), store.New()); err != nil {
+	if _, err := wal.Recover(newThrottledReader(disk, diskReadBandwidth), store.New()); err != nil {
 		return res, err
 	}
 	res.RecoveryTime = simtime.Wall.Now().Sub(start)

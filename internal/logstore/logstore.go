@@ -156,12 +156,12 @@ func (m *Mem) Stats() Stats {
 	return m.stats
 }
 
-// TruncateBelow implements SerialTruncator: it walks the stored records
-// through a wal.LogScanner and cuts at the last group boundary before
-// the first commit above serial, so the dropped prefix holds only
-// commits the checkpoint covers, and no write whose commit lies beyond
-// the cut. The synced marker shifts with the data so crash modeling
-// stays exact.
+// TruncateBelow implements SerialTruncator: it walks the stored groups
+// (wal.NextGroup) and cuts before the first one whose commit is above
+// serial, so the dropped prefix holds only commits the checkpoint covers,
+// and no write whose commit lies beyond the cut. A group the data ends
+// inside, or damage, ends the walk too. The synced marker shifts with the
+// data so crash modeling stays exact.
 func (m *Mem) TruncateBelow(serial uint64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -169,21 +169,12 @@ func (m *Mem) TruncateBelow(serial uint64) (int, error) {
 		return 0, ErrClosed
 	}
 	cut := 0
-	var scan wal.LogScanner
-	for off := 0; ; {
-		// A clean end, a partial tail record or damage ends the walk.
-		_, n, err := wal.DecodeNext(m.data[off:])
-		if err != nil {
+	for {
+		n, commit, err := wal.NextGroup(m.data[cut:])
+		if err != nil || commit.SerialOrder > serial {
 			break
 		}
-		scan.Scan(m.data[off : off+n])
-		if scan.MaxSerial() > serial {
-			break // the first uncovered commit: the cut stands
-		}
-		off += n
-		if scan.AtBoundary() {
-			cut = off
-		}
+		cut += n
 	}
 	if cut == 0 {
 		return 0, nil

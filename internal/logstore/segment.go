@@ -2,7 +2,7 @@ package logstore
 
 import (
 	"bufio"
-	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -106,16 +106,25 @@ func ListSegments(dir string) ([]string, error) {
 	return names, nil
 }
 
-// OpenSegmentsReader returns a reader over the concatenation of every
-// segment in dir, in log order — the stream recovery replays. An empty
-// or absent directory yields an empty stream.
-func OpenSegmentsReader(dir string) (io.ReadCloser, error) {
-	names, err := ListSegments(dir)
+// OpenSegmentsReader returns a reader over the stored log at path, the
+// stream recovery replays: the concatenation of every segment in a
+// directory, in log order, or a single log file as its one-segment case
+// (like OpenFile). An absent path or an empty directory yields an empty
+// stream. The reader is not buffered; Replay buffers its own input.
+func OpenSegmentsReader(path string) (io.ReadCloser, error) {
+	fi, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return io.NopCloser(strings.NewReader("")), nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return io.NopCloser(strings.NewReader("")), nil
-		}
 		return nil, err
+	}
+	dir, names := filepath.Dir(path), []string{filepath.Base(path)}
+	if fi.IsDir() {
+		dir = path
+		if names, err = ListSegments(dir); err != nil {
+			return nil, err
+		}
 	}
 	mr := &multiFileReader{}
 	for _, name := range names {
@@ -125,14 +134,14 @@ func OpenSegmentsReader(dir string) (io.ReadCloser, error) {
 			return nil, err
 		}
 		mr.files = append(mr.files, f)
-		mr.readers = append(mr.readers, bufio.NewReaderSize(f, 1<<16))
 	}
+	mr.readers = mr.files
 	return mr, nil
 }
 
 type multiFileReader struct {
 	files   []*os.File
-	readers []io.Reader
+	readers []*os.File // the files not yet read to their end
 }
 
 func (m *multiFileReader) Read(p []byte) (int, error) {
@@ -233,9 +242,11 @@ func openLog(dir string, names []string, segBytes int64) (*Segmented, error) {
 
 // scanFile feeds the whole groups of one log file through the boundary
 // scanner and returns the offset of the file's last group boundary; an
-// absent file is empty. Damage or a torn tail ends the scan at the last
-// complete record, exactly as replay would, and the scanner never sees
-// the bytes past the boundary, so appends resume in step with it.
+// absent file is empty. The groups are read with wal.ReadGroup, the
+// check replay reads them with, so damage, a torn record or a group
+// without its commit ends the scan exactly where replay stops, and the
+// scanner never sees the bytes past the boundary: appends resume in step
+// with it. A read error other than those is returned.
 func (s *Segmented) scanFile(path string) (int64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -247,23 +258,19 @@ func (s *Segmented) scanFile(path string) (int64, error) {
 	defer f.Close()
 	var (
 		boundary int64
-		probe    wal.LogScanner // a file starts at a group boundary
-		raw      bytes.Buffer   // the record Decode is reading
-		group    []byte         // records since the last boundary
+		g        []byte
 	)
-	r := io.TeeReader(bufio.NewReaderSize(f, 1<<16), &raw)
+	r := bufio.NewReaderSize(f, 1<<16)
 	for {
-		raw.Reset()
-		if _, err := wal.Decode(r); err != nil {
+		g, err = wal.ReadGroup(r, g)
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, wal.ErrCorrupt):
 			return boundary, nil
+		case err != nil:
+			return 0, err
 		}
-		probe.Scan(raw.Bytes())
-		group = append(group, raw.Bytes()...)
-		if probe.AtBoundary() {
-			s.scan.Scan(group)
-			boundary += int64(len(group))
-			group = group[:0]
-		}
+		s.scan.Scan(g)
+		boundary += int64(len(g))
 	}
 }
 

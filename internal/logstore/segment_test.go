@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -231,6 +232,74 @@ func TestSegmentedReopenDropsTornTail(t *testing.T) {
 				t.Fatalf("torn tail not truncated back to the boundary: %d bytes, want %d", len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestOpenFileCutsWhereReplayStops: for seeded random logs — groups of
+// writes and deletes, sometimes an interleaved pair that no writer
+// produces — cut at random offsets, the boundary OpenFile reopens at is
+// exactly the bytes of the whole groups a replay of the same file
+// applies, and the file is cut back to it.
+func TestOpenFileCutsWhereReplayStops(t *testing.T) {
+	dir := t.TempDir()
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var (
+			log    []byte
+			groups []int // each whole group's end offset in log
+		)
+		interleaveAt := -1
+		if rng.Intn(2) == 0 {
+			interleaveAt = rng.Intn(8)
+		}
+		for i := 0; i < 8; i++ {
+			id := uint64(i + 1)
+			if i == interleaveAt { // the next transaction writes inside this one's group
+				log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeWrite, TxnID: txn.ID(id), ObjectID: 1, AfterImage: []byte("a")})
+				log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeWrite, TxnID: txn.ID(id + 100), ObjectID: 2, AfterImage: []byte("b")})
+				log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeCommit, TxnID: txn.ID(id), SerialOrder: id, CommitTS: id})
+				continue
+			}
+			for w := rng.Intn(4); w > 0; w-- {
+				rec := &wal.Record{Type: wal.TypeWrite, TxnID: txn.ID(id), ObjectID: store.ObjectID(rng.Intn(10)),
+					AfterImage: make([]byte, rng.Intn(20))}
+				if rng.Intn(5) == 0 {
+					rec = &wal.Record{Type: wal.TypeDelete, TxnID: txn.ID(id), ObjectID: rec.ObjectID}
+				}
+				log = wal.AppendEncoded(log, rec)
+			}
+			log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeCommit, TxnID: txn.ID(id), SerialOrder: id, CommitTS: id})
+			groups = append(groups, len(log))
+		}
+		log = log[:rng.Intn(len(log)+1)]
+		path := filepath.Join(dir, fmt.Sprintf("seed%d.wal", seed))
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := wal.Recover(bytes.NewReader(log), store.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if st.Applied > 0 {
+			want = int64(groups[st.Applied-1])
+		}
+		s, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.Segments()[0].Bytes
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || fi.Size() != want {
+			t.Fatalf("seed %d (interleaved at %d, %d bytes): opener boundary %d, file %d bytes, replay applied %d groups = %d bytes",
+				seed, interleaveAt, len(log), got, fi.Size(), st.Applied, want)
+		}
 	}
 }
 

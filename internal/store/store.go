@@ -480,7 +480,8 @@ func (st *stripe) applyDelete(id ObjectID, commitTS, serial uint64) {
 // transaction-level atomicity for them. Ops are applied in slice order,
 // so a group may write and then delete (or re-write) the same object
 // with last-op-wins semantics. Each installed version (or tombstone)
-// records its op's Serial.
+// records its op's Serial, and a copy of its op's Value: the caller may
+// reuse the values' memory once ApplyGroup returns.
 func (s *Store) ApplyGroup(ops []Op, commitTS uint64) {
 	switch len(ops) {
 	case 0:

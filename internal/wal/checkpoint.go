@@ -138,7 +138,8 @@ type Checkpoint struct {
 	Watermarks *StripeWatermarks
 }
 
-// DecodeCheckpoint decodes the checkpoint group at the start of b and
+// DecodeCheckpoint decodes the checkpoint group at the start of b —
+// from a checkpoint file, a state transfer or a stored log alike — and
 // reports how many bytes it takes. The snapshot values alias b, so b
 // must not change while the checkpoint is in use (Replayer.Install
 // copies them into the store). A cut yields ErrIncompleteCheckpoint; a
@@ -147,42 +148,43 @@ type Checkpoint struct {
 // ErrCorrupt: a checkpoint is all-or-nothing, and recovery must fall
 // back to the previous one plus the log.
 //
-// The first pass checks every record in place and finds the commit
-// record; the second fills a snapshot sized to the write count from the
-// headers alone, so decoding allocates the same few objects at any
-// image size.
+// NextGroup checks the group; a pass over the headers then counts and
+// types its writes, and a last one fills a snapshot of the exact size,
+// so decoding allocates the same few objects at any image size.
 func DecodeCheckpoint(b []byte) (*Checkpoint, int, error) {
-	var (
-		off, writes int
-		other       Type // the first record type other than TypeWrite
-		commit      Record
-	)
-	for {
-		rec, k, err := decodeInPlace(b[off:])
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, 0, ErrIncompleteCheckpoint
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		if rec.TxnID != checkpointTxnID {
-			return nil, 0, fmt.Errorf("%w: record of transaction %d in a checkpoint", ErrCorrupt, rec.TxnID)
-		}
-		off += k
-		if rec.Type == TypeCommit {
-			commit = rec
-			break
-		}
-		if rec.Type != TypeWrite && other == 0 {
-			other = rec.Type
-		}
-		writes++
+	n, commit, err := NextGroup(b)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil, 0, ErrIncompleteCheckpoint
 	}
-	ck, err := newCheckpoint(&commit, writes, other)
 	if err != nil {
 		return nil, 0, err
 	}
-	ck.Snapshot = ck.Snapshot[:writes]
+	if commit.TxnID != checkpointTxnID {
+		return nil, 0, fmt.Errorf("%w: record of transaction %d in a checkpoint", ErrCorrupt, commit.TxnID)
+	}
+	wm := CheckpointWatermarks(&commit)
+	if wm == nil {
+		return nil, 0, fmt.Errorf("%w: checkpoint watermark vector of %d bytes", ErrCorrupt, len(commit.AfterImage))
+	}
+	if top := wm.Max(); top != commit.SerialOrder {
+		return nil, 0, fmt.Errorf("%w: checkpoint serial %d, max watermark %d", ErrCorrupt, commit.SerialOrder, top)
+	}
+	writes := 0
+	for p := 0; ; writes++ {
+		h, imgLen, _ := parseHeader(b[p : p+headerSize])
+		if h.Type == TypeCommit {
+			break
+		}
+		if h.Type != TypeWrite {
+			return nil, 0, fmt.Errorf("%w: %v record in a checkpoint", ErrCorrupt, h.Type)
+		}
+		p += headerSize + imgLen
+	}
+	ck := &Checkpoint{
+		Snapshot:   make([]store.Record, writes),
+		LastSerial: commit.SerialOrder,
+		Watermarks: wm,
+	}
 	for i, p := 0, 0; i < writes; i++ {
 		h, imgLen, _ := parseHeader(b[p : p+headerSize])
 		p += headerSize
@@ -193,7 +195,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, int, error) {
 		}
 		p += imgLen
 	}
-	return ck, off, nil
+	return ck, n, nil
 }
 
 // CheckpointWatermarks decodes the watermark vector carried by rec, the
@@ -211,49 +213,6 @@ func CheckpointWatermarks(rec *Record) *StripeWatermarks {
 		marks[i] = binary.LittleEndian.Uint64(vec[8*i:])
 	}
 	return NewStripeWatermarks(marks)
-}
-
-// checkpointOf converts a checkpoint group whose records are already
-// decoded: the stored-log path (Replayer.Add).
-func checkpointOf(g *Group) (*Checkpoint, error) {
-	var other Type
-	for _, w := range g.Writes {
-		if w.Type != TypeWrite {
-			other = w.Type
-			break
-		}
-	}
-	ck, err := newCheckpoint(g.Commit, len(g.Writes), other)
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range g.Writes {
-		ck.Snapshot = append(ck.Snapshot, store.Record{ID: w.ObjectID, Value: w.AfterImage, WriteTS: w.CommitTS})
-	}
-	return ck, nil
-}
-
-// newCheckpoint checks a checkpoint group of writes records closed by
-// commit — a watermark vector of a valid stripe count whose max mark is
-// the group's serial, and no record type but TypeWrite (other, if set,
-// is the first one seen) — and returns its checkpoint with room for the
-// snapshot.
-func newCheckpoint(commit *Record, writes int, other Type) (*Checkpoint, error) {
-	wm := CheckpointWatermarks(commit)
-	if wm == nil {
-		return nil, fmt.Errorf("%w: checkpoint watermark vector of %d bytes", ErrCorrupt, len(commit.AfterImage))
-	}
-	if top := wm.Max(); top != commit.SerialOrder {
-		return nil, fmt.Errorf("%w: checkpoint serial %d, max watermark %d", ErrCorrupt, commit.SerialOrder, top)
-	}
-	if other != 0 {
-		return nil, fmt.Errorf("%w: %v record in a checkpoint", ErrCorrupt, other)
-	}
-	return &Checkpoint{
-		Snapshot:   make([]store.Record, 0, writes),
-		LastSerial: commit.SerialOrder,
-		Watermarks: wm,
-	}, nil
 }
 
 // checkpointTxnID marks checkpoint records; it can never collide with a

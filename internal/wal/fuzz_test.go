@@ -2,50 +2,38 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/store"
 )
 
-// FuzzDecode hammers the record decoders with arbitrary bytes: they must
-// never panic or over-allocate, only return records or errors. DecodeNext
-// walking the buffer and Decode reading it as a stream share one header
-// parser and one check, so at every step they must agree on the record,
-// the error class and the bytes consumed.
+// FuzzDecode hammers the record decoder with arbitrary bytes: it must
+// never panic or over-allocate, only return records or errors. Walking
+// the buffer, every record it decodes takes exactly its encoded size and
+// re-encodes to the same bytes.
 func FuzzDecode(f *testing.F) {
 	f.Add(AppendEncoded(nil, &Record{Type: TypeWrite, TxnID: 1, ObjectID: 2, AfterImage: []byte("seed")}))
 	f.Add(AppendEncoded(nil, &Record{Type: TypeCommit, TxnID: 3, SerialOrder: 4, CommitTS: 5}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
 		for off := 0; ; {
-			rec, err := Decode(r)
-			next, n, nerr := DecodeNext(data[off:])
-			if errClass(err) != errClass(nerr) {
-				t.Fatalf("at %d: Decode error %v, DecodeNext error %v", off, err, nerr)
-			}
+			rec, n, err := DecodeNext(data[off:])
 			if err != nil {
-				break
+				if c := errClass(err); c != "eof" && c != "truncated" && c != "corrupt" {
+					t.Fatalf("at %d: DecodeNext error %v", off, err)
+				}
+				return
+			}
+			if n != EncodedSize(rec) || !bytes.Equal(AppendEncoded(nil, rec), data[off:off+n]) {
+				t.Fatalf("at %d: %v takes %d bytes and does not re-encode to them", off, rec, n)
 			}
 			off += n
-			if consumed := len(data) - r.Len(); consumed != off {
-				t.Fatalf("Decode consumed %d bytes, DecodeNext %d", consumed, off)
-			}
-			if !sameRecord(rec, next) {
-				t.Fatalf("Decode gave %v, DecodeNext %v", rec, next)
-			}
-			// Any decoded record must re-encode to a decodable form.
-			round, err2 := Decode(bytes.NewReader(AppendEncoded(nil, rec)))
-			if err2 != nil {
-				t.Fatalf("re-encode of decoded record failed: %v", err2)
-			}
-			if !sameRecord(round, rec) {
-				t.Fatal("re-encode round trip mismatch")
-			}
 		}
 	})
 }
@@ -63,11 +51,6 @@ func errClass(err error) string {
 		return "corrupt"
 	}
 	return err.Error()
-}
-
-func sameRecord(a, b *Record) bool {
-	return a.Type == b.Type && a.TxnID == b.TxnID && a.SerialOrder == b.SerialOrder &&
-		a.CommitTS == b.CommitTS && a.ObjectID == b.ObjectID && bytes.Equal(a.AfterImage, b.AfterImage)
 }
 
 // FuzzRecover feeds arbitrary bytes to the recovery pass: it must
@@ -102,6 +85,70 @@ func FuzzRecover(f *testing.F) {
 		db := store.New()
 		if _, err := Recover(bytes.NewReader(data), db); err != nil {
 			t.Fatalf("Recover returned a hard error on fuzzed input: %v", err)
+		}
+	})
+}
+
+// FuzzGroupReaders: the stream and the frame read a log the same way.
+// For any input, Replay over a reader (handing it one byte per read) and
+// a NextGroup + Add loop over the same bytes apply the same prefix: the
+// same store, the same counts, and at the tail the Truncated and
+// Discarded that NextGroup's report implies. At every step ReadGroup
+// returns exactly the bytes NextGroup takes.
+func FuzzGroupReaders(f *testing.F) {
+	good := append(encodeGroup(writeRec(1, 1), writeRec(1, 2), commitRec(1, 1)),
+		encodeGroup(&Record{Type: TypeDelete, TxnID: 2, ObjectID: 1}, commitRec(2, 2))...)
+	f.Add(good)
+	f.Add(append(encodeGroup(writeRec(1, 1), commitRec(1, 1)),
+		encodeGroup(writeRec(2, 2), writeRec(3, 3), commitRec(2, 2), commitRec(3, 3))...)) // an interleaved pair
+	f.Add(good[:len(good)-9]) // a torn tail
+	withCkpt := append(append([]byte(nil), good...),
+		writeCheckpoint(f, []store.Record{{ID: 1, Value: []byte("img"), WriteTS: 7}}, []uint64{2, 2})...)
+	f.Add(append(withCkpt, encodeGroup(writeRec(3, 4), commitRec(3, 3))...)) // a checkpoint group mid-log
+	badMarks := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 7), 4)
+	f.Add(append(append([]byte(nil), good...), watermarkRecord(5, badMarks)...)) // a whole group the replayer rejects
+	f.Add(append(append([]byte(nil), good...), encodeGroup(&Record{Type: 3, TxnID: 3}, commitRec(3, 3))...))
+	f.Add(append(append([]byte(nil), good...), AppendEncoded(nil, &Record{Type: 4})...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stream := store.New()
+		st, err := Replay(iotest.OneByteReader(bytes.NewReader(data)), NewReplayer(stream))
+		if err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+
+		frame := store.New()
+		rp := NewReplayer(frame)
+		r := bytes.NewReader(data)
+		var (
+			g                    []byte
+			truncated, discarded bool
+		)
+		for off := 0; ; {
+			n, _, nerr := NextGroup(data[off:])
+			var rerr error
+			g, rerr = ReadGroup(r, g)
+			if !bytes.Equal(g, data[off:off+n]) || errClass(rerr) != errClass(nerr) &&
+				!(rerr == io.EOF && nerr == io.ErrUnexpectedEOF && off+n == len(data)) {
+				t.Fatalf("at %d: NextGroup takes %d bytes (%v), ReadGroup %d (%v)", off, n, nerr, len(g), rerr)
+			}
+			if nerr != nil {
+				discarded = n > 0
+				truncated = nerr != io.EOF && off+n < len(data)
+				break
+			}
+			if rp.Add(data[off:off+n]) != nil {
+				truncated = true
+				break
+			}
+			off += n
+		}
+		want := rp.Stats()
+		want.Truncated = truncated
+		if discarded {
+			want.Discarded = 1
+		}
+		if st != want || stream.Checksum() != frame.Checksum() {
+			t.Fatalf("stream %+v, frame %+v; checksums %08x, %08x", st, want, stream.Checksum(), frame.Checksum())
 		}
 	})
 }

@@ -109,11 +109,11 @@ func Encode(w io.Writer, r *Record) error {
 }
 
 // DecodeNext decodes the record at the start of b and reports how many
-// bytes it takes: the zero-reader form of Decode, for a buffer that holds
-// a run of records back to back (a log frame, or a stored log). The after
-// image is copied out of b, so the caller may reuse b immediately. Errors
-// are Decode's: io.EOF for an empty b, io.ErrUnexpectedEOF if b ends
-// mid-record, and ErrCorrupt on checksum or framing damage.
+// bytes it takes, for a buffer that holds a run of records back to back
+// (a log frame, or a stored log). The after image is copied out of b, so
+// the caller may reuse b immediately. It returns io.EOF for an empty b,
+// io.ErrUnexpectedEOF if b ends mid-record, and ErrCorrupt on checksum or
+// framing damage.
 func DecodeNext(b []byte) (*Record, int, error) {
 	rec, n, err := decodeInPlace(b)
 	if err != nil {
@@ -151,31 +151,114 @@ func decodeInPlace(b []byte) (Record, int, error) {
 	return rec, n, nil
 }
 
-// Decode reads one record from r. It returns io.EOF at a clean record
-// boundary, io.ErrUnexpectedEOF if the stream ends mid-record, and
-// ErrCorrupt on checksum or framing damage.
-func Decode(r io.Reader) (*Record, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// NextGroup checks the group at the start of b, the unit the stored log
+// is read in: one transaction's writes and deletes closed by its commit
+// record. Each record's checksum and type must hold, and every record
+// must carry the first one's transaction id. It reports the group's
+// length and its commit record, whose after image aliases b.
+//
+// It returns io.EOF for an empty b, io.ErrUnexpectedEOF when b ends inside
+// the group, and an error wrapping ErrCorrupt on damage. On an error n is
+// the length of the checked records before the failure: n == len(b) with
+// io.ErrUnexpectedEOF means b ends at a record boundary inside the group.
+func NextGroup(b []byte) (n int, commit Record, err error) {
+	if len(b) == 0 {
+		return 0, Record{}, io.EOF
 	}
-	rec, imgLen, err := parseHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	if imgLen > 0 {
-		rec.AfterImage = make([]byte, imgLen)
-		if _, err := io.ReadFull(r, rec.AfterImage); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
+	for {
+		rec, k, err := nextInGroup(b, n)
+		if err != nil {
+			return n, Record{}, err
+		}
+		if n += k; rec.Type == TypeCommit {
+			return n, rec, nil
 		}
 	}
-	if err := check(&rec, hdr[:]); err != nil {
-		return nil, err
+}
+
+// nextInGroup is NextGroup's step: it checks the record at b[off:] as the
+// next one of the group that starts at b, and reports its length.
+func nextInGroup(b []byte, off int) (Record, int, error) {
+	rec, k, err := decodeInPlace(b[off:])
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // off > 0: the group has no commit yet
 	}
-	return &rec, nil
+	if err != nil {
+		return Record{}, 0, err
+	}
+	if id := txn.ID(binary.LittleEndian.Uint64(b[9:])); off > 0 && rec.TxnID != id {
+		return Record{}, 0, fmt.Errorf("%w: a record of transaction %d inside the group of transaction %d",
+			ErrCorrupt, rec.TxnID, id)
+	}
+	return rec, k, nil
+}
+
+// ReadGroup reads the next group from r into buf, reusing its capacity,
+// and returns it, checked record by record with NextGroup's step. The
+// buffer doubles when full, and only as bytes arrive, so a damaged length
+// field never allocates more than the stream holds.
+//
+// At the end of r it returns io.EOF, with an empty slice at a group
+// boundary, or with the checked records of a group the stream ended
+// inside. A stream that ends mid-record yields io.ErrUnexpectedEOF and
+// damage an error wrapping ErrCorrupt, the slice again holding the
+// group's checked records before the failure. Other read errors are
+// returned as they are.
+func ReadGroup(r io.Reader, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		off := len(buf)
+		var err error
+		if buf, err = readRecord(r, buf); err != nil {
+			return buf[:off], err
+		}
+		rec, _, err := nextInGroup(buf, off)
+		if err != nil {
+			return buf[:off], err
+		}
+		if rec.Type == TypeCommit {
+			return buf, nil
+		}
+	}
+}
+
+// readRecord appends the next record's bytes from r to buf: io.EOF if r
+// ends before it, io.ErrUnexpectedEOF if r ends inside it, and ErrCorrupt
+// for a length field above MaxImageSize.
+func readRecord(r io.Reader, buf []byte) ([]byte, error) {
+	off := len(buf)
+	buf, err := readAppend(r, buf, headerSize)
+	if err == io.EOF && len(buf) > off {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return buf, err
+	}
+	_, imgLen, err := parseHeader(buf[off:])
+	if err != nil {
+		return buf, err
+	}
+	if buf, err = readAppend(r, buf, imgLen); err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
+}
+
+// readAppend appends k bytes of r to buf, doubling its capacity whenever
+// it is full.
+func readAppend(r io.Reader, buf []byte, k int) ([]byte, error) {
+	for k > 0 {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, max(2*cap(buf), 512)), buf...)
+		}
+		m := min(k, cap(buf)-len(buf))
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+m])
+		buf, k = buf[:len(buf)+got], k-got
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // parseHeader decodes a record header into a record without its after

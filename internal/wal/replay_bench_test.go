@@ -34,28 +34,36 @@ func benchLog(txns, writesPer, idDomain int) []byte {
 
 // BenchmarkReplay measures full-log replay throughput under low
 // contention (write sets effectively disjoint) and high contention (64
-// hot objects). One op = one complete replay: decode, grouping and the
-// apply, which is also the mirror's live path minus its log append. The
-// B/s figure is log bytes per second.
+// hot objects), and of a log headed by a checkpoint group of 30 000
+// objects (as a rejoined mirror stores its state transfer), which the
+// group reader reads as one 2.4 MB group. One op = one complete replay:
+// group reads and checks, the apply, and the install, which is also the
+// mirror's live path minus its log append. The B/s figure is log bytes
+// per second.
 func BenchmarkReplay(b *testing.B) {
 	const txns, writesPer = 3000, 4
+	snap := make([]store.Record, 30_000)
+	for i := range snap {
+		snap[i] = store.Record{ID: store.ObjectID(i), Value: make([]byte, 40), WriteTS: 1}
+	}
 	for _, c := range []struct {
-		name     string
-		idDomain int
+		name string
+		txns int
+		log  []byte
 	}{
-		{"lowContention", 1 << 20},
-		{"highContention", 64},
+		{"lowContention", txns, benchLog(txns, writesPer, 1<<20)},
+		{"highContention", txns, benchLog(txns, writesPer, 64)},
+		{"checkpointHead", 1000, append(writeCheckpoint(b, snap, []uint64{0, 0, 0, 0}), benchLog(1000, writesPer, len(snap))...)},
 	} {
-		logBytes := benchLog(txns, writesPer, c.idDomain)
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(logBytes)))
+			b.SetBytes(int64(len(c.log)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Replay(bytes.NewReader(logBytes), NewReplayer(store.New())); err != nil {
+				if _, err := Replay(bytes.NewReader(c.log), NewReplayer(store.New())); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(txns)*float64(b.N)/b.Elapsed().Seconds(), "txn/s")
+			b.ReportMetric(float64(c.txns)*float64(b.N)/b.Elapsed().Seconds(), "txn/s")
 		})
 	}
 }

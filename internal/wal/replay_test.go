@@ -121,8 +121,9 @@ func TestParallelRecoverCorruptTail(t *testing.T) {
 
 // TestReplayerRejectsInterleavedGroup: every writer appends a group as
 // one contiguous run, so a record of a second transaction inside an open
-// group is corruption. Add applies nothing then, and a replay of the
-// same bytes stops there with the groups before it applied.
+// group is corruption. The group check fails there, after the whole
+// group before it, and a replay of the same bytes stops there with that
+// group applied.
 func TestReplayerRejectsInterleavedGroup(t *testing.T) {
 	recs := []*Record{
 		writeRec(1, 10), commitRec(1, 1),
@@ -130,23 +131,17 @@ func TestReplayerRejectsInterleavedGroup(t *testing.T) {
 		writeRec(3, 30), // inside transaction 2's open group
 		commitRec(3, 2), commitRec(2, 3),
 	}
-	db := store.New()
-	r := NewReplayer(db)
-	var err error
-	for _, rec := range recs {
-		if _, err = r.Add(rec); err != nil {
-			break
-		}
+	log := encodeGroup(recs...)
+	first, _, err := NextGroup(log)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("interleaved record: err = %v, want ErrCorrupt", err)
-	}
-	if st := r.Stats(); st.Applied != 1 || st.LastSerial != 1 || db.Len() != 1 {
-		t.Fatalf("after the interleaved record: %+v, %d objects", st, db.Len())
+	if n, _, err := NextGroup(log[first:]); !errors.Is(err, ErrCorrupt) || n != len(encodeGroup(writeRec(2, 20))) {
+		t.Fatalf("interleaved record: n %d, err = %v, want ErrCorrupt after one record", n, err)
 	}
 
 	replayed := store.New()
-	st, err := Recover(bytes.NewReader(encodeAll(t, recs)), replayed)
+	st, err := Recover(bytes.NewReader(log), replayed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +154,7 @@ func TestReplayerRejectsInterleavedGroup(t *testing.T) {
 }
 
 // TestReplayerAppliesBeforeAddReturns: the apply runs on the caller's
-// goroutine, so after each Add that returns a group the store holds that
-// group and Stats reports its serial: the store is a serial-order prefix
+// goroutine, so after each Add the store holds that group and Stats reports its serial: the store is a serial-order prefix
 // after every Add, with no barrier to wait on.
 func TestReplayerAppliesBeforeAddReturns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -170,20 +164,20 @@ func TestReplayerAppliesBeforeAddReturns(t *testing.T) {
 	for serial := uint64(1); serial <= 300; serial++ {
 		id := txn.ID(serial)
 		want := map[store.ObjectID][]byte{}
+		var recs []*Record
 		for n := 1 + rng.Intn(4); n > 0; n-- {
 			obj := store.ObjectID(rng.Intn(16))
 			if rng.Intn(6) == 0 {
-				addNone(t, r, &Record{Type: TypeDelete, TxnID: id, ObjectID: obj})
+				recs = append(recs, &Record{Type: TypeDelete, TxnID: id, ObjectID: obj})
 				want[obj] = nil
 				continue
 			}
 			img := []byte{byte(serial), byte(n)}
-			addNone(t, r, &Record{Type: TypeWrite, TxnID: id, ObjectID: obj, AfterImage: img})
+			recs = append(recs, &Record{Type: TypeWrite, TxnID: id, ObjectID: obj, AfterImage: img})
 			want[obj] = img
 		}
-		g, err := r.Add(commitRec(id, serial))
-		if err != nil || g == nil {
-			t.Fatalf("serial %d: group %v err %v", serial, g, err)
+		if err := addGroup(r, append(recs, commitRec(id, serial))...); err != nil {
+			t.Fatalf("serial %d: %v", serial, err)
 		}
 		if st := r.Stats(); st.LastSerial != serial || st.Applied != int(serial) {
 			t.Fatalf("after Add of serial %d: %+v", serial, st)

@@ -20,12 +20,12 @@ func randomLogUniqueTS(rng *rand.Rand, txns, idDomain int) []byte {
 	logBytes := randomLog(rng, txns, idDomain)
 	perm := rng.Perm(txns * 8)
 	var out []byte
-	r := bytes.NewReader(logBytes)
-	for r.Len() > 0 {
-		rec, err := Decode(r)
+	for len(logBytes) > 0 {
+		rec, n, err := DecodeNext(logBytes)
 		if err != nil {
 			panic(err)
 		}
+		logBytes = logBytes[n:]
 		if rec.Type == TypeCommit {
 			rec.CommitTS = uint64(1 + perm[rec.SerialOrder])
 		}
@@ -42,12 +42,12 @@ func randomLogUniqueTS(rng *rand.Rand, txns, idDomain int) []byte {
 func replayPrefix(t *testing.T, logBytes []byte, db *store.Store, wm *StripeWatermarks) {
 	t.Helper()
 	var open []*Record
-	r := bytes.NewReader(logBytes)
-	for r.Len() > 0 {
-		rec, err := Decode(r)
+	for len(logBytes) > 0 {
+		rec, n, err := DecodeNext(logBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
+		logBytes = logBytes[n:]
 		switch rec.Type {
 		case TypeWrite, TypeDelete:
 			open = append(open, rec)

@@ -3,7 +3,9 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,18 +27,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	b := buf.Bytes()
 	for i, want := range recs {
-		got, err := Decode(&buf)
+		got, n, err := DecodeNext(b)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
+		b = b[n:]
 		if got.Type != want.Type || got.TxnID != want.TxnID ||
 			got.SerialOrder != want.SerialOrder || got.CommitTS != want.CommitTS ||
 			got.ObjectID != want.ObjectID || !bytes.Equal(got.AfterImage, want.AfterImage) {
 			t.Fatalf("record %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := Decode(&buf); err != io.EOF {
+	if _, _, err := DecodeNext(b); err != io.EOF {
 		t.Fatalf("want io.EOF at end, got %v", err)
 	}
 }
@@ -45,12 +49,8 @@ func TestPropertyEncodeDecode(t *testing.T) {
 	f := func(txnID uint32, serial, ts uint64, obj uint32, img []byte) bool {
 		want := &Record{Type: TypeWrite, TxnID: txn.ID(txnID), SerialOrder: serial,
 			CommitTS: ts, ObjectID: store.ObjectID(obj), AfterImage: img}
-		var buf bytes.Buffer
-		if err := Encode(&buf, want); err != nil {
-			return false
-		}
-		got, err := Decode(&buf)
-		if err != nil {
+		got, n, err := DecodeNext(AppendEncoded(nil, want))
+		if err != nil || n != EncodedSize(want) {
 			return false
 		}
 		return got.TxnID == want.TxnID && got.SerialOrder == want.SerialOrder &&
@@ -69,7 +69,7 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	for pos := 4; pos < len(enc); pos++ {
 		damaged := append([]byte(nil), enc...)
 		damaged[pos] ^= 0xff
-		_, err := Decode(bytes.NewReader(damaged))
+		_, _, err := DecodeNext(damaged)
 		if err == nil {
 			t.Fatalf("corruption at byte %d not detected", pos)
 		}
@@ -80,7 +80,7 @@ func TestDecodeTruncated(t *testing.T) {
 	rec := &Record{Type: TypeWrite, TxnID: 1, ObjectID: 2, AfterImage: []byte("payload")}
 	enc := AppendEncoded(nil, rec)
 	for cut := 1; cut < len(enc); cut++ {
-		_, err := Decode(bytes.NewReader(enc[:cut]))
+		_, _, err := DecodeNext(enc[:cut])
 		if err != io.ErrUnexpectedEOF && err != ErrCorrupt {
 			t.Fatalf("cut at %d: err = %v", cut, err)
 		}
@@ -92,8 +92,12 @@ func TestDecodeRejectsHugeImage(t *testing.T) {
 	enc := AppendEncoded(nil, rec)
 	// Forge an enormous length field.
 	enc[4], enc[5], enc[6], enc[7] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := Decode(bytes.NewReader(enc)); err != ErrCorrupt {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	if _, _, err := DecodeNext(enc); err != ErrCorrupt {
+		t.Fatalf("DecodeNext err = %v, want ErrCorrupt", err)
+	}
+	// The group reader rejects the length before reading the image.
+	if g, err := ReadGroup(bytes.NewReader(enc), nil); err != ErrCorrupt || len(g) != 0 {
+		t.Fatalf("ReadGroup: %d bytes, err = %v, want ErrCorrupt", len(g), err)
 	}
 }
 
@@ -125,25 +129,28 @@ func TestEncodedSize(t *testing.T) {
 
 // TestRetiredTypeCodesAreCorrupt pins the stored type codes: write 1,
 // commit 2 and delete 5 decode, and the retired codes 3 and 4 (abort and
-// heartbeat records, which no writer produces) fail both decoders as
-// ErrCorrupt even under a valid checksum.
+// heartbeat records, which no writer produces) fail the record decoder
+// and the group readers as ErrCorrupt even under a valid checksum.
 func TestRetiredTypeCodesAreCorrupt(t *testing.T) {
 	for ty, code := range map[Type]byte{TypeWrite: 1, TypeCommit: 2, TypeDelete: 5} {
 		if byte(ty) != code {
 			t.Fatalf("%v has code %d, want %d", ty, byte(ty), code)
 		}
 		enc := AppendEncoded(nil, &Record{Type: ty, TxnID: 1})
-		if _, err := Decode(bytes.NewReader(enc)); err != nil {
-			t.Fatalf("code %d: Decode: %v", code, err)
+		if _, _, err := DecodeNext(enc); err != nil {
+			t.Fatalf("code %d: DecodeNext: %v", code, err)
 		}
 	}
 	for _, code := range []Type{3, 4} {
 		enc := AppendEncoded(nil, &Record{Type: code, TxnID: 1})
-		if _, err := Decode(bytes.NewReader(enc)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("code %d: Decode err = %v, want ErrCorrupt", code, err)
-		}
 		if _, _, err := DecodeNext(enc); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("code %d: DecodeNext err = %v, want ErrCorrupt", code, err)
+		}
+		if _, _, err := NextGroup(enc); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("code %d: NextGroup err = %v, want ErrCorrupt", code, err)
+		}
+		if _, err := ReadGroup(bytes.NewReader(enc), nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("code %d: ReadGroup err = %v, want ErrCorrupt", code, err)
 		}
 	}
 }
@@ -163,7 +170,7 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-// --- Replayer: grouping --------------------------------------------------------
+// --- Group readers and the Replayer --------------------------------------------
 
 func commitRec(id txn.ID, serial uint64) *Record {
 	return &Record{Type: TypeCommit, TxnID: id, SerialOrder: serial, CommitTS: serial * 100}
@@ -173,63 +180,169 @@ func writeRec(id txn.ID, obj store.ObjectID) *Record {
 	return &Record{Type: TypeWrite, TxnID: id, ObjectID: obj, AfterImage: []byte{byte(id)}}
 }
 
-// addNone feeds rec and fails the test if it completed a group.
-func addNone(t *testing.T, r *Replayer, rec *Record) {
-	t.Helper()
-	g, err := r.Add(rec)
-	if err != nil {
-		t.Fatal(err)
+// encodeGroup encodes recs back to back: one group's bytes when they are
+// one transaction's writes closed by its commit.
+func encodeGroup(recs ...*Record) []byte {
+	var b []byte
+	for _, rec := range recs {
+		b = AppendEncoded(b, rec)
 	}
-	if g != nil {
-		t.Fatalf("unexpected group: %+v", g)
+	return b
+}
+
+// addGroup encodes recs as one group, checks it with NextGroup and feeds
+// it to r, returning the first error.
+func addGroup(r *Replayer, recs ...*Record) error {
+	g := encodeGroup(recs...)
+	n, _, err := NextGroup(g)
+	if err == nil && n != len(g) {
+		err = fmt.Errorf("NextGroup took %d of %d bytes", n, len(g))
+	}
+	if err != nil {
+		return err
+	}
+	return r.Add(g)
+}
+
+// TestNextGroupReportsGroup: NextGroup takes exactly the first group of a
+// run and reports its commit record; ReadGroup reads the same group off
+// a stream and reuses its buffer for the next one.
+func TestNextGroupReportsGroup(t *testing.T) {
+	first := encodeGroup(writeRec(1, 10), writeRec(1, 11), commitRec(1, 1))
+	second := encodeGroup(&Record{Type: TypeDelete, TxnID: 2, ObjectID: 10}, commitRec(2, 2))
+	run := append(append([]byte(nil), first...), second...)
+	n, commit, err := NextGroup(run)
+	if err != nil || n != len(first) || commit.TxnID != 1 || commit.SerialOrder != 1 || commit.CommitTS != 100 {
+		t.Fatalf("NextGroup: n %d (want %d), commit %+v, err %v", n, len(first), commit, err)
+	}
+	r := bytes.NewReader(run)
+	g, err := ReadGroup(r, nil)
+	if err != nil || !bytes.Equal(g, first) {
+		t.Fatalf("ReadGroup: %d bytes, err %v", len(g), err)
+	}
+	if g, err = ReadGroup(r, g); err != nil || !bytes.Equal(g, second) {
+		t.Fatalf("second ReadGroup: %d bytes, err %v", len(g), err)
+	}
+	if g, err = ReadGroup(r, g); err != io.EOF || len(g) != 0 {
+		t.Fatalf("at the end: %d bytes, err %v, want io.EOF", len(g), err)
 	}
 }
 
+// TestGroupReadersTellTheEndsApart: b ending at a record boundary inside
+// a group, b ending mid-record, and damage are three different answers,
+// and each reports the checked records before it.
+func TestGroupReadersTellTheEndsApart(t *testing.T) {
+	w := encodeGroup(writeRec(1, 10))
+	whole := encodeGroup(writeRec(1, 10), writeRec(1, 11), commitRec(1, 1))
+	damaged := append([]byte(nil), whole...)
+	damaged[len(w)+10] ^= 0xff
+	for _, tc := range []struct {
+		name       string
+		b          []byte
+		next, read error // NextGroup's and ReadGroup's answers
+		n          int
+	}{
+		{"empty", nil, io.EOF, io.EOF, 0},
+		{"open group", whole[:len(w)], io.ErrUnexpectedEOF, io.EOF, len(w)},
+		{"torn record", whole[:len(w)+5], io.ErrUnexpectedEOF, io.ErrUnexpectedEOF, len(w)},
+		{"torn first record", whole[:5], io.ErrUnexpectedEOF, io.ErrUnexpectedEOF, 0},
+		{"damage", damaged, ErrCorrupt, ErrCorrupt, len(w)},
+		{"other transaction", encodeGroup(writeRec(1, 10), writeRec(2, 20), commitRec(2, 2)), ErrCorrupt, ErrCorrupt, len(w)},
+		{"unknown type", encodeGroup(writeRec(1, 10), &Record{Type: Type(99), TxnID: 1}), ErrCorrupt, ErrCorrupt, len(w)},
+	} {
+		n, _, err := NextGroup(tc.b)
+		if !errors.Is(err, tc.next) || n != tc.n {
+			t.Fatalf("%s: NextGroup n %d err %v, want %d and %v", tc.name, n, err, tc.n, tc.next)
+		}
+		g, err := ReadGroup(bytes.NewReader(tc.b), nil)
+		if !errors.Is(err, tc.read) || len(g) != tc.n {
+			t.Fatalf("%s: ReadGroup %d bytes err %v, want %d and %v", tc.name, len(g), err, tc.n, tc.read)
+		}
+	}
+}
+
+// TestReadGroupGrowsByDoubling: a large group is read with a buffer
+// that doubles, so reading it into a nil buffer takes about
+// log2(size/512) allocations (growth by 1.25× would take three times as
+// many, and copy as many bytes again), and a second read into the
+// returned buffer allocates nothing but its reader.
+func TestReadGroupGrowsByDoubling(t *testing.T) {
+	snap := make([]store.Record, 30_000)
+	for i := range snap {
+		snap[i] = store.Record{ID: store.ObjectID(i), Value: make([]byte, 40), WriteTS: 1}
+	}
+	file := writeCheckpoint(t, snap, []uint64{1, 1})
+	var (
+		g   []byte
+		err error
+	)
+	fresh := testing.AllocsPerRun(1, func() { g, err = ReadGroup(bytes.NewReader(file), nil) })
+	if err != nil || len(g) != len(file) {
+		t.Fatalf("%d of %d bytes, err %v", len(g), len(file), err)
+	}
+	if want := bits.Len(uint(len(file)/512)) + 3; fresh > float64(want) {
+		t.Fatalf("reading a %d-byte group allocates %.0f times, want at most %d", len(file), fresh, want)
+	}
+	if reuse := testing.AllocsPerRun(3, func() { g, _ = ReadGroup(bytes.NewReader(file), g) }); reuse > 1 {
+		t.Fatalf("a read into the returned buffer allocates %.0f times", reuse)
+	}
+}
+
+// TestReordererGroupsByTransaction: the layer benchmark's per-record
+// shim groups the writes since the last commit with it.
 func TestReordererGroupsByTransaction(t *testing.T) {
+	r := NewReorderer(0)
+	for _, rec := range []*Record{writeRec(1, 10), writeRec(1, 11)} {
+		if gs, err := r.Add(rec); gs != nil || err != nil {
+			t.Fatalf("write completed a group: %v %v", gs, err)
+		}
+	}
+	gs, err := r.Add(commitRec(1, 1))
+	if err != nil || len(gs) != 1 || len(gs[0].Writes) != 2 || gs[0].Writes[1].ObjectID != 11 || gs[0].SerialOrder() != 1 {
+		t.Fatalf("groups %v err %v", gs, err)
+	}
+}
+
+// TestReplayerAppliesWholeGroups: Add applies a checked group's writes
+// and counts it; a group the log ends inside is never handed to the
+// Replayer, and Replay counts it as discarded.
+func TestReplayerAppliesWholeGroups(t *testing.T) {
 	db := store.New()
 	r := NewReplayer(db)
-	addNone(t, r, writeRec(1, 10))
-	addNone(t, r, writeRec(1, 11))
-	g, err := r.Add(commitRec(1, 1))
-	if err != nil || g == nil {
-		t.Fatalf("group = %v err = %v", g, err)
+	if err := addGroup(r, writeRec(1, 10), writeRec(1, 11), commitRec(1, 1)); err != nil {
+		t.Fatal(err)
 	}
-	if len(g.Writes) != 2 || g.Writes[0].ObjectID != 10 || g.Writes[1].ObjectID != 11 {
-		t.Fatalf("group writes = %v", g.Writes)
-	}
-	if g.SerialOrder() != 1 {
-		t.Fatalf("serial = %d", g.SerialOrder())
-	}
-	addNone(t, r, writeRec(2, 20))
-	r.Close()
-	if st := r.Stats(); st.Discarded != 1 || st.Applied != 1 { // txn 2 never committed
+	if st := r.Stats(); st.Applied != 1 || st.WritesApplied != 2 || st.LastSerial != 1 || st.MaxCommitTS != 100 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if _, ok := db.Get(11); !ok {
-		t.Fatal("committed write not applied")
+	if v, ok := db.Get(11); !ok || len(v) != 1 || v[0] != 1 {
+		t.Fatalf("object 11 = %v %v", v, ok)
 	}
-	if _, ok := db.Get(20); ok {
+	log := encodeGroup(writeRec(1, 10), commitRec(1, 1), writeRec(2, 20))
+	replayed := store.New()
+	st, err := Recover(bytes.NewReader(log), replayed)
+	if err != nil || st.Discarded != 1 || st.Applied != 1 || st.Truncated { // txn 2 never committed
+		t.Fatalf("stats = %+v, err %v", st, err)
+	}
+	if _, ok := replayed.Get(20); ok {
 		t.Fatal("uncommitted write applied")
 	}
 }
 
-func TestReordererUnknownType(t *testing.T) {
-	r := NewReplayer(store.New())
-	if _, err := r.Add(&Record{Type: Type(99)}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unknown record type: err = %v, want ErrCorrupt", err)
-	}
-}
-
-// TestReordererDiscardPending: a stream that ends inside a group
-// discards that one group, whatever its size.
-func TestReordererDiscardPending(t *testing.T) {
-	db := store.New()
-	r := NewReplayer(db)
-	addNone(t, r, writeRec(1, 10))
-	addNone(t, r, writeRec(1, 20))
-	r.Close()
-	if n := r.Stats().Discarded; n != 1 || db.Len() != 0 {
-		t.Fatalf("Discarded = %d", n)
+// TestReplayDiscardsOpenGroup: a log that ends inside a group discards
+// that one group, whatever its size, and a torn record inside it also
+// reports the tail truncated.
+func TestReplayDiscardsOpenGroup(t *testing.T) {
+	open := encodeGroup(writeRec(1, 10), writeRec(1, 20), writeRec(1, 30))
+	for _, tc := range []struct {
+		log       []byte
+		truncated bool
+	}{{open, false}, {open[:len(open)-3], true}} {
+		db := store.New()
+		st, err := Recover(bytes.NewReader(tc.log), db)
+		if err != nil || st.Discarded != 1 || st.Truncated != tc.truncated || db.Len() != 0 {
+			t.Fatalf("%d bytes: stats %+v, err %v, %d objects", len(tc.log), st, err, db.Len())
+		}
 	}
 }
 
@@ -239,18 +352,15 @@ func TestReordererDiscardPending(t *testing.T) {
 func TestReplayerRestartChecksContiguity(t *testing.T) {
 	db := store.New()
 	r := NewReplayer(db)
-	addNone(t, r, writeRec(9, 90))
 	r.Restart(5, 700)
-	if st := r.Stats(); st.LastSerial != 5 || st.MaxCommitTS != 700 || st.Discarded != 1 {
+	if st := r.Stats(); st.LastSerial != 5 || st.MaxCommitTS != 700 || st.Discarded != 0 {
 		t.Fatalf("after Restart: %+v", st)
 	}
-	addNone(t, r, writeRec(1, 10))
-	if _, err := r.Add(commitRec(1, 7)); !errors.Is(err, ErrCorrupt) {
+	if err := addGroup(r, writeRec(1, 10), commitRec(1, 7)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("serial 7 after 5: err = %v, want ErrCorrupt", err)
 	}
-	addNone(t, r, writeRec(2, 20))
-	if g, err := r.Add(commitRec(2, 6)); err != nil || g == nil {
-		t.Fatalf("serial 6: group %v err %v", g, err)
+	if err := addGroup(r, writeRec(2, 20), commitRec(2, 6)); err != nil {
+		t.Fatalf("serial 6: %v", err)
 	}
 	if _, ok := db.Get(10); ok {
 		t.Fatal("the out-of-order group was applied")
@@ -277,12 +387,13 @@ func TestReplayerRestartFiltersByWatermarks(t *testing.T) {
 	r.Install(&Checkpoint{LastSerial: 7, Watermarks: NewStripeWatermarks([]uint64{7, 5})})
 	r.Restart(5, 0)
 	for serial := uint64(6); serial <= 8; serial++ {
-		addNone(t, r, writeRec(txn.ID(serial), a))
+		id := txn.ID(serial)
+		recs := []*Record{writeRec(id, a)}
 		if serial == 6 {
-			addNone(t, r, writeRec(txn.ID(serial), b))
+			recs = append(recs, writeRec(id, b))
 		}
-		if g, err := r.Add(commitRec(txn.ID(serial), serial)); err != nil || g == nil {
-			t.Fatalf("serial %d: group %v err %v", serial, g, err)
+		if err := addGroup(r, append(recs, commitRec(id, serial))...); err != nil {
+			t.Fatalf("serial %d: %v", serial, err)
 		}
 	}
 	if st := r.Stats(); st.WritesSkipped != 2 || st.WritesApplied != 2 || st.LastSerial != 8 {
@@ -298,25 +409,14 @@ func TestReplayerRestartFiltersByWatermarks(t *testing.T) {
 
 // --- Recovery ----------------------------------------------------------------
 
-func encodeAll(t *testing.T, recs []*Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, r := range recs {
-		if err := Encode(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
 func TestRecoverAppliesCommittedOnly(t *testing.T) {
-	log := encodeAll(t, []*Record{
+	log := encodeGroup(
 		writeRec(1, 10),
 		commitRec(1, 1),
-		{Type: TypeWrite, TxnID: 3, ObjectID: 30, AfterImage: []byte("three")},
+		&Record{Type: TypeWrite, TxnID: 3, ObjectID: 30, AfterImage: []byte("three")},
 		commitRec(3, 2),
 		writeRec(2, 20), // no commit record: txn 2 aborted by failure
-	})
+	)
 	db := store.New()
 	st, err := Recover(bytes.NewReader(log), db)
 	if err != nil {
@@ -338,11 +438,7 @@ func TestRecoverAppliesCommittedOnly(t *testing.T) {
 }
 
 func TestRecoverTruncatedTail(t *testing.T) {
-	log := encodeAll(t, []*Record{
-		writeRec(1, 10),
-		commitRec(1, 1),
-		writeRec(2, 20),
-	})
+	log := encodeGroup(writeRec(1, 10), commitRec(1, 1), writeRec(2, 20))
 	log = log[:len(log)-3] // crash mid-record
 	db := store.New()
 	st, err := Recover(bytes.NewReader(log), db)
@@ -355,9 +451,9 @@ func TestRecoverTruncatedTail(t *testing.T) {
 }
 
 func TestRecoverCorruptTailStopsCleanly(t *testing.T) {
-	log := encodeAll(t, []*Record{writeRec(1, 10), commitRec(1, 1), writeRec(2, 20), commitRec(2, 2)})
+	log := encodeGroup(writeRec(1, 10), commitRec(1, 1), writeRec(2, 20), commitRec(2, 2))
 	// Damage the third record's checksum region.
-	third := encodeAll(t, []*Record{writeRec(1, 10), commitRec(1, 1)})
+	third := encodeGroup(writeRec(1, 10), commitRec(1, 1))
 	log[len(third)+10] ^= 0xff
 	db := store.New()
 	st, err := Recover(bytes.NewReader(log), db)
@@ -461,11 +557,11 @@ func TestCheckpointIncomplete(t *testing.T) {
 // summarizes. The log must recover object 1 = "new", no object 2, and
 // the image's timestamps — not the superseded ones.
 func TestReplayCheckpointResetsHistory(t *testing.T) {
-	log := encodeAll(t, []*Record{
-		{Type: TypeWrite, TxnID: 1, ObjectID: 1, AfterImage: []byte("old")},
-		{Type: TypeWrite, TxnID: 1, ObjectID: 2, AfterImage: []byte("gone")},
-		{Type: TypeCommit, TxnID: 1, SerialOrder: 1, CommitTS: 900},
-	})
+	log := encodeGroup(
+		&Record{Type: TypeWrite, TxnID: 1, ObjectID: 1, AfterImage: []byte("old")},
+		&Record{Type: TypeWrite, TxnID: 1, ObjectID: 2, AfterImage: []byte("gone")},
+		&Record{Type: TypeCommit, TxnID: 1, SerialOrder: 1, CommitTS: 900},
+	)
 	log = append(log, writeCheckpoint(t, []store.Record{{ID: 1, Value: []byte("new"), WriteTS: 200}}, []uint64{2, 2})...)
 	db := store.New()
 	st, err := Recover(bytes.NewReader(log), db)
@@ -492,16 +588,10 @@ func TestReplayerRejectsCheckpointAfterRestart(t *testing.T) {
 	r := NewReplayer(db)
 	r.Restart(3, 0)
 	file := writeCheckpoint(t, []store.Record{{ID: 1, Value: []byte("img")}}, []uint64{4, 4})
-	var err error
-	for off := 0; off < len(file) && err == nil; {
-		var rec *Record
-		var n int
-		if rec, n, err = DecodeNext(file[off:]); err == nil {
-			off += n
-			_, err = r.Add(rec)
-		}
+	if _, _, err := NextGroup(file); err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrCorrupt) {
+	if err := r.Add(file); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("checkpoint group after Restart: err = %v, want ErrCorrupt", err)
 	}
 	if v, _ := db.Get(5); string(v) != "live" || db.Len() != 1 {

@@ -468,9 +468,9 @@ func (db *DB) Stats() Stats {
 // Recover replays a stored redo log (as written by a transient primary
 // or a mirror) into the database: the path taken when both nodes of a
 // pair have failed and the survivor restarts from disk. The replay is
-// one sequential pass that applies each group at its commit record and
-// discards a group the log ends inside. Hand Recover a buffered reader —
-// it decodes one record at a time.
+// one sequential pass that reads the log a whole group at a time, applies
+// each group, and discards a group the log ends inside. It buffers r
+// itself.
 func (db *DB) Recover(r io.Reader) (RecoverStats, error) {
 	return db.node.RecoverFromLog(r)
 }
