@@ -9,6 +9,10 @@
 //
 //	rodaind -role mirror -peer primaryhost:7000 -repl :7000 -listen :7100 -log mirror.wal
 //
+// A node restarted on the same -log (and -checkpoint-dir) recovers from
+// them before it serves or mirrors; rodain-logdump -recover dry-runs that
+// replay.
+//
 // Clients speak the line protocol of internal/service on -listen
 // (GET/SET/TRANSLATE/REROUTE/STATS).
 package main
@@ -16,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -24,7 +27,6 @@ import (
 	"time"
 
 	rodain "repro"
-	"repro/internal/logstore"
 	"repro/internal/service"
 	"repro/internal/telecom"
 )
@@ -36,12 +38,11 @@ func main() {
 		repl       = flag.String("repl", "", "replication listen address (primary; mirror after takeover)")
 		peer       = flag.String("peer", "", "primary replication address (mirror role)")
 		dbSize     = flag.Int("db", 30000, "number-translation entries to populate")
-		logPath    = flag.String("log", "", "log file (empty: in-memory)")
+		logPath    = flag.String("log", "", "log file or segment directory: the node recovers from it at start, then logs to it (empty: in-memory)")
 		durability = flag.String("durability", "disk", "single-node commit path: disk, relaxed, none")
 		protocol   = flag.String("occ", "dati", "concurrency control: dati, ti, da, bc")
 		workers    = flag.Int("workers", 2, "executor slots (the node's CPUs)")
-		recover_   = flag.String("recover", "", "replay this log file or segment directory into the database before serving")
-		ckptDir    = flag.String("checkpoint-dir", "", "write periodic checkpoints here (and truncate the log)")
+		ckptDir    = flag.String("checkpoint-dir", "", "recover from the checkpoint here at start; write periodic checkpoints here (and truncate the log)")
 		ckptEvery  = flag.Duration("checkpoint-every", 5*time.Minute, "checkpoint interval when -checkpoint-dir is set (0 = off)")
 		ckptBytes  = flag.Uint64("checkpoint-bytes", 0, "also checkpoint after this much log growth (0 = off)")
 		segBytes   = flag.Int64("log-segment-bytes", 0, "roll the log into -log/<segments> at this size so checkpoints drop whole segments (0 = one file that never rolls)")
@@ -98,36 +99,6 @@ func main() {
 	}
 	defer db.Close()
 
-	if *recover_ != "" { // a log the operator names must exist
-		if _, err := os.Stat(*recover_); err != nil {
-			log.Fatalf("recover: %v", err)
-		}
-	}
-	if *ckptDir != "" {
-		// Restore checkpoint + log tail as one pass: the tail replays
-		// over the snapshot per stripe watermark, so ordering is handled
-		// inside RecoverFromDir instead of here.
-		var tail io.Reader
-		if *recover_ != "" {
-			rc, err := logstore.OpenSegmentsReader(*recover_)
-			if err != nil {
-				log.Fatalf("recover: %v", err)
-			}
-			defer rc.Close()
-			tail = rc
-		}
-		start := time.Now()
-		if st, err := db.RecoverFromDir(*ckptDir, tail); err != nil {
-			log.Fatalf("checkpoint recovery: %v", err)
-		} else if st.LastSerial > 0 {
-			log.Printf("restored checkpoint+tail to serial %d (%d txns replayed, %d writes skipped) in %v",
-				st.LastSerial, st.Applied, st.WritesSkipped, time.Since(start).Round(time.Millisecond))
-		}
-	} else if *recover_ != "" {
-		if err := recoverInto(db, *recover_); err != nil {
-			log.Fatalf("recover: %v", err)
-		}
-	}
 	if *role != "mirror" && db.Len() == 0 && *dbSize > 0 {
 		log.Printf("populating %d number-translation entries", *dbSize)
 		for i := 0; i < *dbSize; i++ {
@@ -161,20 +132,4 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down; final stats: %+v", db.Stats().Outcome)
-}
-
-func recoverInto(db *rodain.DB, path string) error {
-	r, err := logstore.OpenSegmentsReader(path)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	start := time.Now()
-	st, err := db.Recover(r)
-	if err != nil {
-		return err
-	}
-	log.Printf("recovered %d transactions (%d writes, truncated=%v) in %v",
-		st.Applied, st.WritesApplied, st.Truncated, time.Since(start).Round(time.Millisecond))
-	return nil
 }

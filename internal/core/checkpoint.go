@@ -96,25 +96,40 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
-// RecoverFromDir restores the node's database from a directory written
-// by CheckpointToDir plus the given log reader (the tail written after
-// the checkpoint). Either part may be absent: a missing checkpoint file
-// replays the log alone; a nil log restores the checkpoint alone.
+// Recover restores the node's database from its own stable storage,
+// before it serves or mirrors: the checkpoint file in ckptDir if there is
+// one ("" names no directory), then log replayed over it in one pass, each
+// logged write only above its stripe's checkpoint watermark. A damaged
+// checkpoint is an error wrapping wal.ErrCorrupt or
+// wal.ErrIncompleteCheckpoint.
 //
-// The checkpoint is installed on the replayer the tail then runs on, so
-// its per-stripe watermarks filter the tail: each logged record replays
-// only if its group's serial exceeds the watermark of its stripe.
-func (n *Node) RecoverFromDir(dir string, log io.Reader) (wal.RecoverStats, error) {
+// The node keeps the position recovered: an engine it serves with
+// continues after LastSerial, and its first mirror session's hello
+// carries it. MaxCommitTS covers the whole store, since every version
+// replayed carries its group's commit timestamp or an image's write
+// timestamp.
+func (n *Node) Recover(ckptDir string, log io.Reader) (wal.RecoverStats, error) {
 	rp := wal.NewReplayer(n.db)
-	ckpt := filepath.Join(dir, checkpointFinal)
-	if img, err := os.ReadFile(ckpt); err == nil {
-		ck, _, cerr := wal.DecodeCheckpoint(img)
-		if cerr != nil {
-			return wal.RecoverStats{}, fmt.Errorf("core: bad checkpoint %s: %w", ckpt, cerr)
+	if ckptDir != "" {
+		ckpt := filepath.Join(ckptDir, checkpointFinal)
+		img, err := os.ReadFile(ckpt)
+		switch {
+		case err == nil:
+			ck, _, cerr := wal.DecodeCheckpoint(img)
+			if cerr != nil {
+				return wal.RecoverStats{}, fmt.Errorf("core: bad checkpoint %s: %w", ckpt, cerr)
+			}
+			rp.Install(ck)
+		case !os.IsNotExist(err):
+			return wal.RecoverStats{}, err
 		}
-		rp.Install(ck)
-	} else if !os.IsNotExist(err) {
-		return wal.RecoverStats{}, err
 	}
-	return n.replayAndSeed(log, rp)
+	st, err := wal.Replay(log, rp)
+	if err != nil {
+		return st, err
+	}
+	n.mu.Lock()
+	n.resume = wal.RecoverStats{LastSerial: st.LastSerial, MaxCommitTS: st.MaxCommitTS}
+	n.mu.Unlock()
+	return st, nil
 }

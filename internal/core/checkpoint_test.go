@@ -103,7 +103,7 @@ func TestCheckpointToDirAndRecover(t *testing.T) {
 
 	// Recovery: checkpoint + log tail reproduces everything.
 	n2 := NewNode("re", fastCfg(), store.New(), logstore.NewMem())
-	st, err := n2.RecoverFromDir(dir, bytes.NewReader(log.SyncedBytes()))
+	st, err := n2.Recover(dir, bytes.NewReader(log.SyncedBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +126,9 @@ func TestCheckpointToDirAndRecover(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
+	if got := n2.Engine().Controller().LastSerial(); got != 21 {
+		t.Fatalf("first commit after recovery at serial %d, want 21", got)
+	}
 }
 
 func TestRecoverFromDirWithoutCheckpoint(t *testing.T) {
@@ -139,7 +142,7 @@ func TestRecoverFromDirWithoutCheckpoint(t *testing.T) {
 	n1.Crash()
 
 	n2 := NewNode("b", fastCfg(), newDBWith(10), logstore.NewMem())
-	st, err := n2.RecoverFromDir(dir, bytes.NewReader(log.SyncedBytes()))
+	st, err := n2.Recover(dir, bytes.NewReader(log.SyncedBytes()))
 	if err != nil || st.Applied != 1 {
 		t.Fatalf("recover: %+v %v", st, err)
 	}
@@ -160,7 +163,7 @@ func TestRecoverFromDirCheckpointOnly(t *testing.T) {
 	n1.Crash()
 
 	n2 := NewNode("b", fastCfg(), store.New(), logstore.NewMem())
-	if _, err := n2.RecoverFromDir(dir, nil); err != nil {
+	if _, err := n2.Recover(dir, bytes.NewReader(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if n2.DB().Checksum() != want {
@@ -174,7 +177,7 @@ func TestRecoverFromDirBadCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := NewNode("x", fastCfg(), store.New(), logstore.NewMem())
-	if _, err := n.RecoverFromDir(dir, nil); err == nil {
+	if _, err := n.Recover(dir, bytes.NewReader(nil)); err == nil {
 		t.Fatal("garbage checkpoint accepted")
 	}
 }
@@ -203,7 +206,7 @@ func TestRecoverFromDirRefusesOldLayout(t *testing.T) {
 	}
 	n := NewNode("x", fastCfg(), newDBWith(5), logstore.NewMem())
 	want := n.DB().Checksum()
-	if _, err := n.RecoverFromDir(dir, nil); !errors.Is(err, wal.ErrCorrupt) && !errors.Is(err, wal.ErrIncompleteCheckpoint) {
+	if _, err := n.Recover(dir, bytes.NewReader(nil)); !errors.Is(err, wal.ErrCorrupt) && !errors.Is(err, wal.ErrIncompleteCheckpoint) {
 		t.Fatalf("old-layout checkpoint: err = %v, want ErrCorrupt or ErrIncompleteCheckpoint", err)
 	}
 	if n.DB().Checksum() != want {
@@ -213,8 +216,8 @@ func TestRecoverFromDirRefusesOldLayout(t *testing.T) {
 
 // TestRecoverFromDirSeedsPastTailDelete: when the log tail ends with a
 // delete, no live version carries that commit's timestamp. Recovery must
-// still seed the serving engine at or above the delete's serial and
-// timestamp, so the next commit orders after it.
+// still seed the engine the node then serves with at or above the
+// delete's serial and timestamp, so the next commit orders after it.
 func TestRecoverFromDirSeedsPastTailDelete(t *testing.T) {
 	dir := t.TempDir()
 	log := logstore.NewMem()
@@ -268,14 +271,14 @@ func TestRecoverFromDirSeedsPastTailDelete(t *testing.T) {
 	}
 
 	n2 := NewNode("b", fastCfg(), store.New(), logstore.NewMem())
+	st, err := n2.Recover(dir, bytes.NewReader(tail))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := n2.ServePrimary("", LogDisk); err != nil {
 		t.Fatal(err)
 	}
 	defer n2.Close()
-	st, err := n2.RecoverFromDir(dir, bytes.NewReader(tail))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st.LastSerial < last.SerialOrder || st.MaxCommitTS < last.CommitTS {
 		t.Fatalf("stats %+v do not cover the delete (serial %d, ts %d)", st, last.SerialOrder, last.CommitTS)
 	}

@@ -98,16 +98,12 @@ func runCommitters(n *Node, workers, idDomain int) (stop func()) {
 	}
 }
 
-// recoverChecksum runs RecoverFromDir on a fresh node and returns the
+// recoverChecksum recovers a fresh node from dir and log and returns the
 // resulting checksum.
 func recoverChecksum(t *testing.T, dir string, log []byte) uint32 {
 	t.Helper()
 	n := NewNode("rec", fastCfg(), store.New(), logstore.NewMem())
-	var r io.Reader
-	if log != nil {
-		r = bytes.NewReader(log)
-	}
-	if _, err := n.RecoverFromDir(dir, r); err != nil {
+	if _, err := n.Recover(dir, bytes.NewReader(log)); err != nil {
 		t.Fatal(err)
 	}
 	return n.DB().Checksum()
@@ -203,7 +199,7 @@ func TestCheckpointCrashConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		n4 := NewNode("torn", fastCfg(), store.New(), logstore.NewMem())
-		if _, err := n4.RecoverFromDir(d, bytes.NewReader(full)); err == nil {
+		if _, err := n4.Recover(d, bytes.NewReader(full)); err == nil {
 			t.Fatalf("torn checkpoint (cut at %d/%d) accepted", cut, len(ckptBytes))
 		}
 	}

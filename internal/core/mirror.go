@@ -35,6 +35,10 @@ type MirrorEngine struct {
 	db  *store.Store
 	log logstore.Store
 
+	// from is the replay position the database holds before the first
+	// Run (where the node's recovery left it); set before Run.
+	from wal.RecoverStats
+
 	mu     sync.Mutex
 	rp     *wal.Replayer // the current or last session's; nil before the first Run
 	synced atomic.Bool   // the session's state transfer is replayed through its sync point
@@ -60,13 +64,13 @@ func NewMirrorEngine(cfg Config, db *store.Store, log logstore.Store) *MirrorEng
 // DB exposes the database copy.
 func (m *MirrorEngine) DB() *store.Store { return m.db }
 
-// stats reads the replayer's position: zero before the first session.
+// stats reads the replayer's position: from before the first session.
 func (m *MirrorEngine) stats() wal.RecoverStats {
 	m.mu.Lock()
 	rp := m.rp
 	m.mu.Unlock()
 	if rp == nil {
-		return wal.RecoverStats{}
+		return m.from
 	}
 	return rp.Stats()
 }

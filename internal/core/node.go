@@ -2,10 +2,8 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -88,6 +86,11 @@ type Node struct {
 	mirrorConn *transport.Conn // the upstream connection while in mirror mode
 	ckpts      []*CheckpointScheduler
 	closed     bool
+	// resume is the replay position the node's history ends at: where
+	// Recover left the database, and after a takeover the mirror's. An
+	// engine serveLocked builds continues after it, and the first mirror
+	// session's hello carries it.
+	resume wal.RecoverStats
 
 	events chan Event
 	wg     sync.WaitGroup
@@ -175,7 +178,8 @@ func (n *Node) ServePrimary(listenAddr string, logMode LogMode) error {
 }
 
 // serveLocked makes the node the database server: an engine over its
-// single-node committer in logMode, and, unless listenAddr is "", the
+// single-node committer in logMode, seeded past n.resume so its first
+// commit continues the history, and, unless listenAddr is "", the
 // replication listener a mirror joins on. A commit that fails for good
 // is reported as EventCommitFailed. The engine serves even if the
 // listener fails to start. Caller holds n.mu, and no transaction can
@@ -183,6 +187,7 @@ func (n *Node) ServePrimary(listenAddr string, logMode LogMode) error {
 func (n *Node) serveLocked(logMode LogMode, listenAddr string) error {
 	n.solo, n.soloMode = buildCommitter(logMode, n.log, n.cfg), logMode
 	n.engine = NewEngine(n.cfg, n.db, n.solo, logMode)
+	n.engine.Seed(n.resume.LastSerial, n.resume.MaxCommitTS)
 	n.engine.onCommitFailure = func(err error) { n.emit(EventCommitFailed, err.Error()) }
 	if listenAddr == "" {
 		return nil
@@ -376,6 +381,7 @@ func (n *Node) RunMirror(primaryAddr, takeoverListen string) error {
 		return ErrStopped
 	}
 	n.mirror = NewMirrorEngine(n.cfg, n.db, n.log)
+	n.mirror.from = n.resume
 	n.mirrorConn = conn
 	mirror := n.mirror
 	n.mu.Unlock()
@@ -403,9 +409,9 @@ func (n *Node) takeover(listenAddr string) error {
 		n.mu.Unlock()
 		return nil
 	}
+	n.resume = n.mirror.stats()
+	serial := n.resume.LastSerial
 	err := n.serveLocked(LogDisk, listenAddr)
-	serial := n.mirror.LastSerial()
-	n.engine.Seed(serial, n.mirror.MaxCommitTS())
 	n.mu.Unlock()
 	n.emit(EventTakeover, fmt.Sprintf("resuming from serial %d", serial))
 	return err
@@ -430,37 +436,6 @@ func (n *Node) Submit(req Request) (Release, error) {
 		return Release{}, ErrNotServing
 	}
 	return engine.Submit(req)
-}
-
-// RecoverFromLog replays a stored log (as written by a transient primary
-// or a mirror) into the node's database before it starts. It returns the
-// recovery statistics; a serving engine is seeded past them so it
-// continues the epoch.
-func (n *Node) RecoverFromLog(r io.Reader) (wal.RecoverStats, error) {
-	return n.replayAndSeed(r, wal.NewReplayer(n.db))
-}
-
-// replayAndSeed is the one recovery step behind RecoverFromLog and
-// RecoverFromDir: it replays log (when non-nil) on rp — which may hold an
-// installed checkpoint — and seeds a serving engine's serial and
-// timestamp floor at or above every commit recovered. Every replayed
-// version's write timestamp is its group's commit timestamp or an
-// installed image's write timestamp, so MaxCommitTS covers the whole
-// store.
-func (n *Node) replayAndSeed(log io.Reader, rp *wal.Replayer) (wal.RecoverStats, error) {
-	if log == nil {
-		log = bytes.NewReader(nil) // the checkpoint alone
-	}
-	st, err := wal.Replay(log, rp)
-	if err != nil {
-		return st, err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.engine != nil {
-		n.engine.Seed(st.LastSerial, st.MaxCommitTS)
-	}
-	return st, nil
 }
 
 // Close shuts the node down gracefully: outstanding transactions drain,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/logstore"
 	"repro/internal/simtime"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -207,7 +208,7 @@ func TestTakeoverOnPrimaryFailure(t *testing.T) {
 }
 
 func TestRecoveredNodeRejoinsAsMirror(t *testing.T) {
-	primary, mirror, _, _ := startPair(t, LogDisk)
+	primary, mirror, pLog, _ := startPair(t, LogDisk)
 
 	if err := primary.Execute(Request{Deadline: 2 * time.Second, Do: func(tx *Tx) error {
 		return tx.Write(1, []byte("epoch-1"))
@@ -227,8 +228,12 @@ func TestRecoveredNodeRejoinsAsMirror(t *testing.T) {
 		}
 	}
 
-	// The failed node restarts empty and always rejoins as mirror.
+	// The failed node restarts from its own disk (a primary that shipped
+	// every commit stored none of them) and always rejoins as mirror.
 	rejoined := NewNode("rejoined", fastCfg(), store.New(), logstore.NewMem())
+	if _, err := rejoined.Recover("", bytes.NewReader(pLog.SyncedBytes())); err != nil {
+		t.Fatal(err)
+	}
 	go rejoined.RunMirror(mirror.ReplAddr(), "127.0.0.1:0")
 	defer rejoined.Close()
 	waitEvent(t, mirror, EventMirrorAttached, 5*time.Second)
@@ -247,6 +252,61 @@ func TestRecoveredNodeRejoinsAsMirror(t *testing.T) {
 	v, ok := rejoined.DB().Get(1)
 	if !ok || string(v) != "epoch-1" {
 		t.Fatalf("rejoined mirror missing epoch-1 data: %q %v", v, ok)
+	}
+}
+
+// TestMirrorHelloCarriesRecoveredSerial: a node recovered to serial N
+// opens its first mirror session with a hello at N, the serial its own
+// disk proves.
+func TestMirrorHelloCarriesRecoveredSerial(t *testing.T) {
+	log := logstore.NewMem()
+	n1 := NewNode("a", fastCfg(), newDBWith(10), log)
+	if err := n1.ServePrimary("", LogDisk); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if err := n1.Execute(Request{Deadline: time.Second, Do: func(tx *Tx) error {
+			return tx.Write(store.ObjectID(i), []byte("v"))
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n1.Crash()
+
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	hello := make(chan *transport.Msg, 1)
+	go func() {
+		defer close(hello)
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if msg, err := conn.Recv(); err == nil {
+			hello <- msg
+		}
+	}()
+
+	n2 := NewNode("b", fastCfg(), store.New(), logstore.NewMem())
+	defer n2.Close()
+	if _, err := n2.Recover("", bytes.NewReader(log.SyncedBytes())); err != nil {
+		t.Fatal(err)
+	}
+	go n2.RunMirror(l.Addr(), "")
+	select {
+	case msg, ok := <-hello:
+		if !ok {
+			t.Fatal("no hello received")
+		}
+		if msg.Type != transport.MsgHello || msg.Serial != 7 {
+			t.Fatalf("first message %v serial %d, want a hello at serial 7", msg.Type, msg.Serial)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no hello within 5s")
 	}
 }
 
@@ -279,7 +339,7 @@ func TestTransientRecoveryFromDiskLog(t *testing.T) {
 	n1.Crash()
 
 	n2 := NewNode("n2", fastCfg(), newDBWith(50), logstore.NewMem())
-	st, err := n2.RecoverFromLog(bytes.NewReader(log.SyncedBytes()))
+	st, err := n2.Recover("", bytes.NewReader(log.SyncedBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +358,9 @@ func TestTransientRecoveryFromDiskLog(t *testing.T) {
 		return tx.Write(1, []byte("new epoch"))
 	}}); err != nil {
 		t.Fatal(err)
+	}
+	if got := n2.Engine().Controller().LastSerial(); got != 11 {
+		t.Fatalf("first commit after recovery at serial %d, want 11", got)
 	}
 }
 
@@ -432,7 +495,7 @@ func TestSimultaneousFailureRecoversFromMirrorLog(t *testing.T) {
 	mirror.Close()
 
 	fresh := NewNode("fresh", fastCfg(), newDBWith(100), logstore.NewMem())
-	st, err := fresh.RecoverFromLog(bytes.NewReader(mLog.SyncedBytes()))
+	st, err := fresh.Recover("", bytes.NewReader(mLog.SyncedBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,30 +535,6 @@ func TestMirrorEngineAccessors(t *testing.T) {
 	}
 	if m.Applied() != 0 || m.LastSerial() != 0 || m.MaxCommitTS() != 0 {
 		t.Fatal("fresh mirror has history")
-	}
-}
-
-func TestRecoverFromLogSeedsServingEngine(t *testing.T) {
-	// Recover into a node that is already serving: counters must seed.
-	log := logstore.NewMem()
-	n1 := NewNode("a", fastCfg(), newDBWith(10), log)
-	n1.ServePrimary("", LogDisk)
-	for i := 0; i < 3; i++ {
-		n1.Execute(Request{Deadline: time.Second, Do: func(tx *Tx) error {
-			return tx.Write(store.ObjectID(i), []byte("v"))
-		}})
-	}
-	n1.Crash()
-
-	n2 := NewNode("b", fastCfg(), newDBWith(10), logstore.NewMem())
-	n2.ServePrimary("", LogDisk)
-	defer n2.Close()
-	st, err := n2.RecoverFromLog(bytes.NewReader(log.SyncedBytes()))
-	if err != nil || st.Applied != 3 {
-		t.Fatalf("recover: %+v %v", st, err)
-	}
-	if got := n2.Engine().Controller().LastSerial(); got != 3 {
-		t.Fatalf("seeded serial = %d", got)
 	}
 }
 
@@ -562,7 +601,7 @@ func TestDeleteReplicatesAndRecovers(t *testing.T) {
 
 	// The mirror's log replays the delete too.
 	fresh := NewNode("fresh", fastCfg(), store.New(), logstore.NewMem())
-	if _, err := fresh.RecoverFromLog(bytes.NewReader(mLog.SyncedBytes())); err != nil {
+	if _, err := fresh.Recover("", bytes.NewReader(mLog.SyncedBytes())); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := fresh.DB().Get(200); ok {

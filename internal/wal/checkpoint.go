@@ -147,38 +147,51 @@ type Checkpoint struct {
 // watermark vector or a serial that is not its max mark yields
 // ErrCorrupt: a checkpoint is all-or-nothing, and recovery must fall
 // back to the previous one plus the log.
-//
-// NextGroup checks the group; a pass over the headers then counts and
-// types its writes, and a last one fills a snapshot of the exact size,
-// so decoding allocates the same few objects at any image size.
 func DecodeCheckpoint(b []byte) (*Checkpoint, int, error) {
-	n, commit, err := NextGroup(b)
+	n, _, err := NextGroup(b)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return nil, 0, ErrIncompleteCheckpoint
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	if commit.TxnID != checkpointTxnID {
-		return nil, 0, fmt.Errorf("%w: record of transaction %d in a checkpoint", ErrCorrupt, commit.TxnID)
+	ck, err := decodeCheckpoint(b[:n])
+	if err != nil {
+		return nil, 0, err
 	}
-	wm := CheckpointWatermarks(&commit)
-	if wm == nil {
-		return nil, 0, fmt.Errorf("%w: checkpoint watermark vector of %d bytes", ErrCorrupt, len(commit.AfterImage))
-	}
-	if top := wm.Max(); top != commit.SerialOrder {
-		return nil, 0, fmt.Errorf("%w: checkpoint serial %d, max watermark %d", ErrCorrupt, commit.SerialOrder, top)
-	}
-	writes := 0
-	for p := 0; ; writes++ {
-		h, imgLen, _ := parseHeader(b[p : p+headerSize])
+	return ck, n, nil
+}
+
+// decodeCheckpoint decodes g, one group NextGroup or ReadGroup has
+// checked, as a checkpoint: it trusts g's framing and checksums and
+// checks only what makes the group a checkpoint. A pass over the headers
+// counts and types its writes and finds the commit record, and a last
+// one fills a snapshot of the exact size, so decoding allocates the same
+// few objects at any image size.
+func decodeCheckpoint(g []byte) (*Checkpoint, error) {
+	writes, p := 0, 0
+	var commit Record
+	for ; ; writes++ {
+		h, imgLen, _ := parseHeader(g[p : p+headerSize])
+		p += headerSize
 		if h.Type == TypeCommit {
+			commit, commit.AfterImage = h, g[p:p+imgLen]
 			break
 		}
 		if h.Type != TypeWrite {
-			return nil, 0, fmt.Errorf("%w: %v record in a checkpoint", ErrCorrupt, h.Type)
+			return nil, fmt.Errorf("%w: %v record in a checkpoint", ErrCorrupt, h.Type)
 		}
-		p += headerSize + imgLen
+		p += imgLen
+	}
+	if commit.TxnID != checkpointTxnID {
+		return nil, fmt.Errorf("%w: record of transaction %d in a checkpoint", ErrCorrupt, commit.TxnID)
+	}
+	wm := CheckpointWatermarks(&commit)
+	if wm == nil {
+		return nil, fmt.Errorf("%w: checkpoint watermark vector of %d bytes", ErrCorrupt, len(commit.AfterImage))
+	}
+	if top := wm.Max(); top != commit.SerialOrder {
+		return nil, fmt.Errorf("%w: checkpoint serial %d, max watermark %d", ErrCorrupt, commit.SerialOrder, top)
 	}
 	ck := &Checkpoint{
 		Snapshot:   make([]store.Record, writes),
@@ -186,16 +199,16 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, int, error) {
 		Watermarks: wm,
 	}
 	for i, p := 0, 0; i < writes; i++ {
-		h, imgLen, _ := parseHeader(b[p : p+headerSize])
+		h, imgLen, _ := parseHeader(g[p : p+headerSize])
 		p += headerSize
 		rec := &ck.Snapshot[i]
 		rec.ID, rec.WriteTS = h.ObjectID, h.CommitTS
 		if imgLen > 0 {
-			rec.Value = b[p : p+imgLen]
+			rec.Value = g[p : p+imgLen]
 		}
 		p += imgLen
 	}
-	return ck, n, nil
+	return ck, nil
 }
 
 // CheckpointWatermarks decodes the watermark vector carried by rec, the

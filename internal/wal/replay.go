@@ -119,18 +119,18 @@ func NewReplayer(db *store.Store) *Replayer { return &Replayer{db: db} }
 // Add applies the group g, which NextGroup or ReadGroup has checked: Add
 // decodes its records in place and trusts their framing and checksums.
 // The store copies each after image it installs, so the caller may reuse
-// g. A
-// checkpoint group in a stored log decodes through DecodeCheckpoint and
-// is installed (Install): it is a reset barrier, and the log replays from
-// there as the history the image starts. After Restart, a commit must
-// carry the next serial of the stream: any other serial, or a checkpoint
-// group, is an error wrapping ErrCorrupt, and the group is not applied.
+// g. A checkpoint group in a stored log is decoded without a second check
+// of its records and installed (Install): it is a reset barrier, and the
+// log replays from there as the history the image starts. After Restart,
+// a commit must carry the next serial of the stream: any other serial, or
+// a checkpoint group, is an error wrapping ErrCorrupt, and the group is
+// not applied.
 func (r *Replayer) Add(g []byte) error {
 	if txn.ID(binary.LittleEndian.Uint64(g[9:])) == checkpointTxnID {
 		if r.next != 0 {
 			return fmt.Errorf("%w: checkpoint group in a live stream", ErrCorrupt)
 		}
-		ck, _, err := DecodeCheckpoint(g)
+		ck, err := decodeCheckpoint(g)
 		if err != nil {
 			return err
 		}

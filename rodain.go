@@ -30,6 +30,13 @@
 // commit path. If the primary fails, the mirror takes over almost
 // instantly (watch Events for Takeover) and logs to its own disk until
 // the failed node rejoins — always as mirror.
+//
+// # Restart
+//
+// Opening a node recovers it: Open, OpenPrimary and OpenMirror replay the
+// checkpoint in Options.CheckpointDir and the log at Options.LogPath
+// before the node serves, listens or dials, and its first commit
+// continues the recovered history.
 package rodain
 
 import (
@@ -138,8 +145,12 @@ func (d Durability) logMode() core.LogMode {
 type Options struct {
 	// Name labels the node in events and errors.
 	Name string
-	// LogPath is the log file. Empty keeps the log in memory (useful
-	// for tests and for DurNone/DurRelaxed nodes).
+	// LogPath is the log file. Open recovers from it: before the node
+	// serves or mirrors, it replays the log (over the checkpoint in
+	// CheckpointDir, if any) and continues its history, so a node
+	// reopened on the same LogPath resumes where it stopped. Empty keeps
+	// the log in memory (useful for tests and for DurNone/DurRelaxed
+	// nodes).
 	LogPath string
 	// Durability is a primary's single-node commit path, used whenever
 	// it has no mirror; OpenMirror ignores it (see Durability).
@@ -175,10 +186,13 @@ type Options struct {
 	// segmented store rolling at this size: LogPath becomes a directory
 	// of segment files, and the checkpoint cycle reclaims space by
 	// unlinking whole sealed segments instead of keeping one
-	// ever-growing file. Zero keeps one log file that never rolls.
+	// ever-growing file. Zero keeps one log file that never rolls. Open
+	// recovers from every segment in the directory, in log order.
 	LogSegmentBytes int64
-	// CheckpointDir, when set, starts a background checkpoint-and-
-	// truncate scheduler writing into this directory. At least one of
+	// CheckpointDir is where checkpoints live. Open recovers from the
+	// checkpoint file in it, if there is one, before it replays the log.
+	// When set, it also starts a background checkpoint-and-truncate
+	// scheduler writing into this directory; at least one of
 	// CheckpointEvery/CheckpointLogBytes must also be set for it to ever
 	// fire.
 	CheckpointDir string
@@ -276,12 +290,14 @@ func open(opts Options, replListen string, mirror bool) (*DB, *core.Node, error)
 		name = "rodain"
 	}
 	node := core.NewNode(name, cfg, store.New(), log)
-	if !mirror {
-		if err := node.ServePrimary(replListen, opts.Durability.logMode()); err != nil {
-			node.Close()
-			log.Close()
-			return nil, nil, err
-		}
+	err = opts.recover(node)
+	if err == nil && !mirror {
+		err = node.ServePrimary(replListen, opts.Durability.logMode())
+	}
+	if err != nil {
+		node.Close()
+		log.Close()
+		return nil, nil, err
 	}
 	if opts.CheckpointDir != "" && (opts.CheckpointEvery > 0 || opts.CheckpointLogBytes > 0) {
 		node.StartCheckpointScheduler(opts.CheckpointDir, core.CheckpointSchedulerOptions{
@@ -290,6 +306,23 @@ func open(opts Options, replListen string, mirror bool) (*DB, *core.Node, error)
 		})
 	}
 	return &DB{node: node, log: log}, node, nil
+}
+
+// recover restores node from the storage the options name, before it
+// does anything else: the checkpoint in CheckpointDir, then the log at
+// LogPath replayed over it. A node with neither is memory-only and starts
+// empty.
+func (o Options) recover(node *core.Node) error {
+	if o.LogPath == "" && o.CheckpointDir == "" {
+		return nil
+	}
+	r, err := logstore.OpenSegmentsReader(o.LogPath)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	_, err = node.Recover(o.CheckpointDir, r)
+	return err
 }
 
 // OpenMirror starts a hot stand-by for the primary at primaryAddr. The
@@ -465,14 +498,17 @@ func (db *DB) Stats() Stats {
 	}
 }
 
-// Recover replays a stored redo log (as written by a transient primary
-// or a mirror) into the database: the path taken when both nodes of a
-// pair have failed and the survivor restarts from disk. The replay is
-// one sequential pass that reads the log a whole group at a time, applies
-// each group, and discards a group the log ends inside. It buffers r
-// itself.
+// Recover replays the stored log r into a node that is already serving
+// and seeds its engine past the log.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 6. Open recovers
+// a node from its own LogPath and CheckpointDir before it serves.
 func (db *DB) Recover(r io.Reader) (RecoverStats, error) {
-	return db.node.RecoverFromLog(r)
+	st, err := db.node.Recover("", r)
+	if e := db.node.Engine(); err == nil && e != nil {
+		e.Seed(st.LastSerial, st.MaxCommitTS)
+	}
+	return st, err
 }
 
 // RecoverStats summarizes a log replay.
@@ -484,24 +520,31 @@ type CheckpointStats = core.CheckpointStats
 // FuzzyCheckpoint writes a fuzzy, stripe-incremental checkpoint to w:
 // each store stripe is copied under only its own lock, tagged with a
 // per-stripe serial watermark, while commits proceed on the other
-// stripes. The checkpoint is one log group: RecoverFromDir, or Recover
-// over the checkpoint followed by the log, replays the suffix per stripe
-// watermark.
+// stripes. The checkpoint is one log group: a replay of it followed by
+// the log applies the suffix per stripe watermark.
 func (db *DB) FuzzyCheckpoint(w io.Writer) (CheckpointStats, error) {
 	return db.node.FuzzyCheckpoint(w)
 }
 
 // CheckpointToDir writes an atomic checkpoint file into dir and then
 // truncates the node's log — the checkpoint-and-truncate cycle that
-// bounds recovery time. Pair it with RecoverFromDir.
+// bounds recovery time. Open with dir as CheckpointDir recovers from it.
 func (db *DB) CheckpointToDir(dir string) (uint64, error) {
 	return db.node.CheckpointToDir(dir)
 }
 
-// RecoverFromDir restores the database from a CheckpointToDir directory
-// plus an optional log tail (nil for none).
-func (db *DB) RecoverFromDir(dir string, log io.Reader) (RecoverStats, error) {
-	return db.node.RecoverFromDir(dir, log)
+// RecoverFromDir restores a node that is already serving from a
+// CheckpointToDir directory plus the log tail r, and seeds its engine past
+// them.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 6. Open recovers
+// a node from its own LogPath and CheckpointDir before it serves.
+func (db *DB) RecoverFromDir(dir string, r io.Reader) (RecoverStats, error) {
+	st, err := db.node.Recover(dir, r)
+	if e := db.node.Engine(); err == nil && e != nil {
+		e.Seed(st.LastSerial, st.MaxCommitTS)
+	}
+	return st, err
 }
 
 // Close shuts the node down gracefully, draining transactions and

@@ -1,7 +1,6 @@
 package rodain
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -236,9 +235,9 @@ func TestPairAndFailoverThroughPublicAPI(t *testing.T) {
 // TestRejoinedMirrorLogIsOneHistory: a node whose log holds its own
 // history (object 1 = "old", object 2) rejoins, over the same log file,
 // as the mirror of a primary that holds object 1 = "new" and no object 2.
-// The state transfer supersedes the old history, so a replay of the log
-// must give the primary's database — with and without an update shipped
-// after the attach.
+// The state transfer supersedes the old history the mirror recovered, so
+// reopening the log must give the primary's database — with and without
+// an update shipped after the attach.
 func TestRejoinedMirrorLogIsOneHistory(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -291,19 +290,11 @@ func TestRejoinedMirrorLogIsOneHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			fresh, err := Open(Options{})
+			fresh, err := Open(Options{LogPath: path})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer fresh.Close()
-			if _, err := fresh.Recover(bufio.NewReader(f)); err != nil {
-				t.Fatal(err)
-			}
 			if v, _ := fresh.Get(1); string(v) != want {
 				t.Fatalf("object 1 = %q, want %q", v, want)
 			}
@@ -353,19 +344,15 @@ func TestPublicCheckpointCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh node restores from the checkpoint alone (the in-memory
-	// log is gone with the "crashed" node).
-	db2, err := Open(Options{})
+	// A node opened on the directory restores from the checkpoint alone
+	// (the in-memory log is gone with the "crashed" node).
+	db2, err := Open(Options{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	st, err := db2.RecoverFromDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LastSerial != 20 {
-		t.Fatalf("LastSerial = %d", st.LastSerial)
+	if got := db2.node.Engine().Controller().LastSerial(); got != 20 {
+		t.Fatalf("LastSerial = %d", got)
 	}
 	v, _ := db2.Get(5)
 	if string(v) != "v2" {
@@ -424,7 +411,7 @@ func TestPublicDelete(t *testing.T) {
 }
 
 func TestPublicRecover(t *testing.T) {
-	// A crashed node's file log replays through the public API.
+	// A crashed node's file log replays when the node is reopened on it.
 	path := filepath.Join(t.TempDir(), "wal")
 	db1, err := Open(Options{LogPath: path})
 	if err != nil {
@@ -437,25 +424,148 @@ func TestPublicRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	db1.Crash()
+	defer db1.Close()
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	db2, err := Open(Options{})
+	db2, err := Open(Options{LogPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	st, err := db2.Recover(f)
-	if err != nil || st.Applied != 1 {
-		t.Fatalf("recover: %+v %v", st, err)
-	}
 	v, ok := db2.Get(1)
 	if !ok || string(v) != "v1" {
 		t.Fatalf("recovered value = %q %v", v, ok)
 	}
+}
+
+// TestOpenRecoversBeforeServing: a node reopened on the options it ran
+// with — one log file, or a segmented log with a checkpoint directory —
+// holds exactly the store it had, gives its first commit the serial after
+// the recovered history, and that commit survives one more reopen; after
+// a graceful Close and after a Crash alike.
+func TestOpenRecoversBeforeServing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts func(dir string) Options
+	}{
+		{"file", func(dir string) Options {
+			return Options{LogPath: filepath.Join(dir, "node.wal")}
+		}},
+		{"segments+checkpoint", func(dir string) Options {
+			return Options{
+				LogPath:         filepath.Join(dir, "log"),
+				LogSegmentBytes: 256,
+				CheckpointDir:   filepath.Join(dir, "ckpt"),
+			}
+		}},
+	} {
+		for _, crash := range []bool{false, true} {
+			stop := map[bool]string{false: "close", true: "crash"}[crash]
+			t.Run(tc.name+"/"+stop, func(t *testing.T) {
+				opts := tc.opts(t.TempDir())
+				reopen := func(db *DB) *DB {
+					t.Helper()
+					if crash {
+						db.Crash()
+					}
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+					db, err := Open(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return db
+				}
+				write := func(db *DB, id ObjectID, v string) {
+					t.Helper()
+					if err := db.Update(time.Second, func(tx *Tx) error {
+						return tx.Write(id, []byte(v))
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				serial := func(db *DB) uint64 { return db.node.Engine().Controller().LastSerial() }
+
+				db, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range []string{"a", "b", "c"} {
+					write(db, 1, v)
+					write(db, ObjectID(10+i), v)
+					if opts.CheckpointDir != "" && i == 1 {
+						if _, err := db.CheckpointToDir(opts.CheckpointDir); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				want, last := db.node.DB().Checksum(), serial(db)
+
+				db = reopen(db)
+				if got := db.node.DB().Checksum(); got != want {
+					v, _ := db.Get(1)
+					t.Fatalf("reopened store differs (%d objects, object 1 = %q)", db.Len(), v)
+				}
+				if got := serial(db); got != last {
+					t.Fatalf("reopened at serial %d, want %d", got, last)
+				}
+				write(db, 1, "new")
+				if got := serial(db); got != last+1 {
+					t.Fatalf("first commit after reopen at serial %d, want %d", got, last+1)
+				}
+				want = db.node.DB().Checksum()
+
+				db = reopen(db)
+				defer db.Close()
+				if v, _ := db.Get(1); string(v) != "new" {
+					t.Fatalf("object 1 = %q after a second reopen, want \"new\"", v)
+				}
+				if db.node.DB().Checksum() != want || serial(db) != last+1 {
+					t.Fatalf("second reopen: store differs or serial %d, want %d", serial(db), last+1)
+				}
+			})
+		}
+	}
+}
+
+// TestOpenCorruptCheckpointLeavesNothing: a node whose checkpoint file is
+// damaged fails to open with wal.ErrCorrupt and leaves nothing running:
+// the replication address it was given is free again.
+func TestOpenCorruptCheckpointLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	db := openTest(t, Options{})
+	if _, err := db.CheckpointToDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "checkpoint.ckpt")
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)/2] ^= 0xff
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	probe, err := OpenPrimary(Options{}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.ReplAddr()
+	if err := probe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bad, err := OpenPrimary(Options{CheckpointDir: dir}, addr); !errors.Is(err, wal.ErrCorrupt) {
+		if err == nil {
+			bad.Close()
+		}
+		t.Fatalf("open over a corrupt checkpoint: err = %v, want wal.ErrCorrupt", err)
+	}
+	again, err := OpenPrimary(Options{}, addr)
+	if err != nil {
+		t.Fatalf("the failed open left %s in use: %v", addr, err)
+	}
+	again.Close()
 }
 
 func TestOpenMirrorBadOptions(t *testing.T) {
