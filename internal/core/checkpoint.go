@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/logstore"
 	"repro/internal/wal"
 )
 
@@ -19,9 +18,8 @@ const (
 
 // CheckpointToDir writes a checkpoint file into dir atomically
 // (tmp+rename+directory fsync) and then truncates the node's log below
-// the checkpoint's minimum stripe watermark if the log device supports
-// serial truncation: the checkpoint-and-truncate cycle that bounds
-// recovery time. It returns the checkpoint's serial. The checkpoint is
+// the checkpoint's minimum stripe watermark: the checkpoint-and-truncate
+// cycle that bounds recovery time. It returns the checkpoint's serial. The checkpoint is
 // fuzzy (FuzzyCheckpoint: stripe-incremental, no validation freeze).
 //
 // Ordering matters: the checkpoint — and the rename that publishes it —
@@ -73,11 +71,10 @@ func (n *Node) CheckpointToDir(dir string) (uint64, error) {
 	if err := syncDir(dir); err != nil {
 		return st.Serial, fmt.Errorf("core: checkpoint written but directory sync failed: %w", err)
 	}
-	// The log below every stripe watermark is now redundant. A device
-	// without serial truncation keeps its whole log: the tail above
-	// MinWatermark still matters, so use a segmented store to reclaim
-	// space.
-	if _, _, err := logstore.TruncateBelow(n.log, st.MinWatermark); err != nil {
+	// The log below every stripe watermark is now redundant. A
+	// single-file log keeps all of it: the tail above MinWatermark still
+	// matters, so use a segmented store to reclaim space.
+	if _, err := n.log.TruncateBelow(st.MinWatermark); err != nil {
 		return st.Serial, fmt.Errorf("core: checkpoint written but log truncation failed: %w", err)
 	}
 	return st.Serial, nil
@@ -96,40 +93,59 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
-// Recover restores the node's database from its own stable storage,
-// before it serves or mirrors: the checkpoint file in ckptDir if there is
-// one ("" names no directory), then log replayed over it in one pass, each
-// logged write only above its stripe's checkpoint watermark. A damaged
-// checkpoint is an error wrapping wal.ErrCorrupt or
-// wal.ErrIncompleteCheckpoint.
-//
-// The node keeps the position recovered: an engine it serves with
-// continues after LastSerial, and its first mirror session's hello
-// carries it. MaxCommitTS covers the whole store, since every version
-// replayed carries its group's commit timestamp or an image's write
-// timestamp.
+// Recover restores the node's database from the checkpoint file in
+// ckptDir if there is one (InstallCheckpoint), then log replayed over it
+// in one pass, each logged write only above its stripe's checkpoint
+// watermark, and the node resumes after the recovered history
+// (SetResume). Opening a node recovers it through its log opener
+// instead, which replays the log as it reads it; this reader form serves
+// the root package's DB.Recover and DB.RecoverFromDir.
 func (n *Node) Recover(ckptDir string, log io.Reader) (wal.RecoverStats, error) {
 	rp := wal.NewReplayer(n.db)
-	if ckptDir != "" {
-		ckpt := filepath.Join(ckptDir, checkpointFinal)
-		img, err := os.ReadFile(ckpt)
-		switch {
-		case err == nil:
-			ck, _, cerr := wal.DecodeCheckpoint(img)
-			if cerr != nil {
-				return wal.RecoverStats{}, fmt.Errorf("core: bad checkpoint %s: %w", ckpt, cerr)
-			}
-			rp.Install(ck)
-		case !os.IsNotExist(err):
-			return wal.RecoverStats{}, err
-		}
+	if err := InstallCheckpoint(ckptDir, rp); err != nil {
+		return wal.RecoverStats{}, err
 	}
 	st, err := wal.Replay(log, rp)
-	if err != nil {
-		return st, err
+	if err == nil {
+		n.SetResume(st)
 	}
+	return st, err
+}
+
+// InstallCheckpoint installs the checkpoint file CheckpointToDir writes
+// into dir, if there is one ("" names no directory), into rp: the first
+// step of recovering a node, before its log replays through rp. A
+// damaged checkpoint is an error wrapping wal.ErrCorrupt or
+// wal.ErrIncompleteCheckpoint.
+func InstallCheckpoint(dir string, rp *wal.Replayer) error {
+	if dir == "" {
+		return nil
+	}
+	path := filepath.Join(dir, checkpointFinal)
+	img, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	ck, _, err := wal.DecodeCheckpoint(img)
+	if err != nil {
+		return fmt.Errorf("core: bad checkpoint %s: %w", path, err)
+	}
+	rp.Install(ck)
+	return nil
+}
+
+// SetResume sets the replay position the node's recovered history ends
+// at, st's LastSerial and MaxCommitTS: an engine it serves with continues
+// after LastSerial, above MaxCommitTS, and its first mirror session's
+// hello carries LastSerial. MaxCommitTS must cover the whole store, as a
+// replay's does: every version replayed carries its group's commit
+// timestamp or an image's write timestamp. Call it before the node
+// serves or mirrors.
+func (n *Node) SetResume(st wal.RecoverStats) {
 	n.mu.Lock()
 	n.resume = wal.RecoverStats{LastSerial: st.LastSerial, MaxCommitTS: st.MaxCommitTS}
 	n.mu.Unlock()
-	return st, nil
 }

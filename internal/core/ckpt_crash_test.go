@@ -49,14 +49,14 @@ func (s *shadowLog) AppendBatch(chunks [][]byte) error {
 	return nil
 }
 
-func (s *shadowLog) Sync() error  { return s.inner.Sync() }
-func (s *shadowLog) Close() error { return s.inner.Close() }
+func (s *shadowLog) Sync() error           { return s.inner.Sync() }
+func (s *shadowLog) Close() error          { return s.inner.Close() }
+func (s *shadowLog) Stats() logstore.Stats { return s.inner.Stats() }
 
-// TruncateBelow forwards to the inner store (both inner stores used in
-// these tests support it), so CheckpointToDir truncates for real while
-// the shadow history stays whole.
+// TruncateBelow forwards to the inner store, so CheckpointToDir
+// truncates for real while the shadow history stays whole.
 func (s *shadowLog) TruncateBelow(serial uint64) (int, error) {
-	return s.inner.(logstore.SerialTruncator).TruncateBelow(serial)
+	return s.inner.TruncateBelow(serial)
 }
 
 func (s *shadowLog) History() []byte {

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/logstore"
 	"repro/internal/simtime"
 )
 
@@ -14,8 +13,8 @@ type CheckpointSchedulerOptions struct {
 	// last one. Zero disables the time trigger.
 	Every time.Duration
 	// LogBytes triggers a checkpoint when the node's log device reports
-	// this many bytes appended since the last one (the device must
-	// expose Stats; others never fire this trigger). Zero disables it.
+	// this many bytes appended since the last one (logstore.Stats).
+	// Zero disables it.
 	LogBytes uint64
 	// OnCycle, if set, observes every completed cycle (serial, or the
 	// error that stopped it). Called from the scheduler goroutine.
@@ -31,9 +30,6 @@ type CheckpointScheduler struct {
 	stopOnce sync.Once
 	done     chan struct{}
 }
-
-// logStats is the optional accounting surface of a log device.
-type logStats interface{ Stats() logstore.Stats }
 
 // StartCheckpointScheduler begins checkpointing into dir. The triggers
 // are evaluated every quarter of Every, clamped to [10ms, 1s]. While the
@@ -60,10 +56,7 @@ func (s *CheckpointScheduler) run(n *Node, dir string, opts CheckpointSchedulerO
 	ticker := simtime.NewTicker(n.cfg.Clock, poll)
 	defer ticker.Stop()
 	last := n.cfg.Clock.Now()
-	var lastBytes uint64
-	if ls, ok := n.log.(logStats); ok {
-		lastBytes = ls.Stats().BytesAppended
-	}
+	lastBytes := n.log.Stats().BytesAppended
 	for {
 		select {
 		case <-s.stop:
@@ -71,14 +64,9 @@ func (s *CheckpointScheduler) run(n *Node, dir string, opts CheckpointSchedulerO
 		case <-ticker.C:
 		}
 		now := n.cfg.Clock.Now()
-		fire := opts.Every > 0 && now.Sub(last) >= opts.Every
-		var bytes uint64
-		if ls, ok := n.log.(logStats); ok {
-			bytes = ls.Stats().BytesAppended
-			if opts.LogBytes > 0 && bytes-lastBytes >= opts.LogBytes {
-				fire = true
-			}
-		}
+		bytes := n.log.Stats().BytesAppended
+		fire := opts.Every > 0 && now.Sub(last) >= opts.Every ||
+			opts.LogBytes > 0 && bytes-lastBytes >= opts.LogBytes
 		if !fire {
 			continue
 		}

@@ -87,7 +87,8 @@ type Node struct {
 	ckpts      []*CheckpointScheduler
 	closed     bool
 	// resume is the replay position the node's history ends at: where
-	// Recover left the database, and after a takeover the mirror's. An
+	// recovery left the database (SetResume), and after a takeover the
+	// mirror's. An
 	// engine serveLocked builds continues after it, and the first mirror
 	// session's hello carries it.
 	resume wal.RecoverStats

@@ -1,0 +1,60 @@
+package logstore
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/store"
+	"repro/internal/wal"
+)
+
+// FuzzOpenCutsWhereReplayStops: for any file bytes, an Open that replays
+// the file cuts it to exactly the bytes of the groups the Replayer
+// applied, and a second Open of the cut file replays identical stats
+// into an identical store and cuts nothing.
+func FuzzOpenCutsWhereReplayStops(f *testing.F) {
+	good := append(group(1, 1, 1, "a"), group(2, 2, 2, "b")...)
+	f.Add(good)
+	f.Add(good[:len(good)-5])                                        // a torn tail
+	f.Add(append(append([]byte(nil), good...), rejectedGroup(3)...)) // a group the replay rejects
+	f.Add(append(rejectedGroup(1), good...))
+	f.Add(wal.AppendEncoded(nil, &wal.Record{Type: wal.TypeWrite, TxnID: 1, ObjectID: 1})) // no commit
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() (wal.RecoverStats, uint32, int64) {
+			db := store.New()
+			rp := wal.NewReplayer(db)
+			applied := int64(0)
+			s, err := Open(path, 0, func(g []byte) error {
+				err := rp.Add(g)
+				if err == nil {
+					applied += int64(len(g))
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != applied {
+				t.Fatalf("file cut to %d bytes, the Replayer applied groups of %d", fi.Size(), applied)
+			}
+			return rp.Stats(), db.Checksum(), applied
+		}
+		st, sum, n := open()
+		st2, sum2, n2 := open()
+		if st != st2 || sum != sum2 || n != n2 {
+			t.Fatalf("second open: %+v %08x %d bytes, first %+v %08x %d bytes", st2, sum2, n2, st, sum, n)
+		}
+	})
+}

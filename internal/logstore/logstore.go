@@ -31,9 +31,19 @@ type Store interface {
 	Sync() error
 	// Close syncs and releases the store.
 	Close() error
+	// Stats reports the store's I/O accounting; it never blocks behind
+	// the device.
+	Stats() Stats
+	// TruncateBelow drops log data made redundant by a durable
+	// checkpoint: data holding only groups whose commit serial is ≤
+	// serial. It returns the number of bytes dropped. It is free to drop
+	// less than that (truncation is an optimization; keeping extra log
+	// only costs replay time), never more: data above the serial, which
+	// the checkpoint does not cover, survives.
+	TruncateBelow(serial uint64) (int, error)
 }
 
-// Stats reports I/O accounting for a store that supports it.
+// Stats reports a store's I/O accounting.
 type Stats struct {
 	BytesAppended uint64
 	Syncs         uint64
@@ -41,34 +51,6 @@ type Stats struct {
 
 // ErrClosed is returned for operations on a closed store.
 var ErrClosed = errors.New("logstore: closed")
-
-// SerialTruncator is implemented by stores that can drop a log prefix
-// made redundant by a durable checkpoint: everything dropped must lie
-// below the given commit serial. Data above the serial — which the
-// checkpoint does not cover — survives.
-type SerialTruncator interface {
-	// TruncateBelow drops log data containing only groups whose commit
-	// serial is ≤ serial, and returns the number of bytes dropped. It is
-	// free to drop less than the maximum (truncation is an optimization;
-	// keeping extra log only costs replay time), never more.
-	TruncateBelow(serial uint64) (int, error)
-}
-
-// TruncateBelow drops the ≤ serial prefix of s if it supports serial
-// truncation; it reports whether it did and how many bytes went away.
-// A Delayed wrapper is unwrapped first: capability detection must see the
-// real device, not the latency shim.
-func TruncateBelow(s Store, serial uint64) (bool, int, error) {
-	if d, ok := s.(*Delayed); ok {
-		return TruncateBelow(d.Inner, serial)
-	}
-	t, ok := s.(SerialTruncator)
-	if !ok {
-		return false, 0, nil
-	}
-	n, err := t.TruncateBelow(serial)
-	return true, n, err
-}
 
 // --- Mem --------------------------------------------------------------------
 
@@ -149,14 +131,14 @@ func (m *Mem) SyncedBytes() []byte {
 	return append([]byte(nil), m.data[:m.synced]...)
 }
 
-// Stats returns I/O accounting.
+// Stats implements Store.
 func (m *Mem) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
 }
 
-// TruncateBelow implements SerialTruncator: it walks the stored groups
+// TruncateBelow implements Store: it walks the stored groups
 // (wal.NextGroup) and cuts before the first one whose commit is above
 // serial, so the dropped prefix holds only commits the checkpoint covers,
 // and no write whose commit lies beyond the cut. A group the data ends
@@ -228,3 +210,9 @@ func (d *Delayed) Sync() error {
 
 // Close implements Store.
 func (d *Delayed) Close() error { return d.Inner.Close() }
+
+// Stats implements Store.
+func (d *Delayed) Stats() Stats { return d.Inner.Stats() }
+
+// TruncateBelow implements Store.
+func (d *Delayed) TruncateBelow(serial uint64) (int, error) { return d.Inner.TruncateBelow(serial) }

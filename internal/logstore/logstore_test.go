@@ -122,6 +122,33 @@ func TestDelayedAddsLatencyAndSerializes(t *testing.T) {
 	}
 }
 
+// TestDelayedForwardsStatsAndTruncation: the latency shim reports its
+// device's accounting and truncates it, so a node's checkpoint trigger
+// and log truncation work with a simulated disk latency too.
+func TestDelayedForwardsStatsAndTruncation(t *testing.T) {
+	inner := NewMem()
+	var d Store = NewDelayed(inner, 0)
+	first := group(1, 1, 1, "x")
+	if err := d.Append(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append(group(2, 2, 2, "y")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st, want := d.Stats(), inner.Stats(); st != want || st.Syncs != 1 {
+		t.Fatalf("Delayed Stats = %+v, device %+v", st, want)
+	}
+	if n, err := d.TruncateBelow(1); err != nil || n != len(first) {
+		t.Fatalf("TruncateBelow(1) = %d, %v; want %d", n, err, len(first))
+	}
+	if got := len(inner.Bytes()); got != len(group(2, 2, 2, "y")) {
+		t.Fatalf("device holds %d bytes after truncation", got)
+	}
+}
+
 func TestMemConcurrent(t *testing.T) {
 	m := NewMem()
 	var wg sync.WaitGroup

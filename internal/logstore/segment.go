@@ -21,9 +21,9 @@ import (
 // reclaim log space by unlinking whole sealed segments instead of
 // truncating one ever-growing file. Two invariants make that safe:
 //
-//   - Segments roll only at group boundaries (tracked by a streaming
-//     wal.LogScanner over the appended bytes), so every segment is a
-//     self-contained sequence of complete groups — no transaction's
+//   - Every append is whole groups (checked by a wal.WalkGroups header
+//     walk), so segments roll only at group boundaries and every segment
+//     is a self-contained sequence of complete groups — no transaction's
 //     writes are split from its commit by a segment edge.
 //   - A segment seals with the maximum commit serial the log has carried
 //     up to that point (cumulative, hence conservative): TruncateBelow
@@ -36,16 +36,16 @@ import (
 // one segment and no roll threshold: it opens, appends, syncs and
 // reopens the same way, and TruncateBelow drops nothing from it.
 type Segmented struct {
-	mu       sync.Mutex
-	dir      string
-	segBytes int64
-	name     string // file name of the active segment
-	f        *os.File
-	w        *bufio.Writer
-	size     int64 // bytes appended to the active segment
-	scan     wal.LogScanner
-	sealed   []SegmentInfo
-	closed   bool
+	mu        sync.Mutex
+	dir       string
+	segBytes  int64
+	name      string // file name of the active segment
+	f         *os.File
+	w         *bufio.Writer
+	size      int64  // bytes appended to the active segment
+	maxSerial uint64 // the largest commit serial kept or appended so far
+	sealed    []SegmentInfo
+	closed    bool
 
 	bytesAppended atomic.Uint64
 	syncs         atomic.Uint64
@@ -106,11 +106,12 @@ func ListSegments(dir string) ([]string, error) {
 	return names, nil
 }
 
-// OpenSegmentsReader returns a reader over the stored log at path, the
-// stream recovery replays: the concatenation of every segment in a
-// directory, in log order, or a single log file as its one-segment case
-// (like OpenFile). An absent path or an empty directory yields an empty
-// stream. The reader is not buffered; Replay buffers its own input.
+// OpenSegmentsReader returns a reader over the stored log at path: the
+// concatenation of every segment in a directory, in log order, or a
+// single log file as its one-segment case (like OpenFile). An absent path
+// or an empty directory yields an empty stream. The reader is not
+// buffered. It is a read-only view for tools; a node recovers its log in
+// Open.
 func OpenSegmentsReader(path string) (io.ReadCloser, error) {
 	fi, err := os.Stat(path)
 	if os.IsNotExist(err) {
@@ -126,48 +127,34 @@ func OpenSegmentsReader(path string) (io.ReadCloser, error) {
 			return nil, err
 		}
 	}
-	mr := &multiFileReader{}
+	var (
+		files   files
+		readers []io.Reader
+	)
 	for _, name := range names {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
-			mr.Close()
+			files.Close()
 			return nil, err
 		}
-		mr.files = append(mr.files, f)
+		files, readers = append(files, f), append(readers, f)
 	}
-	mr.readers = mr.files
-	return mr, nil
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.MultiReader(readers...), files}, nil
 }
 
-type multiFileReader struct {
-	files   []*os.File
-	readers []*os.File // the files not yet read to their end
-}
+// files closes every file it holds and returns the first error.
+type files []*os.File
 
-func (m *multiFileReader) Read(p []byte) (int, error) {
-	for len(m.readers) > 0 {
-		n, err := m.readers[0].Read(p)
-		if err == io.EOF {
-			m.readers = m.readers[1:]
-			if n > 0 {
-				return n, nil
-			}
-			continue
-		}
-		return n, err
-	}
-	return 0, io.EOF
-}
-
-func (m *multiFileReader) Close() error {
+func (fs files) Close() error {
 	var first error
-	for _, f := range m.files {
+	for _, f := range fs {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	m.files = nil
-	m.readers = nil
 	return first
 }
 
@@ -177,100 +164,111 @@ func OpenSegmented(dir string, segBytes int64) (*Segmented, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	names, err := ListSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) == 0 {
-		names = []string{segmentName(1)}
-	}
-	return openLog(dir, names, segBytes)
+	return Open(dir, segBytes, nil)
 }
 
 // OpenFile opens (creating if needed) the single-file log at path: a
 // segmented log whose only segment is path and which never rolls.
-func OpenFile(path string) (*Segmented, error) {
-	return openLog(filepath.Dir(path), []string{filepath.Base(path)}, 0)
-}
+func OpenFile(path string) (*Segmented, error) { return Open(path, 0, nil) }
 
-// openLog opens the log made of the files names in dir, in log order;
-// the last one is the active file, created if absent. The sealed files
-// are scanned to rebuild their sealing serials. The active file is cut
-// back to its last group boundary and appends resume there. Every writer
-// appends whole groups, so what follows that boundary is one group a
-// crash left unfinished (a torn record, or writes without their commit):
-// exactly the bytes replay stops at or discards. A segBytes of 0 never
-// rolls.
-func openLog(dir string, names []string, segBytes int64) (*Segmented, error) {
-	s := &Segmented{dir: dir, segBytes: segBytes}
+// Open opens (creating if needed) the log at path and recovers it in the
+// same pass: with segBytes > 0 path is a directory of segments rolling at
+// segBytes, otherwise one file that never rolls.
+//
+// It reads every file in log order a whole group at a time
+// (wal.ReadGroup) and hands each group to replay, if set, before it
+// counts the group as kept. The log ends at the first group ReadGroup
+// refuses or replay rejects: the same stop a replay of the log makes.
+// In the active (last) file, whose tail a crash may leave unfinished,
+// the file is cut there and appends resume there. Before it, the stop
+// lies in a sealed segment, which was fsynced whole before it sealed:
+// that is damage, and Open returns an error wrapping wal.ErrCorrupt that
+// names the segment and the offset, with every file closed.
+func Open(path string, segBytes int64, replay func(group []byte) error) (*Segmented, error) {
+	s := &Segmented{dir: filepath.Dir(path), segBytes: max(segBytes, 0)}
+	names := []string{filepath.Base(path)}
+	if s.segBytes > 0 {
+		if err := os.MkdirAll(path, 0o755); err != nil {
+			return nil, err
+		}
+		var err error
+		if names, err = ListSegments(path); err != nil {
+			return nil, err
+		}
+		if len(names) == 0 {
+			names = []string{segmentName(1)}
+		}
+		s.dir = path
+	}
 	for _, name := range names[:len(names)-1] {
-		boundary, err := s.scanFile(filepath.Join(dir, name))
+		kept, stop, err := s.readFile(name, replay)
+		if err == nil && stop != nil {
+			err = fmt.Errorf("%w: sealed segment %s ends at offset %d: %v", wal.ErrCorrupt,
+				filepath.Join(s.dir, name), kept, stop)
+		}
 		if err != nil {
 			return nil, err
 		}
-		s.sealed = append(s.sealed, SegmentInfo{
-			Name: name, Bytes: boundary, MaxSerial: s.scan.MaxSerial(), Sealed: true,
-		})
+		s.sealed = append(s.sealed, SegmentInfo{Name: name, Bytes: kept, MaxSerial: s.maxSerial, Sealed: true})
 	}
 	s.name = names[len(names)-1]
-	path := filepath.Join(dir, s.name)
-	boundary, err := s.scanFile(path)
+	kept, _, err := s.readFile(s.name, replay)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(s.dir, s.name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	fi, err := f.Stat()
-	if err == nil && fi.Size() > boundary {
-		// Only a file longer than its boundary is cut: a device such
-		// as /dev/full has no length and cannot be truncated.
-		err = f.Truncate(boundary)
+	if err == nil && fi.Size() > kept {
+		// Only a file longer than what was kept is cut: a device such as
+		// /dev/full has no length and cannot be truncated.
+		err = f.Truncate(kept)
 	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	s.f, s.size = f, boundary
+	s.f, s.size = f, kept
 	s.w = bufio.NewWriterSize(f, 1<<16)
 	return s, nil
 }
 
-// scanFile feeds the whole groups of one log file through the boundary
-// scanner and returns the offset of the file's last group boundary; an
-// absent file is empty. The groups are read with wal.ReadGroup, the
-// check replay reads them with, so damage, a torn record or a group
-// without its commit ends the scan exactly where replay stops, and the
-// scanner never sees the bytes past the boundary: appends resume in step
-// with it. A read error other than those is returned.
-func (s *Segmented) scanFile(path string) (int64, error) {
-	f, err := os.Open(path)
+// readFile hands the whole groups of the log file name to replay (if
+// set) and returns the length of the prefix kept, and the reason the file
+// does not end there: nil at a group boundary at its end, or the error
+// ReadGroup or replay stopped with. An absent file is empty. A read error
+// other than a torn or damaged group is returned as err.
+func (s *Segmented) readFile(name string, replay func([]byte) error) (kept int64, stop, err error) {
+	f, err := os.Open(filepath.Join(s.dir, name))
 	if os.IsNotExist(err) {
-		return 0, nil
+		return 0, nil, nil
 	}
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer f.Close()
-	var (
-		boundary int64
-		g        []byte
-	)
 	r := bufio.NewReaderSize(f, 1<<16)
+	var g []byte
 	for {
 		g, err = wal.ReadGroup(r, g)
 		switch {
+		case err == io.EOF && len(g) == 0:
+			return kept, nil, nil
 		case err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, wal.ErrCorrupt):
-			return boundary, nil
+			return kept, err, nil
 		case err != nil:
-			return 0, err
+			return kept, nil, err
 		}
-		s.scan.Scan(g)
-		boundary += int64(len(g))
+		if replay != nil {
+			if err := replay(g); err != nil {
+				return kept, err, nil
+			}
+		}
+		serial, _ := wal.WalkGroups(g)
+		s.maxSerial = max(s.maxSerial, serial)
+		kept += int64(len(g))
 	}
 }
 
@@ -286,50 +284,81 @@ func (s *Segmented) openNextLocked(seq uint64) error {
 	return nil
 }
 
-// Append implements Store.
+// errPartialGroup refuses an append to a rolling store that does not end
+// at a group boundary.
+var errPartialGroup = errors.New("logstore: append does not end at a group boundary")
+
+// Append implements Store. On a rolling store p must be whole groups
+// (wal.WalkGroups): otherwise nothing of it is written and Append returns
+// an error.
 func (s *Segmented) Append(p []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.appendLocked(p); err != nil {
+	serial, err := s.walk(p)
+	if err != nil {
 		return err
 	}
-	return s.maybeRollLocked()
+	if err := s.writeLocked(p); err != nil {
+		return err
+	}
+	return s.maybeRollLocked(serial)
 }
 
 // AppendBatch implements Store: the whole cohort lands under one lock,
-// and the roll check runs once at the end — a cohort is a sequence of
-// complete groups, so its end is a boundary whenever the scanner says
-// so.
+// and the roll check runs once at the end. On a rolling store each chunk
+// must be whole groups, or nothing of the batch is written.
 func (s *Segmented) AppendBatch(chunks [][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
+	var serial uint64
 	for _, p := range chunks {
-		if err := s.appendLocked(p); err != nil {
+		top, err := s.walk(p)
+		if err != nil {
+			return err
+		}
+		serial = max(serial, top)
+	}
+	for _, p := range chunks {
+		if err := s.writeLocked(p); err != nil {
 			return err
 		}
 	}
-	return s.maybeRollLocked()
+	return s.maybeRollLocked(serial)
 }
 
-func (s *Segmented) appendLocked(p []byte) error {
+// walk checks that p is whole groups on a rolling store and returns its
+// largest commit serial. A single-file store never rolls, so it checks
+// nothing.
+func (s *Segmented) walk(p []byte) (uint64, error) {
+	if s.segBytes == 0 {
+		return 0, nil
+	}
+	serial, whole := wal.WalkGroups(p)
+	if !whole {
+		return 0, errPartialGroup
+	}
+	return serial, nil
+}
+
+func (s *Segmented) writeLocked(p []byte) error {
 	n, err := s.w.Write(p)
 	s.size += int64(n)
 	s.bytesAppended.Add(uint64(n))
-	s.scan.Scan(p[:n])
 	return err
 }
 
-// maybeRollLocked seals the active segment once it crosses the size
-// threshold, but only at a group boundary; mid-group the roll waits for
-// the next append that closes the group.
-func (s *Segmented) maybeRollLocked() error {
-	if s.segBytes == 0 || s.size < s.segBytes || !s.scan.AtBoundary() {
+// maybeRollLocked records serial, the largest commit serial just
+// appended, and seals the active segment once it crosses the size
+// threshold. Every append ends at a group boundary, so the roll does too.
+func (s *Segmented) maybeRollLocked(serial uint64) error {
+	s.maxSerial = max(s.maxSerial, serial)
+	if s.segBytes == 0 || s.size < s.segBytes {
 		return nil
 	}
 	// Seal order matters: flush and fsync the old segment BEFORE sealing
@@ -349,7 +378,7 @@ func (s *Segmented) maybeRollLocked() error {
 		return err
 	}
 	s.sealed = append(s.sealed, SegmentInfo{
-		Name: oldName, Bytes: oldSize, MaxSerial: s.scan.MaxSerial(), Sealed: true,
+		Name: oldName, Bytes: oldSize, MaxSerial: s.maxSerial, Sealed: true,
 	})
 	s.rolls.Add(1)
 	s.syncs.Add(1)
@@ -389,7 +418,7 @@ func (s *Segmented) Close() error {
 	return s.f.Close()
 }
 
-// Stats returns I/O accounting. The counters are atomics, so Stats never
+// Stats implements Store. The counters are atomics, so Stats never
 // blocks behind the device: a monitoring read during a slow fsync (which
 // holds mu for its whole duration) must not stall.
 func (s *Segmented) Stats() Stats {
@@ -413,7 +442,7 @@ func (s *Segmented) Segments() []SegmentInfo {
 // TruncateBelow over the store's lifetime.
 func (s *Segmented) Reclaimed() uint64 { return s.reclaimed.Load() }
 
-// TruncateBelow implements SerialTruncator: it unlinks the longest
+// TruncateBelow implements Store: it unlinks the longest
 // prefix of sealed segments whose sealing serial is at or below serial.
 // The active segment and any sealed segment that might hold a group
 // above the bound survive untouched.

@@ -40,6 +40,35 @@ func readAll(t *testing.T, dir string) []byte {
 	return b
 }
 
+// topSerial walks b a whole group at a time (wal.NextGroup) and returns
+// the largest commit serial in it; b must be whole groups.
+func topSerial(t *testing.T, b []byte) uint64 {
+	t.Helper()
+	var top uint64
+	for off := 0; off < len(b); {
+		n, commit, err := wal.NextGroup(b[off:])
+		if err != nil {
+			t.Fatalf("no whole group at byte %d of %d: %v", off, len(b), err)
+		}
+		top, off = max(top, commit.SerialOrder), off+n
+	}
+	return top
+}
+
+// crashWrite appends b to the log file at path behind the store's back,
+// as a crash in the middle of an append leaves it.
+func crashWrite(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // appendGroups appends n committed groups starting at serial start and
 // returns the concatenated bytes it appended.
 func appendGroups(t *testing.T, s Store, start uint64, n int) []byte {
@@ -73,7 +102,6 @@ func TestSegmentedRollsAtGroupBoundaries(t *testing.T) {
 	// Every sealed segment is a self-contained group sequence with a
 	// truthful (if conservative) sealing serial.
 	var prevMax uint64
-	var cursor wal.LogScanner
 	for _, seg := range segs[:len(segs)-1] {
 		if !seg.Sealed {
 			t.Fatalf("segment %s not sealed", seg.Name)
@@ -89,16 +117,9 @@ func TestSegmentedRollsAtGroupBoundaries(t *testing.T) {
 		if int64(len(b)) != seg.Bytes {
 			t.Fatalf("segment %s: %d bytes on disk, info says %d", seg.Name, len(b), seg.Bytes)
 		}
-		var one wal.LogScanner
-		one.Scan(b)
-		if !one.AtBoundary() {
-			t.Fatalf("segment %s does not end at a group boundary", seg.Name)
+		if top := topSerial(t, b); top > seg.MaxSerial {
+			t.Fatalf("segment %s holds serial %d above its sealing bound %d", seg.Name, top, seg.MaxSerial)
 		}
-		if one.MaxSerial() > seg.MaxSerial {
-			t.Fatalf("segment %s holds serial %d above its sealing bound %d",
-				seg.Name, one.MaxSerial(), seg.MaxSerial)
-		}
-		cursor.Scan(b)
 	}
 	if got := readAll(t, dir); !bytes.Equal(got, want) {
 		t.Fatalf("segment concatenation differs: %d bytes, want %d", len(got), len(want))
@@ -208,17 +229,10 @@ func TestSegmentedReopenDropsTornTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Crash mid-append: garbage half-record at the tail.
-			f, err := os.OpenFile(tc.path, os.O_APPEND|os.O_WRONLY, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
 			torn := wal.AppendEncoded(nil, &wal.Record{
 				Type: wal.TypeWrite, TxnID: 99, ObjectID: 1, AfterImage: []byte("never committed"),
 			})
-			if _, err := f.Write(torn[:len(torn)-3]); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+			crashWrite(t, tc.path, torn[:len(torn)-3])
 
 			s2, err := tc.open()
 			if err != nil {
@@ -237,9 +251,10 @@ func TestSegmentedReopenDropsTornTail(t *testing.T) {
 
 // TestOpenFileCutsWhereReplayStops: for seeded random logs — groups of
 // writes and deletes, sometimes an interleaved pair that no writer
-// produces — cut at random offsets, the boundary OpenFile reopens at is
-// exactly the bytes of the whole groups a replay of the same file
-// applies, and the file is cut back to it.
+// produces or a whole group the replay rejects (a delete under the
+// checkpoint transaction id) — cut at random offsets, an Open that
+// replays the file keeps exactly the bytes of the whole groups a replay
+// of the same bytes applies, and cuts the file back to them.
 func TestOpenFileCutsWhereReplayStops(t *testing.T) {
 	dir := t.TempDir()
 	for seed := int64(1); seed <= 200; seed++ {
@@ -248,16 +263,17 @@ func TestOpenFileCutsWhereReplayStops(t *testing.T) {
 			log    []byte
 			groups []int // each whole group's end offset in log
 		)
-		interleaveAt := -1
-		if rng.Intn(2) == 0 {
-			interleaveAt = rng.Intn(8)
-		}
+		badAt, bad := rng.Intn(8), rng.Intn(3) // 0: none, 1: interleaved, 2: rejected
 		for i := 0; i < 8; i++ {
 			id := uint64(i + 1)
-			if i == interleaveAt { // the next transaction writes inside this one's group
+			switch {
+			case i == badAt && bad == 1: // the next transaction writes inside this one's group
 				log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeWrite, TxnID: txn.ID(id), ObjectID: 1, AfterImage: []byte("a")})
 				log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeWrite, TxnID: txn.ID(id + 100), ObjectID: 2, AfterImage: []byte("b")})
 				log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeCommit, TxnID: txn.ID(id), SerialOrder: id, CommitTS: id})
+				continue
+			case i == badAt && bad == 2:
+				log = append(log, rejectedGroup(id)...)
 				continue
 			}
 			for w := rng.Intn(4); w > 0; w-- {
@@ -284,7 +300,8 @@ func TestOpenFileCutsWhereReplayStops(t *testing.T) {
 		if st.Applied > 0 {
 			want = int64(groups[st.Applied-1])
 		}
-		s, err := OpenFile(path)
+		rp := wal.NewReplayer(store.New())
+		s, err := Open(path, 0, rp.Add)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,14 +313,22 @@ func TestOpenFileCutsWhereReplayStops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want || fi.Size() != want {
-			t.Fatalf("seed %d (interleaved at %d, %d bytes): opener boundary %d, file %d bytes, replay applied %d groups = %d bytes",
-				seed, interleaveAt, len(log), got, fi.Size(), st.Applied, want)
+		if got != want || fi.Size() != want || rp.Stats().Applied != st.Applied {
+			t.Fatalf("seed %d (kind %d at %d, %d bytes): opener kept %d bytes after %d groups, file %d bytes; replay applied %d groups = %d bytes",
+				seed, bad, badAt, len(log), got, rp.Stats().Applied, fi.Size(), st.Applied, want)
 		}
 	}
 }
 
-// TestSegmentedReopenDropsUncommittedBoundary: a complete record stream
+// rejectedGroup is a whole group whose record checksums hold but which
+// wal.Replayer.Add rejects: a delete under the checkpoint transaction
+// id, which no checkpoint holds.
+func rejectedGroup(serial uint64) []byte {
+	g := wal.AppendEncoded(nil, &wal.Record{Type: wal.TypeDelete, TxnID: 0, ObjectID: 1})
+	return wal.AppendEncoded(g, &wal.Record{Type: wal.TypeCommit, TxnID: 0, SerialOrder: serial})
+}
+
+// TestSegmentedReopenDropsUncommittedTail: a complete record stream
 // that ends mid-transaction (write without commit) is also not a
 // boundary; reopen must rewind behind the whole dangling group.
 func TestSegmentedReopenDropsUncommittedTail(t *testing.T) {
@@ -313,15 +338,12 @@ func TestSegmentedReopenDropsUncommittedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := appendGroups(t, s, 1, 3)
-	dangling := wal.AppendEncoded(nil, &wal.Record{
-		Type: wal.TypeWrite, TxnID: 50, ObjectID: 9, AfterImage: []byte("no commit"),
-	})
-	if err := s.Append(dangling); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	crashWrite(t, filepath.Join(dir, s.Segments()[0].Name), wal.AppendEncoded(nil, &wal.Record{
+		Type: wal.TypeWrite, TxnID: 50, ObjectID: 9, AfterImage: []byte("no commit"),
+	}))
 	s2, err := OpenSegmented(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -334,9 +356,9 @@ func TestSegmentedReopenDropsUncommittedTail(t *testing.T) {
 	}
 }
 
-// TestSegmentedRollsAfterDroppingUncommittedTail: the writes a reopen
-// cuts off must not reach the boundary scanner either, or it would wait
-// for their commit forever and the log would never roll again.
+// TestSegmentedRollsAfterDroppingUncommittedTail: the log still rolls
+// at group boundaries after a reopen has cut off a group without its
+// commit.
 func TestSegmentedRollsAfterDroppingUncommittedTail(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSegmented(dir, 256)
@@ -344,15 +366,12 @@ func TestSegmentedRollsAfterDroppingUncommittedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendGroups(t, s, 1, 1)
-	dangling := wal.AppendEncoded(nil, &wal.Record{
-		Type: wal.TypeWrite, TxnID: 50, ObjectID: 9, AfterImage: []byte("no commit"),
-	})
-	if err := s.Append(dangling); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	crashWrite(t, filepath.Join(dir, s.Segments()[0].Name), wal.AppendEncoded(nil, &wal.Record{
+		Type: wal.TypeWrite, TxnID: 50, ObjectID: 9, AfterImage: []byte("no commit"),
+	}))
 	s2, err := OpenSegmented(dir, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -395,11 +414,9 @@ func TestSegmentedTruncateBelowDropsOnlyCoveredPrefix(t *testing.T) {
 	// Every surviving record above the bound is still replayable, and
 	// nothing above the bound was dropped: the remaining stream must
 	// contain every commit with serial > bound.
-	var scan wal.LogScanner
 	remaining := readAll(t, dir)
-	scan.Scan(remaining)
-	if scan.MaxSerial() != 40 {
-		t.Fatalf("surviving stream tops out at %d, want 40", scan.MaxSerial())
+	if top := topSerial(t, remaining); top != 40 {
+		t.Fatalf("surviving stream tops out at %d, want 40", top)
 	}
 	db := store.New()
 	st, err := wal.Recover(bytes.NewReader(remaining), db)
@@ -567,33 +584,48 @@ func TestMemTruncateBelowStopsAtOpenTransaction(t *testing.T) {
 	}
 }
 
-func TestTruncateBelowHelper(t *testing.T) {
-	m := NewMem()
-	if err := m.Append(group(1, 1, 1, "x")); err != nil {
+// TestRollingStoreRefusesPartialGroup: a rolling store takes only whole
+// groups, so it can roll after any append. A write without its commit,
+// alone or in a batch, is refused and leaves the file as it was; an empty
+// append is a no-op. A single-file store never rolls and checks nothing.
+func TestRollingStoreRefusesPartialGroup(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegmented(dir, 1<<20)
+	if err != nil {
 		t.Fatal(err)
 	}
-	did, n, err := TruncateBelow(m, 1)
-	if err != nil || !did || n == 0 {
-		t.Fatalf("Mem: did=%v n=%d err=%v", did, n, err)
+	defer s.Close()
+	want := appendGroups(t, s, 1, 2)
+	write := wal.AppendEncoded(nil, &wal.Record{Type: wal.TypeWrite, TxnID: 3, ObjectID: 1, AfterImage: []byte("no commit")})
+	if err := s.Append(write); err != errPartialGroup {
+		t.Fatalf("Append of a write without its commit: %v, want errPartialGroup", err)
 	}
-	// A store without the capability reports !did and no error.
-	did, n, err = TruncateBelow(plainStore{NewMem()}, 1)
-	if err != nil || did || n != 0 {
-		t.Fatalf("plain store: did=%v n=%d err=%v", did, n, err)
+	if err := s.AppendBatch([][]byte{group(3, 3, 1, "x"), write}); err != errPartialGroup {
+		t.Fatalf("AppendBatch ending in a write without its commit: %v, want errPartialGroup", err)
 	}
-	// Delayed forwards to its inner store.
-	d := NewDelayed(NewMem(), 0)
-	if err := d.Append(group(2, 2, 2, "y")); err != nil {
+	whole := group(4, 4, 1, "y")
+	if err := s.Append(whole[:len(whole)-1]); err != errPartialGroup {
+		t.Fatalf("Append of a torn commit: %v, want errPartialGroup", err)
+	}
+	if err := s.Append(nil); err != nil {
+		t.Fatalf("empty Append: %v", err)
+	}
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	did, _, err = TruncateBelow(d, 2)
-	if err != nil || !did {
-		t.Fatalf("Delayed: did=%v err=%v", did, err)
+	if got := readAll(t, dir); !bytes.Equal(got, want) {
+		t.Fatalf("log holds %d bytes after refused appends, want %d", len(got), len(want))
 	}
-	if did, _, err := TruncateBelow(NewDelayed(plainStore{NewMem()}, 0), 2); err != nil || did {
-		t.Fatalf("Delayed(plain store): did=%v err=%v", did, err)
+	if st := s.Stats(); st.BytesAppended != uint64(len(want)) {
+		t.Fatalf("BytesAppended = %d, want %d", st.BytesAppended, len(want))
+	}
+
+	f, err := OpenFile(filepath.Join(dir, "single.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Append(write); err != nil {
+		t.Fatalf("single-file Append: %v", err)
 	}
 }
-
-// plainStore hides every capability of the store it wraps but Store's.
-type plainStore struct{ Store }

@@ -151,6 +151,31 @@ func decodeInPlace(b []byte) (Record, int, error) {
 	return rec, n, nil
 }
 
+// WalkGroups walks the record headers of b, bytes a writer has just
+// encoded, without a checksum pass: it reports the largest commit serial
+// in b and whether b is a run of whole groups, ending right after a
+// commit record. An empty b is whole. A rolling log store checks each
+// append with it, since it may roll only at a group boundary.
+func WalkGroups(b []byte) (maxSerial uint64, whole bool) {
+	whole = true
+	for off := 0; off < len(b); {
+		if len(b)-off < headerSize {
+			return maxSerial, false
+		}
+		rec, imgLen, err := parseHeader(b[off : off+headerSize])
+		if err != nil {
+			return maxSerial, false
+		}
+		if off += headerSize + imgLen; off > len(b) {
+			return maxSerial, false
+		}
+		if whole = rec.Type == TypeCommit; whole {
+			maxSerial = max(maxSerial, rec.SerialOrder)
+		}
+	}
+	return maxSerial, whole
+}
+
 // NextGroup checks the group at the start of b, the unit the stored log
 // is read in: one transaction's writes and deletes closed by its commit
 // record. Each record's checksum and type must hold, and every record

@@ -261,6 +261,36 @@ func TestGroupReadersTellTheEndsApart(t *testing.T) {
 	}
 }
 
+// TestWalkGroupsAtEveryCut: for every prefix of a run of groups — with
+// writes, a delete, a read-only commit and a commit carrying an image —
+// WalkGroups reports whole exactly at the group ends, with the largest
+// commit serial so far; a length field past the end is not whole.
+func TestWalkGroupsAtEveryCut(t *testing.T) {
+	var run []byte
+	ends := map[int]uint64{0: 0} // group end offset -> max serial up to it
+	for _, g := range [][]*Record{
+		{writeRec(1, 10), writeRec(1, 11), commitRec(1, 3)},
+		{{Type: TypeDelete, TxnID: 2, ObjectID: 10}, commitRec(2, 2)},
+		{commitRec(3, 5)},
+		{writeRec(4, 13), {Type: TypeCommit, TxnID: 4, SerialOrder: 4, AfterImage: []byte("image")}},
+	} {
+		run = append(run, encodeGroup(g...)...)
+		ends[len(run)] = max(ends[len(run)-len(encodeGroup(g...))], g[len(g)-1].SerialOrder)
+	}
+	for i := 0; i <= len(run); i++ {
+		serial, whole := WalkGroups(run[:i])
+		want, end := ends[i]
+		if whole != end || end && serial != want {
+			t.Fatalf("prefix of %d bytes: WalkGroups = %d, %v; want whole %v at serial %d", i, serial, whole, end, want)
+		}
+	}
+	huge := AppendEncoded(nil, commitRec(1, 1))
+	huge[4] = 0xff // the image length now reaches past the end
+	if _, whole := WalkGroups(huge); whole {
+		t.Fatal("a record whose image runs past the end is whole")
+	}
+}
+
 // TestReadGroupGrowsByDoubling: a large group is read with a buffer
 // that doubles, so reading it into a nil buffer takes about
 // log2(size/512) allocations (growth by 1.25× would take three times as

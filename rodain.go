@@ -36,7 +36,8 @@
 // Opening a node recovers it: Open, OpenPrimary and OpenMirror replay the
 // checkpoint in Options.CheckpointDir and the log at Options.LogPath
 // before the node serves, listens or dials, and its first commit
-// continues the recovered history.
+// continues the recovered history. The log is read once: appends resume
+// exactly where the replay stopped.
 package rodain
 
 import (
@@ -187,7 +188,8 @@ type Options struct {
 	// of segment files, and the checkpoint cycle reclaims space by
 	// unlinking whole sealed segments instead of keeping one
 	// ever-growing file. Zero keeps one log file that never rolls. Open
-	// recovers from every segment in the directory, in log order.
+	// recovers from every segment in the directory, in log order, and
+	// fails with wal.ErrCorrupt if a sealed segment is damaged.
 	LogSegmentBytes int64
 	// CheckpointDir is where checkpoints live. Open recovers from the
 	// checkpoint file in it, if there is one, before it replays the log.
@@ -226,23 +228,17 @@ func (o Options) coreConfig() (core.Config, error) {
 	return cfg, nil
 }
 
-func (o Options) openLog() (logstore.Store, error) {
-	var st logstore.Store
-	switch {
-	case o.LogPath == "":
-		st = logstore.NewMem()
-	case o.LogSegmentBytes > 0:
-		s, err := logstore.OpenSegmented(o.LogPath, o.LogSegmentBytes)
+// openLog opens the log device LogPath names, handing every group of
+// the stored log to replay (see logstore.Open); an empty LogPath keeps
+// the log in memory.
+func (o Options) openLog(replay func([]byte) error) (logstore.Store, error) {
+	var st logstore.Store = logstore.NewMem()
+	if o.LogPath != "" {
+		s, err := logstore.Open(o.LogPath, o.LogSegmentBytes, replay)
 		if err != nil {
 			return nil, err
 		}
 		st = s
-	default:
-		f, err := logstore.OpenFile(o.LogPath)
-		if err != nil {
-			return nil, err
-		}
-		st = f
 	}
 	if o.SimulatedDiskLatency > 0 {
 		st = logstore.NewDelayed(st, o.SimulatedDiskLatency)
@@ -276,12 +272,23 @@ func OpenPrimary(opts Options, replListen string) (*DB, error) {
 	return db, err
 }
 
+// open recovers a node from the storage opts names and starts it: the
+// checkpoint in CheckpointDir goes into a fresh store, and opening the log
+// at LogPath replays it over the image in the same pass, cutting the log
+// where the replay stops. Only then does the node serve (unless it is to
+// be a mirror) and start its checkpoint scheduler, continuing the
+// recovered history.
 func open(opts Options, replListen string, mirror bool) (*DB, *core.Node, error) {
 	cfg, err := opts.coreConfig()
 	if err != nil {
 		return nil, nil, err
 	}
-	log, err := opts.openLog()
+	db := store.New()
+	rp := wal.NewReplayer(db)
+	if err := core.InstallCheckpoint(opts.CheckpointDir, rp); err != nil {
+		return nil, nil, err
+	}
+	log, err := opts.openLog(rp.Add)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -289,15 +296,14 @@ func open(opts Options, replListen string, mirror bool) (*DB, *core.Node, error)
 	if name == "" {
 		name = "rodain"
 	}
-	node := core.NewNode(name, cfg, store.New(), log)
-	err = opts.recover(node)
-	if err == nil && !mirror {
-		err = node.ServePrimary(replListen, opts.Durability.logMode())
-	}
-	if err != nil {
-		node.Close()
-		log.Close()
-		return nil, nil, err
+	node := core.NewNode(name, cfg, db, log)
+	node.SetResume(rp.Stats())
+	if !mirror {
+		if err := node.ServePrimary(replListen, opts.Durability.logMode()); err != nil {
+			node.Close()
+			log.Close()
+			return nil, nil, err
+		}
 	}
 	if opts.CheckpointDir != "" && (opts.CheckpointEvery > 0 || opts.CheckpointLogBytes > 0) {
 		node.StartCheckpointScheduler(opts.CheckpointDir, core.CheckpointSchedulerOptions{
@@ -306,23 +312,6 @@ func open(opts Options, replListen string, mirror bool) (*DB, *core.Node, error)
 		})
 	}
 	return &DB{node: node, log: log}, node, nil
-}
-
-// recover restores node from the storage the options name, before it
-// does anything else: the checkpoint in CheckpointDir, then the log at
-// LogPath replayed over it. A node with neither is memory-only and starts
-// empty.
-func (o Options) recover(node *core.Node) error {
-	if o.LogPath == "" && o.CheckpointDir == "" {
-		return nil
-	}
-	r, err := logstore.OpenSegmentsReader(o.LogPath)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	_, err = node.Recover(o.CheckpointDir, r)
-	return err
 }
 
 // OpenMirror starts a hot stand-by for the primary at primaryAddr. The

@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/logstore"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -566,6 +568,126 @@ func TestOpenCorruptCheckpointLeavesNothing(t *testing.T) {
 		t.Fatalf("the failed open left %s in use: %v", addr, err)
 	}
 	again.Close()
+}
+
+// TestOpenKeepsCommitAfterRejectedGroup: the log ends at the first
+// group the replay rejects, here a delete under the checkpoint
+// transaction id whose record checksums all hold. Open cuts the log
+// there, so a commit acknowledged after the reopen follows the replayed
+// history and survives the next one.
+func TestOpenKeepsCommitAfterRejectedGroup(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	log := wal.AppendEncoded(nil, &wal.Record{Type: wal.TypeWrite, TxnID: 1, ObjectID: 1, AfterImage: []byte("a")})
+	log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeCommit, TxnID: 1, SerialOrder: 1, CommitTS: 1})
+	log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeDelete, TxnID: 0, ObjectID: 1})
+	log = wal.AppendEncoded(log, &wal.Record{Type: wal.TypeCommit, TxnID: 0, SerialOrder: 2})
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Options{LogPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := db.Get(1); string(v) != "a" {
+		t.Fatalf("object 1 = %q, want \"a\"", v)
+	}
+	if err := db.Update(time.Second, func(tx *Tx) error { return tx.Write(2, []byte("b")) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{LogPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if v, ok := db.Get(2); !ok || string(v) != "b" {
+		t.Fatalf("acknowledged commit lost: object 2 = %q, %v", v, ok)
+	}
+}
+
+// TestOpenRefusesDamagedSealedSegment: a sealed segment was fsynced whole
+// before it sealed, so damage inside one is not a torn tail: Open fails
+// with wal.ErrCorrupt naming the segment, and cuts nothing, so once the
+// byte is repaired the log opens with every commit.
+func TestOpenRefusesDamagedSealedSegment(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{LogPath: filepath.Join(dir, "log"), LogSegmentBytes: 256}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := db.Update(time.Second, func(tx *Tx) error {
+			return tx.Write(ObjectID(i), []byte(fmt.Sprintf("v%d", i)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := logstore.ListSegments(opts.LogPath)
+	if err != nil || len(names) < 3 {
+		t.Fatalf("segments %v, %v: want at least 3", names, err)
+	}
+	seg := filepath.Join(opts.LogPath, names[1])
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if bad, err := Open(opts); !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), names[1]) {
+		if err == nil {
+			bad.Close()
+		}
+		t.Fatalf("open over a damaged sealed segment: err = %v, want wal.ErrCorrupt naming %s", err, names[1])
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(opts)
+	if err != nil {
+		t.Fatalf("open after the repair: %v", err)
+	}
+	defer db.Close()
+	if db.Len() != 20 {
+		t.Fatalf("repaired log holds %d objects, want 20", db.Len())
+	}
+}
+
+// TestCheckpointLogBytesWithDiskLatency: the log-growth checkpoint
+// trigger reads the device's accounting through the latency shim too.
+func TestCheckpointLogBytesWithDiskLatency(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{
+		LogPath:              filepath.Join(dir, "node.wal"),
+		SimulatedDiskLatency: time.Microsecond,
+		CheckpointDir:        dir,
+		CheckpointLogBytes:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 50; i++ {
+		if err := db.Update(time.Second, func(tx *Tx) error { return tx.Write(ObjectID(i), []byte("x")) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := os.Stat(filepath.Join(dir, "checkpoint.ckpt")); err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint written after 50 commits with CheckpointLogBytes 1")
+		}
+	}
 }
 
 func TestOpenMirrorBadOptions(t *testing.T) {
