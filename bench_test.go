@@ -16,10 +16,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/logstore"
-	"repro/internal/object"
 	"repro/internal/occ"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/telecom"
 	"repro/internal/txn"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -327,26 +327,15 @@ func BenchmarkSimThroughput(b *testing.B) {
 	b.ReportMetric(float64(2000*b.N)/b.Elapsed().Seconds(), "sim-txns/s")
 }
 
-// BenchmarkObjectEncodeDecode measures the typed object layer round
-// trip (a subscriber-profile-sized object).
-func BenchmarkObjectEncodeDecode(b *testing.B) {
-	class := object.MustClass("Bench",
-		object.Field{Name: "msisdn", Type: object.String},
-		object.Field{Name: "name", Type: object.String},
-		object.Field{Name: "balance", Type: object.Int},
-		object.Field{Name: "prepaid", Type: object.Bool},
-	)
-	o := class.New()
-	o.SetString("msisdn", "+358501234567")
-	o.SetString("name", "Subscriber 42")
-	o.SetInt("balance", 10000)
-	o.SetBool("prepaid", true)
-	enc := o.Encode()
-	b.SetBytes(int64(len(enc)))
+// BenchmarkSubscriberCodec measures a subscriber profile's encode and
+// decode round trip.
+func BenchmarkSubscriberCodec(b *testing.B) {
+	sub := telecom.NewSubscriber("+358501234567", "Subscriber 42", true, 10000)
+	b.SetBytes(int64(len(sub.Encode())))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := class.Decode(o.Encode()); err != nil {
+		if _, err := telecom.DecodeSubscriber(sub.Encode()); err != nil {
 			b.Fatal(err)
 		}
 	}

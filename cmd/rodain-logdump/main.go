@@ -6,8 +6,12 @@
 // each checkpoint group it meets, the dump prints its serial, stripe
 // count and min and max watermark.
 //
+// The -recover dry run replays the log alone, not as a node recovers: it
+// installs no CheckpointDir image, and it reports a damaged sealed
+// segment as a truncated tail where opening the node refuses the log.
+//
 //	rodain-logdump primary.wal
-//	rodain-logdump -recover primary.wal              # replay as a node would
+//	rodain-logdump -recover primary.wal              # replay the log alone
 //	rodain-logdump ckptdir/checkpoint.ckpt           # a checkpoint
 //	rodain-logdump logdir                            # segment directory
 package main
@@ -69,8 +73,8 @@ func main() {
 	sum.print()
 }
 
-// dryRecover replays the log into a scratch store the way a recovering
-// node does, and times it.
+// dryRecover replays the log, and nothing else, into a scratch store and
+// times it.
 func dryRecover(r io.Reader) {
 	db := store.New()
 	start := time.Now()

@@ -1,4 +1,4 @@
-// Billing: typed subscriber profiles (the object layer) under concurrent
+// Billing: fixed-record subscriber profiles under concurrent
 // update pressure. Many goroutines charge the same prepaid subscribers
 // at once; optimistic concurrency control restarts the losers and the
 // books still balance exactly — with every commit replicated to a hot
@@ -47,8 +47,8 @@ func main() {
 	for i := 0; i < subscribers; i++ {
 		i := i
 		err := primary.Update(150*time.Millisecond, func(tx *rodain.Tx) error {
-			o := telecom.NewSubscriber(fmt.Sprintf("+35850%07d", i), fmt.Sprintf("Sub %d", i), true, initialCents)
-			return tx.Write(telecom.SubscriberID(i), o.Encode())
+			sub := telecom.NewSubscriber(fmt.Sprintf("+35850%07d", i), fmt.Sprintf("Sub %d", i), true, initialCents)
+			return tx.Write(telecom.SubscriberID(i), sub.Encode())
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -102,12 +102,11 @@ func main() {
 		if !ok {
 			log.Fatal("subscriber vanished")
 		}
-		o, err := telecom.Subscriber.Decode(enc)
+		sub, err := telecom.DecodeSubscriber(enc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		balance, _ := o.Int("balanceCents")
-		total += balance
+		total += sub.BalanceCents
 	}
 	want := int64(subscribers*initialCents) - succeeded.Load()*chargeCents
 	fmt.Printf("charges: %d succeeded, %d declined (balance), %d aborted after restarts\n",

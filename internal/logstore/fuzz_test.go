@@ -1,6 +1,8 @@
 package logstore
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,8 +13,9 @@ import (
 
 // FuzzOpenCutsWhereReplayStops: for any file bytes, an Open that replays
 // the file cuts it to exactly the bytes of the groups the Replayer
-// applied, and a second Open of the cut file replays identical stats
-// into an identical store and cuts nothing.
+// applied and keeps the rest in the side file <file>.cut-<n>, and a
+// second Open of the cut file replays identical stats into an identical
+// store, cuts nothing and writes no side file.
 func FuzzOpenCutsWhereReplayStops(f *testing.F) {
 	good := append(group(1, 1, 1, "a"), group(2, 2, 2, "b")...)
 	f.Add(good)
@@ -52,9 +55,20 @@ func FuzzOpenCutsWhereReplayStops(f *testing.F) {
 			return rp.Stats(), db.Checksum(), applied
 		}
 		st, sum, n := open()
+		cut, err := os.ReadFile(fmt.Sprintf("%s.cut-%d", path, n))
+		if n < int64(len(data)) && (err != nil || !bytes.Equal(cut, data[n:])) {
+			t.Fatalf("side file of the cut at %d: %x, %v; want %x", n, cut, err, data[n:])
+		}
 		st2, sum2, n2 := open()
 		if st != st2 || sum != sum2 || n != n2 {
 			t.Fatalf("second open: %+v %08x %d bytes, first %+v %08x %d bytes", st2, sum2, n2, st, sum, n)
+		}
+		want := 1
+		if n == int64(len(data)) {
+			want = 0
+		}
+		if files, _ := os.ReadDir(filepath.Dir(path)); len(files) != 1+want {
+			t.Fatalf("%d files beside the log after two opens, want %d", len(files)-1, want)
 		}
 	})
 }

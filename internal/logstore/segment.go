@@ -180,7 +180,11 @@ func OpenFile(path string) (*Segmented, error) { return Open(path, 0, nil) }
 // counts the group as kept. The log ends at the first group ReadGroup
 // refuses or replay rejects: the same stop a replay of the log makes.
 // In the active (last) file, whose tail a crash may leave unfinished,
-// the file is cut there and appends resume there. Before it, the stop
+// the file is cut there and appends resume there; the bytes cut are first
+// written to <file>.cut-<offset> beside it and fsynced (a further ".<n>"
+// if that name is taken), so damage that ends the log early leaves the
+// acknowledged groups after it on disk. ListSegments ignores such a file,
+// and nothing removes it. Before the active file, the stop
 // lies in a sealed segment, which was fsynced whole before it sealed:
 // that is damage, and Open returns an error wrapping wal.ErrCorrupt that
 // names the segment and the offset, with every file closed.
@@ -216,7 +220,7 @@ func Open(path string, segBytes int64, replay func(group []byte) error) (*Segmen
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(s.dir, s.name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(s.dir, s.name), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +228,9 @@ func Open(path string, segBytes int64, replay func(group []byte) error) (*Segmen
 	if err == nil && fi.Size() > kept {
 		// Only a file longer than what was kept is cut: a device such as
 		// /dev/full has no length and cannot be truncated.
-		err = f.Truncate(kept)
+		if err = saveCut(f, kept, fi.Size()); err == nil {
+			err = f.Truncate(kept)
+		}
 	}
 	if err != nil {
 		f.Close()
@@ -233,6 +239,28 @@ func Open(path string, segBytes int64, replay func(group []byte) error) (*Segmen
 	s.f, s.size = f, kept
 	s.w = bufio.NewWriterSize(f, 1<<16)
 	return s, nil
+}
+
+// saveCut writes the bytes [from, to) of f to the new file
+// <f>.cut-<from>, or <f>.cut-<from>.<n> if that name is taken, and fsyncs
+// it.
+func saveCut(f *os.File, from, to int64) error {
+	name := fmt.Sprintf("%s.cut-%d", f.Name(), from)
+	side, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	for n := 1; os.IsExist(err); n++ {
+		side, err = os.OpenFile(fmt.Sprintf("%s.%d", name, n), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(side, io.NewSectionReader(f, from, to-from))
+	if err == nil {
+		err = side.Sync()
+	}
+	if cerr := side.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readFile hands the whole groups of the log file name to replay (if

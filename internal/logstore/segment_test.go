@@ -249,6 +249,39 @@ func TestSegmentedReopenDropsTornTail(t *testing.T) {
 	}
 }
 
+// TestOpenKeepsEveryCut: two cuts at the same offset (a bad spot on the
+// disk damages the same place twice) keep both cut tails, the second
+// under a numbered name, so neither overwrites the other.
+func TestOpenKeepsEveryCut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	s, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(appendGroups(t, s, 1, 2))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"first", "second"} {
+		crashWrite(t, path, []byte(tail))
+		s, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string]string{
+		fmt.Sprintf("%s.cut-%d", path, n):   "first",
+		fmt.Sprintf("%s.cut-%d.1", path, n): "second",
+	} {
+		if got, err := os.ReadFile(name); err != nil || string(got) != want {
+			t.Fatalf("%s = %q, %v; want %q", filepath.Base(name), got, err, want)
+		}
+	}
+}
+
 // TestOpenFileCutsWhereReplayStops: for seeded random logs — groups of
 // writes and deletes, sometimes an interleaved pair that no writer
 // produces or a whole group the replay rejects (a delete under the

@@ -342,12 +342,11 @@ func (s *Server) exec(req *request, resp []byte) []byte {
 			if err != nil {
 				return err
 			}
-			o, err := telecom.Subscriber.Decode(enc)
+			sub, err := telecom.DecodeSubscriber(enc)
 			if err != nil {
 				return err
 			}
-			balance, _ = o.Int("balanceCents")
-			prepaid, _ = o.Bool("prepaid")
+			balance, prepaid = sub.BalanceCents, sub.Prepaid
 			return nil
 		})
 		if err != nil {

@@ -1,23 +1,70 @@
 package telecom
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 
-	"repro/internal/object"
 	"repro/internal/store"
 )
 
-// Subscriber is the declared class for subscriber profiles — the second
-// kind of data a number-translation service keeps besides routing
-// entries, expressed through the object layer instead of hand-packed
-// bytes.
-var Subscriber = object.MustClass("Subscriber",
-	object.Field{Name: "msisdn", Type: object.String},
-	object.Field{Name: "name", Type: object.String},
-	object.Field{Name: "balanceCents", Type: object.Int},
-	object.Field{Name: "prepaid", Type: object.Bool},
-	object.Field{Name: "creditLimitCents", Type: object.Int},
-)
+// Subscriber is the profile stored per subscriber id: the second kind of
+// data a number-translation service keeps besides routing entries.
+type Subscriber struct {
+	// MSISDN is the subscriber's own E.164 number.
+	MSISDN string
+	// Name is the subscriber's display name.
+	Name string
+	// BalanceCents is the account balance; a postpaid one may be negative.
+	BalanceCents int64
+	// Prepaid reports a prepaid account, whose balance never goes below 0.
+	Prepaid bool
+	// CreditLimitCents is how far below 0 a postpaid balance may run.
+	CreditLimitCents int64
+}
+
+// ErrBadSubscriber reports an undecodable subscriber profile.
+var ErrBadSubscriber = errors.New("telecom: bad subscriber profile")
+
+// subscriberHeader is the fixed part of an encoded profile: balance,
+// credit limit, prepaid byte and the MSISDN's length.
+const subscriberHeader = 8 + 8 + 1 + 4
+
+// Encode serializes s: the fixed little-endian fields, then the MSISDN
+// and the name, with the MSISDN's length in the header.
+func (s *Subscriber) Encode() []byte {
+	buf := make([]byte, subscriberHeader, subscriberHeader+len(s.MSISDN)+len(s.Name))
+	binary.LittleEndian.PutUint64(buf[0:], uint64(s.BalanceCents))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(s.CreditLimitCents))
+	if s.Prepaid {
+		buf[16] = 1
+	}
+	binary.LittleEndian.PutUint32(buf[17:], uint32(len(s.MSISDN)))
+	buf = append(buf, s.MSISDN...)
+	return append(buf, s.Name...)
+}
+
+// DecodeSubscriber parses a subscriber profile. It refuses input shorter
+// than the header, an MSISDN length past the end, and a prepaid byte other
+// than 0 or 1: SET can overwrite a subscriber id with any bytes, so the
+// billing commands decode input from outside the program.
+func DecodeSubscriber(b []byte) (*Subscriber, error) {
+	if len(b) < subscriberHeader || b[16] > 1 {
+		return nil, ErrBadSubscriber
+	}
+	n := binary.LittleEndian.Uint32(b[17:])
+	if uint64(n) > uint64(len(b)-subscriberHeader) {
+		return nil, ErrBadSubscriber
+	}
+	rest := b[subscriberHeader:]
+	return &Subscriber{
+		MSISDN:           string(rest[:n]),
+		Name:             string(rest[n:]),
+		BalanceCents:     int64(binary.LittleEndian.Uint64(b[0:])),
+		Prepaid:          b[16] == 1,
+		CreditLimitCents: int64(binary.LittleEndian.Uint64(b[8:])),
+	}, nil
+}
 
 // SubscriberIDBase offsets subscriber objects away from routing entries
 // in the flat id space (routing entries live at the number's value).
@@ -26,15 +73,9 @@ const SubscriberIDBase store.ObjectID = 1 << 40
 // SubscriberID maps a subscriber index to its object id.
 func SubscriberID(i int) store.ObjectID { return SubscriberIDBase + store.ObjectID(i) }
 
-// NewSubscriber builds a subscriber profile object.
-func NewSubscriber(msisdn, name string, prepaid bool, balanceCents int64) *object.Object {
-	o := Subscriber.New()
-	o.SetString("msisdn", msisdn)
-	o.SetString("name", name)
-	o.SetBool("prepaid", prepaid)
-	o.SetInt("balanceCents", balanceCents)
-	o.SetInt("creditLimitCents", 0)
-	return o
+// NewSubscriber builds a subscriber profile with no credit limit.
+func NewSubscriber(msisdn, name string, prepaid bool, balanceCents int64) *Subscriber {
+	return &Subscriber{MSISDN: msisdn, Name: name, Prepaid: prepaid, BalanceCents: balanceCents}
 }
 
 // Charge debits a call charge from a subscriber profile encoding and
@@ -45,22 +86,19 @@ func Charge(encoded []byte, cents int64) ([]byte, error) {
 	if cents < 0 {
 		return nil, fmt.Errorf("telecom: negative charge %d", cents)
 	}
-	o, err := Subscriber.Decode(encoded)
+	s, err := DecodeSubscriber(encoded)
 	if err != nil {
 		return nil, err
 	}
-	balance, _ := o.Int("balanceCents")
-	prepaid, _ := o.Bool("prepaid")
-	limit, _ := o.Int("creditLimitCents")
-	next := balance - cents
-	if prepaid && next < 0 {
-		return nil, fmt.Errorf("telecom: insufficient prepaid balance (%d < %d)", balance, cents)
+	next := s.BalanceCents - cents
+	if s.Prepaid && next < 0 {
+		return nil, fmt.Errorf("telecom: insufficient prepaid balance (%d < %d)", s.BalanceCents, cents)
 	}
-	if !prepaid && next < -limit {
-		return nil, fmt.Errorf("telecom: credit limit exceeded (%d - %d < -%d)", balance, cents, limit)
+	if !s.Prepaid && next < -s.CreditLimitCents {
+		return nil, fmt.Errorf("telecom: credit limit exceeded (%d - %d < -%d)", s.BalanceCents, cents, s.CreditLimitCents)
 	}
-	o.SetInt("balanceCents", next)
-	return o.Encode(), nil
+	s.BalanceCents = next
+	return s.Encode(), nil
 }
 
 // TopUp credits a subscriber profile encoding.
@@ -68,28 +106,27 @@ func TopUp(encoded []byte, cents int64) ([]byte, error) {
 	if cents < 0 {
 		return nil, fmt.Errorf("telecom: negative top-up %d", cents)
 	}
-	o, err := Subscriber.Decode(encoded)
+	s, err := DecodeSubscriber(encoded)
 	if err != nil {
 		return nil, err
 	}
-	balance, _ := o.Int("balanceCents")
-	o.SetInt("balanceCents", balance+cents)
-	return o.Encode(), nil
+	s.BalanceCents += cents
+	return s.Encode(), nil
 }
 
 // PopulateSubscribers loads n subscriber profiles, ids
 // SubscriberID(0..n-1).
 func PopulateSubscribers(db *store.Store, n int) {
 	for i := 0; i < n; i++ {
-		o := NewSubscriber(
+		s := NewSubscriber(
 			fmt.Sprintf("+35850%07d", i),
 			fmt.Sprintf("Subscriber %d", i),
 			i%2 == 0, // alternate prepaid/postpaid
 			100_00,   // 100 units of balance
 		)
 		if i%2 == 1 {
-			o.SetInt("creditLimitCents", 50_00)
+			s.CreditLimitCents = 50_00
 		}
-		db.Put(SubscriberID(i), o.Encode())
+		db.Put(SubscriberID(i), s.Encode())
 	}
 }

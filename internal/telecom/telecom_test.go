@@ -1,6 +1,8 @@
 package telecom
 
 import (
+	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -97,30 +99,63 @@ func TestReroute(t *testing.T) {
 }
 
 func TestSubscriberChargeAndTopUp(t *testing.T) {
-	o := NewSubscriber("+358501", "Alice", true, 1000)
-	enc := o.Encode()
+	enc := NewSubscriber("+358501", "Alice", true, 1000).Encode()
 
 	charged, err := Charge(enc, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Subscriber.Decode(charged)
+	back, err := DecodeSubscriber(charged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	balance, _ := back.Int("balanceCents")
-	if balance != 700 {
-		t.Fatalf("balance = %d", balance)
+	if back.BalanceCents != 700 {
+		t.Fatalf("balance = %d", back.BalanceCents)
 	}
 
 	topped, err := TopUp(charged, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _ = Subscriber.Decode(topped)
-	balance, _ = back.Int("balanceCents")
-	if balance != 1200 {
-		t.Fatalf("balance after top-up = %d", balance)
+	back, _ = DecodeSubscriber(topped)
+	if back.BalanceCents != 1200 {
+		t.Fatalf("balance after top-up = %d", back.BalanceCents)
+	}
+}
+
+func TestSubscriberRoundTrip(t *testing.T) {
+	for _, s := range []Subscriber{
+		{},
+		{MSISDN: "+358501", Name: "Alice", BalanceCents: 1000, Prepaid: true},
+		{Name: "no number", BalanceCents: -5000, CreditLimitCents: 5000},
+		{MSISDN: "+358502", BalanceCents: math.MinInt64, CreditLimitCents: math.MaxInt64},
+	} {
+		got, err := DecodeSubscriber(s.Encode())
+		if err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		if *got != s {
+			t.Fatalf("round trip: %+v vs %+v", *got, s)
+		}
+	}
+}
+
+func TestDecodeSubscriberRejects(t *testing.T) {
+	good := NewSubscriber("+358501", "Alice", true, 1000).Encode()
+	badPrepaid := append([]byte(nil), good...)
+	badPrepaid[16] = 2
+	badLength := append([]byte(nil), good...)
+	badLength[17] = 100
+	for name, b := range map[string][]byte{
+		"junk":        []byte("junk"),
+		"truncated":   good[:len("+358501")-1+subscriberHeader],
+		"header only": good[:subscriberHeader-1],
+		"prepaid 2":   badPrepaid,
+		"long msisdn": badLength,
+	} {
+		if _, err := DecodeSubscriber(b); err != ErrBadSubscriber {
+			t.Fatalf("%s: err = %v", name, err)
+		}
 	}
 }
 
@@ -135,9 +170,9 @@ func TestPrepaidCannotOverdraw(t *testing.T) {
 }
 
 func TestPostpaidCreditLimit(t *testing.T) {
-	o := NewSubscriber("+358501", "Bob", false, 100)
-	o.SetInt("creditLimitCents", 500)
-	enc := o.Encode()
+	s := NewSubscriber("+358501", "Bob", false, 100)
+	s.CreditLimitCents = 500
+	enc := s.Encode()
 	if _, err := Charge(enc, 600); err != nil {
 		t.Fatalf("within-limit charge refused: %v", err)
 	}
@@ -172,16 +207,39 @@ func TestPopulateSubscribers(t *testing.T) {
 	if !ok {
 		t.Fatal("subscriber 3 missing")
 	}
-	o, err := Subscriber.Decode(enc)
+	s, err := DecodeSubscriber(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepaid, _ := o.Bool("prepaid")
-	if prepaid { // 3 is odd → postpaid
+	if s.Prepaid { // 3 is odd → postpaid
 		t.Fatal("subscriber 3 should be postpaid")
 	}
-	limit, _ := o.Int("creditLimitCents")
-	if limit != 50_00 {
-		t.Fatalf("credit limit = %d", limit)
+	if s.CreditLimitCents != 50_00 {
+		t.Fatalf("credit limit = %d", s.CreditLimitCents)
 	}
+}
+
+// FuzzDecodeSubscriber: the billing commands decode whatever SET stored
+// under a subscriber id, so for any bytes DecodeSubscriber either refuses
+// them or returns a profile whose encoding is those same bytes.
+func FuzzDecodeSubscriber(f *testing.F) {
+	good := NewSubscriber("+358501", "Alice", true, 1000).Encode()
+	f.Add(good)
+	f.Add(good[:subscriberHeader+3]) // a truncated profile
+	f.Add([]byte("junk"))
+	f.Add([]byte{1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSubscriber(data)
+		if err != nil {
+			return
+		}
+		enc := s.Encode()
+		back, err := DecodeSubscriber(enc)
+		if err != nil || *back != *s {
+			t.Fatalf("re-encoded profile decodes to %+v, %v; want %+v", back, err, s)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("profile %+v re-encodes to %x, decoded from %x", s, enc, data)
+		}
+	})
 }

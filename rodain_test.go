@@ -607,6 +607,56 @@ func TestOpenKeepsCommitAfterRejectedGroup(t *testing.T) {
 	}
 }
 
+// TestOpenKeepsTheBytesItCuts: damage a quarter of the way into a
+// single-file log ends the log there, so Open serves the commits before
+// it and cuts the file; the bytes it cuts, acknowledged commits among
+// them, are kept in <file>.cut-<offset>, and the file and that side file
+// together are the log as it was.
+func TestOpenKeepsTheBytesItCuts(t *testing.T) {
+	opts := Options{LogPath: filepath.Join(t.TempDir(), "node.wal")}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := db.Update(time.Second, func(tx *Tx) error {
+			return tx.Write(ObjectID(i), []byte(fmt.Sprintf("v%d", i)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(opts.LogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/4] ^= 0xff
+	if err := os.WriteFile(opts.LogPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if n := db.Len(); n == 0 || n >= 20 {
+		t.Fatalf("damaged log opened with %d of 20 objects, want a prefix", n)
+	}
+	kept, err := os.ReadFile(opts.LogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := os.ReadFile(fmt.Sprintf("%s.cut-%d", opts.LogPath, len(kept)))
+	if err != nil {
+		t.Fatalf("no side file for the cut at %d: %v", len(kept), err)
+	}
+	if !bytes.Equal(append(kept, cut...), b) {
+		t.Fatalf("kept %d + cut %d bytes differ from the %d-byte log", len(kept), len(cut), len(b))
+	}
+}
+
 // TestOpenRefusesDamagedSealedSegment: a sealed segment was fsynced whole
 // before it sealed, so damage inside one is not a torn tail: Open fails
 // with wal.ErrCorrupt naming the segment, and cuts nothing, so once the
