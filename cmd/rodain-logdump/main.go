@@ -1,28 +1,30 @@
-// Command rodain-logdump inspects RODAIN log artifacts: it reads a log a
-// whole group at a time, as replay does, prints records, summarizes them
-// and whether the log ends inside a group, dry-runs the recovery pass,
-// and walks segmented log directories in order. A
-// checkpoint file is a log of one group, so it reads like any log; for
-// each checkpoint group it meets, the dump prints its serial, stripe
-// count and min and max watermark.
+// Command rodain-logdump is the dry run of opening a node on a stored
+// log. It makes the log opener's own walk (logstore.Read, which writes
+// nothing): every group the opener would keep goes through a Replayer
+// into a scratch store and is tallied. It prints each sealed segment,
+// the record tally, the replay summary and the verdict: the bytes Open
+// keeps, and where it would cut the active file and why. A damaged sealed
+// segment, which Open refuses, is the same error here, with a non-zero
+// exit. A directory is read as a segmented log, any other path as a
+// single-file log. A checkpoint file is a log of one group, so it reads
+// like any log; for each checkpoint group it meets, the dump prints its
+// serial, stripe count and min and max watermark.
 //
-// The -recover dry run replays the log alone, not as a node recovers: it
-// installs no CheckpointDir image, and it reports a damaged sealed
-// segment as a truncated tail where opening the node refuses the log.
+// The store holds the log alone: no CheckpointDir image is installed
+// first. The verdict does not depend on one, because a stored log's
+// Replayer accepts and rejects the same groups with or without an image.
 //
 //	rodain-logdump primary.wal
-//	rodain-logdump -recover primary.wal              # replay the log alone
+//	rodain-logdump -v primary.wal                    # every record too
 //	rodain-logdump ckptdir/checkpoint.ckpt           # a checkpoint
 //	rodain-logdump logdir                            # segment directory
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"time"
@@ -33,165 +35,87 @@ import (
 )
 
 func main() {
-	var (
-		verbose  = flag.Bool("v", false, "print every record")
-		recover_ = flag.Bool("recover", false, "dry-run the recovery pass and report the resulting database")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rodain-logdump [-v] [-recover] <logfile|segmentdir|checkpoint>")
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "rodain-logdump:", err)
+		os.Exit(1)
 	}
-	path := flag.Arg(0)
-
-	fi, err := os.Stat(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *recover_ {
-		r, err := logstore.OpenSegmentsReader(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer r.Close()
-		dryRecover(r)
-		return
-	}
-
-	if fi.IsDir() {
-		dumpSegments(path, *verbose)
-		return
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	sum := &summary{}
-	sum.scan(f, *verbose)
-	sum.print()
 }
 
-// dryRecover replays the log, and nothing else, into a scratch store and
-// times it.
-func dryRecover(r io.Reader) {
+// run dumps the log args name to stdout; an error is a bad command line,
+// an unreadable log or a log that Open refuses.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("rodain-logdump", flag.ContinueOnError)
+	verbose := fs.Bool("v", false, "print every record")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return errors.New("usage: rodain-logdump [-v] <logfile|segmentdir|checkpoint>")
+	}
 	db := store.New()
+	rp := wal.NewReplayer(db)
+	var t tally
 	start := time.Now()
-	st, err := wal.Recover(r, db)
+	c, err := logstore.Read(fs.Arg(0), func(g []byte) error {
+		if err := rp.Add(g); err != nil {
+			return err
+		}
+		t.add(stdout, g, *verbose)
+		return nil
+	})
 	elapsed := time.Since(start)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("recovery: %d transactions applied, %d writes, ended inside a group: %v\n",
-		st.Applied, st.WritesApplied, st.Discarded > 0)
-	fmt.Printf("          last serial %d, max commit ts %d, truncated tail: %v\n",
-		st.LastSerial, st.MaxCommitTS, st.Truncated)
-	rate := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		rate = float64(st.Applied) / s
+	for _, seg := range c.Sealed {
+		fmt.Fprintf(stdout, "segment %s: %d bytes, sealed, max serial %d\n", seg.Name, seg.Bytes, seg.MaxSerial)
 	}
-	fmt.Printf("          replayed in %v (%.0f txn/s)\n", elapsed.Round(time.Microsecond), rate)
-	fmt.Printf("database: %d objects, checksum %08x\n", db.Len(), db.Checksum())
+	fmt.Fprintf(stdout, "%d records (%d bytes): %d writes, %d deletes, %d commits, max serial %d\n",
+		t.records, t.bytes, t.writes, t.deletes, t.commits, c.MaxSerial)
+	st := rp.Stats()
+	fmt.Fprintf(stdout, "replay: %d transactions applied, %d writes, last serial %d, max commit ts %d, in %v\n",
+		st.Applied, st.WritesApplied, st.LastSerial, st.MaxCommitTS, elapsed.Round(time.Microsecond))
+	fmt.Fprintf(stdout, "database: %d objects, checksum %08x\n", db.Len(), db.Checksum())
+	active := filepath.Join(c.Dir, c.Active)
+	switch {
+	case c.Active == "":
+		fmt.Fprintln(stdout, "verdict: no log file; Open starts an empty log")
+	case c.Size > c.Kept:
+		fmt.Fprintf(stdout, "verdict: Open keeps %d bytes of %s and cuts it at offset %d: %d bytes go to %s.cut-%d (%v)\n",
+			c.Kept, active, c.Kept, c.Size-c.Kept, active, c.Kept, c.Stop)
+	default:
+		fmt.Fprintf(stdout, "verdict: Open keeps all %d bytes of %s and cuts nothing\n", c.Kept, active)
+	}
+	return nil
 }
 
-// summary tallies one record stream.
-type summary struct {
-	records, writes, deletes, commits int
-	bytesTotal                        int
-	maxSerial                         uint64
-	truncated                         bool
-	open                              bool // the last group has no commit record
+// tally counts the records of the groups a log keeps.
+type tally struct {
+	records, writes, deletes, commits, bytes int
 }
 
-// scan reads r a whole group at a time, as replay does, and tallies the
-// records of each group: a torn or damaged tail ends the scan, and the
-// records of the group it cuts that passed their checks are tallied too.
-func (s *summary) scan(r io.Reader, verbose bool) {
-	br := bufio.NewReaderSize(r, 256<<10)
-	var g []byte
-	for {
-		var err error
-		g, err = wal.ReadGroup(br, g)
-		s.tally(g, verbose)
-		s.open = err != nil && len(g) > 0
-		if err != nil {
-			switch {
-			case err == io.EOF:
-			case err == io.ErrUnexpectedEOF || errors.Is(err, wal.ErrCorrupt):
-				s.truncated = true
-				fmt.Printf("-- truncated/corrupt tail after %d records --\n", s.records)
-			default:
-				log.Fatal(err)
-			}
-			return
-		}
-	}
-}
-
-// tally counts the records of g, whole records that passed their checks.
-func (s *summary) tally(g []byte, verbose bool) {
+// add counts the records of the checked group g, printing each if
+// verbose and every checkpoint group's watermarks.
+func (t *tally) add(w io.Writer, g []byte, verbose bool) {
 	for len(g) > 0 {
-		rec, n, err := wal.DecodeNext(g)
-		if err != nil {
-			log.Fatal(err)
-		}
+		rec, n, _ := wal.DecodeNext(g)
 		g = g[n:]
-		s.records++
-		s.bytesTotal += n
+		t.records++
+		t.bytes += n
 		switch rec.Type {
 		case wal.TypeWrite:
-			s.writes++
+			t.writes++
 		case wal.TypeDelete:
-			s.deletes++
+			t.deletes++
 		case wal.TypeCommit:
-			s.commits++
-			if rec.SerialOrder > s.maxSerial {
-				s.maxSerial = rec.SerialOrder
-			}
+			t.commits++
 			if wm := wal.CheckpointWatermarks(rec); wm != nil {
-				fmt.Printf("checkpoint at serial %d: %d stripes, watermarks min %d max %d (log below %d is redundant)\n",
+				fmt.Fprintf(w, "checkpoint at serial %d: %d stripes, watermarks min %d max %d (log below %d is redundant)\n",
 					rec.SerialOrder, wm.Stripes(), wm.Min(), wm.Max(), wm.Min())
 			}
 		}
 		if verbose {
-			fmt.Println(rec)
+			fmt.Fprintln(w, rec)
 		}
 	}
-}
-
-func (s *summary) print() {
-	fmt.Printf("%d records (%d bytes): %d writes, %d deletes, %d commits\n",
-		s.records, s.bytesTotal, s.writes, s.deletes, s.commits)
-	fmt.Printf("ended inside a group: %v\n", s.open)
-}
-
-// dumpSegments walks a segmented log directory in log order, timing and
-// summarizing each segment, then prints stream totals.
-func dumpSegments(dir string, verbose bool) {
-	names, err := logstore.ListSegments(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(names) == 0 {
-		fmt.Printf("no segments in %s\n", dir)
-		return
-	}
-	total := &summary{}
-	for _, name := range names {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			log.Fatal(err)
-		}
-		before := *total
-		start := time.Now()
-		total.scan(f, verbose)
-		elapsed := time.Since(start)
-		f.Close()
-		fmt.Printf("segment %s: %d records (%d bytes), %d commits, max serial %d, scanned in %v\n",
-			name, total.records-before.records, total.bytesTotal-before.bytesTotal,
-			total.commits-before.commits, total.maxSerial, elapsed.Round(time.Microsecond))
-	}
-	fmt.Printf("-- %d segments --\n", len(names))
-	total.print()
 }

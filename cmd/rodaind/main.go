@@ -10,8 +10,8 @@
 //	rodaind -role mirror -peer primaryhost:7000 -repl :7000 -listen :7100 -log mirror.wal
 //
 // A node restarted on the same -log (and -checkpoint-dir) recovers from
-// them before it serves or mirrors; rodain-logdump -recover dry-runs that
-// replay. The -db population is logged like any update, so it survives a
+// them before it serves or mirrors; rodain-logdump dry-runs that
+// replay on the log and reports where the restart would cut it. The -db population is logged like any update, so it survives a
 // restart too.
 //
 // Clients speak the line protocol of internal/service on -listen

@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -91,25 +90,6 @@ func syncDir(dir string) error {
 		return err
 	}
 	return d.Close()
-}
-
-// Recover restores the node's database from the checkpoint file in
-// ckptDir if there is one (InstallCheckpoint), then log replayed over it
-// in one pass, each logged write only above its stripe's checkpoint
-// watermark, and the node resumes after the recovered history
-// (SetResume). Opening a node recovers it through its log opener
-// instead, which replays the log as it reads it; this reader form serves
-// the root package's DB.Recover and DB.RecoverFromDir.
-func (n *Node) Recover(ckptDir string, log io.Reader) (wal.RecoverStats, error) {
-	rp := wal.NewReplayer(n.db)
-	if err := InstallCheckpoint(ckptDir, rp); err != nil {
-		return wal.RecoverStats{}, err
-	}
-	st, err := wal.Replay(log, rp)
-	if err == nil {
-		n.SetResume(st)
-	}
-	return st, err
 }
 
 // InstallCheckpoint installs the checkpoint file CheckpointToDir writes

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,6 +16,21 @@ import (
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
+
+// recoverNode restores n's database from the checkpoint file in ckptDir,
+// if there is one, then log replayed over it, and resumes n after the
+// recovered history: what opening a node does, from a reader.
+func recoverNode(n *Node, ckptDir string, log io.Reader) (wal.RecoverStats, error) {
+	rp := wal.NewReplayer(n.db)
+	if err := InstallCheckpoint(ckptDir, rp); err != nil {
+		return wal.RecoverStats{}, err
+	}
+	st, err := wal.Replay(log, rp)
+	if err == nil {
+		n.SetResume(st)
+	}
+	return st, err
+}
 
 func TestCheckpointRoundTripThroughNode(t *testing.T) {
 	log := logstore.NewMem()
@@ -103,7 +119,7 @@ func TestCheckpointToDirAndRecover(t *testing.T) {
 
 	// Recovery: checkpoint + log tail reproduces everything.
 	n2 := NewNode("re", fastCfg(), store.New(), logstore.NewMem())
-	st, err := n2.Recover(dir, bytes.NewReader(log.SyncedBytes()))
+	st, err := recoverNode(n2, dir, bytes.NewReader(log.SyncedBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +158,7 @@ func TestRecoverFromDirWithoutCheckpoint(t *testing.T) {
 	n1.Crash()
 
 	n2 := NewNode("b", fastCfg(), newDBWith(10), logstore.NewMem())
-	st, err := n2.Recover(dir, bytes.NewReader(log.SyncedBytes()))
+	st, err := recoverNode(n2, dir, bytes.NewReader(log.SyncedBytes()))
 	if err != nil || st.Applied != 1 {
 		t.Fatalf("recover: %+v %v", st, err)
 	}
@@ -163,7 +179,7 @@ func TestRecoverFromDirCheckpointOnly(t *testing.T) {
 	n1.Crash()
 
 	n2 := NewNode("b", fastCfg(), store.New(), logstore.NewMem())
-	if _, err := n2.Recover(dir, bytes.NewReader(nil)); err != nil {
+	if _, err := recoverNode(n2, dir, bytes.NewReader(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if n2.DB().Checksum() != want {
@@ -177,7 +193,7 @@ func TestRecoverFromDirBadCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := NewNode("x", fastCfg(), store.New(), logstore.NewMem())
-	if _, err := n.Recover(dir, bytes.NewReader(nil)); err == nil {
+	if _, err := recoverNode(n, dir, bytes.NewReader(nil)); err == nil {
 		t.Fatal("garbage checkpoint accepted")
 	}
 }
@@ -206,7 +222,7 @@ func TestRecoverFromDirRefusesOldLayout(t *testing.T) {
 	}
 	n := NewNode("x", fastCfg(), newDBWith(5), logstore.NewMem())
 	want := n.DB().Checksum()
-	if _, err := n.Recover(dir, bytes.NewReader(nil)); !errors.Is(err, wal.ErrCorrupt) && !errors.Is(err, wal.ErrIncompleteCheckpoint) {
+	if _, err := recoverNode(n, dir, bytes.NewReader(nil)); !errors.Is(err, wal.ErrCorrupt) && !errors.Is(err, wal.ErrIncompleteCheckpoint) {
 		t.Fatalf("old-layout checkpoint: err = %v, want ErrCorrupt or ErrIncompleteCheckpoint", err)
 	}
 	if n.DB().Checksum() != want {
@@ -271,7 +287,7 @@ func TestRecoverFromDirSeedsPastTailDelete(t *testing.T) {
 	}
 
 	n2 := NewNode("b", fastCfg(), store.New(), logstore.NewMem())
-	st, err := n2.Recover(dir, bytes.NewReader(tail))
+	st, err := recoverNode(n2, dir, bytes.NewReader(tail))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func BenchmarkRecoverFromCheckpoint(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n2 := NewNode("re", fastCfg(), store.New(), logstore.NewMem())
-				st, err := n2.Recover(dir, bytes.NewReader(tail))
+				st, err := recoverNode(n2, dir, bytes.NewReader(tail))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -103,7 +103,7 @@ func runCommitters(n *Node, workers, idDomain int) (stop func()) {
 func recoverChecksum(t *testing.T, dir string, log []byte) uint32 {
 	t.Helper()
 	n := NewNode("rec", fastCfg(), store.New(), logstore.NewMem())
-	if _, err := n.Recover(dir, bytes.NewReader(log)); err != nil {
+	if _, err := recoverNode(n, dir, bytes.NewReader(log)); err != nil {
 		t.Fatal(err)
 	}
 	return n.DB().Checksum()
@@ -199,7 +199,7 @@ func TestCheckpointCrashConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		n4 := NewNode("torn", fastCfg(), store.New(), logstore.NewMem())
-		if _, err := n4.Recover(d, bytes.NewReader(full)); err == nil {
+		if _, err := recoverNode(n4, d, bytes.NewReader(full)); err == nil {
 			t.Fatalf("torn checkpoint (cut at %d/%d) accepted", cut, len(ckptBytes))
 		}
 	}

@@ -231,7 +231,7 @@ func TestRecoveredNodeRejoinsAsMirror(t *testing.T) {
 	// The failed node restarts from its own disk (a primary that shipped
 	// every commit stored none of them) and always rejoins as mirror.
 	rejoined := NewNode("rejoined", fastCfg(), store.New(), logstore.NewMem())
-	if _, err := rejoined.Recover("", bytes.NewReader(pLog.SyncedBytes())); err != nil {
+	if _, err := recoverNode(rejoined, "", bytes.NewReader(pLog.SyncedBytes())); err != nil {
 		t.Fatal(err)
 	}
 	go rejoined.RunMirror(mirror.ReplAddr(), "127.0.0.1:0")
@@ -293,7 +293,7 @@ func TestMirrorHelloCarriesRecoveredSerial(t *testing.T) {
 
 	n2 := NewNode("b", fastCfg(), store.New(), logstore.NewMem())
 	defer n2.Close()
-	if _, err := n2.Recover("", bytes.NewReader(log.SyncedBytes())); err != nil {
+	if _, err := recoverNode(n2, "", bytes.NewReader(log.SyncedBytes())); err != nil {
 		t.Fatal(err)
 	}
 	go n2.RunMirror(l.Addr(), "")
@@ -339,7 +339,7 @@ func TestTransientRecoveryFromDiskLog(t *testing.T) {
 	n1.Crash()
 
 	n2 := NewNode("n2", fastCfg(), newDBWith(50), logstore.NewMem())
-	st, err := n2.Recover("", bytes.NewReader(log.SyncedBytes()))
+	st, err := recoverNode(n2, "", bytes.NewReader(log.SyncedBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestSimultaneousFailureRecoversFromMirrorLog(t *testing.T) {
 	mirror.Close()
 
 	fresh := NewNode("fresh", fastCfg(), newDBWith(100), logstore.NewMem())
-	st, err := fresh.Recover("", bytes.NewReader(mLog.SyncedBytes()))
+	st, err := recoverNode(fresh, "", bytes.NewReader(mLog.SyncedBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func TestDeleteReplicatesAndRecovers(t *testing.T) {
 
 	// The mirror's log replays the delete too.
 	fresh := NewNode("fresh", fastCfg(), store.New(), logstore.NewMem())
-	if _, err := fresh.Recover("", bytes.NewReader(mLog.SyncedBytes())); err != nil {
+	if _, err := recoverNode(fresh, "", bytes.NewReader(mLog.SyncedBytes())); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := fresh.DB().Get(200); ok {

@@ -11,11 +11,12 @@ import (
 	"repro/internal/wal"
 )
 
-// FuzzOpenCutsWhereReplayStops: for any file bytes, an Open that replays
-// the file cuts it to exactly the bytes of the groups the Replayer
-// applied and keeps the rest in the side file <file>.cut-<n>, and a
-// second Open of the cut file replays identical stats into an identical
-// store, cuts nothing and writes no side file.
+// FuzzOpenCutsWhereReplayStops: for any file bytes, Read changes and
+// creates no file, and keeps what the Open after it keeps with the same
+// replay. An Open that replays the file cuts it to exactly the bytes of
+// the groups the Replayer applied and keeps the rest in the side file
+// <file>.cut-<n>, and a second Open of the cut file replays identical
+// stats into an identical store, cuts nothing and writes no side file.
 func FuzzOpenCutsWhereReplayStops(f *testing.F) {
 	good := append(group(1, 1, 1, "a"), group(2, 2, 2, "b")...)
 	f.Add(good)
@@ -54,7 +55,23 @@ func FuzzOpenCutsWhereReplayStops(f *testing.F) {
 			}
 			return rp.Stats(), db.Checksum(), applied
 		}
+		readDB := store.New()
+		readRP := wal.NewReplayer(readDB)
+		c, err := Read(path, readRP.Add)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("Read changed the file (%v)", err)
+		}
+		if files, _ := os.ReadDir(filepath.Dir(path)); len(files) != 1 {
+			t.Fatalf("%d files beside the log after Read, want 0", len(files)-1)
+		}
 		st, sum, n := open()
+		if c.Kept != n || c.Size != int64(len(data)) || readRP.Stats() != st || readDB.Checksum() != sum {
+			t.Fatalf("Read keeps %d of %d bytes, %+v %08x; Open %d bytes, %+v %08x",
+				c.Kept, c.Size, readRP.Stats(), readDB.Checksum(), n, st, sum)
+		}
 		cut, err := os.ReadFile(fmt.Sprintf("%s.cut-%d", path, n))
 		if n < int64(len(data)) && (err != nil || !bytes.Equal(cut, data[n:])) {
 			t.Fatalf("side file of the cut at %d: %x, %v; want %x", n, cut, err, data[n:])

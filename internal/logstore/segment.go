@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -110,7 +111,10 @@ func ListSegments(dir string) ([]string, error) {
 // concatenation of every segment in a directory, in log order, or a
 // single log file as its one-segment case (like OpenFile). An absent path
 // or an empty directory yields an empty stream. The reader is not
-// buffered. It is a read-only view for tools; a node recovers its log in
+// buffered.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 6. Read is the
+// read of a stored log that writes nothing; a node recovers its log in
 // Open.
 func OpenSegmentsReader(path string) (io.ReadCloser, error) {
 	fi, err := os.Stat(path)
@@ -171,72 +175,127 @@ func OpenSegmented(dir string, segBytes int64) (*Segmented, error) {
 // segmented log whose only segment is path and which never rolls.
 func OpenFile(path string) (*Segmented, error) { return Open(path, 0, nil) }
 
+// Contents is what Read found in a stored log.
+type Contents struct {
+	Dir    string        // the directory of the log's files
+	Sealed []SegmentInfo // the segments before the active file, each kept whole
+	// Active names the last file in Dir, the one appends go to; "" if
+	// there is none (an absent path or a directory without segments).
+	Active string
+	// End says where the groups of the active file that replay accepted
+	// end (Kept) and why the file goes on (Stop); Size is its length.
+	// Open cuts the bytes between Kept and Size.
+	wal.End
+	Size      int64
+	MaxSerial uint64 // the largest commit serial kept
+}
+
+// Read reads the stored log at path, writing nothing: a directory is
+// read as its segments in log order, any other path as a single-file
+// log, and an absent path as an empty log. It reads every file a whole
+// group at a time (wal.ReadGroups) and hands each group to replay, if
+// set, before it counts the group as kept. The log ends at the first
+// group ReadGroups refuses or replay rejects: the same stop a replay of
+// the log makes. In the active (last) file, whose tail a crash may leave
+// unfinished, Contents reports where and why. Before it, the stop lies
+// in a sealed segment, which was fsynced whole before it sealed: that is
+// damage, and Read returns an error wrapping wal.ErrCorrupt that names
+// the segment and the offset.
+func Read(path string, replay func(group []byte) error) (Contents, error) {
+	c := Contents{Dir: filepath.Dir(path), Active: filepath.Base(path)}
+	fi, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return Contents{Dir: c.Dir}, nil
+	}
+	if err == nil && fi.IsDir() {
+		var names []string
+		if names, err = ListSegments(path); err != nil || len(names) == 0 {
+			return Contents{Dir: path}, err
+		}
+		c.Dir, c.Active = path, names[len(names)-1]
+		for _, name := range names[:len(names)-1] {
+			end, _, err := c.readFile(name, replay)
+			if err == nil && end.Stop != nil {
+				err = fmt.Errorf("%w: sealed segment %s ends at offset %d: %v", wal.ErrCorrupt,
+					filepath.Join(path, name), end.Kept, end.Stop)
+			}
+			if err != nil {
+				return c, err
+			}
+			c.Sealed = append(c.Sealed, SegmentInfo{Name: name, Bytes: end.Kept, MaxSerial: c.MaxSerial, Sealed: true})
+		}
+	}
+	if err == nil {
+		c.End, c.Size, err = c.readFile(c.Active, replay)
+	}
+	return c, err
+}
+
+// readFile hands the whole groups of the file name in c.Dir to replay (if
+// set), raising c.MaxSerial, and returns where they end and the file's
+// size.
+func (c *Contents) readFile(name string, replay func([]byte) error) (wal.End, int64, error) {
+	f, err := os.Open(filepath.Join(c.Dir, name))
+	if err != nil {
+		return wal.End{}, 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return wal.End{}, 0, err
+	}
+	end, err := wal.ReadGroups(f, func(g []byte) error {
+		if replay != nil {
+			if err := replay(g); err != nil {
+				return err
+			}
+		}
+		serial, _ := wal.WalkGroups(g)
+		c.MaxSerial = max(c.MaxSerial, serial)
+		return nil
+	})
+	return end, fi.Size(), err
+}
+
 // Open opens (creating if needed) the log at path and recovers it in the
 // same pass: with segBytes > 0 path is a directory of segments rolling at
-// segBytes, otherwise one file that never rolls.
-//
-// It reads every file in log order a whole group at a time
-// (wal.ReadGroup) and hands each group to replay, if set, before it
-// counts the group as kept. The log ends at the first group ReadGroup
-// refuses or replay rejects: the same stop a replay of the log makes.
-// In the active (last) file, whose tail a crash may leave unfinished,
-// the file is cut there and appends resume there; the bytes cut are first
-// written to <file>.cut-<offset> beside it and fsynced (a further ".<n>"
-// if that name is taken), so damage that ends the log early leaves the
-// acknowledged groups after it on disk. ListSegments ignores such a file,
-// and nothing removes it. Before the active file, the stop
-// lies in a sealed segment, which was fsynced whole before it sealed:
-// that is damage, and Open returns an error wrapping wal.ErrCorrupt that
-// names the segment and the offset, with every file closed.
+// segBytes, otherwise one file that never rolls. It is Read, which hands
+// replay every group kept and refuses a damaged sealed segment, and then
+// the writes: it creates the directory and the active file if need be,
+// and cuts the active file to the groups kept, where appends resume. The
+// bytes cut are first written to <file>.cut-<offset> beside it and
+// fsynced (a further ".<n>" if that name is taken), so damage that ends
+// the log early leaves the acknowledged groups after it on disk.
+// ListSegments ignores such a file, and nothing removes it.
 func Open(path string, segBytes int64, replay func(group []byte) error) (*Segmented, error) {
-	s := &Segmented{dir: filepath.Dir(path), segBytes: max(segBytes, 0)}
-	names := []string{filepath.Base(path)}
+	c, err := Read(path, replay)
+	if err != nil {
+		return nil, err
+	}
+	s := &Segmented{dir: filepath.Dir(path), name: filepath.Base(path), segBytes: max(segBytes, 0),
+		sealed: c.Sealed, maxSerial: c.MaxSerial}
 	if s.segBytes > 0 {
 		if err := os.MkdirAll(path, 0o755); err != nil {
 			return nil, err
 		}
-		var err error
-		if names, err = ListSegments(path); err != nil {
-			return nil, err
-		}
-		if len(names) == 0 {
-			names = []string{segmentName(1)}
-		}
-		s.dir = path
-	}
-	for _, name := range names[:len(names)-1] {
-		kept, stop, err := s.readFile(name, replay)
-		if err == nil && stop != nil {
-			err = fmt.Errorf("%w: sealed segment %s ends at offset %d: %v", wal.ErrCorrupt,
-				filepath.Join(s.dir, name), kept, stop)
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.sealed = append(s.sealed, SegmentInfo{Name: name, Bytes: kept, MaxSerial: s.maxSerial, Sealed: true})
-	}
-	s.name = names[len(names)-1]
-	kept, _, err := s.readFile(s.name, replay)
-	if err != nil {
-		return nil, err
+		s.dir, s.name = path, cmp.Or(c.Active, segmentName(1))
 	}
 	f, err := os.OpenFile(filepath.Join(s.dir, s.name), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
-	if err == nil && fi.Size() > kept {
-		// Only a file longer than what was kept is cut: a device such as
-		// /dev/full has no length and cannot be truncated.
-		if err = saveCut(f, kept, fi.Size()); err == nil {
-			err = f.Truncate(kept)
+	// Only a file longer than what was kept is cut: a device such as
+	// /dev/full has no length and cannot be truncated.
+	if c.Size > c.Kept {
+		if err = saveCut(f, c.Kept, c.Size); err == nil {
+			err = f.Truncate(c.Kept)
 		}
 	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	s.f, s.size = f, kept
+	s.f, s.size = f, c.Kept
 	s.w = bufio.NewWriterSize(f, 1<<16)
 	return s, nil
 }
@@ -261,43 +320,6 @@ func saveCut(f *os.File, from, to int64) error {
 		err = cerr
 	}
 	return err
-}
-
-// readFile hands the whole groups of the log file name to replay (if
-// set) and returns the length of the prefix kept, and the reason the file
-// does not end there: nil at a group boundary at its end, or the error
-// ReadGroup or replay stopped with. An absent file is empty. A read error
-// other than a torn or damaged group is returned as err.
-func (s *Segmented) readFile(name string, replay func([]byte) error) (kept int64, stop, err error) {
-	f, err := os.Open(filepath.Join(s.dir, name))
-	if os.IsNotExist(err) {
-		return 0, nil, nil
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var g []byte
-	for {
-		g, err = wal.ReadGroup(r, g)
-		switch {
-		case err == io.EOF && len(g) == 0:
-			return kept, nil, nil
-		case err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, wal.ErrCorrupt):
-			return kept, err, nil
-		case err != nil:
-			return kept, nil, err
-		}
-		if replay != nil {
-			if err := replay(g); err != nil {
-				return kept, err, nil
-			}
-		}
-		serial, _ := wal.WalkGroups(g)
-		s.maxSerial = max(s.maxSerial, serial)
-		kept += int64(len(g))
-	}
 }
 
 // openNextLocked creates and switches to segment seq.

@@ -282,6 +282,62 @@ func TestOpenKeepsEveryCut(t *testing.T) {
 	}
 }
 
+// TestReadWritesNothing: Read of an absent path creates nothing, and Read
+// of a segment directory whose active file has a torn tail reports the
+// segments, the kept prefix and why it stops there, and changes no file;
+// the Open after it keeps exactly that.
+func TestReadWritesNothing(t *testing.T) {
+	tmp := t.TempDir()
+	for _, absent := range []string{filepath.Join(tmp, "absent.wal"), filepath.Join(tmp, "absent")} {
+		if c, err := Read(absent, nil); err != nil || c.Active != "" || c.Size != 0 {
+			t.Fatalf("Read(%s) = %+v, %v; want an empty log", absent, c, err)
+		}
+	}
+	if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
+		t.Fatalf("Read of absent paths created %d files", len(ents))
+	}
+
+	dir := filepath.Join(tmp, "log")
+	s, err := OpenSegmented(dir, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendGroups(t, s, 1, 20)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := ListSegments(dir)
+	if err != nil || len(names) < 3 {
+		t.Fatalf("%d segments (%v), want at least 3", len(names), err)
+	}
+	active := filepath.Join(dir, names[len(names)-1])
+	crashWrite(t, active, group(21, 21, 1, "torn")[:7])
+	before := readAll(t, dir)
+
+	c, err := Read(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Dir != dir || c.Active != names[len(names)-1] || len(c.Sealed) != len(names)-1 ||
+		c.Size != c.Kept+7 || c.Stop != io.ErrUnexpectedEOF || c.MaxSerial != 20 {
+		t.Fatalf("Read = %+v", c)
+	}
+	after, _ := ListSegments(dir)
+	if ents, _ := os.ReadDir(dir); len(ents) != len(names) || len(after) != len(names) || !bytes.Equal(readAll(t, dir), before) {
+		t.Fatal("Read changed the log directory")
+	}
+
+	s, err = OpenSegmented(dir, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := append(append([]SegmentInfo(nil), c.Sealed...), SegmentInfo{Name: c.Active, Bytes: c.Kept})
+	if got := s.Segments(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Open: segments %+v, Read %+v", got, want)
+	}
+}
+
 // TestOpenFileCutsWhereReplayStops: for seeded random logs — groups of
 // writes and deletes, sometimes an interleaved pair that no writer
 // produces or a whole group the replay rejects (a delete under the

@@ -266,3 +266,16 @@ func TestBillingCommands(t *testing.T) {
 		}
 	}
 }
+
+// TestTopUpRefusesOverflow: a top-up whose balance would pass the int64
+// range answers ERR and leaves the balance as it was.
+func TestTopUpRefusesOverflow(t *testing.T) {
+	_, c, db := startServer(t)
+	db.Load(telecom.SubscriberID(0), telecom.NewSubscriber("+3585", "A", true, 1000).Encode())
+	if resp := do(t, c, "TOPUP 0 9223372036854775807"); !strings.HasPrefix(resp, "ERR") {
+		t.Fatalf("TOPUP past the int64 range: %q", resp)
+	}
+	if resp := do(t, c, "BALANCE 0"); resp != "OK 1000 prepaid" {
+		t.Fatalf("BALANCE after the refused top-up: %q", resp)
+	}
+}

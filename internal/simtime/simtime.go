@@ -51,9 +51,6 @@ type Event struct {
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// Scheduled reports whether the event is still pending.
-func (e *Event) Scheduled() bool { return e.index >= 0 }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/store"
 )
@@ -86,19 +87,7 @@ func Charge(encoded []byte, cents int64) ([]byte, error) {
 	if cents < 0 {
 		return nil, fmt.Errorf("telecom: negative charge %d", cents)
 	}
-	s, err := DecodeSubscriber(encoded)
-	if err != nil {
-		return nil, err
-	}
-	next := s.BalanceCents - cents
-	if s.Prepaid && next < 0 {
-		return nil, fmt.Errorf("telecom: insufficient prepaid balance (%d < %d)", s.BalanceCents, cents)
-	}
-	if !s.Prepaid && next < -s.CreditLimitCents {
-		return nil, fmt.Errorf("telecom: credit limit exceeded (%d - %d < -%d)", s.BalanceCents, cents, s.CreditLimitCents)
-	}
-	s.BalanceCents = next
-	return s.Encode(), nil
+	return adjust(encoded, -cents)
 }
 
 // TopUp credits a subscriber profile encoding.
@@ -106,11 +95,28 @@ func TopUp(encoded []byte, cents int64) ([]byte, error) {
 	if cents < 0 {
 		return nil, fmt.Errorf("telecom: negative top-up %d", cents)
 	}
+	return adjust(encoded, cents)
+}
+
+// adjust adds delta to the balance of the profile encoding and returns
+// the updated encoding. It refuses a balance past the int64 range, a
+// prepaid one below 0 and a postpaid one below −CreditLimitCents (no
+// balance is above −math.MinInt64, so such a limit refuses every one).
+func adjust(encoded []byte, delta int64) ([]byte, error) {
 	s, err := DecodeSubscriber(encoded)
 	if err != nil {
 		return nil, err
 	}
-	s.BalanceCents += cents
+	next := s.BalanceCents + delta
+	switch {
+	case (delta > 0) != (next > s.BalanceCents):
+		return nil, fmt.Errorf("telecom: balance %d %+d overflows", s.BalanceCents, delta)
+	case s.Prepaid && next < 0:
+		return nil, fmt.Errorf("telecom: insufficient prepaid balance (%d %+d < 0)", s.BalanceCents, delta)
+	case !s.Prepaid && (s.CreditLimitCents == math.MinInt64 || next < -s.CreditLimitCents):
+		return nil, fmt.Errorf("telecom: credit limit exceeded (%d %+d < -%d)", s.BalanceCents, delta, s.CreditLimitCents)
+	}
+	s.BalanceCents = next
 	return s.Encode(), nil
 }
 

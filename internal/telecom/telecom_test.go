@@ -3,6 +3,7 @@ package telecom
 import (
 	"bytes"
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -240,6 +241,44 @@ func FuzzDecodeSubscriber(f *testing.F) {
 		}
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("profile %+v re-encodes to %x, decoded from %x", s, enc, data)
+		}
+	})
+}
+
+// FuzzChargeTopUp: for any profile SET could store and any amount, a
+// charge or a top-up either fails or sets the balance to the exact
+// result, computed without overflow, and leaves a prepaid balance at or
+// above 0 and a postpaid one at or above −CreditLimitCents.
+func FuzzChargeTopUp(f *testing.F) {
+	f.Add(int64(1000), true, int64(0), int64(math.MaxInt64))           // top up to past MaxInt64
+	f.Add(int64(0), false, int64(math.MaxInt64), int64(math.MaxInt64)) // charge to the credit limit
+	f.Add(int64(math.MinInt64), false, int64(math.MinInt64), int64(1))
+	f.Add(int64(100), true, int64(0), int64(100))
+	f.Fuzz(func(t *testing.T, balance int64, prepaid bool, limit, cents int64) {
+		enc := (&Subscriber{MSISDN: "+1", BalanceCents: balance, Prepaid: prepaid, CreditLimitCents: limit}).Encode()
+		for _, op := range []struct {
+			name string
+			fn   func([]byte, int64) ([]byte, error)
+			sign int64
+		}{{"Charge", Charge, -1}, {"TopUp", TopUp, 1}} {
+			out, err := op.fn(enc, cents)
+			if err != nil {
+				continue
+			}
+			s, err := DecodeSubscriber(out)
+			if err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+			want := new(big.Int).Mul(big.NewInt(cents), big.NewInt(op.sign))
+			want.Add(want, big.NewInt(balance))
+			floor := big.NewInt(0)
+			if !prepaid {
+				floor.Neg(big.NewInt(limit))
+			}
+			if want.Cmp(big.NewInt(s.BalanceCents)) != 0 || want.Cmp(floor) < 0 {
+				t.Fatalf("%s(%d) on %d (prepaid %v, limit %d): balance %d, want %v and at least %v",
+					op.name, cents, balance, prepaid, limit, s.BalanceCents, want, floor)
+			}
 		}
 	})
 }

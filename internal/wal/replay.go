@@ -47,40 +47,62 @@ func Recover(r io.Reader, db *store.Store) (RecoverStats, error) {
 	return Replay(r, NewReplayer(db))
 }
 
-// replayBufferSize is the read buffer Replay puts in front of its input;
-// a *bufio.Reader at least this large is used as it is.
-const replayBufferSize = 256 << 10
+// End says where a read of whole groups (ReadGroups) stopped.
+type End struct {
+	Kept int64 // the length of the whole groups the callback accepted
+	// Partial is the length of the checked records after Kept of a group
+	// the stream ended, tore or was damaged inside; 0 if the callback
+	// stopped the read.
+	Partial int
+	// Stop is why the stream does not end at Kept: nil if it does;
+	// otherwise io.EOF (it ends inside a group), io.ErrUnexpectedEOF
+	// (inside a record) or an error wrapping ErrCorrupt, from ReadGroup,
+	// or the error the callback rejected the next group with.
+	Stop error
+}
 
-// Replay is the one read loop over a stored log: it reads the log a whole
-// group at a time (ReadGroup, through its own read buffer, so r need not
-// be buffered), hands each group to rp and returns rp's statistics. A
-// group the log ends inside is discarded and counted in Discarded. A torn
-// or damaged tail, or a group rp rejects, ends the pass cleanly with
-// Truncated set; any other read error is returned.
-func Replay(r io.Reader, rp *Replayer) (RecoverStats, error) {
-	br := bufio.NewReaderSize(r, replayBufferSize)
-	var (
-		g   []byte
-		err error
-	)
-	for {
-		if g, err = ReadGroup(br, g); err != nil {
-			break
+// ReadGroups is the one read loop over a stored log: it reads r a whole
+// group at a time (ReadGroup, through its own 256 KiB read buffer, so r
+// need not be buffered) and hands each group to fn, which must not keep
+// it, until the stream ends, breaks or fn returns an error. A read error
+// other than a torn or damaged group is returned as err.
+func ReadGroups(r io.Reader, fn func(g []byte) error) (End, error) {
+	br := bufio.NewReaderSize(r, 256<<10)
+	var end End
+	g, err := ReadGroup(br, nil)
+	for ; err == nil; g, err = ReadGroup(br, g) {
+		if end.Stop = fn(g); end.Stop != nil {
+			return end, nil
 		}
-		if err = rp.Add(g); err != nil {
-			g = g[:0] // a whole group, rejected: nothing was cut off
-			break
-		}
+		end.Kept += int64(len(g))
 	}
+	end.Partial = len(g)
+	switch {
+	case err == io.EOF && len(g) == 0:
+		err = nil
+	case err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, ErrCorrupt):
+		end.Stop, err = err, nil
+	}
+	return end, err
+}
+
+// Replay replays a stored log into rp and returns rp's statistics: it
+// hands each group ReadGroups reads to rp. A group the log ends inside is
+// discarded and counted in Discarded. A torn or damaged tail, or a group
+// rp rejects with an error wrapping ErrCorrupt, ends the pass cleanly
+// with Truncated set; any other error is returned.
+func Replay(r io.Reader, rp *Replayer) (RecoverStats, error) {
+	end, err := ReadGroups(r, rp.Add)
 	st := rp.Stats()
-	if len(g) > 0 {
+	if end.Partial > 0 {
 		st.Discarded++
 	}
-	switch {
-	case err == io.EOF:
-		err = nil
-	case err == io.ErrUnexpectedEOF || errors.Is(err, ErrCorrupt):
-		st.Truncated, err = true, nil
+	switch stop := end.Stop; {
+	case err != nil || stop == nil || stop == io.EOF:
+	case stop == io.ErrUnexpectedEOF || errors.Is(stop, ErrCorrupt):
+		st.Truncated = true
+	default:
+		err = stop
 	}
 	return st, err
 }

@@ -332,9 +332,11 @@ func OpenMirror(opts Options, primaryAddr, takeoverListen string) (*DB, error) {
 	return db, nil
 }
 
-// Load bulk-inserts an object outside any transaction (initial
-// population; not logged, not replicated — do it before attaching a
-// mirror or run it as a transaction instead).
+// Load bulk-inserts an object outside any transaction. It is not logged
+// and not replicated: a node reopened on its LogPath does not hold what
+// Load put unless a checkpoint (CheckpointToDir) followed, and a mirror
+// never sees it. Load before attaching a mirror and checkpoint after, or
+// write the objects in transactions instead.
 func (db *DB) Load(id ObjectID, value []byte) { db.node.DB().Put(id, value) }
 
 // Get reads the latest validated value outside any transaction. It does
@@ -367,13 +369,6 @@ func (db *DB) View(deadline time.Duration, fn func(*Tx) error) error {
 // criticality.
 func (db *DB) Exec(class Class, deadline time.Duration, criticality int, fn func(*Tx) error) error {
 	return db.node.Execute(core.Request{Class: class, Deadline: deadline, Criticality: criticality, Do: fn})
-}
-
-// ExecReadOnly is Exec with the read-only declaration View makes: full
-// control over class, deadline and criticality, reads on the snapshot
-// fast path.
-func (db *DB) ExecReadOnly(class Class, deadline time.Duration, criticality int, fn func(*Tx) error) error {
-	return db.node.Execute(core.Request{Class: class, Deadline: deadline, Criticality: criticality, ReadOnly: true, Do: fn})
 }
 
 // Submit is Exec without the wait for durability: it returns once the
@@ -492,13 +487,7 @@ func (db *DB) Stats() Stats {
 //
 // Deprecated: benchmark compat, remove with ROADMAP item 6. Open recovers
 // a node from its own LogPath and CheckpointDir before it serves.
-func (db *DB) Recover(r io.Reader) (RecoverStats, error) {
-	st, err := db.node.Recover("", r)
-	if e := db.node.Engine(); err == nil && e != nil {
-		e.Seed(st.LastSerial, st.MaxCommitTS)
-	}
-	return st, err
-}
+func (db *DB) Recover(r io.Reader) (RecoverStats, error) { return db.RecoverFromDir("", r) }
 
 // RecoverStats summarizes a log replay.
 type RecoverStats = wal.RecoverStats
@@ -529,11 +518,19 @@ func (db *DB) CheckpointToDir(dir string) (uint64, error) {
 // Deprecated: benchmark compat, remove with ROADMAP item 6. Open recovers
 // a node from its own LogPath and CheckpointDir before it serves.
 func (db *DB) RecoverFromDir(dir string, r io.Reader) (RecoverStats, error) {
-	st, err := db.node.Recover(dir, r)
-	if e := db.node.Engine(); err == nil && e != nil {
+	rp := wal.NewReplayer(db.node.DB())
+	if err := core.InstallCheckpoint(dir, rp); err != nil {
+		return RecoverStats{}, err
+	}
+	st, err := wal.Replay(r, rp)
+	if err != nil {
+		return st, err
+	}
+	db.node.SetResume(st)
+	if e := db.node.Engine(); e != nil {
 		e.Seed(st.LastSerial, st.MaxCommitTS)
 	}
-	return st, err
+	return st, nil
 }
 
 // Close shuts the node down gracefully, draining transactions and
