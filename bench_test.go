@@ -247,6 +247,10 @@ func BenchmarkDiskCommit(b *testing.B) {
 	}
 }
 
+// zeroEntry is the Populate entry of the update benchmarks' table: 32
+// zero bytes under id i.
+func zeroEntry(i int) (ObjectID, []byte) { return ObjectID(i), make([]byte, 32) }
+
 // BenchmarkEmbeddedUpdate measures a full Update transaction through the
 // public API on an embedded node (no logging wait).
 func BenchmarkEmbeddedUpdate(b *testing.B) {
@@ -255,8 +259,8 @@ func BenchmarkEmbeddedUpdate(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	for i := 0; i < 1000; i++ {
-		db.Load(ObjectID(i), make([]byte, 32))
+	if err := db.Populate(1000, zeroEntry); err != nil {
+		b.Fatal(err)
 	}
 	img := make([]byte, 32)
 	b.ResetTimer()
@@ -281,8 +285,8 @@ func BenchmarkShippedCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer primary.Close()
-	for i := 0; i < 1000; i++ {
-		primary.Load(ObjectID(i), make([]byte, 32))
+	if err := primary.Populate(1000, zeroEntry); err != nil {
+		b.Fatal(err)
 	}
 	mirror, err := OpenMirror(Options{Workers: 2}, primary.ReplAddr(), "")
 	if err != nil {

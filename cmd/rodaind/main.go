@@ -11,8 +11,9 @@
 //
 // A node restarted on the same -log (and -checkpoint-dir) recovers from
 // them before it serves or mirrors; rodain-logdump dry-runs that
-// replay on the log and reports where the restart would cut it. The -db population is logged like any update, so it survives a
-// restart too.
+// replay on the log and reports where the restart would cut it. The -db
+// population goes through DB.Populate, logged like any update, so it
+// survives a restart too.
 //
 // Clients speak the line protocol of internal/service on -listen
 // (GET/SET/TRANSLATE/REROUTE/STATS).
@@ -102,7 +103,7 @@ func main() {
 
 	if *role != "mirror" && db.Len() == 0 && *dbSize > 0 {
 		log.Printf("populating %d number-translation entries", *dbSize)
-		if err := populate(db, *dbSize); err != nil {
+		if err := db.Populate(*dbSize, telecom.RouteEntry); err != nil {
 			log.Fatalf("populate: %v", err)
 		}
 	}
@@ -128,32 +129,4 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down; final stats: %+v", db.Stats().Outcome)
-}
-
-// populateBatch is how many entries one populating transaction writes.
-const populateBatch = 1000
-
-// populate writes entries 0..n-1 of the number-translation table through
-// logged non-real-time transactions of populateBatch writes each, so the
-// table is in the log (and shipped to a mirror) like any update.
-func populate(db *rodain.DB, n int) error {
-	for lo := 0; lo < n; lo += populateBatch {
-		hi := min(lo+populateBatch, n)
-		if err := db.Exec(rodain.NonRealTime, 0, 0, func(tx *rodain.Tx) error {
-			for i := lo; i < hi; i++ {
-				if err := tx.Write(rodain.ObjectID(i), telecom.Encode(&telecom.Entry{
-					Routed:  fmt.Sprintf("+35850%07d", i),
-					Weight:  100,
-					Active:  true,
-					Version: 1,
-				})); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

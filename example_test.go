@@ -17,7 +17,14 @@ func Example() {
 	}
 	defer db.Close()
 
-	db.Load(800100200, []byte("+358501234567"))
+	// Populate loads a table through logged transactions, so it is as
+	// durable as any update; here, a table of one routing entry.
+	err = db.Populate(1, func(int) (rodain.ObjectID, []byte) {
+		return 800100200, []byte("+358501234567")
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	// An update transaction: read, modify, write — all deferred until
 	// validation accepts the transaction.
@@ -41,7 +48,7 @@ func Example() {
 func ExampleDB_Update_deadline() {
 	db, _ := rodain.Open(rodain.Options{Durability: rodain.DurNone})
 	defer db.Close()
-	db.Load(1, []byte("x"))
+	db.Populate(1, func(int) (rodain.ObjectID, []byte) { return 1, []byte("x") })
 
 	err := db.Update(time.Millisecond, func(tx *rodain.Tx) error {
 		time.Sleep(10 * time.Millisecond) // blows the 1 ms budget
@@ -57,7 +64,7 @@ func ExampleDB_Update_deadline() {
 func ExampleDB_Exec() {
 	db, _ := rodain.Open(rodain.Options{Durability: rodain.DurNone})
 	defer db.Close()
-	db.Load(1, []byte("value"))
+	db.Populate(1, func(int) (rodain.ObjectID, []byte) { return 1, []byte("value") })
 
 	err := db.Exec(rodain.NonRealTime, 0, 0, func(tx *rodain.Tx) error {
 		_, err := tx.Read(1)
@@ -75,7 +82,7 @@ func ExampleOpenPrimary() {
 		panic(err)
 	}
 	defer primary.Close()
-	primary.Load(1, []byte("replicated"))
+	primary.Populate(1, func(int) (rodain.ObjectID, []byte) { return 1, []byte("replicated") })
 
 	mirror, err := rodain.OpenMirror(rodain.Options{}, primary.ReplAddr(), "")
 	if err != nil {

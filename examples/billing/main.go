@@ -42,17 +42,13 @@ func main() {
 		}
 	}
 
-	// Provision prepaid subscribers through transactions (replicated).
+	// Provision prepaid subscribers through logged writes (replicated).
 	const initialCents = 100_00
-	for i := 0; i < subscribers; i++ {
-		i := i
-		err := primary.Update(150*time.Millisecond, func(tx *rodain.Tx) error {
-			sub := telecom.NewSubscriber(fmt.Sprintf("+35850%07d", i), fmt.Sprintf("Sub %d", i), true, initialCents)
-			return tx.Write(telecom.SubscriberID(i), sub.Encode())
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	if err := primary.Populate(subscribers, func(i int) (rodain.ObjectID, []byte) {
+		sub := telecom.NewSubscriber(fmt.Sprintf("+35840%07d", i), fmt.Sprintf("Sub %d", i), true, initialCents)
+		return telecom.SubscriberID(i), sub.Encode()
+	}); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("provisioned %d prepaid subscribers with %d cents each\n", subscribers, initialCents)
 

@@ -25,8 +25,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < 5000; i++ {
-		primary.Load(rodain.ObjectID(i), []byte(fmt.Sprintf("entry-%d-v1", i)))
+	if err := primary.Populate(5000, func(i int) (rodain.ObjectID, []byte) {
+		return rodain.ObjectID(i), []byte(fmt.Sprintf("entry-%d-v1", i))
+	}); err != nil {
+		log.Fatal(err)
 	}
 
 	mirror, err := rodain.OpenMirror(opts, primary.ReplAddr(), "127.0.0.1:0")

@@ -28,14 +28,9 @@ func main() {
 	defer primary.Close()
 
 	// Provision the number-translation database: 0800 service numbers
-	// mapped to routing entries.
-	for i := 0; i < numbers; i++ {
-		primary.Load(rodain.ObjectID(i), telecom.Encode(&telecom.Entry{
-			Routed:  fmt.Sprintf("+35850%07d", i),
-			Weight:  100,
-			Active:  true,
-			Version: 1,
-		}))
+	// mapped to routing entries, through logged batches of writes.
+	if err := primary.Populate(numbers, telecom.RouteEntry); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("provisioned %d service numbers\n", numbers)
 

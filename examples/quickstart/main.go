@@ -18,11 +18,14 @@ func main() {
 	}
 	defer db.Close()
 
-	// Bulk-load some initial data (outside transactions).
-	for i := 0; i < 1000; i++ {
-		db.Load(rodain.ObjectID(i), []byte(fmt.Sprintf("subscriber-%04d", i)))
+	// Populate the initial table through logged batches of writes, as
+	// durable as any update.
+	if err := db.Populate(1000, func(i int) (rodain.ObjectID, []byte) {
+		return rodain.ObjectID(i), []byte(fmt.Sprintf("subscriber-%04d", i))
+	}); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("loaded %d objects\n", db.Len())
+	fmt.Printf("populated %d objects\n", db.Len())
 
 	// A read-write transaction with a 50 ms firm deadline. The body may
 	// be retried after a concurrency-control restart, so it must be a
@@ -49,6 +52,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("object 42: %s\n", got)
+	if got != "subscriber-0042 (updated)" {
+		log.Fatal("committed update lost!")
+	}
 
 	// Firm deadlines are real: a transaction that cannot finish in time
 	// is aborted, never late. (The body sleeps past its 1 ms budget.)

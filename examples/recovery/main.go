@@ -41,12 +41,13 @@ func part1(dir string) {
 		Durability:    rodain.DurDisk,
 	}
 	db := open(opts, 1000)
-	// Load is not logged: a checkpoint makes the population durable.
+	// The checkpoint covers the populated table; the log keeps only the
+	// updates after it.
 	if _, err := db.CheckpointToDir(opts.CheckpointDir); err != nil {
 		log.Fatal(err)
 	}
 	update(db, 200, "committed")
-	fmt.Println("checkpointed 1000 objects, then committed 200 updates, log synced per commit")
+	fmt.Println("populated and checkpointed 1000 objects, then committed 200 updates, log synced per commit")
 	db.Crash()
 	fmt.Println("*** node crashed ***")
 
@@ -92,14 +93,16 @@ func part2() {
 	fmt.Println("data (it will be updated again soon) that residual risk is acceptable.")
 }
 
-// open opens a node on opts and loads objects 0..n-1 with "initial".
+// open opens a node on opts and populates objects 0..n-1 with "initial".
 func open(opts rodain.Options, n int) *rodain.DB {
 	db, err := rodain.Open(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		db.Load(rodain.ObjectID(i), []byte("initial"))
+	if err := db.Populate(n, func(i int) (rodain.ObjectID, []byte) {
+		return rodain.ObjectID(i), []byte("initial")
+	}); err != nil {
+		log.Fatal(err)
 	}
 	return db
 }

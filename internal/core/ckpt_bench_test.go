@@ -143,9 +143,7 @@ func BenchmarkCheckpointImage(b *testing.B) {
 	const objs = 30000
 	db := store.New()
 	for i := 0; i < objs; i++ {
-		db.Put(store.ObjectID(i), telecom.Encode(&telecom.Entry{
-			Routed: fmt.Sprintf("+35850%07d", i), Weight: 100, Active: true, Version: 1,
-		}))
+		db.Put(telecom.RouteEntry(i))
 	}
 	n := NewNode("bench", fastCfg(), db, logstore.NewMem())
 	if err := n.ServePrimary("", LogDisk); err != nil {

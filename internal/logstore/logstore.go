@@ -26,6 +26,8 @@ type Store interface {
 	// AppendBatch adds every chunk to the log buffer, in order, as one
 	// vectored operation: a group-commit cohort lands with one call (and
 	// one lock acquisition / syscall batch) instead of N.
+	//
+	// Deprecated: benchmark compat, remove with ROADMAP item 6.
 	AppendBatch(chunks [][]byte) error
 	// Sync forces all appended data to stable storage.
 	Sync() error

@@ -97,15 +97,17 @@ func (m *stallMirror) stall() {
 	m.mu.Unlock()
 }
 
-// openServedPrimary opens a primary with the test population and a
-// replication listener, and serves the line protocol on it.
-func openServedPrimary(t *testing.T, opts rodain.Options) (*rodain.DB, string) {
+// openServedPrimary opens a primary, joins a stallMirror to it that
+// acknowledges commits up to limit, populates the test population
+// through the pair (serial 1), and serves the line protocol on it.
+func openServedPrimary(t *testing.T, opts rodain.Options, limit uint64) (*rodain.DB, string, *stallMirror) {
 	t.Helper()
 	db, err := rodain.OpenPrimary(opts, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	populate(db)
+	m := attachStallMirror(t, db, limit)
+	populate(t, db)
 	srv := NewServer(db)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -115,7 +117,7 @@ func openServedPrimary(t *testing.T, opts rodain.Options) (*rodain.DB, string) {
 		srv.Close()
 		db.Close()
 	})
-	return db, addr
+	return db, addr, m
 }
 
 // lineConn is a raw client connection whose reply lines arrive on a
@@ -227,8 +229,7 @@ func waitRouted(t *testing.T, db *rodain.DB, id rodain.ObjectID, dest string) {
 // connection B of an id A wrote; a TRANSLATE of an untouched id is
 // answered at once. When acks resume, every reply arrives, in order.
 func TestNoReplyBeforeDurable(t *testing.T) {
-	db, addr := openServedPrimary(t, rodain.Options{Workers: 2, AckTimeout: 30 * time.Second})
-	m := attachStallMirror(t, db, ^uint64(0))
+	db, addr, m := openServedPrimary(t, rodain.Options{Workers: 2, AckTimeout: 30 * time.Second}, ^uint64(0))
 	a, b := dialLines(t, addr), dialLines(t, addr)
 
 	m.stall()
@@ -236,7 +237,7 @@ func TestNoReplyBeforeDurable(t *testing.T) {
 	waitRouted(t, db, 1, "+358401111")
 
 	b.send(t, "TRANSLATE 40")
-	b.expect(t, "OK +358500000001 v1")
+	b.expect(t, "OK +358500000040 v1")
 	b.send(t, "TRANSLATE 1")
 	b.expectSilent(t, 200*time.Millisecond, "TRANSLATE of an id written by an unacknowledged commit")
 
@@ -275,8 +276,9 @@ func TestCommitFailureAnswersERR(t *testing.T) {
 	} else {
 		f.Close()
 	}
-	db, addr := openServedPrimary(t, rodain.Options{Workers: 2, AckTimeout: 30 * time.Second, LogPath: full})
-	m := attachStallMirror(t, db, 3) // serials 1..3 become durable, 4.. wait
+	// The population (serial 1) and the first three REROUTEs (2..4)
+	// become durable; 5.. wait.
+	db, addr, m := openServedPrimary(t, rodain.Options{Workers: 2, AckTimeout: 30 * time.Second, LogPath: full}, 4)
 	a, b := dialLines(t, addr), dialLines(t, addr)
 
 	routes := []string{"+358401", "+358402", "+358403", "+358404", "+358405", "+358406", "+358407", "+358408"}

@@ -21,8 +21,10 @@ func TestFailoverClientSurvivesTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		primary.Load(rodain.ObjectID(i), []byte("init"))
+	if err := primary.Populate(100, func(i int) (rodain.ObjectID, []byte) {
+		return rodain.ObjectID(i), []byte("init")
+	}); err != nil {
+		t.Fatal(err)
 	}
 	mirror, err := rodain.OpenMirror(opts, primary.ReplAddr(), "127.0.0.1:0")
 	if err != nil {
@@ -95,7 +97,9 @@ func TestFailoverClientMirrorFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	primary.Load(1, []byte("v"))
+	if err := primary.Populate(1, func(int) (rodain.ObjectID, []byte) { return 1, []byte("v") }); err != nil {
+		t.Fatal(err)
+	}
 	mirror, err := rodain.OpenMirror(opts, primary.ReplAddr(), "")
 	if err != nil {
 		t.Fatal(err)

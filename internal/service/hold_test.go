@@ -73,8 +73,9 @@ func TestPipelinedUpdatesShareCohort(t *testing.T) {
 	conn, r := pipeClient(t, db, Config{})
 	go conn.Write(reroutes(n)) // net.Pipe: returns once the reader took it all
 	expectReplies(t, conn, r, n+1)
-	if got := db.Stats().CommitCohortMean; got != n {
-		t.Fatalf("CommitCohortMean = %v, want %d: one cohort", got, n)
+	// Two cohorts: the population's one commit, then all n updates.
+	if got, want := db.Stats().CommitCohortMean, float64(1+n)/2; got != want {
+		t.Fatalf("CommitCohortMean = %v, want %v: the n updates in one cohort", got, want)
 	}
 }
 

@@ -25,22 +25,24 @@ func newTestDB(tb testing.TB, opts rodain.Options) *rodain.DB {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	populate(db)
+	populate(tb, db)
 	return db
 }
 
 // populate loads newTestDB's population into db.
-func populate(db *rodain.DB) {
-	for i := 0; i < 50; i++ {
-		db.Load(rodain.ObjectID(i), telecom.Encode(&telecom.Entry{
-			Routed: "+358500000001", Active: true, Version: 1, Weight: 1,
-		}))
-	}
-	for i := 50; i < 70; i++ {
-		db.Load(rodain.ObjectID(i), []byte(fmt.Sprintf("v%d", i)))
-	}
-	for s := 0; s < 5; s++ {
-		db.Load(telecom.SubscriberID(s), telecom.NewSubscriber("+3585", "A", true, 100000).Encode())
+func populate(tb testing.TB, db *rodain.DB) {
+	tb.Helper()
+	if err := db.Populate(75, func(i int) (rodain.ObjectID, []byte) {
+		switch {
+		case i < 50:
+			return telecom.RouteEntry(i)
+		case i < 70:
+			return rodain.ObjectID(i), []byte(fmt.Sprintf("v%d", i))
+		default:
+			return telecom.SubscriberID(i - 70), telecom.NewSubscriber("+3585", "A", true, 100000).Encode()
+		}
+	}); err != nil {
+		tb.Fatal(err)
 	}
 }
 

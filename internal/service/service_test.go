@@ -17,10 +17,8 @@ func startServer(t *testing.T) (*Server, *Client, *rodain.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		db.Load(rodain.ObjectID(i), telecom.Encode(&telecom.Entry{
-			Routed: "+358500000001", Active: true, Version: 1, Weight: 1,
-		}))
+	if err := db.Populate(100, telecom.RouteEntry); err != nil {
+		t.Fatal(err)
 	}
 	srv := NewServer(db)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -37,6 +35,16 @@ func startServer(t *testing.T) (*Server, *Client, *rodain.DB) {
 		db.Close()
 	})
 	return srv, c, db
+}
+
+// provisionSubscriber populates subscriber 0: prepaid, 1000 cents.
+func provisionSubscriber(t *testing.T, db *rodain.DB) {
+	t.Helper()
+	if err := db.Populate(1, func(int) (rodain.ObjectID, []byte) {
+		return telecom.SubscriberID(0), telecom.NewSubscriber("+3585", "A", true, 1000).Encode()
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func do(t *testing.T, c *Client, line string) string {
@@ -62,7 +70,7 @@ func TestGetSet(t *testing.T) {
 func TestTranslateAndReroute(t *testing.T) {
 	_, c, _ := startServer(t)
 	resp := do(t, c, "TRANSLATE 42")
-	if !OK(resp) || !strings.Contains(resp, "+358500000001 v1") {
+	if !OK(resp) || !strings.Contains(resp, "+358500000042 v1") {
 		t.Fatalf("TRANSLATE: %q", resp)
 	}
 	if resp := do(t, c, "REROUTE 42 +358409999999"); resp != "OK" {
@@ -239,8 +247,7 @@ func TestDelCommand(t *testing.T) {
 
 func TestBillingCommands(t *testing.T) {
 	_, c, db := startServer(t)
-	// Provision subscriber 0 (prepaid, 1000 cents).
-	db.Load(telecom.SubscriberID(0), telecom.NewSubscriber("+3585", "A", true, 1000).Encode())
+	provisionSubscriber(t, db)
 
 	if resp := do(t, c, "BALANCE 0"); resp != "OK 1000 prepaid" {
 		t.Fatalf("BALANCE: %q", resp)
@@ -271,7 +278,7 @@ func TestBillingCommands(t *testing.T) {
 // range answers ERR and leaves the balance as it was.
 func TestTopUpRefusesOverflow(t *testing.T) {
 	_, c, db := startServer(t)
-	db.Load(telecom.SubscriberID(0), telecom.NewSubscriber("+3585", "A", true, 1000).Encode())
+	provisionSubscriber(t, db)
 	if resp := do(t, c, "TOPUP 0 9223372036854775807"); !strings.HasPrefix(resp, "ERR") {
 		t.Fatalf("TOPUP past the int64 range: %q", resp)
 	}

@@ -87,7 +87,6 @@ type Loop struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	fired  uint64
 }
 
 // NewLoop returns a loop with the clock at zero and no pending events.
@@ -95,12 +94,6 @@ func NewLoop() *Loop { return &Loop{} }
 
 // Now reports the current virtual time.
 func (l *Loop) Now() Time { return l.now }
-
-// Pending reports the number of events waiting to fire.
-func (l *Loop) Pending() int { return len(l.events) }
-
-// Fired reports how many events have fired so far.
-func (l *Loop) Fired() uint64 { return l.fired }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the
 // past (before Now) panics: it would mean the simulation model violated
@@ -128,25 +121,6 @@ func (l *Loop) Cancel(e *Event) bool {
 	return true
 }
 
-// Reschedule moves a pending event to a new absolute time, preserving
-// its callback. If the event already fired it is re-armed.
-func (l *Loop) Reschedule(e *Event, at Time) {
-	if at < l.now {
-		panic(fmt.Sprintf("simtime: rescheduling at %v before now %v", at, l.now))
-	}
-	if e.index >= 0 {
-		e.at = at
-		e.seq = l.seq
-		l.seq++
-		heap.Fix(&l.events, e.index)
-		return
-	}
-	e.at = at
-	e.seq = l.seq
-	l.seq++
-	heap.Push(&l.events, e)
-}
-
 // Step fires the earliest pending event, advancing the clock to its time.
 // It reports false when no events remain.
 func (l *Loop) Step() bool {
@@ -155,7 +129,6 @@ func (l *Loop) Step() bool {
 	}
 	e := heap.Pop(&l.events).(*Event)
 	l.now = e.at
-	l.fired++
 	e.fn()
 	return true
 }
@@ -163,17 +136,6 @@ func (l *Loop) Step() bool {
 // Run fires events until the queue is empty.
 func (l *Loop) Run() {
 	for l.Step() {
-	}
-}
-
-// RunUntil fires events with time ≤ deadline, then advances the clock to
-// deadline (if it is beyond the last event fired).
-func (l *Loop) RunUntil(deadline Time) {
-	for len(l.events) > 0 && l.events[0].at <= deadline {
-		l.Step()
-	}
-	if l.now < deadline {
-		l.now = deadline
 	}
 }
 

@@ -76,33 +76,6 @@ func TestCancelNil(t *testing.T) {
 	}
 }
 
-func TestReschedulePending(t *testing.T) {
-	l := NewLoop()
-	var at Time
-	e := l.At(10, func() { at = l.Now() })
-	l.Reschedule(e, 40)
-	l.Run()
-	if at != 40 {
-		t.Fatalf("rescheduled event fired at %v, want 40", at)
-	}
-}
-
-func TestRescheduleFiredReArms(t *testing.T) {
-	l := NewLoop()
-	count := 0
-	var e *Event
-	e = l.At(10, func() { count++ })
-	l.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1", count)
-	}
-	l.Reschedule(e, 20)
-	l.Run()
-	if count != 2 {
-		t.Fatalf("after re-arm count = %d, want 2", count)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	l := NewLoop()
 	l.At(100, func() {})
@@ -113,33 +86,6 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	l.At(50, func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	l := NewLoop()
-	var fired []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		l.At(at, func() { fired = append(fired, at) })
-	}
-	l.RunUntil(25)
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 20 {
-		t.Fatalf("fired = %v, want [10 20]", fired)
-	}
-	if l.Now() != 25 {
-		t.Fatalf("Now = %v, want 25", l.Now())
-	}
-	if l.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", l.Pending())
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	l := NewLoop()
-	l.RunUntil(1000)
-	if l.Now() != 1000 {
-		t.Fatalf("Now = %v, want 1000", l.Now())
-	}
 }
 
 // Property: for any set of scheduled times, events fire in nondecreasing
@@ -156,10 +102,7 @@ func TestPropertyFiringOrder(t *testing.T) {
 		if len(fired) != len(offsets) {
 			return false
 		}
-		if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
-			return false
-		}
-		return l.Fired() == uint64(len(offsets))
+		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -119,20 +119,3 @@ func adjust(encoded []byte, delta int64) ([]byte, error) {
 	s.BalanceCents = next
 	return s.Encode(), nil
 }
-
-// PopulateSubscribers loads n subscriber profiles, ids
-// SubscriberID(0..n-1).
-func PopulateSubscribers(db *store.Store, n int) {
-	for i := 0; i < n; i++ {
-		s := NewSubscriber(
-			fmt.Sprintf("+35850%07d", i),
-			fmt.Sprintf("Subscriber %d", i),
-			i%2 == 0, // alternate prepaid/postpaid
-			100_00,   // 100 units of balance
-		)
-		if i%2 == 1 {
-			s.CreditLimitCents = 50_00
-		}
-		db.Put(SubscriberID(i), s.Encode())
-	}
-}

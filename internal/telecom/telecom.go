@@ -82,18 +82,16 @@ func IDToNumber(id store.ObjectID) string {
 	return fmt.Sprintf("0800%06d", uint64(id)%1000000)
 }
 
-// Populate loads n service numbers, ids 0..n-1, each routed to a
-// deterministic subscriber number.
-func Populate(db *store.Store, n int) {
-	for i := 0; i < n; i++ {
-		e := &Entry{
-			Routed:  fmt.Sprintf("+35850%07d", i),
-			Weight:  100,
-			Active:  true,
-			Version: 1,
-		}
-		db.Put(store.ObjectID(i), Encode(e))
-	}
+// RouteEntry is entry i of the number-translation table: service number
+// i routed to subscriber number +35850 followed by i in seven digits. It
+// is the entry function a node's Populate takes.
+func RouteEntry(i int) (store.ObjectID, []byte) {
+	return store.ObjectID(i), Encode(&Entry{
+		Routed:  fmt.Sprintf("+35850%07d", i),
+		Weight:  100,
+		Active:  true,
+		Version: 1,
+	})
 }
 
 // Translate resolves a service number to its routing destination — the

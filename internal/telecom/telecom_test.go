@@ -59,7 +59,9 @@ func TestIDToNumber(t *testing.T) {
 
 func TestPopulateAndTranslate(t *testing.T) {
 	db := store.New()
-	Populate(db, 100)
+	for i := 0; i < 100; i++ {
+		db.Put(RouteEntry(i))
+	}
 	if db.Len() != 100 {
 		t.Fatalf("Len = %d", db.Len())
 	}
@@ -195,28 +197,6 @@ func TestChargeValidation(t *testing.T) {
 	}
 	if _, err := TopUp([]byte("junk"), 1); err == nil {
 		t.Fatal("junk profile topped up")
-	}
-}
-
-func TestPopulateSubscribers(t *testing.T) {
-	db := store.New()
-	PopulateSubscribers(db, 10)
-	if db.Len() != 10 {
-		t.Fatalf("Len = %d", db.Len())
-	}
-	enc, ok := db.Get(SubscriberID(3))
-	if !ok {
-		t.Fatal("subscriber 3 missing")
-	}
-	s, err := DecodeSubscriber(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Prepaid { // 3 is odd → postpaid
-		t.Fatal("subscriber 3 should be postpaid")
-	}
-	if s.CreditLimitCents != 50_00 {
-		t.Fatalf("credit limit = %d", s.CreditLimitCents)
 	}
 }
 

@@ -360,6 +360,8 @@ func (g *Group) SerialOrder() uint64 { return g.Commit.SerialOrder }
 
 // Flatten returns the group's records in stored-log order: writes first,
 // then the commit record.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 func (g *Group) Flatten() []*Record {
 	out := make([]*Record, 0, len(g.Writes)+1)
 	out = append(out, g.Writes...)

@@ -15,7 +15,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -327,14 +326,4 @@ func parseIDList(s string) ([]store.ObjectID, error) {
 		ids = append(ids, store.ObjectID(v))
 	}
 	return ids, nil
-}
-
-// MeanServiceDemand estimates the mean CPU demand per transaction under
-// a cost model with the given per-operation costs — used to sanity-check
-// where saturation should land.
-func MeanServiceDemand(cfg Config, perRead, perWrite, fixed time.Duration) time.Duration {
-	read := float64(fixed) + float64(cfg.ReadsPerTxn)*float64(perRead)
-	write := read + float64(cfg.WritesPerTxn)*float64(perWrite)
-	mean := (1-cfg.WriteFraction)*read + cfg.WriteFraction*write
-	return time.Duration(math.Round(mean))
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 	"repro/internal/txn"
@@ -214,20 +213,6 @@ func TestReadTraceErrors(t *testing.T) {
 	specs, err := ReadTrace(bytes.NewReader([]byte("# comment\n\n1 soft 5 1,2 -\n")))
 	if err != nil || len(specs) != 1 || specs[0].Class != txn.Soft {
 		t.Fatalf("specs = %v err = %v", specs, err)
-	}
-}
-
-func TestMeanServiceDemand(t *testing.T) {
-	cfg := Default()
-	cfg.WriteFraction = 0 // pure read: fixed + 4 reads
-	d := MeanServiceDemand(cfg, 600*time.Microsecond, 800*time.Microsecond, 800*time.Microsecond)
-	if d != 3200*time.Microsecond {
-		t.Fatalf("demand = %v", d)
-	}
-	cfg.WriteFraction = 1 // adds 2 writes
-	d = MeanServiceDemand(cfg, 600*time.Microsecond, 800*time.Microsecond, 800*time.Microsecond)
-	if d != 4800*time.Microsecond {
-		t.Fatalf("demand = %v", d)
 	}
 }
 

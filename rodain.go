@@ -6,8 +6,11 @@
 //
 // # Embedded use
 //
-//	db, err := rodain.Open(rodain.Options{})
+//	db, err := rodain.Open(rodain.Options{LogPath: "node.wal"})
 //	defer db.Close()
+//	err = db.Populate(1000, func(i int) (rodain.ObjectID, []byte) {
+//	    return rodain.ObjectID(i), []byte("initial")
+//	})
 //	err = db.Update(50*time.Millisecond, func(tx *rodain.Tx) error {
 //	    v, err := tx.Read(42)
 //	    if err != nil {
@@ -16,9 +19,10 @@
 //	    return tx.Write(42, append(v, '!'))
 //	})
 //
-// Transactions carry firm deadlines: past the deadline they are aborted
-// (ErrDeadline), never late. Writes are deferred — an abort simply
-// discards the private workspace.
+// Populate loads a table through logged batches, so it is as durable as
+// any update. Transactions carry firm deadlines: past the deadline they
+// are aborted (ErrDeadline), never late. Writes are deferred — an abort
+// simply discards the private workspace.
 //
 // # A replicated pair
 //
@@ -332,11 +336,39 @@ func OpenMirror(opts Options, primaryAddr, takeoverListen string) (*DB, error) {
 	return db, nil
 }
 
-// Load bulk-inserts an object outside any transaction. It is not logged
-// and not replicated: a node reopened on its LogPath does not hold what
-// Load put unless a checkpoint (CheckpointToDir) followed, and a mirror
-// never sees it. Load before attaching a mirror and checkpoint after, or
-// write the objects in transactions instead.
+// populateBatch is how many writes one Populate transaction carries.
+const populateBatch = 1000
+
+// Populate writes the table entry(0), …, entry(n-1) through logged
+// NonRealTime transactions of 1 000 writes each, each durable before the
+// next starts. A populated table is exactly as durable as an Update under
+// the node's Durability: it is in the log a reopened node replays, and an
+// attached mirror receives it. A crash part-way through leaves a prefix
+// made of whole batches. entry must be a pure function of i, since a
+// batch that restarts calls it again. On a mirror Populate fails with
+// ErrNotServing.
+func (db *DB) Populate(n int, entry func(i int) (ObjectID, []byte)) error {
+	for lo := 0; lo < n; lo += populateBatch {
+		hi := min(lo+populateBatch, n)
+		if err := db.Exec(NonRealTime, 0, 0, func(tx *Tx) error {
+			for i := lo; i < hi; i++ {
+				if err := tx.Write(entry(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Load puts an object outside any transaction: unlogged, unreplicated,
+// its timestamps reset. A node reopened on its LogPath does not hold it.
+// Use Populate.
+//
+// Deprecated: benchmark compat, remove with ROADMAP item 6.
 func (db *DB) Load(id ObjectID, value []byte) { db.node.DB().Put(id, value) }
 
 // Get reads the latest validated value outside any transaction. It does

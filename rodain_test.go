@@ -23,10 +23,17 @@ func openTest(t *testing.T, opts Options) *DB {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	for i := 0; i < 100; i++ {
-		db.Load(ObjectID(i), []byte(fmt.Sprintf("v%d", i)))
+	if err := db.Populate(100, func(i int) (ObjectID, []byte) {
+		return ObjectID(i), []byte(fmt.Sprintf("v%d", i))
+	}); err != nil {
+		t.Fatal(err)
 	}
 	return db
+}
+
+// one is a Populate entry function for a table of one object.
+func one(id ObjectID, v string) func(int) (ObjectID, []byte) {
+	return func(int) (ObjectID, []byte) { return id, []byte(v) }
 }
 
 func TestOpenUpdateView(t *testing.T) {
@@ -61,9 +68,10 @@ func TestOpenUpdateView(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	db := openTest(t, Options{})
+	populated := db.Stats().Outcome.Committed
 	db.Update(time.Second, func(tx *Tx) error { return tx.Write(1, []byte("x")) })
 	s := db.Stats()
-	if s.Outcome.Committed != 1 || s.Mode != "transient" {
+	if s.Outcome.Committed != populated+1 || s.Mode != "transient" {
 		t.Fatalf("stats = %+v", s)
 	}
 	if s.LogMode != "disk" {
@@ -91,7 +99,9 @@ func TestFileBackedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Load(1, []byte("v"))
+	if err := db.Populate(1, one(1, "v")); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Update(time.Second, func(tx *Tx) error {
 		return tx.Write(1, []byte("durable"))
 	}); err != nil {
@@ -187,8 +197,8 @@ func TestPairAndFailoverThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		primary.Load(ObjectID(i), []byte("init"))
+	if err := primary.Populate(50, func(i int) (ObjectID, []byte) { return ObjectID(i), []byte("init") }); err != nil {
+		t.Fatal(err)
 	}
 	mirror, err := OpenMirror(opts, primary.ReplAddr(), "127.0.0.1:0")
 	if err != nil {
@@ -269,7 +279,9 @@ func TestRejoinedMirrorLogIsOneHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer primary.Close()
-			primary.Load(1, []byte("new"))
+			if err := primary.Populate(1, one(1, "new")); err != nil {
+				t.Fatal(err)
+			}
 			opts.LogPath = path
 			mirror, err := OpenMirror(opts, primary.ReplAddr(), "")
 			if err != nil {
@@ -332,11 +344,12 @@ func TestPublicCheckpointCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Serial 1 is openTest's populate batch.
 	serial, err := db.CheckpointToDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != 20 {
+	if serial != 21 {
 		t.Fatalf("serial = %d", serial)
 	}
 	// More work after the checkpoint goes only to the (truncated) log.
@@ -353,7 +366,7 @@ func TestPublicCheckpointCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if got := db2.node.Engine().Controller().LastSerial(); got != 20 {
+	if got := db2.node.Engine().Controller().LastSerial(); got != 21 {
 		t.Fatalf("LastSerial = %d", got)
 	}
 	v, _ := db2.Get(5)
@@ -419,7 +432,9 @@ func TestPublicRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db1.Load(1, []byte("v0"))
+	if err := db1.Populate(1, one(1, "v0")); err != nil {
+		t.Fatal(err)
+	}
 	if err := db1.Update(time.Second, func(tx *Tx) error {
 		return tx.Write(1, []byte("v1"))
 	}); err != nil {
@@ -436,6 +451,79 @@ func TestPublicRecover(t *testing.T) {
 	v, ok := db2.Get(1)
 	if !ok || string(v) != "v1" {
 		t.Fatalf("recovered value = %q %v", v, ok)
+	}
+}
+
+// TestPopulateSurvivesReopen: a populated table is in the log like any
+// update, so a node reopened on its LogPath holds all of it, and the
+// update that followed it.
+func TestPopulateSurvivesReopen(t *testing.T) {
+	opts := Options{LogPath: filepath.Join(t.TempDir(), "node.wal"), Durability: DurDisk}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Populate(10, func(i int) (ObjectID, []byte) { return ObjectID(i), []byte("initial") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(time.Second, func(tx *Tx) error { return tx.Write(3, []byte("updated")) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.Len() != 10 {
+		t.Fatalf("reopened node holds %d objects, want 10", db.Len())
+	}
+	for i := ObjectID(0); i < 10; i++ {
+		want := map[bool]string{false: "initial", true: "updated"}[i == 3]
+		if v, _ := db.Get(i); string(v) != want {
+			t.Fatalf("object %d = %q, want %q", i, v, want)
+		}
+	}
+}
+
+// TestPopulateReachesAttachedMirror: a table populated after a mirror
+// attached ships to it like any update, so the mirror's store equals the
+// primary's; a mirror refuses Populate.
+func TestPopulateReachesAttachedMirror(t *testing.T) {
+	opts := Options{Workers: 2, HeartbeatEvery: 25 * time.Millisecond, HeartbeatMisses: 4}
+	primary, err := OpenPrimary(opts, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	mirror, err := OpenMirror(opts, primary.ReplAddr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mirror.Close()
+	waitKind(t, primary, EventMirrorAttached)
+
+	const n = 2500
+	if err := primary.Populate(n, func(i int) (ObjectID, []byte) {
+		return ObjectID(i), []byte(fmt.Sprintf("entry-%d", i))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mirror.Populate(1, one(1, "x")); !errors.Is(err, ErrNotServing) {
+		t.Fatalf("mirror Populate: %v, want ErrNotServing", err)
+	}
+	if primary.Len() != n {
+		t.Fatalf("primary holds %d objects, want %d", primary.Len(), n)
+	}
+	want := primary.node.DB().Checksum()
+	for deadline := time.Now().Add(5 * time.Second); mirror.node.DB().Checksum() != want; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("mirror holds %d objects, checksum %08x; primary %d, %08x",
+				mirror.Len(), mirror.node.DB().Checksum(), n, want)
+		}
 	}
 }
 
